@@ -15,8 +15,10 @@ any mismatch, truncation, or header disagreement.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
+import uuid
 import zlib
 from math import factorial
 from pathlib import Path
@@ -61,13 +63,36 @@ def _crc_path(path: Path) -> Path:
     return path.with_name(path.name + ".crc32")
 
 
+def _publish(target: Path, data: bytes) -> None:
+    """Replace target atomically through a temp file of this writer's own.
+
+    The temp file is created exclusively under a random name rather than by
+    mkstemp, so it gets the mode the umask gives, as the tables always had.
+    """
+    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_payload(path: Path, payload: bytes) -> None:
+    """Write the sidecar, then the payload.
+
+    Builders test the payload's existence, so publishing it last makes it
+    the commit point: a crash before it leaves no table and the next run
+    rebuilds; a crash after it leaves a matching pair.  Writers of one
+    table write the same bytes, so any interleaving ends consistent.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-    _crc_path(path).write_text(f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}\n")
+    _publish(_crc_path(path), f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}\n".encode())
+    _publish(path, payload)
 
 
 def _read_payload(path: Path) -> bytes:

@@ -9,9 +9,18 @@ Three routes compute those blocks:
 - expansion of the pairing polynomial by differential operators, whose
   degree-m monomials are permutation patterns in bijection with relabeling
   orbits of pairs of full orders (the production route; cost is governed by
-  the final monomial count, about 6 (m-2)! for the single-block shape),
+  the final monomial count, about m!/2 per entry of the single block),
 - streaming over ordered cycle pairs grouped by first component (exact,
   quadratic in (m-1)!, kept as a selectable cross-check).
+
+The production route runs on numpy arrays: a monomial is one sorted row of
+m uint8 cell ids, an operator rewrites entries and merges equal rows by
+sorting and summing int64 coefficients, and every step refuses to run if a
+coefficient could leave +-2**62.  The row cascade of one tableau is held
+whole (it stays small); the column cascade is streamed over batches of row
+monomials and each batch is reduced to class sums at once, so the final
+patterns never all exist together.  A final pattern is a cycle word, and
+its class is read from a per-cycle class table by one lookup.
 
 Blocks built from inversion-symmetrized rows w +- (w o eta) reduce to the
 raw tableau forms: eta flips one pair component, which descends to an
@@ -23,12 +32,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
 from .cycles import CycleIndex, invert_seqs
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError, CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
 from .repsets import Block, hook_block_columns, hook_block_matrix
 from .swapgraph import distances_from_base
@@ -41,6 +50,7 @@ from .tableaux import (
 )
 
 Filling = tuple[tuple[int, ...], ...]
+Poly = tuple[np.ndarray, np.ndarray]  # (cells, coeffs), see the production section
 
 
 @dataclass
@@ -50,21 +60,25 @@ class PairTables:
     index: CycleIndex
     orbits: PairOrbits
     classes: SymmetricClasses
+    class_of_cycle: np.ndarray  # (N,) int32, class of (base, tau) by cycle id of tau
     _flip: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, m: int) -> "PairTables":
         index = CycleIndex(m)
         orbits = build_pair_orbits(index, distances_from_base(index))
-        return cls(index=index, orbits=orbits, classes=orbits.symmetric_classes())
+        classes = orbits.symmetric_classes()
+        class_of_cycle = classes.class_of_orbit[index.stabilizer_orbits()[1]].astype(np.int32)
+        return cls(index=index, orbits=orbits, classes=classes, class_of_cycle=class_of_cycle)
 
     @property
     def m(self) -> int:
         return self.index.m
 
     def class_ids_of_words(self, words: np.ndarray) -> np.ndarray:
-        """Class ids of the pairs (base, tau) for each word tau."""
-        return self.classes.class_of_orbit[self.orbits.orbit_ids_of_tau_seqs(words)]
+        """Class ids of the pairs (base, tau) for each word tau, which may be
+        any rotation of a cycle's word."""
+        return self.class_of_cycle[self.index.id_of_words(words)]
 
     def flip_classes(self) -> np.ndarray:
         """Class image of inverting one pair component (an involution)."""
@@ -126,46 +140,78 @@ def direct_expansion(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, 
 
 # -- production: differential-operator expansion ----------------------------
 #
-# Monomials are byte strings of sorted (row, col, exponent) triples; all
-# indices and exponents fit a byte for the supported m.
+# A polynomial is a pair (cells, coeffs).  Each row of the (N, deg) uint8
+# array cells is one monomial: its cells 16*(r-1) + (c-1) in ascending
+# order, one entry per unit of exponent, so row r lives in the high nibble
+# and column c in the low one (every m <= MAX_M fits).  coeffs holds the
+# (N,) int64 coefficients.  After every merge the rows are distinct and the
+# coefficients nonzero.  An operator replaces one entry and re-sorts the
+# row; the e equal entries of a cell of exponent e each give the same new
+# row, so merging duplicates supplies the factor e of the derivative.
+
+_COEFF_LIMIT = 1 << 62
+
+# Most final patterns one batch of the column cascade may produce, unless a
+# single row monomial alone expands further; keeps the working set small.
+_PATTERN_BATCH = 1 << 12
 
 
-def _encode(trips: dict[tuple[int, int], int]) -> bytes:
-    return b"".join(bytes((r, c, e)) for (r, c), e in sorted(trips.items()))
+def _check_range(bound: int) -> None:
+    """Refuse a step whose coefficients could leave +-2**62, before int64
+    arithmetic could wrap."""
+    if bound >= _COEFF_LIMIT:
+        raise ResourceError(
+            f"coefficient bound {bound} exceeds the int64 range of the expansion"
+        )
 
 
-def _decode(key: bytes) -> dict[tuple[int, int], int]:
-    return {(key[p], key[p + 1]): key[p + 2] for p in range(0, len(key), 3)}
+def _max_abs(coeffs: np.ndarray) -> int:
+    return int(np.abs(coeffs).max()) if coeffs.size else 0
 
 
-def _poly_mul(a: dict[bytes, int], b: dict[bytes, int]) -> dict[bytes, int]:
-    out: dict[bytes, int] = {}
-    for ka, ca in a.items():
-        ta = _decode(ka)
-        for kb, cb in b.items():
-            t = dict(ta)
-            for rc, e in _decode(kb).items():
-                t[rc] = t.get(rc, 0) + e
-            key = _encode(t)
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+def _merge(cells: np.ndarray, coeffs: np.ndarray) -> Poly:
+    """Sum the coefficients of equal rows and drop zero sums."""
+    n, deg = cells.shape
+    if n == 0:
+        return cells, coeffs
+    padded = np.zeros((n, max(8, -(-deg // 8) * 8)), dtype=np.uint8)
+    padded[:, :deg] = cells
+    keys = padded.view(np.uint64)
+    if keys.shape[1] == 1:
+        order = np.argsort(keys[:, 0])
+    else:
+        order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(coeffs[order], starts)
+    keep = sums != 0
+    return cells[order[starts[keep]]], sums[keep]
 
 
-def _det_poly(k: int) -> dict[bytes, int]:
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    (ca, xa), (cb, xb) = a, b
+    _check_range(_max_abs(xa) * xa.size * _max_abs(xb) * xb.size)
+    cells = np.concatenate(
+        [np.repeat(ca, len(cb), axis=0), np.tile(cb, (len(ca), 1))], axis=1
+    )
+    cells.sort(axis=1)
+    return _merge(cells, np.multiply.outer(xa, xb).ravel())
+
+
+def _det_poly(k: int) -> Poly:
     base = tuple(range(1, k + 1))
-    return {
-        _encode({(i, p): 1 for i, p in zip(base, perm)}): perm_sign(base, perm)
-        for perm in itertools.permutations(base)
-    }
+    perms = list(itertools.permutations(base))
+    cells = np.array([[16 * i + p - 1 for i, p in enumerate(perm)] for perm in perms],
+                     dtype=np.uint8)
+    signs = np.array([perm_sign(base, perm) for perm in perms], dtype=np.int64)
+    return cells, signs
 
 
-def _shape_poly(lam: tuple[int, ...]) -> dict[bytes, int]:
+def _shape_poly(lam: tuple[int, ...]) -> Poly:
     """The shape polynomial: product of leading-minor determinant powers."""
-    poly: dict[bytes, int] = {b"": 1}
+    poly = (np.zeros((1, 0), dtype=np.uint8), np.ones(1, dtype=np.int64))
     for k in range(1, len(lam) + 1):
         power = lam[k - 1] - (lam[k] if k < len(lam) else 0)
         if power == 0:
@@ -174,32 +220,22 @@ def _shape_poly(lam: tuple[int, ...]) -> dict[bytes, int]:
         for _ in range(power):
             poly = _poly_mul(poly, det)
         const = factorial(k) ** power
-        poly = {key: v * const for key, v in poly.items()}
+        _check_range(_max_abs(poly[1]) * const)
+        poly = (poly[0], poly[1] * const)
     return poly
 
 
-def _derive(poly: dict[bytes, int], src: int, dst: int, on_rows: bool) -> dict[bytes, int]:
+def _derive(poly: Poly, src: int, dst: int, on_rows: bool) -> Poly:
     """One operator pass: move one unit of row (or column) src to dst."""
-    out: dict[bytes, int] = {}
-    for key, coeff in poly.items():
-        base = _decode(key)
-        for (r, c), e in base.items():
-            if (r if on_rows else c) != src:
-                continue
-            trips = dict(base)
-            if e == 1:
-                del trips[(r, c)]
-            else:
-                trips[(r, c)] = e - 1
-            target = (dst, c) if on_rows else (r, dst)
-            trips[target] = trips.get(target, 0) + 1
-            nk = _encode(trips)
-            v = out.get(nk, 0) + coeff * e
-            if v:
-                out[nk] = v
-            else:
-                del out[nk]
-    return out
+    cells, coeffs = poly
+    at, pos = np.nonzero((cells >> 4 if on_rows else cells & 15) == src - 1)
+    _check_range(_max_abs(coeffs) * at.size)
+    out = cells[at]
+    k = np.arange(at.size)
+    old = out[k, pos]
+    out[k, pos] = ((dst - 1) << 4) | (old & 15) if on_rows else (old & 0xF0) | (dst - 1)
+    out.sort(axis=1)
+    return _merge(out, coeffs[at])
 
 
 def _check_tableau_pair(t1: Filling, t2: Filling, m: int) -> tuple[int, ...]:
@@ -219,7 +255,7 @@ def _check_tableau_pair(t1: Filling, t2: Filling, m: int) -> tuple[int, ...]:
     return lam
 
 
-def _cascade(poly: dict[bytes, int], t: Filling, m: int, on_rows: bool) -> dict[bytes, int]:
+def _cascade(poly: Poly, t: Filling, m: int, on_rows: bool) -> Poly:
     """Apply every operator a tableau calls for, source index descending.
 
     Operators with distinct source indices only interact through values the
@@ -237,48 +273,48 @@ def _cascade(poly: dict[bytes, int], t: Filling, m: int, on_rows: bool) -> dict[
 def poly_method(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, int]:
     """Signed pair-class counts via the operator expansion."""
     lam = _check_tableau_pair(t1, t2, tables.m)
-    poly = _cascade(_shape_poly(lam), t1, tables.m, on_rows=True)
-    return _collect_patterns(_cascade(poly, t2, tables.m, on_rows=False), tables)
+    rows_done = _cascade(_shape_poly(lam), t1, tables.m, on_rows=True)
+    acc = _class_sums(rows_done, t2, tables)
+    return {int(c): int(v) for c, v in enumerate(acc) if v}
 
 
-def _stream_patterns(rows_done: dict[bytes, int], t2: Filling, m: int,
-                     tables: PairTables) -> dict[int, int]:
-    """Column-cascade and collect one row monomial at a time.
+def _pattern_words(cells: np.ndarray, m: int) -> np.ndarray:
+    """Cycle words of final monomials, each of which must be a permutation
+    pattern: row a to column c means the word reads a at position c."""
+    rows, cols = cells >> 4, cells & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, cols, dtype=np.uint32), axis=1)
+    if (
+        cells.shape[1] != m
+        or (rows != np.arange(m, dtype=np.uint8)).any()
+        or (seen != (1 << m) - 1).any()
+    ):
+        raise CrossingsError("operator expansion ended on a non-permutation monomial")
+    words = np.empty(cells.shape, dtype=np.uint8)
+    np.put_along_axis(words, cols.astype(np.intp), rows + 1, axis=1)
+    return words
 
-    Derivations are linear, so per-monomial sums are exact, and the full
-    pattern dictionary (which approaches m! entries) never exists at once.
+
+def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
+    """Column-cascade a row-cascaded polynomial and sum its final patterns
+    by class, a batch of row monomials at a time.
+
+    Derivations are linear, so batches cascade apart and their sums are
+    exact.  One row monomial expands to at most prod(lam_i!) patterns, which
+    sizes the batches, so the whole pattern set (which approaches m!
+    entries) never exists at once.
     """
-    acc = np.zeros(tables.classes.count, dtype=np.int64)
-    for key, coeff in rows_done.items():
-        done = _cascade({key: coeff}, t2, m, on_rows=False)
-        for cid, v in _collect_patterns(done, tables).items():
-            acc[cid] += v
-    return {int(c): int(v) for c, v in enumerate(acc) if v}
-
-
-def _collect_patterns(poly: dict[bytes, int], tables: PairTables) -> dict[int, int]:
-    """Map final monomials, all permutation patterns, to signed class counts."""
     m = tables.m
-    full = (1 << (m + 1)) - 2
-    words = np.empty((len(poly), m), dtype=np.uint8)
-    coeffs = np.empty(len(poly), dtype=np.int64)
-    for k, (key, coeff) in enumerate(poly.items()):
-        rows = cols = 0
-        assert len(key) == 3 * m
-        for p in range(0, len(key), 3):
-            r, c, e = key[p], key[p + 1], key[p + 2]
-            assert e == 1
-            rows |= 1 << r
-            cols |= 1 << c
-            words[k, c - 1] = r
-        assert rows == full and cols == full
-        coeffs[k] = coeff
+    per_row = prod(factorial(len(r)) for r in t2)
+    step = max(1, _PATTERN_BATCH // per_row)
+    cells, coeffs = rows_done
     acc = np.zeros(tables.classes.count, dtype=np.int64)
-    step = 1 << 18
-    for lo in range(0, len(poly), step):
-        ids = tables.class_ids_of_words(words[lo : lo + step])
-        np.add.at(acc, ids, coeffs[lo : lo + step])
-    return {int(c): int(v) for c, v in enumerate(acc) if v}
+    bound = 0
+    for lo in range(0, coeffs.size, step):
+        done = _cascade((cells[lo : lo + step], coeffs[lo : lo + step]), t2, m, on_rows=False)
+        bound += _max_abs(done[1]) * done[1].size
+        _check_range(bound)
+        np.add.at(acc, tables.class_ids_of_words(_pattern_words(done[0], m)), done[1])
+    return acc
 
 
 # -- cross-check: streaming over ordered pairs ------------------------------
@@ -297,7 +333,8 @@ def pair_stream_forms(
     n, m = seqs.shape
     c = classes.count
     for u in mats:
-        assert abs(u).max() ** 2 * n < 2**53
+        if int(np.abs(u).max()) ** 2 * n >= 2**53:
+            raise ResourceError("pair sums could exceed the exact range of float64")
     out = [np.zeros((c, u.shape[0], u.shape[0])) for u in mats]
     shifted = seqs - 1
     arange = np.arange(1, m + 1, dtype=np.uint8)
@@ -320,7 +357,8 @@ def pair_stream_forms(
     result = []
     for acc in out:
         ints = np.rint(acc).astype(np.int64)
-        assert (ints == acc).all()
+        if (ints != acc).any():
+            raise CrossingsError("pair-stream sums came out non-integral")
         result.append(ints)
     return result
 
@@ -344,13 +382,12 @@ def hook_constraint_table(tables: PairTables, route: str = "poly") -> np.ndarray
     d = len(cols)
     tri = np.zeros((tables.classes.count, d * (d + 1) // 2), dtype=np.int64)
     if route == "poly":
-        lam = (m - 2, 1, 1)
+        shape = _shape_poly((m - 2, 1, 1))
         pos = 0
         for i in range(d):
-            rows_done = _cascade(_shape_poly(lam), cols[i], m, on_rows=True)
+            rows_done = _cascade(shape, cols[i], m, on_rows=True)
             for j in range(i, d):
-                for cid, v in _stream_patterns(rows_done, cols[j], m, tables).items():
-                    tri[cid, pos] = v
+                tri[:, pos] = _class_sums(rows_done, cols[j], tables)
                 pos += 1
     elif route == "pairs":
         a = pair_stream_forms(tables, [hook_block_matrix(tables.index.seqs)])[0]
@@ -373,7 +410,7 @@ def block_constraint_tables(
     flip = tables.flip_classes()
     m, c = tables.m, tables.classes.count
     forms: dict[tuple[Filling, Filling], np.ndarray] = {}
-    held: tuple[Filling, dict[bytes, int]] | None = None
+    held: tuple[Filling, Poly] | None = None
 
     def form(ta: Filling, tb: Filling) -> np.ndarray:
         # symmetric at class level, so ta always takes the left cascade and
@@ -384,9 +421,7 @@ def block_constraint_tables(
             if held is None or held[0] != ta:
                 lam = tuple(len(r) for r in ta)
                 held = (ta, _cascade(_shape_poly(lam), ta, m, on_rows=True))
-            got = np.zeros(c, dtype=np.int64)
-            for cid, v in _collect_patterns(_cascade(held[1], tb, m, on_rows=False), tables).items():
-                got[cid] = v
+            got = _class_sums(held[1], tb, tables)
             forms[(ta, tb) if ta <= tb else (tb, ta)] = got
         return got
 

@@ -266,6 +266,7 @@ class CycleIndex:
         self.seqs = all_cycle_seqs(m)
         self.keys = pack_keys(self.seqs)
         self._inverse_ids: np.ndarray | None = None
+        self._stabilizer_orbits: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.seqs.shape[0]
@@ -279,6 +280,18 @@ class CycleIndex:
 
     def id_of(self, c: Cycle) -> int:
         return int(self.id_of_words(np.array([c.seq], dtype=np.uint8))[0])
+
+    def stabilizer_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical keys of the stabilizer orbits, ascending, and the int32
+        position of each cycle's orbit among them.
+
+        The one canonicalization pass over the table, shared by the distance
+        BFS, the pair orbits and the class lookup; computed on first use.
+        """
+        if self._stabilizer_orbits is None:
+            keys, orbit_of = np.unique(canonical_keys(self.seqs), return_inverse=True)
+            self._stabilizer_orbits = (keys, orbit_of.astype(np.int32))
+        return self._stabilizer_orbits
 
     def inverse_ids(self) -> np.ndarray:
         """Permutation of ids sending each cycle to its inverse (an involution)."""

@@ -122,8 +122,8 @@ def swap_partner_words(rep_seqs: np.ndarray) -> np.ndarray:
 def build_pair_orbits(index: CycleIndex, dist_from_base: np.ndarray) -> PairOrbits:
     """Enumerate all pair orbits from the cycle table and the distance table."""
     m = index.m
-    ckeys = canonical_keys(index.seqs)
-    rep_keys, counts = np.unique(ckeys, return_counts=True)
+    rep_keys, orbit_of = index.stabilizer_orbits()
+    counts = np.bincount(orbit_of, minlength=rep_keys.size)
     rep_seqs = unpack_keys(rep_keys, m)
     rep_ids = index.id_of_keys(pack_keys(rep_seqs))
     q = dist_from_base[index.inverse_ids()[rep_ids]].astype(np.uint16)

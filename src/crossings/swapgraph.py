@@ -61,8 +61,7 @@ def distances_from_base(index: CycleIndex) -> np.ndarray:
     Returns a uint16 array indexed by cycle id.
     """
     m = index.m
-    ckeys = canonical_keys(index.seqs)
-    rep_keys, class_of = np.unique(ckeys, return_inverse=True)
+    rep_keys, class_of = index.stabilizer_orbits()
     rep_seqs = unpack_keys(rep_keys, m)
     dist = np.full(rep_keys.size, UNREACHED, dtype=np.uint16)
 

@@ -1,3 +1,7 @@
+import os
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,3 +84,49 @@ def test_cache_dir_env(tmp_path, monkeypatch):
     assert d.is_dir()
     explicit = cache.resolve_cache_dir(tmp_path / "other")
     assert explicit == tmp_path / "other"
+
+
+def test_failed_payload_publish_leaves_a_rebuildable_cache(tmp_path, monkeypatch):
+    from crossings.relaxations import hook_tables
+
+    payload = cache.coeffs_beta_path(tmp_path, 5)
+    replace = os.replace
+    failures = []
+
+    def replace_failing_once(src, dst):
+        if Path(dst) == payload and not failures:
+            failures.append(dst)
+            raise OSError("simulated crash before the payload is published")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_failing_once)
+    with pytest.raises(OSError):
+        hook_tables(5, tmp_path)
+    assert failures and not payload.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs_5_beta.bin.crc32"]
+
+    got = hook_tables(5, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "coeffs_5_beta.bin", "coeffs_5_beta.bin.crc32"]
+    want = hook_tables(5, tmp_path / "fresh")
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert (a == b).all()
+    assert cache.read_coeffs_beta(payload, 5)[4].tolist() == want[3].tolist()
+
+
+# CRC-32 of the table files, copied by hand from a build by the earlier
+# dict-based expansion engine; the tables must not change by a byte.
+BETA_CRC32 = {4: 0x4239E45F, 5: 0x2FD9E774, 6: 0xA5E13F1B, 7: 0xBE2D7CB6, 8: 0xE4A9873F}
+ALPHA_CRC32 = {4: 0x5B78B038, 5: 0xFCAD5F45, 6: 0xFD4F82C8, 7: 0x25BE37CF}
+
+
+def test_table_bytes_are_pinned(tmp_path):
+    from crossings.relaxations import full_tables, hook_tables
+
+    for m, want in BETA_CRC32.items():
+        hook_tables(m, tmp_path)
+        assert zlib.crc32(cache.coeffs_beta_path(tmp_path, m).read_bytes()) == want, m
+    for m, want in ALPHA_CRC32.items():
+        full_tables(m, tmp_path)
+        assert zlib.crc32(cache.coeffs_alpha_path(tmp_path, m).read_bytes()) == want, m

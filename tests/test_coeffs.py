@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from crossings.coeffs import (
     PairTables,
+    _derive,
     _expansion_words,
+    _pattern_words,
     block_constraint_tables,
     direct_expansion,
     hook_constraint_table,
     monomial_to_orbit,
+    pair_stream_forms,
     poly_method,
 )
-from crossings.errors import ArgumentError, ResourceError
+from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.repsets import build_blocks, hook_block_columns, hook_block_matrix
 
 TABLES = {m: PairTables.build(m) for m in range(4, 8)}
@@ -145,6 +148,28 @@ def test_direct_expansion_guard():
     cols = hook_block_columns(8)
     with pytest.raises(ResourceError):
         direct_expansion(cols[0], cols[0], t)
+
+
+def test_operator_step_past_the_coefficient_limit_is_refused():
+    # two units of cell (1, 1) moved to row 2 merge into one monomial with
+    # twice the coefficient: 2 * 2**61 would reach 2**62
+    cells = np.array([[0, 0]], dtype=np.uint8)
+    with pytest.raises(ResourceError):
+        _derive((cells, np.array([2**61], dtype=np.int64)), 1, 2, on_rows=True)
+    got = _derive((cells, np.array([2**60], dtype=np.int64)), 1, 2, on_rows=True)
+    assert got[0].tolist() == [[0, 16]] and got[1].tolist() == [2**61]
+
+
+def test_expansion_checks_survive_optimization():
+    # raised, not asserted, so they hold under python -O too
+    good = np.array([[0x01, 0x10]], dtype=np.uint8)  # rows 1, 2 to columns 2, 1
+    assert _pattern_words(good, 2).tolist() == [[2, 1]]
+    for bad in ([[0x00, 0x10]], [[0x00, 0x01]], [[0x00, 0x11, 0x22]]):
+        with pytest.raises(CrossingsError):
+            _pattern_words(np.array(bad, dtype=np.uint8), 2)
+    t = TABLES[4]
+    with pytest.raises(ResourceError):
+        pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])
 
 
 def test_poly_rejects_bad_tableaux():
