@@ -9,25 +9,32 @@ optional inversion, (pi, eps) . sigma = pi sigma^eps pi^-1.  The stabilizer of
 the base cycle (1 2 ... m) has order 2m; it is generated by the base cycle
 itself acting as a value shift, and by the value reflection about 1 combined
 with inversion.  Canonical forms under that stabilizer are what every other
-module keys orbits on, so both a readable scalar implementation and a
-vectorized bulk implementation live here.
+module keys orbits on, so both a readable scalar implementation and a bulk
+numpy implementation live here.
+
+The bulk form rests on anchored differences.  In 0-based values v, shifting
+a word's values so that v[p] becomes the anchor and rotating position p to
+the front gives (v[p + j] - v[p]) mod m, so the m value shifts of a word are
+its m difference sequences, one per start position, and the m reflected
+inverses are (v[p] - v[p - j]) mod m.  One kernel builds all 2m of them for
+a chunk of words from windows of the doubled word, packs each into a u64 key
+(nibble pairs to bytes, read big-endian, the same packing every key in the
+package uses) and keeps the smallest.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError
 
 # Words are packed 4 bits per entry into one u64, so relabeled values must
 # stay below 16.
 MAX_M = 16
-
-_PACK_SHIFTS = np.array([4 * (MAX_M - 1 - j) for j in range(MAX_M)], dtype=np.uint64)
 
 
 def _check_m(m: int) -> None:
@@ -176,29 +183,55 @@ def canonical_form(c: Cycle) -> Cycle:
 
 
 def all_cycle_seqs(m: int) -> np.ndarray:
-    """All (m-1)! anchored words, lexicographically sorted, as (N, m) uint8."""
+    """All (m-1)! anchored words, lexicographically sorted, as (N, m) uint8.
+
+    Built from the back: the lex-ordered words over the letters k..m are one
+    block per leading letter f in ascending order, each followed by the
+    lex-ordered words over k+1..m with every letter <= f moved down by one.
+    """
     _check_m(m)
-    n = factorial(m - 1)
-    out = np.empty((n, m), dtype=np.uint8)
-    out[:, 0] = 1
-    for i, rest in enumerate(itertools.permutations(range(2, m + 1))):
-        out[i, 1:] = rest
-    return out
+    words = np.ones((1, 1), dtype=np.uint8)  # the anchor, no letters yet
+    for k in range(m, 1, -1):
+        n = words.shape[0]
+        out = np.empty(((m - k + 1) * n, m - k + 2), dtype=np.uint8)
+        out[:, 0] = 1
+        tail = words[:, 1:]
+        for i, f in enumerate(range(k, m + 1)):
+            block = out[i * n:(i + 1) * n]
+            block[:, 1] = f
+            np.subtract(tail, tail <= f, out=block[:, 2:])
+        words = out
+    return words
+
+
+def _pack_nibbles(vals: np.ndarray) -> np.ndarray:
+    """Keys of position-major nibble arrays: vals (m, ...) with values < 16.
+
+    Position pairs (2b, 2b+1) become byte b, high nibble first; the bytes are
+    zero-padded to eight and read as one big-endian u64, so integer order is
+    the lexicographic order of the nibble sequences.
+    """
+    m = vals.shape[0]
+    buf = np.zeros(vals.shape[1:] + (8,), dtype=np.uint8)
+    byte = np.moveaxis(buf, -1, 0)
+    np.left_shift(vals[0::2], 4, out=byte[: (m + 1) // 2])
+    byte[: m // 2] |= vals[1::2]
+    return buf.view(">u8")[..., 0].astype(np.uint64)
 
 
 def pack_keys(seqs: np.ndarray) -> np.ndarray:
     """Pack words into u64 keys; integer order == lex order of the words."""
-    m = seqs.shape[-1]
-    vals = seqs.astype(np.uint64) - 1
-    return (vals << _PACK_SHIFTS[:m]).sum(axis=-1, dtype=np.uint64)
+    seqs = np.asarray(seqs, dtype=np.uint8)
+    return _pack_nibbles(np.ascontiguousarray(np.moveaxis(seqs, -1, 0)) - np.uint8(1))
 
 
 def unpack_keys(keys: np.ndarray, m: int) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
-    out = np.empty(keys.shape + (m,), dtype=np.uint8)
-    for j in range(m):
-        out[..., j] = ((keys >> _PACK_SHIFTS[j]) & np.uint64(0xF)).astype(np.uint8) + 1
-    return out
+    buf = keys.astype(">u8")[..., None].view(np.uint8)
+    out = np.empty(keys.shape + (16,), dtype=np.uint8)
+    np.right_shift(buf, 4, out=out[..., 0::2])
+    np.bitwise_and(buf, 0xF, out=out[..., 1::2])
+    return out[..., :m] + np.uint8(1)
 
 
 def normalize_words(words: np.ndarray) -> np.ndarray:
@@ -214,39 +247,79 @@ def invert_seqs(seqs: np.ndarray) -> np.ndarray:
     return np.concatenate([seqs[..., :1], seqs[..., :0:-1]], axis=-1)
 
 
+def reflect_invert_seqs(seqs: np.ndarray) -> np.ndarray:
+    """Images under the reflecting stabilizer generator: the inverse cycle
+    with values reflected about 1 (v -> m + 2 - v, i.e. 1 - v mod m)."""
+    m = seqs.shape[-1]
+    return (m + 1 - invert_seqs(seqs)) % m + 1
+
+
+# Rows per chunk of the canonicalization kernel.  Its temporaries take about
+# 4m(m + 8) bytes per row (0.7 MB a chunk at m = 10), so chunks stay in
+# cache and off the peak memory of callers that canonicalize whole tables.
+_CHUNK_ROWS = 1024
+
+
+def _ahead(cols: np.ndarray) -> np.ndarray:
+    """View of (m, c) columns as (m, m, c) with [j, p] = cols[(p + j) % m]."""
+    m = cols.shape[0]
+    return sliding_window_view(np.concatenate([cols, cols]), m, axis=0)[:m].transpose(2, 0, 1)
+
+
+def _image_min_keys(seqs: np.ndarray, reflect: bool) -> np.ndarray:
+    """Min packed key over the value-shift images of each row, (F, ...).
+
+    In 0-based values v, row 0 of the result covers the m anchored
+    difference sequences (v[p + j] - v[p]) mod m, one per start position p:
+    the word shifted in value so that v[p] becomes the anchor, rotated so
+    position p leads.  With reflect, row 1 covers the m value shifts of the
+    reflected inverse, (v[p] - v[p - j]) mod m, which are the anchored
+    differences of the reversed word, negated.  Words may be any rotation of
+    an anchored word, since every rotation has the same images.
+    """
+    seqs = np.asarray(seqs, dtype=np.uint8)
+    m = seqs.shape[-1]
+    rows = seqs.reshape(-1, m)
+    families = 2 if reflect else 1
+    out = np.empty((families, rows.shape[0]), dtype=np.uint64)
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        # one word per column, so every operation runs along the chunk
+        cols = np.ascontiguousarray(rows[start:start + _CHUNK_ROWS].T) - np.uint8(1)
+        # imgs[j, f, p, i]: entry j of image p of family f of word i
+        imgs = np.empty((m, families, m, cols.shape[1]), dtype=np.uint8)
+        np.subtract(_ahead(cols), cols, out=imgs[:, 0])
+        if reflect:
+            back = cols[::-1]
+            np.subtract(back, _ahead(back), out=imgs[:, 1])
+        # a difference -k of values below m wraps to 256 - k; adding m turns
+        # that into m - k, below it, and any x >= 0 into x + m, above it, so
+        # the minimum of the two is the difference mod m
+        np.minimum(imgs, imgs + np.uint8(m), out=imgs)
+        out[:, start:start + cols.shape[1]] = _pack_nibbles(imgs).min(axis=1)
+    return out.reshape((families,) + seqs.shape[:-1])
+
+
 def shift_canonical_keys(seqs: np.ndarray) -> np.ndarray:
     """Packed min over the m value shifts of each row; no inversion.
 
     This is canonicalization under the relabeling-only part of the base
     cycle's stabilizer (the cyclic half of the group).
     """
-    seqs = np.asarray(seqs, dtype=np.uint8)
-    m = seqs.shape[-1]
-    shifted = seqs.astype(np.int16) - 1
-    best = None
-    for k in range(m):
-        keys = pack_keys(normalize_words(((shifted + k) % m + 1).astype(np.uint8)))
-        best = keys if best is None else np.minimum(best, keys)
-    return best
+    return _image_min_keys(seqs, reflect=False)[0]
 
 
 def canonical_keys(seqs: np.ndarray) -> np.ndarray:
     """Packed canonical form of each row under the base-cycle stabilizer.
 
-    The 2m orbit members of a word are the m value shifts of the word itself
-    and the m value shifts of its reflected inverse (reflection about 1 is
-    value negation mod m, which is what makes the inversion land back in the
-    stabilizer).  Runs one vectorized pass per transform and keeps the min.
+    The 2m orbit members of a word are the m value shifts of the word and
+    the m value shifts of its reflected inverse (reflection about 1 is value
+    negation mod m, which is what makes the inversion land back in the
+    stabilizer).  In 0-based values v these are the anchored differences
+    (v[p + j] - v[p]) mod m and (v[p] - v[p - j]) mod m over start positions
+    p; all 2m are built in one pass over each chunk of rows, packed, and the
+    smallest key kept.  Rows may be any rotation of an anchored word.
     """
-    seqs = np.asarray(seqs, dtype=np.uint8)
-    m = seqs.shape[-1]
-    # reflection about 1 is value negation mod m; widen first, uint8 wraps
-    second = (((1 - invert_seqs(seqs).astype(np.int16)) % m) + 1).astype(np.uint8)
-    return np.minimum(shift_canonical_keys(seqs), shift_canonical_keys(second))
-
-
-def canonical_seqs(seqs: np.ndarray) -> np.ndarray:
-    return unpack_keys(canonical_keys(seqs), seqs.shape[-1])
+    return _image_min_keys(seqs, reflect=True).min(axis=0)
 
 
 def cycle_count(m: int) -> int:

@@ -24,6 +24,7 @@ from .cycles import (
     CycleIndex,
     canonical_keys,
     pack_keys,
+    reflect_invert_seqs,
     shift_canonical_keys,
     unpack_keys,
 )
@@ -140,8 +141,19 @@ def build_pair_orbits(index: CycleIndex, dist_from_base: np.ndarray) -> PairOrbi
 
 
 def count_relabel_only_orbits(index: CycleIndex) -> int:
-    """Pair orbits under relabeling alone, inversion excluded."""
-    return int(np.unique(shift_canonical_keys(index.seqs)).size)
+    """Pair orbits under relabeling alone, inversion excluded.
+
+    Relabeling alone is transitive on first components and the base cycle's
+    stabilizer in it is the cyclic group of value shifts, so these orbits are
+    the shift orbits of second components.  That cyclic group has index two
+    in the full stabilizer, so each stabilizer orbit is one shift orbit or
+    two: one exactly when the reflecting generator maps its representative
+    into the representative's own shift orbit.  Only the stabilizer-orbit
+    representatives are canonicalized, not the whole cycle table.
+    """
+    rep_seqs = unpack_keys(index.stabilizer_orbits()[0], index.m)
+    split = shift_canonical_keys(rep_seqs) != shift_canonical_keys(reflect_invert_seqs(rep_seqs))
+    return rep_seqs.shape[0] + int(split.sum())
 
 
 def orbit_census(index: CycleIndex, dist_from_base: np.ndarray) -> tuple[int, int, int]:

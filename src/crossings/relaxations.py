@@ -29,7 +29,7 @@ import numpy as np
 
 from . import cache
 from .coeffs import PairTables, block_constraint_tables, hook_constraint_table
-from .errors import ArgumentError, ResourceError, SolverError
+from .errors import ArgumentError, DataError, ResourceError, SolverError
 from .repsets import build_blocks
 from .sdp import feasible_value, polish_dual, solve_bound_problem
 
@@ -380,7 +380,12 @@ def run_single(
     active = [anchor]
     state_file = _state_path(cache_dir, m)
     if resume and state_file.exists():
-        saved = json.loads(state_file.read_text())
+        try:
+            saved = json.loads(state_file.read_text())
+        except ValueError as exc:  # truncated, or not text at all
+            raise DataError(f"unreadable cutting-plane state: {state_file}") from exc
+        if not isinstance(saved, dict):
+            raise DataError(f"unreadable cutting-plane state: {state_file}")
         if saved.get("m") == m and saved.get("active"):
             active = [int(i) for i in saved["active"]]
             if anchor not in active:
@@ -400,7 +405,8 @@ def run_single(
         emit(RoundRecord(rnd, ids.size, t_pol,
                          maxv, int(offenders[0]) if offenders.size else -1,
                          (time.monotonic() - started) * 1e3))
-        state_file.write_text(json.dumps({"m": m, "round": rnd, "active": sorted(active)}))
+        cache._publish(state_file, json.dumps(
+            {"m": m, "round": rnd, "active": sorted(active)}).encode())
         if maxv <= tol_cut:
             break
         # dual multipliers of the cuts are the primal weights; cuts that

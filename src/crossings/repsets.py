@@ -27,7 +27,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .cycles import CycleIndex, normalize_words, pack_keys
+from .cycles import CycleIndex
 from .errors import ArgumentError
 from .tableaux import (
     base_filling,
@@ -101,7 +101,7 @@ def tableau_vector_matrix(
             tinv[v - 1] = cell
         holder = rearr[:, tinv]  # (R, m): cell of p+1 under each rearrangement
         words = crows[:, holder].reshape(-1, m)  # (C*R, m)
-        ids = index.id_of_keys(pack_keys(normalize_words(words)))
+        ids = index.id_of_words(words)
         np.add.at(out[k], ids, rep_signs)
     return out
 

@@ -13,16 +13,28 @@ from crossings.cycles import (
     all_cycle_seqs,
     canonical_form,
     canonical_keys,
-    canonical_seqs,
     cycle_count,
     invert_seqs,
     normalize_words,
     pack_keys,
+    reflect_invert_seqs,
+    shift_canonical_keys,
     stabilizer_elements,
     stabilizer_generators,
     unpack_keys,
 )
 from crossings.errors import ArgumentError
+
+
+def canonical_seqs(seqs):
+    return unpack_keys(canonical_keys(seqs), seqs.shape[-1])
+
+
+def random_words(m, n, seed):
+    """n random anchored words of length m, as (n, m) uint8."""
+    rng = np.random.default_rng(seed)
+    rest = np.argsort(rng.random((n, m - 1)), axis=1) + 2
+    return np.concatenate([np.ones((n, 1), dtype=np.int64), rest], axis=1).astype(np.uint8)
 
 
 def random_cycle(draw, m):
@@ -232,3 +244,71 @@ def test_bulk_canonical_matches_scalar(m):
     for i in range(seqs.shape[0]):
         c = Cycle(tuple(int(v) for v in seqs[i]))
         assert tuple(int(v) for v in cans[i]) == canonical_form(c).seq
+
+
+# more rows than one kernel chunk, and not a multiple of it
+ORACLE_ROWS = 1500
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_canonical_keys_match_scalar_oracle(m):
+    seqs = random_words(m, ORACLE_ROWS, seed=m)
+    keys = canonical_keys(seqs)
+    want = [pack_keys(np.array(canonical_form(Cycle(tuple(map(int, row)))).seq, dtype=np.uint8))
+            for row in seqs]
+    assert keys.dtype == np.uint64 and keys.shape == (ORACLE_ROWS,)
+    assert (keys == np.array(want, dtype=np.uint64)).all()
+
+
+def scalar_shift_canonical(word):
+    """Min over the m value shifts of one word, each re-anchored at 1."""
+    m = len(word)
+    return min(Cycle.from_word(tuple((v - 1 + k) % m + 1 for v in word)).seq for k in range(m))
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_shift_canonical_keys_match_scalar_oracle(m):
+    seqs = random_words(m, ORACLE_ROWS, seed=100 + m)
+    keys = shift_canonical_keys(seqs)
+    want = [pack_keys(np.array(scalar_shift_canonical(tuple(map(int, row))), dtype=np.uint8))
+            for row in seqs]
+    assert (keys == np.array(want, dtype=np.uint64)).all()
+
+
+@pytest.mark.parametrize("m", [5, 8, 16])
+def test_canonical_keys_ignore_rotation_and_leading_shape(m):
+    seqs = random_words(m, 64, seed=200 + m)
+    turns = np.random.default_rng(m).integers(0, m, size=64)
+    rotated = np.array([np.roll(row, k) for row, k in zip(seqs, turns)])
+    assert (canonical_keys(rotated) == canonical_keys(seqs)).all()
+    assert (shift_canonical_keys(rotated) == shift_canonical_keys(seqs)).all()
+    assert (canonical_keys(seqs.reshape(8, 8, m)) == canonical_keys(seqs).reshape(8, 8)).all()
+
+
+def test_reflect_invert_matches_the_reflecting_generator():
+    for m in (3, 6, 9):
+        _, reflect = stabilizer_generators(m)
+        seqs = all_cycle_seqs(m)
+        got = reflect_invert_seqs(seqs)
+        for row, image in zip(seqs[::7], got[::7]):
+            assert tuple(map(int, image)) == act(reflect, Cycle(tuple(map(int, row)))).seq
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_pack_keys_match_shift_and_sum(m):
+    seqs = random_words(m, 300, seed=300 + m)
+    shifts = np.array([4 * (15 - j) for j in range(m)], dtype=np.uint64)
+    want = ((seqs.astype(np.uint64) - 1) << shifts).sum(axis=-1, dtype=np.uint64)
+    keys = pack_keys(seqs)
+    assert keys.dtype == np.uint64 and (keys == want).all()
+    assert (unpack_keys(keys, m) == seqs).all()
+    assert pack_keys(seqs[0]) == want[0]
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_all_cycle_seqs_match_itertools(m):
+    want = np.array([(1,) + rest for rest in itertools.permutations(range(2, m + 1))],
+                    dtype=np.uint8)
+    got = all_cycle_seqs(m)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert (got == want).all()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossings.cycles import Cycle, CycleIndex, GroupElement, act
+from crossings.cycles import Cycle, CycleIndex, GroupElement, act, shift_canonical_keys
 from crossings.orbits import (
     build_pair_orbits,
     count_relabel_only_orbits,
@@ -158,3 +158,11 @@ def test_relabel_only_counts_match_brute(m=5):
         seen |= {act(g, tau) for g in stab}
         count += 1
     assert count_relabel_only_orbits(idx) == count
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_relabel_only_count_matches_full_table_oracle(m):
+    # the count over the whole cycle table: distinct shift-canonical forms
+    idx = CycleIndex(m)
+    want = int(np.unique(shift_canonical_keys(idx.seqs)).size)
+    assert count_relabel_only_orbits(idx) == want

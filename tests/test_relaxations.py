@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossings.errors import ArgumentError, ResourceError, SolverError
+from crossings.errors import ArgumentError, DataError, ResourceError, SolverError
 from crossings.relaxations import (
     certify_single,
     class_slacks,
@@ -100,6 +100,19 @@ def test_cutting_loop_resume_after_round_budget(store):
     out = run_single(6, cache_dir=store, cut_threshold=1, batch=1, resume=True)
     assert out.value == pytest.approx(SINGLE_OPT[6], abs=1e-8)
     assert not state.exists()
+
+
+def test_truncated_cut_state_is_refused_by_name(store):
+    out = run_single(6, cache_dir=store, cut_threshold=1, batch=1)
+    assert len(out.rounds) >= 2
+    assert not list(store.glob("*.tmp"))
+    state = store / "cuts_6.json"
+    state.write_text('{"m": 6, "round": 2, "active": [1, 2')
+    try:
+        with pytest.raises(DataError, match="cuts_6.json"):
+            run_single(6, cache_dir=store, cut_threshold=1, resume=True)
+    finally:
+        state.unlink()
 
 
 def test_scan_of_zero_dual(store):
