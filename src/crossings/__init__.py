@@ -17,8 +17,7 @@ _EXPORTS = {
     "build_blocks": ".repsets",
     "run_single": ".relaxations",
     "run_full": ".relaxations",
-    "certify_single": ".relaxations",
-    "certify_full": ".relaxations",
+    "certify": ".relaxations",
     "rank_report": ".relaxations",
     "quadratic_bound": ".bounds",
     "lift_bound": ".bounds",

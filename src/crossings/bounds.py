@@ -119,18 +119,6 @@ def knn_table(levels: dict[int, object], source: str = "beta") -> dict[int, int]
     }
 
 
-def bound_rows(levels: dict[int, object], n_values, source: str = "beta"):
-    """Rows (m, n, bound, source, certified) over a grid of n, one row per
-    level and coverage of larger m through the lift; certified echoes the
-    source tag since the inputs are certified optima."""
-    rows = []
-    for m, g in sorted(levels.items()):
-        qb = quadratic_bound(m, g, source)
-        for n in n_values:
-            rows.append((m, n, qb.evaluate(n), source, True))
-    return rows
-
-
 def _decimal_string(whole: int, places: int, negative: bool) -> str:
     digits = str(whole).rjust(places + 1, "0")
     out = f"{digits[:-places]}.{digits[-places:]}" if places else digits

@@ -1,12 +1,12 @@
 """Binary cache files for the expensive pipeline stages.
 
-Three formats, all little-endian with a 4-byte magic, a format version and
+Two formats, both little-endian with a 4-byte magic, a format version and
 the cycle length in the header, and fixed-width records sorted by packed key
 so readers can binary-search without an index:
 
-  q_<m>.bin        QTBL  distances from the base cycle, one record per cycle
-  orbits_<m>.bin   ORBT  pair-orbit representatives with orbit size and cost
-  coeffs_<m>_beta.bin  COEF  per-orbit coefficient blocks for the small relaxation
+  q_<m>.bin              QTBL  distances from the base cycle, one record per cycle
+  coeffs_<m>_<kind>.bin  COFA  per-class coefficient blocks of one relaxation,
+                               kind "single" (one block) or "full" (every block)
 
 Every file carries a sidecar <name>.crc32 holding the ASCII hex CRC-32 of the
 full binary payload; readers verify it before parsing and raise DataError on
@@ -47,16 +47,8 @@ def q_table_path(cache_dir: Path, m: int) -> Path:
     return Path(cache_dir) / f"q_{m}.bin"
 
 
-def orbits_path(cache_dir: Path, m: int) -> Path:
-    return Path(cache_dir) / f"orbits_{m}.bin"
-
-
-def coeffs_beta_path(cache_dir: Path, m: int) -> Path:
-    return Path(cache_dir) / f"coeffs_{m}_beta.bin"
-
-
-def coeffs_alpha_path(cache_dir: Path, m: int) -> Path:
-    return Path(cache_dir) / f"coeffs_{m}_alpha.bin"
+def coeffs_path(cache_dir: Path, m: int, kind: str) -> Path:
+    return Path(cache_dir) / f"coeffs_{m}_{kind}.bin"
 
 
 def _crc_path(path: Path) -> Path:
@@ -152,78 +144,6 @@ def read_q_table(path: Path, m: int) -> np.ndarray:
     return rec["dist"].copy()
 
 
-# -- ORBT ------------------------------------------------------------------
-
-_ORBT_HEADER = struct.Struct("<4sBBQ")
-
-
-def _orbt_dtype(m: int) -> np.dtype:
-    return np.dtype([("rep", np.uint8, (m,)), ("size", "<u8"), ("q", "<u2")])
-
-
-def write_orbits(path: Path, m: int, rep_seqs: np.ndarray, sizes: np.ndarray, qs: np.ndarray) -> None:
-    """One record per pair orbit, sorted by the packed key of the second
-    component's representative; the record index is the orbit's stable id."""
-    n = len(sizes)
-    rec = np.empty(n, dtype=_orbt_dtype(m))
-    rec["rep"] = rep_seqs
-    rec["size"] = sizes
-    rec["q"] = qs
-    payload = _ORBT_HEADER.pack(b"ORBT", _VERSION, m, n) + rec.tobytes()
-    _write_payload(path, payload)
-
-
-def read_orbits(path: Path, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    payload = _read_payload(path)
-    magic, ver, got_m, n = _ORBT_HEADER.unpack_from(payload)
-    _check_header(path, (magic, ver, got_m), (b"ORBT", _VERSION, m))
-    rec = np.frombuffer(payload[_ORBT_HEADER.size :], dtype=_orbt_dtype(m))
-    if rec.shape[0] != n:
-        raise DataError(f"{path}: truncated body")
-    return rec["rep"].copy(), rec["size"].copy(), rec["q"].copy()
-
-
-# -- COEF ------------------------------------------------------------------
-
-_COEF_HEADER = struct.Struct("<4sBBBQ")
-
-
-def _coef_dtype(d: int) -> np.dtype:
-    t = d * (d + 1) // 2
-    return np.dtype([("orbit", "<u8"), ("size", "<u8"), ("q", "<u2"), ("tri", "<i8", (t,))])
-
-
-def write_coeffs_beta(
-    path: Path,
-    m: int,
-    d: int,
-    orbit_ids: np.ndarray,
-    sizes: np.ndarray,
-    qs: np.ndarray,
-    tri: np.ndarray,
-) -> None:
-    """tri holds each orbit's d x d symmetric block as its upper triangle,
-    row-major; entries are exact integers."""
-    n = len(orbit_ids)
-    rec = np.empty(n, dtype=_coef_dtype(d))
-    rec["orbit"] = orbit_ids
-    rec["size"] = sizes
-    rec["q"] = qs
-    rec["tri"] = tri
-    payload = _COEF_HEADER.pack(b"COEF", _VERSION, m, d, n) + rec.tobytes()
-    _write_payload(path, payload)
-
-
-def read_coeffs_beta(path: Path, m: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    payload = _read_payload(path)
-    magic, ver, got_m, d, n = _COEF_HEADER.unpack_from(payload)
-    _check_header(path, (magic, ver, got_m), (b"COEF", _VERSION, m))
-    rec = np.frombuffer(payload[_COEF_HEADER.size :], dtype=_coef_dtype(d))
-    if rec.shape[0] != n:
-        raise DataError(f"{path}: truncated body")
-    return d, rec["orbit"].copy(), rec["size"].copy(), rec["q"].copy(), rec["tri"].copy()
-
-
 # -- COFA ------------------------------------------------------------------
 
 _COFA_HEADER = struct.Struct("<4sBBBQ")
@@ -234,7 +154,7 @@ def _cofa_dtype(dims: tuple[int, ...]) -> np.dtype:
     return np.dtype([("orbit", "<u8"), ("size", "<u8"), ("q", "<u2"), ("tri", "<i8", (t,))])
 
 
-def write_coeffs_alpha(
+def write_coeffs(
     path: Path,
     m: int,
     dims: tuple[int, ...],
@@ -243,8 +163,10 @@ def write_coeffs_alpha(
     qs: np.ndarray,
     tri: np.ndarray,
 ) -> None:
-    """Like the single-block format but with one upper triangle per block
-    concatenated in block order; dims is stored so readers can split."""
+    """tri holds each class's symmetric blocks as their upper triangles,
+    row-major, concatenated in block order; entries are exact integers.
+    The header stores the block count and dims follows it as one byte per
+    block, so readers can split the triangles."""
     n = len(orbit_ids)
     rec = np.empty(n, dtype=_cofa_dtype(dims))
     rec["orbit"] = orbit_ids
@@ -259,7 +181,7 @@ def write_coeffs_alpha(
     _write_payload(path, payload)
 
 
-def read_coeffs_alpha(
+def read_coeffs(
     path: Path, m: int
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     payload = _read_payload(path)

@@ -26,10 +26,6 @@ def _add_common(p: argparse.ArgumentParser, with_m: bool = True) -> None:
         help="cache directory (default: CROSSING_CACHE_DIR or a per-user path)",
     )
     p.add_argument("--threads", type=int, default=None, help="BLAS thread count")
-    p.add_argument(
-        "--precision", choices=("double", "extended"), default="double",
-        help="floating point width of the solver",
-    )
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
@@ -130,17 +126,13 @@ def _cmd_q(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    from . import cache, reference
+    from . import reference
     from .cycles import CycleIndex
     from .orbits import build_pair_orbits, count_relabel_only_orbits
     from .swapgraph import distances_from_base
 
-    cd = cache.resolve_cache_dir(args.cache_dir)
     index = CycleIndex(args.m)
     orbits = build_pair_orbits(index, distances_from_base(index))
-    path = cache.orbits_path(cd, args.m)
-    if not path.exists():
-        cache.write_orbits(path, args.m, orbits.rep_seqs, orbits.n_tau, orbits.q)
     triple = (count_relabel_only_orbits(index), orbits.num_orbits,
               orbits.symmetric_classes().count)
     print(f"m={args.m}: {triple[0]} relabel-only orbits, {triple[1]} / {triple[2]} "
@@ -158,12 +150,12 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     from . import cache
-    from .relaxations import hook_tables
+    from .relaxations import coeff_tables
 
     cd = cache.resolve_cache_dir(args.cache_dir)
-    d, sizes, qs, tri = hook_tables(args.m, cd)
-    print(f"m={args.m}: {len(qs)} classes, block size {d}, "
-          f"table {cache.coeffs_beta_path(cd, args.m)}")
+    dims, sizes, qs, tri = coeff_tables(args.m, "single", cd)
+    print(f"m={args.m}: {len(qs)} classes, block size {dims[0]}, "
+          f"table {cache.coeffs_path(cd, args.m, 'single')}")
     return 0
 
 
@@ -176,6 +168,7 @@ def _cmd_alpha(args) -> int:
         "m": args.m,
         "alpha": out.value,
         "certified_bound": out.certificate.bound,
+        "status": out.status,
         "classes": out.class_count,
         "blocks": [int(y.shape[0]) for y in out.y],
         "total_time": time.monotonic() - started,
@@ -213,6 +206,7 @@ def _cmd_beta(args) -> int:
         "m": args.m,
         "beta": out.value,
         "certified_bound": out.certificate.bound,
+        "status": out.status,
         "rank": rank,
         "eigenvector": None if vector is None else [float(v) for v in vector],
         "rounds": len(out.rounds),
@@ -233,6 +227,7 @@ def _cmd_certify(args) -> int:
         "value": f"{cert.value.numerator}/{cert.value.denominator}",
         "worst_class": cert.worst_class,
         "psd_verified": all(exactly_psd(n) for n in cert.numerators),
+        "status": out.status,
     }
     _result_out(args, result)
     return 0
@@ -335,8 +330,8 @@ def _cmd_verify(args) -> int:
         print(f"skip: optimum check not run at m={m}")
 
     checked = 0
-    for path in (cache.q_table_path(cd, m), cache.orbits_path(cd, m),
-                 cache.coeffs_beta_path(cd, m), cache.coeffs_alpha_path(cd, m)):
+    for path in (cache.q_table_path(cd, m), cache.coeffs_path(cd, m, "single"),
+                 cache.coeffs_path(cd, m, "full")):
         if path.exists():
             cache._read_payload(path)
             checked += 1
@@ -365,11 +360,6 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        if args.precision == "extended":
-            raise ArgumentError(
-                "no extended-precision linear algebra is available; "
-                "results are certified in exact arithmetic instead"
-            )
         return _HANDLERS[args.command](args)
     except CrossingsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from .cycles import (
     Cycle,
     CycleIndex,
     canonical_keys,
+    invert_seqs,
     pack_keys,
     reflect_invert_seqs,
     shift_canonical_keys,
@@ -37,7 +38,7 @@ class PairOrbits:
 
     Orbits are identified by the packed canonical key of their second
     component at base first component; ids are positions in ascending key
-    order, which is also the record order of the orbit cache file.
+    order.
     """
 
     m: int
@@ -126,8 +127,7 @@ def build_pair_orbits(index: CycleIndex, dist_from_base: np.ndarray) -> PairOrbi
     rep_keys, orbit_of = index.stabilizer_orbits()
     counts = np.bincount(orbit_of, minlength=rep_keys.size)
     rep_seqs = unpack_keys(rep_keys, m)
-    rep_ids = index.id_of_keys(pack_keys(rep_seqs))
-    q = dist_from_base[index.inverse_ids()[rep_ids]].astype(np.uint16)
+    q = dist_from_base[index.id_of_keys(pack_keys(invert_seqs(rep_seqs)))].astype(np.uint16)
     partner_keys = canonical_keys(swap_partner_words(rep_seqs))
     partner = np.searchsorted(rep_keys, partner_keys).astype(np.int64)
     return PairOrbits(

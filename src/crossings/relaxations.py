@@ -10,12 +10,12 @@ every class constraint is priced with exact integer arithmetic against the
 stored integer tables.  The certified value is a true lower bound no
 matter what the floating-point stages did.
 
-The full relaxation stays small enough to solve over all classes at once.
-The single-block instance outgrows dense Schur factorizations around
-twenty thousand classes, so past a configurable threshold a cutting-plane
-loop solves restricted instances, scans every class for violated columns,
-adds the worst offenders, and repeats until the scan comes back clean.
-The scan result is advisory; soundness rests on the certificate alone.
+The two relaxations differ only in their blocks: the single-block one
+keeps the distinguished hook block, the full one every block.  One
+cutting-plane loop serves both.  It solves restricted instances, scans
+every class for violated columns, adds the worst offenders, and repeats
+until the scan comes back clean.  The scan result is advisory; soundness
+rests on the certificate alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import cache
 from .coeffs import PairTables, block_constraint_tables, hook_constraint_table
 from .errors import ArgumentError, DataError, ResourceError, SolverError
 from .repsets import build_blocks
-from .sdp import feasible_value, polish_dual, solve_bound_problem
+from .sdp import polish_dual, solve_bound_problem
 
 
 @dataclass
@@ -81,57 +81,39 @@ class RelaxationOutcome:
 # -- table acquisition -------------------------------------------------------
 
 
-def hook_tables(
-    m: int, cache_dir=None, route: str = "poly"
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Integer single-block tables (d, sizes, costs, upper triangles),
-    through the coefficient cache when a valid file is present."""
-    if m < 4:
-        raise ArgumentError("single-block relaxation needs m >= 4")
-    cd = cache.resolve_cache_dir(cache_dir)
-    path = cache.coeffs_beta_path(cd, m)
-    if path.exists():
-        d, _, sizes, qs, tri = cache.read_coeffs_beta(path, m)
-        return d, sizes.astype(np.int64), qs.astype(np.int64), tri
-    tables = PairTables.build(m)
-    tri = hook_constraint_table(tables, route)
-    d = (m - 1) // 2
-    cache.write_coeffs_beta(
-        path, m, d, tables.classes.rep_orbits, tables.classes.sizes,
-        tables.classes.q, tri,
-    )
-    return d, tables.classes.sizes.astype(np.int64), tables.classes.q.astype(np.int64), tri
-
-
-def full_tables(
-    m: int, cache_dir=None, route: str = "poly"
+def coeff_tables(
+    m: int, kind: str, cache_dir=None, route: str = "poly"
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Integer tables for every symmetrized block, concatenated triangles."""
+    """Integer tables (dims, sizes, costs, upper triangles concatenated in
+    block order) of one relaxation, kind "single" or "full", through the
+    coefficient cache when a valid file is present."""
+    if kind not in ("single", "full"):
+        raise ArgumentError(f"unknown relaxation kind {kind!r}")
     if m < 4:
-        raise ArgumentError("full relaxation needs m >= 4")
-    if m > 9:
+        raise ArgumentError(f"{kind} relaxation needs m >= 4")
+    if kind == "full" and m > 9:
         raise ResourceError(
             f"full relaxation tables at m={m} exceed the memory budget"
         )
-    cd = cache.resolve_cache_dir(cache_dir)
-    path = cache.coeffs_alpha_path(cd, m)
+    path = cache.coeffs_path(cache.resolve_cache_dir(cache_dir), m, kind)
     if path.exists():
-        dims, _, sizes, qs, tri = cache.read_coeffs_alpha(path, m)
+        dims, _, sizes, qs, tri = cache.read_coeffs(path, m)
         return dims, sizes.astype(np.int64), qs.astype(np.int64), tri
     tables = PairTables.build(m)
-    blocks = build_blocks(tables.index)
-    stacks = block_constraint_tables(tables, blocks, route)
-    dims = tuple(b.dim for b in blocks)
-    tris = []
-    for s, d in zip(stacks, dims):
-        iu = np.triu_indices(d)
-        tris.append(s[:, iu[0], iu[1]])
-    tri = np.concatenate(tris, axis=1)
-    cache.write_coeffs_alpha(
-        path, m, dims, tables.classes.rep_orbits, tables.classes.sizes,
-        tables.classes.q, tri,
-    )
-    return dims, tables.classes.sizes.astype(np.int64), tables.classes.q.astype(np.int64), tri
+    if kind == "single":
+        dims = ((m - 1) // 2,)
+        tri = hook_constraint_table(tables, route)
+    else:
+        blocks = build_blocks(tables.index)
+        dims = tuple(b.dim for b in blocks)
+        stacks = block_constraint_tables(tables, blocks, route)
+        tri = np.concatenate(
+            [s[:, iu[0], iu[1]] for s, iu in zip(stacks, map(np.triu_indices, dims))],
+            axis=1,
+        )
+    classes = tables.classes
+    cache.write_coeffs(path, m, dims, classes.rep_orbits, classes.sizes, classes.q, tri)
+    return dims, classes.sizes.astype(np.int64), classes.q.astype(np.int64), tri
 
 
 def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -147,11 +129,6 @@ def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
         off += t
         out.append(block)
     return out
-
-
-def _scaled_mats(tri: np.ndarray, dims: tuple[int, ...], sizes: np.ndarray) -> list[np.ndarray]:
-    inv = 1.0 / sizes.astype(np.float64)
-    return [s * inv[:, None, None] for s in split_triangles(tri, dims)]
 
 
 # -- instance assembly -------------------------------------------------------
@@ -187,22 +164,31 @@ def _strict_start(mats: list[np.ndarray], sizes: np.ndarray, anchor: int) -> np.
     raise SolverError("could not build a strictly feasible starting point")
 
 
-def _tri_weights(d: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    iu = np.triu_indices(d)
-    return iu, np.where(iu[0] == iu[1], 1.0, 2.0)
+def _packed(ys: list[np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
+    """Upper triangles of the blocks, concatenated in block order, with the
+    off-diagonal entries doubled, so tri @ packed is sum_B <Y_B, A_B>."""
+    parts = []
+    for y, d in zip(ys, dims):
+        iu = np.triu_indices(d)
+        parts.append(y[iu] * np.where(iu[0] == iu[1], 1.0, 2.0))
+    return np.concatenate(parts)
 
 
 def class_slacks(
-    y: np.ndarray, t: float, sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray
+    ys: list[np.ndarray],
+    dims: tuple[int, ...],
+    t: float,
+    sizes: np.ndarray,
+    qs: np.ndarray,
+    tri: np.ndarray,
 ) -> np.ndarray:
     """Per-element slack of every class constraint at the dual point."""
-    iu, w = _tri_weights(y.shape[0])
-    inner = tri @ (y[iu] * w)
-    return qs - t - inner / sizes
+    return qs - t - (tri @ _packed(ys, dims)) / sizes
 
 
 def scan_violations(
-    y: np.ndarray,
+    ys: list[np.ndarray],
+    dims: tuple[int, ...],
     t: float,
     sizes: np.ndarray,
     qs: np.ndarray,
@@ -211,7 +197,7 @@ def scan_violations(
 ) -> tuple[float, np.ndarray]:
     """Worst per-element violation over all classes and the ids of the top
     offenders, worst first, ties broken toward the smaller id."""
-    v = -class_slacks(y, t, sizes, qs, tri)
+    v = -class_slacks(ys, dims, t, sizes, qs, tri)
     order = np.lexsort((np.arange(v.size), -v))
     picked = order[: max(top, 1)]
     return float(v.max()), picked[v[picked] > 0].astype(np.int64)
@@ -249,35 +235,23 @@ def _certified_min(
     return Fraction(best_num, best_den), worst
 
 
-def certify_single(
-    y: np.ndarray, sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray, bits: int = 48
-) -> Certificate:
-    """Exact lower bound certificate from one near-optimal dual block."""
-    n_mat = _dyadic_numerator(y, bits)
-    denom = 1 << (3 * bits)
-    iu, w = _tri_weights(y.shape[0])
-    nvec = np.array(
-        [int(n_mat[i, j]) * int(k) for i, j, k in zip(iu[0], iu[1], w)],
-        dtype=object,
-    )
-    inners = tri.astype(object) @ nvec
-    value, worst = _certified_min(inners, sizes, qs, denom)
-    return Certificate([n_mat], denom, value, worst)
-
-
-def certify_full(
+def certify(
     ys: list[np.ndarray],
+    dims: tuple[int, ...],
     sizes: np.ndarray,
     qs: np.ndarray,
-    stacks: list[np.ndarray],
+    tri: np.ndarray,
     bits: int = 48,
 ) -> Certificate:
-    """Exact lower bound certificate from one dual block per shape."""
-    denom = 1 << (3 * bits)
+    """Exact lower bound certificate from near-optimal dual blocks, one per
+    entry of dims, priced against the packed integer triangles."""
     numerators = [_dyadic_numerator(y, bits) for y in ys]
-    inners = np.zeros(len(qs), dtype=object)
-    for n_mat, stack in zip(numerators, stacks):
-        inners += stack.reshape(len(qs), -1).astype(object) @ n_mat.ravel()
+    denom = 1 << (3 * bits)
+    nvec = []
+    for n_mat, d in zip(numerators, dims):
+        iu = np.triu_indices(d)
+        nvec.extend(int(n_mat[i, j]) * (1 if i == j else 2) for i, j in zip(*iu))
+    inners = tri.astype(object) @ np.array(nvec, dtype=object)
     value, worst = _certified_min(inners, sizes, qs, denom)
     return Certificate(numerators, denom, value, worst)
 
@@ -314,11 +288,7 @@ def rank_report(y: np.ndarray, tol: float = 1e-6) -> tuple[int, np.ndarray | Non
     return rank, v
 
 
-# -- drivers -----------------------------------------------------------------
-
-
-def _state_path(cache_dir, m: int):
-    return cache.resolve_cache_dir(cache_dir) / f"cuts_{m}.json"
+# -- driver ------------------------------------------------------------------
 
 
 def _solve_polished(n, c, mats, x0, tol):
@@ -330,55 +300,33 @@ def _solve_polished(n, c, mats, x0, tol):
     return sol, t_pol, y_pol
 
 
-def run_single(
+def _relax(
     m: int,
+    kind: str,
     cache_dir=None,
     route: str = "poly",
     tol: float = 1e-9,
     tol_cut: float = 1e-7,
     batch: int = 50,
-    cut_threshold: int = 4000,
     max_rounds: int = 200,
     resume: bool = False,
     bits: int = 48,
     progress=None,
 ) -> RelaxationOutcome:
-    """Certified optimum of the single-block relaxation.
+    """Certified optimum of one relaxation by the cutting-plane loop.
 
-    Solves directly while the class count fits a dense Schur complement,
-    otherwise runs the cutting-plane loop.  progress, when given, receives
-    one RoundRecord per round as it completes."""
-    d, sizes, qs, tri = hook_tables(m, cache_dir, route)
-    count = len(qs)
+    Each round solves the instance restricted to the active classes, scans
+    every class against the polished dual, and adds the worst offenders;
+    the state after each round is saved as cuts_<m>_<kind>.json, so a run
+    stopped by its round budget can resume.  progress, when given,
+    receives one RoundRecord per round as it completes."""
+    dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir, route)
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
-    rounds: list[RoundRecord] = []
-
-    def emit(rec):
-        rounds.append(rec)
-        if progress is not None:
-            progress(rec)
-
-    if count <= cut_threshold:
-        mats = _scaled_mats(tri, (d,), sizes)
-        anchor = _anchor_index(qs, mats)
-        x0 = _strict_start(mats, sizes, anchor)
-        started = time.monotonic()
-        sol, t_pol, y_pol = _solve_polished(np.ones(count), c, mats, x0, tol)
-        maxv, _ = scan_violations(y_pol[0], t_pol, fsizes, c, tri, top=1)
-        cert = certify_single(y_pol[0], sizes, qs, tri, bits)
-        emit(RoundRecord(1, count, t_pol, maxv, cert.worst_class,
-                         (time.monotonic() - started) * 1e3))
-        return RelaxationOutcome(
-            m=m, kind="single", value=float(class_slacks(y_pol[0], 0.0, fsizes, c, tri).min()),
-            raw=sol.t, certificate=cert, status=sol.status, class_count=count,
-            rounds=rounds, y=y_pol, x=sol.x, active=np.arange(count, dtype=np.int64),
-        )
-
-    mats_all = split_triangles(tri, (d,))[0]
-    anchor = _anchor_index(qs, [mats_all / fsizes[:, None, None]])
+    mats_all = split_triangles(tri, dims)
+    anchor = _anchor_index(qs, [mat / fsizes[:, None, None] for mat in mats_all])
     active = [anchor]
-    state_file = _state_path(cache_dir, m)
+    state_file = cache.resolve_cache_dir(cache_dir) / f"cuts_{m}_{kind}.json"
     if resume and state_file.exists():
         try:
             saved = json.loads(state_file.read_text())
@@ -391,27 +339,28 @@ def run_single(
             if anchor not in active:
                 active.insert(0, anchor)
 
+    rounds: list[RoundRecord] = []
     streaks: dict[int, int] = {}
-    sol = t_pol = None
-    y_best = None
     for rnd in range(1, max_rounds + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
-        sub = [mats_all[ids] / fsizes[ids, None, None]]
+        sub = [mat[ids] / fsizes[ids, None, None] for mat in mats_all]
         x0 = _strict_start(sub, sizes[ids], int(np.searchsorted(ids, anchor)))
         sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0, tol)
-        y_best = y_pol[0]
-        maxv, offenders = scan_violations(y_best, t_pol, fsizes, c, tri, top=batch)
-        emit(RoundRecord(rnd, ids.size, t_pol,
-                         maxv, int(offenders[0]) if offenders.size else -1,
-                         (time.monotonic() - started) * 1e3))
+        maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri, top=batch)
+        rec = RoundRecord(rnd, ids.size, t_pol,
+                          maxv, int(offenders[0]) if offenders.size else -1,
+                          (time.monotonic() - started) * 1e3)
+        rounds.append(rec)
+        if progress is not None:
+            progress(rec)
         cache._publish(state_file, json.dumps(
             {"m": m, "round": rnd, "active": sorted(active)}).encode())
         if maxv <= tol_cut:
             break
         # dual multipliers of the cuts are the primal weights; cuts that
         # stay slack and weightless for five rounds get dropped
-        slacks_here = class_slacks(y_best, t_pol, fsizes, c, tri)
+        slacks_here = class_slacks(y_pol, dims, t_pol, fsizes, c, tri)
         xmax = sol.x.max()
         for pos, cls in enumerate(ids):
             cls = int(cls)
@@ -426,39 +375,20 @@ def run_single(
     else:
         raise SolverError(f"cutting-plane loop did not settle in {max_rounds} rounds")
 
-    cert = certify_single(y_best, sizes, qs, tri, bits)
+    cert = certify(y_pol, dims, sizes, qs, tri, bits)
     state_file.unlink(missing_ok=True)
     return RelaxationOutcome(
-        m=m, kind="single", value=float(class_slacks(y_best, 0.0, fsizes, c, tri).min()),
-        raw=sol.t, certificate=cert, status=sol.status, class_count=count,
-        rounds=rounds, y=[y_best], x=sol.x,
-        active=np.array(sorted(active), dtype=np.int64),
+        m=m, kind=kind, value=float(class_slacks(y_pol, dims, 0.0, fsizes, c, tri).min()),
+        raw=sol.t, certificate=cert, status=sol.status, class_count=len(qs),
+        rounds=rounds, y=y_pol, x=sol.x, active=ids,
     )
 
 
-def run_full(
-    m: int,
-    cache_dir=None,
-    route: str = "poly",
-    tol: float = 1e-9,
-    bits: int = 48,
-) -> RelaxationOutcome:
-    """Certified optimum of the full relaxation, all blocks at once."""
-    dims, sizes, qs, tri = full_tables(m, cache_dir, route)
-    count = len(qs)
-    c = qs.astype(np.float64)
-    mats = _scaled_mats(tri, dims, sizes)
-    anchor = _anchor_index(qs, mats)
-    x0 = _strict_start(mats, sizes, anchor)
-    started = time.monotonic()
-    sol, t_pol, y_pol = _solve_polished(np.ones(count), c, mats, x0, tol)
-    stacks = split_triangles(tri, dims)
-    cert = certify_full(y_pol, sizes, qs, stacks, bits)
-    rec = RoundRecord(1, count, t_pol, float(-min(
-        feasible_value(np.ones(count), c, mats, y_pol) - t_pol, 0.0)),
-        cert.worst_class, (time.monotonic() - started) * 1e3)
-    return RelaxationOutcome(
-        m=m, kind="full", value=feasible_value(np.ones(count), c, mats, y_pol),
-        raw=sol.t, certificate=cert, status=sol.status, class_count=count,
-        rounds=[rec], y=y_pol, x=sol.x, active=np.arange(count, dtype=np.int64),
-    )
+def run_single(m: int, **kwargs) -> RelaxationOutcome:
+    """Certified optimum of the single-block relaxation; keywords as _relax."""
+    return _relax(m, "single", **kwargs)
+
+
+def run_full(m: int, **kwargs) -> RelaxationOutcome:
+    """Certified optimum of the full relaxation, every block; keywords as _relax."""
+    return _relax(m, "full", **kwargs)

@@ -39,9 +39,9 @@ from crossings.coeffs import (
 from crossings.cycles import Cycle, CycleIndex, act, canonical_form, stabilizer_elements
 from crossings.orbits import orbit_census
 from crossings.relaxations import (
-    certify_single,
+    certify,
+    coeff_tables,
     exactly_psd,
-    hook_tables,
     rank_report,
     run_full,
     run_single,
@@ -416,12 +416,12 @@ def test_criterion_9_certificates_after_perturbation(store, singles):
     t0 = time.perf_counter()
     problems = []
     for m in range(4, 9):
-        d, sizes, qs, tri = hook_tables(m, cache_dir=store)
+        (d,), sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
         for exponent, scale in ((6, 1e-6), (3, 1e-3)):
             rng = np.random.default_rng(1000 * m + exponent)
             noise = rng.normal(0.0, scale, (d, d))
             y = single_out[m].y[0] + noise + noise.T
-            cert = certify_single(y, sizes, qs, tri)
+            cert = certify([y], (d,), sizes, qs, tri)
             n_mat = cert.numerators[0]
             if not exactly_psd(n_mat):
                 problems.append(f"m={m} scale {scale:g}: numerator not positive semidefinite")

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from crossings.bounds import (
     asymptotic_ratio,
-    bound_rows,
     exact,
     knn_table,
     lift_bound,
@@ -87,11 +86,6 @@ def test_lift_at_its_own_level_reproduces_the_quadratic(n):
 
 def test_quadratic_floor_at_zero():
     assert quadratic_bound(4, 1).evaluate(1) == 0
-
-
-def test_bound_rows_shape():
-    rows = bound_rows({10: LEVELS[10]}, [10, 11], source="beta")
-    assert rows == [(10, 10, 388, "beta", True), (10, 11, 480, "beta", True)]
 
 
 def test_exact_reads_decimals_not_binary_floats():

@@ -52,17 +52,6 @@ def test_missing_file(tmp_path):
         cache.read_q_table(tmp_path / "q_7.bin", 7)
 
 
-def test_orbits_roundtrip(tmp_path):
-    m = 4
-    reps = np.array([[1, 2, 3, 4], [1, 3, 2, 4], [1, 4, 3, 2]], dtype=np.uint8)
-    sizes = np.array([3, 3, 3], dtype=np.uint64)
-    qs = np.array([2, 1, 0], dtype=np.uint16)
-    p = cache.orbits_path(tmp_path, m)
-    cache.write_orbits(p, m, reps, sizes, qs)
-    r, s, q = cache.read_orbits(p, m)
-    assert (r == reps).all() and (s == sizes).all() and (q == qs).all()
-
-
 def test_coeffs_roundtrip(tmp_path):
     m, d = 6, 2
     t = d * (d + 1) // 2
@@ -70,10 +59,10 @@ def test_coeffs_roundtrip(tmp_path):
     sizes = np.arange(1, 6, dtype=np.uint64) * 10
     qs = np.arange(5, dtype=np.uint16)
     tri = np.arange(5 * t, dtype=np.int64).reshape(5, t) - 7
-    p = cache.coeffs_beta_path(tmp_path, m)
-    cache.write_coeffs_beta(p, m, d, ids, sizes, qs, tri)
-    d2, i2, s2, q2, t2 = cache.read_coeffs_beta(p, m)
-    assert d2 == d
+    p = cache.coeffs_path(tmp_path, m, "single")
+    cache.write_coeffs(p, m, (d,), ids, sizes, qs, tri)
+    d2, i2, s2, q2, t2 = cache.read_coeffs(p, m)
+    assert d2 == (d,)
     assert (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all() and (t2 == tri).all()
 
 
@@ -87,9 +76,9 @@ def test_cache_dir_env(tmp_path, monkeypatch):
 
 
 def test_failed_payload_publish_leaves_a_rebuildable_cache(tmp_path, monkeypatch):
-    from crossings.relaxations import hook_tables
+    from crossings.relaxations import coeff_tables
 
-    payload = cache.coeffs_beta_path(tmp_path, 5)
+    payload = cache.coeffs_path(tmp_path, 5, "single")
     replace = os.replace
     failures = []
 
@@ -101,32 +90,34 @@ def test_failed_payload_publish_leaves_a_rebuildable_cache(tmp_path, monkeypatch
 
     monkeypatch.setattr(os, "replace", replace_failing_once)
     with pytest.raises(OSError):
-        hook_tables(5, tmp_path)
+        coeff_tables(5, "single", tmp_path)
     assert failures and not payload.exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs_5_beta.bin.crc32"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs_5_single.bin.crc32"]
 
-    got = hook_tables(5, tmp_path)
+    got = coeff_tables(5, "single", tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "coeffs_5_beta.bin", "coeffs_5_beta.bin.crc32"]
-    want = hook_tables(5, tmp_path / "fresh")
+        "coeffs_5_single.bin", "coeffs_5_single.bin.crc32"]
+    want = coeff_tables(5, "single", tmp_path / "fresh")
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         assert (a == b).all()
-    assert cache.read_coeffs_beta(payload, 5)[4].tolist() == want[3].tolist()
+    assert cache.read_coeffs(payload, 5)[4].tolist() == want[3].tolist()
 
 
-# CRC-32 of the table files, copied by hand from a build by the earlier
-# dict-based expansion engine; the tables must not change by a byte.
-BETA_CRC32 = {4: 0x4239E45F, 5: 0x2FD9E774, 6: 0xA5E13F1B, 7: 0xBE2D7CB6, 8: 0xE4A9873F}
+# CRC-32 of the table files; the tables must not change by a byte.
+# ALPHA_CRC32 was copied by hand from a build by the earlier dict-based
+# expansion engine.  BETA_CRC32 was derived by a script from that build's
+# single-block files, which had a header of their own: the CRC-32 of the
+# shared header (block count one), the dimension byte and the old record
+# bytes unchanged.
+BETA_CRC32 = {4: 0x2430C6B8, 5: 0x2233F88B, 6: 0xEB726EEB, 7: 0x7AA56E5C, 8: 0x3AE451C1}
 ALPHA_CRC32 = {4: 0x5B78B038, 5: 0xFCAD5F45, 6: 0xFD4F82C8, 7: 0x25BE37CF}
 
 
 def test_table_bytes_are_pinned(tmp_path):
-    from crossings.relaxations import full_tables, hook_tables
+    from crossings.relaxations import coeff_tables
 
-    for m, want in BETA_CRC32.items():
-        hook_tables(m, tmp_path)
-        assert zlib.crc32(cache.coeffs_beta_path(tmp_path, m).read_bytes()) == want, m
-    for m, want in ALPHA_CRC32.items():
-        full_tables(m, tmp_path)
-        assert zlib.crc32(cache.coeffs_alpha_path(tmp_path, m).read_bytes()) == want, m
+    for kind, pins in (("single", BETA_CRC32), ("full", ALPHA_CRC32)):
+        for m, want in pins.items():
+            coeff_tables(m, kind, tmp_path)
+            assert zlib.crc32(cache.coeffs_path(tmp_path, m, kind).read_bytes()) == want, m

@@ -34,14 +34,13 @@ def test_orbits_command_prints_census(store, capsys):
     assert code == 0
     assert "20 / 17" in out
     assert "ok: census matches the reference" in out
-    assert (store / "orbits_6.bin").exists()
 
 
 def test_coeffs_command(store, capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--m", "5", "--cache-dir", str(store))
     assert code == 0
     assert "7 classes" in out
-    assert (store / "coeffs_5_beta.bin").exists()
+    assert (store / "coeffs_5_single.bin").exists()
 
 
 def test_beta_command_stream_and_result(store, capsys, tmp_path):
@@ -57,6 +56,7 @@ def test_beta_command_stream_and_result(store, capsys, tmp_path):
     assert result["rank"] == 1
     assert result["eigenvector"] == pytest.approx([0.5477225575, 0.3385111569], abs=1e-4)
     assert result["rounds"] >= 1 and result["total_time"] > 0
+    assert result["status"] == "optimal"
     assert json.loads(result_path.read_text()) == result
     for line in err.strip().splitlines():
         record = json.loads(line)
@@ -69,6 +69,7 @@ def test_alpha_command(store, capsys):
     result = json.loads(out.strip().splitlines()[-1])
     assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
     assert result["blocks"] == [1, 1, 1]
+    assert result["status"] == "optimal"
 
 
 def test_certify_command(store, capsys):
@@ -76,6 +77,7 @@ def test_certify_command(store, capsys):
     assert code == 0
     result = json.loads(out.strip().splitlines()[-1])
     assert result["psd_verified"] is True
+    assert result["status"] == "optimal"
     assert result["certified_bound"] == pytest.approx(1.0, abs=1e-9)
     num, den = result["value"].split("/")
     assert abs(Fraction(int(num), int(den)) - 1) < Fraction(1, 10**9)
@@ -124,13 +126,6 @@ def test_verify_command(store, capsys):
     code, out, _ = run_cli(capsys, "verify", "--m", "4", "--cache-dir", str(store))
     assert code == 0
     assert out.count("ok:") >= 4
-
-
-def test_extended_precision_is_rejected(store, capsys):
-    code, _, err = run_cli(capsys, "beta", "--m", "5", "--precision", "extended",
-                           "--cache-dir", str(store))
-    assert code == 2
-    assert "extended" in err
 
 
 def test_threads_flag_sets_environment(store, capsys, monkeypatch):

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +13,19 @@ from hypothesis import strategies as st
 
 from crossings.errors import ArgumentError, DataError, ResourceError, SolverError
 from crossings.relaxations import (
-    certify_single,
+    _anchor_index,
+    _strict_start,
+    certify,
     class_slacks,
+    coeff_tables,
     exactly_psd,
-    full_tables,
-    hook_tables,
     rank_report,
     run_full,
     run_single,
     scan_violations,
     split_triangles,
 )
+from crossings.sdp import polish_dual, solve_bound_problem
 
 # independently frozen optimum values, ten decimals
 SINGLE_OPT = {4: 1.0, 5: 1.9270509831, 6: 2.9519183588, 7: 4.3107391257, 8: 5.8284271247}
@@ -69,19 +76,36 @@ def test_single_never_beats_full(single_runs, full_runs):
 
 def test_argument_guards():
     with pytest.raises(ArgumentError):
-        hook_tables(3)
+        coeff_tables(3, "single")
     with pytest.raises(ArgumentError):
-        full_tables(3)
+        coeff_tables(3, "full")
     with pytest.raises(ResourceError):
-        full_tables(10)
+        coeff_tables(10, "full")
+
+
+def direct_solve(m, store):
+    """Reference optimum over all classes at once: one solve and polish of
+    the whole instance, certified like the cutting loop's last round."""
+    dims, sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
+    fs, c = sizes.astype(float), qs.astype(float)
+    mats = [mat / fs[:, None, None] for mat in split_triangles(tri, dims)]
+    x0 = _strict_start(mats, sizes, _anchor_index(qs, mats))
+    sol = solve_bound_problem(np.ones(len(qs)), c, mats, x0, tol=1e-9)
+    _, y = polish_dual(np.ones(len(qs)), c, mats, sol.y, x=sol.x)
+    value = float(class_slacks(y, dims, 0.0, fs, c, tri).min())
+    return value, certify(y, dims, sizes, qs, tri)
 
 
 def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
+    direct = {m: direct_solve(m, store) for m in range(5, 9)}
+    for m, (value, cert) in direct.items():
+        assert single_runs[m].value == pytest.approx(value, abs=1e-8)
+        assert single_runs[m].certificate.bound == pytest.approx(cert.bound, abs=1e-8)
     seen = []
-    out = run_single(5, cache_dir=store, cut_threshold=1, batch=2, progress=seen.append)
-    direct = single_runs[5]
-    assert out.value == pytest.approx(direct.value, abs=1e-8)
-    assert out.certificate.bound == pytest.approx(direct.certificate.bound, abs=1e-8)
+    out = run_single(5, cache_dir=store, batch=2, progress=seen.append)
+    value, cert = direct[5]
+    assert out.value == pytest.approx(value, abs=1e-8)
+    assert out.certificate.bound == pytest.approx(cert.bound, abs=1e-8)
     assert len(out.rounds) >= 2
     assert seen == out.rounds
     assert [r.round for r in out.rounds] == list(range(1, len(out.rounds) + 1))
@@ -94,41 +118,42 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
 
 def test_cutting_loop_resume_after_round_budget(store):
     with pytest.raises(SolverError):
-        run_single(6, cache_dir=store, cut_threshold=1, batch=1, max_rounds=1)
-    state = store / "cuts_6.json"
+        run_single(6, cache_dir=store, batch=1, max_rounds=1)
+    state = store / "cuts_6_single.json"
     assert state.exists()
-    out = run_single(6, cache_dir=store, cut_threshold=1, batch=1, resume=True)
+    out = run_single(6, cache_dir=store, batch=1, resume=True)
     assert out.value == pytest.approx(SINGLE_OPT[6], abs=1e-8)
     assert not state.exists()
 
 
 def test_truncated_cut_state_is_refused_by_name(store):
-    out = run_single(6, cache_dir=store, cut_threshold=1, batch=1)
+    out = run_single(6, cache_dir=store, batch=1)
     assert len(out.rounds) >= 2
     assert not list(store.glob("*.tmp"))
-    state = store / "cuts_6.json"
+    state = store / "cuts_6_single.json"
     state.write_text('{"m": 6, "round": 2, "active": [1, 2')
     try:
-        with pytest.raises(DataError, match="cuts_6.json"):
-            run_single(6, cache_dir=store, cut_threshold=1, resume=True)
+        with pytest.raises(DataError, match="cuts_6_single.json"):
+            run_single(6, cache_dir=store, resume=True)
     finally:
         state.unlink()
 
 
 def test_scan_of_zero_dual(store):
-    d, sizes, qs, tri = hook_tables(5, cache_dir=store)
+    dims, sizes, qs, tri = coeff_tables(5, "single", cache_dir=store)
     fs, fq = sizes.astype(float), qs.astype(float)
-    maxv, ids = scan_violations(np.zeros((d, d)), 0.0, fs, fq, tri)
+    zero = [np.zeros((d, d)) for d in dims]
+    maxv, ids = scan_violations(zero, dims, 0.0, fs, fq, tri)
     assert maxv == 0.0 and ids.size == 0
-    maxv, ids = scan_violations(np.zeros((d, d)), 1.0, fs, fq, tri)
+    maxv, ids = scan_violations(zero, dims, 1.0, fs, fq, tri)
     assert maxv == 1.0
     assert set(ids) == set(np.flatnonzero(qs == 0))
     assert list(ids) == sorted(ids)
 
 
 def test_certify_zero_dual_gives_min_cost(store):
-    d, sizes, qs, tri = hook_tables(5, cache_dir=store)
-    cert = certify_single(np.zeros((d, d)), sizes, qs, tri)
+    (d,), sizes, qs, tri = coeff_tables(5, "single", cache_dir=store)
+    cert = certify([np.zeros((d, d))], (d,), sizes, qs, tri)
     assert cert.value == Fraction(int(qs.min()))
     assert exactly_psd(cert.numerators[0])
 
@@ -138,11 +163,11 @@ def test_certify_zero_dual_gives_min_cost(store):
 def test_certificates_survive_perturbation(store, single_runs, seed, m, scale):
     """Whatever dual point certify gets, its output must pass a from-scratch
     rational feasibility check and stay below the true optimum."""
-    d, sizes, qs, tri = hook_tables(m, cache_dir=store)
+    (d,), sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, scale, (d, d))
     y = single_runs[m].y[0] + noise + noise.T
-    cert = certify_single(y, sizes, qs, tri)
+    cert = certify([y], (d,), sizes, qs, tri)
     for n_mat in cert.numerators:
         assert exactly_psd(n_mat)
     n_mat = cert.numerators[0]
@@ -188,19 +213,19 @@ def test_rank_structure_even_m(single_runs):
 def test_value_prices_the_polished_dual(store, single_runs):
     for m in (5, 6):
         out = single_runs[m]
-        d, sizes, qs, tri = hook_tables(m, cache_dir=store)
-        slack = class_slacks(out.y[0], 0.0, sizes.astype(float), qs.astype(float), tri)
+        dims, sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
+        slack = class_slacks(out.y, dims, 0.0, sizes.astype(float), qs.astype(float), tri)
         assert out.value == pytest.approx(float(slack.min()), abs=1e-15)
 
 
 def test_tables_come_back_from_cache(tmp_path):
-    d1, s1, q1, t1 = hook_tables(5, cache_dir=tmp_path)
-    assert (tmp_path / "coeffs_5_beta.bin").exists()
-    d2, s2, q2, t2 = hook_tables(5, cache_dir=tmp_path)
+    d1, s1, q1, t1 = coeff_tables(5, "single", cache_dir=tmp_path)
+    assert (tmp_path / "coeffs_5_single.bin").exists()
+    d2, s2, q2, t2 = coeff_tables(5, "single", cache_dir=tmp_path)
     assert d1 == d2 and (s1 == s2).all() and (q1 == q2).all() and (t1 == t2).all()
-    dims1, fs1, fq1, ft1 = full_tables(4, cache_dir=tmp_path)
-    assert (tmp_path / "coeffs_4_alpha.bin").exists()
-    dims2, fs2, fq2, ft2 = full_tables(4, cache_dir=tmp_path)
+    dims1, fs1, fq1, ft1 = coeff_tables(4, "full", cache_dir=tmp_path)
+    assert (tmp_path / "coeffs_4_full.bin").exists()
+    dims2, fs2, fq2, ft2 = coeff_tables(4, "full", cache_dir=tmp_path)
     assert dims1 == dims2 and (ft1 == ft2).all()
 
 
@@ -229,3 +254,26 @@ def test_exactly_psd_small_cases():
           np.array([[-1, 0], [0, 1]], dtype=object)]
     assert all(exactly_psd(a) for a in yes)
     assert not any(exactly_psd(a) for a in no)
+
+
+_THREAD_PROBE = """
+import json, sys
+from crossings.relaxations import run_full, run_single
+out = {}
+for name, run, m in (("single", run_single, 8), ("full", run_full, 7)):
+    res = run(m, cache_dir=sys.argv[1])
+    out[name] = [repr(res.value), str(res.certificate.value)]
+print(json.dumps(out))
+"""
+
+
+def test_values_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    got = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        got.append(json.loads(proc.stdout))
+    assert got[0] == got[1]
