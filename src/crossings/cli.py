@@ -171,6 +171,7 @@ def _cmd_alpha(args) -> int:
         "status": out.status,
         "classes": out.class_count,
         "blocks": [int(y.shape[0]) for y in out.y],
+        "iterations": out.iterations,
         "total_time": time.monotonic() - started,
     }
     _result_out(args, result)
@@ -187,6 +188,7 @@ def _run_single(args):
             "objective": rec.objective,
             "max_violation": rec.max_violation,
             "wall_time_ms": rec.wall_ms,
+            "iterations": rec.iterations,
         }
         print(json.dumps(line), file=sys.stderr, flush=True)
 
@@ -210,6 +212,7 @@ def _cmd_beta(args) -> int:
         "rank": rank,
         "eigenvector": None if vector is None else [float(v) for v in vector],
         "rounds": len(out.rounds),
+        "iterations": out.iterations,
         "total_time": time.monotonic() - started,
     }
     _result_out(args, result)
@@ -228,6 +231,7 @@ def _cmd_certify(args) -> int:
         "worst_class": cert.worst_class,
         "psd_verified": all(exactly_psd(n) for n in cert.numerators),
         "status": out.status,
+        "iterations": out.iterations,
     }
     _result_out(args, result)
     return 0

@@ -42,6 +42,7 @@ class RoundRecord:
     max_violation: float
     worst_class: int
     wall_ms: float
+    iterations: int
 
 
 @dataclass
@@ -76,6 +77,11 @@ class RelaxationOutcome:
     y: list[np.ndarray] = field(default_factory=list)
     x: np.ndarray | None = None
     active: np.ndarray | None = None
+
+    @property
+    def iterations(self) -> int:
+        """Interior-point iterations summed over all rounds."""
+        return sum(r.iterations for r in self.rounds)
 
 
 # -- table acquisition -------------------------------------------------------
@@ -350,7 +356,7 @@ def _relax(
         maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri, top=batch)
         rec = RoundRecord(rnd, ids.size, t_pol,
                           maxv, int(offenders[0]) if offenders.size else -1,
-                          (time.monotonic() - started) * 1e3)
+                          (time.monotonic() - started) * 1e3, sol.iterations)
         rounds.append(rec)
         if progress is not None:
             progress(rec)

@@ -2,12 +2,16 @@
 
 Each partition of m contributes a family of candidate cycle-space vectors,
 one per standard tableau (built here by a vectorized version of the direct
-expansion in the tableau module).  The span of that family has dimension
-equal to the number of standard tableaux with descent sum divisible by m,
-so a minimal spanning subset is extracted first; the survivors are then
+expansion in the tableau module, from row-rearrangement and signed
+column-group tables made once per shape).  The span of that family has
+dimension equal to the number of standard tableaux with descent sum
+divisible by m, so a minimal spanning subset is extracted first: vectors are
+built a chunk at a time in the fixed tableau enumeration order and streamed
+into the greedy independence test, which stops at that dimension, so the
+vectors past the last one it reads are never built.  The survivors are then
 symmetrized by the inversion sign, and a maximal independent subfamily per
-sign, in the fixed tableau enumeration order, yields the blocks: integer
-matrices whose row spans carry the whole optimization problem.
+sign yields the blocks: integer matrices whose row spans carry the whole
+optimization problem.
 
 Independence decisions are made exactly: a candidate joins a block when the
 integer Gram determinant of the enlarged set is nonzero (computed by
@@ -21,21 +25,13 @@ symmetric group; large-m single-block runs depend on it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import factorial, prod
 
 import numpy as np
 
 from .cycles import CycleIndex
-from .errors import ArgumentError
-from .tableaux import (
-    base_filling,
-    block_multiplicity,
-    partitions,
-    signed_column_fillings,
-    standard_tableaux,
-)
+from .errors import ArgumentError, CrossingsError, ResourceError
+from .tableaux import block_multiplicity, conjugate, partitions, standard_tableaux
 
 Filling = tuple[tuple[int, ...], ...]
 
@@ -54,29 +50,74 @@ class Block:
         return self.u.shape[0]
 
 
-def _row_cell_perms(lam: tuple[int, ...]) -> np.ndarray:
-    """All row-preserving permutations of row-major cell indices, (R, m)."""
-    starts = [0]
-    for part in lam:
-        starts.append(starts[-1] + part)
-    per_row = [
-        list(itertools.permutations(range(s, s + part)))
-        for s, part in zip(starts, lam)
-    ]
-    m = sum(lam)
-    out = np.empty((prod(factorial(p) for p in lam), m), dtype=np.int32)
-    for r, combo in enumerate(itertools.product(*per_row)):
-        out[r] = [c for grp in combo for c in grp]
-    return out
+def _lex_permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(k) in lexicographic (itertools) order, (k!, k),
+    with their signs by inversion parity: a leading entry f precedes exactly
+    f smaller entries, so it contributes f inversions."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    signs = np.ones(1, dtype=np.int8)
+    for n in range(1, k + 1):
+        first = np.repeat(np.arange(n, dtype=np.uint8), len(perms))
+        rest = np.tile(perms, (n, 1))
+        perms = np.column_stack([first, rest + (rest >= first[:, None])])
+        signs = np.tile(signs, n)
+        signs[first % 2 == 1] *= -1
+    return perms, signs
 
 
-def _signed_col_rows(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and row-major value arrays of c . t over the column group of the
-    base filling."""
-    items = list(signed_column_fillings(base_filling(lam)))
-    signs = np.array([s for s, _ in items], dtype=np.int64)
-    crows = np.array([[v for row in f for v in row] for _, f in items], dtype=np.uint8)
-    return signs, crows
+def _product(
+    factors: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian product of (rows, signs) factors in itertools.product order
+    (first factor slowest): rows concatenate, signs multiply."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    signs = np.ones(1, dtype=np.int8)
+    for f_rows, f_signs in factors:
+        rows = np.hstack([np.repeat(rows, len(f_rows), axis=0), np.tile(f_rows, (len(rows), 1))])
+        signs = np.repeat(signs, len(f_signs)) * np.tile(f_signs, len(signs))
+    return rows, signs
+
+
+def _shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-shape tables of the vector builder: all row-preserving
+    permutations of row-major cell indices (R, m), and the signs (C,) and
+    row-major values (C, m) of c . t over the column group of the base
+    filling."""
+    starts = np.cumsum((0,) + lam[:-1], dtype=np.uint8)
+    rearr, _ = _product(
+        [(perms + start, signs) for part, start in zip(lam, starts)
+         for perms, signs in [_lex_permutations(part)]]
+    )
+    # column j holds the base values starts[i] + j + 1 at cells starts[i] + j
+    heights = conjugate(lam)
+    values, signs = _product(
+        [(starts[perms] + j + 1, col_signs) for j, h in enumerate(heights)
+         for perms, col_signs in [_lex_permutations(h)]]
+    )
+    cells = np.concatenate([starts[:h] + j for j, h in enumerate(heights)])
+    crows = np.empty_like(values)
+    crows[:, cells] = values
+    return rearr, signs, crows
+
+
+def _tableau_vectors(
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray], ts, index: CycleIndex
+) -> np.ndarray:
+    """Cycle-space vectors of the column tableaux ts, (len(ts), N), from the
+    tables of their shape."""
+    rearr, signs, crows = tables
+    m = index.m
+    tinv = np.empty((len(ts), m), dtype=np.intp)
+    for k, t in enumerate(ts):
+        tinv[k, [v - 1 for row in t for v in row]] = np.arange(m)
+    holder = rearr[:, tinv].swapaxes(0, 1)  # (K, R, m): cell of p+1 per rearrangement
+    words = crows[:, holder]  # (C, K, R, m)
+    slots = index.id_of_words(words.reshape(-1, m)).reshape(words.shape[:-1])
+    slots += (np.arange(len(ts)) * len(index))[:, None]
+    # float weights are exact here: every sum is an integer below C * R
+    weights = np.broadcast_to(signs[:, None, None], slots.shape)
+    sums = np.bincount(slots.ravel(), weights.ravel(), minlength=len(ts) * len(index))
+    return sums.astype(np.int64).reshape(len(ts), len(index))
 
 
 def tableau_vector_matrix(
@@ -88,22 +129,9 @@ def tableau_vector_matrix(
     word read off a pair (c, T') has letter p equal to the value of c . t at
     the cell where the rearranged T places p+1.
     """
-    m = index.m
-    if sum(lam) != m:
-        raise ArgumentError(f"shape {lam} does not partition {m}")
-    rearr = _row_cell_perms(lam)  # (R, m)
-    signs, crows = _signed_col_rows(lam)  # (C,), (C, m)
-    rep_signs = np.repeat(signs, rearr.shape[0])
-    out = np.zeros((len(ts), len(index)), dtype=np.int64)
-    for k, t in enumerate(ts):
-        tinv = np.empty(m, dtype=np.int32)
-        for cell, v in enumerate(v for row in t for v in row):
-            tinv[v - 1] = cell
-        holder = rearr[:, tinv]  # (R, m): cell of p+1 under each rearrangement
-        words = crows[:, holder].reshape(-1, m)  # (C*R, m)
-        ids = index.id_of_words(words)
-        np.add.at(out[k], ids, rep_signs)
-    return out
+    if sum(lam) != index.m:
+        raise ArgumentError(f"shape {lam} does not partition {index.m}")
+    return _tableau_vectors(_shape_tables(lam), ts, index)
 
 
 def bareiss_det(mat: list[list[int]]) -> int:
@@ -130,44 +158,65 @@ def bareiss_det(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+class _GreedyBasis:
+    """A maximal independent subset grown row by row in scan order.
+
+    Keeps the accepted rows and their exact integer Gram matrix; a row joins
+    when the bordered Gram determinant is nonzero.  Entry sizes are checked
+    so the int64 dot products below cannot wrap.
+    """
+
+    def __init__(self, width: int):
+        self.rows = np.zeros((0, width), dtype=np.int64)
+        self.gram: list[list[int]] = []
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def offer(self, rows: np.ndarray, limit: int | None = None) -> list[int]:
+        """Positions of the offered rows that join, scanning until the basis
+        holds limit rows."""
+        if rows.size and int(np.abs(rows).max()) ** 2 * rows.shape[1] >= 2**62:
+            raise ResourceError("tableau vector entries too large for exact int64 Gram products")
+        joined: list[int] = []
+        for i, w in enumerate(rows):
+            if limit is not None and len(self) == limit:
+                break
+            if not w.any():
+                continue
+            cross = [int(x) for x in self.rows @ w]
+            bordered = [g + [c] for g, c in zip(self.gram, cross)] + [cross + [int(w @ w)]]
+            if bareiss_det(bordered) == 0:
+                continue
+            joined.append(i)
+            self.gram = bordered
+            self.rows = np.vstack([self.rows, w[None]])
+        return joined
+
+
 def _greedy_independent(rows: np.ndarray, stop_at: int | None = None) -> list[int]:
     """Indices of a maximal independent subset, scanned in the given order.
 
-    Grows an exact integer Gram matrix; a row joins when the bordered Gram
-    determinant is nonzero.  Entry sizes are checked so the int64 dot
-    products below cannot wrap.  When the target rank is known in advance,
-    stop_at cuts the scan short once that many rows are chosen.
+    When the target rank is known in advance, stop_at cuts the scan short
+    once that many rows are chosen.
     """
-    if rows.size:
-        assert abs(rows).max() ** 2 * rows.shape[1] < 2**62
-    chosen: list[int] = []
-    gram: list[list[int]] = []
-    picked = np.zeros((0, rows.shape[1]), dtype=np.int64)
-    for i in range(rows.shape[0]):
-        if stop_at is not None and len(chosen) == stop_at:
-            break
-        w = rows[i]
-        if not w.any():
-            continue
-        cross = [int(x) for x in picked @ w]
-        corner = int(w @ w)
-        bordered = [g + [c] for g, c in zip(gram, cross)] + [cross + [corner]]
-        if bareiss_det(bordered) == 0:
-            continue
-        chosen.append(i)
-        gram = bordered
-        picked = np.vstack([picked, w[None]])
-    return chosen
+    return _GreedyBasis(rows.shape[1]).offer(rows, stop_at)
+
+
+# words per chunk of tableau vectors, so one chunk stays a few megabytes
+_CHUNK_WORDS = 1 << 16
 
 
 def build_blocks(index: CycleIndex) -> list[Block]:
     """All nonempty blocks for one cycle length, in a fixed order.
 
-    Partitions are visited in descending lex order.  For each shape a minimal
-    spanning subset of the standard-tableau vectors is kept (its size must
-    match the descent-sum count, asserted below); the survivors are then
-    symmetrized by the inversion sign, even sign first.  Every returned
-    matrix has full row rank over the rationals.
+    Partitions are visited in descending lex order.  For each shape the
+    standard-tableau vectors are built a chunk at a time, in enumeration
+    order, and fed to the greedy independence test until it holds as many
+    rows as the descent-sum count; no chunk asks for more rows than are
+    still missing, so only the rows the scan reads are ever built.  The
+    survivors are then symmetrized by the inversion sign, even sign first.
+    Every returned matrix has full row rank over the rationals.
     """
     inv_ids = index.inverse_ids()
     blocks: list[Block] = []
@@ -176,11 +225,21 @@ def build_blocks(index: CycleIndex) -> list[Block]:
         if target == 0:
             continue
         ts = standard_tableaux(lam)
-        vecs = tableau_vector_matrix(lam, ts, index)
-        keep = _greedy_independent(vecs, stop_at=target)
-        assert len(keep) == target, (lam, len(keep), target)
-        span = vecs[keep]
-        span_ts = [ts[i] for i in keep]
+        tables = _shape_tables(lam)
+        per_tableau = len(tables[0]) * len(tables[1])  # words: R rearrangements x C
+        basis = _GreedyBasis(len(index))
+        span_ts: list[Filling] = []
+        pos = 0
+        while len(basis) < target and pos < len(ts):
+            chunk = ts[pos : pos + min(target - len(basis), max(1, _CHUNK_WORDS // per_tableau))]
+            joined = basis.offer(_tableau_vectors(tables, chunk, index), target)
+            span_ts.extend(chunk[i] for i in joined)
+            pos += len(chunk)
+        if len(basis) != target:
+            raise CrossingsError(
+                f"shape {lam}: tableau vectors span {len(basis)} dimensions, expected {target}"
+            )
+        span = basis.rows
         flipped = span[:, inv_ids]
         split = 0
         for sign in (1, -1):
@@ -196,7 +255,10 @@ def build_blocks(index: CycleIndex) -> list[Block]:
                         u=cand[sel],
                     )
                 )
-        assert split == target, (lam, split, target)
+        if split != target:
+            raise CrossingsError(
+                f"shape {lam}: sign blocks have {split} rows in all, expected {target}"
+            )
     return blocks
 
 

@@ -13,6 +13,13 @@ Nesterov-Todd scaled Newton steps with Mehrotra's corrector on the
 nonnegative part.  Problems here are small (blocks of a few dozen rows,
 at most a few thousand columns), so the Schur complement is formed and
 factored densely each iteration.
+
+The full relaxation has many small blocks of a few distinct dimensions, so
+the solver groups blocks of one dimension into a (cols, k, d, d) stack and
+every per-block step (scaling, right sides, directions, step lengths) is one
+batched numpy call per stack; the single-block relaxation is one stack of
+one block.  The inverse square roots of M and Y that bound the step lengths
+are computed once per iteration, with the scaling.
 """
 
 from __future__ import annotations
@@ -40,49 +47,52 @@ class ConicSolution:
 
 
 def _sqrt_and_inv_sqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and its inverse, eigenvalues clamped from
-    below so nearly singular iterates stay usable."""
+    """Symmetric square root and its inverse of a matrix or of each matrix
+    in a stack, eigenvalues clamped from below so nearly singular iterates
+    stay usable."""
     vals, vecs = np.linalg.eigh(a)
-    floor = max(vals[-1], 1.0) * 1e-15
-    vals = np.maximum(vals, floor)
-    root = np.sqrt(vals)
-    return (vecs * root) @ vecs.T, (vecs / root) @ vecs.T
+    vals = np.maximum(vals, np.maximum(vals[..., -1:], 1.0) * 1e-15)
+    root = np.sqrt(vals)[..., None, :]
+    vecs_t = vecs.swapaxes(-1, -2)
+    return (vecs * root) @ vecs_t, (vecs / root) @ vecs_t
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W Y W = M for one block, with the pieces the
-    corrected Newton step needs: W^-1, W^(1/2), W^(-1/2), and the scaled
-    point V = W^(-1/2) M W^(-1/2) = W^(1/2) Y W^(1/2)."""
+    """Nesterov-Todd scaling W Y W = M for a stack of blocks, with the
+    pieces the corrected Newton step needs: W^-1, W^(1/2), W^(-1/2), the
+    scaled point V = W^(-1/2) M W^(-1/2) = W^(1/2) Y W^(1/2), and M^(-1/2)
+    and Y^(-1/2) for the step lengths."""
 
     def __init__(self, m_mat: np.ndarray, y_mat: np.ndarray):
-        sq, sqinv = _sqrt_and_inv_sqrt(m_mat)
+        sq, self.m_inv_sqrt = _sqrt_and_inv_sqrt(m_mat)
+        _, self.y_inv_sqrt = _sqrt_and_inv_sqrt(y_mat)
         vals, vecs = np.linalg.eigh(sq @ y_mat @ sq)
-        vals = np.maximum(vals, max(vals[-1], 1.0) * 1e-16)
-        inner = (vecs * np.sqrt(vals)) @ vecs.T
-        self.winv = sqinv @ inner @ sqinv
-        self.whalf, self.winvhalf = _sqrt_and_inv_sqrt(
-            sq @ ((vecs / np.sqrt(vals)) @ vecs.T) @ sq
-        )
+        vals = np.maximum(vals, np.maximum(vals[..., -1:], 1.0) * 1e-16)
+        root = np.sqrt(vals)[..., None, :]
+        vecs_t = vecs.swapaxes(-1, -2)
+        inner = (vecs * root) @ vecs_t
+        self.winv = self.m_inv_sqrt @ inner @ self.m_inv_sqrt
+        self.whalf, self.winvhalf = _sqrt_and_inv_sqrt(sq @ ((vecs / root) @ vecs_t) @ sq)
         self.v = self.winvhalf @ m_mat @ self.winvhalf
-        self.vvals, self.vvecs = np.linalg.eigh(0.5 * (self.v + self.v.T))
+        self.vvals, self.vvecs = np.linalg.eigh(0.5 * (self.v + self.v.swapaxes(-1, -2)))
 
     def lyapunov_rhs(self, target: np.ndarray) -> np.ndarray:
         """R with dM + W dY W = R equivalent to the scaled Newton equation
         (V dV' + dV' V)/2 = target; for target = -V^2/... the plain affine
         right side -M falls out."""
         q, lam = self.vvecs, self.vvals
-        denom = 0.5 * (lam[:, None] + lam[None, :])
-        np.maximum(denom, max(lam[-1], 1.0) * 1e-15, out=denom)
-        solved = q @ ((q.T @ target @ q) / denom) @ q.T
-        solved = 0.5 * (solved + solved.T)
+        q_t = q.swapaxes(-1, -2)
+        denom = 0.5 * (lam[..., :, None] + lam[..., None, :])
+        np.maximum(denom, np.maximum(lam[..., -1:, None], 1.0) * 1e-15, out=denom)
+        solved = q @ ((q_t @ target @ q) / denom) @ q_t
+        solved = 0.5 * (solved + solved.swapaxes(-1, -2))
         return self.whalf @ solved @ self.whalf
 
 
-def _psd_step(m_mat: np.ndarray, dm: np.ndarray) -> float:
-    """Largest step a with M + a dM still positive semidefinite."""
-    _, sqinv = _sqrt_and_inv_sqrt(m_mat)
-    w = np.linalg.eigvalsh(sqinv @ dm @ sqinv)
-    low = w[0]
+def _psd_step(inv_sqrt: np.ndarray, dm: np.ndarray) -> float:
+    """Largest step a with M + a dM still positive semidefinite, for one
+    matrix or every matrix of a stack, given M^(-1/2)."""
+    low = np.linalg.eigvalsh(inv_sqrt @ dm @ inv_sqrt)[..., 0].min()
     return np.inf if low >= -1e-14 else 1.0 / -low
 
 
@@ -104,20 +114,29 @@ def solve_bound_problem(
     blocks holds one (cols, d, d) stack of symmetric coefficient matrices
     per semidefinite block; x0 must put the block sums strictly inside the
     cone.  The returned t is the dual bound; y holds one matrix per block,
-    feasible up to roundoff (certify exactly downstream before quoting t).
+    in input order, feasible up to roundoff (certify exactly downstream
+    before quoting t).
     """
     n = np.asarray(n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     cols = n.size
-    stacks = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
+    dims = [np.shape(b)[1] for b in blocks]
+    # blocks of one dimension are solved as one (cols, k, d, d) stack
+    members: dict[int, list[int]] = {}
+    for pos, d in enumerate(dims):
+        members.setdefault(d, []).append(pos)
+    groups = [members[d] for d in sorted(members)]
+    stacks = [
+        np.stack([np.asarray(blocks[pos], dtype=np.float64) for pos in grp], axis=1)
+        for grp in groups
+    ]
     vecs = [b.reshape(cols, -1) for b in stacks]
-    dims = [b.shape[1] for b in stacks]
 
     x = np.asarray(x0, dtype=np.float64).copy()
     if (x <= 0).any():
         raise ArgumentError("starting point must be strictly positive")
     t = 0.0
-    y = [np.eye(d) for d in dims]
+    y = [np.tile(np.eye(b.shape[-1]), (b.shape[1], 1, 1)) for b in stacks]
     s = np.maximum(np.abs(c), 1.0)
     degree = cols + sum(dims)
 
@@ -182,15 +201,23 @@ def solve_bound_problem(
                 wi @ (rb - dm) @ wi
                 for wi, rb, dm in zip(winvs, r_blocks, dm_list)
             ]
-            dy = [0.5 * (d_ + d_.T) for d_ in dy]
+            dy = [0.5 * (d_ + d_.swapaxes(-1, -2)) for d_ in dy]
             return dx, dt, ds, dy, dm_list
+
+        def psd_steps(dm_list, dy):
+            ap = min((_psd_step(sc.m_inv_sqrt, dm) for sc, dm in zip(scals, dm_list)),
+                     default=np.inf)
+            ad = min((_psd_step(sc.y_inv_sqrt, dy_) for sc, dy_ in zip(scals, dy)),
+                     default=np.inf)
+            return ap, ad
 
         # predictor: pure Newton toward complementarity zero
         rc_aff = -x * s
         r_aff = [-m for m in m_list]
         dxa, dta, dsa, dya, dma = direction(rc_aff, r_aff)
-        ap_aff = min(1.0, _vec_step(x, dxa), *(_psd_step(m, dm) for m, dm in zip(m_list, dma)))
-        ad_aff = min(1.0, _vec_step(s, dsa), *(_psd_step(ym, dy_) for ym, dy_ in zip(y, dya)))
+        cone_p, cone_d = psd_steps(dma, dya)
+        ap_aff = min(1.0, _vec_step(x, dxa), cone_p)
+        ad_aff = min(1.0, _vec_step(s, dsa), cone_d)
         mu_aff = (
             (x + ap_aff * dxa) @ (s + ad_aff * dsa)
             + sum(
@@ -208,7 +235,7 @@ def solve_bound_problem(
                 rc = rc - dxa * dsa
             r_blocks = []
             for sc, dm_, dy_ in zip(scals, dma, dya):
-                target = center * mu * np.eye(sc.v.shape[0]) - sc.v @ sc.v
+                target = center * mu * np.eye(sc.v.shape[-1]) - sc.v @ sc.v
                 if with_second:
                     dmt = sc.winvhalf @ dm_ @ sc.winvhalf
                     dyt = sc.whalf @ dy_ @ sc.whalf
@@ -217,16 +244,9 @@ def solve_bound_problem(
             return direction(rc, r_blocks)
 
         def step_pair(dx, ds, dm_list, dy):
-            ap = bound * min(
-                1.0 / bound,
-                _vec_step(x, dx),
-                *(_psd_step(m, dm) for m, dm in zip(m_list, dm_list)),
-            )
-            ad = bound * min(
-                1.0 / bound,
-                _vec_step(s, ds),
-                *(_psd_step(ym, dy_) for ym, dy_ in zip(y, dy)),
-            )
+            cone_p, cone_d = psd_steps(dm_list, dy)
+            ap = bound * min(1.0 / bound, _vec_step(x, dx), cone_p)
+            ad = bound * min(1.0 / bound, _vec_step(s, ds), cone_d)
             return ap, ad
 
         dx, dt, ds, dy, dm_list = corrected(sigma, True)
@@ -248,9 +268,10 @@ def solve_bound_problem(
         y = [ym + ad * dy_ for ym, dy_ in zip(y, dy)]
         m_list = mats_of(x)
 
-    adj_y = sum(v @ ym.ravel() for v, ym in zip(vecs, y))
+    by_pos = {pos: ym[j] for grp, ym in zip(groups, y) for j, pos in enumerate(grp)}
     gap = abs(c @ x - t) / (1.0 + abs(c @ x) + abs(t))
-    return ConicSolution(status=status, t=float(t), x=x, y=y, s=s, gap=float(gap), iterations=it)
+    return ConicSolution(status=status, t=float(t), x=x, y=[by_pos[pos] for pos in range(len(dims))],
+                         s=s, gap=float(gap), iterations=it)
 
 
 def feasible_value(

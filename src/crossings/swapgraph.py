@@ -39,11 +39,12 @@ def self_cost(m: int) -> int:
 
 
 def neighbor_words(words: np.ndarray) -> np.ndarray:
-    """The m adjacent-entry swaps of each row, wrap included, re-anchored.
+    """The m adjacent-entry swaps of each row, wrap included.
 
     Input (..., m), output (..., m, m) with the new axis enumerating the
     swapped position pair (j, j+1 mod m).  Neighbors are not deduplicated;
-    distinct swaps can produce the same cycle.
+    distinct swaps can produce the same cycle.  Swaps that touch position 0
+    move the 1 entry off the front, so rows are rotations of anchored words.
     """
     words = np.asarray(words, dtype=np.uint8)
     m = words.shape[-1]
@@ -52,7 +53,7 @@ def neighbor_words(words: np.ndarray) -> np.ndarray:
         k = (j + 1) % m
         out[..., j, j] = words[..., k]
         out[..., j, k] = words[..., j]
-    return normalize_words(out)
+    return out
 
 
 def distances_from_base(index: CycleIndex) -> np.ndarray:
@@ -89,7 +90,7 @@ def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
     dist[frontier] = 0
     d = 0
     while frontier.size:
-        nbr = neighbor_words(index.seqs[frontier]).reshape(-1, m)
+        nbr = normalize_words(neighbor_words(index.seqs[frontier]).reshape(-1, m))
         ids = index.id_of_keys(np.unique(pack_keys(nbr)))
         ids = ids[dist[ids] == UNREACHED]
         d += 1

@@ -21,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from .cycles import CycleIndex, normalize_words
-from .errors import ArgumentError
+from .errors import ArgumentError, CrossingsError
 
 
 def partitions(m: int) -> list[tuple[int, ...]]:
@@ -48,7 +48,8 @@ def hook_dim(lam: tuple[int, ...]) -> int:
         for j in range(row):
             hooks *= (row - j) + (cols[j] - i) - 1
     dim, rem = divmod(factorial(m), hooks)
-    assert rem == 0
+    if rem:
+        raise CrossingsError(f"hook product {hooks} of {lam} does not divide {m}!")
     return dim
 
 

@@ -58,9 +58,12 @@ def test_beta_command_stream_and_result(store, capsys, tmp_path):
     assert result["rounds"] >= 1 and result["total_time"] > 0
     assert result["status"] == "optimal"
     assert json.loads(result_path.read_text()) == result
-    for line in err.strip().splitlines():
-        record = json.loads(line)
-        assert set(record) == {"round", "active", "objective", "max_violation", "wall_time_ms"}
+    records = [json.loads(line) for line in err.strip().splitlines()]
+    for record in records:
+        assert set(record) == {"round", "active", "objective", "max_violation",
+                               "wall_time_ms", "iterations"}
+        assert record["iterations"] >= 1
+    assert result["iterations"] == sum(r["iterations"] for r in records)
 
 
 def test_alpha_command(store, capsys):
@@ -70,6 +73,7 @@ def test_alpha_command(store, capsys):
     assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
     assert result["blocks"] == [1, 1, 1]
     assert result["status"] == "optimal"
+    assert result["iterations"] >= 1
 
 
 def test_certify_command(store, capsys):
@@ -78,6 +82,7 @@ def test_certify_command(store, capsys):
     result = json.loads(out.strip().splitlines()[-1])
     assert result["psd_verified"] is True
     assert result["status"] == "optimal"
+    assert result["iterations"] >= 1
     assert result["certified_bound"] == pytest.approx(1.0, abs=1e-9)
     num, den = result["value"].split("/")
     assert abs(Fraction(int(num), int(den)) - 1) < Fraction(1, 10**9)

@@ -1,6 +1,11 @@
+import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from crossings.swapgraph import distances_from_base
 from crossings.repsets import (
     Block,
     _greedy_independent,
+    _shape_tables,
     bareiss_det,
     block_dims,
     build_blocks,
@@ -22,9 +28,11 @@ from crossings.repsets import (
     tableau_vector_matrix,
 )
 from crossings.tableaux import (
+    base_filling,
     block_multiplicity,
     partitions,
     repset_vector,
+    signed_column_fillings,
     standard_tableaux,
 )
 
@@ -236,3 +244,102 @@ def test_hook_block_spans_built_odd_block(m):
     assert len(_greedy_independent(mat)) == d
     stacked = np.vstack([mat, blocks[0].u])
     assert len(_greedy_independent(stacked)) == d
+
+
+def _blocks_from_all_vectors(index: CycleIndex) -> list[Block]:
+    """Block construction over every tableau vector of a shape at once, then
+    one greedy scan: the selection build_blocks streams, kept as an oracle."""
+    inv_ids = index.inverse_ids()
+    blocks = []
+    for lam in partitions(index.m):
+        target = block_multiplicity(lam)
+        if target == 0:
+            continue
+        ts = standard_tableaux(lam)
+        vecs = tableau_vector_matrix(lam, ts, index)
+        keep = _greedy_independent(vecs, stop_at=target)
+        assert len(keep) == target
+        span, span_ts = vecs[keep], [ts[i] for i in keep]
+        for sign in (1, -1):
+            cand = span + sign * span[:, inv_ids]
+            sel = _greedy_independent(cand)
+            if sel:
+                blocks.append(Block(lam, sign, [span_ts[i] for i in sel], cand[sel]))
+    return blocks
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_streamed_blocks_match_all_vector_selection(m):
+    idx = CycleIndex(m)
+    got, want = build_blocks(idx), _blocks_from_all_vectors(idx)
+    assert [(b.lam, b.sign, b.tableaux) for b in got] == [
+        (b.lam, b.sign, b.tableaux) for b in want
+    ]
+    for a, b in zip(got, want):
+        assert a.u.dtype == b.u.dtype and (a.u == b.u).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
+def test_shape_tables_match_the_scalar_groups(m):
+    # row rearrangements in itertools order, and the column group with the
+    # signs the scalar chain computes by perm_sign
+    for lam in partitions(m):
+        rearr, signs, crows = _shape_tables(lam)
+        starts = np.cumsum((0,) + lam)
+        per_row = [itertools.permutations(range(a, b)) for a, b in zip(starts, starts[1:])]
+        assert rearr.tolist() == [
+            [c for grp in combo for c in grp] for combo in itertools.product(*per_row)
+        ]
+        items = list(signed_column_fillings(base_filling(lam)))
+        assert signs.tolist() == [sgn for sgn, _ in items]
+        assert crows.tolist() == [[v for row in f for v in row] for _, f in items]
+
+
+_BLOCK_CHECKS = """
+import numpy as np
+import crossings.repsets as repsets
+from crossings.cycles import CycleIndex
+from crossings.errors import CrossingsError, ResourceError
+from crossings.tableaux import hook_dim
+
+def refused(kind, call):
+    try:
+        call()
+    except kind as exc:
+        print(exc)
+        return
+    raise SystemExit(f"no {kind.__name__} from {call}")
+
+# Gram products of entries this large could wrap in int64
+refused(ResourceError, lambda: repsets._greedy_independent(
+    np.full((2, 4), 2**30, dtype=np.int64)))
+# not a partition: the hook product does not divide 7!
+refused(CrossingsError, lambda: hook_dim((3, 1, 1, 2)))
+idx = CycleIndex(5)
+# a multiplicity the tableau vectors cannot reach
+true_mult = repsets.block_multiplicity
+repsets.block_multiplicity = lambda lam: true_mult(lam) + (lam == (3, 1, 1))
+refused(CrossingsError, lambda: repsets.build_blocks(idx))
+repsets.block_multiplicity = true_mult
+# an inversion map that is no involution splits the span into too many rows
+idx.inverse_ids = lambda: np.roll(np.arange(len(idx)), 1)
+refused(CrossingsError, lambda: repsets.build_blocks(idx))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_block_checks_survive_optimization(flags):
+    # raised, not asserted, so they hold under python -O too; each check
+    # runs in a fresh interpreter because the script patches the module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", _BLOCK_CHECKS],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert "int64" in lines[0]
+    assert "does not divide" in lines[1]
+    assert "expected 3" in lines[2] and "(3, 1, 1)" in lines[2]
+    assert "sign blocks" in lines[3]

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh as generalized_eigh
 from scipy.optimize import linprog
 
 from crossings.errors import ArgumentError
-from crossings.sdp import feasible_value, polish_dual, solve_bound_problem
+from crossings.sdp import (
+    _psd_step,
+    _sqrt_and_inv_sqrt,
+    feasible_value,
+    polish_dual,
+    solve_bound_problem,
+)
 
 
 def random_lp(rng, cols, rows):
@@ -115,3 +122,57 @@ def test_polish_output_is_feasible_for_arbitrary_duals(seed):
     t_out, y_out = polish_dual(n, c, blocks, y)
     assert t_out >= t_in - 1e-15
     assert t_out == pytest.approx(feasible_value(n, c, blocks, y_out), abs=1e-10)
+
+
+def mixed_instance(rng, cols, dims):
+    """Random symmetric blocks of the given dimensions, each shifted by a
+    multiple of n times the identity so x0 puts every block sum strictly
+    inside the cone; n > 0 keeps the feasible region compact."""
+    n = rng.uniform(0.5, 2.0, cols)
+    c = rng.uniform(0.0, 3.0, cols)
+    x0 = rng.uniform(0.2, 1.0, cols)
+    x0 /= n @ x0
+    blocks = []
+    for d in dims:
+        a = rng.normal(size=(cols, d, d))
+        a = a + a.transpose(0, 2, 1)
+        low = np.linalg.eigvalsh(np.tensordot(x0, a, axes=([0], [0])))[0]
+        blocks.append(a + (0.5 - low) * n[:, None, None] * np.eye(d))
+    return n, c, blocks, x0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_interleaved_block_dimensions(seed):
+    # blocks of one dimension are solved as one stack; y must come back in
+    # input order, and the block order may move t only by roundoff.  Solved
+    # to 1e-6, short of the endgame where both orders can stall.
+    rng = np.random.default_rng(seed)
+    dims = [2, 1, 3, 1, 2, 3, 1]
+    n, c, blocks, x0 = mixed_instance(rng, 9, dims)
+    sol = solve_bound_problem(n, c, blocks, x0, tol=1e-6)
+    assert sol.optimal
+    assert [y.shape for y in sol.y] == [(d, d) for d in dims]
+    assert sol.t == pytest.approx(feasible_value(n, c, blocks, sol.y), abs=1e-4)
+    perm = rng.permutation(len(dims))
+    moved = solve_bound_problem(n, c, [blocks[i] for i in perm], x0, tol=1e-6)
+    assert moved.optimal
+    assert moved.t == pytest.approx(sol.t, abs=1e-9)
+    for y_moved, i in zip(moved.y, perm):
+        assert y_moved == pytest.approx(sol.y[i], abs=1e-8)
+
+
+def test_psd_step_on_a_stack_matches_generalized_eigenvalues():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        g = rng.normal(size=(6, d, d))
+        m_mats = g @ g.transpose(0, 2, 1) + 0.1 * np.eye(d)
+        dm = rng.normal(size=(6, d, d))
+        dm = dm + dm.transpose(0, 2, 1)
+        dm[0] = np.abs(dm[0])  # one matrix that never leaves the cone when d = 1
+        _, inv_sqrt = _sqrt_and_inv_sqrt(m_mats)
+        # M + a dM >= 0 iff 1 + a lam >= 0 for each eigenvalue lam of (dM, M)
+        lows = [generalized_eigh(b, a, eigvals_only=True)[0] for a, b in zip(m_mats, dm)]
+        want = [np.inf if low >= 0 else 1.0 / -low for low in lows]
+        for a_inv, b, w in zip(inv_sqrt, dm, want):
+            assert _psd_step(a_inv, b) == pytest.approx(w, rel=1e-9)
+        assert _psd_step(inv_sqrt, dm) == pytest.approx(min(want), rel=1e-9)

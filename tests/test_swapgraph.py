@@ -14,8 +14,14 @@ def test_neighbor_words_are_valid_and_adjacent():
     seqs = all_cycle_seqs(6)
     nbr = neighbor_words(seqs[:40])
     assert nbr.shape == (40, 6, 6)
-    assert (nbr[:, :, 0] == 1).all()
     assert (np.sort(nbr, axis=-1) == np.arange(1, 7)).all()
+    # row j swaps positions j and j+1 mod m, wrap included, in place: the
+    # rows are not re-anchored
+    for j in range(6):
+        k = (j + 1) % 6
+        swapped = seqs[:40].copy()
+        swapped[:, [j, k]] = swapped[:, [k, j]]
+        assert (nbr[:, j] == swapped).all()
 
 
 def test_neighbor_relation_symmetric():
@@ -42,7 +48,7 @@ def test_small_distances_by_hand():
     assert at((1, 4, 3, 2)) == 2
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 7])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
 def test_pruned_matches_unpruned(m):
     idx = CycleIndex(m)
     assert (distances_from_base(idx) == distances_from_base_unpruned(idx)).all()
