@@ -189,6 +189,7 @@ def _run_single(args):
             "max_violation": rec.max_violation,
             "wall_time_ms": rec.wall_ms,
             "iterations": rec.iterations,
+            "status": rec.status,
         }
         print(json.dumps(line), file=sys.stderr, flush=True)
 

@@ -43,6 +43,7 @@ class RoundRecord:
     worst_class: int
     wall_ms: float
     iterations: int
+    status: str
 
 
 @dataclass
@@ -71,7 +72,6 @@ class RelaxationOutcome:
     value: float
     raw: float
     certificate: Certificate
-    status: str
     class_count: int
     rounds: list[RoundRecord] = field(default_factory=list)
     y: list[np.ndarray] = field(default_factory=list)
@@ -82,6 +82,11 @@ class RelaxationOutcome:
     def iterations(self) -> int:
         """Interior-point iterations summed over all rounds."""
         return sum(r.iterations for r in self.rounds)
+
+    @property
+    def status(self) -> str:
+        """Solver status of the last round."""
+        return self.rounds[-1].status
 
 
 # -- table acquisition -------------------------------------------------------
@@ -356,7 +361,7 @@ def _relax(
         maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri, top=batch)
         rec = RoundRecord(rnd, ids.size, t_pol,
                           maxv, int(offenders[0]) if offenders.size else -1,
-                          (time.monotonic() - started) * 1e3, sol.iterations)
+                          (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
         rounds.append(rec)
         if progress is not None:
             progress(rec)
@@ -385,7 +390,7 @@ def _relax(
     state_file.unlink(missing_ok=True)
     return RelaxationOutcome(
         m=m, kind=kind, value=float(class_slacks(y_pol, dims, 0.0, fsizes, c, tri).min()),
-        raw=sol.t, certificate=cert, status=sol.status, class_count=len(qs),
+        raw=sol.t, certificate=cert, class_count=len(qs),
         rounds=rounds, y=y_pol, x=sol.x, active=ids,
     )
 

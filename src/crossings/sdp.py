@@ -20,15 +20,49 @@ every per-block step (scaling, right sides, directions, step lengths) is one
 batched numpy call per stack; the single-block relaxation is one stack of
 one block.  The inverse square roots of M and Y that bound the step lengths
 are computed once per iteration, with the scaling.
+
+Near the optimum the Schur complement K is ill conditioned (cond(K) near
+1e13 once the gap is below 1e-9), and the dual blocks dY = W^-1 (R - dM)
+W^-1 are formed apart from K, so the direction the elimination returns can
+miss its own dual equation by eps |K| |dx|; left alone, that error enters
+the dual residual and each later direction amplifies it.  So every
+direction gets one step of iterative refinement, as in SDPT3 (Toh, Todd and
+Tutuncu, Optim. Methods Softw. 1999): its residuals against the linearized
+equations go through the same elimination once more and the correction is
+added.  Once the merit (the largest of the gap and the two residuals, each
+over its optimality threshold) has gone a few iterations without a new
+best, the solve stops and returns its best iterate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ArgumentError
+
+# One pass of iterative refinement per Newton direction brings its
+# linearized residuals from about eps * cond(K) down to roundoff; a second
+# pass costs more time than it saves.
+_REFINE_STEPS = 1
+# Iterations the merit may go without a new best, once it is below 1e3,
+# before the solve stops and returns its best iterate.
+_PATIENCE = 4
+
+
+@dataclass
+class IterationRecord:
+    """Residuals of the iterate an iteration started from, and the step
+    lengths it then took (0 where the solve ended at that iterate)."""
+
+    mu: float
+    gap: float
+    rp: float
+    rd: float
+    merit: float
+    ap: float
+    ad: float
 
 
 @dataclass
@@ -40,6 +74,7 @@ class ConicSolution:
     s: np.ndarray
     gap: float
     iterations: int
+    history: list[IterationRecord] = field(default_factory=list)
 
     @property
     def optimal(self) -> bool:
@@ -116,6 +151,16 @@ def solve_bound_problem(
     cone.  The returned t is the dual bound; y holds one matrix per block,
     in input order, feasible up to roundoff (certify exactly downstream
     before quoting t).
+
+    status is "optimal" when the relative gap is at most tol, |1 - n.x| at
+    most 10 tol and the dual residual at most 10 tol (1 + max|c|).  It is
+    "stalled" when the merit max(gap / tol, |rp| / (10 tol),
+    max|rd| / (10 tol (1 + max|c|))), whose value at most 1 is that test,
+    has fallen below 1e3 and then gone _PATIENCE iterations without a new
+    best, or when neither step length clears 1e-10; it is "max_iter" when
+    the budget runs out.  Unless optimal, the solve returns the iterate of
+    smallest merit, not the last one.  iterations counts the iterations
+    that ran, and history holds one IterationRecord per iteration.
     """
     n = np.asarray(n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -147,20 +192,39 @@ def solve_bound_problem(
     for m_mat in m_list:
         np.linalg.cholesky(m_mat)
 
+    def adjoint(dys):
+        return sum(v @ dy_.ravel() for v, dy_ in zip(vecs, dys))
+
+    rd_scale = 1.0 + np.abs(c).max()
+    history: list[IterationRecord] = []
+    best_merit, best, since_best = np.inf, None, 0
     status, it = "max_iter", 0
     for it in range(1, max_iter + 1):
-        adj_y = sum(v @ ym.ravel() for v, ym in zip(vecs, y))
         rp = 1.0 - n @ x
-        rd = c - n * t - adj_y - s
+        rd = c - n * t - adjoint(y) - s
+        rd_max = float(np.abs(rd).max())
         mu = (x @ s + sum(float((m * ym).sum()) for m, ym in zip(m_list, y))) / degree
         obj = c @ x
         gap = abs(obj - t) / (1.0 + abs(obj) + abs(t))
+        # merit <= 1 is the optimality test below, up to rounding
+        merit = max(gap / tol, abs(rp) / (10 * tol), rd_max / (10 * tol * rd_scale))
+        record = IterationRecord(float(mu), float(gap), float(abs(rp)), rd_max,
+                                 float(merit), 0.0, 0.0)
+        history.append(record)
+        if merit < best_merit:
+            best_merit, since_best = merit, 0
+            best = (x, t, s, y)
+        else:
+            since_best += 1
         if (
             gap <= tol
             and abs(rp) <= tol * 10
-            and np.abs(rd).max() <= tol * 10 * (1.0 + np.abs(c).max())
+            and rd_max <= tol * 10 * rd_scale
         ):
             status = "optimal"
+            break
+        if best_merit < 1e3 and since_best >= _PATIENCE:
+            status = "stalled"
             break
 
         scals = [_Scaling(m, ym) for m, ym in zip(m_list, y)]
@@ -185,23 +249,44 @@ def solve_bound_problem(
         kn = ksolve(n)
         denom = n @ kn
 
-        def direction(rc, r_blocks):
-            # eliminate dY = Winv (R - dM) Winv and ds = (rc - s dx)/x,
-            # leaving (K + diag(s/x)) dx = n dt - (rd - p - rc/x)
+        def eliminate(ep, ed, ec, r_blocks):
+            # solve n.dx = ep, n dt + sum_B A_B^T dY_B + ds = ed,
+            # s dx + x ds = ec and dM + W dY W = R: eliminate
+            # dY = Winv (R - dM) Winv and ds = (ec - s dx)/x, leaving
+            # (K + diag(s/x)) dx = n dt - (ed - p - ec/x)
             p = np.zeros(cols)
             for v, wi, rb in zip(vecs, winvs, r_blocks):
                 p += v @ (wi @ rb @ wi).ravel()
-            g = rd - p - rc / x
+            g = ed - p - ec / x
             kg = ksolve(g)
-            dt = (rp + n @ kg) / denom
+            dt = (ep + n @ kg) / denom
             dx = kn * dt - kg
-            ds = (rc - s * dx) / x
+            ds = (ec - s * dx) / x
             dm_list = mats_of(dx)
             dy = [
                 wi @ (rb - dm) @ wi
                 for wi, rb, dm in zip(winvs, r_blocks, dm_list)
             ]
             dy = [0.5 * (d_ + d_.swapaxes(-1, -2)) for d_ in dy]
+            return dx, dt, ds, dy, dm_list
+
+        zero_blocks = [np.zeros_like(m) for m in m_list]
+
+        def direction(rc, r_blocks):
+            # dY is formed apart from K, and once |W^-1|^2 ~ 1/mu the two
+            # disagree by about eps |K| |dx|; refining against the
+            # equations themselves keeps that error out of rd
+            dx, dt, ds, dy, dm_list = eliminate(rp, rd, rc, r_blocks)
+            for _ in range(_REFINE_STEPS):
+                fix = eliminate(
+                    rp - n @ dx,
+                    rd - (n * dt + adjoint(dy) + ds),
+                    rc - (s * dx + x * ds),
+                    zero_blocks,
+                )
+                dx, dt, ds = dx + fix[0], dt + fix[1], ds + fix[2]
+                dy = [a + b for a, b in zip(dy, fix[3])]
+                dm_list = [a + b for a, b in zip(dm_list, fix[4])]
             return dx, dt, ds, dy, dm_list
 
         def psd_steps(dm_list, dy):
@@ -262,16 +347,19 @@ def solve_bound_problem(
         if ap < 1e-10 and ad < 1e-10:
             status = "stalled"
             break
+        record.ap, record.ad = float(ap), float(ad)
         x = x + ap * dx
         t = t + ad * dt
         s = s + ad * ds
         y = [ym + ad * dy_ for ym, dy_ in zip(y, dy)]
         m_list = mats_of(x)
 
+    if status != "optimal" and best is not None:
+        x, t, s, y = best
     by_pos = {pos: ym[j] for grp, ym in zip(groups, y) for j, pos in enumerate(grp)}
     gap = abs(c @ x - t) / (1.0 + abs(c @ x) + abs(t))
     return ConicSolution(status=status, t=float(t), x=x, y=[by_pos[pos] for pos in range(len(dims))],
-                         s=s, gap=float(gap), iterations=it)
+                         s=s, gap=float(gap), iterations=it, history=history)
 
 
 def feasible_value(

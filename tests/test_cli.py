@@ -61,9 +61,11 @@ def test_beta_command_stream_and_result(store, capsys, tmp_path):
     records = [json.loads(line) for line in err.strip().splitlines()]
     for record in records:
         assert set(record) == {"round", "active", "objective", "max_violation",
-                               "wall_time_ms", "iterations"}
+                               "wall_time_ms", "iterations", "status"}
         assert record["iterations"] >= 1
+        assert record["status"] in ("optimal", "stalled", "max_iter")
     assert result["iterations"] == sum(r["iterations"] for r in records)
+    assert records[-1]["status"] == result["status"]
 
 
 def test_alpha_command(store, capsys):

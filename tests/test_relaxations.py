@@ -68,6 +68,26 @@ def test_full_matches_frozen_values(full_runs):
         assert out.certificate.bound == pytest.approx(FULL_OPT[m], abs=1e-9)
 
 
+def test_every_round_of_single_m8_ends_optimal(single_runs):
+    assert len(single_runs[8].rounds) >= 2
+    assert all(r.status == "optimal" for r in single_runs[8].rounds)
+
+
+def test_full_m5_restricted_solve_converges_quickly(store, full_runs):
+    # the last round of full m=5 once took 88 iterations to luck into the
+    # optimality test; refined directions converge in a handful
+    dims, sizes, qs, tri = coeff_tables(5, "full", cache_dir=store)
+    fs, c = sizes.astype(float), qs.astype(float)
+    mats = [mat / fs[:, None, None] for mat in split_triangles(tri, dims)]
+    ids = full_runs[5].active
+    sub = [mat[ids] for mat in mats]
+    anchor = int(np.searchsorted(ids, _anchor_index(qs, mats)))
+    x0 = _strict_start(sub, sizes[ids], anchor)
+    sol = solve_bound_problem(np.ones(ids.size), c[ids], sub, x0, tol=1e-9)
+    assert sol.optimal
+    assert sol.iterations <= 20
+
+
 def test_single_never_beats_full(single_runs, full_runs):
     for m in full_runs:
         assert single_runs[m].value <= full_runs[m].value + 1e-8

@@ -60,6 +60,18 @@ def test_two_by_two_block_known_optimum():
         assert np.linalg.eigvalsh(y).min() >= -1e-9
 
 
+def test_refined_directions_reach_a_tolerance_near_roundoff():
+    # without refinement the dual residual of each direction grows with
+    # cond(K) and the solve drifts at the 1e-8 level long before 1e-14
+    n = np.ones(2)
+    c = np.array([1.0, 0.0])
+    blocks = [np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])]
+    sol = solve_bound_problem(n, c, blocks, np.array([0.9, 0.1]), tol=1e-14)
+    assert sol.optimal
+    assert sol.t == pytest.approx(0.5, abs=1e-13)
+    assert len(sol.history) == sol.iterations
+
+
 def test_single_column_forces_the_bound():
     sol = solve_bound_problem(
         np.array([2.0]), np.array([6.0]), [np.ones((1, 1, 1))], np.array([0.5])
@@ -159,6 +171,26 @@ def test_interleaved_block_dimensions(seed):
     assert moved.t == pytest.approx(sol.t, abs=1e-9)
     for y_moved, i in zip(moved.y, perm):
         assert y_moved == pytest.approx(sol.y[i], abs=1e-8)
+
+
+def test_a_stalled_solve_returns_its_best_iterate():
+    # at 1e-12 this instance stops improving near merit 4; the solve must
+    # notice within a few iterations and hand back the best point it saw,
+    # not the last one
+    rng = np.random.default_rng(0)
+    n, c, blocks, x0 = mixed_instance(rng, 9, [2, 1, 3, 1, 2, 3, 1])
+    sol = solve_bound_problem(n, c, blocks, x0, tol=1e-12)
+    assert sol.status == "stalled"
+    assert sol.iterations < 30
+    assert len(sol.history) == sol.iterations
+    merits = [h.merit for h in sol.history]
+    best = sol.history[int(np.argmin(merits))]
+    assert best is not sol.history[-1]
+    # gap and |rp| are recomputed from the returned (t, x) by the same
+    # arithmetic as the record, so they match exactly
+    assert sol.gap == best.gap
+    assert abs(1.0 - n @ sol.x) == best.rp
+    assert sol.history[-1].ap == sol.history[-1].ad == 0.0
 
 
 def test_psd_step_on_a_stack_matches_generalized_eigenvalues():
