@@ -1,12 +1,11 @@
-"""Binary cache files for the expensive pipeline stages.
+"""Binary cache files for the coefficient tables, the expensive stage.
 
-Two formats, both little-endian with a 4-byte magic, a format version and
-the cycle length in the header, and fixed-width records sorted by packed key
-so readers can binary-search without an index:
+One format, COFA: little-endian, a header of 4-byte magic, format version,
+cycle length, block count and record count, then one byte per block
+dimension and one fixed-width record per swap class, in class order:
 
-  q_<m>.bin              QTBL  distances from the base cycle, one record per cycle
-  coeffs_<m>_<kind>.bin  COFA  per-class coefficient blocks of one relaxation,
-                               kind "single" (one block) or "full" (every block)
+  coeffs_<m>_<kind>.bin  per-class coefficient blocks of one relaxation,
+                         kind "single" (one block) or "full" (every block)
 
 Every file carries a sidecar <name>.crc32 holding the ASCII hex CRC-32 of the
 full binary payload; readers verify it before parsing and raise DataError on
@@ -20,7 +19,6 @@ import os
 import struct
 import uuid
 import zlib
-from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +39,6 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     d = Path(explicit).expanduser() if explicit is not None else default_cache_dir()
     d.mkdir(parents=True, exist_ok=True)
     return d
-
-
-def q_table_path(cache_dir: Path, m: int) -> Path:
-    return Path(cache_dir) / f"q_{m}.bin"
 
 
 def coeffs_path(cache_dir: Path, m: int, kind: str) -> Path:
@@ -105,43 +99,10 @@ def _read_payload(path: Path) -> bytes:
 
 
 def _check_header(path: Path, got: tuple, want: tuple) -> None:
-    names = ("magic", "version", "m", "extra")
+    names = ("magic", "version", "m")
     for name, g, w in zip(names, got, want):
         if g != w:
             raise DataError(f"{path}: bad {name} (got {g!r}, want {w!r})")
-
-
-# -- QTBL ------------------------------------------------------------------
-
-_Q_HEADER = struct.Struct("<4sBBI")
-
-
-def _q_dtype(m: int) -> np.dtype:
-    return np.dtype([("seq", np.uint8, (m,)), ("dist", "<u2")])
-
-
-def write_q_table(path: Path, m: int, dist: np.ndarray, seqs: np.ndarray) -> None:
-    """Records are (word, distance) and must already be in packed-key order."""
-    n = len(dist)
-    rec = np.empty(n, dtype=_q_dtype(m))
-    rec["seq"] = seqs
-    rec["dist"] = dist
-    payload = _Q_HEADER.pack(b"QTBL", _VERSION, m, n) + rec.tobytes()
-    _write_payload(path, payload)
-
-
-def read_q_table(path: Path, m: int) -> np.ndarray:
-    """Distances indexed by cycle id (records are stored in id order)."""
-    payload = _read_payload(path)
-    magic, ver, got_m, n = _Q_HEADER.unpack_from(payload)
-    _check_header(path, (magic, ver, got_m), (b"QTBL", _VERSION, m))
-    if n != factorial(m - 1):
-        raise DataError(f"{path}: expected {factorial(m - 1)} records, header says {n}")
-    body = payload[_Q_HEADER.size :]
-    rec = np.frombuffer(body, dtype=_q_dtype(m))
-    if rec.shape[0] != n:
-        raise DataError(f"{path}: truncated body")
-    return rec["dist"].copy()
 
 
 # -- COFA ------------------------------------------------------------------

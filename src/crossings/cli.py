@@ -103,20 +103,13 @@ def _result_out(args, result: dict) -> None:
 
 
 def _cmd_q(args) -> int:
-    from . import cache
     from .cycles import Cycle, CycleIndex
     from .swapgraph import distances_from_base, self_cost
 
-    cd = cache.resolve_cache_dir(args.cache_dir)
     index = CycleIndex(args.m)
-    path = cache.q_table_path(cd, args.m)
-    if path.exists():
-        dist = cache.read_q_table(path, args.m)
-    else:
-        dist = distances_from_base(index)
-        cache.write_q_table(path, args.m, dist, index.seqs)
+    dist = distances_from_base(index)
     diag = int(dist[index.id_of(Cycle.base(args.m).invert())])
-    print(f"m={args.m}: {len(index)} cycles, self-pair cost {diag}, table {path}")
+    print(f"m={args.m}: {len(index)} cycles, self-pair cost {diag}")
     if args.verify:
         want = self_cost(args.m)
         if diag != want:
@@ -335,8 +328,7 @@ def _cmd_verify(args) -> int:
         print(f"skip: optimum check not run at m={m}")
 
     checked = 0
-    for path in (cache.q_table_path(cd, m), cache.coeffs_path(cd, m, "single"),
-                 cache.coeffs_path(cd, m, "full")):
+    for path in (cache.coeffs_path(cd, m, "single"), cache.coeffs_path(cd, m, "full")):
         if path.exists():
             cache._read_payload(path)
             checked += 1

@@ -2,18 +2,15 @@
 
 Every invariant matrix is a combination of the pair-class indicators, so
 each reduced constraint is carried by one small integer block per class.
-Three routes compute those blocks:
+The blocks come from expanding the pairing polynomial by differential
+operators: its degree-m monomials are permutation patterns in bijection
+with relabeling orbits of pairs of full orders, so the cost is governed by
+the final monomial count, about m!/2 per entry of the single block.
+The tests compare the expansion exactly against two independent oracles
+kept in tests/oracles.py: direct quadruple enumeration over the expansions
+of both tableau vectors, and streaming over all ordered cycle pairs.
 
-- direct quadruple enumeration over the expansions of both tableau vectors
-  (the oracle; independent of everything below but unusable past tiny m),
-- expansion of the pairing polynomial by differential operators, whose
-  degree-m monomials are permutation patterns in bijection with relabeling
-  orbits of pairs of full orders (the production route; cost is governed by
-  the final monomial count, about m!/2 per entry of the single block),
-- streaming over ordered cycle pairs grouped by first component (exact,
-  quadratic in (m-1)!, kept as a selectable cross-check).
-
-The production route runs on numpy arrays: a monomial is one sorted row of
+The expansion runs on numpy arrays: a monomial is one sorted row of
 m uint8 cell ids, an operator rewrites entries and merges equal rows by
 sorting and summing int64 coefficients, and every step refuses to run if a
 coefficient could leave +-2**62.  The row cascade of one tableau is held
@@ -25,7 +22,7 @@ its class is read from a per-cycle class table by one lookup.
 Blocks built from inversion-symmetrized rows w +- (w o eta) reduce to the
 raw tableau forms: eta flips one pair component, which descends to an
 involution on classes, and the symmetrized block equals twice the raw form
-plus-or-minus its flip.  The routes are compared exactly in the tests.
+plus-or-minus its flip.
 """
 
 from __future__ import annotations
@@ -39,18 +36,12 @@ import numpy as np
 from .cycles import CycleIndex, invert_seqs
 from .errors import ArgumentError, CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
-from .repsets import Block, hook_block_columns, hook_block_matrix
+from .repsets import Block, hook_block_columns
 from .swapgraph import distances_from_base
-from .tableaux import (
-    base_filling,
-    compose_word,
-    perm_sign,
-    row_equivalent_fillings,
-    signed_column_fillings,
-)
+from .tableaux import perm_sign
 
 Filling = tuple[tuple[int, ...], ...]
-Poly = tuple[np.ndarray, np.ndarray]  # (cells, coeffs), see the production section
+Poly = tuple[np.ndarray, np.ndarray]  # (cells, coeffs), see the expansion section
 
 
 @dataclass
@@ -88,57 +79,7 @@ class PairTables:
         return self._flip
 
 
-def monomial_to_orbit(pattern, tables: PairTables) -> int:
-    """Class of the pair encoded by a permutation-pattern monomial.
-
-    The pattern maps row index a to column index pattern[a-1]; the paired
-    cycle reads value a at word position pattern[a-1], the first component
-    being the base cycle.
-    """
-    m = tables.m
-    pattern = tuple(int(v) for v in pattern)
-    if sorted(pattern) != list(range(1, m + 1)):
-        raise ArgumentError(f"not a permutation pattern: {pattern}")
-    word = np.empty(m, dtype=np.uint8)
-    for a, b in enumerate(pattern, start=1):
-        word[b - 1] = a
-    return int(tables.class_ids_of_words(word[None])[0])
-
-
-# -- oracle: quadruple enumeration ------------------------------------------
-
-
-def _expansion_words(t: Filling, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and cycle words of every term of one tableau vector."""
-    lam = tuple(len(r) for r in t)
-    signs, words = [], []
-    for sgn, ct in signed_column_fillings(base_filling(lam)):
-        for tp in row_equivalent_fillings(t):
-            signs.append(sgn)
-            words.append(compose_word(ct, tp))
-    return np.array(signs, dtype=np.int64), np.array(words, dtype=np.uint8)
-
-
-def direct_expansion(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, int]:
-    """Signed pair-class counts over all term pairs of two tableau vectors.
-
-    The oracle for both production routes.  Term count is the product of
-    the two expansion sizes, so this is gated to small m.
-    """
-    m = tables.m
-    if m > 7:
-        raise ResourceError(f"direct expansion is quadratic in (m-1)!, refusing m={m}")
-    signs1, words1 = _expansion_words(t1, m)
-    signs2, words2 = _expansion_words(t2, m)
-    acc = np.zeros(tables.classes.count, dtype=np.int64)
-    shifted = words2 - 1
-    for sgn, word in zip(signs1, words1):
-        moved = tables.orbits.relabel_to_base(word)[shifted]
-        np.add.at(acc, tables.class_ids_of_words(moved), sgn * signs2)
-    return {int(c): int(v) for c, v in enumerate(acc) if v}
-
-
-# -- production: differential-operator expansion ----------------------------
+# -- differential-operator expansion ---------------------------------------
 #
 # A polynomial is a pair (cells, coeffs).  Each row of the (N, deg) uint8
 # array cells is one monomial: its cells 16*(r-1) + (c-1) in ascending
@@ -317,60 +258,10 @@ def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
     return acc
 
 
-# -- cross-check: streaming over ordered pairs ------------------------------
-
-
-def pair_stream_forms(
-    tables: PairTables, mats: list[np.ndarray], chunk: int = 64
-) -> list[np.ndarray]:
-    """Exact class blocks U K U^T for each row matrix, by scanning all pairs.
-
-    Work grows with the square of the cycle count, so this is the slow
-    route; it exists to certify the polynomial route on moderate m.
-    """
-    index, classes = tables.index, tables.classes
-    seqs = index.seqs
-    n, m = seqs.shape
-    c = classes.count
-    for u in mats:
-        if int(np.abs(u).max()) ** 2 * n >= 2**53:
-            raise ResourceError("pair sums could exceed the exact range of float64")
-    out = [np.zeros((c, u.shape[0], u.shape[0])) for u in mats]
-    shifted = seqs - 1
-    arange = np.arange(1, m + 1, dtype=np.uint8)
-    for lo in range(0, n, chunk):
-        block = seqs[lo : lo + chunk]
-        b = block.shape[0]
-        maps = np.empty((b, m), dtype=np.uint8)
-        np.put_along_axis(maps, block.astype(np.intp) - 1, arange, axis=1)
-        moved = maps[:, shifted]
-        ids = tables.class_ids_of_words(moved.reshape(-1, m)).reshape(b, n)
-        offs = ids + c * np.arange(b, dtype=np.int64)[:, None]
-        flat = offs.ravel()
-        weights = np.empty((b, n))
-        for u, acc in zip(mats, out):
-            left = u[:, lo : lo + b].astype(np.float64)
-            for j in range(u.shape[0]):
-                weights[:] = u[j]
-                s = np.bincount(flat, weights=weights.ravel(), minlength=b * c)
-                acc[:, :, j] += (left @ s.reshape(b, c)).T
-    result = []
-    for acc in out:
-        ints = np.rint(acc).astype(np.int64)
-        if (ints != acc).any():
-            raise CrossingsError("pair-stream sums came out non-integral")
-        result.append(ints)
-    return result
-
-
 # -- assembly ----------------------------------------------------------------
 
 
-def _tri_positions(d: int):
-    return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-def hook_constraint_table(tables: PairTables, route: str = "poly") -> np.ndarray:
+def hook_constraint_table(tables: PairTables) -> np.ndarray:
     """Upper-triangle class blocks of the single-block relaxation, (C, t).
 
     Rows follow the class order; columns run over the upper triangle of the
@@ -381,32 +272,19 @@ def hook_constraint_table(tables: PairTables, route: str = "poly") -> np.ndarray
     cols = hook_block_columns(m)
     d = len(cols)
     tri = np.zeros((tables.classes.count, d * (d + 1) // 2), dtype=np.int64)
-    if route == "poly":
-        shape = _shape_poly((m - 2, 1, 1))
-        pos = 0
-        for i in range(d):
-            rows_done = _cascade(shape, cols[i], m, on_rows=True)
-            for j in range(i, d):
-                tri[:, pos] = _class_sums(rows_done, cols[j], tables)
-                pos += 1
-    elif route == "pairs":
-        a = pair_stream_forms(tables, [hook_block_matrix(tables.index.seqs)])[0]
-        for pos, (i, j) in enumerate(_tri_positions(d)):
-            tri[:, pos] = a[:, i, j]
-    else:
-        raise ArgumentError(f"unknown coefficient route {route!r}")
+    shape = _shape_poly((m - 2, 1, 1))
+    pos = 0
+    for i in range(d):
+        rows_done = _cascade(shape, cols[i], m, on_rows=True)
+        for j in range(i, d):
+            tri[:, pos] = _class_sums(rows_done, cols[j], tables)
+            pos += 1
     return tri
 
 
-def block_constraint_tables(
-    tables: PairTables, blocks: list[Block], route: str = "poly"
-) -> list[np.ndarray]:
+def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> list[np.ndarray]:
     """Class blocks (C, d, d) for every symmetrized block of the full
     relaxation."""
-    if route == "pairs":
-        return pair_stream_forms(tables, [b.u for b in blocks])
-    if route != "poly":
-        raise ArgumentError(f"unknown coefficient route {route!r}")
     flip = tables.flip_classes()
     m, c = tables.m, tables.classes.count
     forms: dict[tuple[Filling, Filling], np.ndarray] = {}

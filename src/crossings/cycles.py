@@ -9,8 +9,10 @@ optional inversion, (pi, eps) . sigma = pi sigma^eps pi^-1.  The stabilizer of
 the base cycle (1 2 ... m) has order 2m; it is generated by the base cycle
 itself acting as a value shift, and by the value reflection about 1 combined
 with inversion.  Canonical forms under that stabilizer are what every other
-module keys orbits on, so both a readable scalar implementation and a bulk
-numpy implementation live here.
+module keys orbits on.  They are computed in bulk here; the group as
+explicit elements and the scalar canonical form it defines live with the
+other test oracles in tests/oracles.py, and the bulk form is checked
+against them.
 
 The bulk form rests on anchored differences.  In 0-based values v, shifting
 a word's values so that v[p] becomes the anchor and rotating position p to
@@ -85,94 +87,6 @@ class Cycle:
 
     def __str__(self) -> str:
         return "(" + " ".join(map(str, self.seq)) + ")"
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An element (pi, eps) of S_m x {+1,-1}; perm holds the images of 1..m."""
-
-    perm: tuple[int, ...]
-    eps: int
-
-    def __post_init__(self):
-        if self.eps not in (1, -1):
-            raise ArgumentError(f"eps must be +1 or -1, got {self.eps}")
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ArgumentError(f"not a permutation of 1..{len(self.perm)}: {self.perm}")
-
-    @property
-    def m(self) -> int:
-        return len(self.perm)
-
-    @classmethod
-    def identity(cls, m: int) -> "GroupElement":
-        return cls(tuple(range(1, m + 1)), 1)
-
-    def __call__(self, v: int) -> int:
-        return self.perm[v - 1]
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """Product in the direct product group: self applied after other."""
-        if self.m != other.m:
-            raise ArgumentError("cannot compose elements of different degree")
-        return GroupElement(
-            tuple(self.perm[other.perm[v - 1] - 1] for v in range(1, self.m + 1)),
-            self.eps * other.eps,
-        )
-
-    def inverse(self) -> "GroupElement":
-        inv = [0] * self.m
-        for v in range(1, self.m + 1):
-            inv[self.perm[v - 1] - 1] = v
-        return GroupElement(tuple(inv), self.eps)
-
-
-def act(g: GroupElement, c: Cycle) -> Cycle:
-    """Apply (pi, eps) . sigma = pi sigma^eps pi^-1, re-anchored at 1.
-
-    Conjugation by pi relabels the orbit word entrywise, so the whole action
-    is: optionally reverse the traversal, relabel, rotate 1 back to front.
-    """
-    if g.m != c.m:
-        raise ArgumentError(f"degree mismatch: group element on {g.m}, cycle on {c.m}")
-    word = c.seq if g.eps == 1 else c.invert().seq
-    return Cycle.from_word(g.perm[v - 1] for v in word)
-
-
-def stabilizer_generators(m: int) -> tuple[GroupElement, GroupElement]:
-    """The two generators of the order-2m stabilizer of the base cycle.
-
-    The first is the base cycle itself as a relabeling (with no inversion):
-    conjugating (1 2 ... m) by itself fixes it.  The second pairs inversion
-    with the reflection fixing 1 (v -> m + 2 - v), which undoes the traversal
-    reversal.  Any valid reflection works; this one is the obvious choice.
-    """
-    _check_m(m)
-    shift = GroupElement(tuple((v % m) + 1 for v in range(1, m + 1)), 1)
-    reflect = GroupElement((1,) + tuple(m + 2 - v for v in range(2, m + 1)), -1)
-    return shift, reflect
-
-
-def stabilizer_elements(m: int) -> list[GroupElement]:
-    """All 2m elements of the base-cycle stabilizer, generators expanded."""
-    shift, reflect = stabilizer_generators(m)
-    out = []
-    g = GroupElement.identity(m)
-    for _ in range(m):
-        out.append(g)
-        out.append(g.compose(reflect))
-        g = g.compose(shift)
-    return out
-
-
-def canonical_form(c: Cycle) -> Cycle:
-    """Lexicographically smallest word in the stabilizer orbit of c.
-
-    Scalar reference implementation: the orbit has at most 2m members, the
-    images of c under stabilizer_elements.  The bulk routines below must agree
-    with this on every cycle (tested), and with a full group sweep at small m.
-    """
-    return min((act(h, c) for h in stabilizer_elements(c.m)), key=lambda x: x.seq)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,6 @@ class ArgumentError(CrossingsError):
     exit_code = 2
 
 
-class DependencyError(CrossingsError):
-    """A required earlier pipeline stage or cache is missing."""
-
-    exit_code = 3
-
-
 class ResourceError(CrossingsError):
     """The requested computation exceeds the configured memory/time budget."""
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import cache
 from .coeffs import PairTables, block_constraint_tables, hook_constraint_table
 from .errors import ArgumentError, DataError, ResourceError, SolverError
-from .repsets import build_blocks
+from .repsets import build_blocks, hook_block_dim
 from .sdp import polish_dual, solve_bound_problem
 
 
@@ -93,7 +93,7 @@ class RelaxationOutcome:
 
 
 def coeff_tables(
-    m: int, kind: str, cache_dir=None, route: str = "poly"
+    m: int, kind: str, cache_dir=None
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Integer tables (dims, sizes, costs, upper triangles concatenated in
     block order) of one relaxation, kind "single" or "full", through the
@@ -112,12 +112,12 @@ def coeff_tables(
         return dims, sizes.astype(np.int64), qs.astype(np.int64), tri
     tables = PairTables.build(m)
     if kind == "single":
-        dims = ((m - 1) // 2,)
-        tri = hook_constraint_table(tables, route)
+        dims = (hook_block_dim(m),)
+        tri = hook_constraint_table(tables)
     else:
         blocks = build_blocks(tables.index)
         dims = tuple(b.dim for b in blocks)
-        stacks = block_constraint_tables(tables, blocks, route)
+        stacks = block_constraint_tables(tables, blocks)
         tri = np.concatenate(
             [s[:, iu[0], iu[1]] for s, iu in zip(stacks, map(np.triu_indices, dims))],
             axis=1,
@@ -315,7 +315,6 @@ def _relax(
     m: int,
     kind: str,
     cache_dir=None,
-    route: str = "poly",
     tol: float = 1e-9,
     tol_cut: float = 1e-7,
     batch: int = 50,
@@ -331,7 +330,7 @@ def _relax(
     the state after each round is saved as cuts_<m>_<kind>.json, so a run
     stopped by its round budget can resume.  progress, when given,
     receives one RoundRecord per round as it completes."""
-    dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir, route)
+    dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir)
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
     mats_all = split_triangles(tri, dims)

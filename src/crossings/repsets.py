@@ -1,26 +1,23 @@
 """Integer bases for the symmetry-reduced blocks of the relaxations.
 
 Each partition of m contributes a family of candidate cycle-space vectors,
-one per standard tableau (built here by a vectorized version of the direct
-expansion in the tableau module, from row-rearrangement and signed
-column-group tables made once per shape).  The span of that family has
+one per standard tableau (built here from row-rearrangement and signed
+column-group tables made once per shape; the tests check them against the
+scalar tableau chain in tests/oracles.py).  The span of that family has
 dimension equal to the number of standard tableaux with descent sum
 divisible by m, so a minimal spanning subset is extracted first: vectors are
 built a chunk at a time in the fixed tableau enumeration order and streamed
 into the greedy independence test, which stops at that dimension, so the
 vectors past the last one it reads are never built.  The survivors are then
 symmetrized by the inversion sign, and a maximal independent subfamily per
-sign yields the blocks: integer matrices whose row spans carry the whole
-optimization problem.
+sign yields the blocks, each recorded by its shape, sign and tableaux: the
+row vectors are only needed to select them, and the coefficient tables are
+computed from the tableaux alone.
 
 Independence decisions are made exactly: a candidate joins a block when the
 integer Gram determinant of the enlarged set is nonzero (computed by
 fraction-free elimination over Python ints, so no floating point rank guess
 can ever corrupt a block).
-
-The block for the shape (m-2, 1, 1) also has a closed-form evaluator that
-reads each vector entry off the cycle word in O(m), with no pass over the
-symmetric group; large-m single-block runs depend on it.
 """
 
 from __future__ import annotations
@@ -38,16 +35,16 @@ Filling = tuple[tuple[int, ...], ...]
 
 @dataclass
 class Block:
-    """One block of the reduced problem: lam, inversion sign, row matrix."""
+    """One block of the reduced problem: shape, inversion sign and the
+    tableaux whose symmetrized vectors w + sign (w o inversion) are its rows."""
 
     lam: tuple[int, ...]
     sign: int
     tableaux: list[Filling]
-    u: np.ndarray  # (d, N) int64
 
     @property
     def dim(self) -> int:
-        return self.u.shape[0]
+        return len(self.tableaux)
 
 
 def _lex_permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +213,7 @@ def build_blocks(index: CycleIndex) -> list[Block]:
     rows as the descent-sum count; no chunk asks for more rows than are
     still missing, so only the rows the scan reads are ever built.  The
     survivors are then symmetrized by the inversion sign, even sign first.
-    Every returned matrix has full row rank over the rationals.
+    The rows of every returned block are independent over the rationals.
     """
     inv_ids = index.inverse_ids()
     blocks: list[Block] = []
@@ -243,18 +240,10 @@ def build_blocks(index: CycleIndex) -> list[Block]:
         flipped = span[:, inv_ids]
         split = 0
         for sign in (1, -1):
-            cand = span + sign * flipped
-            sel = _greedy_independent(cand)
+            sel = _greedy_independent(span + sign * flipped)
             split += len(sel)
             if sel:
-                blocks.append(
-                    Block(
-                        lam=lam,
-                        sign=sign,
-                        tableaux=[span_ts[i] for i in sel],
-                        u=cand[sel],
-                    )
-                )
+                blocks.append(Block(lam=lam, sign=sign, tableaux=[span_ts[i] for i in sel]))
         if split != target:
             raise CrossingsError(
                 f"shape {lam}: sign blocks have {split} rows in all, expected {target}"
@@ -284,41 +273,3 @@ def hook_block_columns(m: int) -> list[Filling]:
         row1 = tuple(v for v in range(1, m + 1) if v not in (2, i))
         cols.append((row1, (2,), (i,)))
     return cols
-
-
-# value-pair patterns read off the cycle word at offset i-2, one rotation at
-# a time; entries below are (value at p, value at p + i - 2, weight)
-def _hook_patterns(m: int) -> list[tuple[int, int, int]]:
-    return [
-        (m - 1, m, 1),
-        (m, m - 1, -1),
-        (1, m, -1),
-        (m - 1, 1, -1),
-        (m, 1, 1),
-        (1, m - 1, 1),
-    ]
-
-
-def hook_block_values(seqs: np.ndarray, i: int) -> np.ndarray:
-    """Entries of the (m-2,1,1) block vector for column i, per input word.
-
-    O(m) per word: counts the signed value-pair patterns at cyclic offset
-    i-2.  Must agree with the direct expansion of the column tableau; the
-    tests enforce that.
-    """
-    seqs = np.asarray(seqs, dtype=np.uint8)
-    m = seqs.shape[-1]
-    off = (i - 2) % m
-    shifted = np.roll(seqs, -off, axis=-1)
-    acc = np.zeros(seqs.shape[:-1], dtype=np.int64)
-    for va, vb, weight in _hook_patterns(m):
-        acc += weight * ((seqs == va) & (shifted == vb)).sum(axis=-1)
-    return acc
-
-
-def hook_block_matrix(seqs: np.ndarray) -> np.ndarray:
-    """The full (d, N) single-block matrix over the given words."""
-    m = seqs.shape[-1]
-    return np.stack(
-        [hook_block_values(seqs, i) for i in range(3, (m + 1) // 2 + 2)]
-    )

@@ -10,21 +10,14 @@ distances from the base cycle are ever computed.
 The production BFS runs on the quotient by the base cycle's stabilizer:
 distances from the base are constant on stabilizer orbits, so expanding only
 canonical representatives shrinks the vertex set by a factor of about 2m.
-A plain sweep over all words is kept as a cross-check oracle.
+The tests check it against a plain sweep over all words in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cycles import (
-    Cycle,
-    CycleIndex,
-    canonical_keys,
-    normalize_words,
-    pack_keys,
-    unpack_keys,
-)
+from .cycles import CycleIndex, canonical_keys, pack_keys, unpack_keys
 from .errors import CrossingsError
 
 UNREACHED = np.uint16(0xFFFF)
@@ -80,22 +73,3 @@ def distances_from_base(index: CycleIndex) -> np.ndarray:
     if (dist == UNREACHED).any():
         raise CrossingsError(f"swap graph on {m}-cycles is not connected")
     return dist[class_of]
-
-
-def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
-    """Same distances by BFS over all words, no quotienting.  Oracle only."""
-    m = index.m
-    dist = np.full(len(index), UNREACHED, dtype=np.uint16)
-    frontier = np.array([index.id_of(Cycle.base(m))])
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        nbr = normalize_words(neighbor_words(index.seqs[frontier]).reshape(-1, m))
-        ids = index.id_of_keys(np.unique(pack_keys(nbr)))
-        ids = ids[dist[ids] == UNREACHED]
-        d += 1
-        dist[ids] = d
-        frontier = ids
-    if (dist == UNREACHED).any():
-        raise CrossingsError(f"swap graph on {m}-cycles is not connected")
-    return dist

@@ -1,0 +1,404 @@
+"""Independent reference implementations that the tests check the library
+against.
+
+None of this is used by the package.  Each oracle computes something the
+production code also computes, by a slower and more literal route:
+
+- the relabel-and-invert group as explicit elements, with the scalar
+  canonical form taken as a minimum over the stabilizer orbit;
+- the swap distances by BFS over every word, with no quotienting;
+- the scalar tableau chain (polytabloid, the homomorphism into full orders,
+  the projection to cycles) that builds one tableau vector at a time;
+- the block rows of a built Block, rebuilt from its tableaux;
+- the closed-form evaluator of the (m-2, 1, 1) block, reading each entry off
+  the cycle word;
+- class blocks by direct quadruple enumeration and by streaming over all
+  ordered cycle pairs, against which the operator expansion is compared.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from crossings.coeffs import PairTables
+from crossings.cycles import Cycle, CycleIndex, _check_m, normalize_words, pack_keys
+from crossings.errors import ArgumentError, CrossingsError, ResourceError
+from crossings.repsets import Block, hook_block_dim, tableau_vector_matrix
+from crossings.swapgraph import UNREACHED, neighbor_words
+from crossings.tableaux import base_filling, perm_sign
+
+Filling = tuple[tuple[int, ...], ...]
+
+
+# -- the relabel-and-invert group, element by element ------------------------
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """An element (pi, eps) of S_m x {+1,-1}; perm holds the images of 1..m."""
+
+    perm: tuple[int, ...]
+    eps: int
+
+    def __post_init__(self):
+        if self.eps not in (1, -1):
+            raise ArgumentError(f"eps must be +1 or -1, got {self.eps}")
+        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
+            raise ArgumentError(f"not a permutation of 1..{len(self.perm)}: {self.perm}")
+
+    @property
+    def m(self) -> int:
+        return len(self.perm)
+
+    @classmethod
+    def identity(cls, m: int) -> "GroupElement":
+        return cls(tuple(range(1, m + 1)), 1)
+
+    def __call__(self, v: int) -> int:
+        return self.perm[v - 1]
+
+    def compose(self, other: "GroupElement") -> "GroupElement":
+        """Product in the direct product group: self applied after other."""
+        if self.m != other.m:
+            raise ArgumentError("cannot compose elements of different degree")
+        return GroupElement(
+            tuple(self.perm[other.perm[v - 1] - 1] for v in range(1, self.m + 1)),
+            self.eps * other.eps,
+        )
+
+    def inverse(self) -> "GroupElement":
+        inv = [0] * self.m
+        for v in range(1, self.m + 1):
+            inv[self.perm[v - 1] - 1] = v
+        return GroupElement(tuple(inv), self.eps)
+
+
+def act(g: GroupElement, c: Cycle) -> Cycle:
+    """Apply (pi, eps) . sigma = pi sigma^eps pi^-1, re-anchored at 1.
+
+    Conjugation by pi relabels the orbit word entrywise, so the whole action
+    is: optionally reverse the traversal, relabel, rotate 1 back to front.
+    """
+    if g.m != c.m:
+        raise ArgumentError(f"degree mismatch: group element on {g.m}, cycle on {c.m}")
+    word = c.seq if g.eps == 1 else c.invert().seq
+    return Cycle.from_word(g.perm[v - 1] for v in word)
+
+
+def stabilizer_generators(m: int) -> tuple[GroupElement, GroupElement]:
+    """The two generators of the order-2m stabilizer of the base cycle.
+
+    The first is the base cycle itself as a relabeling (with no inversion):
+    conjugating (1 2 ... m) by itself fixes it.  The second pairs inversion
+    with the reflection fixing 1 (v -> m + 2 - v), which undoes the traversal
+    reversal.  Any valid reflection works; this one is the obvious choice.
+    """
+    _check_m(m)
+    shift = GroupElement(tuple((v % m) + 1 for v in range(1, m + 1)), 1)
+    reflect = GroupElement((1,) + tuple(m + 2 - v for v in range(2, m + 1)), -1)
+    return shift, reflect
+
+
+def stabilizer_elements(m: int) -> list[GroupElement]:
+    """All 2m elements of the base-cycle stabilizer, generators expanded."""
+    shift, reflect = stabilizer_generators(m)
+    out = []
+    g = GroupElement.identity(m)
+    for _ in range(m):
+        out.append(g)
+        out.append(g.compose(reflect))
+        g = g.compose(shift)
+    return out
+
+
+def canonical_form(c: Cycle) -> Cycle:
+    """Lexicographically smallest word in the stabilizer orbit of c.
+
+    The orbit has at most 2m members, the images of c under
+    stabilizer_elements.  The bulk canonical keys must agree with this on
+    every cycle, and this with a full group sweep at small m.
+    """
+    return min((act(h, c) for h in stabilizer_elements(c.m)), key=lambda x: x.seq)
+
+
+# -- swap distances over every word -----------------------------------------
+
+
+def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
+    """Distances from the base cycle by BFS over all words, no quotienting."""
+    m = index.m
+    dist = np.full(len(index), UNREACHED, dtype=np.uint16)
+    frontier = np.array([index.id_of(Cycle.base(m))])
+    dist[frontier] = 0
+    d = 0
+    while frontier.size:
+        nbr = normalize_words(neighbor_words(index.seqs[frontier]).reshape(-1, m))
+        ids = index.id_of_keys(np.unique(pack_keys(nbr)))
+        ids = ids[dist[ids] == UNREACHED]
+        d += 1
+        dist[ids] = d
+        frontier = ids
+    if (dist == UNREACHED).any():
+        raise CrossingsError(f"swap graph on {m}-cycles is not connected")
+    return dist
+
+
+# -- the scalar tableau chain -----------------------------------------------
+
+
+def row_equivalent_fillings(t):
+    """All fillings reachable by permuting entries inside rows."""
+    for rows in itertools.product(*(itertools.permutations(r) for r in t)):
+        yield tuple(rows)
+
+
+def signed_column_fillings(t):
+    """(sign, c . t) over the column group of t: per-column permutations."""
+    lam = tuple(len(r) for r in t)
+    cols = [[t[i][j] for i in range(len(lam)) if lam[i] > j] for j in range(lam[0])]
+    for perms in itertools.product(*(itertools.permutations(c) for c in cols)):
+        sgn = 1
+        for orig, perm in zip(cols, perms):
+            sgn *= perm_sign(orig, perm)
+        grid = [list(r) for r in t]
+        for j, perm in enumerate(perms):
+            for i, v in enumerate(perm):
+                grid[i][j] = v
+        yield sgn, tuple(tuple(r) for r in grid)
+
+
+def compose_word(a, b) -> tuple[int, ...]:
+    """Word whose p-th letter is the value of filling a at the cell holding
+    p+1 in filling b.  Both fillings must share a shape."""
+    m = sum(len(r) for r in a)
+    cell_of = {}
+    for i, row in enumerate(b):
+        for j, v in enumerate(row):
+            cell_of[v] = (i, j)
+    return tuple(a[i][j] for i, j in (cell_of[p] for p in range(1, m + 1)))
+
+
+Tabloid = tuple[tuple[int, ...], ...]
+
+
+def tabloid_of(filling) -> Tabloid:
+    """Row equivalence class of a filling: each row sorted."""
+    return tuple(tuple(sorted(r)) for r in filling)
+
+
+def polytabloid(t) -> dict[Tabloid, int]:
+    """Signed sum of tabloids over the column group of t, coefficients exact."""
+    flat = [v for row in t for v in row]
+    if len(set(flat)) != len(flat):
+        raise ArgumentError("polytabloid needs distinct entries")
+    out: dict[Tabloid, int] = {}
+    for sgn, ct in signed_column_fillings(t):
+        key = tabloid_of(ct)
+        c = out.get(key, 0) + sgn
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+def theta_apply(t_hom, v: dict[Tabloid, int]) -> dict[Tabloid, int]:
+    """Homomorphism into the full-order module, indexed by the filling t_hom.
+
+    A term {s} maps to the sum, over row rearrangements T' of t_hom, of the
+    word placing the entry of s at each cell into position T' of that cell.
+    The result does not depend on the representative chosen for {s} because
+    the rearrangement sum runs over the whole row class.
+    """
+    out: dict[Tabloid, int] = {}
+    for s, coeff in v.items():
+        if tuple(len(r) for r in s) != tuple(len(r) for r in t_hom):
+            raise ArgumentError("tabloid shape does not match the tableau")
+        for tp in row_equivalent_fillings(t_hom):
+            key = tuple((x,) for x in compose_word(s, tp))
+            c = out.get(key, 0) + coeff
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
+    return out
+
+
+def project_f(v: dict[Tabloid, int], index: CycleIndex) -> np.ndarray:
+    """Collapse a signed sum over full orders to the cycle space.
+
+    A tabloid with singleton rows i1, ..., im contributes its coefficient to
+    the cycle traversing i1 -> i2 -> ... -> im -> i1.
+    """
+    w = np.zeros(len(index), dtype=np.int64)
+    for s, coeff in v.items():
+        word = np.array([r[0] for r in s], dtype=np.uint8)
+        w[index.id_of_words(normalize_words(word[None]))[0]] += coeff
+    return w
+
+
+def repset_vector(lam: tuple[int, ...], t_col: Filling, index: CycleIndex) -> np.ndarray:
+    """Cycle-space vector of one column tableau, by direct expansion.
+
+    Composite of the three maps above at the row-major base filling;
+    quadratic in the row and column group sizes.
+    """
+    return project_f(theta_apply(t_col, polytabloid(base_filling(lam))), index)
+
+
+# -- block rows ----------------------------------------------------------------
+
+
+def block_rows(index: CycleIndex, block: Block) -> np.ndarray:
+    """The (d, N) int64 rows of a block: each tableau vector plus its sign
+    times its image under inversion."""
+    vecs = tableau_vector_matrix(block.lam, block.tableaux, index)
+    return vecs + block.sign * vecs[:, index.inverse_ids()]
+
+
+# -- closed form of the (m-2, 1, 1) block ----------------------------------------
+
+
+# value-pair patterns read off the cycle word at offset i-2, one rotation at
+# a time; entries below are (value at p, value at p + i - 2, weight)
+def _hook_patterns(m: int) -> list[tuple[int, int, int]]:
+    return [
+        (m - 1, m, 1),
+        (m, m - 1, -1),
+        (1, m, -1),
+        (m - 1, 1, -1),
+        (m, 1, 1),
+        (1, m - 1, 1),
+    ]
+
+
+def hook_block_values(seqs: np.ndarray, i: int) -> np.ndarray:
+    """Entries of the (m-2,1,1) block vector for column i, per input word.
+
+    O(m) per word: counts the signed value-pair patterns at cyclic offset
+    i-2.  Must agree with the direct expansion of the column tableau.
+    """
+    seqs = np.asarray(seqs, dtype=np.uint8)
+    m = seqs.shape[-1]
+    off = (i - 2) % m
+    shifted = np.roll(seqs, -off, axis=-1)
+    acc = np.zeros(seqs.shape[:-1], dtype=np.int64)
+    for va, vb, weight in _hook_patterns(m):
+        acc += weight * ((seqs == va) & (shifted == vb)).sum(axis=-1)
+    return acc
+
+
+def hook_block_matrix(seqs: np.ndarray) -> np.ndarray:
+    """The full (d, N) single-block matrix over the given words."""
+    m = seqs.shape[-1]
+    return np.stack(
+        [hook_block_values(seqs, i) for i in range(3, (m + 1) // 2 + 2)]
+    )
+
+
+# -- class blocks by quadruple enumeration ------------------------------------
+
+
+def monomial_to_orbit(pattern, tables: PairTables) -> int:
+    """Class of the pair encoded by a permutation-pattern monomial.
+
+    The pattern maps row index a to column index pattern[a-1]; the paired
+    cycle reads value a at word position pattern[a-1], the first component
+    being the base cycle.
+    """
+    m = tables.m
+    pattern = tuple(int(v) for v in pattern)
+    if sorted(pattern) != list(range(1, m + 1)):
+        raise ArgumentError(f"not a permutation pattern: {pattern}")
+    word = np.empty(m, dtype=np.uint8)
+    for a, b in enumerate(pattern, start=1):
+        word[b - 1] = a
+    return int(tables.class_ids_of_words(word[None])[0])
+
+
+def _expansion_words(t: Filling, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and cycle words of every term of one tableau vector."""
+    lam = tuple(len(r) for r in t)
+    signs, words = [], []
+    for sgn, ct in signed_column_fillings(base_filling(lam)):
+        for tp in row_equivalent_fillings(t):
+            signs.append(sgn)
+            words.append(compose_word(ct, tp))
+    return np.array(signs, dtype=np.int64), np.array(words, dtype=np.uint8)
+
+
+def direct_expansion(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, int]:
+    """Signed pair-class counts over all term pairs of two tableau vectors.
+
+    Term count is the product of the two expansion sizes, so this is gated
+    to small m.
+    """
+    m = tables.m
+    if m > 7:
+        raise ResourceError(f"direct expansion is quadratic in (m-1)!, refusing m={m}")
+    signs1, words1 = _expansion_words(t1, m)
+    signs2, words2 = _expansion_words(t2, m)
+    acc = np.zeros(tables.classes.count, dtype=np.int64)
+    shifted = words2 - 1
+    for sgn, word in zip(signs1, words1):
+        moved = tables.orbits.relabel_to_base(word)[shifted]
+        np.add.at(acc, tables.class_ids_of_words(moved), sgn * signs2)
+    return {int(c): int(v) for c, v in enumerate(acc) if v}
+
+
+# -- class blocks by streaming over ordered pairs ------------------------------
+
+
+def pair_stream_forms(
+    tables: PairTables, mats: list[np.ndarray], chunk: int = 64
+) -> list[np.ndarray]:
+    """Exact class blocks U K U^T for each row matrix, by scanning all pairs.
+
+    Work grows with the square of the cycle count; this certifies the
+    operator expansion on moderate m.
+    """
+    index, classes = tables.index, tables.classes
+    seqs = index.seqs
+    n, m = seqs.shape
+    c = classes.count
+    for u in mats:
+        if int(np.abs(u).max()) ** 2 * n >= 2**53:
+            raise ResourceError("pair sums could exceed the exact range of float64")
+    out = [np.zeros((c, u.shape[0], u.shape[0])) for u in mats]
+    shifted = seqs - 1
+    arange = np.arange(1, m + 1, dtype=np.uint8)
+    for lo in range(0, n, chunk):
+        block = seqs[lo : lo + chunk]
+        b = block.shape[0]
+        maps = np.empty((b, m), dtype=np.uint8)
+        np.put_along_axis(maps, block.astype(np.intp) - 1, arange, axis=1)
+        moved = maps[:, shifted]
+        ids = tables.class_ids_of_words(moved.reshape(-1, m)).reshape(b, n)
+        offs = ids + c * np.arange(b, dtype=np.int64)[:, None]
+        flat = offs.ravel()
+        weights = np.empty((b, n))
+        for u, acc in zip(mats, out):
+            left = u[:, lo : lo + b].astype(np.float64)
+            for j in range(u.shape[0]):
+                weights[:] = u[j]
+                s = np.bincount(flat, weights=weights.ravel(), minlength=b * c)
+                acc[:, :, j] += (left @ s.reshape(b, c)).T
+    result = []
+    for acc in out:
+        ints = np.rint(acc).astype(np.int64)
+        if (ints != acc).any():
+            raise CrossingsError("pair-stream sums came out non-integral")
+        result.append(ints)
+    return result
+
+
+def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
+    """The single-block table of hook_constraint_table, (C, t) upper
+    triangles row-major, from the closed-form rows by the pair stream."""
+    a = pair_stream_forms(tables, [hook_block_matrix(tables.index.seqs)])[0]
+    iu = np.triu_indices(hook_block_dim(tables.m))
+    return a[:, iu[0], iu[1]]
+

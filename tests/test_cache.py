@@ -6,50 +6,46 @@ import numpy as np
 import pytest
 
 from crossings import cache
-from crossings.cycles import CycleIndex
 from crossings.errors import DataError
-from crossings.swapgraph import distances_from_base
 
 
-def test_q_table_roundtrip(tmp_path):
-    idx = CycleIndex(5)
-    dist = distances_from_base(idx)
-    p = cache.q_table_path(tmp_path, 5)
-    cache.write_q_table(p, 5, dist, idx.seqs)
-    assert (cache.read_q_table(p, 5) == dist).all()
+def _write_small_coeffs(path, m):
+    d = 2
+    t = d * (d + 1) // 2
+    cache.write_coeffs(
+        path, m, (d,), np.arange(5, dtype=np.uint64), np.arange(1, 6, dtype=np.uint64),
+        np.arange(5, dtype=np.uint16), np.arange(5 * t, dtype=np.int64).reshape(5, t),
+    )
 
 
-def test_q_table_rejects_wrong_m(tmp_path):
-    idx = CycleIndex(5)
-    p = cache.q_table_path(tmp_path, 5)
-    cache.write_q_table(p, 5, distances_from_base(idx), idx.seqs)
+def test_coeffs_rejects_wrong_m(tmp_path):
+    p = cache.coeffs_path(tmp_path, 5, "single")
+    _write_small_coeffs(p, 5)
     with pytest.raises(DataError):
-        cache.read_q_table(p, 6)
+        cache.read_coeffs(p, 6)
 
 
-def test_q_table_detects_corruption(tmp_path):
-    idx = CycleIndex(5)
-    p = cache.q_table_path(tmp_path, 5)
-    cache.write_q_table(p, 5, distances_from_base(idx), idx.seqs)
+def test_coeffs_detects_corruption(tmp_path):
+    p = cache.coeffs_path(tmp_path, 5, "single")
+    _write_small_coeffs(p, 5)
     raw = bytearray(p.read_bytes())
     raw[20] ^= 0xFF
     p.write_bytes(bytes(raw))
     with pytest.raises(DataError):
-        cache.read_q_table(p, 5)
+        cache.read_coeffs(p, 5)
 
 
-def test_q_table_missing_sidecar(tmp_path):
-    idx = CycleIndex(5)
-    p = cache.q_table_path(tmp_path, 5)
-    cache.write_q_table(p, 5, distances_from_base(idx), idx.seqs)
-    (tmp_path / "q_5.bin.crc32").unlink()
+def test_coeffs_missing_sidecar(tmp_path):
+    p = cache.coeffs_path(tmp_path, 5, "single")
+    _write_small_coeffs(p, 5)
+    (tmp_path / "coeffs_5_single.bin.crc32").unlink()
     with pytest.raises(DataError):
-        cache.read_q_table(p, 5)
+        cache.read_coeffs(p, 5)
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(DataError):
-        cache.read_q_table(tmp_path / "q_7.bin", 7)
+        cache.read_coeffs(cache.coeffs_path(tmp_path, 7, "single"), 7)
 
 
 def test_coeffs_roundtrip(tmp_path):

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
 
-from crossings.cli import _parse_n_values, main
+from crossings.cli import _HANDLERS, _parse_n_values, main
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +21,12 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_q_command_with_verify(store, capsys):
-    code, out, _ = run_cli(capsys, "q", "--m", "5", "--cache-dir", str(store), "--verify")
+def test_q_command_with_verify(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "q", "--m", "5", "--cache-dir", str(tmp_path), "--verify")
     assert code == 0
     assert "self-pair cost 4" in out
-    assert (store / "q_5.bin").exists()
-    code, out, _ = run_cli(capsys, "q", "--m", "5", "--cache-dir", str(store), "--verify")
-    assert code == 0 and "ok:" in out
+    assert "ok:" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_orbits_command_prints_census(store, capsys):
@@ -138,7 +138,7 @@ def test_verify_command(store, capsys):
 def test_threads_flag_sets_environment(store, capsys, monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    code, _, _ = run_cli(capsys, "q", "--m", "4", "--cache-dir", str(store), "--threads", "2")
+    code, _, _ = run_cli(capsys, "coeffs", "--m", "4", "--cache-dir", str(store), "--threads", "2")
     assert code == 0
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
@@ -146,9 +146,21 @@ def test_threads_flag_sets_environment(store, capsys, monkeypatch):
 
 def test_cache_dir_env_fallback(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CROSSING_CACHE_DIR", str(tmp_path / "envcache"))
-    code, _, _ = run_cli(capsys, "q", "--m", "4")
+    code, _, _ = run_cli(capsys, "coeffs", "--m", "4")
     assert code == 0
-    assert (tmp_path / "envcache" / "q_4.bin").exists()
+    assert (tmp_path / "envcache" / "coeffs_4_single.bin").exists()
+
+
+def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path):
+    # a cache holds only files that some command reads back: the COFA
+    # tables and their checksum sidecars
+    for command in _HANDLERS:
+        code, _, err = run_cli(capsys, command, "--m", "4", "--cache-dir", str(tmp_path))
+        assert code == 0, (command, err)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names, "no command wrote a table"
+    for name in names:
+        assert re.fullmatch(r"coeffs_4_(single|full)\.bin(\.crc32)?", name), name
 
 
 def test_parse_n_values():

@@ -8,17 +8,26 @@ from hypothesis import strategies as st
 from crossings.coeffs import (
     PairTables,
     _derive,
-    _expansion_words,
     _pattern_words,
     block_constraint_tables,
-    direct_expansion,
     hook_constraint_table,
-    monomial_to_orbit,
-    pair_stream_forms,
     poly_method,
 )
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.repsets import build_blocks, hook_block_columns, hook_block_matrix
+from crossings.repsets import build_blocks, hook_block_columns
+from crossings.tableaux import base_filling
+from oracles import (
+    _expansion_words,
+    block_rows,
+    compose_word,
+    direct_expansion,
+    hook_block_matrix,
+    monomial_to_orbit,
+    pair_stream_forms,
+    pair_stream_hook_table,
+    row_equivalent_fillings,
+    signed_column_fillings,
+)
 
 TABLES = {m: PairTables.build(m) for m in range(4, 8)}
 
@@ -81,25 +90,17 @@ def test_transpose_coherence(m):
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_hook_table_routes_agree(m):
     t = TABLES.get(m) or PairTables.build(m)
-    assert (hook_constraint_table(t, "poly") == hook_constraint_table(t, "pairs")).all()
+    assert (hook_constraint_table(t) == pair_stream_hook_table(t)).all()
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_block_table_routes_agree(m):
     t = TABLES[m]
     blocks = build_blocks(t.index)
-    poly = block_constraint_tables(t, blocks, "poly")
-    pairs = block_constraint_tables(t, blocks, "pairs")
+    poly = block_constraint_tables(t, blocks)
+    pairs = pair_stream_forms(t, [block_rows(t.index, b) for b in blocks])
     for b, x, y in zip(blocks, poly, pairs):
         assert (x == y).all(), (b.lam, b.sign)
-
-
-def test_unknown_route_rejected():
-    t = TABLES[5]
-    with pytest.raises(ArgumentError):
-        hook_constraint_table(t, "fast")
-    with pytest.raises(ArgumentError):
-        block_constraint_tables(t, build_blocks(t.index), "fast")
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -107,25 +108,26 @@ def test_diagonal_class_entries_are_gram_matrices(m):
     # the class of (c, c) pairs collects u_i(c) u_j(c) over all cycles
     t = TABLES[m]
     diag = int(t.class_ids_of_words(np.arange(1, m + 1, dtype=np.uint8)[None])[0])
-    tri = hook_constraint_table(t, "poly")
+    tri = hook_constraint_table(t)
     hooks = hook_block_matrix(t.index.seqs)
     gram = hooks @ hooks.T
     for pos, (i, j) in enumerate(tri_pairs(hooks.shape[0])):
         assert tri[diag, pos] == gram[i, j]
-    for b, a in zip(build_blocks(t.index), block_constraint_tables(t, build_blocks(t.index), "poly")):
-        assert (a[diag] == b.u @ b.u.T).all()
+    for b, a in zip(build_blocks(t.index), block_constraint_tables(t, build_blocks(t.index))):
+        rows = block_rows(t.index, b)
+        assert (a[diag] == rows @ rows.T).all()
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_forms_sum_to_zero_over_classes(m):
     # summing a class form over all classes pairs the vectors against the
     # all-ones matrix, and every hook vector is orthogonal to constants
-    tri = hook_constraint_table(TABLES[m], "poly")
+    tri = hook_constraint_table(TABLES[m])
     assert (tri.sum(axis=0) == 0).all()
 
 
 def test_m4_hook_form_frozen():
-    tri = hook_constraint_table(TABLES[4], "poly")
+    tri = hook_constraint_table(TABLES[4])
     assert tri.shape == (3, 1)
     got = {c: int(v) for c, v in enumerate(tri[:, 0]) if v}
     assert got == poly_method(((1, 4), (2,), (3,)), ((1, 4), (2,), (3,)), TABLES[4])
@@ -199,8 +201,6 @@ def test_monomial_to_orbit_examples(m):
 def test_same_monomial_same_class(m):
     # the pattern of a term pair determines its class, so the map from
     # monomials to classes is well defined
-    from crossings.tableaux import base_filling, compose_word, row_equivalent_fillings, signed_column_fillings
-
     t = TABLES[m]
     t1 = hook_block_columns(m)[0]
     lam = tuple(len(r) for r in t1)

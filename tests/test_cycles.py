@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from crossings.cycles import (
     Cycle,
-    GroupElement,
-    act,
     all_cycle_seqs,
-    canonical_form,
     canonical_keys,
     cycle_count,
     invert_seqs,
@@ -19,11 +16,16 @@ from crossings.cycles import (
     pack_keys,
     reflect_invert_seqs,
     shift_canonical_keys,
-    stabilizer_elements,
-    stabilizer_generators,
     unpack_keys,
 )
 from crossings.errors import ArgumentError
+from oracles import (
+    GroupElement,
+    act,
+    canonical_form,
+    stabilizer_elements,
+    stabilizer_generators,
+)
 
 
 def canonical_seqs(seqs):

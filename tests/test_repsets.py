@@ -23,17 +23,15 @@ from crossings.repsets import (
     build_blocks,
     hook_block_columns,
     hook_block_dim,
-    hook_block_matrix,
-    hook_block_values,
     tableau_vector_matrix,
 )
-from crossings.tableaux import (
-    base_filling,
-    block_multiplicity,
-    partitions,
+from crossings.tableaux import base_filling, block_multiplicity, partitions, standard_tableaux
+from oracles import (
+    block_rows,
+    hook_block_matrix,
+    hook_block_values,
     repset_vector,
     signed_column_fillings,
-    standard_tableaux,
 )
 
 DIMS = {
@@ -158,15 +156,17 @@ def test_block_rows_have_declared_symmetry(m):
     idx = CycleIndex(m)
     inv = idx.inverse_ids()
     for b in build_blocks(idx):
-        assert (b.u[:, inv] == b.sign * b.u).all()
+        rows = block_rows(idx, b)
+        assert (rows[:, inv] == b.sign * rows).all()
 
 
 @pytest.mark.parametrize("m", [5, 6])
 def test_blocks_are_mutually_orthogonal(m):
-    blocks = build_blocks(CycleIndex(m))
-    for i, a in enumerate(blocks):
-        for b in blocks[i + 1 :]:
-            assert not (a.u @ b.u.T).any()
+    idx = CycleIndex(m)
+    rows = [block_rows(idx, b) for b in build_blocks(idx)]
+    for i, a in enumerate(rows):
+        for b in rows[i + 1 :]:
+            assert not (a @ b.T).any()
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -242,13 +242,14 @@ def test_hook_block_spans_built_odd_block(m):
     assert blocks[0].dim == d
     mat = hook_block_matrix(idx.seqs)
     assert len(_greedy_independent(mat)) == d
-    stacked = np.vstack([mat, blocks[0].u])
+    stacked = np.vstack([mat, block_rows(idx, blocks[0])])
     assert len(_greedy_independent(stacked)) == d
 
 
-def _blocks_from_all_vectors(index: CycleIndex) -> list[Block]:
+def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]]:
     """Block construction over every tableau vector of a shape at once, then
-    one greedy scan: the selection build_blocks streams, kept as an oracle."""
+    one greedy scan: the selection build_blocks streams, kept as an oracle.
+    Each block comes with the symmetrized rows the scan selected."""
     inv_ids = index.inverse_ids()
     blocks = []
     for lam in partitions(index.m):
@@ -264,7 +265,7 @@ def _blocks_from_all_vectors(index: CycleIndex) -> list[Block]:
             cand = span + sign * span[:, inv_ids]
             sel = _greedy_independent(cand)
             if sel:
-                blocks.append(Block(lam, sign, [span_ts[i] for i in sel], cand[sel]))
+                blocks.append((Block(lam, sign, [span_ts[i] for i in sel]), cand[sel]))
     return blocks
 
 
@@ -273,10 +274,11 @@ def test_streamed_blocks_match_all_vector_selection(m):
     idx = CycleIndex(m)
     got, want = build_blocks(idx), _blocks_from_all_vectors(idx)
     assert [(b.lam, b.sign, b.tableaux) for b in got] == [
-        (b.lam, b.sign, b.tableaux) for b in want
+        (b.lam, b.sign, b.tableaux) for b, _ in want
     ]
-    for a, b in zip(got, want):
-        assert a.u.dtype == b.u.dtype and (a.u == b.u).all()
+    for a, (_, rows) in zip(got, want):
+        got_rows = block_rows(idx, a)
+        assert got_rows.dtype == rows.dtype and (got_rows == rows).all()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])

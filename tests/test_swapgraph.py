@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from crossings.cycles import Cycle, CycleIndex, all_cycle_seqs, canonical_keys, pack_keys
-from crossings.swapgraph import (
-    distances_from_base,
-    distances_from_base_unpruned,
-    neighbor_words,
-    self_cost,
-)
+from crossings.swapgraph import distances_from_base, neighbor_words, self_cost
+from oracles import distances_from_base_unpruned
 
 
 def test_neighbor_words_are_valid_and_adjacent():

@@ -11,19 +11,21 @@ from crossings.orbits import count_relabel_only_orbits
 from crossings.tableaux import (
     base_filling,
     block_multiplicity,
-    compose_word,
     conjugate,
     cyclic_tableaux,
     descent_sum,
     hook_dim,
     partitions,
     perm_sign,
+    standard_tableaux,
+)
+from oracles import (
+    compose_word,
     polytabloid,
     project_f,
     repset_vector,
     row_equivalent_fillings,
     signed_column_fillings,
-    standard_tableaux,
     tabloid_of,
     theta_apply,
 )
