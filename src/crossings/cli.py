@@ -18,19 +18,21 @@ import time
 from .errors import ArgumentError, CrossingsError, DataError
 
 
-def _add_common(p: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, with_m: bool = True, with_cache: bool = True) -> None:
     if with_m:
         p.add_argument("--m", type=int, required=True, help="cycle length")
-    p.add_argument(
-        "--cache-dir", default=None,
-        help="cache directory (default: CROSSING_CACHE_DIR or a per-user path)",
-    )
+    if with_cache:
+        p.add_argument(
+            "--cache-dir", default=None,
+            help="cache directory (default: CROSSING_CACHE_DIR or a per-user path)",
+        )
     p.add_argument("--threads", type=int, default=None, help="BLAS thread count")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-gap", type=float, default=1e-9, help="solver gap tolerance")
+def _add_solver(p: argparse.ArgumentParser, with_resume: bool = True) -> None:
     p.add_argument("--json", default=None, metavar="PATH", help="also write the result object here")
+    if with_resume:
+        p.add_argument("--resume", action="store_true", help="continue a saved cutting-plane run")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,11 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("q", help="cost table: swap distances between cycles")
-    _add_common(p)
+    _add_common(p, with_cache=False)
     p.add_argument("--verify", action="store_true", help="check the self-pair cost law")
 
     p = sub.add_parser("orbits", help="pair orbits and swap classes")
-    _add_common(p)
+    _add_common(p, with_cache=False)
+    # orbits reads no cache; the flag is still accepted, unlisted and
+    # ignored, because perfbench/run.py passes it to every command
+    p.add_argument("--cache-dir", help=argparse.SUPPRESS)
     p.add_argument("--verify", action="store_true", help="check counts against the reference census")
 
     p = sub.add_parser("coeffs", help="constraint coefficient tables for the single block")
@@ -53,14 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="optimum of the full relaxation")
     _add_common(p)
-    _add_solver(p)
+    _add_solver(p, with_resume=False)
 
     p = sub.add_parser("beta", help="optimum of the single-block relaxation")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--tol-cut", type=float, default=1e-7, help="violation scan tolerance")
-    p.add_argument("--batch", type=int, default=50, help="cuts added per round")
-    p.add_argument("--resume", action="store_true", help="continue a saved cutting-plane run")
 
     p = sub.add_parser("bounds", help="derived crossing-number bounds, CSV on stdout")
     _add_common(p, with_m=False)
@@ -75,9 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="exact certificate for the single-block optimum")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--tol-cut", type=float, default=1e-7, help="violation scan tolerance")
-    p.add_argument("--batch", type=int, default=50, help="cuts added per round")
-    p.add_argument("--resume", action="store_true", help="continue a saved cutting-plane run")
 
     p = sub.add_parser("verify", help="cross-check computed values against known-good ones")
     _add_common(p)
@@ -102,32 +101,38 @@ def _result_out(args, result: dict) -> None:
             fh.write("\n")
 
 
+def _self_pair_cost(index, dist, check: bool = True) -> int:
+    """Swap distance of the pair (base, inverted base); with check, a
+    DataError when it differs from the closed form floor((m-1)^2/4)."""
+    from .cycles import Cycle
+    from .swapgraph import self_cost
+
+    diag = int(dist[index.id_of(Cycle.base(index.m).invert())])
+    if check and diag != self_cost(index.m):
+        raise DataError(f"self-pair cost {diag} differs from the closed form {self_cost(index.m)}")
+    return diag
+
+
 def _cmd_q(args) -> int:
-    from .cycles import Cycle, CycleIndex
-    from .swapgraph import distances_from_base, self_cost
+    from .cycles import CycleIndex
+    from .swapgraph import distances_from_base
 
     index = CycleIndex(args.m)
-    dist = distances_from_base(index)
-    diag = int(dist[index.id_of(Cycle.base(args.m).invert())])
+    diag = _self_pair_cost(index, distances_from_base(index), check=args.verify)
     print(f"m={args.m}: {len(index)} cycles, self-pair cost {diag}")
     if args.verify:
-        want = self_cost(args.m)
-        if diag != want:
-            raise DataError(f"self-pair cost {diag} differs from the closed form {want}")
-        print(f"ok: self-pair cost matches floor((m-1)^2/4) = {want}")
+        print(f"ok: self-pair cost matches floor((m-1)^2/4) = {diag}")
     return 0
 
 
 def _cmd_orbits(args) -> int:
     from . import reference
     from .cycles import CycleIndex
-    from .orbits import build_pair_orbits, count_relabel_only_orbits
+    from .orbits import orbit_census
     from .swapgraph import distances_from_base
 
     index = CycleIndex(args.m)
-    orbits = build_pair_orbits(index, distances_from_base(index))
-    triple = (count_relabel_only_orbits(index), orbits.num_orbits,
-              orbits.symmetric_classes().count)
+    triple = orbit_census(index, distances_from_base(index))
     print(f"m={args.m}: {triple[0]} relabel-only orbits, {triple[1]} / {triple[2]} "
           f"pair orbits / swap classes")
     if args.verify:
@@ -156,7 +161,7 @@ def _cmd_alpha(args) -> int:
     from .relaxations import run_full
 
     started = time.monotonic()
-    out = run_full(args.m, cache_dir=args.cache_dir, tol=args.tol_gap)
+    out = run_full(args.m, cache_dir=args.cache_dir)
     result = {
         "m": args.m,
         "alpha": out.value,
@@ -186,10 +191,7 @@ def _run_single(args):
         }
         print(json.dumps(line), file=sys.stderr, flush=True)
 
-    return run_single(
-        args.m, cache_dir=args.cache_dir, tol=args.tol_gap, tol_cut=args.tol_cut,
-        batch=args.batch, resume=args.resume, progress=progress,
-    )
+    return run_single(args.m, cache_dir=args.cache_dir, resume=args.resume, progress=progress)
 
 
 def _cmd_beta(args) -> int:
@@ -279,22 +281,17 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     from . import cache, reference
     from .bounds import exact
-    from .cycles import Cycle, CycleIndex
-    from .orbits import build_pair_orbits, count_relabel_only_orbits
-    from .swapgraph import distances_from_base, self_cost
+    from .cycles import CycleIndex
+    from .orbits import orbit_census
+    from .swapgraph import distances_from_base
 
     m = args.m
     cd = cache.resolve_cache_dir(args.cache_dir)
     index = CycleIndex(m)
     dist = distances_from_base(index)
-    diag = int(dist[index.id_of(Cycle.base(m).invert())])
-    if diag != self_cost(m):
-        raise DataError(f"self-pair cost {diag} differs from the closed form {self_cost(m)}")
-    print(f"ok: self-pair cost {diag}")
+    print(f"ok: self-pair cost {_self_pair_cost(index, dist)}")
 
-    orbits = build_pair_orbits(index, dist)
-    triple = (count_relabel_only_orbits(index), orbits.num_orbits,
-              orbits.symmetric_classes().count)
+    triple = orbit_census(index, dist)
     want = reference.CENSUS.get(m)
     if want is not None:
         if triple != want:

@@ -30,10 +30,6 @@ class SolverError(CrossingsError):
 
     exit_code = 5
 
-    def __init__(self, message: str, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
 
 class DataError(CrossingsError):
     """Corrupt or mismatched cache file (bad magic, version, checksum)."""

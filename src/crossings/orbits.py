@@ -89,7 +89,6 @@ class PairOrbits:
         class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, self.partner))
         return SymmetricClasses(
             rep_orbits=rep_orbits,
-            other_orbits=self.partner[rep_orbits],
             sizes=sizes,
             q=self.q[rep_orbits],
             class_of_orbit=class_of_orbit,
@@ -101,7 +100,6 @@ class SymmetricClasses:
     """Classes of the pair-swap involution on orbits, the constraint index set."""
 
     rep_orbits: np.ndarray  # (C,) orbit id of the smaller member
-    other_orbits: np.ndarray  # (C,) orbit id of the partner (== rep when self-paired)
     sizes: np.ndarray  # (C,) u64, total pairs covered by the class
     q: np.ndarray  # (C,) u16
     class_of_orbit: np.ndarray  # (R,) class index of every orbit

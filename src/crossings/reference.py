@@ -88,11 +88,3 @@ LIFTED_COEFFS = {
 
 # balanced bounds ceil(g n^2 / 2 - B n) at n = level
 BALANCED_BOUNDS = {10: 388, 11: 589, 12: 865, 13: 1229}
-
-# rank-one factors of the optimal single-block dual at odd cycle lengths
-RANK_ONE_FACTORS = {
-    5: (0.5477225575051661, 0.3385111569432115),
-    7: (0.9241589976025947, 0.7763005370264053, 0.46693002673905953),
-    9: (1.300774920542659, 1.1370941601767157, 0.9514402546468679,
-        0.6237302263556502),
-}

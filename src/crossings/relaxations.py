@@ -15,7 +15,10 @@ keeps the distinguished hook block, the full one every block.  One
 cutting-plane loop serves both.  It solves restricted instances, scans
 every class for violated columns, adds the worst offenders, and repeats
 until the scan comes back clean.  The scan result is advisory; soundness
-rests on the certificate alone.
+rests on the certificate alone.  The first restricted instance holds only
+class 0, the class of the equal pairs (sigma, sigma), which comes first
+because the base word has the smallest canonical key; its blocks are
+positive definite, so it anchors a strictly feasible start in every round.
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ from .coeffs import PairTables, block_constraint_tables, hook_constraint_table
 from .errors import ArgumentError, DataError, ResourceError, SolverError
 from .repsets import build_blocks, hook_block_dim
 from .sdp import polish_dual, solve_bound_problem
+
+# The cutting loop stops once no class is violated by more than _TOL_CUT
+# per element, adds at most _BATCH classes per round, and gives up after
+# _MAX_ROUNDS rounds.  The certificate rounds dual eigenpairs to _BITS
+# binary places.  The certificate is sound for any of these values; they
+# only decide how sharp it is and how long the run takes.
+_TOL_CUT = 1e-7
+_BATCH = 50
+_MAX_ROUNDS = 200
+_BITS = 48
 
 
 @dataclass
@@ -75,7 +88,6 @@ class RelaxationOutcome:
     class_count: int
     rounds: list[RoundRecord] = field(default_factory=list)
     y: list[np.ndarray] = field(default_factory=list)
-    x: np.ndarray | None = None
     active: np.ndarray | None = None
 
     @property
@@ -145,27 +157,14 @@ def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
 # -- instance assembly -------------------------------------------------------
 
 
-def _anchor_index(qs: np.ndarray, mats: list[np.ndarray]) -> int:
-    """A class whose blocks are all positive definite anchors the strictly
-    feasible start; the class of equal-component pairs is one such, and it
-    sits at maximal cost, so the search from the top ends immediately."""
-    order = np.lexsort((np.arange(qs.size), -qs))
-    for idx in order[:10000]:
-        try:
-            for mat in mats:
-                np.linalg.cholesky(mat[idx])
-        except np.linalg.LinAlgError:
-            continue
-        return int(idx)
-    raise SolverError("no positive definite class block found for the start")
-
-
-def _strict_start(mats: list[np.ndarray], sizes: np.ndarray, anchor: int) -> np.ndarray:
+def _strict_start(mats: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
+    """Strictly feasible start weighted toward the first column, which must
+    be class 0: its blocks are positive definite (see _relax)."""
     base = sizes.astype(np.float64)
     base /= base.sum()
     for eps in (0.5, 0.1, 0.01, 1e-3, 1e-4):
         x0 = eps * base
-        x0[anchor] += 1.0 - eps
+        x0[0] += 1.0 - eps
         try:
             for mat in mats:
                 np.linalg.cholesky(np.tensordot(x0, mat, axes=([0], [0])))
@@ -204,24 +203,23 @@ def scan_violations(
     sizes: np.ndarray,
     qs: np.ndarray,
     tri: np.ndarray,
-    top: int = 50,
 ) -> tuple[float, np.ndarray]:
-    """Worst per-element violation over all classes and the ids of the top
-    offenders, worst first, ties broken toward the smaller id."""
+    """Worst per-element violation over all classes and the ids of the
+    _BATCH worst offenders, worst first, ties broken toward the smaller id."""
     v = -class_slacks(ys, dims, t, sizes, qs, tri)
     order = np.lexsort((np.arange(v.size), -v))
-    picked = order[: max(top, 1)]
+    picked = order[:_BATCH]
     return float(v.max()), picked[v[picked] > 0].astype(np.int64)
 
 
 # -- exact certification -----------------------------------------------------
 
 
-def _dyadic_numerator(y: np.ndarray, bits: int) -> np.ndarray:
-    """Integer N with N / 2^(3 bits) an exactly PSD rounding of y: each
+def _dyadic_numerator(y: np.ndarray) -> np.ndarray:
+    """Integer N with N / 2^(3 _BITS) an exactly PSD rounding of y: each
     retained eigenpair is rounded to dyadic rationals and re-expanded, so N
     is a nonnegative-integer combination of integer rank-one terms."""
-    scale = 1 << bits
+    scale = 1 << _BITS
     vals, vecs = np.linalg.eigh(np.asarray(y, dtype=np.float64))
     n_mat = np.zeros(y.shape, dtype=object)
     for lam, w in zip(vals, vecs.T):
@@ -252,12 +250,11 @@ def certify(
     sizes: np.ndarray,
     qs: np.ndarray,
     tri: np.ndarray,
-    bits: int = 48,
 ) -> Certificate:
     """Exact lower bound certificate from near-optimal dual blocks, one per
     entry of dims, priced against the packed integer triangles."""
-    numerators = [_dyadic_numerator(y, bits) for y in ys]
-    denom = 1 << (3 * bits)
+    numerators = [_dyadic_numerator(y) for y in ys]
+    denom = 1 << (3 * _BITS)
     nvec = []
     for n_mat, d in zip(numerators, dims):
         iu = np.triu_indices(d)
@@ -285,12 +282,12 @@ def exactly_psd(numerator: np.ndarray) -> bool:
     return True
 
 
-def rank_report(y: np.ndarray, tol: float = 1e-6) -> tuple[int, np.ndarray | None]:
-    """Numerical rank of an optimal dual block, and for rank one the
-    vector v with y = 2 v v^T; the factor two mirrors the ordered-pair
-    counting in the class forms."""
+def rank_report(y: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """Numerical rank of an optimal dual block (eigenvalues above 1e-6 of
+    the largest), and for rank one the vector v with y = 2 v v^T; the
+    factor two mirrors the ordered-pair counting in the class forms."""
     vals, vecs = np.linalg.eigh(np.asarray(y, dtype=np.float64))
-    rank = int((vals > tol * max(vals[-1], 0.0)).sum())
+    rank = int((vals > 1e-6 * max(vals[-1], 0.0)).sum())
     if rank != 1:
         return rank, None
     v = vecs[:, -1] * np.sqrt(vals[-1] / 2.0)
@@ -302,9 +299,9 @@ def rank_report(y: np.ndarray, tol: float = 1e-6) -> tuple[int, np.ndarray | Non
 # -- driver ------------------------------------------------------------------
 
 
-def _solve_polished(n, c, mats, x0, tol):
+def _solve_polished(n, c, mats, x0):
     try:
-        sol = solve_bound_problem(n, c, mats, x0, tol=tol)
+        sol = solve_bound_problem(n, c, mats, x0)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"factorization failed inside the solver: {exc}") from exc
     t_pol, y_pol = polish_dual(n, c, mats, sol.y, x=sol.x)
@@ -312,16 +309,7 @@ def _solve_polished(n, c, mats, x0, tol):
 
 
 def _relax(
-    m: int,
-    kind: str,
-    cache_dir=None,
-    tol: float = 1e-9,
-    tol_cut: float = 1e-7,
-    batch: int = 50,
-    max_rounds: int = 200,
-    resume: bool = False,
-    bits: int = 48,
-    progress=None,
+    m: int, kind: str, cache_dir=None, resume: bool = False, progress=None
 ) -> RelaxationOutcome:
     """Certified optimum of one relaxation by the cutting-plane loop.
 
@@ -329,13 +317,18 @@ def _relax(
     every class against the polished dual, and adds the worst offenders;
     the state after each round is saved as cuts_<m>_<kind>.json, so a run
     stopped by its round budget can resume.  progress, when given,
-    receives one RoundRecord per round as it completes."""
+    receives one RoundRecord per round as it completes.
+
+    Class 0 is always active and anchors the strictly feasible start.  It
+    is the class of the equal pairs (sigma, sigma): the base word has the
+    smallest canonical key, so its orbit and class come first.  Each of its
+    blocks is U U^T over linearly independent rows U, hence positive
+    definite, so weighting the start toward it puts every block sum inside
+    the cone."""
     dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir)
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
-    mats_all = split_triangles(tri, dims)
-    anchor = _anchor_index(qs, [mat / fsizes[:, None, None] for mat in mats_all])
-    active = [anchor]
+    active = [0]
     state_file = cache.resolve_cache_dir(cache_dir) / f"cuts_{m}_{kind}.json"
     if resume and state_file.exists():
         try:
@@ -346,18 +339,17 @@ def _relax(
             raise DataError(f"unreadable cutting-plane state: {state_file}")
         if saved.get("m") == m and saved.get("active"):
             active = [int(i) for i in saved["active"]]
-            if anchor not in active:
-                active.insert(0, anchor)
+            if 0 not in active:
+                active.insert(0, 0)
 
     rounds: list[RoundRecord] = []
-    streaks: dict[int, int] = {}
-    for rnd in range(1, max_rounds + 1):
+    for rnd in range(1, _MAX_ROUNDS + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
-        sub = [mat[ids] / fsizes[ids, None, None] for mat in mats_all]
-        x0 = _strict_start(sub, sizes[ids], int(np.searchsorted(ids, anchor)))
-        sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0, tol)
-        maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri, top=batch)
+        sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
+        x0 = _strict_start(sub, sizes[ids])
+        sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0)
+        maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri)
         rec = RoundRecord(rnd, ids.size, t_pol,
                           maxv, int(offenders[0]) if offenders.size else -1,
                           (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
@@ -366,31 +358,19 @@ def _relax(
             progress(rec)
         cache._publish(state_file, json.dumps(
             {"m": m, "round": rnd, "active": sorted(active)}).encode())
-        if maxv <= tol_cut:
+        if maxv <= _TOL_CUT:
             break
-        # dual multipliers of the cuts are the primal weights; cuts that
-        # stay slack and weightless for five rounds get dropped
-        slacks_here = class_slacks(y_pol, dims, t_pol, fsizes, c, tri)
-        xmax = sol.x.max()
-        for pos, cls in enumerate(ids):
-            cls = int(cls)
-            if cls != anchor and sol.x[pos] < 1e-12 * xmax and slacks_here[cls] > 10 * tol_cut:
-                streaks[cls] = streaks.get(cls, 0) + 1
-            else:
-                streaks.pop(cls, None)
-        drop = {cls for cls, k in streaks.items() if k >= 5}
-        active = [cls for cls in active if cls not in drop]
         known = set(active)
         active.extend(int(i) for i in offenders if int(i) not in known)
     else:
-        raise SolverError(f"cutting-plane loop did not settle in {max_rounds} rounds")
+        raise SolverError(f"cutting-plane loop did not settle in {_MAX_ROUNDS} rounds")
 
-    cert = certify(y_pol, dims, sizes, qs, tri, bits)
+    cert = certify(y_pol, dims, sizes, qs, tri)
     state_file.unlink(missing_ok=True)
     return RelaxationOutcome(
         m=m, kind=kind, value=float(class_slacks(y_pol, dims, 0.0, fsizes, c, tri).min()),
         raw=sol.t, certificate=cert, class_count=len(qs),
-        rounds=rounds, y=y_pol, x=sol.x, active=ids,
+        rounds=rounds, y=y_pol, active=ids,
     )
 
 

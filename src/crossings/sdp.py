@@ -49,6 +49,11 @@ _REFINE_STEPS = 1
 # Iterations the merit may go without a new best, once it is below 1e3,
 # before the solve stops and returns its best iterate.
 _PATIENCE = 4
+_MAX_ITER = 100
+# polish_dual keeps the eigenvalues above _RANK_TOL times the largest over
+# all blocks and refines the columns with slack at most _TIGHT_TOL (1 + max|c|).
+_RANK_TOL = 1e-6
+_TIGHT_TOL = 1e-4
 
 
 @dataclass
@@ -142,7 +147,6 @@ def solve_bound_problem(
     blocks: list[np.ndarray],
     x0: np.ndarray,
     tol: float = 1e-9,
-    max_iter: int = 100,
 ) -> ConicSolution:
     """Solve one relaxation instance to relative tolerance tol.
 
@@ -158,9 +162,10 @@ def solve_bound_problem(
     max|rd| / (10 tol (1 + max|c|))), whose value at most 1 is that test,
     has fallen below 1e3 and then gone _PATIENCE iterations without a new
     best, or when neither step length clears 1e-10; it is "max_iter" when
-    the budget runs out.  Unless optimal, the solve returns the iterate of
-    smallest merit, not the last one.  iterations counts the iterations
-    that ran, and history holds one IterationRecord per iteration.
+    _MAX_ITER iterations run out.  Unless optimal, the solve returns the
+    iterate of smallest merit, not the last one.  iterations counts the
+    iterations that ran, and history holds one IterationRecord per
+    iteration.
     """
     n = np.asarray(n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -199,7 +204,7 @@ def solve_bound_problem(
     history: list[IterationRecord] = []
     best_merit, best, since_best = np.inf, None, 0
     status, it = "max_iter", 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         rp = 1.0 - n @ x
         rd = c - n * t - adjoint(y) - s
         rd_max = float(np.abs(rd).max())
@@ -382,8 +387,6 @@ def polish_dual(
     blocks: list[np.ndarray],
     y: list[np.ndarray],
     x: np.ndarray | None = None,
-    rank_tol: float = 1e-6,
-    tight_tol: float = 1e-4,
 ) -> tuple[float, list[np.ndarray]]:
     """Refine a near-optimal dual point onto its active face.
 
@@ -391,7 +394,7 @@ def polish_dual(
     is not.  Factoring each block as B B^T at its apparent rank and running
     Gauss-Newton on the nearly tight columns drives the active slacks to
     roundoff, after which the worst slack over every column prices the
-    refined point.  The apparent rank counts eigenvalues above rank_tol
+    refined point.  The apparent rank counts eigenvalues above _RANK_TOL
     times the largest eigenvalue over all blocks, not the block's own: a
     block that is zero at the optimum ends the solve holding only
     interior-point residue, and judged against itself that residue would
@@ -406,7 +409,7 @@ def polish_dual(
     t_in = feasible_value(n, c, stacks, y)
 
     spectra = [np.linalg.eigh(np.asarray(ym, dtype=np.float64)) for ym in y]
-    cut = rank_tol * max(max(vals[-1] for vals, _ in spectra), 0.0)
+    cut = _RANK_TOL * max(max(vals[-1] for vals, _ in spectra), 0.0)
     factors = []
     for vals, vecs_ in spectra:
         keep = vals > cut
@@ -423,7 +426,7 @@ def polish_dual(
             adj += b.reshape(cols, -1) @ (f @ f.T).ravel()
         return c - n * t - adj
 
-    active = slacks(factors, t_in) <= tight_tol * scale
+    active = slacks(factors, t_in) <= _TIGHT_TOL * scale
     if x is not None:
         # degenerate columns sit with both x and slack small; the primal
         # support resolves what the slacks alone cannot

@@ -21,16 +21,24 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_q_command_with_verify(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "q", "--m", "5", "--cache-dir", str(tmp_path), "--verify")
+def test_q_command_with_verify(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CROSSING_CACHE_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "q", "--m", "5", "--verify")
     assert code == 0
     assert "self-pair cost 4" in out
     assert "ok:" in out
     assert list(tmp_path.iterdir()) == []
 
 
-def test_orbits_command_prints_census(store, capsys):
-    code, out, _ = run_cli(capsys, "orbits", "--m", "6", "--cache-dir", str(store), "--verify")
+def test_q_refuses_cache_dir(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["q", "--m", "4", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+
+
+def test_orbits_command_prints_census(capsys):
+    code, out, _ = run_cli(capsys, "orbits", "--m", "6", "--verify")
     assert code == 0
     assert "20 / 17" in out
     assert "ok: census matches the reference" in out
@@ -151,11 +159,16 @@ def test_cache_dir_env_fallback(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "envcache" / "coeffs_4_single.bin").exists()
 
 
-def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path):
+def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path, monkeypatch):
     # a cache holds only files that some command reads back: the COFA
-    # tables and their checksum sidecars
+    # tables and their checksum sidecars; q takes no --cache-dir, so it
+    # gets the same directory through the environment
+    monkeypatch.setenv("CROSSING_CACHE_DIR", str(tmp_path))
     for command in _HANDLERS:
-        code, _, err = run_cli(capsys, command, "--m", "4", "--cache-dir", str(tmp_path))
+        argv = [command, "--m", "4"]
+        if command != "q":
+            argv += ["--cache-dir", str(tmp_path)]
+        code, _, err = run_cli(capsys, *argv)
         assert code == 0, (command, err)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names, "no command wrote a table"

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossings import relaxations
 from crossings.errors import ArgumentError, DataError, ResourceError, SolverError
 from crossings.relaxations import (
-    _anchor_index,
     _strict_start,
     certify,
     class_slacks,
@@ -26,6 +26,7 @@ from crossings.relaxations import (
     split_triangles,
 )
 from crossings.sdp import polish_dual, solve_bound_problem
+from crossings.swapgraph import self_cost
 
 # independently frozen optimum values, ten decimals
 SINGLE_OPT = {4: 1.0, 5: 1.9270509831, 6: 2.9519183588, 7: 4.3107391257, 8: 5.8284271247}
@@ -80,9 +81,9 @@ def test_full_m5_restricted_solve_converges_quickly(store, full_runs):
     fs, c = sizes.astype(float), qs.astype(float)
     mats = [mat / fs[:, None, None] for mat in split_triangles(tri, dims)]
     ids = full_runs[5].active
+    assert ids[0] == 0
     sub = [mat[ids] for mat in mats]
-    anchor = int(np.searchsorted(ids, _anchor_index(qs, mats)))
-    x0 = _strict_start(sub, sizes[ids], anchor)
+    x0 = _strict_start(sub, sizes[ids])
     sol = solve_bound_problem(np.ones(ids.size), c[ids], sub, x0, tol=1e-9)
     assert sol.optimal
     assert sol.iterations <= 20
@@ -103,13 +104,25 @@ def test_argument_guards():
         coeff_tables(10, "full")
 
 
+@pytest.mark.parametrize("kind,levels", [("single", range(4, 10)), ("full", range(4, 8))])
+def test_class_zero_anchors_the_start(store, kind, levels):
+    # the driver starts from class 0 alone: the equal pairs (sigma, sigma),
+    # alone at the largest cost, with every block positive definite
+    for m in levels:
+        dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir=store)
+        assert qs[0] == self_cost(m) == qs.max()
+        assert (qs == qs[0]).sum() == 1
+        for mat in split_triangles(tri[:1], dims):
+            np.linalg.cholesky(mat[0])
+
+
 def direct_solve(m, store):
     """Reference optimum over all classes at once: one solve and polish of
     the whole instance, certified like the cutting loop's last round."""
     dims, sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
     fs, c = sizes.astype(float), qs.astype(float)
     mats = [mat / fs[:, None, None] for mat in split_triangles(tri, dims)]
-    x0 = _strict_start(mats, sizes, _anchor_index(qs, mats))
+    x0 = _strict_start(mats, sizes)
     sol = solve_bound_problem(np.ones(len(qs)), c, mats, x0, tol=1e-9)
     _, y = polish_dual(np.ones(len(qs)), c, mats, sol.y, x=sol.x)
     value = float(class_slacks(y, dims, 0.0, fs, c, tri).min())
@@ -122,7 +135,7 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
         assert single_runs[m].value == pytest.approx(value, abs=1e-8)
         assert single_runs[m].certificate.bound == pytest.approx(cert.bound, abs=1e-8)
     seen = []
-    out = run_single(5, cache_dir=store, batch=2, progress=seen.append)
+    out = run_single(5, cache_dir=store, progress=seen.append)
     value, cert = direct[5]
     assert out.value == pytest.approx(value, abs=1e-8)
     assert out.certificate.bound == pytest.approx(cert.bound, abs=1e-8)
@@ -136,18 +149,20 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
     assert out.rounds[0].active < CLASS_COUNTS[5]
 
 
-def test_cutting_loop_resume_after_round_budget(store):
-    with pytest.raises(SolverError):
-        run_single(6, cache_dir=store, batch=1, max_rounds=1)
+def test_cutting_loop_resume_after_round_budget(store, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(relaxations, "_MAX_ROUNDS", 1)
+        with pytest.raises(SolverError):
+            run_single(6, cache_dir=store)
     state = store / "cuts_6_single.json"
     assert state.exists()
-    out = run_single(6, cache_dir=store, batch=1, resume=True)
+    out = run_single(6, cache_dir=store, resume=True)
     assert out.value == pytest.approx(SINGLE_OPT[6], abs=1e-8)
     assert not state.exists()
 
 
 def test_truncated_cut_state_is_refused_by_name(store):
-    out = run_single(6, cache_dir=store, batch=1)
+    out = run_single(6, cache_dir=store)
     assert len(out.rounds) >= 2
     assert not list(store.glob("*.tmp"))
     state = store / "cuts_6_single.json"
