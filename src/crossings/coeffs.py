@@ -16,8 +16,10 @@ sorting and summing int64 coefficients, and every step refuses to run if a
 coefficient could leave +-2**62.  The row cascade of one tableau is held
 whole (it stays small); the column cascade is streamed over batches of row
 monomials and each batch is reduced to class sums at once, so the final
-patterns never all exist together.  A final pattern is a cycle word, and
-its class is read from a per-cycle class table by one lookup.
+patterns never all exist together.  A final pattern is a cycle word whose
+column nibbles are the positions of its values, so its cycle id is ranked
+from them directly (cycles.ids_of_positions, no word is built) and its
+class read from the per-cycle class table.
 
 Blocks built from inversion-symmetrized rows w +- (w o eta) reduce to the
 raw tableau forms: eta flips one pair component, which descends to an
@@ -29,11 +31,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial, prod
 
 import numpy as np
 
-from .cycles import CycleIndex, invert_seqs
+from .cycles import CycleIndex, ids_of_positions, invert_seqs
 from .errors import ArgumentError, CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
 from .repsets import Block, hook_block_columns
@@ -141,17 +144,29 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return _merge(cells, np.multiply.outer(xa, xb).ravel())
 
 
+def _frozen(poly: Poly) -> Poly:
+    """Mark a memoized polynomial read-only, so no caller can alter the cache."""
+    for arr in poly:
+        arr.flags.writeable = False
+    return poly
+
+
+@lru_cache(maxsize=None)
 def _det_poly(k: int) -> Poly:
+    """The k x k determinant; memoized, so its arrays are read-only."""
     base = tuple(range(1, k + 1))
     perms = list(itertools.permutations(base))
     cells = np.array([[16 * i + p - 1 for i, p in enumerate(perm)] for perm in perms],
                      dtype=np.uint8)
     signs = np.array([perm_sign(base, perm) for perm in perms], dtype=np.int64)
-    return cells, signs
+    return _frozen((cells, signs))
 
 
+@lru_cache(maxsize=None)
 def _shape_poly(lam: tuple[int, ...]) -> Poly:
-    """The shape polynomial: product of leading-minor determinant powers."""
+    """The shape polynomial: product of leading-minor determinant powers.
+
+    Memoized per shape, so its arrays are read-only."""
     poly = (np.zeros((1, 0), dtype=np.uint8), np.ones(1, dtype=np.int64))
     for k in range(1, len(lam) + 1):
         power = lam[k - 1] - (lam[k] if k < len(lam) else 0)
@@ -163,7 +178,7 @@ def _shape_poly(lam: tuple[int, ...]) -> Poly:
         const = factorial(k) ** power
         _check_range(_max_abs(poly[1]) * const)
         poly = (poly[0], poly[1] * const)
-    return poly
+    return _frozen(poly)
 
 
 def _derive(poly: Poly, src: int, dst: int, on_rows: bool) -> Poly:
@@ -219,20 +234,20 @@ def poly_method(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, int]:
     return {int(c): int(v) for c, v in enumerate(acc) if v}
 
 
-def _pattern_words(cells: np.ndarray, m: int) -> np.ndarray:
-    """Cycle words of final monomials, each of which must be a permutation
-    pattern: row a to column c means the word reads a at position c."""
-    rows, cols = cells >> 4, cells & 15
-    seen = np.bitwise_or.reduce(np.left_shift(1, cols, dtype=np.uint32), axis=1)
+def _pattern_ids(cells: np.ndarray, m: int) -> np.ndarray:
+    """Cycle ids of final monomials, each of which must be a permutation
+    pattern: row a to column c means the word reads a at position c, so the
+    columns of the sorted cells are the positions of the values 1..m."""
+    pats = np.ascontiguousarray(cells.T)  # one monomial per column
+    pos = pats & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, pos, dtype=np.uint32), axis=0)
     if (
-        cells.shape[1] != m
-        or (rows != np.arange(m, dtype=np.uint8)).any()
+        pats.shape[0] != m
+        or (pats >> 4 != np.arange(m, dtype=np.uint8)[:, None]).any()
         or (seen != (1 << m) - 1).any()
     ):
         raise CrossingsError("operator expansion ended on a non-permutation monomial")
-    words = np.empty(cells.shape, dtype=np.uint8)
-    np.put_along_axis(words, cols.astype(np.intp), rows + 1, axis=1)
-    return words
+    return ids_of_positions(pos)
 
 
 def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
@@ -254,7 +269,7 @@ def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
         done = _cascade((cells[lo : lo + step], coeffs[lo : lo + step]), t2, m, on_rows=False)
         bound += _max_abs(done[1]) * done[1].size
         _check_range(bound)
-        np.add.at(acc, tables.class_ids_of_words(_pattern_words(done[0], m)), done[1])
+        np.add.at(acc, tables.class_of_cycle[_pattern_ids(done[0], m)], done[1])
     return acc
 
 

@@ -22,6 +22,12 @@ inverses are (v[p] - v[p - j]) mod m.  One kernel builds all 2m of them for
 a chunk of words from windows of the doubled word, packs each into a u64 key
 (nibble pairs to bytes, read big-endian, the same packing every key in the
 package uses) and keeps the smallest.
+
+A cycle's id is the lexicographic rank of its anchored word, and it is
+computed, not looked up: from the position of each value in any rotation of
+the word, one kernel anchors the positions at the value 1 and sums the
+Lehmer code of the anchored word against factorial weights.  No table of
+words or keys is searched.
 """
 
 from __future__ import annotations
@@ -148,14 +154,6 @@ def unpack_keys(keys: np.ndarray, m: int) -> np.ndarray:
     return out[..., :m] + np.uint8(1)
 
 
-def normalize_words(words: np.ndarray) -> np.ndarray:
-    """Rotate each row of an (N, m) word array so the 1 entry leads."""
-    m = words.shape[-1]
-    pos1 = np.argmax(words == 1, axis=-1)
-    idx = (pos1[..., None] + np.arange(m)) % m
-    return np.take_along_axis(words, idx, axis=-1)
-
-
 def invert_seqs(seqs: np.ndarray) -> np.ndarray:
     """Words of the inverse cycles; stays anchored since entry 0 is fixed."""
     return np.concatenate([seqs[..., :1], seqs[..., :0:-1]], axis=-1)
@@ -240,30 +238,69 @@ def cycle_count(m: int) -> int:
     return factorial(m - 1)
 
 
+# Columns per chunk of the rank kernel.  Its temporaries take about 12m
+# bytes per column (2 MB a chunk at m = 10), so they stay small beside a
+# whole-table input.
+_RANK_CHUNK = 1 << 14
+
+# k! for k < MAX_M; a rank is below (MAX_M - 1)! < 2**63, so int64 is exact.
+_FACTORIALS = np.array([factorial(k) for k in range(MAX_M)], dtype=np.int64)
+
+
+def ids_of_positions(pos: np.ndarray) -> np.ndarray:
+    """Cycle ids from value positions, one word per column, as (B,) int64.
+
+    pos[v, i] is the position of value v + 1 in word i, which may be any
+    rotation of an anchored word.  Anchoring at the value 1 gives
+    q_v = (pos_v - pos_0) mod m, the position of value v + 1 in the
+    anchored word, and its lexicographic rank among the (m-1)! anchored
+    words is the Lehmer code sum over v of #{u < v : q_u > q_v} times
+    (m - 1 - q_v)!: the smaller values that come later, weighted by the
+    number of words sharing the prefix up to q_v.
+    """
+    m, n = pos.shape
+    weight = _FACTORIALS[m - 1::-1]  # weight[q] = (m - 1 - q)!
+    ids = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _RANK_CHUNK):
+        # int16, since a uint8 difference would wrap mod 256, not mod m; C
+        # order, since a transposed input would make every row strided
+        q = pos[:, lo:lo + _RANK_CHUNK].astype(np.int16, order="C")
+        q -= q[0].copy()
+        q += np.int16(m) * (q < 0)
+        at = q.astype(np.intp)  # gather index, converted once, not per value
+        acc = np.zeros(q.shape[1], dtype=np.int64)
+        for v in range(1, m):
+            # the count is below 16, so it sums in uint8
+            acc += (q[:v] > q[v]).sum(axis=0, dtype=np.uint8) * weight[at[v]]
+        ids[lo:lo + q.shape[1]] = acc
+    return ids
+
+
 class CycleIndex:
     """Lex-ordered table of all (m-1)! anchored words with word -> id lookup.
 
-    Cycle ids used across the package are row positions in this table, which
-    coincide with lexicographic rank because the packed keys are increasing.
+    Cycle ids used across the package are row positions in this table, that
+    is the lexicographic rank of the anchored word; a word's id is computed
+    as that rank by ids_of_positions, not searched for.
     """
 
     def __init__(self, m: int):
         _check_m(m)
         self.m = m
         self.seqs = all_cycle_seqs(m)
-        self.keys = pack_keys(self.seqs)
         self._inverse_ids: np.ndarray | None = None
         self._stabilizer_orbits: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.seqs.shape[0]
 
-    def id_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.keys, keys)
-
     def id_of_words(self, words: np.ndarray) -> np.ndarray:
         """Ids for rows that may be arbitrary rotations of anchored words."""
-        return self.id_of_keys(pack_keys(normalize_words(np.asarray(words, dtype=np.uint8))))
+        words = np.asarray(words, dtype=np.uint8)
+        rows = words.reshape(-1, self.m)
+        pos = np.empty((self.m, rows.shape[0]), dtype=np.uint8)
+        pos[rows.T - 1, np.arange(rows.shape[0])] = np.arange(self.m, dtype=np.uint8)[:, None]
+        return ids_of_positions(pos).reshape(words.shape[:-1])
 
     def id_of(self, c: Cycle) -> int:
         return int(self.id_of_words(np.array([c.seq], dtype=np.uint8))[0])
@@ -283,5 +320,5 @@ class CycleIndex:
     def inverse_ids(self) -> np.ndarray:
         """Permutation of ids sending each cycle to its inverse (an involution)."""
         if self._inverse_ids is None:
-            self._inverse_ids = self.id_of_keys(pack_keys(invert_seqs(self.seqs)))
+            self._inverse_ids = self.id_of_words(invert_seqs(self.seqs))
         return self._inverse_ids

@@ -24,7 +24,6 @@ from .cycles import (
     CycleIndex,
     canonical_keys,
     invert_seqs,
-    pack_keys,
     reflect_invert_seqs,
     shift_canonical_keys,
     unpack_keys,
@@ -125,7 +124,7 @@ def build_pair_orbits(index: CycleIndex, dist_from_base: np.ndarray) -> PairOrbi
     rep_keys, orbit_of = index.stabilizer_orbits()
     counts = np.bincount(orbit_of, minlength=rep_keys.size)
     rep_seqs = unpack_keys(rep_keys, m)
-    q = dist_from_base[index.id_of_keys(pack_keys(invert_seqs(rep_seqs)))].astype(np.uint16)
+    q = dist_from_base[index.id_of_words(invert_seqs(rep_seqs))].astype(np.uint16)
     partner_keys = canonical_keys(swap_partner_words(rep_seqs))
     partner = np.searchsorted(rep_keys, partner_keys).astype(np.int64)
     return PairOrbits(

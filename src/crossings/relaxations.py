@@ -315,9 +315,12 @@ def _relax(
 
     Each round solves the instance restricted to the active classes, scans
     every class against the polished dual, and adds the worst offenders;
-    the state after each round is saved as cuts_<m>_<kind>.json, so a run
-    stopped by its round budget can resume.  progress, when given,
-    receives one RoundRecord per round as it completes.
+    after each round that adds offenders, the round number and the active
+    set of the next round are saved as cuts_<m>_<kind>.json, so a run
+    stopped by its round budget can resume with the next round, numbered
+    on from the saved one.  The budget counts the rounds of one call.
+    progress, when given, receives one RoundRecord per round as it
+    completes.
 
     Class 0 is always active and anchors the strictly feasible start.  It
     is the class of the equal pairs (sigma, sigma): the base word has the
@@ -329,6 +332,7 @@ def _relax(
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
     active = [0]
+    done = 0  # rounds finished before this call
     state_file = cache.resolve_cache_dir(cache_dir) / f"cuts_{m}_{kind}.json"
     if resume and state_file.exists():
         try:
@@ -341,9 +345,12 @@ def _relax(
             active = [int(i) for i in saved["active"]]
             if 0 not in active:
                 active.insert(0, 0)
+            done = saved.get("round", 0)
+            if type(done) is not int or done < 0:
+                raise DataError(f"unreadable cutting-plane state: {state_file}")
 
     rounds: list[RoundRecord] = []
-    for rnd in range(1, _MAX_ROUNDS + 1):
+    for rnd in range(done + 1, done + _MAX_ROUNDS + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
         sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
@@ -356,12 +363,12 @@ def _relax(
         rounds.append(rec)
         if progress is not None:
             progress(rec)
-        cache._publish(state_file, json.dumps(
-            {"m": m, "round": rnd, "active": sorted(active)}).encode())
         if maxv <= _TOL_CUT:
             break
         known = set(active)
         active.extend(int(i) for i in offenders if int(i) not in known)
+        cache._publish(state_file, json.dumps(
+            {"m": m, "round": rnd, "active": sorted(active)}).encode())
     else:
         raise SolverError(f"cutting-plane loop did not settle in {_MAX_ROUNDS} rounds")
 

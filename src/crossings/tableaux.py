@@ -106,15 +106,6 @@ def block_multiplicity(lam: tuple[int, ...]) -> int:
     return len(cyclic_tableaux(lam))
 
 
-def base_filling(lam: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Row-major filling 1..m; its cell b holds b+1 when cells are flattened."""
-    out, v = [], 1
-    for r in lam:
-        out.append(tuple(range(v, v + r)))
-        v += r
-    return tuple(out)
-
-
 def perm_sign(src, dst) -> int:
     """Sign of the permutation carrying tuple src to tuple dst."""
     pos = {v: i for i, v in enumerate(src)}

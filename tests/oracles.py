@@ -6,6 +6,8 @@ production code also computes, by a slower and more literal route:
 
 - the relabel-and-invert group as explicit elements, with the scalar
   canonical form taken as a minimum over the stabilizer orbit;
+- cycle ids by binary search of the packed keys of re-anchored words, and
+  by the scalar lexicographic rank of one word;
 - the swap distances by BFS over every word, with no quotienting;
 - the scalar tableau chain (polytabloid, the homomorphism into full orders,
   the projection to cycles) that builds one tableau vector at a time;
@@ -20,15 +22,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from crossings.coeffs import PairTables
-from crossings.cycles import Cycle, CycleIndex, _check_m, normalize_words, pack_keys
+from crossings.cycles import Cycle, CycleIndex, _check_m, pack_keys
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.repsets import Block, hook_block_dim, tableau_vector_matrix
 from crossings.swapgraph import UNREACHED, neighbor_words
-from crossings.tableaux import base_filling, perm_sign
+from crossings.tableaux import perm_sign
 
 Filling = tuple[tuple[int, ...], ...]
 
@@ -124,6 +127,40 @@ def canonical_form(c: Cycle) -> Cycle:
     return min((act(h, c) for h in stabilizer_elements(c.m)), key=lambda x: x.seq)
 
 
+# -- cycle ids by search and by scalar rank ------------------------------------
+
+
+def normalize_words(words: np.ndarray) -> np.ndarray:
+    """Rotate each row of an (N, m) word array so the 1 entry leads."""
+    m = words.shape[-1]
+    pos1 = np.argmax(words == 1, axis=-1)
+    idx = (pos1[..., None] + np.arange(m)) % m
+    return np.take_along_axis(words, idx, axis=-1)
+
+
+def sorted_key_ids(index: CycleIndex, words: np.ndarray) -> np.ndarray:
+    """Ids of rows that may be rotations of anchored words: re-anchor, pack
+    and binary-search the ascending keys of the whole cycle table."""
+    keys = pack_keys(index.seqs)
+    query = pack_keys(normalize_words(np.asarray(words, dtype=np.uint8)))
+    ids = np.searchsorted(keys, query)
+    if (keys[np.minimum(ids, keys.size - 1)] != query).any():
+        raise ArgumentError("a row is not a rotation of an anchored word")
+    return ids
+
+
+def lex_rank(word) -> int:
+    """Rank of one word among the anchored words of its length, by re-anchoring
+    and counting, at each position, the smaller letters still unused."""
+    k = list(word).index(1)
+    anchored = list(word[k:]) + list(word[:k])
+    rank, left = 0, sorted(anchored[1:])
+    for j, v in enumerate(anchored[1:], start=1):
+        rank += left.index(v) * factorial(len(anchored) - 1 - j)
+        left.remove(v)
+    return rank
+
+
 # -- swap distances over every word -----------------------------------------
 
 
@@ -135,8 +172,7 @@ def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
     dist[frontier] = 0
     d = 0
     while frontier.size:
-        nbr = normalize_words(neighbor_words(index.seqs[frontier]).reshape(-1, m))
-        ids = index.id_of_keys(np.unique(pack_keys(nbr)))
+        ids = np.unique(sorted_key_ids(index, neighbor_words(index.seqs[frontier]).reshape(-1, m)))
         ids = ids[dist[ids] == UNREACHED]
         d += 1
         dist[ids] = d
@@ -236,7 +272,7 @@ def project_f(v: dict[Tabloid, int], index: CycleIndex) -> np.ndarray:
     w = np.zeros(len(index), dtype=np.int64)
     for s, coeff in v.items():
         word = np.array([r[0] for r in s], dtype=np.uint8)
-        w[index.id_of_words(normalize_words(word[None]))[0]] += coeff
+        w[index.id_of_words(word[None])[0]] += coeff
     return w
 
 
@@ -247,6 +283,15 @@ def repset_vector(lam: tuple[int, ...], t_col: Filling, index: CycleIndex) -> np
     quadratic in the row and column group sizes.
     """
     return project_f(theta_apply(t_col, polytabloid(base_filling(lam))), index)
+
+
+def base_filling(lam: tuple[int, ...]) -> Filling:
+    """Row-major filling 1..m; its cell b holds b+1 when cells are flattened."""
+    out, v = [], 1
+    for r in lam:
+        out.append(tuple(range(v, v + r)))
+        v += r
+    return tuple(out)
 
 
 # -- block rows ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,16 +9,17 @@ from hypothesis import strategies as st
 from crossings.coeffs import (
     PairTables,
     _derive,
-    _pattern_words,
+    _pattern_ids,
+    _shape_poly,
     block_constraint_tables,
     hook_constraint_table,
     poly_method,
 )
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.repsets import build_blocks, hook_block_columns
-from crossings.tableaux import base_filling
 from oracles import (
     _expansion_words,
+    base_filling,
     block_rows,
     compose_word,
     direct_expansion,
@@ -103,6 +105,52 @@ def test_block_table_routes_agree(m):
         assert (x == y).all(), (b.lam, b.sign)
 
 
+# sha256 of the little-endian int64 bytes of hook_constraint_table, and of
+# the blocks of block_constraint_tables in build_blocks order, as computed
+# when class lookup went through re-anchored words and a sorted key table
+HOOK_TABLE_SHA256 = {
+    4: "fc9c711c75b3d90310e362a4bbb130075af22ae2272b8f2e52282cd77b1a3bc5",
+    5: "442177d3d184608348d5e1595a64d5a5a9218d15c86e92bd9985a490dd2f658e",
+    6: "e15667c41d69d083ed14b6e2871c5f3714e4036da501cc4ac3aa712a115db540",
+    7: "8a67ee91d98aa252cb705159db8af5e453e042ac26c15ae6ce97a868015b12f4",
+    8: "c03d8434a897382ad642a7ceb71f033c2eb215b0a46d6ff4ed6951a0de41d3c1",
+}
+BLOCK_TABLES_SHA256 = {
+    4: "77955ddc05f5499b4668301eaa5e970f69293840cfabb0b524912038041e4269",
+    5: "238c06323be709eeae20eb2fe72b31294010437a457381cb1fe875cf05ea08bd",
+    6: "17fff49739aab4313baaff1718aa9ec50362ced99d81fde02f9d3a46c8c0e616",
+    7: "adc90fa68043de11225502d3b37cae592f113b5635754674d037d401e20374f9",
+}
+
+
+def table_sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(HOOK_TABLE_SHA256))
+def test_hook_table_bytes_frozen(m):
+    t = TABLES.get(m) or PairTables.build(m)
+    assert table_sha256([hook_constraint_table(t)]) == HOOK_TABLE_SHA256[m]
+
+
+@pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))
+def test_block_tables_bytes_frozen(m):
+    t = TABLES[m]
+    tables = block_constraint_tables(t, build_blocks(t.index))
+    assert table_sha256(tables) == BLOCK_TABLES_SHA256[m]
+
+
+def test_shape_poly_is_memoized_read_only():
+    cells, coeffs = _shape_poly((3, 1, 1))
+    assert _shape_poly((3, 1, 1))[0] is cells
+    assert not cells.flags.writeable and not coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs[0] = 0
+
+
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_diagonal_class_entries_are_gram_matrices(m):
     # the class of (c, c) pairs collects u_i(c) u_j(c) over all cycles
@@ -165,10 +213,10 @@ def test_operator_step_past_the_coefficient_limit_is_refused():
 def test_expansion_checks_survive_optimization():
     # raised, not asserted, so they hold under python -O too
     good = np.array([[0x01, 0x10]], dtype=np.uint8)  # rows 1, 2 to columns 2, 1
-    assert _pattern_words(good, 2).tolist() == [[2, 1]]
+    assert _pattern_ids(good, 2).tolist() == [0]
     for bad in ([[0x00, 0x10]], [[0x00, 0x01]], [[0x00, 0x11, 0x22]]):
         with pytest.raises(CrossingsError):
-            _pattern_words(np.array(bad, dtype=np.uint8), 2)
+            _pattern_ids(np.array(bad, dtype=np.uint8), 2)
     t = TABLES[4]
     with pytest.raises(ResourceError):
         pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])

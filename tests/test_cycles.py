@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from crossings.cycles import (
     Cycle,
+    CycleIndex,
     all_cycle_seqs,
     canonical_keys,
     cycle_count,
+    ids_of_positions,
     invert_seqs,
-    normalize_words,
     pack_keys,
     reflect_invert_seqs,
     shift_canonical_keys,
@@ -23,6 +24,9 @@ from oracles import (
     GroupElement,
     act,
     canonical_form,
+    lex_rank,
+    normalize_words,
+    sorted_key_ids,
     stabilizer_elements,
     stabilizer_generators,
 )
@@ -228,6 +232,33 @@ def test_normalize_words():
     out = normalize_words(w)
     assert (out[:, 0] == 1).all()
     assert out.tolist() == [[1, 2, 3], [1, 2, 3], [1, 2, 3]]
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_id_of_words_matches_key_search_on_every_rotation(m):
+    idx = CycleIndex(m)
+    rotations = np.stack([np.roll(idx.seqs, k, axis=1) for k in range(m)])
+    got = idx.id_of_words(rotations)
+    assert got.dtype == np.int64 and got.shape == (m, len(idx))
+    assert (got == np.arange(len(idx))).all()
+    assert (got.ravel() == sorted_key_ids(idx, rotations.reshape(-1, m))).all()
+    assert (idx.inverse_ids() == sorted_key_ids(idx, invert_seqs(idx.seqs))).all()
+    if m <= 6:
+        assert [lex_rank(tuple(map(int, row))) for row in idx.seqs] == list(range(len(idx)))
+
+
+@pytest.mark.parametrize("m", range(10, 17))
+def test_rank_kernel_matches_scalar_rank(m):
+    words = random_words(m, ORACLE_ROWS, seed=400 + m)
+    turns = np.random.default_rng(m).integers(0, m, size=ORACLE_ROWS)
+    rotated = np.array([np.roll(row, k) for row, k in zip(words, turns)])
+    want = np.array([lex_rank(tuple(map(int, row))) for row in words], dtype=np.int64)
+    # argsort of a permutation word is the position of each value
+    got = ids_of_positions(np.argsort(rotated, axis=1).T.astype(np.uint8))
+    assert (got == want).all()
+    assert want.max() < factorial(m - 1)
+    if m == 10:
+        assert (CycleIndex(m).id_of_words(rotated) == want).all()
 
 
 def test_invert_seqs_matches_scalar():

@@ -159,6 +159,11 @@ def test_cutting_loop_resume_after_round_budget(store, monkeypatch):
     out = run_single(6, cache_dir=store, resume=True)
     assert out.value == pytest.approx(SINGLE_OPT[6], abs=1e-8)
     assert not state.exists()
+    # the saved state holds the offenders of round 1, so the resumed run
+    # goes on with round 2 and ends at the same round as a fresh run
+    assert out.rounds[0].round == 2 and out.rounds[0].active > 1
+    fresh = run_single(6, cache_dir=store)
+    assert [r.round for r in out.rounds] == list(range(2, len(fresh.rounds) + 1))
 
 
 def test_truncated_cut_state_is_refused_by_name(store):
@@ -168,6 +173,9 @@ def test_truncated_cut_state_is_refused_by_name(store):
     state = store / "cuts_6_single.json"
     state.write_text('{"m": 6, "round": 2, "active": [1, 2')
     try:
+        with pytest.raises(DataError, match="cuts_6_single.json"):
+            run_single(6, cache_dir=store, resume=True)
+        state.write_text('{"m": 6, "round": "2", "active": [1, 2]}')
         with pytest.raises(DataError, match="cuts_6_single.json"):
             run_single(6, cache_dir=store, resume=True)
     finally:

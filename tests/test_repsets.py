@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crossings.cycles import CycleIndex, invert_seqs, normalize_words, pack_keys
+from crossings.cycles import CycleIndex, invert_seqs
 from crossings.errors import ArgumentError
 from crossings.orbits import orbit_census
 from crossings.swapgraph import distances_from_base
@@ -25,13 +25,15 @@ from crossings.repsets import (
     hook_block_dim,
     tableau_vector_matrix,
 )
-from crossings.tableaux import base_filling, block_multiplicity, partitions, standard_tableaux
+from crossings.tableaux import block_multiplicity, partitions, standard_tableaux
 from oracles import (
+    base_filling,
     block_rows,
     hook_block_matrix,
     hook_block_values,
     repset_vector,
     signed_column_fillings,
+    sorted_key_ids,
 )
 
 DIMS = {
@@ -90,14 +92,13 @@ def _multiplicities_by_characters(m: int) -> dict[tuple, tuple[int, int]]:
     plus = {}
     minus = {}
     inv_words = invert_seqs(idx.seqs)
+    ids = np.arange(len(idx))
     for rho in partitions(m):
         pi = _class_rep(rho, m)
-        conj = pack_keys(normalize_words(np.asarray(pi[idx.seqs - 1] + 1, dtype=np.uint8)))
-        conj_inv = pack_keys(
-            normalize_words(np.asarray(pi[inv_words - 1] + 1, dtype=np.uint8))
-        )
-        plus[rho] = int((conj == idx.keys).sum())
-        minus[rho] = int((conj_inv == idx.keys).sum())
+        conj = sorted_key_ids(idx, pi[idx.seqs - 1] + 1)
+        conj_inv = sorted_key_ids(idx, pi[inv_words - 1] + 1)
+        plus[rho] = int((conj == ids).sum())
+        minus[rho] = int((conj_inv == ids).sum())
     out = {}
     for lam in partitions(m):
         tot_plus = sum(
