@@ -21,15 +21,18 @@ column nibbles are the positions of its values, so its cycle id is ranked
 from them directly (cycles.ids_of_positions, no word is built) and its
 class read from the per-cycle class table.
 
-Blocks built from inversion-symmetrized rows w +- (w o eta) reduce to the
-raw tableau forms: eta flips one pair component, which descends to an
-involution on classes, and the symmetrized block equals twice the raw form
-plus-or-minus its flip.
+Every block, the single-block relaxation's hook block included, is
+assembled by one routine into the packed upper triangles the cache stores.
+A block of sign s has rows w + s (w o eta) and reduces to the raw tableau
+forms: eta flips one pair component, which descends to an involution on
+classes, and each entry is (1 + s^2) times the raw form plus 2s times its
+flip.  Sign 0 leaves the raw forms, the rows being the tableau vectors.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
@@ -37,9 +40,9 @@ from math import factorial, prod
 import numpy as np
 
 from .cycles import CycleIndex, ids_of_positions, invert_seqs
-from .errors import ArgumentError, CrossingsError, ResourceError
+from .errors import CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
-from .repsets import Block, hook_block_columns
+from .repsets import Block
 from .swapgraph import distances_from_base
 from .tableaux import perm_sign
 
@@ -194,23 +197,6 @@ def _derive(poly: Poly, src: int, dst: int, on_rows: bool) -> Poly:
     return _merge(out, coeffs[at])
 
 
-def _check_tableau_pair(t1: Filling, t2: Filling, m: int) -> tuple[int, ...]:
-    lam = tuple(len(r) for r in t1)
-    if tuple(len(r) for r in t2) != lam or sum(lam) != m:
-        raise ArgumentError("tableaux must share one shape partitioning m")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ArgumentError(f"row lengths must not increase: {lam}")
-    for t in (t1, t2):
-        # the operator schedule moves value s out of rows below s, so no
-        # value may start deeper than its own index
-        if any(v < i for i, row in enumerate(t, start=1) for v in row):
-            raise ArgumentError("each value must sit in a row no deeper than itself")
-    for t in (t1, t2):
-        if sorted(v for row in t for v in row) != list(range(1, m + 1)):
-            raise ArgumentError("tableau content must be 1..m")
-    return lam
-
-
 def _cascade(poly: Poly, t: Filling, m: int, on_rows: bool) -> Poly:
     """Apply every operator a tableau calls for, source index descending.
 
@@ -224,14 +210,6 @@ def _cascade(poly: Poly, t: Filling, m: int, on_rows: bool) -> Poly:
             if row_of[s] == j:
                 poly = _derive(poly, j, s, on_rows=on_rows)
     return poly
-
-
-def poly_method(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, int]:
-    """Signed pair-class counts via the operator expansion."""
-    lam = _check_tableau_pair(t1, t2, tables.m)
-    rows_done = _cascade(_shape_poly(lam), t1, tables.m, on_rows=True)
-    acc = _class_sums(rows_done, t2, tables)
-    return {int(c): int(v) for c, v in enumerate(acc) if v}
 
 
 def _pattern_ids(cells: np.ndarray, m: int) -> np.ndarray:
@@ -276,56 +254,35 @@ def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
 # -- assembly ----------------------------------------------------------------
 
 
-def hook_constraint_table(tables: PairTables) -> np.ndarray:
-    """Upper-triangle class blocks of the single-block relaxation, (C, t).
+def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarray:
+    """Class blocks of a relaxation as packed upper triangles, (C, t).
 
-    Rows follow the class order; columns run over the upper triangle of the
-    block, row-major.  The block rows are the raw column-tableau vectors, so
-    entries are the pairing forms themselves.
+    Rows follow the class order; columns run over the upper triangle of
+    each block, row-major, blocks in order.  The entry of a block of sign s
+    at tableaux (ta, tb) is (1 + s^2) raw + 2 s raw[flip] for the raw
+    pairing form raw of (ta, tb), since F(w + s Pw, w' + s Pw') expands to
+    (1 + s^2) F(w, w') + 2 s F(w, Pw') and inverting both components fixes
+    every class.  A raw form is kept only while a later entry still reads
+    it, so the table is the one array held whole.
     """
-    m = tables.m
-    cols = hook_block_columns(m)
-    d = len(cols)
-    tri = np.zeros((tables.classes.count, d * (d + 1) // 2), dtype=np.int64)
-    shape = _shape_poly((m - 2, 1, 1))
-    pos = 0
-    for i in range(d):
-        rows_done = _cascade(shape, cols[i], m, on_rows=True)
-        for j in range(i, d):
-            tri[:, pos] = _class_sums(rows_done, cols[j], tables)
-            pos += 1
-    return tri
-
-
-def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> list[np.ndarray]:
-    """Class blocks (C, d, d) for every symmetrized block of the full
-    relaxation."""
-    flip = tables.flip_classes()
-    m, c = tables.m, tables.classes.count
+    m, flip = tables.m, tables.flip_classes()
+    # a form is symmetric at class level, so both orders share one key
+    entries = [(b, ta, tb, min((ta, tb), (tb, ta))) for b in blocks
+               for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]]
+    uses = Counter(key for *_, key in entries)
     forms: dict[tuple[Filling, Filling], np.ndarray] = {}
     held: tuple[Filling, Poly] | None = None
-
-    def form(ta: Filling, tb: Filling) -> np.ndarray:
-        # symmetric at class level, so ta always takes the left cascade and
-        # one held cascade suffices when calls group by ta
-        nonlocal held
-        got = forms.get((ta, tb)) if ta <= tb else forms.get((tb, ta))
-        if got is None:
+    tri = np.zeros((tables.classes.count, len(entries)), dtype=np.int64)
+    for pos, (b, ta, tb, key) in enumerate(entries):
+        raw = forms.pop(key, None)
+        if raw is None:
+            # ta takes the left cascade; the entries of a block row share
+            # their ta, so one held cascade suffices
             if held is None or held[0] != ta:
-                lam = tuple(len(r) for r in ta)
-                held = (ta, _cascade(_shape_poly(lam), ta, m, on_rows=True))
-            got = _class_sums(held[1], tb, tables)
-            forms[(ta, tb) if ta <= tb else (tb, ta)] = got
-        return got
-
-    out = []
-    for b in blocks:
-        a = np.zeros((c, b.dim, b.dim), dtype=np.int64)
-        for i in range(b.dim):
-            for j in range(i, b.dim):
-                raw = form(b.tableaux[i], b.tableaux[j])
-                vals = 2 * (raw + b.sign * raw[flip])
-                a[:, i, j] = vals
-                a[:, j, i] = vals
-        out.append(a)
-    return out
+                held = (ta, _cascade(_shape_poly(b.lam), ta, m, on_rows=True))
+            raw = _class_sums(held[1], tb, tables)
+        uses[key] -= 1
+        if uses[key]:
+            forms[key] = raw
+        tri[:, pos] = (1 + b.sign**2) * raw + 2 * b.sign * raw[flip]
+    return tri

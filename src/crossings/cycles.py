@@ -91,9 +91,6 @@ class Cycle:
             img[v - 1] = self.seq[(i + 1) % self.m]
         return tuple(img)
 
-    def __str__(self) -> str:
-        return "(" + " ".join(map(str, self.seq)) + ")"
-
 
 # ---------------------------------------------------------------------------
 # Bulk (numpy) layer.  Words live in (N, m) uint8 arrays, one word per row,
@@ -232,10 +229,6 @@ def canonical_keys(seqs: np.ndarray) -> np.ndarray:
     smallest key kept.  Rows may be any rotation of an anchored word.
     """
     return _image_min_keys(seqs, reflect=True).min(axis=0)
-
-
-def cycle_count(m: int) -> int:
-    return factorial(m - 1)
 
 
 # Columns per chunk of the rank kernel.  Its temporaries take about 12m

@@ -22,28 +22,6 @@ SINGLE_BLOCK_OPTIMA = {
     13: "17.3135089904",
 }
 
-# certified optima of the full relaxation
-FULL_OPTIMA = {
-    4: "1.0000000000",
-    5: "1.9472135954",
-    6: "2.9519183588",
-    7: "4.3593154948",
-    8: "5.8599856417",
-    9: "7.7352125975",
-    10: "9.7411403685",
-}
-
-# asymptotic ratio columns as printed alongside the optima; the printed
-# digits mix round-to-nearest with truncation, so checks accept either
-RATIO_SINGLE = {
-    4: "0.6667", 5: "0.7708", 6: "0.7872", 7: "0.8210", 8: "0.8326",
-    9: "0.8503", 10: "0.8610", 11: "0.8726", 12: "0.8794", 13: "0.8878",
-}
-RATIO_FULL = {
-    4: "0.6667", 5: "0.7789", 6: "0.7872", 7: "0.8303", 8: "0.8371",
-    9: "0.8595", 10: "0.8659",
-}
-
 # orbit census per cycle length
 CENSUS = {
     4: (3, 3, 3),
@@ -67,24 +45,3 @@ BLOCK_DIMS = {
     8: {7: 2, 5: 2, 4: 9, 3: 7, 2: 4, 1: 9},
     9: {12: 8, 11: 2, 9: 6, 7: 3, 6: 5, 5: 2, 4: 2, 3: 16, 1: 5},
 }
-
-# quadratic statements derived from the strongest optimum at each level:
-# coefficient of n^2 (five places, cut down) and of -n (exact)
-QUADRATIC_COEFFS = {
-    10: ("4.87057", "10"),
-    11: ("5.99939", "12.5"),
-    12: ("7.25579", "15"),
-    13: ("8.65675", "18"),
-}
-
-# lifted statements covering all m at or above the level: coefficient of
-# m(m-1)n^2 (four places, cut down) and of -m(m-1)n (exact)
-LIFTED_COEFFS = {
-    10: ("0.0541", "1/9"),
-    11: ("0.0545", "5/44"),
-    12: ("0.0549", "5/44"),
-    13: ("0.0554", "3/26"),
-}
-
-# balanced bounds ceil(g n^2 / 2 - B n) at n = level
-BALANCED_BOUNDS = {10: 388, 11: 589, 12: 865, 13: 1229}

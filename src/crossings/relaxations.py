@@ -10,11 +10,13 @@ every class constraint is priced with exact integer arithmetic against the
 stored integer tables.  The certified value is a true lower bound no
 matter what the floating-point stages did.
 
-The two relaxations differ only in their blocks: the single-block one
-keeps the distinguished hook block, the full one every block.  One
-cutting-plane loop serves both.  It solves restricted instances, scans
-every class for violated columns, adds the worst offenders, and repeats
-until the scan comes back clean.  The scan result is advisory; soundness
+The two relaxations differ only in their block list: the single-block one
+is the hook block of shape (m-2, 1, 1) with sign 0, whose rows are the raw
+tableau vectors, the full one every symmetrized block.  One table assembly
+turns either list into the packed class triangles, and one cutting-plane
+loop serves both.  It solves restricted instances, scans every class for
+violated columns, adds the worst offenders, and repeats until the scan
+comes back clean.  The scan result is advisory; soundness
 rests on the certificate alone.  The first restricted instance holds only
 class 0, the class of the equal pairs (sigma, sigma), which comes first
 because the base word has the smallest canonical key; its blocks are
@@ -31,9 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import cache
-from .coeffs import PairTables, block_constraint_tables, hook_constraint_table
+from .coeffs import PairTables, block_constraint_tables
 from .errors import ArgumentError, DataError, ResourceError, SolverError
-from .repsets import build_blocks, hook_block_dim
+from .repsets import Block, build_blocks, hook_block_columns
 from .sdp import polish_dual, solve_bound_problem
 
 # The cutting loop stops once no class is violated by more than _TOL_CUT
@@ -124,16 +126,11 @@ def coeff_tables(
         return dims, sizes.astype(np.int64), qs.astype(np.int64), tri
     tables = PairTables.build(m)
     if kind == "single":
-        dims = (hook_block_dim(m),)
-        tri = hook_constraint_table(tables)
+        blocks = [Block((m - 2, 1, 1), 0, hook_block_columns(m))]
     else:
         blocks = build_blocks(tables.index)
-        dims = tuple(b.dim for b in blocks)
-        stacks = block_constraint_tables(tables, blocks)
-        tri = np.concatenate(
-            [s[:, iu[0], iu[1]] for s, iu in zip(stacks, map(np.triu_indices, dims))],
-            axis=1,
-        )
+    dims = tuple(b.dim for b in blocks)
+    tri = block_constraint_tables(tables, blocks)
     classes = tables.classes
     cache.write_coeffs(path, m, dims, classes.rep_orbits, classes.sizes, classes.q, tri)
     return dims, classes.sizes.astype(np.int64), classes.q.astype(np.int64), tri
@@ -176,11 +173,13 @@ def _strict_start(mats: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
 
 def _packed(ys: list[np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
     """Upper triangles of the blocks, concatenated in block order, with the
-    off-diagonal entries doubled, so tri @ packed is sum_B <Y_B, A_B>."""
+    off-diagonal entries doubled, so tri @ packed is sum_B <Y_B, A_B>.  The
+    weights are the ints 1 and 2, so float blocks stay exact in the float
+    doubling and object blocks of Python ints stay ints."""
     parts = []
     for y, d in zip(ys, dims):
         iu = np.triu_indices(d)
-        parts.append(y[iu] * np.where(iu[0] == iu[1], 1.0, 2.0))
+        parts.append(y[iu] * np.where(iu[0] == iu[1], 1, 2))
     return np.concatenate(parts)
 
 
@@ -255,11 +254,7 @@ def certify(
     entry of dims, priced against the packed integer triangles."""
     numerators = [_dyadic_numerator(y) for y in ys]
     denom = 1 << (3 * _BITS)
-    nvec = []
-    for n_mat, d in zip(numerators, dims):
-        iu = np.triu_indices(d)
-        nvec.extend(int(n_mat[i, j]) * (1 if i == j else 2) for i, j in zip(*iu))
-    inners = tri.astype(object) @ np.array(nvec, dtype=object)
+    inners = tri.astype(object) @ _packed(numerators, dims)
     value, worst = _certified_min(inners, sizes, qs, denom)
     return Certificate(numerators, denom, value, worst)
 

@@ -36,7 +36,9 @@ Filling = tuple[tuple[int, ...], ...]
 @dataclass
 class Block:
     """One block of the reduced problem: shape, inversion sign and the
-    tableaux whose symmetrized vectors w + sign (w o inversion) are its rows."""
+    tableaux whose symmetrized vectors w + sign (w o inversion) are its rows.
+    Sign 0 makes the rows the raw tableau vectors w, as in the hook block of
+    the single-block relaxation."""
 
     lam: tuple[int, ...]
     sign: int
@@ -115,20 +117,6 @@ def _tableau_vectors(
     weights = np.broadcast_to(signs[:, None, None], slots.shape)
     sums = np.bincount(slots.ravel(), weights.ravel(), minlength=len(ts) * len(index))
     return sums.astype(np.int64).reshape(len(ts), len(index))
-
-
-def tableau_vector_matrix(
-    lam: tuple[int, ...], ts: list[Filling], index: CycleIndex
-) -> np.ndarray:
-    """Stack of cycle-space vectors for the given column tableaux, (len(ts), N).
-
-    Vectorized over the column group and the row rearrangements at once: the
-    word read off a pair (c, T') has letter p equal to the value of c . t at
-    the cell where the rearranged T places p+1.
-    """
-    if sum(lam) != index.m:
-        raise ArgumentError(f"shape {lam} does not partition {index.m}")
-    return _tableau_vectors(_shape_tables(lam), ts, index)
 
 
 def bareiss_det(mat: list[list[int]]) -> int:
@@ -251,16 +239,7 @@ def build_blocks(index: CycleIndex) -> list[Block]:
     return blocks
 
 
-def block_dims(blocks: list[Block]) -> list[int]:
-    """Block dimensions in descending order (the shape of the reduction)."""
-    return sorted((b.dim for b in blocks), reverse=True)
-
-
 # -- the (m-2, 1, 1) block, used alone by the single-block relaxation -------
-
-
-def hook_block_dim(m: int) -> int:
-    return (m - 1) // 2
 
 
 def hook_block_columns(m: int) -> list[Filling]:

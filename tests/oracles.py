@@ -29,7 +29,7 @@ import numpy as np
 from crossings.coeffs import PairTables
 from crossings.cycles import Cycle, CycleIndex, _check_m, pack_keys
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.repsets import Block, hook_block_dim, tableau_vector_matrix
+from crossings.repsets import Block, _shape_tables, _tableau_vectors
 from crossings.swapgraph import UNREACHED, neighbor_words
 from crossings.tableaux import perm_sign
 
@@ -299,8 +299,8 @@ def base_filling(lam: tuple[int, ...]) -> Filling:
 
 def block_rows(index: CycleIndex, block: Block) -> np.ndarray:
     """The (d, N) int64 rows of a block: each tableau vector plus its sign
-    times its image under inversion."""
-    vecs = tableau_vector_matrix(block.lam, block.tableaux, index)
+    times its image under inversion (sign 0 leaves the tableau vectors)."""
+    vecs = _tableau_vectors(_shape_tables(block.lam), block.tableaux, index)
     return vecs + block.sign * vecs[:, index.inverse_ids()]
 
 
@@ -441,9 +441,9 @@ def pair_stream_forms(
 
 
 def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
-    """The single-block table of hook_constraint_table, (C, t) upper
-    triangles row-major, from the closed-form rows by the pair stream."""
+    """The single-block table, (C, t) upper triangles row-major, from the
+    closed-form rows by the pair stream."""
     a = pair_stream_forms(tables, [hook_block_matrix(tables.index.seqs)])[0]
-    iu = np.triu_indices(hook_block_dim(tables.m))
+    iu = np.triu_indices(a.shape[1])
     return a[:, iu[0], iu[1]]
 

@@ -30,7 +30,7 @@ from crossings.bounds import (
     truncated,
     zarankiewicz,
 )
-from crossings.coeffs import PairTables, hook_constraint_table, poly_method
+from crossings.coeffs import PairTables, block_constraint_tables
 from crossings.cycles import Cycle, CycleIndex
 from crossings.orbits import orbit_census
 from crossings.relaxations import (
@@ -41,7 +41,7 @@ from crossings.relaxations import (
     run_full,
     run_single,
 )
-from crossings.repsets import build_blocks, hook_block_columns
+from crossings.repsets import Block, build_blocks, hook_block_columns
 from crossings.swapgraph import distances_from_base, self_cost
 from oracles import (
     act,
@@ -348,11 +348,15 @@ def test_criterion_7_independent_routes():
     problems = []
     for m in range(4, 8):
         tables = PairTables.build(m)
-        for t1, t2 in combinations_with_replacement(hook_block_columns(m), 2):
-            if direct_expansion(t1, t2, tables) != poly_method(t1, t2, tables):
+        cols = hook_block_columns(m)
+        tri = block_constraint_tables(tables, [Block((m - 2, 1, 1), 0, cols)])
+        # combinations_with_replacement walks the upper triangle row-major
+        for pos, (t1, t2) in enumerate(combinations_with_replacement(cols, 2)):
+            got = {int(c): int(v) for c, v in enumerate(tri[:, pos]) if v}
+            if direct_expansion(t1, t2, tables) != got:
                 problems.append(f"m={m}: symbolic route disagrees with direct expansion")
                 break
-        if not (hook_constraint_table(tables) == pair_stream_hook_table(tables)).all():
+        if not (tri == pair_stream_hook_table(tables)).all():
             problems.append(f"m={m}: pair-stream route disagrees with the symbolic route")
     for m in range(4, 8):
         if not (_dist(m) == distances_from_base_unpruned(_index(m))).all():

@@ -16,15 +16,37 @@ from crossings.bounds import (
     zarankiewicz,
 )
 from crossings.errors import ArgumentError
-from crossings.reference import (
-    BALANCED_BOUNDS,
-    LIFTED_COEFFS,
-    QUADRATIC_COEFFS,
-    SINGLE_BLOCK_OPTIMA,
-)
 
-LEVELS = {m: SINGLE_BLOCK_OPTIMA[m] for m in (11, 12, 13)}
-LEVELS[10] = "9.7411403685"  # the full relaxation is stronger at ten rows
+# Every target below is frozen by hand from the published tables, never read
+# from the library it checks.
+
+# strongest certified optimum per level: the full relaxation at ten rows,
+# the single block above
+LEVELS = {
+    10: "9.7411403685",
+    11: "11.9987919703",
+    12: "14.5115811776",
+    13: "17.3135089904",
+}
+
+# coefficient of n^2 (five places, cut down) and of -n (exact)
+QUADRATIC_COEFFS = {
+    10: ("4.87057", "10"),
+    11: ("5.99939", "12.5"),
+    12: ("7.25579", "15"),
+    13: ("8.65675", "18"),
+}
+
+# coefficient of m(m-1)n^2 (four places, cut down) and of -m(m-1)n (exact)
+LIFTED_COEFFS = {
+    10: ("0.0541", "1/9"),
+    11: ("0.0545", "5/44"),
+    12: ("0.0549", "5/44"),
+    13: ("0.0554", "3/26"),
+}
+
+# balanced bounds ceil(g n^2 / 2 - B n) at n = level
+BALANCED_BOUNDS = {10: 388, 11: 589, 12: 865, 13: 1229}
 
 
 def test_quadratic_coefficients_match_published_forms():

@@ -12,11 +12,11 @@ from crossings.coeffs import (
     _pattern_ids,
     _shape_poly,
     block_constraint_tables,
-    hook_constraint_table,
-    poly_method,
 )
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.repsets import build_blocks, hook_block_columns
+from crossings.relaxations import split_triangles
+from crossings.repsets import Block, build_blocks, hook_block_columns
+from crossings.tableaux import standard_tableaux
 from oracles import (
     _expansion_words,
     base_filling,
@@ -38,18 +38,33 @@ def tri_pairs(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
+def hook_table(t):
+    """The single-block table: the hook block with sign 0."""
+    return block_constraint_tables(t, [Block((t.m - 2, 1, 1), 0, hook_block_columns(t.m))])
+
+
+def form(t1, t2, t):
+    """Signed class counts of one pairing form, the off-diagonal entry of a
+    sign-0 block of the two tableaux."""
+    lam = tuple(len(r) for r in t1)
+    col = block_constraint_tables(t, [Block(lam, 0, [t1, t2])])[:, 1]
+    return {int(c): int(v) for c, v in enumerate(col) if v}
+
+
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_poly_matches_direct_expansion_on_hook_columns(m):
     t = TABLES[m]
     cols = hook_block_columns(m)
-    for i, j in tri_pairs(len(cols)):
-        assert poly_method(cols[i], cols[j], t) == direct_expansion(cols[i], cols[j], t)
+    tri = hook_table(t)
+    for pos, (i, j) in enumerate(tri_pairs(len(cols))):
+        got = {int(c): int(v) for c, v in enumerate(tri[:, pos]) if v}
+        assert got == direct_expansion(cols[i], cols[j], t)
 
 
 def test_poly_matches_direct_expansion_spot_check_m7():
     t = TABLES[7]
     cols = hook_block_columns(7)
-    assert poly_method(cols[0], cols[2], t) == direct_expansion(cols[0], cols[2], t)
+    assert form(cols[0], cols[2], t) == direct_expansion(cols[0], cols[2], t)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -62,7 +77,7 @@ def test_poly_matches_direct_on_other_shapes(m):
     for t1, t2 in itertools.combinations_with_replacement(fillings, 2):
         if tuple(len(r) for r in t1) != tuple(len(r) for r in t2):
             continue
-        assert poly_method(t1, t2, t) == direct_expansion(t1, t2, t)
+        assert form(t1, t2, t) == direct_expansion(t1, t2, t)
 
 
 @given(data=st.data(), m=st.integers(4, 5))
@@ -79,35 +94,47 @@ def test_poly_matches_direct_on_random_fillings(data, m):
             at += r
         assume(all(v >= i for i, row in enumerate(out, start=1) for v in row))
         fillings.append(tuple(out))
-    assert poly_method(*fillings, t) == direct_expansion(*fillings, t)
+    assert form(*fillings, t) == direct_expansion(*fillings, t)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_transpose_coherence(m):
     t = TABLES[m]
     cols = hook_block_columns(m)
-    assert poly_method(cols[0], cols[-1], t) == poly_method(cols[-1], cols[0], t)
+    assert form(cols[0], cols[-1], t) == form(cols[-1], cols[0], t)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_hook_table_routes_agree(m):
     t = TABLES.get(m) or PairTables.build(m)
-    assert (hook_constraint_table(t) == pair_stream_hook_table(t)).all()
+    assert (hook_table(t) == pair_stream_hook_table(t)).all()
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_block_table_routes_agree(m):
     t = TABLES[m]
     blocks = build_blocks(t.index)
-    poly = block_constraint_tables(t, blocks)
+    poly = split_triangles(block_constraint_tables(t, blocks), tuple(b.dim for b in blocks))
     pairs = pair_stream_forms(t, [block_rows(t.index, b) for b in blocks])
     for b, x, y in zip(blocks, poly, pairs):
         assert (x == y).all(), (b.lam, b.sign)
 
 
-# sha256 of the little-endian int64 bytes of hook_constraint_table, and of
-# the blocks of block_constraint_tables in build_blocks order, as computed
-# when class lookup went through re-anchored words and a sorted key table
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_sign_zero_blocks_of_other_shapes(m):
+    # sign 0 keeps the raw tableau vectors as rows, on shapes beyond the hook
+    t = TABLES[m]
+    for lam in [(m - 1, 1), (m - 2, 2)]:
+        b = Block(lam, 0, standard_tableaux(lam)[:4])
+        got = split_triangles(block_constraint_tables(t, [b]), (b.dim,))[0]
+        (want,) = pair_stream_forms(t, [block_rows(t.index, b)])
+        assert (got == want).all(), lam
+
+
+# sha256 of the little-endian int64 bytes of the single-block table (the
+# sign-0 hook block), and of the full (C, d, d) blocks in build_blocks
+# order, as computed when class lookup went through re-anchored words and a
+# sorted key table
 HOOK_TABLE_SHA256 = {
     4: "fc9c711c75b3d90310e362a4bbb130075af22ae2272b8f2e52282cd77b1a3bc5",
     5: "442177d3d184608348d5e1595a64d5a5a9218d15c86e92bd9985a490dd2f658e",
@@ -133,14 +160,15 @@ def table_sha256(arrays):
 @pytest.mark.parametrize("m", sorted(HOOK_TABLE_SHA256))
 def test_hook_table_bytes_frozen(m):
     t = TABLES.get(m) or PairTables.build(m)
-    assert table_sha256([hook_constraint_table(t)]) == HOOK_TABLE_SHA256[m]
+    assert table_sha256([hook_table(t)]) == HOOK_TABLE_SHA256[m]
 
 
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))
 def test_block_tables_bytes_frozen(m):
     t = TABLES[m]
-    tables = block_constraint_tables(t, build_blocks(t.index))
-    assert table_sha256(tables) == BLOCK_TABLES_SHA256[m]
+    blocks = build_blocks(t.index)
+    tri = block_constraint_tables(t, blocks)
+    assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
 
 
 def test_shape_poly_is_memoized_read_only():
@@ -156,12 +184,14 @@ def test_diagonal_class_entries_are_gram_matrices(m):
     # the class of (c, c) pairs collects u_i(c) u_j(c) over all cycles
     t = TABLES[m]
     diag = int(t.class_ids_of_words(np.arange(1, m + 1, dtype=np.uint8)[None])[0])
-    tri = hook_constraint_table(t)
+    tri = hook_table(t)
     hooks = hook_block_matrix(t.index.seqs)
     gram = hooks @ hooks.T
     for pos, (i, j) in enumerate(tri_pairs(hooks.shape[0])):
         assert tri[diag, pos] == gram[i, j]
-    for b, a in zip(build_blocks(t.index), block_constraint_tables(t, build_blocks(t.index))):
+    blocks = build_blocks(t.index)
+    stacks = split_triangles(block_constraint_tables(t, blocks), tuple(b.dim for b in blocks))
+    for b, a in zip(blocks, stacks):
         rows = block_rows(t.index, b)
         assert (a[diag] == rows @ rows.T).all()
 
@@ -170,15 +200,15 @@ def test_diagonal_class_entries_are_gram_matrices(m):
 def test_forms_sum_to_zero_over_classes(m):
     # summing a class form over all classes pairs the vectors against the
     # all-ones matrix, and every hook vector is orthogonal to constants
-    tri = hook_constraint_table(TABLES[m])
+    tri = hook_table(TABLES[m])
     assert (tri.sum(axis=0) == 0).all()
 
 
 def test_m4_hook_form_frozen():
-    tri = hook_constraint_table(TABLES[4])
+    tri = hook_table(TABLES[4])
     assert tri.shape == (3, 1)
     got = {c: int(v) for c, v in enumerate(tri[:, 0]) if v}
-    assert got == poly_method(((1, 4), (2,), (3,)), ((1, 4), (2,), (3,)), TABLES[4])
+    assert got == direct_expansion(((1, 4), (2,), (3,)), ((1, 4), (2,), (3,)), TABLES[4])
     t = TABLES[4]
     by_q = {int(t.classes.q[c]): v for c, v in enumerate(tri[:, 0])}
     assert by_q == {2: 24, 1: 0, 0: -24}
@@ -220,18 +250,6 @@ def test_expansion_checks_survive_optimization():
     t = TABLES[4]
     with pytest.raises(ResourceError):
         pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])
-
-
-def test_poly_rejects_bad_tableaux():
-    t = TABLES[5]
-    with pytest.raises(ArgumentError):
-        poly_method(((1, 2, 3), (4,), (5,)), ((1, 2, 3, 4), (5,)), t)
-    with pytest.raises(ArgumentError):
-        poly_method(((1, 2, 2), (4,), (5,)), ((1, 2, 3), (4,), (5,)), t)
-    with pytest.raises(ArgumentError):
-        poly_method(((1, 2), (3, 4, 5)), ((1, 2), (3, 4, 5)), t)
-    with pytest.raises(ArgumentError):
-        poly_method(((2, 3, 4), (5,), (1,)), ((1, 2, 3), (4,), (5,)), t)
 
 
 @pytest.mark.parametrize("m", [5, 6])

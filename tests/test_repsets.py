@@ -18,12 +18,10 @@ from crossings.repsets import (
     Block,
     _greedy_independent,
     _shape_tables,
+    _tableau_vectors,
     bareiss_det,
-    block_dims,
     build_blocks,
     hook_block_columns,
-    hook_block_dim,
-    tableau_vector_matrix,
 )
 from crossings.tableaux import block_multiplicity, partitions, standard_tableaux
 from oracles import (
@@ -117,15 +115,15 @@ def _multiplicities_by_characters(m: int) -> dict[tuple, tuple[int, int]]:
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_block_dimension_multisets(m):
-    dims = block_dims(build_blocks(CycleIndex(m)))
-    assert dims == sorted(DIMS[m], reverse=True)
+    dims = sorted(b.dim for b in build_blocks(CycleIndex(m)))
+    assert dims == sorted(DIMS[m])
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_dimension_sums_count_orbits(m):
     idx = CycleIndex(m)
     _, pair_orbits, classes = orbit_census(idx, distances_from_base(idx))
-    dims = block_dims(build_blocks(idx))
+    dims = [b.dim for b in build_blocks(idx)]
     assert sum(d * d for d in dims) == pair_orbits
     assert sum(d * (d + 1) // 2 for d in dims) == classes
 
@@ -147,7 +145,7 @@ def test_vectorized_matches_direct_expansion(m):
     idx = CycleIndex(m)
     for lam in [(m - 2, 1, 1), (m - 1, 1), (2,) * (m // 2) + (1,) * (m % 2)]:
         ts = standard_tableaux(lam)[:6]
-        mat = tableau_vector_matrix(lam, ts, idx)
+        mat = _tableau_vectors(_shape_tables(lam), ts, idx)
         for row, t in zip(mat, ts):
             assert (row == repset_vector(lam, t, idx)).all()
 
@@ -177,7 +175,7 @@ def test_rank_selection_is_order_independent(m):
         a = block_multiplicity(lam)
         if a == 0:
             continue
-        vecs = tableau_vector_matrix(lam, standard_tableaux(lam), idx)
+        vecs = _tableau_vectors(_shape_tables(lam), standard_tableaux(lam), idx)
         assert len(_greedy_independent(vecs)) == a
         assert len(_greedy_independent(np.ascontiguousarray(vecs[::-1]))) == a
 
@@ -219,7 +217,7 @@ def test_hook_block_m4_single_column():
 def test_hook_evaluator_equals_direct_expansion(m):
     idx = CycleIndex(m)
     cols = hook_block_columns(m)
-    assert len(cols) == hook_block_dim(m)
+    assert len(cols) == (m - 1) // 2
     for i, t in zip(range(3, (m + 1) // 2 + 2), cols):
         direct = repset_vector((m - 2, 1, 1), t, idx)
         assert (hook_block_values(idx.seqs, i) == direct).all()
@@ -230,7 +228,7 @@ def test_hook_evaluator_is_inversion_odd(m):
     idx = CycleIndex(m)
     inv = idx.inverse_ids()
     mat = hook_block_matrix(idx.seqs)
-    assert mat.shape == (hook_block_dim(m), len(idx))
+    assert mat.shape == ((m - 1) // 2, len(idx))
     assert (mat[:, inv] == -mat).all()
 
 
@@ -239,7 +237,7 @@ def test_hook_block_spans_built_odd_block(m):
     idx = CycleIndex(m)
     blocks = [b for b in build_blocks(idx) if b.lam == (m - 2, 1, 1)]
     assert [b.sign for b in blocks] == [-1]
-    d = hook_block_dim(m)
+    d = (m - 1) // 2
     assert blocks[0].dim == d
     mat = hook_block_matrix(idx.seqs)
     assert len(_greedy_independent(mat)) == d
@@ -258,7 +256,7 @@ def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]
         if target == 0:
             continue
         ts = standard_tableaux(lam)
-        vecs = tableau_vector_matrix(lam, ts, index)
+        vecs = _tableau_vectors(_shape_tables(lam), ts, index)
         keep = _greedy_independent(vecs, stop_at=target)
         assert len(keep) == target
         span, span_ts = vecs[keep], [ts[i] for i in keep]
