@@ -10,16 +10,16 @@ The tests compare the expansion exactly against two independent oracles
 kept in tests/oracles.py: direct quadruple enumeration over the expansions
 of both tableau vectors, and streaming over all ordered cycle pairs.
 
-The expansion runs on numpy arrays: a monomial is one sorted row of
-m uint8 cell ids, an operator rewrites entries and merges equal rows by
-sorting and summing int64 coefficients, and every step refuses to run if a
-coefficient could leave +-2**62.  The row cascade of one tableau is held
-whole (it stays small); the column cascade is streamed over batches of row
-monomials and each batch is reduced to class sums at once, so the final
-patterns never all exist together.  A final pattern is a cycle word whose
-column nibbles are the positions of its values, so its cycle id is ranked
-from them directly (cycles.ids_of_positions, no word is built) and its
-class read from the per-cycle class table.
+The expansion runs on numpy arrays, and every step refuses to run if an
+int64 coefficient could leave +-2**62.  Through the shape polynomial and
+the row cascade of one tableau, held whole (it stays small), a monomial is
+a sorted row of m uint8 cells.  Once each row appears exactly once, it is
+one u64 key: the word whose letter r is 1 + the column of row r, which
+spells the positions of the values 1..m of a cycle word.  The column
+cascade runs on keys in batches, each reduced to class sums at once, so
+the final patterns never all exist together; their cycle ids are ranked
+from the keys directly (cycles.ids_of_positions, no word is built) and
+their classes read from the per-cycle class table.
 
 Every block, the single-block relaxation's hook block included, is
 assembled by one routine into the packed upper triangles the cache stores.
@@ -47,7 +47,7 @@ from .swapgraph import distances_from_base
 from .tableaux import perm_sign
 
 Filling = tuple[tuple[int, ...], ...]
-Poly = tuple[np.ndarray, np.ndarray]  # (cells, coeffs), see the expansion section
+Poly = tuple[np.ndarray, np.ndarray]  # (monomials, coeffs), see the expansion section
 
 
 @dataclass
@@ -87,14 +87,17 @@ class PairTables:
 
 # -- differential-operator expansion ---------------------------------------
 #
-# A polynomial is a pair (cells, coeffs).  Each row of the (N, deg) uint8
-# array cells is one monomial: its cells 16*(r-1) + (c-1) in ascending
-# order, one entry per unit of exponent, so row r lives in the high nibble
-# and column c in the low one (every m <= MAX_M fits).  coeffs holds the
-# (N,) int64 coefficients.  After every merge the rows are distinct and the
-# coefficients nonzero.  An operator replaces one entry and re-sorts the
-# row; the e equal entries of a cell of exponent e each give the same new
-# row, so merging duplicates supplies the factor e of the derivative.
+# A polynomial is a pair (monomials, coeffs) with (N,) int64 coefficients;
+# after every merge its monomials are distinct and its coefficients nonzero.
+# Through the row cascade a monomial is a sorted row of (N, deg) uint8 cells
+# 16*(c-1) + (r-1), one per unit of exponent, with the moving row r in the
+# low nibble.  Row operators keep the columns and the determinants are their
+# own transpose, so all monomials share their high nibbles and the low ones
+# are the merge key.  A row operator rewrites one low nibble and re-sorts;
+# the e equal entries of a cell of exponent e give the same new row, so
+# merging supplies the factor e.  _row_keys then turns each monomial, which
+# must hold every row once, into the pack_keys key whose letter r is 1 +
+# the column of row r, and a column operator adds to one nibble of the key.
 
 _COEFF_LIMIT = 1 << 62
 
@@ -102,49 +105,43 @@ _COEFF_LIMIT = 1 << 62
 # single row monomial alone expands further; keeps the working set small.
 _PATTERN_BATCH = 1 << 12
 
+_SHIFT = np.arange(60, -4, -4, dtype=np.uint64)  # bit offset of letter r of a pack_keys key
+
 
 def _check_range(bound: int) -> None:
-    """Refuse a step whose coefficients could leave +-2**62, before int64
-    arithmetic could wrap."""
+    """Refuse a step whose coefficients could leave +-2**62 before int64 wraps."""
     if bound >= _COEFF_LIMIT:
-        raise ResourceError(
-            f"coefficient bound {bound} exceeds the int64 range of the expansion"
-        )
+        raise ResourceError(f"coefficient bound {bound} exceeds the int64 range of the expansion")
 
 
 def _max_abs(coeffs: np.ndarray) -> int:
     return int(np.abs(coeffs).max()) if coeffs.size else 0
 
 
-def _merge(cells: np.ndarray, coeffs: np.ndarray) -> Poly:
-    """Sum the coefficients of equal rows and drop zero sums."""
-    n, deg = cells.shape
-    if n == 0:
-        return cells, coeffs
-    padded = np.zeros((n, max(8, -(-deg // 8) * 8)), dtype=np.uint8)
-    padded[:, :deg] = cells
-    keys = padded.view(np.uint64)
-    if keys.shape[1] == 1:
-        order = np.argsort(keys[:, 0])
-    else:
-        order = np.lexsort(keys.T[::-1])
+def _merge(keys: np.ndarray, monos: np.ndarray, coeffs: np.ndarray) -> Poly:
+    """Sum the coefficients of monomials with equal u64 keys; drop zero sums."""
+    order = np.argsort(keys)
     keys = keys[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
     sums = np.add.reduceat(coeffs[order], starts)
     keep = sums != 0
-    return cells[order[starts[keep]]], sums[keep]
+    return monos[order[starts[keep]]], sums[keep]
+
+
+def _pack(nibbles: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """u64 keys of (N, k) nibbles placed at the given bit offsets."""
+    return np.bitwise_or.reduce(nibbles.astype(np.uint64) << shifts, axis=1)
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     (ca, xa), (cb, xb) = a, b
     _check_range(_max_abs(xa) * xa.size * _max_abs(xb) * xb.size)
-    cells = np.concatenate(
-        [np.repeat(ca, len(cb), axis=0), np.tile(cb, (len(ca), 1))], axis=1
-    )
+    cells = np.concatenate([np.repeat(ca, len(cb), axis=0), np.tile(cb, (len(ca), 1))], axis=1)
     cells.sort(axis=1)
-    return _merge(cells, np.multiply.outer(xa, xb).ravel())
+    return _merge(_pack(cells & 15, _SHIFT[: cells.shape[1]]), cells,
+                  np.multiply.outer(xa, xb).ravel())
 
 
 def _frozen(poly: Poly) -> Poly:
@@ -184,67 +181,76 @@ def _shape_poly(lam: tuple[int, ...]) -> Poly:
     return _frozen(poly)
 
 
-def _derive(poly: Poly, src: int, dst: int, on_rows: bool) -> Poly:
-    """One operator pass: move one unit of row (or column) src to dst."""
-    cells, coeffs = poly
-    at, pos = np.nonzero((cells >> 4 if on_rows else cells & 15) == src - 1)
-    _check_range(_max_abs(coeffs) * at.size)
-    out = cells[at]
-    k = np.arange(at.size)
-    old = out[k, pos]
-    out[k, pos] = ((dst - 1) << 4) | (old & 15) if on_rows else (old & 0xF0) | (dst - 1)
-    out.sort(axis=1)
-    return _merge(out, coeffs[at])
-
-
-def _cascade(poly: Poly, t: Filling, m: int, on_rows: bool) -> Poly:
-    """Apply every operator a tableau calls for, source index descending.
+def _moves(t: Filling, m: int) -> list[tuple[int, int]]:
+    """The operators (src, dst) a tableau calls for, source index descending.
 
     Operators with distinct source indices only interact through values the
     earlier one produced, so blocks compose right to left; within a block,
     and between row and column movers, everything commutes.
     """
     row_of = {v: i + 1 for i, row in enumerate(t) for v in row}
-    for j in range(m - 1, 0, -1):
-        for s in range(j + 1, m + 1):
-            if row_of[s] == j:
-                poly = _derive(poly, j, s, on_rows=on_rows)
-    return poly
+    return [(j, s) for j in range(m - 1, 0, -1) for s in range(j + 1, m + 1) if row_of[s] == j]
 
 
-def _pattern_ids(cells: np.ndarray, m: int) -> np.ndarray:
-    """Cycle ids of final monomials, each of which must be a permutation
-    pattern: row a to column c means the word reads a at position c, so the
-    columns of the sorted cells are the positions of the values 1..m."""
-    pats = np.ascontiguousarray(cells.T)  # one monomial per column
-    pos = pats & 15
+def _row_cascade(poly: Poly, moves: list[tuple[int, int]]) -> Poly:
+    """Row operators on cells: each move takes one unit of row src to dst."""
+    cells, coeffs = poly
+    for src, dst in moves:
+        at, pos = np.nonzero(cells & 15 == src - 1)
+        _check_range(_max_abs(coeffs) * at.size)
+        cells = cells[at]
+        cells[np.arange(at.size), pos] += np.uint8(dst - src)
+        cells.sort(axis=1)
+        cells, coeffs = _merge(_pack(cells & 15, _SHIFT[: cells.shape[1]]), cells, coeffs[at])
+    return cells, coeffs
+
+
+def _column_cascade(poly: Poly, moves: list[tuple[int, int]], m: int) -> Poly:
+    """Column operators on keys: each move takes one unit of column src to dst."""
+    keys, coeffs = poly
+    for src, dst in moves:
+        row, at = np.nonzero((keys >> _SHIFT[:m, None]) & np.uint64(15) == src - 1)
+        _check_range(_max_abs(coeffs) * at.size)
+        keys = keys[at] + (np.uint64(dst - src) << _SHIFT[row])
+        keys, coeffs = _merge(keys, keys, coeffs[at])
+    return keys, coeffs
+
+
+def _row_keys(cells: np.ndarray, m: int) -> np.ndarray:
+    """Keys of row-cascaded cells; raises unless each row 0..m-1 appears
+    once, which keeps the keys injective (and holds under python -O)."""
+    rows = cells & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, rows, dtype=np.uint32), axis=1)
+    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
+        raise CrossingsError("row cascade ended on a monomial without one unit per row")
+    return _pack(cells >> 4, _SHIFT[rows])
+
+
+def _pattern_ids(keys: np.ndarray, m: int) -> np.ndarray:
+    """Cycle ids of final keys, which must be permutation patterns: row a to
+    column c means the word reads a at position c, the key's letter a."""
+    pos = ((keys >> _SHIFT[:m, None]) & np.uint64(15)).astype(np.uint8)
     seen = np.bitwise_or.reduce(np.left_shift(1, pos, dtype=np.uint32), axis=0)
-    if (
-        pats.shape[0] != m
-        or (pats >> 4 != np.arange(m, dtype=np.uint8)[:, None]).any()
-        or (seen != (1 << m) - 1).any()
-    ):
-        raise CrossingsError("operator expansion ended on a non-permutation monomial")
+    if (seen != (1 << m) - 1).any():
+        raise CrossingsError("column cascade ended on a monomial with a repeated column")
     return ids_of_positions(pos)
 
 
 def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
-    """Column-cascade a row-cascaded polynomial and sum its final patterns
-    by class, a batch of row monomials at a time.
+    """Column-cascade row keys and sum the final patterns by class in batches.
 
     Derivations are linear, so batches cascade apart and their sums are
-    exact.  One row monomial expands to at most prod(lam_i!) patterns, which
-    sizes the batches, so the whole pattern set (which approaches m!
-    entries) never exists at once.
+    exact.  A row monomial expands to at most prod(lam_i!) patterns, which
+    sizes the batches so that the m! or so final patterns never all exist.
     """
-    m = tables.m
+    m, moves = tables.m, _moves(t2, tables.m)
     per_row = prod(factorial(len(r)) for r in t2)
     step = max(1, _PATTERN_BATCH // per_row)
-    cells, coeffs = rows_done
+    keys, coeffs = rows_done
     acc = np.zeros(tables.classes.count, dtype=np.int64)
     bound = 0
     for lo in range(0, coeffs.size, step):
-        done = _cascade((cells[lo : lo + step], coeffs[lo : lo + step]), t2, m, on_rows=False)
+        done = _column_cascade((keys[lo : lo + step], coeffs[lo : lo + step]), moves, m)
         bound += _max_abs(done[1]) * done[1].size
         _check_range(bound)
         np.add.at(acc, tables.class_of_cycle[_pattern_ids(done[0], m)], done[1])
@@ -279,7 +285,8 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
             # ta takes the left cascade; the entries of a block row share
             # their ta, so one held cascade suffices
             if held is None or held[0] != ta:
-                held = (ta, _cascade(_shape_poly(b.lam), ta, m, on_rows=True))
+                cells, coeffs = _row_cascade(_shape_poly(b.lam), _moves(ta, m))
+                held = (ta, (_row_keys(cells, m), coeffs))
             raw = _class_sums(held[1], tb, tables)
         uses[key] -= 1
         if uses[key]:

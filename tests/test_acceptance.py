@@ -3,8 +3,8 @@
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines stream.  The
 gate rebuilds everything from scratch in a temporary cache, so the stated
 wall-clock budgets are asserted rather than just reported.  Two stretch
-tests (the single-block value at m=11, the full relaxation at m=8 and 9)
-take the better part of an hour and only run when CROSSINGS_STRETCH=1;
+tests (the single-block value at m=11, the full relaxation at m=9) take
+a few minutes each and only run when CROSSINGS_STRETCH=1;
 otherwise they print an honest SKIP line.  The even-rank expectation at
 m=6 is provably unattainable and is kept as a strict xfail so the failure
 stays on record without breaking the suite.
@@ -165,7 +165,7 @@ def singles(store):
 @pytest.fixture(scope="module")
 def fulls(store):
     outcomes, walls = {}, {}
-    for m in range(4, 8):
+    for m in range(4, 9):
         t0 = time.perf_counter()
         outcomes[m] = run_full(m, cache_dir=store)
         walls[m] = time.perf_counter() - t0
@@ -247,8 +247,8 @@ def test_criterion_4_single_block_values(singles):
 def test_criterion_4_stretch_larger_m(store):
     if not STRETCH:
         print("criterion 4 (stretch m=11..13): SKIP - set CROSSINGS_STRETCH=1 to "
-              "run m=11 (roughly half an hour); m=12 and m=13 need days of table "
-              "building and more memory than this gate budgets")
+              "run m=11 (a few minutes); m=12 and m=13 need more memory than "
+              "this gate budgets")
         pytest.skip("stretch runs disabled")
     t0 = time.perf_counter()
     out = run_single(11, cache_dir=store)
@@ -269,7 +269,7 @@ def test_criterion_4_stretch_larger_m(store):
 def test_criterion_5_full_values(fulls):
     outcomes, walls = fulls
     problems = []
-    for m in range(4, 8):
+    for m in range(4, 9):
         out = outcomes[m]
         err = abs(out.value - float(FULL_OPT[m]))
         if err > 1e-6:
@@ -283,31 +283,28 @@ def test_criterion_5_full_values(fulls):
             problems.append(f"m={m}: certified value exceeds the known optimum")
     wall = sum(walls.values())
     report(5, problems,
-           f"full relaxation optima match to 1e-6 for m=4..7 with exact "
+           f"full relaxation optima match to 1e-6 for m=4..8 with exact "
            f"certificates in {wall:.1f}s")
 
 
-def test_criterion_5_stretch_full_m8_m9(store):
+def test_criterion_5_stretch_full_m9(store):
     if not STRETCH:
-        print("criterion 5 (stretch m=8,9): SKIP - set CROSSINGS_STRETCH=1 to run "
-              "the full relaxation at m=8 (minutes) and m=9 (about an hour)")
+        print("criterion 5 (stretch m=9): SKIP - set CROSSINGS_STRETCH=1 to run "
+              "the full relaxation at m=9 (minutes)")
         pytest.skip("stretch runs disabled")
     problems = []
-    walls = {}
-    for m in (8, 9):
-        t0 = time.perf_counter()
-        out = run_full(m, cache_dir=store)
-        walls[m] = time.perf_counter() - t0
-        err = abs(out.value - float(FULL_OPT[m]))
-        if err > 1e-5:
-            problems.append(f"m={m}: value {out.value:.10f} off by {err:.2e}")
-        if out.raw - out.certificate.bound > 1e-5:
-            problems.append(f"m={m}: certificate trails the solver")
-        if out.certificate.value > Fraction(FULL_OPT[m]) + Fraction(1, 10**9):
-            problems.append(f"m={m}: certified value exceeds the known optimum")
-    report("5 (stretch m=8,9)", problems,
-           f"full relaxation optima match to 1e-5, m=8 in {walls[8]:.0f}s "
-           f"and m=9 in {walls[9]:.0f}s")
+    t0 = time.perf_counter()
+    out = run_full(9, cache_dir=store)
+    wall = time.perf_counter() - t0
+    err = abs(out.value - float(FULL_OPT[9]))
+    if err > 1e-5:
+        problems.append(f"m=9: value {out.value:.10f} off by {err:.2e}")
+    if out.raw - out.certificate.bound > 1e-5:
+        problems.append("m=9: certificate trails the solver")
+    if out.certificate.value > Fraction(FULL_OPT[9]) + Fraction(1, 10**9):
+        problems.append("m=9: certified value exceeds the known optimum")
+    report("5 (stretch m=9)", problems,
+           f"full relaxation optimum at m=9 matches to 1e-5 in {wall:.0f}s")
 
 
 def test_criterion_6_published_bounds():

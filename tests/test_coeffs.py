@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from crossings.coeffs import (
     PairTables,
-    _derive,
     _pattern_ids,
+    _row_cascade,
+    _row_keys,
     _shape_poly,
     block_constraint_tables,
 )
+from crossings.cycles import pack_keys
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.relaxations import split_triangles
 from crossings.repsets import Block, build_blocks, hook_block_columns
@@ -141,12 +143,14 @@ HOOK_TABLE_SHA256 = {
     6: "e15667c41d69d083ed14b6e2871c5f3714e4036da501cc4ac3aa712a115db540",
     7: "8a67ee91d98aa252cb705159db8af5e453e042ac26c15ae6ce97a868015b12f4",
     8: "c03d8434a897382ad642a7ceb71f033c2eb215b0a46d6ff4ed6951a0de41d3c1",
+    9: "ebddbfcfc8addef7271bf1b103cfa2a0cc1312fae3cc5b2581db79c8138021c4",
 }
 BLOCK_TABLES_SHA256 = {
     4: "77955ddc05f5499b4668301eaa5e970f69293840cfabb0b524912038041e4269",
     5: "238c06323be709eeae20eb2fe72b31294010437a457381cb1fe875cf05ea08bd",
     6: "17fff49739aab4313baaff1718aa9ec50362ced99d81fde02f9d3a46c8c0e616",
     7: "adc90fa68043de11225502d3b37cae592f113b5635754674d037d401e20374f9",
+    8: "efdd4241a694f387206efef43132ba60f4f0f5fab910d45d3c4b7d30e9f5ab59",
 }
 
 
@@ -165,7 +169,7 @@ def test_hook_table_bytes_frozen(m):
 
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))
 def test_block_tables_bytes_frozen(m):
-    t = TABLES[m]
+    t = TABLES.get(m) or PairTables.build(m)
     blocks = build_blocks(t.index)
     tri = block_constraint_tables(t, blocks)
     assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
@@ -235,18 +239,28 @@ def test_operator_step_past_the_coefficient_limit_is_refused():
     # twice the coefficient: 2 * 2**61 would reach 2**62
     cells = np.array([[0, 0]], dtype=np.uint8)
     with pytest.raises(ResourceError):
-        _derive((cells, np.array([2**61], dtype=np.int64)), 1, 2, on_rows=True)
-    got = _derive((cells, np.array([2**60], dtype=np.int64)), 1, 2, on_rows=True)
-    assert got[0].tolist() == [[0, 16]] and got[1].tolist() == [2**61]
+        _row_cascade((cells, np.array([2**61], dtype=np.int64)), [(1, 2)])
+    got = _row_cascade((cells, np.array([2**60], dtype=np.int64)), [(1, 2)])
+    # cells are 16 (column - 1) + (row - 1): cell (1, 1) and cell (2, 1)
+    assert got[0].tolist() == [[0, 1]] and got[1].tolist() == [2**61]
 
 
 def test_expansion_checks_survive_optimization():
     # raised, not asserted, so they hold under python -O too
-    good = np.array([[0x01, 0x10]], dtype=np.uint8)  # rows 1, 2 to columns 2, 1
-    assert _pattern_ids(good, 2).tolist() == [0]
-    for bad in ([[0x00, 0x10]], [[0x00, 0x01]], [[0x00, 0x11, 0x22]]):
+    good = np.array([[0x01, 0x10]], dtype=np.uint8)  # rows 2, 1 in columns 1, 2
+    keys = _row_keys(good, 2)
+    assert keys.tolist() == pack_keys([[2, 1]]).tolist()
+    assert _pattern_ids(keys, 2).tolist() == [0]
+    # width other than m; a repeated row; a row index past m, which must not
+    # fail as an IndexError
+    for bad in ([[0x00, 0x11, 0x22]], [[0x01]], [[0x00, 0x10]], [[0x00, 0x12]]):
         with pytest.raises(CrossingsError):
-            _pattern_ids(np.array(bad, dtype=np.uint8), 2)
+            _row_keys(np.array(bad, dtype=np.uint8), 2)
+    # two rows in one column pass the boundary but are no permutation pattern
+    with pytest.raises(CrossingsError):
+        _pattern_ids(_row_keys(np.array([[0x00, 0x01]], dtype=np.uint8), 2), 2)
+    with pytest.raises(CrossingsError):
+        _pattern_ids(pack_keys([[3, 1, 3]]), 3)
     t = TABLES[4]
     with pytest.raises(ResourceError):
         pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])
