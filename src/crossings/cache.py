@@ -146,11 +146,14 @@ def read_coeffs(
     path: Path, m: int
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     payload = _read_payload(path)
+    if len(payload) < _COFA_HEADER.size:
+        raise DataError(f"{path}: truncated header")
     magic, ver, got_m, nblocks, n = _COFA_HEADER.unpack_from(payload)
     _check_header(path, (magic, ver, got_m), (b"COFA", _VERSION, m))
-    off = _COFA_HEADER.size
-    dims = tuple(payload[off : off + nblocks])
-    rec = np.frombuffer(payload[off + nblocks :], dtype=_cofa_dtype(dims))
-    if rec.shape[0] != n:
-        raise DataError(f"{path}: truncated body")
+    off = _COFA_HEADER.size + nblocks
+    dims = tuple(payload[_COFA_HEADER.size : off])
+    dtype = _cofa_dtype(dims)
+    if len(dims) != nblocks or len(payload) - off != n * dtype.itemsize:
+        raise DataError(f"{path}: body is not {nblocks} dims and {n} whole records")
+    rec = np.frombuffer(payload, dtype=dtype, offset=off)
     return dims, rec["orbit"].copy(), rec["size"].copy(), rec["q"].copy(), rec["tri"].copy()

@@ -87,10 +87,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_n_values(text: str | None, fallback) -> list[int]:
     if text is None:
         return list(fallback)
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            ns = list(range(int(lo), int(hi) + 1))
+        else:
+            ns = [int(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise ArgumentError(f"--n {text!r}: not a count, a range or a list") from exc
+    if not ns:
+        raise ArgumentError(f"--n {text!r}: no column counts")
+    return ns
 
 
 def _result_out(args, result: dict) -> None:
@@ -236,10 +243,14 @@ def _cmd_certify(args) -> int:
 def _cmd_bounds(args) -> int:
     from .bounds import asymptotic_ratio, exact, lift_bound, plain, quadratic_bound, truncated
 
+    ns = _parse_n_values(args.n, [])  # empty: n = level
     levels: dict[int, tuple[object, str]] = {}
     if args.from_table:
-        with open(args.from_table, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.from_table, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ArgumentError(f"--from-table {args.from_table}: {exc}") from exc
         if set(data) <= {"alpha", "beta"}:
             # take the stronger optimum where both relaxations are present
             for source in ("beta", "alpha"):
@@ -269,7 +280,7 @@ def _cmd_bounds(args) -> int:
             f" for m >= {level}; ratio >= {truncated(ratio, 4)}]",
             file=sys.stderr,
         )
-        for n in _parse_n_values(args.n, [level]):
+        for n in ns or [level]:
             rows.append((level, n, qb.evaluate(n), source, True))
 
     writer = csv.writer(sys.stdout)
@@ -327,9 +338,9 @@ def _cmd_verify(args) -> int:
     checked = 0
     for path in (cache.coeffs_path(cd, m, "single"), cache.coeffs_path(cd, m, "full")):
         if path.exists():
-            cache._read_payload(path)
+            cache.read_coeffs(path, m)
             checked += 1
-    print(f"ok: {checked} cache files pass their checksums")
+    print(f"ok: {checked} cache files pass their checksums and headers")
     return 0
 
 

@@ -67,15 +67,6 @@ class Cycle:
         return len(self.seq)
 
     @classmethod
-    def from_word(cls, word) -> "Cycle":
-        """Build a cycle from any rotation of its orbit word."""
-        word = tuple(word)
-        if 1 not in word:
-            raise ArgumentError(f"cycle word must contain 1: {word}")
-        k = word.index(1)
-        return cls(word[k:] + word[:k])
-
-    @classmethod
     def base(cls, m: int) -> "Cycle":
         _check_m(m)
         return cls(tuple(range(1, m + 1)))
@@ -83,13 +74,6 @@ class Cycle:
     def invert(self) -> "Cycle":
         # (1, a, b, ..., z) traversed backwards is (1, z, ..., b, a).
         return Cycle((1,) + self.seq[:0:-1])
-
-    def image(self) -> tuple[int, ...]:
-        """One-line notation: entry v-1 is where the cycle sends v."""
-        img = [0] * self.m
-        for i, v in enumerate(self.seq):
-            img[v - 1] = self.seq[(i + 1) % self.m]
-        return tuple(img)
 
 
 # ---------------------------------------------------------------------------

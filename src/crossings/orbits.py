@@ -20,7 +20,6 @@ from math import factorial
 import numpy as np
 
 from .cycles import (
-    Cycle,
     CycleIndex,
     canonical_keys,
     invert_seqs,
@@ -28,7 +27,6 @@ from .cycles import (
     shift_canonical_keys,
     unpack_keys,
 )
-from .errors import ArgumentError
 
 
 @dataclass
@@ -54,30 +52,6 @@ class PairOrbits:
     @property
     def sizes(self) -> np.ndarray:
         return self.n_tau.astype(np.uint64) * np.uint64(factorial(self.m - 1))
-
-    def orbit_ids_of_tau_seqs(self, seqs: np.ndarray) -> np.ndarray:
-        """Orbit ids of the pairs (base, tau) for each word tau in seqs."""
-        return np.searchsorted(self.rep_keys, canonical_keys(seqs))
-
-    def orbit_of_pair(self, sigma: Cycle, tau: Cycle) -> int:
-        """Orbit id of an arbitrary ordered pair.
-
-        Normalizes by the relabeling that carries sigma's word to the base
-        (the unique such permutation); any other normalizer differs by a
-        stabilizer element and lands in the same class.
-        """
-        if sigma.m != self.m or tau.m != self.m:
-            raise ArgumentError("pair degree does not match the orbit table")
-        to_base = np.empty(self.m, dtype=np.uint8)
-        to_base[np.array(sigma.seq) - 1] = np.arange(1, self.m + 1)
-        moved = to_base[np.array(tau.seq, dtype=np.uint8) - 1]
-        return int(self.orbit_ids_of_tau_seqs(moved[None])[0])
-
-    def relabel_to_base(self, sigma_seq: np.ndarray) -> np.ndarray:
-        """Value map (as an array over 1..m, 0-indexed) sending sigma to base."""
-        to_base = np.empty(self.m, dtype=np.uint8)
-        to_base[np.asarray(sigma_seq) - 1] = np.arange(1, self.m + 1, dtype=np.uint8)
-        return to_base
 
     def symmetric_classes(self) -> "SymmetricClasses":
         ids = np.arange(self.num_orbits, dtype=np.int64)

@@ -35,7 +35,7 @@ import numpy as np
 from . import cache
 from .coeffs import PairTables, block_constraint_tables
 from .errors import ArgumentError, DataError, ResourceError, SolverError
-from .repsets import Block, build_blocks, hook_block_columns
+from .repsets import Block, build_blocks, hook_block_columns, psd_pivots
 from .sdp import polish_dual, solve_bound_problem
 
 # The cutting loop stops once no class is violated by more than _TOL_CUT
@@ -260,21 +260,9 @@ def certify(
 
 
 def exactly_psd(numerator: np.ndarray) -> bool:
-    """Pivoted rational elimination; no rounding anywhere."""
-    a = [[Fraction(int(v)) for v in row] for row in np.asarray(numerator, dtype=object)]
-    idx = list(range(len(a)))
-    while idx:
-        piv = max(idx, key=lambda i: a[i][i])
-        if a[piv][piv] < 0:
-            return False
-        if a[piv][piv] == 0:
-            return all(a[i][j] == 0 for i in idx for j in idx)
-        idx.remove(piv)
-        for i in idx:
-            r = a[i][piv] / a[piv][piv]
-            for j in idx:
-                a[i][j] -= r * a[piv][j]
-    return True
+    """Whether an integer matrix is symmetric PSD, decided exactly by the
+    fraction-free elimination that also selects the block rows."""
+    return psd_pivots(numerator) is not None
 
 
 def rank_report(y: np.ndarray) -> tuple[int, np.ndarray | None]:
@@ -337,12 +325,13 @@ def _relax(
         if not isinstance(saved, dict):
             raise DataError(f"unreadable cutting-plane state: {state_file}")
         if saved.get("m") == m and saved.get("active"):
-            active = [int(i) for i in saved["active"]]
-            if 0 not in active:
-                active.insert(0, 0)
-            done = saved.get("round", 0)
-            if type(done) is not int or done < 0:
-                raise DataError(f"unreadable cutting-plane state: {state_file}")
+            ids, done = saved["active"], saved.get("round", 0)
+            if type(done) is not int or done < 0 or not isinstance(ids, list) or not all(
+                type(i) is int and 0 <= i < len(qs) for i in ids
+            ):
+                raise DataError(f"unreadable cutting-plane state: {state_file} (round must "
+                                f"be an int >= 0, active a list of ids in [0, {len(qs)}))")
+            active = sorted(set(ids) | {0})
 
     rounds: list[RoundRecord] = []
     for rnd in range(done + 1, done + _MAX_ROUNDS + 1):

@@ -6,18 +6,21 @@ column-group tables made once per shape; the tests check them against the
 scalar tableau chain in tests/oracles.py).  The span of that family has
 dimension equal to the number of standard tableaux with descent sum
 divisible by m, so a minimal spanning subset is extracted first: vectors are
-built a chunk at a time in the fixed tableau enumeration order and streamed
-into the greedy independence test, which stops at that dimension, so the
-vectors past the last one it reads are never built.  The survivors are then
-symmetrized by the inversion sign, and a maximal independent subfamily per
-sign yields the blocks, each recorded by its shape, sign and tableaux: the
-row vectors are only needed to select them, and the coefficient tables are
-computed from the tableaux alone.
+built a chunk at a time in the fixed tableau enumeration order into
+preallocated rows, and each chunk only adds its cross products to the
+integer Gram matrix of the rows kept so far; the scan stops at that
+dimension, so the vectors past the last one it reads are never built.  The
+survivors are then symmetrized by the inversion sign, and a maximal
+independent subfamily per sign yields the blocks, each recorded by its
+shape, sign and tableaux: the row vectors are only needed to select them,
+and the coefficient tables are computed from the tableaux alone.
 
-Independence decisions are made exactly: a candidate joins a block when the
-integer Gram determinant of the enlarged set is nonzero (computed by
-fraction-free elimination over Python ints, so no floating point rank guess
-can ever corrupt a block).
+Independence decisions are made exactly, by one routine: fraction-free
+symmetric elimination over Python ints (psd_pivots), which on a Gram matrix
+gives a nonzero pivot exactly for a row independent of the rows before it.
+No floating point rank guess can corrupt a block.  A Gram matrix is PSD,
+so a negative pivot, or a zero pivot with a nonzero reduced row, raises.
+The same routine decides whether an exact certificate block is PSD.
 """
 
 from __future__ import annotations
@@ -119,73 +122,42 @@ def _tableau_vectors(
     return sums.astype(np.int64).reshape(len(ts), len(index))
 
 
-def bareiss_det(mat: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _reduce_row(reduced: list[list[int]], row: list[int]) -> list[int] | None:
+    """The next row of fraction-free symmetric elimination (Bareiss, Math.
+    Comp. 22, 1968): row holds a new index's entries against the earlier
+    indices, then its diagonal, and reduced the earlier rows as returned
+    here.  Each earlier nonzero pivot p maps x to (x p - x_t a_t) / prev,
+    prev the pivot before p, so every division is exact.  The last entry
+    returned is the new pivot; None when the matrix cannot be PSD."""
+    x = list(row)
+    prev = 1
+    for t, red in enumerate(reduced):
+        p, xt = red[t], x[t]
+        if p == 0:
+            if xt:  # a zero pivot with a nonzero reduced row
+                return None
+            continue
+        for u in range(t + 1, len(x) - 1):
+            x[u] = (x[u] * p - xt * reduced[u][t]) // prev
+        x[-1] = (x[-1] * p - xt * xt) // prev
+        prev = p
+    return x if x[-1] >= 0 else None
 
 
-class _GreedyBasis:
-    """A maximal independent subset grown row by row in scan order.
-
-    Keeps the accepted rows and their exact integer Gram matrix; a row joins
-    when the bordered Gram determinant is nonzero.  Entry sizes are checked
-    so the int64 dot products below cannot wrap.
-    """
-
-    def __init__(self, width: int):
-        self.rows = np.zeros((0, width), dtype=np.int64)
-        self.gram: list[list[int]] = []
-
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
-    def offer(self, rows: np.ndarray, limit: int | None = None) -> list[int]:
-        """Positions of the offered rows that join, scanning until the basis
-        holds limit rows."""
-        if rows.size and int(np.abs(rows).max()) ** 2 * rows.shape[1] >= 2**62:
-            raise ResourceError("tableau vector entries too large for exact int64 Gram products")
-        joined: list[int] = []
-        for i, w in enumerate(rows):
-            if limit is not None and len(self) == limit:
-                break
-            if not w.any():
-                continue
-            cross = [int(x) for x in self.rows @ w]
-            bordered = [g + [c] for g, c in zip(self.gram, cross)] + [cross + [int(w @ w)]]
-            if bareiss_det(bordered) == 0:
-                continue
-            joined.append(i)
-            self.gram = bordered
-            self.rows = np.vstack([self.rows, w[None]])
-        return joined
-
-
-def _greedy_independent(rows: np.ndarray, stop_at: int | None = None) -> list[int]:
-    """Indices of a maximal independent subset, scanned in the given order.
-
-    When the target rank is known in advance, stop_at cuts the scan short
-    once that many rows are chosen.
-    """
-    return _GreedyBasis(rows.shape[1]).offer(rows, stop_at)
+def psd_pivots(mat) -> list[int] | None:
+    """Pivots of the fraction-free symmetric elimination of an integer
+    matrix in index order, or None unless it is symmetric PSD.  Pivot k is
+    positive when index k is independent of the earlier ones and 0 when it
+    is dependent, so on a Gram matrix the nonzero pivots pick a maximal
+    independent set of rows greedily in order."""
+    rows = [[int(v) for v in row] for row in mat]
+    reduced: list[list[int]] = []
+    for k, row in enumerate(rows):
+        x = _reduce_row(reduced, row[: k + 1])
+        if x is None or any(row[j] != rows[j][k] for j in range(k)):
+            return None
+        reduced.append(x)
+    return [x[k] for k, x in enumerate(reduced)]
 
 
 # words per chunk of tableau vectors, so one chunk stays a few megabytes
@@ -197,13 +169,16 @@ def build_blocks(index: CycleIndex) -> list[Block]:
 
     Partitions are visited in descending lex order.  For each shape the
     standard-tableau vectors are built a chunk at a time, in enumeration
-    order, and fed to the greedy independence test until it holds as many
-    rows as the descent-sum count; no chunk asks for more rows than are
-    still missing, so only the rows the scan reads are ever built.  The
-    survivors are then symmetrized by the inversion sign, even sign first.
-    The rows of every returned block are independent over the rationals.
+    order, into preallocated span rows; a vector is kept when its pivot
+    against the Gram matrix of the kept rows is nonzero, and the scan stops
+    at the descent-sum count, so no chunk asks for more rows than are still
+    missing.  With P the inversion, the rows w + s wP have the Gram matrix
+    2G + s(G_P + G_P^T), G_P = span (span P)^T, so the sign split (even
+    sign first) never builds the flipped rows.  The rows of every returned
+    block are independent over the rationals.
     """
     inv_ids = index.inverse_ids()
+    width = len(index)
     blocks: list[Block] = []
     for lam in partitions(index.m):
         target = block_multiplicity(lam)
@@ -212,23 +187,44 @@ def build_blocks(index: CycleIndex) -> list[Block]:
         ts = standard_tableaux(lam)
         tables = _shape_tables(lam)
         per_tableau = len(tables[0]) * len(tables[1])  # words: R rearrangements x C
-        basis = _GreedyBasis(len(index))
+        span = np.empty((target, width), dtype=np.int64)
+        gram = np.zeros((target, target), dtype=np.int64)
+        reduced: list[list[int]] = []
         span_ts: list[Filling] = []
         pos = 0
-        while len(basis) < target and pos < len(ts):
-            chunk = ts[pos : pos + min(target - len(basis), max(1, _CHUNK_WORDS // per_tableau))]
-            joined = basis.offer(_tableau_vectors(tables, chunk, index), target)
-            span_ts.extend(chunk[i] for i in joined)
+        while len(span_ts) < target and pos < len(ts):
+            n = len(span_ts)
+            chunk = ts[pos : pos + min(target - n, max(1, _CHUNK_WORDS // per_tableau))]
             pos += len(chunk)
-        if len(basis) != target:
+            new = span[n : n + len(chunk)]
+            new[:] = _tableau_vectors(tables, chunk, index)
+            if int(np.abs(new).max()) ** 2 * width >= 2**62:
+                raise ResourceError("tableau vector entries too large for int64 Gram products")
+            cross = (span[: n + len(chunk)] @ new.T).tolist()
+            kept = list(range(n))
+            for j, t in enumerate(chunk):
+                row = [cross[i][j] for i in kept] + [cross[n + j][j]]
+                x = _reduce_row(reduced, row)
+                if x is None:
+                    raise CrossingsError(f"shape {lam}: tableau vector Gram matrix is not PSD")
+                if x[-1]:
+                    k = len(kept)
+                    gram[k, : k + 1] = gram[: k + 1, k] = row
+                    kept.append(n + j)
+                    reduced.append(x)
+                    span_ts.append(t)
+            span[n : len(kept)] = span[kept[n:]]
+        if len(span_ts) != target:
             raise CrossingsError(
-                f"shape {lam}: tableau vectors span {len(basis)} dimensions, expected {target}"
+                f"shape {lam}: tableau vectors span {len(span_ts)} dimensions, expected {target}"
             )
-        span = basis.rows
-        flipped = span[:, inv_ids]
+        flip = np.column_stack([span @ w[inv_ids] for w in span]).astype(object)
         split = 0
         for sign in (1, -1):
-            sel = _greedy_independent(span + sign * flipped)
+            pivots = psd_pivots(2 * gram.astype(object) + sign * (flip + flip.T))
+            if pivots is None:
+                raise CrossingsError(f"shape {lam}: Gram matrix of sign {sign:+d} is not PSD")
+            sel = [i for i, p in enumerate(pivots) if p]
             split += len(sel)
             if sel:
                 blocks.append(Block(lam=lam, sign=sign, tableaux=[span_ts[i] for i in sel]))

@@ -2,12 +2,12 @@
 
 The symmetry reduction assigns to every partition of m a block whose size is
 the number of standard tableaux whose descent sum vanishes mod m.  This
-module supplies the combinatorial layer: partitions, hook length dimensions,
-standard tableaux in a fixed enumeration order, descent sums and
-permutation signs.  The cycle-space vector of a tableau is built in bulk by
-the block module; the scalar construction it is checked against (tabloids,
-the column group and row rearrangements one filling at a time) lives with
-the other test oracles in tests/oracles.py.
+module supplies the combinatorial layer: partitions, standard tableaux in a
+fixed enumeration order, descent sums and permutation signs.  The
+cycle-space vector of a tableau is built in bulk by the block module; the
+scalar construction it is checked against (tabloids, the column group and
+row rearrangements one filling at a time) and the hook length count of the
+standard tableaux live with the other test oracles in tests/oracles.py.
 
 Fillings are tuples of row tuples.  A filling of shape lam places 1..m
 bijectively; standard means rows and columns increase.
@@ -16,9 +16,6 @@ bijectively; standard means rows and columns increase.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
-
-from .errors import CrossingsError
 
 
 def partitions(m: int) -> list[tuple[int, ...]]:
@@ -34,20 +31,6 @@ def partitions(m: int) -> list[tuple[int, ...]]:
 
     rec(m, m, ())
     return out
-
-
-def hook_dim(lam: tuple[int, ...]) -> int:
-    """Number of standard tableaux of the shape, by the hook length product."""
-    m = sum(lam)
-    cols = conjugate(lam)
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hooks *= (row - j) + (cols[j] - i) - 1
-    dim, rem = divmod(factorial(m), hooks)
-    if rem:
-        raise CrossingsError(f"hook product {hooks} of {lam} does not divide {m}!")
-    return dim
 
 
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,13 +5,20 @@ None of this is used by the package.  Each oracle computes something the
 production code also computes, by a slower and more literal route:
 
 - the relabel-and-invert group as explicit elements, with the scalar
-  canonical form taken as a minimum over the stabilizer orbit;
+  canonical form taken as a minimum over the stabilizer orbit, and the
+  cycle helpers it needs (a cycle from any rotation of its word, the
+  one-line image);
+- the pair orbit of an arbitrary ordered pair, by relabeling the first
+  component to the base;
 - cycle ids by binary search of the packed keys of re-anchored words, and
   by the scalar lexicographic rank of one word;
 - the swap distances by BFS over every word, with no quotienting;
 - the scalar tableau chain (polytabloid, the homomorphism into full orders,
   the projection to cycles) that builds one tableau vector at a time;
-- the block rows of a built Block, rebuilt from its tableaux;
+- the block rows of a built Block, rebuilt from its tableaux, and the
+  standard tableau count by the hook length product;
+- the PSD test by pivoted rational elimination, and greedy row selection
+  from the pivots of one whole Gram matrix;
 - the closed-form evaluator of the (m-2, 1, 1) block, reading each entry off
   the cycle word;
 - class blocks by direct quadruple enumeration and by streaming over all
@@ -22,16 +29,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from crossings.coeffs import PairTables
-from crossings.cycles import Cycle, CycleIndex, _check_m, pack_keys
+from crossings.cycles import Cycle, CycleIndex, _check_m, canonical_keys, pack_keys
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.repsets import Block, _shape_tables, _tableau_vectors
+from crossings.orbits import PairOrbits
+from crossings.repsets import Block, _shape_tables, _tableau_vectors, psd_pivots
 from crossings.swapgraph import UNREACHED, neighbor_words
-from crossings.tableaux import perm_sign
+from crossings.tableaux import conjugate, perm_sign
 
 Filling = tuple[tuple[int, ...], ...]
 
@@ -88,7 +97,24 @@ def act(g: GroupElement, c: Cycle) -> Cycle:
     if g.m != c.m:
         raise ArgumentError(f"degree mismatch: group element on {g.m}, cycle on {c.m}")
     word = c.seq if g.eps == 1 else c.invert().seq
-    return Cycle.from_word(g.perm[v - 1] for v in word)
+    return cycle_from_word(g.perm[v - 1] for v in word)
+
+
+def cycle_from_word(word) -> Cycle:
+    """The cycle of any rotation of its orbit word."""
+    word = tuple(word)
+    if 1 not in word:
+        raise ArgumentError(f"cycle word must contain 1: {word}")
+    k = word.index(1)
+    return Cycle(word[k:] + word[:k])
+
+
+def cycle_image(c: Cycle) -> tuple[int, ...]:
+    """One-line notation: entry v-1 is where the cycle sends v."""
+    img = [0] * c.m
+    for i, v in enumerate(c.seq):
+        img[v - 1] = c.seq[(i + 1) % c.m]
+    return tuple(img)
 
 
 def stabilizer_generators(m: int) -> tuple[GroupElement, GroupElement]:
@@ -159,6 +185,35 @@ def lex_rank(word) -> int:
         rank += left.index(v) * factorial(len(anchored) - 1 - j)
         left.remove(v)
     return rank
+
+
+# -- pair orbits of arbitrary ordered pairs ----------------------------------
+
+
+def relabel_to_base(sigma_seq) -> np.ndarray:
+    """Value map (as an array over 1..m, 0-indexed) sending sigma to base."""
+    sigma_seq = np.asarray(sigma_seq)
+    to_base = np.empty(sigma_seq.size, dtype=np.uint8)
+    to_base[sigma_seq - 1] = np.arange(1, sigma_seq.size + 1, dtype=np.uint8)
+    return to_base
+
+
+def orbit_ids_of_tau_seqs(orbits: PairOrbits, seqs: np.ndarray) -> np.ndarray:
+    """Orbit ids of the pairs (base, tau) for each word tau in seqs."""
+    return np.searchsorted(orbits.rep_keys, canonical_keys(seqs))
+
+
+def orbit_of_pair(orbits: PairOrbits, sigma: Cycle, tau: Cycle) -> int:
+    """Orbit id of an arbitrary ordered pair.
+
+    Normalizes by the relabeling that carries sigma's word to the base (the
+    unique such permutation); any other normalizer differs by a stabilizer
+    element and lands in the same class.
+    """
+    if sigma.m != orbits.m or tau.m != orbits.m:
+        raise ArgumentError("pair degree does not match the orbit table")
+    moved = relabel_to_base(sigma.seq)[np.array(tau.seq, dtype=np.uint8) - 1]
+    return int(orbit_ids_of_tau_seqs(orbits, moved[None])[0])
 
 
 # -- swap distances over every word -----------------------------------------
@@ -304,6 +359,52 @@ def block_rows(index: CycleIndex, block: Block) -> np.ndarray:
     return vecs + block.sign * vecs[:, index.inverse_ids()]
 
 
+def hook_dim(lam: tuple[int, ...]) -> int:
+    """Number of standard tableaux of the shape, by the hook length product."""
+    m = sum(lam)
+    cols = conjugate(lam)
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= (row - j) + (cols[j] - i) - 1
+    dim, rem = divmod(factorial(m), hooks)
+    if rem:
+        raise CrossingsError(f"hook product {hooks} of {lam} does not divide {m}!")
+    return dim
+
+
+# -- exact PSD tests and row selection -----------------------------------------
+
+
+def pivoted_psd(numerator) -> bool:
+    """Whether a symmetric integer matrix is PSD, by rational elimination
+    that always pivots on the largest remaining diagonal entry."""
+    a = [[Fraction(int(v)) for v in row] for row in np.asarray(numerator, dtype=object)]
+    idx = list(range(len(a)))
+    while idx:
+        piv = max(idx, key=lambda i: a[i][i])
+        if a[piv][piv] < 0:
+            return False
+        if a[piv][piv] == 0:
+            return all(a[i][j] == 0 for i in idx for j in idx)
+        idx.remove(piv)
+        for i in idx:
+            r = a[i][piv] / a[piv][piv]
+            for j in idx:
+                a[i][j] -= r * a[piv][j]
+    return True
+
+
+def independent_rows(rows: np.ndarray, stop_at: int | None = None) -> list[int]:
+    """Indices of a maximal independent subset of integer rows, scanned in
+    order, from the pivots of their whole Gram matrix; stop_at keeps the
+    first that many."""
+    rows = np.asarray(rows, dtype=np.int64)
+    pivots = psd_pivots(rows @ rows.T)
+    assert pivots is not None, "a Gram matrix is PSD"
+    return [i for i, p in enumerate(pivots) if p][:stop_at]
+
+
 # -- closed form of the (m-2, 1, 1) block ----------------------------------------
 
 
@@ -389,7 +490,7 @@ def direct_expansion(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, 
     acc = np.zeros(tables.classes.count, dtype=np.int64)
     shifted = words2 - 1
     for sgn, word in zip(signs1, words1):
-        moved = tables.orbits.relabel_to_base(word)[shifted]
+        moved = relabel_to_base(word)[shifted]
         np.add.at(acc, tables.class_ids_of_words(moved), sgn * signs2)
     return {int(c): int(v) for c, v in enumerate(acc) if v}
 

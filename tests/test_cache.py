@@ -35,6 +35,20 @@ def test_coeffs_detects_corruption(tmp_path):
         cache.read_coeffs(p, 5)
 
 
+def test_coeffs_refuses_short_payloads_with_matching_sidecars(tmp_path):
+    # a payload cut inside the header, inside the block dims, or inside a
+    # record, each published with its own matching checksum
+    p = cache.coeffs_path(tmp_path, 5, "single")
+    _write_small_coeffs(p, 5)
+    whole = p.read_bytes()
+    for size in (0, 5, 15, 40, len(whole) - 1, len(whole) + 3):
+        cache._write_payload(p, (whole + b"\0" * 3)[:size])
+        with pytest.raises(DataError, match="truncated header|whole records"):
+            cache.read_coeffs(p, 5)
+    cache._write_payload(p, whole)
+    assert cache.read_coeffs(p, 5)[0] == (2,)
+
+
 def test_coeffs_missing_sidecar(tmp_path):
     p = cache.coeffs_path(tmp_path, 5, "single")
     _write_small_coeffs(p, 5)

@@ -137,10 +137,35 @@ def test_bounds_needs_input(capsys):
     assert "error:" in err
 
 
+def test_bounds_refuses_bad_column_counts_and_tables(capsys, tmp_path):
+    table = tmp_path / "levels.json"
+    table.write_text('{"10": "9.6866252078"}')
+    for bad in ("1x", "13..10", ","):
+        code, out, err = run_cli(capsys, "bounds", "--from-table", str(table), "--n", bad)
+        assert code == 2 and "error: --n" in err and out == ""
+    table.write_text('{"10": "9.6866252078"')
+    code, out, err = run_cli(capsys, "bounds", "--from-table", str(table))
+    assert code == 2 and "error: --from-table" in err and out == ""
+
+
 def test_verify_command(store, capsys):
     code, out, _ = run_cli(capsys, "verify", "--m", "4", "--cache-dir", str(store))
     assert code == 0
     assert out.count("ok:") >= 4
+
+
+def test_verify_reads_cached_tables_through_their_header(capsys, tmp_path):
+    # a level-5 table with its own matching sidecar, copied under the level-8
+    # name: its checksum passes, its header does not
+    code, _, _ = run_cli(capsys, "coeffs", "--m", "5", "--cache-dir", str(tmp_path))
+    assert code == 0
+    for suffix in ("", ".crc32"):
+        src = tmp_path / f"coeffs_5_single.bin{suffix}"
+        (tmp_path / f"coeffs_8_single.bin{suffix}").write_bytes(src.read_bytes())
+    code, out, err = run_cli(capsys, "verify", "--m", "8", "--cache-dir", str(tmp_path))
+    assert code == 6
+    assert "coeffs_8_single.bin: bad m (got 5, want 8)" in err
+    assert "cache files pass" not in out
 
 
 def test_threads_flag_sets_environment(store, capsys, monkeypatch):

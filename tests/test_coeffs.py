@@ -29,6 +29,7 @@ from oracles import (
     monomial_to_orbit,
     pair_stream_forms,
     pair_stream_hook_table,
+    relabel_to_base,
     row_equivalent_fillings,
     signed_column_fillings,
 )
@@ -293,7 +294,7 @@ def test_same_monomial_same_class(m):
     for w1 in terms[:24]:
         for w2 in terms:
             pattern = tuple(int(np.argwhere(np.array(w2) == np.array(w1)[p])[0, 0]) + 1 for p in range(m))
-            relabel = t.orbits.relabel_to_base(np.array(w1, dtype=np.uint8))
+            relabel = relabel_to_base(np.array(w1, dtype=np.uint8))
             moved = relabel[np.array(w2, dtype=np.uint8) - 1]
             cid = int(t.class_ids_of_words(moved[None])[0])
             assert monomial_to_orbit(pattern, t) == cid

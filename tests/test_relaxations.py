@@ -178,6 +178,12 @@ def test_truncated_cut_state_is_refused_by_name(store):
         state.write_text('{"m": 6, "round": "2", "active": [1, 2]}')
         with pytest.raises(DataError, match="cuts_6_single.json"):
             run_single(6, cache_dir=store, resume=True)
+        # single m=6 has 17 classes: ids past the end, negative ids, a
+        # string of digits, fractions, non-numbers and booleans are refused
+        for active in ("[0, 17]", "[0, -1, 16]", '"12"', "[0, 1.7]", '[0, "x"]', "[0, true]"):
+            state.write_text(f'{{"m": 6, "round": 2, "active": {active}}}')
+            with pytest.raises(DataError, match=r"cuts_6_single.json.*\[0, 17\)"):
+                run_single(6, cache_dir=store, resume=True)
     finally:
         state.unlink()
 

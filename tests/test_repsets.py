@@ -16,12 +16,11 @@ from crossings.orbits import orbit_census
 from crossings.swapgraph import distances_from_base
 from crossings.repsets import (
     Block,
-    _greedy_independent,
     _shape_tables,
     _tableau_vectors,
-    bareiss_det,
     build_blocks,
     hook_block_columns,
+    psd_pivots,
 )
 from crossings.tableaux import block_multiplicity, partitions, standard_tableaux
 from oracles import (
@@ -29,6 +28,8 @@ from oracles import (
     block_rows,
     hook_block_matrix,
     hook_block_values,
+    independent_rows,
+    pivoted_psd,
     repset_vector,
     signed_column_fillings,
     sorted_key_ids,
@@ -176,16 +177,54 @@ def test_rank_selection_is_order_independent(m):
         if a == 0:
             continue
         vecs = _tableau_vectors(_shape_tables(lam), standard_tableaux(lam), idx)
-        assert len(_greedy_independent(vecs)) == a
-        assert len(_greedy_independent(np.ascontiguousarray(vecs[::-1]))) == a
+        assert len(independent_rows(vecs)) == a
+        assert len(independent_rows(np.ascontiguousarray(vecs[::-1]))) == a
 
 
 def test_greedy_independent_basics():
     rows = np.array([[1, 1, 0], [2, 2, 0], [0, 0, 0], [1, 0, 1]], dtype=np.int64)
-    assert _greedy_independent(rows) == [0, 3]
-    assert _greedy_independent(rows, stop_at=1) == [0]
-    assert bareiss_det([[2, 1], [1, 2]]) == 3
-    assert bareiss_det([[1, 2], [2, 4]]) == 0
+    assert independent_rows(rows) == [0, 3]
+    assert independent_rows(rows, stop_at=1) == [0]
+    # pivot k is the leading principal minor through k over the previous one
+    assert psd_pivots([[2, 1], [1, 2]]) == [2, 3]
+    assert psd_pivots([[1, 2], [2, 4]]) == [1, 0]
+    assert psd_pivots([[0, 0], [0, 5]]) == [0, 5]
+    assert psd_pivots([]) == []
+    assert psd_pivots([[1, 2], [2, 1]]) is None  # negative pivot
+    assert psd_pivots([[0, 1], [1, 0]]) is None  # zero pivot, nonzero row
+    assert psd_pivots([[1, 0, 1], [0, 0, 0], [1, 0, 1]]) == [1, 0, 0]
+    assert psd_pivots([[1, 2], [0, 4]]) is None  # not symmetric
+
+
+def _random_symmetric(rng, n: int, psd: bool) -> np.ndarray:
+    """A symmetric integer matrix: a Gram matrix of rank at most n (PSD), or
+    such a matrix with one diagonal entry lowered, or plain noise."""
+    a = rng.integers(-4, 5, size=(n, int(rng.integers(1, n + 1))))
+    mat = a @ a.T
+    if not psd:
+        if rng.random() < 0.5:
+            i = int(rng.integers(n))
+            mat[i, i] -= int(rng.integers(1, 4))
+        else:
+            b = rng.integers(-3, 4, size=(n, n))
+            mat = b + b.T
+    return mat
+
+
+def test_psd_pivots_match_the_pivoted_oracle():
+    rng = np.random.default_rng(2206)
+    seen = Counter()
+    for trial in range(600):
+        n = int(rng.integers(1, 8))
+        mat = _random_symmetric(rng, n, psd=trial % 2 == 0)
+        pivots = psd_pivots(mat)
+        assert (pivots is not None) == pivoted_psd(mat), mat
+        seen[pivots is not None] += 1
+        if pivots is not None:
+            # a Gram matrix's nonzero pivots count its rank
+            assert sum(1 for p in pivots if p) == np.linalg.matrix_rank(mat.astype(float))
+            assert all(p >= 0 for p in pivots)
+    assert seen[True] > 250 and seen[False] > 100
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -240,9 +279,9 @@ def test_hook_block_spans_built_odd_block(m):
     d = (m - 1) // 2
     assert blocks[0].dim == d
     mat = hook_block_matrix(idx.seqs)
-    assert len(_greedy_independent(mat)) == d
+    assert len(independent_rows(mat)) == d
     stacked = np.vstack([mat, block_rows(idx, blocks[0])])
-    assert len(_greedy_independent(stacked)) == d
+    assert len(independent_rows(stacked)) == d
 
 
 def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]]:
@@ -257,12 +296,12 @@ def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]
             continue
         ts = standard_tableaux(lam)
         vecs = _tableau_vectors(_shape_tables(lam), ts, index)
-        keep = _greedy_independent(vecs, stop_at=target)
+        keep = independent_rows(vecs, stop_at=target)
         assert len(keep) == target
         span, span_ts = vecs[keep], [ts[i] for i in keep]
         for sign in (1, -1):
             cand = span + sign * span[:, inv_ids]
-            sel = _greedy_independent(cand)
+            sel = independent_rows(cand)
             if sel:
                 blocks.append((Block(lam, sign, [span_ts[i] for i in sel]), cand[sel]))
     return blocks
@@ -301,7 +340,7 @@ import numpy as np
 import crossings.repsets as repsets
 from crossings.cycles import CycleIndex
 from crossings.errors import CrossingsError, ResourceError
-from crossings.tableaux import hook_dim
+from crossings.tableaux import standard_tableaux
 
 def refused(kind, call):
     try:
@@ -311,12 +350,20 @@ def refused(kind, call):
         return
     raise SystemExit(f"no {kind.__name__} from {call}")
 
-# Gram products of entries this large could wrap in int64
-refused(ResourceError, lambda: repsets._greedy_independent(
-    np.full((2, 4), 2**30, dtype=np.int64)))
-# not a partition: the hook product does not divide 7!
-refused(CrossingsError, lambda: hook_dim((3, 1, 1, 2)))
 idx = CycleIndex(5)
+# Gram products of entries this large could wrap in int64
+true_vectors = repsets._tableau_vectors
+repsets._tableau_vectors = lambda tables, ts, index: np.full(
+    (len(ts), len(index)), 2**30, dtype=np.int64)
+refused(ResourceError, lambda: repsets.build_blocks(idx))
+repsets._tableau_vectors = true_vectors
+# a value map that is no permutation: each column goes to the column where
+# the first (3, 2) vector is most opposed to it, so 2G + G_P + G_P^T < 0
+v = true_vectors(repsets._shape_tables((3, 2)), standard_tableaux((3, 2))[:1], idx)[0]
+true_inverse = idx.inverse_ids
+idx.inverse_ids = lambda: np.where(v > 0, v.argmin(), v.argmax())
+refused(CrossingsError, lambda: repsets.build_blocks(idx))
+idx.inverse_ids = true_inverse
 # a multiplicity the tableau vectors cannot reach
 true_mult = repsets.block_multiplicity
 repsets.block_multiplicity = lambda lam: true_mult(lam) + (lam == (3, 1, 1))
@@ -341,6 +388,6 @@ def test_block_checks_survive_optimization(flags):
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
     assert "int64" in lines[0]
-    assert "does not divide" in lines[1]
+    assert "sign +1 is not PSD" in lines[1] and "(3, 2)" in lines[1]
     assert "expected 3" in lines[2] and "(3, 1, 1)" in lines[2]
     assert "sign blocks" in lines[3]

@@ -13,7 +13,6 @@ from crossings.tableaux import (
     conjugate,
     cyclic_tableaux,
     descent_sum,
-    hook_dim,
     partitions,
     perm_sign,
     standard_tableaux,
@@ -21,6 +20,7 @@ from crossings.tableaux import (
 from oracles import (
     base_filling,
     compose_word,
+    hook_dim,
     polytabloid,
     project_f,
     repset_vector,
