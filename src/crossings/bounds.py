@@ -70,17 +70,11 @@ class LiftedBound:
     e: Fraction
 
     def evaluate(self, m: int, n: int) -> int:
+        """The lifted quadratic at m rows, evaluated as a QuadraticBound."""
         if m < self.k:
             raise ArgumentError(f"lift from {self.k} rows only covers m >= {self.k}")
         mm = m * (m - 1)
-        value = max(0, ceil(self.c * mm * n * n - self.e * mm * n))
-        cap = zarankiewicz(m, n)
-        if value > cap:
-            raise ArgumentError(
-                f"bound {value} exceeds the drawing count {cap}; "
-                f"the input is not a valid cost optimum"
-            )
-        return value
+        return QuadraticBound(m, self.optimum, self.source, self.c * mm, self.e * mm).evaluate(n)
 
 
 def quadratic_bound(m: int, optimum, source: str = "beta") -> QuadraticBound:

@@ -84,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_n_values(text: str | None, fallback) -> list[int]:
+def _parse_n_values(text: str | None) -> list[int]:
+    """Column counts of --n; empty when it is not given."""
     if text is None:
-        return list(fallback)
+        return []
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -111,10 +112,10 @@ def _result_out(args, result: dict) -> None:
 def _self_pair_cost(index, dist, check: bool = True) -> int:
     """Swap distance of the pair (base, inverted base); with check, a
     DataError when it differs from the closed form floor((m-1)^2/4)."""
-    from .cycles import Cycle
+    from .cycles import invert_seqs
     from .swapgraph import self_cost
 
-    diag = int(dist[index.id_of(Cycle.base(index.m).invert())])
+    diag = int(dist[index.id_of_words(invert_seqs(index.seqs[0]))])  # row 0 is the base
     if check and diag != self_cost(index.m):
         raise DataError(f"self-pair cost {diag} differs from the closed form {self_cost(index.m)}")
     return diag
@@ -136,10 +137,8 @@ def _cmd_orbits(args) -> int:
     from . import reference
     from .cycles import CycleIndex
     from .orbits import orbit_census
-    from .swapgraph import distances_from_base
 
-    index = CycleIndex(args.m)
-    triple = orbit_census(index, distances_from_base(index))
+    triple = orbit_census(CycleIndex(args.m))
     print(f"m={args.m}: {triple[0]} relabel-only orbits, {triple[1]} / {triple[2]} "
           f"pair orbits / swap classes")
     if args.verify:
@@ -243,23 +242,25 @@ def _cmd_certify(args) -> int:
 def _cmd_bounds(args) -> int:
     from .bounds import asymptotic_ratio, exact, lift_bound, plain, quadratic_bound, truncated
 
-    ns = _parse_n_values(args.n, [])  # empty: n = level
+    ns = _parse_n_values(args.n)  # empty: n = level
     levels: dict[int, tuple[object, str]] = {}
     if args.from_table:
         try:
             with open(args.from_table, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ArgumentError(f"--from-table {args.from_table}: {exc}") from exc
-        if set(data) <= {"alpha", "beta"}:
-            # take the stronger optimum where both relaxations are present
+            if isinstance(data, dict) and not set(data) <= {"alpha", "beta"}:
+                data = {args.source: data}  # values given without a tag
+            # take the stronger optimum where a level appears twice
             for source in ("beta", "alpha"):
-                for key, value in data.get(source, {}).items():
-                    level = int(key)
-                    if level not in levels or exact(value) > exact(levels[level][0]):
+                table = data.get(source, {}) if isinstance(data, dict) else None
+                if not isinstance(table, dict):
+                    raise TypeError("not a table of levels")
+                for key, value in table.items():
+                    level, optimum = int(key), exact(value)
+                    if level not in levels or optimum > exact(levels[level][0]):
                         levels[level] = (value, source)
-        else:
-            levels = {int(k): (v, args.source) for k, v in data.items()}
+        except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ArgumentError(f"--from-table {args.from_table}: {exc}") from exc
     if args.m is not None:
         from .relaxations import run_single
 
@@ -302,7 +303,7 @@ def _cmd_verify(args) -> int:
     dist = distances_from_base(index)
     print(f"ok: self-pair cost {_self_pair_cost(index, dist)}")
 
-    triple = orbit_census(index, dist)
+    triple = orbit_census(index)
     want = reference.CENSUS.get(m)
     if want is not None:
         if triple != want:

@@ -2,6 +2,9 @@
 
 Every invariant matrix is a combination of the pair-class indicators, so
 each reduced constraint is carried by one small integer block per class.
+The pair tables gather what the constraints are indexed by: the cycle
+table, the pair orbits and their swap classes, and each class's cost, read
+from the swap distances at the class representative only.
 The blocks come from expanding the pairing polynomial by differential
 operators: its degree-m monomials are permutation patterns in bijection
 with relabeling orbits of pairs of full orders, so the cost is governed by
@@ -31,7 +34,6 @@ flip.  Sign 0 leaves the raw forms, the rows being the tableau vectors.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,7 +46,7 @@ from .errors import CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
 from .repsets import Block
 from .swapgraph import distances_from_base
-from .tableaux import perm_sign
+from .tableaux import lex_permutations
 
 Filling = tuple[tuple[int, ...], ...]
 Poly = tuple[np.ndarray, np.ndarray]  # (monomials, coeffs), see the expansion section
@@ -52,21 +54,26 @@ Poly = tuple[np.ndarray, np.ndarray]  # (monomials, coeffs), see the expansion s
 
 @dataclass
 class PairTables:
-    """Cycle table plus pair-orbit and class tables for one m."""
+    """Cycle table plus pair-orbit and class tables for one m, with the
+    cost of each class: the swap distance from the base to the inverse of
+    the class representative's second component."""
 
     index: CycleIndex
     orbits: PairOrbits
     classes: SymmetricClasses
     class_of_cycle: np.ndarray  # (N,) int32, class of (base, tau) by cycle id of tau
+    q: np.ndarray  # (C,) u16, pair cost on each class
     _flip: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, m: int) -> "PairTables":
         index = CycleIndex(m)
-        orbits = build_pair_orbits(index, distances_from_base(index))
+        orbits = build_pair_orbits(index)
         classes = orbits.symmetric_classes()
         class_of_cycle = classes.class_of_orbit[index.stabilizer_orbits()[1]].astype(np.int32)
-        return cls(index=index, orbits=orbits, classes=classes, class_of_cycle=class_of_cycle)
+        reps = orbits.rep_seqs[classes.rep_orbits]
+        q = distances_from_base(index)[index.id_of_words(invert_seqs(reps))].astype(np.uint16)
+        return cls(index=index, orbits=orbits, classes=classes, class_of_cycle=class_of_cycle, q=q)
 
     @property
     def m(self) -> int:
@@ -154,12 +161,9 @@ def _frozen(poly: Poly) -> Poly:
 @lru_cache(maxsize=None)
 def _det_poly(k: int) -> Poly:
     """The k x k determinant; memoized, so its arrays are read-only."""
-    base = tuple(range(1, k + 1))
-    perms = list(itertools.permutations(base))
-    cells = np.array([[16 * i + p - 1 for i, p in enumerate(perm)] for perm in perms],
-                     dtype=np.uint8)
-    signs = np.array([perm_sign(base, perm) for perm in perms], dtype=np.int64)
-    return _frozen((cells, signs))
+    perms, signs = lex_permutations(k)
+    cells = perms + (16 * np.arange(k, dtype=np.uint8))
+    return _frozen((cells, signs.astype(np.int64)))
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,10 @@ optional inversion, (pi, eps) . sigma = pi sigma^eps pi^-1.  The stabilizer of
 the base cycle (1 2 ... m) has order 2m; it is generated by the base cycle
 itself acting as a value shift, and by the value reflection about 1 combined
 with inversion.  Canonical forms under that stabilizer are what every other
-module keys orbits on.  They are computed in bulk here; the group as
-explicit elements and the scalar canonical form it defines live with the
-other test oracles in tests/oracles.py, and the bulk form is checked
-against them.
+module keys orbits on.  They are computed in bulk here, on uint8 word
+arrays; a single cycle as a value, the group as explicit elements and the
+scalar canonical form it defines live with the other test oracles in
+tests/oracles.py, and the bulk form is checked against them.
 
 The bulk form rests on anchored differences.  In 0-based values v, shifting
 a word's values so that v[p] becomes the anchor and rotating position p to
@@ -21,7 +21,9 @@ its m difference sequences, one per start position, and the m reflected
 inverses are (v[p] - v[p - j]) mod m.  One kernel builds all 2m of them for
 a chunk of words from windows of the doubled word, packs each into a u64 key
 (nibble pairs to bytes, read big-endian, the same packing every key in the
-package uses) and keeps the smallest.
+package uses) and keeps the smallest of each family of m: the value shifts
+alone, which key the orbits under relabeling without inversion, and the
+reflected inverses.  The canonical key is the smaller of the two.
 
 A cycle's id is the lexicographic rank of its anchored word, and it is
 computed, not looked up: from the position of each value in any rotation of
@@ -32,7 +34,6 @@ words or keys is searched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -48,32 +49,6 @@ MAX_M = 16
 def _check_m(m: int) -> None:
     if not 3 <= m <= MAX_M:
         raise ArgumentError(f"cycle length must be in [3, {MAX_M}], got {m}")
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """An m-cycle, stored as its orbit word anchored at 1."""
-
-    seq: tuple[int, ...]
-
-    def __post_init__(self):
-        m = len(self.seq)
-        _check_m(m)
-        if self.seq[0] != 1 or sorted(self.seq) != list(range(1, m + 1)):
-            raise ArgumentError(f"not a 1-anchored permutation word: {self.seq}")
-
-    @property
-    def m(self) -> int:
-        return len(self.seq)
-
-    @classmethod
-    def base(cls, m: int) -> "Cycle":
-        _check_m(m)
-        return cls(tuple(range(1, m + 1)))
-
-    def invert(self) -> "Cycle":
-        # (1, a, b, ..., z) traversed backwards is (1, z, ..., b, a).
-        return Cycle((1,) + self.seq[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +115,6 @@ def invert_seqs(seqs: np.ndarray) -> np.ndarray:
     return np.concatenate([seqs[..., :1], seqs[..., :0:-1]], axis=-1)
 
 
-def reflect_invert_seqs(seqs: np.ndarray) -> np.ndarray:
-    """Images under the reflecting stabilizer generator: the inverse cycle
-    with values reflected about 1 (v -> m + 2 - v, i.e. 1 - v mod m)."""
-    m = seqs.shape[-1]
-    return (m + 1 - invert_seqs(seqs)) % m + 1
-
-
 # Rows per chunk of the canonicalization kernel.  Its temporaries take about
 # 4m(m + 8) bytes per row (0.7 MB a chunk at m = 10), so chunks stay in
 # cache and off the peak memory of callers that canonicalize whole tables.
@@ -159,46 +127,35 @@ def _ahead(cols: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([cols, cols]), m, axis=0)[:m].transpose(2, 0, 1)
 
 
-def _image_min_keys(seqs: np.ndarray, reflect: bool) -> np.ndarray:
-    """Min packed key over the value-shift images of each row, (F, ...).
+def shift_families(seqs: np.ndarray) -> np.ndarray:
+    """Min packed key over each stabilizer coset of every row, (2, ...).
 
     In 0-based values v, row 0 of the result covers the m anchored
     difference sequences (v[p + j] - v[p]) mod m, one per start position p:
     the word shifted in value so that v[p] becomes the anchor, rotated so
-    position p leads.  With reflect, row 1 covers the m value shifts of the
-    reflected inverse, (v[p] - v[p - j]) mod m, which are the anchored
-    differences of the reversed word, negated.  Words may be any rotation of
-    an anchored word, since every rotation has the same images.
+    position p leads.  Row 1 covers the m value shifts of the reflected
+    inverse, (v[p] - v[p - j]) mod m, which are the anchored differences of
+    the reversed word, negated.  Words may be any rotation of an anchored
+    word, since every rotation has the same images.
     """
     seqs = np.asarray(seqs, dtype=np.uint8)
     m = seqs.shape[-1]
     rows = seqs.reshape(-1, m)
-    families = 2 if reflect else 1
-    out = np.empty((families, rows.shape[0]), dtype=np.uint64)
+    out = np.empty((2, rows.shape[0]), dtype=np.uint64)
     for start in range(0, rows.shape[0], _CHUNK_ROWS):
         # one word per column, so every operation runs along the chunk
         cols = np.ascontiguousarray(rows[start:start + _CHUNK_ROWS].T) - np.uint8(1)
         # imgs[j, f, p, i]: entry j of image p of family f of word i
-        imgs = np.empty((m, families, m, cols.shape[1]), dtype=np.uint8)
+        imgs = np.empty((m, 2, m, cols.shape[1]), dtype=np.uint8)
         np.subtract(_ahead(cols), cols, out=imgs[:, 0])
-        if reflect:
-            back = cols[::-1]
-            np.subtract(back, _ahead(back), out=imgs[:, 1])
+        back = cols[::-1]
+        np.subtract(back, _ahead(back), out=imgs[:, 1])
         # a difference -k of values below m wraps to 256 - k; adding m turns
         # that into m - k, below it, and any x >= 0 into x + m, above it, so
         # the minimum of the two is the difference mod m
         np.minimum(imgs, imgs + np.uint8(m), out=imgs)
         out[:, start:start + cols.shape[1]] = _pack_nibbles(imgs).min(axis=1)
-    return out.reshape((families,) + seqs.shape[:-1])
-
-
-def shift_canonical_keys(seqs: np.ndarray) -> np.ndarray:
-    """Packed min over the m value shifts of each row; no inversion.
-
-    This is canonicalization under the relabeling-only part of the base
-    cycle's stabilizer (the cyclic half of the group).
-    """
-    return _image_min_keys(seqs, reflect=False)[0]
+    return out.reshape((2,) + seqs.shape[:-1])
 
 
 def canonical_keys(seqs: np.ndarray) -> np.ndarray:
@@ -207,12 +164,10 @@ def canonical_keys(seqs: np.ndarray) -> np.ndarray:
     The 2m orbit members of a word are the m value shifts of the word and
     the m value shifts of its reflected inverse (reflection about 1 is value
     negation mod m, which is what makes the inversion land back in the
-    stabilizer).  In 0-based values v these are the anchored differences
-    (v[p + j] - v[p]) mod m and (v[p] - v[p - j]) mod m over start positions
-    p; all 2m are built in one pass over each chunk of rows, packed, and the
-    smallest key kept.  Rows may be any rotation of an anchored word.
+    stabilizer), so the canonical key is the smaller of the two
+    shift_families rows.  Rows may be any rotation of an anchored word.
     """
-    return _image_min_keys(seqs, reflect=True).min(axis=0)
+    return shift_families(seqs).min(axis=0)
 
 
 # Columns per chunk of the rank kernel.  Its temporaries take about 12m
@@ -278,9 +233,6 @@ class CycleIndex:
         pos = np.empty((self.m, rows.shape[0]), dtype=np.uint8)
         pos[rows.T - 1, np.arange(rows.shape[0])] = np.arange(self.m, dtype=np.uint8)[:, None]
         return ids_of_positions(pos).reshape(words.shape[:-1])
-
-    def id_of(self, c: Cycle) -> int:
-        return int(self.id_of_words(np.array([c.seq], dtype=np.uint8))[0])
 
     def stabilizer_orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical keys of the stabilizer orbits, ascending, and the int32

@@ -8,8 +8,10 @@ canonical forms of single cycles, and the orbit through (base, tau) has size
 
 Swapping the two components permutes the orbits (an involution), and the
 classes of that involution index the constraints of the relaxations: the
-cost q is constant on each class, and the class's coefficient block is the
-symmetrized sum over its one or two orbits.
+class's coefficient block is the symmetrized sum over its one or two
+orbits.  Everything here is combinatorial; the pair costs, which are
+constant on classes, are read off the swap distances where the constraint
+tables are built (coeffs.PairTables).
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .cycles import (
-    CycleIndex,
-    canonical_keys,
-    invert_seqs,
-    reflect_invert_seqs,
-    shift_canonical_keys,
-    unpack_keys,
-)
+from .cycles import CycleIndex, canonical_keys, shift_families, unpack_keys
 
 
 @dataclass
@@ -42,7 +37,6 @@ class PairOrbits:
     rep_keys: np.ndarray  # (R,) u64, ascending
     rep_seqs: np.ndarray  # (R, m) u8, the canonical second components
     n_tau: np.ndarray  # (R,) i64, cycles in each stabilizer class
-    q: np.ndarray  # (R,) u16, pair cost on the orbit
     partner: np.ndarray  # (R,) i64, orbit id after swapping the pair
 
     @property
@@ -63,7 +57,6 @@ class PairOrbits:
         return SymmetricClasses(
             rep_orbits=rep_orbits,
             sizes=sizes,
-            q=self.q[rep_orbits],
             class_of_orbit=class_of_orbit,
         )
 
@@ -74,7 +67,6 @@ class SymmetricClasses:
 
     rep_orbits: np.ndarray  # (C,) orbit id of the smaller member
     sizes: np.ndarray  # (C,) u64, total pairs covered by the class
-    q: np.ndarray  # (C,) u16
     class_of_orbit: np.ndarray  # (R,) class index of every orbit
 
     @property
@@ -92,13 +84,12 @@ def swap_partner_words(rep_seqs: np.ndarray) -> np.ndarray:
     return (np.argsort(rep_seqs, axis=-1) + 1).astype(np.uint8)
 
 
-def build_pair_orbits(index: CycleIndex, dist_from_base: np.ndarray) -> PairOrbits:
-    """Enumerate all pair orbits from the cycle table and the distance table."""
+def build_pair_orbits(index: CycleIndex) -> PairOrbits:
+    """Enumerate all pair orbits from the cycle table."""
     m = index.m
     rep_keys, orbit_of = index.stabilizer_orbits()
     counts = np.bincount(orbit_of, minlength=rep_keys.size)
     rep_seqs = unpack_keys(rep_keys, m)
-    q = dist_from_base[index.id_of_words(invert_seqs(rep_seqs))].astype(np.uint16)
     partner_keys = canonical_keys(swap_partner_words(rep_seqs))
     partner = np.searchsorted(rep_keys, partner_keys).astype(np.int64)
     return PairOrbits(
@@ -106,7 +97,6 @@ def build_pair_orbits(index: CycleIndex, dist_from_base: np.ndarray) -> PairOrbi
         rep_keys=rep_keys,
         rep_seqs=rep_seqs,
         n_tau=counts.astype(np.int64),
-        q=q,
         partner=partner,
     )
 
@@ -119,17 +109,17 @@ def count_relabel_only_orbits(index: CycleIndex) -> int:
     the shift orbits of second components.  That cyclic group has index two
     in the full stabilizer, so each stabilizer orbit is one shift orbit or
     two: one exactly when the reflecting generator maps its representative
-    into the representative's own shift orbit.  Only the stabilizer-orbit
-    representatives are canonicalized, not the whole cycle table.
+    into the representative's own shift orbit, when its two shift_families
+    rows agree.  Only the stabilizer-orbit representatives are
+    canonicalized, not the whole cycle table.
     """
-    rep_seqs = unpack_keys(index.stabilizer_orbits()[0], index.m)
-    split = shift_canonical_keys(rep_seqs) != shift_canonical_keys(reflect_invert_seqs(rep_seqs))
-    return rep_seqs.shape[0] + int(split.sum())
+    shifted, reflected = shift_families(unpack_keys(index.stabilizer_orbits()[0], index.m))
+    return shifted.size + int((shifted != reflected).sum())
 
 
-def orbit_census(index: CycleIndex, dist_from_base: np.ndarray) -> tuple[int, int, int]:
+def orbit_census(index: CycleIndex) -> tuple[int, int, int]:
     """(relabel-only orbits, orbits, swap classes) for one cycle length."""
-    orbits = build_pair_orbits(index, dist_from_base)
+    orbits = build_pair_orbits(index)
     return (
         count_relabel_only_orbits(index),
         orbits.num_orbits,

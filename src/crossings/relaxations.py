@@ -55,7 +55,6 @@ class RoundRecord:
     active: int
     objective: float
     max_violation: float
-    worst_class: int
     wall_ms: float
     iterations: int
     status: str
@@ -132,8 +131,8 @@ def coeff_tables(
     dims = tuple(b.dim for b in blocks)
     tri = block_constraint_tables(tables, blocks)
     classes = tables.classes
-    cache.write_coeffs(path, m, dims, classes.rep_orbits, classes.sizes, classes.q, tri)
-    return dims, classes.sizes.astype(np.int64), classes.q.astype(np.int64), tri
+    cache.write_coeffs(path, m, dims, classes.rep_orbits, classes.sizes, tables.q, tri)
+    return dims, classes.sizes.astype(np.int64), tables.q.astype(np.int64), tri
 
 
 def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -251,10 +250,11 @@ def certify(
     tri: np.ndarray,
 ) -> Certificate:
     """Exact lower bound certificate from near-optimal dual blocks, one per
-    entry of dims, priced against the packed integer triangles."""
+    entry of dims, priced against the packed integer triangles one column
+    at a time, so only a column of the table is ever held as Python ints."""
     numerators = [_dyadic_numerator(y) for y in ys]
     denom = 1 << (3 * _BITS)
-    inners = tri.astype(object) @ _packed(numerators, dims)
+    inners = sum(col.astype(object) * p for col, p in zip(tri.T, _packed(numerators, dims)))
     value, worst = _certified_min(inners, sizes, qs, denom)
     return Certificate(numerators, denom, value, worst)
 
@@ -341,8 +341,7 @@ def _relax(
         x0 = _strict_start(sub, sizes[ids])
         sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0)
         maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri)
-        rec = RoundRecord(rnd, ids.size, t_pol,
-                          maxv, int(offenders[0]) if offenders.size else -1,
+        rec = RoundRecord(rnd, ids.size, t_pol, maxv,
                           (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
         rounds.append(rec)
         if progress is not None:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .cycles import CycleIndex
 from .errors import ArgumentError, CrossingsError, ResourceError
-from .tableaux import block_multiplicity, conjugate, partitions, standard_tableaux
+from .tableaux import (block_multiplicity, conjugate, lex_permutations, partitions,
+                       standard_tableaux)
 
 Filling = tuple[tuple[int, ...], ...]
 
@@ -52,26 +53,11 @@ class Block:
         return len(self.tableaux)
 
 
-def _lex_permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All permutations of range(k) in lexicographic (itertools) order, (k!, k),
-    with their signs by inversion parity: a leading entry f precedes exactly
-    f smaller entries, so it contributes f inversions."""
-    perms = np.zeros((1, 0), dtype=np.uint8)
-    signs = np.ones(1, dtype=np.int8)
-    for n in range(1, k + 1):
-        first = np.repeat(np.arange(n, dtype=np.uint8), len(perms))
-        rest = np.tile(perms, (n, 1))
-        perms = np.column_stack([first, rest + (rest >= first[:, None])])
-        signs = np.tile(signs, n)
-        signs[first % 2 == 1] *= -1
-    return perms, signs
-
-
 def _product(
     factors: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian product of (rows, signs) factors in itertools.product order
-    (first factor slowest): rows concatenate, signs multiply."""
+    """Cartesian product of (rows, signs) factors, first factor slowest, as
+    a nested loop would run: rows concatenate, signs multiply."""
     rows = np.zeros((1, 0), dtype=np.uint8)
     signs = np.ones(1, dtype=np.int8)
     for f_rows, f_signs in factors:
@@ -88,13 +74,13 @@ def _shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndar
     starts = np.cumsum((0,) + lam[:-1], dtype=np.uint8)
     rearr, _ = _product(
         [(perms + start, signs) for part, start in zip(lam, starts)
-         for perms, signs in [_lex_permutations(part)]]
+         for perms, signs in [lex_permutations(part)]]
     )
     # column j holds the base values starts[i] + j + 1 at cells starts[i] + j
     heights = conjugate(lam)
     values, signs = _product(
         [(starts[perms] + j + 1, col_signs) for j, h in enumerate(heights)
-         for perms, col_signs in [_lex_permutations(h)]]
+         for perms, col_signs in [lex_permutations(h)]]
     )
     cells = np.concatenate([starts[:h] + j for j, h in enumerate(heights)])
     crows = np.empty_like(values)

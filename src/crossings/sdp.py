@@ -367,18 +367,23 @@ def solve_bound_problem(
                          s=s, gap=float(gap), iterations=it, history=history)
 
 
+def _dual_slacks(
+    n: np.ndarray, c: np.ndarray, blocks: list[np.ndarray], y: list[np.ndarray], t: float = 0.0
+) -> np.ndarray:
+    """Column slacks c - n t - sum_B <Y_B, A_B>, blocks summed in order."""
+    n = np.asarray(n, dtype=np.float64)
+    adj = np.zeros(n.size)
+    for b, ym in zip(blocks, y):
+        adj += np.asarray(b, dtype=np.float64).reshape(n.size, -1) @ ym.ravel()
+    return np.asarray(c, dtype=np.float64) - n * t - adj
+
+
 def feasible_value(
     n: np.ndarray, c: np.ndarray, blocks: list[np.ndarray], y: list[np.ndarray]
 ) -> float:
     """Largest t keeping (t, y) dual feasible: the worst slack over all
     columns.  Well defined because the normalization row is positive."""
-    n = np.asarray(n, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    cols = n.size
-    adj = np.zeros(cols)
-    for b, ym in zip(blocks, y):
-        adj += np.asarray(b, dtype=np.float64).reshape(cols, -1) @ ym.ravel()
-    return float(((c - adj) / n).min())
+    return float((_dual_slacks(n, c, blocks, y) / np.asarray(n, dtype=np.float64)).min())
 
 
 def polish_dual(
@@ -404,7 +409,6 @@ def polish_dual(
     refined and the incoming point."""
     n = np.asarray(n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    cols = n.size
     stacks = [np.ascontiguousarray(b, dtype=np.float64) for b in blocks]
     t_in = feasible_value(n, c, stacks, y)
 
@@ -421,10 +425,7 @@ def polish_dual(
     scale = 1.0 + np.abs(c).max()
 
     def slacks(fs, t):
-        adj = np.zeros(cols)
-        for b, f in zip(stacks, fs):
-            adj += b.reshape(cols, -1) @ (f @ f.T).ravel()
-        return c - n * t - adj
+        return _dual_slacks(n, c, stacks, [f @ f.T for f in fs], t)
 
     active = slacks(factors, t_in) <= _TIGHT_TOL * scale
     if x is not None:

@@ -3,11 +3,14 @@
 The symmetry reduction assigns to every partition of m a block whose size is
 the number of standard tableaux whose descent sum vanishes mod m.  This
 module supplies the combinatorial layer: partitions, standard tableaux in a
-fixed enumeration order, descent sums and permutation signs.  The
+fixed enumeration order, descent sums, and the permutations of a row or
+column with their signs, in bulk, which both the block vectors and the
+determinant polynomials of the coefficient expansion are built from.  The
 cycle-space vector of a tableau is built in bulk by the block module; the
 scalar construction it is checked against (tabloids, the column group and
-row rearrangements one filling at a time) and the hook length count of the
-standard tableaux live with the other test oracles in tests/oracles.py.
+row rearrangements one filling at a time, with the scalar permutation sign)
+and the hook length count of the standard tableaux live with the other test
+oracles in tests/oracles.py.
 
 Fillings are tuples of row tuples.  A filling of shape lam places 1..m
 bijectively; standard means rows and columns increase.
@@ -16,6 +19,8 @@ bijectively; standard means rows and columns increase.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def partitions(m: int) -> list[tuple[int, ...]]:
@@ -89,19 +94,16 @@ def block_multiplicity(lam: tuple[int, ...]) -> int:
     return len(cyclic_tableaux(lam))
 
 
-def perm_sign(src, dst) -> int:
-    """Sign of the permutation carrying tuple src to tuple dst."""
-    pos = {v: i for i, v in enumerate(src)}
-    seq = [pos[v] for v in dst]
-    sgn, seen = 1, [False] * len(seq)
-    for i in range(len(seq)):
-        if seen[i]:
-            continue
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = seq[j]
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
+def lex_permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(k) in lexicographic order, (k!, k) uint8,
+    with their int8 signs by inversion parity: a leading entry f precedes
+    exactly f smaller entries, so it contributes f inversions."""
+    perms = np.zeros((1, 0), dtype=np.uint8)
+    signs = np.ones(1, dtype=np.int8)
+    for n in range(1, k + 1):
+        first = np.repeat(np.arange(n, dtype=np.uint8), len(perms))
+        rest = np.tile(perms, (n, 1))
+        perms = np.column_stack([first, rest + (rest >= first[:, None])])
+        signs = np.tile(signs, n)
+        signs[first % 2 == 1] *= -1
+    return perms, signs

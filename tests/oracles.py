@@ -4,17 +4,22 @@ against.
 None of this is used by the package.  Each oracle computes something the
 production code also computes, by a slower and more literal route:
 
+- a single cycle as a value (Cycle, its inverse and the base cycle) and
+  its id through the bulk lookup;
 - the relabel-and-invert group as explicit elements, with the scalar
   canonical form taken as a minimum over the stabilizer orbit, and the
   cycle helpers it needs (a cycle from any rotation of its word, the
   one-line image);
+- the reflecting stabilizer generator applied in bulk, and the
+  shift-only canonical key as the first row of cycles.shift_families;
 - the pair orbit of an arbitrary ordered pair, by relabeling the first
   component to the base;
 - cycle ids by binary search of the packed keys of re-anchored words, and
   by the scalar lexicographic rank of one word;
 - the swap distances by BFS over every word, with no quotienting;
 - the scalar tableau chain (polytabloid, the homomorphism into full orders,
-  the projection to cycles) that builds one tableau vector at a time;
+  the projection to cycles) that builds one tableau vector at a time, with
+  the scalar permutation sign by cycle counting;
 - the block rows of a built Block, rebuilt from its tableaux, and the
   standard tableau count by the hook length product;
 - the PSD test by pivoted rational elimination, and greedy row selection
@@ -35,14 +40,55 @@ from math import factorial
 import numpy as np
 
 from crossings.coeffs import PairTables
-from crossings.cycles import Cycle, CycleIndex, _check_m, canonical_keys, pack_keys
+from crossings.cycles import (
+    CycleIndex,
+    _check_m,
+    canonical_keys,
+    invert_seqs,
+    pack_keys,
+    shift_families,
+)
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.orbits import PairOrbits
 from crossings.repsets import Block, _shape_tables, _tableau_vectors, psd_pivots
 from crossings.swapgraph import UNREACHED, neighbor_words
-from crossings.tableaux import conjugate, perm_sign
+from crossings.tableaux import conjugate
 
 Filling = tuple[tuple[int, ...], ...]
+
+
+# -- single cycles --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cycle:
+    """An m-cycle, stored as its orbit word anchored at 1."""
+
+    seq: tuple[int, ...]
+
+    def __post_init__(self):
+        m = len(self.seq)
+        _check_m(m)
+        if self.seq[0] != 1 or sorted(self.seq) != list(range(1, m + 1)):
+            raise ArgumentError(f"not a 1-anchored permutation word: {self.seq}")
+
+    @property
+    def m(self) -> int:
+        return len(self.seq)
+
+    @classmethod
+    def base(cls, m: int) -> "Cycle":
+        _check_m(m)
+        return cls(tuple(range(1, m + 1)))
+
+    def invert(self) -> "Cycle":
+        # (1, a, b, ..., z) traversed backwards is (1, z, ..., b, a).
+        return Cycle((1,) + self.seq[:0:-1])
+
+
+def id_of(index: CycleIndex, c: Cycle) -> int:
+    """Id of one cycle in the index, through the bulk rank lookup."""
+    return int(index.id_of_words(np.array([c.seq], dtype=np.uint8))[0])
 
 
 # -- the relabel-and-invert group, element by element ------------------------
@@ -143,6 +189,22 @@ def stabilizer_elements(m: int) -> list[GroupElement]:
     return out
 
 
+def reflect_invert_seqs(seqs: np.ndarray) -> np.ndarray:
+    """Images under the reflecting stabilizer generator: the inverse cycle
+    with values reflected about 1 (v -> m + 2 - v, i.e. 1 - v mod m)."""
+    m = seqs.shape[-1]
+    return (m + 1 - invert_seqs(seqs)) % m + 1
+
+
+def shift_canonical_keys(seqs: np.ndarray) -> np.ndarray:
+    """Packed min over the m value shifts of each row; no inversion.
+
+    This is canonicalization under the relabeling-only part of the base
+    cycle's stabilizer (the cyclic half of the group).
+    """
+    return shift_families(seqs)[0]
+
+
 def canonical_form(c: Cycle) -> Cycle:
     """Lexicographically smallest word in the stabilizer orbit of c.
 
@@ -223,7 +285,7 @@ def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
     """Distances from the base cycle by BFS over all words, no quotienting."""
     m = index.m
     dist = np.full(len(index), UNREACHED, dtype=np.uint16)
-    frontier = np.array([index.id_of(Cycle.base(m))])
+    frontier = np.array([id_of(index, Cycle.base(m))])
     dist[frontier] = 0
     d = 0
     while frontier.size:
@@ -238,6 +300,24 @@ def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
 
 
 # -- the scalar tableau chain -----------------------------------------------
+
+
+def perm_sign(src, dst) -> int:
+    """Sign of the permutation carrying tuple src to tuple dst."""
+    pos = {v: i for i, v in enumerate(src)}
+    seq = [pos[v] for v in dst]
+    sgn, seen = 1, [False] * len(seq)
+    for i in range(len(seq)):
+        if seen[i]:
+            continue
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = seq[j]
+            length += 1
+        if length % 2 == 0:
+            sgn = -sgn
+    return sgn
 
 
 def row_equivalent_fillings(t):

@@ -31,7 +31,7 @@ from crossings.bounds import (
     zarankiewicz,
 )
 from crossings.coeffs import PairTables, block_constraint_tables
-from crossings.cycles import Cycle, CycleIndex
+from crossings.cycles import CycleIndex
 from crossings.orbits import orbit_census
 from crossings.relaxations import (
     certify,
@@ -44,11 +44,13 @@ from crossings.relaxations import (
 from crossings.repsets import Block, build_blocks, hook_block_columns
 from crossings.swapgraph import distances_from_base, self_cost
 from oracles import (
+    Cycle,
     act,
     canonical_form,
     direct_expansion,
     distances_from_base_unpruned,
     pair_stream_hook_table,
+    id_of,
     stabilizer_elements,
 )
 
@@ -178,7 +180,7 @@ def test_criterion_1_cost_diagonal():
     for m in range(4, 11):
         # relabeling carries every diagonal pair to (base, base), so one
         # entry checks the whole diagonal
-        diag = int(_dist(m)[_index(m).id_of(Cycle.base(m).invert())])
+        diag = int(_dist(m)[id_of(_index(m), Cycle.base(m).invert())])
         if diag != Q_DIAGONAL[m] or diag != self_cost(m):
             problems.append(f"m={m}: diagonal {diag}, want {Q_DIAGONAL[m]}")
     wall = time.perf_counter() - t0
@@ -192,7 +194,7 @@ def test_criterion_2_orbit_census():
     t0 = time.perf_counter()
     problems = []
     for m in range(4, 11):
-        got = orbit_census(_index(m), _dist(m))
+        got = orbit_census(_index(m))
         if got != CENSUS[m]:
             problems.append(f"m={m}: census {got}, want {CENSUS[m]}")
     wall = time.perf_counter() - t0

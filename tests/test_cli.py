@@ -143,9 +143,12 @@ def test_bounds_refuses_bad_column_counts_and_tables(capsys, tmp_path):
     for bad in ("1x", "13..10", ","):
         code, out, err = run_cli(capsys, "bounds", "--from-table", str(table), "--n", bad)
         assert code == 2 and "error: --n" in err and out == ""
-    table.write_text('{"10": "9.6866252078"')
-    code, out, err = run_cli(capsys, "bounds", "--from-table", str(table))
-    assert code == 2 and "error: --from-table" in err and out == ""
+    # not JSON, then JSON that is not a table: a list, a level that is not an
+    # integer, a value that is not a number
+    for text in ('{"10": "9.6866252078"', '[1, 2]', '{"x": "1.5"}', '{"beta": {"10": "abc"}}'):
+        table.write_text(text)
+        code, out, err = run_cli(capsys, "bounds", "--from-table", str(table))
+        assert code == 2 and f"error: --from-table {table}" in err and out == "", text
 
 
 def test_verify_command(store, capsys):
@@ -202,10 +205,10 @@ def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path, monkeypa
 
 
 def test_parse_n_values():
-    assert _parse_n_values("10..13", []) == [10, 11, 12, 13]
-    assert _parse_n_values("7", []) == [7]
-    assert _parse_n_values("10,12", []) == [10, 12]
-    assert _parse_n_values(None, [4, 5]) == [4, 5]
+    assert _parse_n_values("10..13") == [10, 11, 12, 13]
+    assert _parse_n_values("7") == [7]
+    assert _parse_n_values("10,12") == [10, 12]
+    assert _parse_n_values(None) == []
 
 
 def test_unknown_command_exits_via_argparse(capsys):

@@ -215,7 +215,7 @@ def test_m4_hook_form_frozen():
     got = {c: int(v) for c, v in enumerate(tri[:, 0]) if v}
     assert got == direct_expansion(((1, 4), (2,), (3,)), ((1, 4), (2,), (3,)), TABLES[4])
     t = TABLES[4]
-    by_q = {int(t.classes.q[c]): v for c, v in enumerate(tri[:, 0])}
+    by_q = {int(t.q[c]): v for c, v in enumerate(tri[:, 0])}
     assert by_q == {2: 24, 1: 0, 0: -24}
 
 
@@ -271,9 +271,9 @@ def test_expansion_checks_survive_optimization():
 def test_monomial_to_orbit_examples(m):
     t = TABLES[m]
     ident = tuple(range(1, m + 1))
-    assert t.classes.q[monomial_to_orbit(ident, t)] == (m - 1) ** 2 // 4
+    assert t.q[monomial_to_orbit(ident, t)] == (m - 1) ** 2 // 4
     reverse = (1,) + tuple(range(m, 1, -1))
-    assert t.classes.q[monomial_to_orbit(reverse, t)] == 0
+    assert t.q[monomial_to_orbit(reverse, t)] == 0
     with pytest.raises(ArgumentError):
         monomial_to_orbit((1,) * m, t)
 

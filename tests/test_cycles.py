@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossings.cycles import (
-    Cycle,
     CycleIndex,
     all_cycle_seqs,
     canonical_keys,
     ids_of_positions,
     invert_seqs,
     pack_keys,
-    reflect_invert_seqs,
-    shift_canonical_keys,
+    shift_families,
     unpack_keys,
 )
 from crossings.errors import ArgumentError
 from oracles import (
+    Cycle,
     GroupElement,
     act,
     canonical_form,
@@ -27,6 +26,7 @@ from oracles import (
     cycle_image,
     lex_rank,
     normalize_words,
+    reflect_invert_seqs,
     sorted_key_ids,
     stabilizer_elements,
     stabilizer_generators,
@@ -301,11 +301,17 @@ def scalar_shift_canonical(word):
 
 @pytest.mark.parametrize("m", range(3, 17))
 def test_shift_canonical_keys_match_scalar_oracle(m):
+    # row 0 of shift_families shifts each word, row 1 its image under the
+    # reflecting generator
     seqs = random_words(m, ORACLE_ROWS, seed=100 + m)
-    keys = shift_canonical_keys(seqs)
-    want = [pack_keys(np.array(scalar_shift_canonical(tuple(map(int, row))), dtype=np.uint8))
-            for row in seqs]
-    assert (keys == np.array(want, dtype=np.uint64)).all()
+    _, reflect = stabilizer_generators(m)
+    words = [tuple(map(int, row)) for row in seqs]
+    images = [act(reflect, Cycle(w)).seq for w in words]
+    families = shift_families(seqs)
+    assert families.dtype == np.uint64 and families.shape == (2, ORACLE_ROWS)
+    for got, family in zip(families, (words, images)):
+        want = [pack_keys(np.array(scalar_shift_canonical(w), dtype=np.uint8)) for w in family]
+        assert (got == np.array(want, dtype=np.uint64)).all()
 
 
 @pytest.mark.parametrize("m", [5, 8, 16])
@@ -314,17 +320,20 @@ def test_canonical_keys_ignore_rotation_and_leading_shape(m):
     turns = np.random.default_rng(m).integers(0, m, size=64)
     rotated = np.array([np.roll(row, k) for row, k in zip(seqs, turns)])
     assert (canonical_keys(rotated) == canonical_keys(seqs)).all()
-    assert (shift_canonical_keys(rotated) == shift_canonical_keys(seqs)).all()
+    assert (shift_families(rotated) == shift_families(seqs)).all()
     assert (canonical_keys(seqs.reshape(8, 8, m)) == canonical_keys(seqs).reshape(8, 8)).all()
 
 
 def test_reflect_invert_matches_the_reflecting_generator():
+    # the generator is an involution, so reflecting the words swaps the two
+    # rows of shift_families
     for m in (3, 6, 9):
         _, reflect = stabilizer_generators(m)
         seqs = all_cycle_seqs(m)
         got = reflect_invert_seqs(seqs)
         for row, image in zip(seqs[::7], got[::7]):
             assert tuple(map(int, image)) == act(reflect, Cycle(tuple(map(int, row)))).seq
+        assert (shift_families(got) == shift_families(seqs)[::-1]).all()
 
 
 @pytest.mark.parametrize("m", range(3, 17))

@@ -13,7 +13,6 @@ import pytest
 from crossings.cycles import CycleIndex, invert_seqs
 from crossings.errors import ArgumentError
 from crossings.orbits import orbit_census
-from crossings.swapgraph import distances_from_base
 from crossings.repsets import (
     Block,
     _shape_tables,
@@ -123,7 +122,7 @@ def test_block_dimension_multisets(m):
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_dimension_sums_count_orbits(m):
     idx = CycleIndex(m)
-    _, pair_orbits, classes = orbit_census(idx, distances_from_base(idx))
+    _, pair_orbits, classes = orbit_census(idx)
     dims = [b.dim for b in build_blocks(idx)]
     assert sum(d * d for d in dims) == pair_orbits
     assert sum(d * (d + 1) // 2 for d in dims) == classes

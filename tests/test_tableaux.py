@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import numpy as np
@@ -13,14 +14,15 @@ from crossings.tableaux import (
     conjugate,
     cyclic_tableaux,
     descent_sum,
+    lex_permutations,
     partitions,
-    perm_sign,
     standard_tableaux,
 )
 from oracles import (
     base_filling,
     compose_word,
     hook_dim,
+    perm_sign,
     polytabloid,
     project_f,
     repset_vector,
@@ -106,6 +108,15 @@ def test_perm_sign():
     assert perm_sign((1, 2, 3), (2, 1, 3)) == -1
     assert perm_sign((1, 2, 3), (2, 3, 1)) == 1
     assert perm_sign((5, 9), (9, 5)) == -1
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_lex_permutations_match_itertools(k):
+    perms, signs = lex_permutations(k)
+    want = list(itertools.permutations(range(k)))
+    assert perms.dtype == np.uint8 and perms.shape == (len(want), k)
+    assert [tuple(p) for p in perms.tolist()] == want
+    assert signs.tolist() == [perm_sign(tuple(range(k)), p) for p in want]
 
 
 def test_signed_column_fillings_counts():
