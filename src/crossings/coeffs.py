@@ -35,7 +35,7 @@ flip.  Sign 0 leaves the raw forms, the rows being the tableau vectors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
@@ -55,15 +55,16 @@ Poly = tuple[np.ndarray, np.ndarray]  # (monomials, coeffs), see the expansion s
 @dataclass
 class PairTables:
     """Cycle table plus pair-orbit and class tables for one m, with the
-    cost of each class: the swap distance from the base to the inverse of
-    the class representative's second component."""
+    cost of each class (the swap distance from the base to the inverse of
+    the class representative's second component) and the class image of
+    inverting one pair component."""
 
     index: CycleIndex
     orbits: PairOrbits
     classes: SymmetricClasses
     class_of_cycle: np.ndarray  # (N,) int32, class of (base, tau) by cycle id of tau
     q: np.ndarray  # (C,) u16, pair cost on each class
-    _flip: np.ndarray | None = field(default=None, repr=False)
+    flip: np.ndarray  # (C,) int32, class after inverting one component (an involution)
 
     @classmethod
     def build(cls, m: int) -> "PairTables":
@@ -71,9 +72,11 @@ class PairTables:
         orbits = build_pair_orbits(index)
         classes = orbits.symmetric_classes()
         class_of_cycle = classes.class_of_orbit[index.stabilizer_orbits()[1]].astype(np.int32)
-        reps = orbits.rep_seqs[classes.rep_orbits]
-        q = distances_from_base(index)[index.id_of_words(invert_seqs(reps))].astype(np.uint16)
-        return cls(index=index, orbits=orbits, classes=classes, class_of_cycle=class_of_cycle, q=q)
+        # the inverted class representatives, ranked once for the cost and the flip
+        inverse = index.id_of_words(invert_seqs(orbits.rep_seqs[classes.rep_orbits]))
+        return cls(index=index, orbits=orbits, classes=classes, class_of_cycle=class_of_cycle,
+                   q=distances_from_base(index)[inverse].astype(np.uint16),
+                   flip=class_of_cycle[inverse])
 
     @property
     def m(self) -> int:
@@ -83,13 +86,6 @@ class PairTables:
         """Class ids of the pairs (base, tau) for each word tau, which may be
         any rotation of a cycle's word."""
         return self.class_of_cycle[self.index.id_of_words(words)]
-
-    def flip_classes(self) -> np.ndarray:
-        """Class image of inverting one pair component (an involution)."""
-        if self._flip is None:
-            reps = self.orbits.rep_seqs[self.classes.rep_orbits]
-            self._flip = self.class_ids_of_words(invert_seqs(reps))
-        return self._flip
 
 
 # -- differential-operator expansion ---------------------------------------
@@ -275,7 +271,7 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     every class.  A raw form is kept only while a later entry still reads
     it, so the table is the one array held whole.
     """
-    m, flip = tables.m, tables.flip_classes()
+    m, flip = tables.m, tables.flip
     # a form is symmetric at class level, so both orders share one key
     entries = [(b, ta, tb, min((ta, tb), (tb, ta))) for b in blocks
                for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]]

@@ -25,6 +25,17 @@ package uses) and keeps the smallest of each family of m: the value shifts
 alone, which key the orbits under relabeling without inversion, and the
 reflected inverses.  The canonical key is the smaller of the two.
 
+The stabilizer-orbit representatives, the words equal to their own
+canonical form, are found without canonicalizing the whole table: every
+image of a word begins 0 and then one of its cyclic consecutive
+differences, so only words whose first difference is their smallest can
+be representatives, and only those go through the kernel.  The table being
+in lexicographic order, the representatives come out in ascending key
+order, each with the count of its images equal to it, which is its
+stabilizer order.  The census reads no more than that; the orbit of every
+cycle is looked up among the representatives only for callers that need
+it per cycle.
+
 A cycle's id is the lexicographic rank of its anchored word, and it is
 computed, not looked up: from the position of each value in any rotation of
 the word, one kernel anchors the positions at the value 1 and sums the
@@ -127,34 +138,46 @@ def _ahead(cols: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([cols, cols]), m, axis=0)[:m].transpose(2, 0, 1)
 
 
+def _image_keys(rows: np.ndarray) -> np.ndarray:
+    """Packed keys of all 2m stabilizer images of (c, m) words, (2, m, c).
+
+    In 0-based values v, entry [0, p] is the anchored difference sequence
+    (v[p + j] - v[p]) mod m: the word shifted in value so that v[p] becomes
+    the anchor, rotated so position p leads.  Entry [1, p] is a value shift
+    of the reflected inverse, (v[p] - v[p - j]) mod m: the anchored
+    differences of the reversed word, negated.  Image [0, 0] of an anchored
+    word is the word itself.
+    """
+    m = rows.shape[-1]
+    # one word per column, so every operation runs along the chunk
+    cols = np.ascontiguousarray(rows.T) - np.uint8(1)
+    # imgs[j, f, p, i]: entry j of image p of family f of word i
+    imgs = np.empty((m, 2, m, cols.shape[1]), dtype=np.uint8)
+    np.subtract(_ahead(cols), cols, out=imgs[:, 0])
+    back = cols[::-1]
+    np.subtract(back, _ahead(back), out=imgs[:, 1])
+    # a difference -k of values below m wraps to 256 - k; adding m turns
+    # that into m - k, below it, and any x >= 0 into x + m, above it, so
+    # the minimum of the two is the difference mod m
+    np.minimum(imgs, imgs + np.uint8(m), out=imgs)
+    return _pack_nibbles(imgs)
+
+
 def shift_families(seqs: np.ndarray) -> np.ndarray:
     """Min packed key over each stabilizer coset of every row, (2, ...).
 
-    In 0-based values v, row 0 of the result covers the m anchored
-    difference sequences (v[p + j] - v[p]) mod m, one per start position p:
-    the word shifted in value so that v[p] becomes the anchor, rotated so
-    position p leads.  Row 1 covers the m value shifts of the reflected
-    inverse, (v[p] - v[p - j]) mod m, which are the anchored differences of
-    the reversed word, negated.  Words may be any rotation of an anchored
-    word, since every rotation has the same images.
+    Row 0 of the result is the smallest of the m value shifts of the word,
+    row 1 the smallest of the m value shifts of its reflected inverse (see
+    _image_keys).  Words may be any rotation of an anchored word, since
+    every rotation has the same images.
     """
     seqs = np.asarray(seqs, dtype=np.uint8)
     m = seqs.shape[-1]
     rows = seqs.reshape(-1, m)
     out = np.empty((2, rows.shape[0]), dtype=np.uint64)
     for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        # one word per column, so every operation runs along the chunk
-        cols = np.ascontiguousarray(rows[start:start + _CHUNK_ROWS].T) - np.uint8(1)
-        # imgs[j, f, p, i]: entry j of image p of family f of word i
-        imgs = np.empty((m, 2, m, cols.shape[1]), dtype=np.uint8)
-        np.subtract(_ahead(cols), cols, out=imgs[:, 0])
-        back = cols[::-1]
-        np.subtract(back, _ahead(back), out=imgs[:, 1])
-        # a difference -k of values below m wraps to 256 - k; adding m turns
-        # that into m - k, below it, and any x >= 0 into x + m, above it, so
-        # the minimum of the two is the difference mod m
-        np.minimum(imgs, imgs + np.uint8(m), out=imgs)
-        out[:, start:start + cols.shape[1]] = _pack_nibbles(imgs).min(axis=1)
+        chunk = rows[start:start + _CHUNK_ROWS]
+        out[:, start:start + chunk.shape[0]] = _image_keys(chunk).min(axis=1)
     return out.reshape((2,) + seqs.shape[:-1])
 
 
@@ -168,6 +191,40 @@ def canonical_keys(seqs: np.ndarray) -> np.ndarray:
     shift_families rows.  Rows may be any rotation of an anchored word.
     """
     return shift_families(seqs).min(axis=0)
+
+
+# Words per block of the representative filter; its temporaries take about
+# 3m bytes per word (2 MB a block at m = 10).
+_FILTER_ROWS = 1 << 16
+
+
+def stabilizer_representatives(seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the words that are their own canonical form, and their fixers.
+
+    seqs are anchored words in lexicographic order, as all_cycle_seqs gives
+    them, so the keys come out ascending without a sort.  A word represents
+    its stabilizer orbit exactly when none of its 2m images is smaller.
+    Every image starts with 0 and then one of the word's cyclic consecutive
+    differences, so a word whose first difference v[1] is not its smallest
+    cannot be one, and only the rest are canonicalized (61,830 of 362,880
+    words at m = 10).  The second result, (2, R) uint8, counts the images of
+    each representative equal to it, in the value-shift family and in the
+    reflected one: its stabilizer, split by whether the element inverts.
+    """
+    m = seqs.shape[-1]
+    keys, fixed = [], []
+    for lo in range(0, seqs.shape[0], _FILTER_ROWS):
+        cols = np.ascontiguousarray(seqs[lo:lo + _FILTER_ROWS].T)
+        diffs = np.concatenate([cols[1:], cols[:1]]) - cols
+        np.minimum(diffs, diffs + np.uint8(m), out=diffs)  # mod m, as in _image_keys
+        cands = cols[:, diffs.min(axis=0) == diffs[0]].T
+        for start in range(0, cands.shape[0], _CHUNK_ROWS):
+            imgs = _image_keys(cands[start:start + _CHUNK_ROWS])
+            own = imgs[0, 0]  # the word itself
+            rep = imgs.min(axis=(0, 1)) == own
+            keys.append(own[rep])
+            fixed.append((imgs[:, :, rep] == own[rep]).sum(axis=1, dtype=np.uint8))
+    return np.concatenate(keys), np.concatenate(fixed, axis=1)
 
 
 # Columns per chunk of the rank kernel.  Its temporaries take about 12m
@@ -221,6 +278,7 @@ class CycleIndex:
         self.m = m
         self.seqs = all_cycle_seqs(m)
         self._inverse_ids: np.ndarray | None = None
+        self._representatives: tuple[np.ndarray, np.ndarray] | None = None
         self._stabilizer_orbits: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -234,16 +292,26 @@ class CycleIndex:
         pos[rows.T - 1, np.arange(rows.shape[0])] = np.arange(self.m, dtype=np.uint8)[:, None]
         return ids_of_positions(pos).reshape(words.shape[:-1])
 
+    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical keys of the stabilizer orbits, ascending, and how many
+        value shifts and reflecting elements fix each (see
+        stabilizer_representatives); computed on first use."""
+        if self._representatives is None:
+            self._representatives = stabilizer_representatives(self.seqs)
+        return self._representatives
+
     def stabilizer_orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical keys of the stabilizer orbits, ascending, and the int32
         position of each cycle's orbit among them.
 
-        The one canonicalization pass over the table, shared by the distance
-        BFS, the pair orbits and the class lookup; computed on first use.
+        The one canonicalization pass over the whole table, for the readers
+        of a per-cycle orbit: the distance BFS and the class of every cycle.
+        The census reads only the representatives; computed on first use.
         """
         if self._stabilizer_orbits is None:
-            keys, orbit_of = np.unique(canonical_keys(self.seqs), return_inverse=True)
-            self._stabilizer_orbits = (keys, orbit_of.astype(np.int32))
+            keys = self.representatives()[0]
+            orbit_of = np.searchsorted(keys, canonical_keys(self.seqs)).astype(np.int32)
+            self._stabilizer_orbits = (keys, orbit_of)
         return self._stabilizer_orbits
 
     def inverse_ids(self) -> np.ndarray:

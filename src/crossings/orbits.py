@@ -4,7 +4,10 @@ The group acts diagonally on pairs (sigma, tau).  It is transitive on the
 first component, so each pair orbit meets {base} x Z_m in exactly one
 stabilizer orbit of the second component: pair orbits are in bijection with
 canonical forms of single cycles, and the orbit through (base, tau) has size
-(m-1)! times the stabilizer-orbit length of tau.
+(m-1)! times the stabilizer-orbit length of tau.  That length is 2m over
+the stabilizer order of the representative, so the orbits, their sizes and
+the census come from the representatives alone (CycleIndex.representatives)
+and never from a per-cycle table.
 
 Swapping the two components permutes the orbits (an involution), and the
 classes of that involution index the constraints of the relaxations: the
@@ -21,7 +24,8 @@ from math import factorial
 
 import numpy as np
 
-from .cycles import CycleIndex, canonical_keys, shift_families, unpack_keys
+from .cycles import CycleIndex, canonical_keys, unpack_keys
+from .errors import CrossingsError
 
 
 @dataclass
@@ -85,20 +89,22 @@ def swap_partner_words(rep_seqs: np.ndarray) -> np.ndarray:
 
 
 def build_pair_orbits(index: CycleIndex) -> PairOrbits:
-    """Enumerate all pair orbits from the cycle table."""
+    """Enumerate all pair orbits from the stabilizer-orbit representatives.
+
+    The orbit through (base, tau) holds (m-1)! pairs for each cycle in the
+    stabilizer orbit of tau, and that orbit has 2m divided by the stabilizer
+    order of its representative members; no per-cycle table is read.
+    """
     m = index.m
-    rep_keys, orbit_of = index.stabilizer_orbits()
-    counts = np.bincount(orbit_of, minlength=rep_keys.size)
+    rep_keys, fixed = index.representatives()
+    n_tau = (2 * m) // fixed.sum(axis=0, dtype=np.int64)
+    if int(n_tau.sum()) != factorial(m - 1):
+        raise CrossingsError(f"stabilizer orbits of {m}-cycles cover {int(n_tau.sum())} "
+                             f"cycles, not {factorial(m - 1)}")
     rep_seqs = unpack_keys(rep_keys, m)
     partner_keys = canonical_keys(swap_partner_words(rep_seqs))
     partner = np.searchsorted(rep_keys, partner_keys).astype(np.int64)
-    return PairOrbits(
-        m=m,
-        rep_keys=rep_keys,
-        rep_seqs=rep_seqs,
-        n_tau=counts.astype(np.int64),
-        partner=partner,
-    )
+    return PairOrbits(m=m, rep_keys=rep_keys, rep_seqs=rep_seqs, n_tau=n_tau, partner=partner)
 
 
 def count_relabel_only_orbits(index: CycleIndex) -> int:
@@ -108,13 +114,11 @@ def count_relabel_only_orbits(index: CycleIndex) -> int:
     stabilizer in it is the cyclic group of value shifts, so these orbits are
     the shift orbits of second components.  That cyclic group has index two
     in the full stabilizer, so each stabilizer orbit is one shift orbit or
-    two: one exactly when the reflecting generator maps its representative
-    into the representative's own shift orbit, when its two shift_families
-    rows agree.  Only the stabilizer-orbit representatives are
-    canonicalized, not the whole cycle table.
+    two: one exactly when a reflecting element fixes its representative,
+    which then lies in the shift orbit of its own reflected inverse.
     """
-    shifted, reflected = shift_families(unpack_keys(index.stabilizer_orbits()[0], index.m))
-    return shifted.size + int((shifted != reflected).sum())
+    reflect_fixed = index.representatives()[1][1]
+    return reflect_fixed.size + int((reflect_fixed == 0).sum())
 
 
 def orbit_census(index: CycleIndex) -> tuple[int, int, int]:

@@ -65,8 +65,10 @@ def distances_from_base(index: CycleIndex) -> np.ndarray:
     d = 0
     while frontier.size:
         nbr = neighbor_words(rep_seqs[frontier]).reshape(-1, m)
-        ids = np.searchsorted(rep_keys, np.unique(canonical_keys(nbr)))
-        ids = ids[dist[ids] == UNREACHED]
+        # marking the neighbor orbits dedupes them with no sort, ids ascending
+        hit = np.zeros(rep_keys.size, dtype=bool)
+        hit[np.searchsorted(rep_keys, canonical_keys(nbr))] = True
+        ids = np.flatnonzero(hit & (dist == UNREACHED))
         d += 1
         dist[ids] = d
         frontier = ids

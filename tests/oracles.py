@@ -12,6 +12,8 @@ production code also computes, by a slower and more literal route:
   one-line image);
 - the reflecting stabilizer generator applied in bulk, and the
   shift-only canonical key as the first row of cycles.shift_families;
+- the stabilizer orbits and pair orbits by canonicalizing every cycle
+  and sorting the keys, with orbit sizes counted over the whole table;
 - the pair orbit of an arbitrary ordered pair, by relabeling the first
   component to the base;
 - cycle ids by binary search of the packed keys of re-anchored words, and
@@ -47,9 +49,10 @@ from crossings.cycles import (
     invert_seqs,
     pack_keys,
     shift_families,
+    unpack_keys,
 )
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.orbits import PairOrbits
+from crossings.orbits import PairOrbits, swap_partner_words
 from crossings.repsets import Block, _shape_tables, _tableau_vectors, psd_pivots
 from crossings.swapgraph import UNREACHED, neighbor_words
 from crossings.tableaux import conjugate
@@ -247,6 +250,31 @@ def lex_rank(word) -> int:
         rank += left.index(v) * factorial(len(anchored) - 1 - j)
         left.remove(v)
     return rank
+
+
+# -- stabilizer orbits by sorting the whole table ------------------------------
+
+
+def stabilizer_orbits_by_sort(index: CycleIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct canonical keys, ascending, and the int32 position of each
+    cycle's key among them, by canonicalizing every cycle and sorting."""
+    keys, orbit_of = np.unique(canonical_keys(index.seqs), return_inverse=True)
+    return keys, orbit_of.astype(np.int32)
+
+
+def pair_orbits_by_sort(index: CycleIndex) -> PairOrbits:
+    """Pair orbits from the sorted table, each stabilizer orbit's size
+    counted over all its cycles."""
+    keys, orbit_of = stabilizer_orbits_by_sort(index)
+    rep_seqs = unpack_keys(keys, index.m)
+    partner = np.searchsorted(keys, canonical_keys(swap_partner_words(rep_seqs)))
+    return PairOrbits(
+        m=index.m,
+        rep_keys=keys,
+        rep_seqs=rep_seqs,
+        n_tau=np.bincount(orbit_of, minlength=keys.size).astype(np.int64),
+        partner=partner.astype(np.int64),
+    )
 
 
 # -- pair orbits of arbitrary ordered pairs ----------------------------------

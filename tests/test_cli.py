@@ -3,10 +3,14 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import crossings
 from crossings.cli import _HANDLERS, _parse_n_values, main
 
 
@@ -202,6 +206,21 @@ def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path, monkeypa
     assert names, "no command wrote a table"
     for name in names:
         assert re.fullmatch(r"coeffs_4_(single|full)\.bin(\.crc32)?", name), name
+
+
+def test_cold_coeffs_does_not_load_numpy_ma(tmp_path):
+    # np.unique without indices imports numpy.ma on first use in numpy 2,
+    # several milliseconds of every fresh process that builds tables
+    src = str(Path(crossings.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\n"
+              "from crossings.cli import main\n"
+              f"main(['coeffs', '--m', '5', '--cache-dir', {str(tmp_path)!r}])\n"
+              "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "m=5: 7 classes" in out
+    assert out.splitlines()[-1] == "False"
 
 
 def test_parse_n_values():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossings.cycles import CycleIndex, invert_seqs
+from crossings.errors import CrossingsError
 from crossings.orbits import (
     build_pair_orbits,
     count_relabel_only_orbits,
@@ -20,7 +21,10 @@ from oracles import (
     act,
     orbit_ids_of_tau_seqs,
     orbit_of_pair,
+    pair_orbits_by_sort,
     shift_canonical_keys,
+    stabilizer_elements,
+    stabilizer_orbits_by_sort,
 )
 
 
@@ -182,3 +186,47 @@ def test_relabel_only_count_matches_full_table_oracle(m):
     idx = CycleIndex(m)
     want = int(np.unique(shift_canonical_keys(idx.seqs)).size)
     assert count_relabel_only_orbits(idx) == want
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_representatives_match_sorted_table(m):
+    idx = CycleIndex(m)
+    # the census reads no per-cycle table
+    orbit_census(idx)
+    assert idx._stabilizer_orbits is None
+    want = pair_orbits_by_sort(idx)
+    got = build_pair_orbits(idx)
+    for name in ("rep_keys", "rep_seqs", "n_tau", "partner"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    keys, orbit_of = idx.stabilizer_orbits()
+    want_keys, want_of = stabilizer_orbits_by_sort(idx)
+    assert np.array_equal(keys, want_keys)
+    assert orbit_of.dtype == np.int32 and np.array_equal(orbit_of, want_of)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_representative_fixers_match_stabilizer_elements(m):
+    # row 0 counts the value shifts fixing each representative, row 1 the
+    # reflecting elements (those that invert)
+    idx, orbits = make(m)
+    fixed = idx.representatives()[1]
+    assert fixed.shape == (2, orbits.num_orbits)
+    elements = stabilizer_elements(m)
+    for r, seq in enumerate(orbits.rep_seqs):
+        tau = Cycle(tuple(int(v) for v in seq))
+        for row, eps in ((0, 1), (1, -1)):
+            want = sum(act(g, tau) == tau for g in elements if g.eps == eps)
+            assert int(fixed[row, r]) == want
+
+
+def test_orbit_sizes_must_cover_the_cycles():
+    # a stabilizer count that is off leaves the orbit sizes short of (m-1)!,
+    # which is raised, not asserted, so it holds under python -O
+    idx = CycleIndex(6)
+    keys, fixed = idx.representatives()
+    wrong = fixed.copy()
+    wrong[0, 0] *= 2
+    idx._representatives = (keys, wrong)
+    with pytest.raises(CrossingsError, match="cover"):
+        build_pair_orbits(idx)
