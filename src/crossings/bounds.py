@@ -126,14 +126,6 @@ def truncated(value, places: int) -> str:
     return _decimal_string(scaled.numerator // scaled.denominator, places, f < 0)
 
 
-def rounded(value, places: int) -> str:
-    """Decimal string rounded half away from zero."""
-    f = exact(value)
-    scaled = abs(f) * 10**places
-    whole = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return _decimal_string(whole, places, f < 0)
-
-
 def plain(value) -> str:
     """Exact display: integers bare, terminating decimals as decimals,
     everything else as a fraction."""

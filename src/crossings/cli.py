@@ -29,10 +29,8 @@ def _add_common(p: argparse.ArgumentParser, with_m: bool = True, with_cache: boo
     p.add_argument("--threads", type=int, default=None, help="BLAS thread count")
 
 
-def _add_solver(p: argparse.ArgumentParser, with_resume: bool = True) -> None:
+def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", default=None, metavar="PATH", help="also write the result object here")
-    if with_resume:
-        p.add_argument("--resume", action="store_true", help="continue a saved cutting-plane run")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="optimum of the full relaxation")
     _add_common(p)
-    _add_solver(p, with_resume=False)
+    _add_solver(p)
 
     p = sub.add_parser("beta", help="optimum of the single-block relaxation")
     _add_common(p)
@@ -99,14 +97,6 @@ def _parse_n_values(text: str | None) -> list[int]:
     if not ns:
         raise ArgumentError(f"--n {text!r}: no column counts")
     return ns
-
-
-def _result_out(args, result: dict) -> None:
-    print(json.dumps(result))
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
 
 
 def _self_pair_cost(index, dist, check: bool = True) -> int:
@@ -163,79 +153,58 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-def _cmd_alpha(args) -> int:
-    from .relaxations import run_full
-
-    started = time.monotonic()
-    out = run_full(args.m, cache_dir=args.cache_dir)
-    result = {
-        "m": args.m,
-        "alpha": out.value,
-        "certified_bound": out.certificate.bound,
-        "status": out.status,
-        "classes": out.class_count,
-        "blocks": [int(y.shape[0]) for y in out.y],
-        "iterations": out.iterations,
-        "total_time": time.monotonic() - started,
-    }
-    _result_out(args, result)
-    return 0
+def _alpha_fields(out) -> dict:
+    return {"alpha": out.value, "classes": out.class_count,
+            "blocks": [int(y.shape[0]) for y in out.y]}
 
 
-def _run_single(args):
-    from .relaxations import run_single
-
-    def progress(rec):
-        line = {
-            "round": rec.round,
-            "active": rec.active,
-            "objective": rec.objective,
-            "max_violation": rec.max_violation,
-            "wall_time_ms": rec.wall_ms,
-            "iterations": rec.iterations,
-            "status": rec.status,
-        }
-        print(json.dumps(line), file=sys.stderr, flush=True)
-
-    return run_single(args.m, cache_dir=args.cache_dir, resume=args.resume, progress=progress)
-
-
-def _cmd_beta(args) -> int:
+def _beta_fields(out) -> dict:
     from .relaxations import rank_report
 
-    started = time.monotonic()
-    out = _run_single(args)
     rank, vector = rank_report(out.y[0])
-    result = {
-        "m": args.m,
-        "beta": out.value,
-        "certified_bound": out.certificate.bound,
-        "status": out.status,
-        "rank": rank,
-        "eigenvector": None if vector is None else [float(v) for v in vector],
-        "rounds": len(out.rounds),
-        "iterations": out.iterations,
-        "total_time": time.monotonic() - started,
-    }
-    _result_out(args, result)
-    return 0
+    return {"beta": out.value, "rank": rank,
+            "eigenvector": None if vector is None else [float(v) for v in vector]}
 
 
-def _cmd_certify(args) -> int:
+def _certify_fields(out) -> dict:
     from .relaxations import exactly_psd
 
-    out = _run_single(args)
     cert = out.certificate
-    result = {
-        "m": args.m,
-        "certified_bound": cert.bound,
-        "value": f"{cert.value.numerator}/{cert.value.denominator}",
-        "worst_class": cert.worst_class,
-        "psd_verified": all(exactly_psd(n) for n in cert.numerators),
-        "status": out.status,
-        "iterations": out.iterations,
-    }
-    _result_out(args, result)
+    return {"value": f"{cert.value.numerator}/{cert.value.denominator}",
+            "worst_class": cert.worst_class,
+            "psd_verified": all(exactly_psd(n) for n in cert.numerators)}
+
+
+# solve command -> (relaxation kind, the result fields only that command adds)
+_SOLVES = {
+    "alpha": ("full", _alpha_fields),
+    "beta": ("single", _beta_fields),
+    "certify": ("single", _certify_fields),
+}
+
+
+def _cmd_solve(args) -> int:
+    """Run one relaxation, streaming one JSON line per cutting round to
+    stderr, then print the shared result fields and the command's own."""
+    from dataclasses import asdict
+
+    from . import relaxations
+
+    def progress(rec):
+        print(json.dumps(asdict(rec)), file=sys.stderr, flush=True)
+
+    kind, fields = _SOLVES[args.command]
+    run = relaxations.run_full if kind == "full" else relaxations.run_single
+    started = time.monotonic()
+    out = run(args.m, cache_dir=args.cache_dir, progress=progress)
+    result = {"m": args.m, **fields(out), "certified_bound": out.certificate.bound,
+              "status": out.status, "rounds": len(out.rounds), "iterations": out.iterations}
+    result["total_time"] = time.monotonic() - started
+    print(json.dumps(result))
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
+            fh.write("\n")
     return 0
 
 
@@ -349,10 +318,8 @@ _HANDLERS = {
     "q": _cmd_q,
     "orbits": _cmd_orbits,
     "coeffs": _cmd_coeffs,
-    "alpha": _cmd_alpha,
-    "beta": _cmd_beta,
+    **dict.fromkeys(_SOLVES, _cmd_solve),
     "bounds": _cmd_bounds,
-    "certify": _cmd_certify,
     "verify": _cmd_verify,
 }
 

@@ -82,11 +82,6 @@ class PairTables:
     def m(self) -> int:
         return self.index.m
 
-    def class_ids_of_words(self, words: np.ndarray) -> np.ndarray:
-        """Class ids of the pairs (base, tau) for each word tau, which may be
-        any rotation of a cycle's word."""
-        return self.class_of_cycle[self.index.id_of_words(words)]
-
 
 # -- differential-operator expansion ---------------------------------------
 #

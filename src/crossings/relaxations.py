@@ -25,7 +25,6 @@ positive definite, so it anchors a strictly feasible start in every round.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import cache
 from .coeffs import PairTables, block_constraint_tables
-from .errors import ArgumentError, DataError, ResourceError, SolverError
+from .errors import ArgumentError, ResourceError, SolverError
 from .repsets import Block, build_blocks, hook_block_columns, psd_pivots
 from .sdp import polish_dual, solve_bound_problem
 
@@ -55,7 +54,7 @@ class RoundRecord:
     active: int
     objective: float
     max_violation: float
-    wall_ms: float
+    wall_time_ms: float
     iterations: int
     status: str
 
@@ -291,19 +290,14 @@ def _solve_polished(n, c, mats, x0):
     return sol, t_pol, y_pol
 
 
-def _relax(
-    m: int, kind: str, cache_dir=None, resume: bool = False, progress=None
-) -> RelaxationOutcome:
+def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcome:
     """Certified optimum of one relaxation by the cutting-plane loop.
 
     Each round solves the instance restricted to the active classes, scans
-    every class against the polished dual, and adds the worst offenders;
-    after each round that adds offenders, the round number and the active
-    set of the next round are saved as cuts_<m>_<kind>.json, so a run
-    stopped by its round budget can resume with the next round, numbered
-    on from the saved one.  The budget counts the rounds of one call.
-    progress, when given, receives one RoundRecord per round as it
-    completes.
+    every class against the polished dual, and adds the worst offenders.
+    Rounds are numbered from 1; a run that does not settle within
+    _MAX_ROUNDS raises SolverError and leaves no state behind.  progress,
+    when given, receives one RoundRecord per round as it completes.
 
     Class 0 is always active and anchors the strictly feasible start.  It
     is the class of the equal pairs (sigma, sigma): the base word has the
@@ -315,26 +309,8 @@ def _relax(
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
     active = [0]
-    done = 0  # rounds finished before this call
-    state_file = cache.resolve_cache_dir(cache_dir) / f"cuts_{m}_{kind}.json"
-    if resume and state_file.exists():
-        try:
-            saved = json.loads(state_file.read_text())
-        except ValueError as exc:  # truncated, or not text at all
-            raise DataError(f"unreadable cutting-plane state: {state_file}") from exc
-        if not isinstance(saved, dict):
-            raise DataError(f"unreadable cutting-plane state: {state_file}")
-        if saved.get("m") == m and saved.get("active"):
-            ids, done = saved["active"], saved.get("round", 0)
-            if type(done) is not int or done < 0 or not isinstance(ids, list) or not all(
-                type(i) is int and 0 <= i < len(qs) for i in ids
-            ):
-                raise DataError(f"unreadable cutting-plane state: {state_file} (round must "
-                                f"be an int >= 0, active a list of ids in [0, {len(qs)}))")
-            active = sorted(set(ids) | {0})
-
     rounds: list[RoundRecord] = []
-    for rnd in range(done + 1, done + _MAX_ROUNDS + 1):
+    for rnd in range(1, _MAX_ROUNDS + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
         sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
@@ -350,13 +326,10 @@ def _relax(
             break
         known = set(active)
         active.extend(int(i) for i in offenders if int(i) not in known)
-        cache._publish(state_file, json.dumps(
-            {"m": m, "round": rnd, "active": sorted(active)}).encode())
     else:
         raise SolverError(f"cutting-plane loop did not settle in {_MAX_ROUNDS} rounds")
 
     cert = certify(y_pol, dims, sizes, qs, tri)
-    state_file.unlink(missing_ok=True)
     return RelaxationOutcome(
         m=m, kind=kind, value=float(class_slacks(y_pol, dims, 0.0, fsizes, c, tri).min()),
         raw=sol.t, certificate=cert, class_count=len(qs),

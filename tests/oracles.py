@@ -15,7 +15,8 @@ production code also computes, by a slower and more literal route:
 - the stabilizer orbits and pair orbits by canonicalizing every cycle
   and sorting the keys, with orbit sizes counted over the whole table;
 - the pair orbit of an arbitrary ordered pair, by relabeling the first
-  component to the base;
+  component to the base, and the class of a pair (base, tau) for any
+  rotation of tau's word;
 - cycle ids by binary search of the packed keys of re-anchored words, and
   by the scalar lexicographic rank of one word;
 - the swap distances by BFS over every word, with no quotienting;
@@ -29,7 +30,9 @@ production code also computes, by a slower and more literal route:
 - the closed-form evaluator of the (m-2, 1, 1) block, reading each entry off
   the cycle word;
 - class blocks by direct quadruple enumeration and by streaming over all
-  ordered cycle pairs, against which the operator expansion is compared.
+  ordered cycle pairs, against which the operator expansion is compared;
+- decimal rounding half away from zero, beside the library's truncation,
+  for targets published either way.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from math import factorial
 
 import numpy as np
 
+from crossings.bounds import exact, truncated
 from crossings.coeffs import PairTables
 from crossings.cycles import (
     CycleIndex,
@@ -304,6 +308,12 @@ def orbit_of_pair(orbits: PairOrbits, sigma: Cycle, tau: Cycle) -> int:
         raise ArgumentError("pair degree does not match the orbit table")
     moved = relabel_to_base(sigma.seq)[np.array(tau.seq, dtype=np.uint8) - 1]
     return int(orbit_ids_of_tau_seqs(orbits, moved[None])[0])
+
+
+def class_ids_of_words(tables: PairTables, words: np.ndarray) -> np.ndarray:
+    """Class ids of the pairs (base, tau) for each word tau, which may be
+    any rotation of a cycle's word."""
+    return tables.class_of_cycle[tables.index.id_of_words(words)]
 
 
 # -- swap distances over every word -----------------------------------------
@@ -570,7 +580,7 @@ def monomial_to_orbit(pattern, tables: PairTables) -> int:
     word = np.empty(m, dtype=np.uint8)
     for a, b in enumerate(pattern, start=1):
         word[b - 1] = a
-    return int(tables.class_ids_of_words(word[None])[0])
+    return int(class_ids_of_words(tables, word[None])[0])
 
 
 def _expansion_words(t: Filling, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -599,7 +609,7 @@ def direct_expansion(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, 
     shifted = words2 - 1
     for sgn, word in zip(signs1, words1):
         moved = relabel_to_base(word)[shifted]
-        np.add.at(acc, tables.class_ids_of_words(moved), sgn * signs2)
+        np.add.at(acc, class_ids_of_words(tables, moved), sgn * signs2)
     return {int(c): int(v) for c, v in enumerate(acc) if v}
 
 
@@ -630,7 +640,7 @@ def pair_stream_forms(
         maps = np.empty((b, m), dtype=np.uint8)
         np.put_along_axis(maps, block.astype(np.intp) - 1, arange, axis=1)
         moved = maps[:, shifted]
-        ids = tables.class_ids_of_words(moved.reshape(-1, m)).reshape(b, n)
+        ids = class_ids_of_words(tables, moved.reshape(-1, m)).reshape(b, n)
         offs = ids + c * np.arange(b, dtype=np.int64)[:, None]
         flat = offs.ravel()
         weights = np.empty((b, n))
@@ -656,3 +666,13 @@ def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
     iu = np.triu_indices(a.shape[1])
     return a[:, iu[0], iu[1]]
 
+
+# -- decimal display -------------------------------------------------------------
+
+
+def rounded(value, places: int) -> str:
+    """Decimal string rounded half away from zero: the truncation of the
+    value moved half a unit of the last place away from zero."""
+    f = exact(value)
+    half = Fraction(1, 2 * 10**places)
+    return truncated(f + half if f >= 0 else f - half, places)

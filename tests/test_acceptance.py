@@ -26,7 +26,6 @@ from crossings.bounds import (
     lift_bound,
     plain,
     quadratic_bound,
-    rounded,
     truncated,
     zarankiewicz,
 )
@@ -51,6 +50,7 @@ from oracles import (
     distances_from_base_unpruned,
     pair_stream_hook_table,
     id_of,
+    rounded,
     stabilizer_elements,
 )
 

@@ -11,11 +11,11 @@ from crossings.bounds import (
     lift_bound,
     plain,
     quadratic_bound,
-    rounded,
     truncated,
     zarankiewicz,
 )
 from crossings.errors import ArgumentError
+from oracles import rounded
 
 # Every target below is frozen by hand from the published tables, never read
 # from the library it checks.

@@ -55,22 +55,48 @@ def test_coeffs_command(store, capsys):
     assert (store / "coeffs_5_single.bin").exists()
 
 
-def test_beta_command_stream_and_result(store, capsys, tmp_path):
-    result_path = tmp_path / "out.json"
-    code, out, err = run_cli(
-        capsys, "beta", "--m", "5", "--cache-dir", str(store), "--json", str(result_path)
-    )
-    assert code == 0
-    result = json.loads(out.strip().splitlines()[-1])
-    assert result["m"] == 5
+def _alpha_result(result):
+    assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
+    assert result["blocks"] == [1, 1, 1]
+    assert result["classes"] == 3
+
+
+def _beta_result(result):
     assert result["beta"] == pytest.approx(1.9270509831, abs=1e-9)
     assert result["certified_bound"] == pytest.approx(1.9270509831, abs=1e-9)
     assert result["rank"] == 1
     assert result["eigenvector"] == pytest.approx([0.5477225575, 0.3385111569], abs=1e-4)
-    assert result["rounds"] >= 1 and result["total_time"] > 0
+
+
+def _certify_result(result):
+    assert result["psd_verified"] is True
+    assert result["certified_bound"] == pytest.approx(1.0, abs=1e-9)
+    num, den = result["value"].split("/")
+    assert abs(Fraction(int(num), int(den)) - 1) < Fraction(1, 10**9)
+    assert isinstance(result["worst_class"], int)
+
+
+# solve command -> (level, check of the fields only that command adds)
+SOLVES = {"alpha": (4, _alpha_result), "beta": (5, _beta_result), "certify": (4, _certify_result)}
+
+
+@pytest.mark.parametrize("command", SOLVES)
+def test_solve_command_stream_and_result(command, store, capsys, tmp_path):
+    m, check = SOLVES[command]
+    result_path = tmp_path / "out.json"
+    code, out, err = run_cli(
+        capsys, command, "--m", str(m), "--cache-dir", str(store), "--json", str(result_path)
+    )
+    assert code == 0
+    result = json.loads(out.strip().splitlines()[-1])
+    check(result)
+    assert {"m", "certified_bound", "status", "rounds", "iterations", "total_time"} <= set(result)
+    assert result["m"] == m
     assert result["status"] == "optimal"
+    assert result["rounds"] >= 1 and result["total_time"] > 0
     assert json.loads(result_path.read_text()) == result
     records = [json.loads(line) for line in err.strip().splitlines()]
+    assert [r["round"] for r in records] == list(range(1, result["rounds"] + 1))
     for record in records:
         assert set(record) == {"round", "active", "objective", "max_violation",
                                "wall_time_ms", "iterations", "status"}
@@ -78,28 +104,6 @@ def test_beta_command_stream_and_result(store, capsys, tmp_path):
         assert record["status"] in ("optimal", "stalled", "max_iter")
     assert result["iterations"] == sum(r["iterations"] for r in records)
     assert records[-1]["status"] == result["status"]
-
-
-def test_alpha_command(store, capsys):
-    code, out, _ = run_cli(capsys, "alpha", "--m", "4", "--cache-dir", str(store))
-    assert code == 0
-    result = json.loads(out.strip().splitlines()[-1])
-    assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
-    assert result["blocks"] == [1, 1, 1]
-    assert result["status"] == "optimal"
-    assert result["iterations"] >= 1
-
-
-def test_certify_command(store, capsys):
-    code, out, _ = run_cli(capsys, "certify", "--m", "4", "--cache-dir", str(store))
-    assert code == 0
-    result = json.loads(out.strip().splitlines()[-1])
-    assert result["psd_verified"] is True
-    assert result["status"] == "optimal"
-    assert result["iterations"] >= 1
-    assert result["certified_bound"] == pytest.approx(1.0, abs=1e-9)
-    num, den = result["value"].split("/")
-    assert abs(Fraction(int(num), int(den)) - 1) < Fraction(1, 10**9)
 
 
 def test_bounds_command_from_table(store, capsys, tmp_path):

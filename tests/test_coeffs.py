@@ -23,6 +23,7 @@ from oracles import (
     _expansion_words,
     base_filling,
     block_rows,
+    class_ids_of_words,
     compose_word,
     direct_expansion,
     hook_block_matrix,
@@ -188,7 +189,7 @@ def test_shape_poly_is_memoized_read_only():
 def test_diagonal_class_entries_are_gram_matrices(m):
     # the class of (c, c) pairs collects u_i(c) u_j(c) over all cycles
     t = TABLES[m]
-    diag = int(t.class_ids_of_words(np.arange(1, m + 1, dtype=np.uint8)[None])[0])
+    diag = int(class_ids_of_words(t, np.arange(1, m + 1, dtype=np.uint8)[None])[0])
     tri = hook_table(t)
     hooks = hook_block_matrix(t.index.seqs)
     gram = hooks @ hooks.T
@@ -296,7 +297,7 @@ def test_same_monomial_same_class(m):
             pattern = tuple(int(np.argwhere(np.array(w2) == np.array(w1)[p])[0, 0]) + 1 for p in range(m))
             relabel = relabel_to_base(np.array(w1, dtype=np.uint8))
             moved = relabel[np.array(w2, dtype=np.uint8) - 1]
-            cid = int(t.class_ids_of_words(moved[None])[0])
+            cid = int(class_ids_of_words(t, moved[None])[0])
             assert monomial_to_orbit(pattern, t) == cid
             assert seen.setdefault(pattern, cid) == cid
 

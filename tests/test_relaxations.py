@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossings import relaxations
-from crossings.errors import ArgumentError, DataError, ResourceError, SolverError
+from crossings.errors import ArgumentError, ResourceError, SolverError
 from crossings.relaxations import (
     _strict_start,
     certify,
@@ -149,43 +149,19 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
     assert out.rounds[0].active < CLASS_COUNTS[5]
 
 
-def test_cutting_loop_resume_after_round_budget(store, monkeypatch):
+def test_round_budget_failure_leaves_only_the_tables(tmp_path, monkeypatch):
+    # single m=6 needs more than one round, so a budget of one fails; the
+    # cache then holds the coefficient table and its sidecar, nothing else
     with monkeypatch.context() as patch:
         patch.setattr(relaxations, "_MAX_ROUNDS", 1)
         with pytest.raises(SolverError):
-            run_single(6, cache_dir=store)
-    state = store / "cuts_6_single.json"
-    assert state.exists()
-    out = run_single(6, cache_dir=store, resume=True)
+            run_single(6, cache_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "coeffs_6_single.bin", "coeffs_6_single.bin.crc32"]
+    out = run_single(6, cache_dir=tmp_path)
     assert out.value == pytest.approx(SINGLE_OPT[6], abs=1e-8)
-    assert not state.exists()
-    # the saved state holds the offenders of round 1, so the resumed run
-    # goes on with round 2 and ends at the same round as a fresh run
-    assert out.rounds[0].round == 2 and out.rounds[0].active > 1
-    fresh = run_single(6, cache_dir=store)
-    assert [r.round for r in out.rounds] == list(range(2, len(fresh.rounds) + 1))
-
-
-def test_truncated_cut_state_is_refused_by_name(store):
-    out = run_single(6, cache_dir=store)
     assert len(out.rounds) >= 2
-    assert not list(store.glob("*.tmp"))
-    state = store / "cuts_6_single.json"
-    state.write_text('{"m": 6, "round": 2, "active": [1, 2')
-    try:
-        with pytest.raises(DataError, match="cuts_6_single.json"):
-            run_single(6, cache_dir=store, resume=True)
-        state.write_text('{"m": 6, "round": "2", "active": [1, 2]}')
-        with pytest.raises(DataError, match="cuts_6_single.json"):
-            run_single(6, cache_dir=store, resume=True)
-        # single m=6 has 17 classes: ids past the end, negative ids, a
-        # string of digits, fractions, non-numbers and booleans are refused
-        for active in ("[0, 17]", "[0, -1, 16]", '"12"', "[0, 1.7]", '[0, "x"]', "[0, true]"):
-            state.write_text(f'{{"m": 6, "round": 2, "active": {active}}}')
-            with pytest.raises(DataError, match=r"cuts_6_single.json.*\[0, 17\)"):
-                run_single(6, cache_dir=store, resume=True)
-    finally:
-        state.unlink()
+    assert [r.round for r in out.rounds] == list(range(1, len(out.rounds) + 1))
 
 
 def test_scan_of_zero_dual(store):
