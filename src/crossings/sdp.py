@@ -11,8 +11,13 @@ whose dual asks for the best uniform lower bound,
 
 Nesterov-Todd scaled Newton steps with Mehrotra's corrector on the
 nonnegative part.  Problems here are small (blocks of a few dozen rows,
-at most a few thousand columns), so the Schur complement is formed and
-factored densely each iteration.
+at most a few thousand columns), so LAPACK calls, not flops, set the cost:
+the Schur complement K is formed densely and eigendecomposed once per
+iteration, and every right side of the iteration reuses that one
+factorization.  Eigenvalues that roundoff pushes to zero or below are
+floored at 1e-14 times the largest, about 45 eps |K|, so the solve stays
+bounded along near-null directions and keeps every eigenvalue roundoff
+did not lose.
 
 The full relaxation has many small blocks of a few distinct dimensions, so
 the solver groups blocks of one dimension into a (cols, k, d, d) stack and
@@ -165,7 +170,8 @@ def solve_bound_problem(
     _MAX_ITER iterations run out.  Unless optimal, the solve returns the
     iterate of smallest merit, not the last one.  iterations counts the
     iterations that ran, and history holds one IterationRecord per
-    iteration.
+    iteration.  Input that is not finite raises ArgumentError, and an
+    iterate that is not finite raises np.linalg.LinAlgError.
     """
     n = np.asarray(n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -183,6 +189,8 @@ def solve_bound_problem(
     vecs = [b.reshape(cols, -1) for b in stacks]
 
     x = np.asarray(x0, dtype=np.float64).copy()
+    if not all(np.isfinite(a).all() for a in (n, c, x, *stacks)):
+        raise ArgumentError("n, c, the blocks and the starting point must be finite")
     if (x <= 0).any():
         raise ArgumentError("starting point must be strictly positive")
     t = 0.0
@@ -211,8 +219,12 @@ def solve_bound_problem(
         mu = (x @ s + sum(float((m * ym).sum()) for m, ym in zip(m_list, y))) / degree
         obj = c @ x
         gap = abs(obj - t) / (1.0 + abs(obj) + abs(t))
-        # merit <= 1 is the optimality test below, up to rounding
-        merit = max(gap / tol, abs(rp) / (10 * tol), rd_max / (10 * tol * rd_scale))
+        # merit <= 1 is the optimality test below, up to rounding; np.max,
+        # unlike max, carries a NaN through to the finiteness check
+        merit = float(np.max([gap / tol, abs(rp) / (10 * tol),
+                              rd_max / (10 * tol * rd_scale)]))
+        if not np.isfinite(merit):
+            raise np.linalg.LinAlgError(f"iterate {it} is not finite")
         record = IterationRecord(float(mu), float(gap), float(abs(rp)), rd_max,
                                  float(merit), 0.0, 0.0)
         history.append(record)
@@ -240,16 +252,13 @@ def solve_bound_problem(
             kmat += tb @ v.T
         kmat = 0.5 * (kmat + kmat.T)
         kmat[np.diag_indices_from(kmat)] += s / x
-        try:
-            kchol = np.linalg.cholesky(kmat)
-        except np.linalg.LinAlgError:
-            kmat[np.diag_indices_from(kmat)] += 1e-12 * np.trace(kmat) / cols
-            kchol = np.linalg.cholesky(kmat)
+        kval, kvec = np.linalg.eigh(kmat)
+        kval[kval <= 0] = 1e-14 * np.abs(kval).max() + 1e-300
 
         def ksolve(rhs):
-            sol = np.linalg.solve(kchol.T, np.linalg.solve(kchol, rhs))
-            resid = rhs - kmat @ sol
-            return sol + np.linalg.solve(kchol.T, np.linalg.solve(kchol, resid))
+            # one pass of residual correction against K as formed
+            sol = kvec @ ((kvec.T @ rhs) / kval)
+            return sol + kvec @ ((kvec.T @ (rhs - kmat @ sol)) / kval)
 
         kn = ksolve(n)
         denom = n @ kn
@@ -268,10 +277,7 @@ def solve_bound_problem(
             dx = kn * dt - kg
             ds = (ec - s * dx) / x
             dm_list = mats_of(dx)
-            dy = [
-                wi @ (rb - dm) @ wi
-                for wi, rb, dm in zip(winvs, r_blocks, dm_list)
-            ]
+            dy = [wi @ (rb - dm) @ wi for wi, rb, dm in zip(winvs, r_blocks, dm_list)]
             dy = [0.5 * (d_ + d_.swapaxes(-1, -2)) for d_ in dy]
             return dx, dt, ds, dy, dm_list
 
@@ -283,31 +289,27 @@ def solve_bound_problem(
             # equations themselves keeps that error out of rd
             dx, dt, ds, dy, dm_list = eliminate(rp, rd, rc, r_blocks)
             for _ in range(_REFINE_STEPS):
-                fix = eliminate(
-                    rp - n @ dx,
-                    rd - (n * dt + adjoint(dy) + ds),
-                    rc - (s * dx + x * ds),
-                    zero_blocks,
-                )
+                fix = eliminate(rp - n @ dx, rd - (n * dt + adjoint(dy) + ds),
+                                rc - (s * dx + x * ds), zero_blocks)
                 dx, dt, ds = dx + fix[0], dt + fix[1], ds + fix[2]
                 dy = [a + b for a, b in zip(dy, fix[3])]
                 dm_list = [a + b for a, b in zip(dm_list, fix[4])]
             return dx, dt, ds, dy, dm_list
 
-        def psd_steps(dm_list, dy):
-            ap = min((_psd_step(sc.m_inv_sqrt, dm) for sc, dm in zip(scals, dm_list)),
-                     default=np.inf)
-            ad = min((_psd_step(sc.y_inv_sqrt, dy_) for sc, dy_ in zip(scals, dy)),
-                     default=np.inf)
-            return ap, ad
+        def step_pair(dx, ds, dm_list, dy, frac):
+            # the largest steps, times frac, that keep both points in their cones
+            cone_p = min((_psd_step(sc.m_inv_sqrt, dm) for sc, dm in zip(scals, dm_list)),
+                         default=np.inf)
+            cone_d = min((_psd_step(sc.y_inv_sqrt, dy_) for sc, dy_ in zip(scals, dy)),
+                         default=np.inf)
+            return (frac * min(1.0 / frac, _vec_step(x, dx), cone_p),
+                    frac * min(1.0 / frac, _vec_step(s, ds), cone_d))
 
         # predictor: pure Newton toward complementarity zero
         rc_aff = -x * s
         r_aff = [-m for m in m_list]
         dxa, dta, dsa, dya, dma = direction(rc_aff, r_aff)
-        cone_p, cone_d = psd_steps(dma, dya)
-        ap_aff = min(1.0, _vec_step(x, dxa), cone_p)
-        ad_aff = min(1.0, _vec_step(s, dsa), cone_d)
+        ap_aff, ad_aff = step_pair(dxa, dsa, dma, dya, 1.0)
         mu_aff = (
             (x + ap_aff * dxa) @ (s + ad_aff * dsa)
             + sum(
@@ -333,19 +335,13 @@ def solve_bound_problem(
                 r_blocks.append(sc.lyapunov_rhs(target))
             return direction(rc, r_blocks)
 
-        def step_pair(dx, ds, dm_list, dy):
-            cone_p, cone_d = psd_steps(dm_list, dy)
-            ap = bound * min(1.0 / bound, _vec_step(x, dx), cone_p)
-            ad = bound * min(1.0 / bound, _vec_step(s, ds), cone_d)
-            return ap, ad
-
         dx, dt, ds, dy, dm_list = corrected(sigma, True)
-        ap, ad = step_pair(dx, ds, dm_list, dy)
+        ap, ad = step_pair(dx, ds, dm_list, dy, bound)
         # Near convergence the second-order term can point straight out of
         # the cone; a plain centering step keeps progress alive.
         if min(ap, ad) < 0.1 * min(ap_aff, ad_aff):
             cand = corrected(max(sigma, 0.5), False)
-            cp, cd = step_pair(cand[0], cand[2], cand[4], cand[3])
+            cp, cd = step_pair(cand[0], cand[2], cand[4], cand[3], bound)
             if min(cp, cd) > min(ap, ad):
                 dx, dt, ds, dy, dm_list = cand
                 ap, ad = cp, cd

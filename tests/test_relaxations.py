@@ -74,6 +74,14 @@ def test_every_round_of_single_m8_ends_optimal(single_runs):
     assert all(r.status == "optimal" for r in single_runs[8].rounds)
 
 
+def test_every_round_ends_optimal(single_runs, full_runs):
+    # the polish and the certificate would hide a stalled round; the solver
+    # itself must reach its optimality test in every restricted solve
+    for kind, runs in (("single", single_runs), ("full", full_runs)):
+        for m, out in runs.items():
+            assert [r.status for r in out.rounds] == ["optimal"] * len(out.rounds), (kind, m)
+
+
 def test_full_m5_restricted_solve_converges_quickly(store, full_runs):
     # the last round of full m=5 once took 88 iterations to luck into the
     # optimality test; refined directions converge in a handful
@@ -287,7 +295,8 @@ from crossings.relaxations import run_full, run_single
 out = {}
 for name, run, m in (("single", run_single, 8), ("full", run_full, 7)):
     res = run(m, cache_dir=sys.argv[1])
-    out[name] = [repr(res.value), str(res.certificate.value)]
+    out[name] = [repr(res.value), str(res.certificate.value),
+                 [[r.status, r.iterations] for r in res.rounds]]
 print(json.dumps(out))
 """
 

@@ -14,6 +14,9 @@ from crossings.sdp import (
     solve_bound_problem,
 )
 
+# a divide-by-zero or overflow inside the solver is a fault, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def random_lp(rng, cols, rows):
     """An instance with 1x1 blocks only, so it is a linear program with a
@@ -84,6 +87,26 @@ def test_rejects_nonpositive_start():
     blocks = [np.ones((2, 1, 1))]
     with pytest.raises(ArgumentError):
         solve_bound_problem(np.ones(2), np.ones(2), blocks, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("where", ["n", "c", "block", "x0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_input(where, bad):
+    # NaN input would otherwise run every iteration on NaN and return t = nan
+    args = {"n": np.ones(2), "c": np.ones(2), "block": np.ones((2, 1, 1)),
+            "x0": np.full(2, 0.5)}
+    args[where].flat[-1] = bad
+    with pytest.raises(ArgumentError):
+        solve_bound_problem(args["n"], args["c"], [args["block"]], args["x0"])
+
+
+def test_non_finite_iterate_is_a_linalg_error():
+    # finite costs near the float range overflow s / x in the first Schur
+    # complement; the next iterate is not finite and the solve must say so
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            solve_bound_problem(np.ones(2), np.full(2, 1e308), [np.ones((2, 1, 1))],
+                                np.full(2, 0.5))
 
 
 def test_feasible_value_at_zero_dual_is_min_cost_ratio():
