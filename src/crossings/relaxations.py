@@ -17,10 +17,12 @@ turns either list into the packed class triangles, and one cutting-plane
 loop serves both.  It solves restricted instances, scans every class for
 violated columns, adds the worst offenders, and repeats until the scan
 comes back clean.  The scan result is advisory; soundness
-rests on the certificate alone.  The first restricted instance holds only
-class 0, the class of the equal pairs (sigma, sigma), which comes first
-because the base word has the smallest canonical key; its blocks are
-positive definite, so it anchors a strictly feasible start in every round.
+rests on the certificate alone.  Class 0, the class of the equal pairs
+(sigma, sigma), comes first because the base word has the smallest
+canonical key; its blocks are positive definite, so it anchors a strictly
+feasible start in every round.  The instance restricted to class 0 alone
+has a known optimum, so the first scan is done in closed form and the
+first solved instance already holds class 0 and the first cuts.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from .sdp import polish_dual, solve_bound_problem
 
 # The cutting loop stops once no class is violated by more than _TOL_CUT
 # per element, adds at most _BATCH classes per round, and gives up after
-# _MAX_ROUNDS rounds.  The certificate rounds dual eigenpairs to _BITS
-# binary places.  The certificate is sound for any of these values; they
-# only decide how sharp it is and how long the run takes.
+# _MAX_ROUNDS restricted solves.  The certificate rounds dual eigenpairs to
+# _BITS binary places.  The certificate is sound for any of these values;
+# they only decide how sharp it is and how long the run takes.
 _TOL_CUT = 1e-7
 _BATCH = 50
 _MAX_ROUNDS = 200
@@ -50,6 +52,8 @@ _BITS = 48
 
 @dataclass
 class RoundRecord:
+    """One restricted solve of the cutting loop and the scan after it."""
+
     round: int
     active: int
     objective: float
@@ -209,6 +213,25 @@ def scan_violations(
     return float(v.max()), picked[v[picked] > 0].astype(np.int64)
 
 
+def first_cuts(
+    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray
+) -> list[int]:
+    """Class 0 and the classes a scan of the optimum restricted to class 0
+    adds, found without solving that instance.
+
+    Class 0 is alone at the largest cost and its blocks are positive
+    definite, so that optimum is Y = 0, t = q_0, and the violated classes
+    are those with q_j < q_0.  The interior-point solve reaches it along
+    Y = eps I with eps about 3e-12, so its scan ranks the violated classes
+    by cost ascending, then equal costs by tr(A_j) / |j| descending; the
+    ties left go to the smaller id, as in scan_violations.  The traces are
+    exact integers."""
+    trace = tri @ _packed([np.eye(d, dtype=np.int64) for d in dims], dims)
+    below = np.flatnonzero(qs < qs[0])
+    order = np.lexsort((below, -(trace[below] / sizes[below]), qs[below]))
+    return [0] + [int(i) for i in below[order[:_BATCH]]]
+
+
 # -- exact certification -----------------------------------------------------
 
 
@@ -285,7 +308,7 @@ def _solve_polished(n, c, mats, x0):
     try:
         sol = solve_bound_problem(n, c, mats, x0)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"factorization failed inside the solver: {exc}") from exc
+        raise SolverError(f"interior-point solve failed: {exc}") from exc
     t_pol, y_pol = polish_dual(n, c, mats, sol.y, x=sol.x)
     return sol, t_pol, y_pol
 
@@ -295,7 +318,9 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
 
     Each round solves the instance restricted to the active classes, scans
     every class against the polished dual, and adds the worst offenders.
-    Rounds are numbered from 1; a run that does not settle within
+    The first round starts from first_cuts: class 0 and the offenders of
+    the class-0 optimum, which needs no solve.  Rounds, one per restricted
+    solve, are numbered from 1; a run that does not settle within
     _MAX_ROUNDS raises SolverError and leaves no state behind.  progress,
     when given, receives one RoundRecord per round as it completes.
 
@@ -308,7 +333,7 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
     dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir)
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
-    active = [0]
+    active = first_cuts(dims, sizes, qs, tri)
     rounds: list[RoundRecord] = []
     for rnd in range(1, _MAX_ROUNDS + 1):
         started = time.monotonic()

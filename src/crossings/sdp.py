@@ -24,7 +24,8 @@ the solver groups blocks of one dimension into a (cols, k, d, d) stack and
 every per-block step (scaling, right sides, directions, step lengths) is one
 batched numpy call per stack; the single-block relaxation is one stack of
 one block.  The inverse square roots of M and Y that bound the step lengths
-are computed once per iteration, with the scaling.
+are computed once per iteration, with the scaling, from one eigh call over
+both; one eigvalsh call per stack then bounds both step lengths.
 
 Near the optimum the Schur complement K is ill conditioned (cond(K) near
 1e13 once the gap is below 1e-9), and the dual blocks dY = W^-1 (R - dM)
@@ -109,8 +110,8 @@ class _Scaling:
     and Y^(-1/2) for the step lengths."""
 
     def __init__(self, m_mat: np.ndarray, y_mat: np.ndarray):
-        sq, self.m_inv_sqrt = _sqrt_and_inv_sqrt(m_mat)
-        _, self.y_inv_sqrt = _sqrt_and_inv_sqrt(y_mat)
+        roots, inv_roots = _sqrt_and_inv_sqrt(np.stack([m_mat, y_mat]))
+        sq, self.m_inv_sqrt, self.y_inv_sqrt = roots[0], inv_roots[0], inv_roots[1]
         vals, vecs = np.linalg.eigh(sq @ y_mat @ sq)
         vals = np.maximum(vals, np.maximum(vals[..., -1:], 1.0) * 1e-16)
         root = np.sqrt(vals)[..., None, :]
@@ -134,11 +135,15 @@ class _Scaling:
         return self.whalf @ solved @ self.whalf
 
 
-def _psd_step(inv_sqrt: np.ndarray, dm: np.ndarray) -> float:
-    """Largest step a with M + a dM still positive semidefinite, for one
-    matrix or every matrix of a stack, given M^(-1/2)."""
-    low = np.linalg.eigvalsh(inv_sqrt @ dm @ inv_sqrt)[..., 0].min()
-    return np.inf if low >= -1e-14 else 1.0 / -low
+def _psd_steps(
+    inv_sqrts: tuple[np.ndarray, ...], dms: tuple[np.ndarray, ...]
+) -> list[float]:
+    """Largest step a with M + a dM still positive semidefinite for each
+    pair of M^(-1/2) and dM, each one matrix or a stack of matrices, all of
+    one shape; one eigvalsh call serves every pair."""
+    lows = np.linalg.eigvalsh(np.stack([a @ dm @ a for a, dm in zip(inv_sqrts, dms)]))
+    return [np.inf if low >= -1e-14 else 1.0 / -low
+            for low in lows[..., 0].reshape(len(dms), -1).min(axis=1)]
 
 
 def _vec_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -146,6 +151,7 @@ def _vec_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float((-v[neg] / dv[neg]).min()) if neg.any() else np.inf
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_bound_problem(
     n: np.ndarray,
     c: np.ndarray,
@@ -171,7 +177,9 @@ def solve_bound_problem(
     iterate of smallest merit, not the last one.  iterations counts the
     iterations that ran, and history holds one IterationRecord per
     iteration.  Input that is not finite raises ArgumentError, and an
-    iterate that is not finite raises np.linalg.LinAlgError.
+    iterate that is not finite raises np.linalg.LinAlgError; numpy's
+    overflow and invalid-value warnings are off inside the solve, so that
+    error is the only signal of an iterate that left the float range.
     """
     n = np.asarray(n, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -199,7 +207,7 @@ def solve_bound_problem(
     degree = cols + sum(dims)
 
     def mats_of(xv):
-        return [np.tensordot(xv, b, axes=([0], [0])) for b in stacks]
+        return [(xv[None, :] @ v).reshape(b.shape[1:]) for b, v in zip(stacks, vecs)]
 
     m_list = mats_of(x)
     for m_mat in m_list:
@@ -263,15 +271,20 @@ def solve_bound_problem(
         kn = ksolve(n)
         denom = n @ kn
 
-        def eliminate(ep, ed, ec, r_blocks):
+        def eliminate(ep, ed, ec, r_blocks=None):
             # solve n.dx = ep, n dt + sum_B A_B^T dY_B + ds = ed,
             # s dx + x ds = ec and dM + W dY W = R: eliminate
             # dY = Winv (R - dM) Winv and ds = (ec - s dx)/x, leaving
-            # (K + diag(s/x)) dx = n dt - (ed - p - ec/x)
-            p = np.zeros(cols)
-            for v, wi, rb in zip(vecs, winvs, r_blocks):
-                p += v @ (wi @ rb @ wi).ravel()
-            g = ed - p - ec / x
+            # (K + diag(s/x)) dx = n dt - (ed - p - ec/x); r_blocks None
+            # stands for R = 0, where p = 0
+            if r_blocks is None:
+                r_blocks = [0.0] * len(winvs)
+                g = ed - ec / x
+            else:
+                p = np.zeros(cols)
+                for v, wi, rb in zip(vecs, winvs, r_blocks):
+                    p += v @ (wi @ rb @ wi).ravel()
+                g = ed - p - ec / x
             kg = ksolve(g)
             dt = (ep + n @ kg) / denom
             dx = kn * dt - kg
@@ -281,8 +294,6 @@ def solve_bound_problem(
             dy = [0.5 * (d_ + d_.swapaxes(-1, -2)) for d_ in dy]
             return dx, dt, ds, dy, dm_list
 
-        zero_blocks = [np.zeros_like(m) for m in m_list]
-
         def direction(rc, r_blocks):
             # dY is formed apart from K, and once |W^-1|^2 ~ 1/mu the two
             # disagree by about eps |K| |dx|; refining against the
@@ -290,7 +301,7 @@ def solve_bound_problem(
             dx, dt, ds, dy, dm_list = eliminate(rp, rd, rc, r_blocks)
             for _ in range(_REFINE_STEPS):
                 fix = eliminate(rp - n @ dx, rd - (n * dt + adjoint(dy) + ds),
-                                rc - (s * dx + x * ds), zero_blocks)
+                                rc - (s * dx + x * ds))
                 dx, dt, ds = dx + fix[0], dt + fix[1], ds + fix[2]
                 dy = [a + b for a, b in zip(dy, fix[3])]
                 dm_list = [a + b for a, b in zip(dm_list, fix[4])]
@@ -298,10 +309,10 @@ def solve_bound_problem(
 
         def step_pair(dx, ds, dm_list, dy, frac):
             # the largest steps, times frac, that keep both points in their cones
-            cone_p = min((_psd_step(sc.m_inv_sqrt, dm) for sc, dm in zip(scals, dm_list)),
-                         default=np.inf)
-            cone_d = min((_psd_step(sc.y_inv_sqrt, dy_) for sc, dy_ in zip(scals, dy)),
-                         default=np.inf)
+            cones = [_psd_steps((sc.m_inv_sqrt, sc.y_inv_sqrt), (dm, dy_))
+                     for sc, dm, dy_ in zip(scals, dm_list, dy)]
+            cone_p = min((p for p, _ in cones), default=np.inf)
+            cone_d = min((d for _, d in cones), default=np.inf)
             return (frac * min(1.0 / frac, _vec_step(x, dx), cone_p),
                     frac * min(1.0 / frac, _vec_step(s, ds), cone_d))
 

@@ -31,6 +31,8 @@ production code also computes, by a slower and more literal route:
   the cycle word;
 - class blocks by direct quadruple enumeration and by streaming over all
   ordered cycle pairs, against which the operator expansion is compared;
+- the cutting loop's first offenders by solving, polishing and scanning
+  the instance restricted to class 0 alone, beside the closed form;
 - decimal rounding half away from zero, beside the library's truncation,
   for targets published either way.
 """
@@ -57,6 +59,7 @@ from crossings.cycles import (
 )
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.orbits import PairOrbits, swap_partner_words
+from crossings.relaxations import _solve_polished, _strict_start, scan_violations, split_triangles
 from crossings.repsets import Block, _shape_tables, _tableau_vectors, psd_pivots
 from crossings.swapgraph import UNREACHED, neighbor_words
 from crossings.tableaux import conjugate
@@ -665,6 +668,21 @@ def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
     a = pair_stream_forms(tables, [hook_block_matrix(tables.index.seqs)])[0]
     iu = np.triu_indices(a.shape[1])
     return a[:, iu[0], iu[1]]
+
+
+# -- the cutting loop's first round by a solve ----------------------------------
+
+
+def class_zero_offenders(
+    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray
+) -> np.ndarray:
+    """Classes the scan adds after the solve restricted to class 0 alone:
+    the first round of the cutting loop, run as a solve, polish and scan."""
+    fsizes, c = sizes.astype(np.float64), qs.astype(np.float64)
+    ids = np.array([0])
+    sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
+    _, t_pol, y_pol = _solve_polished(np.ones(1), c[ids], sub, _strict_start(sub, sizes[ids]))
+    return scan_violations(y_pol, dims, t_pol, fsizes, c, tri)[1]
 
 
 # -- decimal display -------------------------------------------------------------

@@ -36,6 +36,7 @@ from crossings.relaxations import (
     certify,
     coeff_tables,
     exactly_psd,
+    first_cuts,
     rank_report,
     run_full,
     run_single,
@@ -46,6 +47,7 @@ from oracles import (
     Cycle,
     act,
     canonical_form,
+    class_zero_offenders,
     direct_expansion,
     distances_from_base_unpruned,
     pair_stream_hook_table,
@@ -376,6 +378,25 @@ def test_criterion_7_independent_routes():
     report(7, problems,
            f"coefficient routes, search pruning, and canonicalization each "
            f"agree with their independent counterpart in {wall:.1f}s")
+
+
+def test_criterion_7_first_cuts_match_a_class_zero_solve(store):
+    # the cutting loop's first cuts come in closed form; a solve of the
+    # instance restricted to class 0 alone must lead to the same active
+    # set (its scan may list class 0 itself, violated by roundoff)
+    t0 = time.perf_counter()
+    problems = []
+    for kind, levels in (("single", range(4, 11)), ("full", range(4, 9))):
+        for m in levels:
+            tables = coeff_tables(m, kind, cache_dir=store)
+            cuts = first_cuts(*tables)
+            offenders = class_zero_offenders(*tables)
+            if cuts[0] != 0 or set(cuts) != {0, *offenders.tolist()}:
+                problems.append(f"{kind} m={m}: closed-form first cuts differ from the solve")
+    wall = time.perf_counter() - t0
+    report("7 (first cuts)", problems,
+           f"closed-form first cuts equal the class-0 solve's offenders at "
+           f"single m=4..10 and full m=4..8 in {wall:.1f}s")
 
 
 def test_criterion_8_relaxation_relations(singles, fulls):

@@ -142,9 +142,11 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
     for m, (value, cert) in direct.items():
         assert single_runs[m].value == pytest.approx(value, abs=1e-8)
         assert single_runs[m].certificate.bound == pytest.approx(cert.bound, abs=1e-8)
+    # single m=8 takes two restricted solves; the first holds class 0 and
+    # the first _BATCH cuts, found without a solve
     seen = []
-    out = run_single(5, cache_dir=store, progress=seen.append)
-    value, cert = direct[5]
+    out = run_single(8, cache_dir=store, progress=seen.append)
+    value, cert = direct[8]
     assert out.value == pytest.approx(value, abs=1e-8)
     assert out.certificate.bound == pytest.approx(cert.bound, abs=1e-8)
     assert len(out.rounds) >= 2
@@ -154,22 +156,31 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
     objs = [r.objective for r in out.rounds]
     assert all(a >= b - 1e-6 for a, b in zip(objs, objs[1:]))
     assert out.rounds[-1].max_violation <= 1e-7
-    assert out.rounds[0].active < CLASS_COUNTS[5]
+    assert out.rounds[0].active == 51
 
 
 def test_round_budget_failure_leaves_only_the_tables(tmp_path, monkeypatch):
-    # single m=6 needs more than one round, so a budget of one fails; the
-    # cache then holds the coefficient table and its sidecar, nothing else
+    # single m=8 needs more than one restricted solve, so a budget of one
+    # fails; the cache then holds the coefficient table and its sidecar,
+    # nothing else
     with monkeypatch.context() as patch:
         patch.setattr(relaxations, "_MAX_ROUNDS", 1)
         with pytest.raises(SolverError):
-            run_single(6, cache_dir=tmp_path)
+            run_single(8, cache_dir=tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "coeffs_6_single.bin", "coeffs_6_single.bin.crc32"]
-    out = run_single(6, cache_dir=tmp_path)
-    assert out.value == pytest.approx(SINGLE_OPT[6], abs=1e-8)
+        "coeffs_8_single.bin", "coeffs_8_single.bin.crc32"]
+    out = run_single(8, cache_dir=tmp_path)
+    assert out.value == pytest.approx(SINGLE_OPT[8], abs=1e-8)
     assert len(out.rounds) >= 2
     assert [r.round for r in out.rounds] == list(range(1, len(out.rounds) + 1))
+
+
+def test_a_non_finite_iterate_is_reported_as_such():
+    # costs near the float range overflow the first Schur complement; the
+    # error must name that, not a failed factorization
+    with pytest.raises(SolverError, match="interior-point solve failed: iterate 2 is not finite"):
+        relaxations._solve_polished(np.ones(2), np.full(2, 1e308), [np.ones((2, 1, 1))],
+                                    np.full(2, 0.5))
 
 
 def test_scan_of_zero_dual(store):

@@ -7,7 +7,7 @@ from scipy.optimize import linprog
 
 from crossings.errors import ArgumentError
 from crossings.sdp import (
-    _psd_step,
+    _psd_steps,
     _sqrt_and_inv_sqrt,
     feasible_value,
     polish_dual,
@@ -102,11 +102,11 @@ def test_rejects_non_finite_input(where, bad):
 
 def test_non_finite_iterate_is_a_linalg_error():
     # finite costs near the float range overflow s / x in the first Schur
-    # complement; the next iterate is not finite and the solve must say so
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            solve_bound_problem(np.ones(2), np.full(2, 1e308), [np.ones((2, 1, 1))],
-                                np.full(2, 0.5))
+    # complement; the next iterate is not finite and the solve must say so,
+    # with that error as its only signal (no RuntimeWarning, see pytestmark)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        solve_bound_problem(np.ones(2), np.full(2, 1e308), [np.ones((2, 1, 1))],
+                            np.full(2, 0.5))
 
 
 def test_feasible_value_at_zero_dual_is_min_cost_ratio():
@@ -229,5 +229,8 @@ def test_psd_step_on_a_stack_matches_generalized_eigenvalues():
         lows = [generalized_eigh(b, a, eigvals_only=True)[0] for a, b in zip(m_mats, dm)]
         want = [np.inf if low >= 0 else 1.0 / -low for low in lows]
         for a_inv, b, w in zip(inv_sqrt, dm, want):
-            assert _psd_step(a_inv, b) == pytest.approx(w, rel=1e-9)
-        assert _psd_step(inv_sqrt, dm) == pytest.approx(min(want), rel=1e-9)
+            assert _psd_steps((a_inv,), (b,)) == pytest.approx([w], rel=1e-9)
+        assert _psd_steps((inv_sqrt,), (dm,)) == pytest.approx([min(want)], rel=1e-9)
+        # one call over two stacks gives each stack's step
+        assert _psd_steps((inv_sqrt[:3], inv_sqrt[3:]), (dm[:3], dm[3:])) == pytest.approx(
+            [min(want[:3]), min(want[3:])], rel=1e-9)
