@@ -47,8 +47,10 @@ class QuadraticBound:
     b: Fraction
 
     def evaluate(self, n: int) -> int:
-        """Exact ceiling of the quadratic at n, sanity-capped by the grid
-        drawing: a claimed lower bound above it would mean bad input."""
+        """Exact ceiling of the quadratic at n >= 0, sanity-capped by the
+        grid drawing: a claimed lower bound above it would mean bad input."""
+        if n < 0:
+            raise ArgumentError(f"column count must be nonnegative, got {n}")
         value = max(0, ceil(self.a * n * n - self.b * n))
         cap = zarankiewicz(self.m, n)
         if value > cap:

@@ -105,7 +105,7 @@ def _self_pair_cost(index, dist, check: bool = True) -> int:
     from .cycles import invert_seqs
     from .swapgraph import self_cost
 
-    diag = int(dist[index.id_of_words(invert_seqs(index.seqs[0]))])  # row 0 is the base
+    diag = int(dist[index.orbit_ids(invert_seqs(index.seqs[0]))])  # row 0 is the base
     if check and diag != self_cost(index.m):
         raise DataError(f"self-pair cost {diag} differs from the closed form {self_cost(index.m)}")
     return diag
@@ -202,9 +202,12 @@ def _cmd_solve(args) -> int:
     result["total_time"] = time.monotonic() - started
     print(json.dumps(result))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(result, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ArgumentError(f"--json {args.json}: {exc}") from exc
     return 0
 
 

@@ -71,12 +71,14 @@ class PairTables:
         index = CycleIndex(m)
         orbits = build_pair_orbits(index)
         classes = orbits.symmetric_classes()
-        class_of_cycle = classes.class_of_orbit[index.stabilizer_orbits()[1]].astype(np.int32)
-        # the inverted class representatives, ranked once for the cost and the flip
-        inverse = index.id_of_words(invert_seqs(orbits.rep_seqs[classes.rep_orbits]))
-        return cls(index=index, orbits=orbits, classes=classes, class_of_cycle=class_of_cycle,
-                   q=distances_from_base(index)[inverse].astype(np.uint16),
-                   flip=class_of_cycle[inverse])
+        class_of_orbit = classes.class_of_orbit.astype(np.int32)
+        # inversion permutes stabilizer orbits, (g tau)^-1 = g tau^-1 for g
+        # in the stabilizer, so the orbits of the inverted class
+        # representatives give the cost and the flip
+        inverse = index.orbit_ids(invert_seqs(orbits.rep_seqs[classes.rep_orbits]))
+        return cls(index=index, orbits=orbits, classes=classes,
+                   class_of_cycle=class_of_orbit[index.orbit_ids(index.seqs)],
+                   q=distances_from_base(index)[inverse], flip=class_of_orbit[inverse])
 
     @property
     def m(self) -> int:

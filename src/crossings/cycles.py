@@ -32,9 +32,9 @@ differences, so only words whose first difference is their smallest can
 be representatives, and only those go through the kernel.  The table being
 in lexicographic order, the representatives come out in ascending key
 order, each with the count of its images equal to it, which is its
-stabilizer order.  The census reads no more than that; the orbit of every
-cycle is looked up among the representatives only for callers that need
-it per cycle.
+stabilizer order.  The census reads no more than that.  Any word's orbit
+is looked up among them by its canonical key (CycleIndex.orbit_ids), and
+no per-cycle orbit table is kept.
 
 A cycle's id is the lexicographic rank of its anchored word, and it is
 computed, not looked up: from the position of each value in any rotation of
@@ -279,7 +279,6 @@ class CycleIndex:
         self.seqs = all_cycle_seqs(m)
         self._inverse_ids: np.ndarray | None = None
         self._representatives: tuple[np.ndarray, np.ndarray] | None = None
-        self._stabilizer_orbits: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.seqs.shape[0]
@@ -300,19 +299,10 @@ class CycleIndex:
             self._representatives = stabilizer_representatives(self.seqs)
         return self._representatives
 
-    def stabilizer_orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical keys of the stabilizer orbits, ascending, and the int32
-        position of each cycle's orbit among them.
-
-        The one canonicalization pass over the whole table, for the readers
-        of a per-cycle orbit: the distance BFS and the class of every cycle.
-        The census reads only the representatives; computed on first use.
-        """
-        if self._stabilizer_orbits is None:
-            keys = self.representatives()[0]
-            orbit_of = np.searchsorted(keys, canonical_keys(self.seqs)).astype(np.int32)
-            self._stabilizer_orbits = (keys, orbit_of)
-        return self._stabilizer_orbits
+    def orbit_ids(self, words: np.ndarray) -> np.ndarray:
+        """Position of each row's stabilizer orbit among representatives(),
+        for rows that may be arbitrary rotations of anchored words."""
+        return np.searchsorted(self.representatives()[0], canonical_keys(words))
 
     def inverse_ids(self) -> np.ndarray:
         """Permutation of ids sending each cycle to its inverse (an involution)."""

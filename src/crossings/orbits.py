@@ -24,7 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .cycles import CycleIndex, canonical_keys, unpack_keys
+from .cycles import CycleIndex, unpack_keys
 from .errors import CrossingsError
 
 
@@ -102,8 +102,7 @@ def build_pair_orbits(index: CycleIndex) -> PairOrbits:
         raise CrossingsError(f"stabilizer orbits of {m}-cycles cover {int(n_tau.sum())} "
                              f"cycles, not {factorial(m - 1)}")
     rep_seqs = unpack_keys(rep_keys, m)
-    partner_keys = canonical_keys(swap_partner_words(rep_seqs))
-    partner = np.searchsorted(rep_keys, partner_keys).astype(np.int64)
+    partner = index.orbit_ids(swap_partner_words(rep_seqs)).astype(np.int64)
     return PairOrbits(m=m, rep_keys=rep_keys, rep_seqs=rep_seqs, n_tau=n_tau, partner=partner)
 
 

@@ -9,7 +9,9 @@ distances from the base cycle are ever computed.
 
 The production BFS runs on the quotient by the base cycle's stabilizer:
 distances from the base are constant on stabilizer orbits, so expanding only
-canonical representatives shrinks the vertex set by a factor of about 2m.
+canonical representatives shrinks the vertex set by a factor of about 2m,
+and the result keeps one distance per orbit.  Neighbours are looked up by
+their orbit (CycleIndex.orbit_ids); no per-cycle table is built or read.
 The tests check it against a plain sweep over all words in tests/oracles.py.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cycles import CycleIndex, canonical_keys, pack_keys, unpack_keys
+from .cycles import CycleIndex, unpack_keys
 from .errors import CrossingsError
 
 UNREACHED = np.uint16(0xFFFF)
@@ -50,28 +52,27 @@ def neighbor_words(words: np.ndarray) -> np.ndarray:
 
 
 def distances_from_base(index: CycleIndex) -> np.ndarray:
-    """Graph distance from the base cycle to every cycle, by quotient BFS.
+    """Graph distance from the base cycle to every stabilizer orbit, by
+    quotient BFS.
 
-    Returns a uint16 array indexed by cycle id.
+    Returns a uint16 array indexed like index.representatives(); the
+    distance to a word is the entry at index.orbit_ids(word).
     """
     m = index.m
-    rep_keys, class_of = index.stabilizer_orbits()
-    rep_seqs = unpack_keys(rep_keys, m)
-    dist = np.full(rep_keys.size, UNREACHED, dtype=np.uint16)
+    rep_seqs = unpack_keys(index.representatives()[0], m)
+    dist = np.full(rep_seqs.shape[0], UNREACHED, dtype=np.uint16)
 
-    base_key = pack_keys(np.arange(1, m + 1, dtype=np.uint8))
-    frontier = np.searchsorted(rep_keys, base_key)[None]
+    frontier = index.orbit_ids(index.seqs[:1])  # row 0 is the base
     dist[frontier] = 0
     d = 0
     while frontier.size:
-        nbr = neighbor_words(rep_seqs[frontier]).reshape(-1, m)
         # marking the neighbor orbits dedupes them with no sort, ids ascending
-        hit = np.zeros(rep_keys.size, dtype=bool)
-        hit[np.searchsorted(rep_keys, canonical_keys(nbr))] = True
+        hit = np.zeros(dist.size, dtype=bool)
+        hit[index.orbit_ids(neighbor_words(rep_seqs[frontier]))] = True
         ids = np.flatnonzero(hit & (dist == UNREACHED))
         d += 1
         dist[ids] = d
         frontier = ids
     if (dist == UNREACHED).any():
         raise CrossingsError(f"swap graph on {m}-cycles is not connected")
-    return dist[class_of]
+    return dist

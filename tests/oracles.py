@@ -101,6 +101,11 @@ def id_of(index: CycleIndex, c: Cycle) -> int:
     return int(index.id_of_words(np.array([c.seq], dtype=np.uint8))[0])
 
 
+def orbit_id_of(index: CycleIndex, c: Cycle) -> int:
+    """Stabilizer orbit of one cycle, as a position in index.representatives()."""
+    return int(index.orbit_ids(np.array(c.seq, dtype=np.uint8)))
+
+
 # -- the relabel-and-invert group, element by element ------------------------
 
 

@@ -51,7 +51,7 @@ from oracles import (
     direct_expansion,
     distances_from_base_unpruned,
     pair_stream_hook_table,
-    id_of,
+    orbit_id_of,
     rounded,
     stabilizer_elements,
 )
@@ -182,7 +182,7 @@ def test_criterion_1_cost_diagonal():
     for m in range(4, 11):
         # relabeling carries every diagonal pair to (base, base), so one
         # entry checks the whole diagonal
-        diag = int(_dist(m)[id_of(_index(m), Cycle.base(m).invert())])
+        diag = int(_dist(m)[orbit_id_of(_index(m), Cycle.base(m).invert())])
         if diag != Q_DIAGONAL[m] or diag != self_cost(m):
             problems.append(f"m={m}: diagonal {diag}, want {Q_DIAGONAL[m]}")
     wall = time.perf_counter() - t0
@@ -360,7 +360,8 @@ def test_criterion_7_independent_routes():
         if not (tri == pair_stream_hook_table(tables)).all():
             problems.append(f"m={m}: pair-stream route disagrees with the symbolic route")
     for m in range(4, 8):
-        if not (_dist(m) == distances_from_base_unpruned(_index(m))).all():
+        per_cycle = _dist(m)[_index(m).orbit_ids(_index(m).seqs)]
+        if not (per_cycle == distances_from_base_unpruned(_index(m))).all():
             problems.append(f"m={m}: pruned and unpruned searches disagree")
     for m in range(4, 7):
         elems = stabilizer_elements(m)

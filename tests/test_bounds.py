@@ -110,6 +110,17 @@ def test_quadratic_floor_at_zero():
     assert quadratic_bound(4, 1).evaluate(1) == 0
 
 
+def test_negative_column_counts_are_refused():
+    # the quadratic is positive again below zero, so a negative count would
+    # print a bound for a graph that does not exist
+    qb = quadratic_bound(7, 4.3107391257)
+    with pytest.raises(ArgumentError, match="-5"):
+        qb.evaluate(-5)
+    with pytest.raises(ArgumentError, match="-1"):
+        lift_bound(qb).evaluate(7, -1)
+    assert qb.evaluate(0) == 0
+
+
 def test_exact_reads_decimals_not_binary_floats():
     assert exact(0.1) == Fraction(1, 10)
     assert exact("9.7411403685") == Fraction(97411403685, 10**10)

@@ -159,6 +159,21 @@ def test_bounds_refuses_bad_column_counts_and_tables(capsys, tmp_path):
         assert code == 2 and f"error: --from-table {table}" in err and out == "", text
 
 
+def test_bounds_refuses_negative_column_counts(store, capsys):
+    code, out, err = run_cli(capsys, "bounds", "--m", "4", "--cache-dir", str(store), "--n=-3..0")
+    assert code == 2 and "error: column count" in err and out == ""
+
+
+def test_solve_reports_an_unwritable_json_path(store, capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "beta", "--m", "4", "--cache-dir", str(store),
+                             "--json", str(path))
+    assert code == 2 and f"error: --json {path}" in err
+    # the solve itself finished and printed its result
+    assert json.loads(out.strip().splitlines()[-1])["m"] == 4
+    assert not path.exists()
+
+
 def test_verify_command(store, capsys):
     code, out, _ = run_cli(capsys, "verify", "--m", "4", "--cache-dir", str(store))
     assert code == 0

@@ -36,7 +36,7 @@ def make(m):
 def orbit_costs(idx, orbits):
     """Pair cost on each orbit: the distance from the base to the inverse of
     the orbit's second component."""
-    return distances_from_base(idx)[idx.id_of_words(invert_seqs(orbits.rep_seqs))]
+    return distances_from_base(idx)[idx.orbit_ids(invert_seqs(orbits.rep_seqs))]
 
 
 # census values for small m, frozen from an independent hand count at m=4
@@ -134,7 +134,7 @@ def test_orbit_of_pair_invariant_under_group(data):
 @pytest.mark.parametrize("m", [5, 6])
 def test_cost_constant_on_orbits(m):
     idx, orbits = make(m)
-    dist = distances_from_base(idx)
+    dist = distances_from_base(idx)[idx.orbit_ids(idx.seqs)]
     q = orbit_costs(idx, orbits)
     inv = idx.inverse_ids()
     ids = orbit_ids_of_tau_seqs(orbits, idx.seqs)
@@ -191,18 +191,19 @@ def test_relabel_only_count_matches_full_table_oracle(m):
 @pytest.mark.parametrize("m", range(3, 11))
 def test_representatives_match_sorted_table(m):
     idx = CycleIndex(m)
-    # the census reads no per-cycle table
+    # the census keeps no per-cycle table in the index
     orbit_census(idx)
-    assert idx._stabilizer_orbits is None
+    per_cycle = [k for k, v in vars(idx).items() if getattr(v, "shape", ())[:1] == (len(idx),)]
+    assert per_cycle == ["seqs"]
     want = pair_orbits_by_sort(idx)
     got = build_pair_orbits(idx)
     for name in ("rep_keys", "rep_seqs", "n_tau", "partner"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    keys, orbit_of = idx.stabilizer_orbits()
+    keys, orbit_of = idx.representatives()[0], idx.orbit_ids(idx.seqs)
     want_keys, want_of = stabilizer_orbits_by_sort(idx)
     assert np.array_equal(keys, want_keys)
-    assert orbit_of.dtype == np.int32 and np.array_equal(orbit_of, want_of)
+    assert orbit_of.dtype == np.intp and np.array_equal(orbit_of, want_of)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])

@@ -75,6 +75,19 @@ def test_refined_directions_reach_a_tolerance_near_roundoff():
     assert len(sol.history) == sol.iterations
 
 
+def test_refined_directions_reach_a_tolerance_near_roundoff_from_most_starts():
+    # whether one start ends optimal at 1e-14 is roundoff luck, so the claim
+    # is made over a sweep of starts: most reach the tolerance and none
+    # drifts; without refinement none does and the error grows to 1e-9
+    n = np.ones(2)
+    c = np.array([1.0, 0.0])
+    blocks = [np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])]
+    sols = [solve_bound_problem(n, c, blocks, np.array([x1, 1.0 - x1]), tol=1e-14)
+            for x1 in np.linspace(0.51, 0.99, 97)]
+    assert sum(sol.optimal for sol in sols) >= 60
+    assert max(abs(sol.t - 0.5) for sol in sols) <= 1e-10
+
+
 def test_single_column_forces_the_bound():
     sol = solve_bound_problem(
         np.array([2.0]), np.array([6.0]), [np.ones((1, 1, 1))], np.array([0.5])

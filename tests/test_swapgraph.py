@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from crossings.cycles import CycleIndex, all_cycle_seqs, canonical_keys
+from crossings.orbits import orbit_census
 from crossings.swapgraph import distances_from_base, neighbor_words, self_cost
-from oracles import Cycle, distances_from_base_unpruned, id_of
+from oracles import Cycle, distances_from_base_unpruned, id_of, orbit_id_of
 
 
 def test_neighbor_words_are_valid_and_adjacent():
@@ -37,7 +38,7 @@ def test_small_distances_by_hand():
     idx = CycleIndex(4)
     dist = distances_from_base(idx)
     # base at 0; the four words one swap away; the inverse two swaps away
-    at = lambda seq: dist[id_of(idx, Cycle(seq))]
+    at = lambda seq: dist[orbit_id_of(idx, Cycle(seq))]
     assert at((1, 2, 3, 4)) == 0
     for seq in [(1, 3, 2, 4), (1, 2, 4, 3), (1, 3, 4, 2), (1, 4, 2, 3)]:
         assert at(seq) == 1
@@ -47,14 +48,15 @@ def test_small_distances_by_hand():
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
 def test_pruned_matches_unpruned(m):
     idx = CycleIndex(m)
-    assert (distances_from_base(idx) == distances_from_base_unpruned(idx)).all()
+    per_cycle = distances_from_base(idx)[idx.orbit_ids(idx.seqs)]
+    assert (per_cycle == distances_from_base_unpruned(idx)).all()
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
 def test_self_cost_matches_bfs(m):
     idx = CycleIndex(m)
     dist = distances_from_base(idx)
-    assert dist[id_of(idx, Cycle.base(m).invert())] == self_cost(m)
+    assert dist[orbit_id_of(idx, Cycle.base(m).invert())] == self_cost(m)
     assert self_cost(m) == (m - 1) ** 2 // 4
 
 
@@ -69,6 +71,18 @@ def test_distance_constant_on_stabilizer_classes():
 
 def test_distance_zero_only_at_base():
     idx = CycleIndex(6)
-    dist = distances_from_base(idx)
+    dist = distances_from_base(idx)[idx.orbit_ids(idx.seqs)]
     assert (dist == 0).sum() == 1
     assert dist[id_of(idx, Cycle.base(6))] == 0
+
+
+@pytest.mark.parametrize("m", [4, 7, 9])
+def test_distances_read_no_per_cycle_table(m):
+    # with the representatives known, the BFS and the census need no row of
+    # the cycle table but the base
+    full = CycleIndex(m)
+    cut = CycleIndex(m)
+    cut.representatives()
+    cut.seqs = cut.seqs[:1]
+    assert np.array_equal(distances_from_base(cut), distances_from_base(full))
+    assert orbit_census(cut) == orbit_census(full)
