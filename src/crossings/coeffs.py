@@ -16,13 +16,15 @@ of both tableau vectors, and streaming over all ordered cycle pairs.
 The expansion runs on numpy arrays, and every step refuses to run if an
 int64 coefficient could leave +-2**62.  Through the shape polynomial and
 the row cascade of one tableau, held whole (it stays small), a monomial is
-a sorted row of m uint8 cells.  Once each row appears exactly once, it is
-one u64 key: the word whose letter r is 1 + the column of row r, which
-spells the positions of the values 1..m of a cycle word.  The column
-cascade runs on keys in batches, each reduced to class sums at once, so
-the final patterns never all exist together; their cycle ids are ranked
-from the keys directly (cycles.ids_of_positions, no word is built) and
-their classes read from the per-cycle class table.
+a sorted row of m uint8 cells.  The column cascade needs no operator
+steps: with one unit per row, each column move sends a unit to a value of
+the column tableau's row it leaves and no unit moves twice, so a monomial
+expands to one pattern, coefficient 1, per element of that tableau's row
+group.  The patterns are gathered from the group in batches, each reduced
+to class sums at once, so the final patterns never all exist together;
+their cycle ids are ranked from the positions directly
+(cycles.ids_of_positions, no word is built) and their classes read from
+the per-cycle class table.
 
 Every block, the single-block relaxation's hook block included, is
 assembled by one routine into the packed upper triangles the cache stores.
@@ -37,14 +39,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 import numpy as np
 
 from .cycles import CycleIndex, ids_of_positions, invert_seqs
 from .errors import CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
-from .repsets import Block
+from .repsets import Block, row_group
 from .swapgraph import distances_from_base
 from .tableaux import lex_permutations
 
@@ -95,17 +97,17 @@ class PairTables:
 # own transpose, so all monomials share their high nibbles and the low ones
 # are the merge key.  A row operator rewrites one low nibble and re-sorts;
 # the e equal entries of a cell of exponent e give the same new row, so
-# merging supplies the factor e.  _row_keys then turns each monomial, which
-# must hold every row once, into the pack_keys key whose letter r is 1 +
-# the column of row r, and a column operator adds to one nibble of the key.
+# merging supplies the factor e.  _class_sums then expands the column
+# operators in closed form over the row group of the column tableau.
 
 _COEFF_LIMIT = 1 << 62
 
-# Most final patterns one batch of the column cascade may produce, unless a
-# single row monomial alone expands further; keeps the working set small.
+# Most final patterns one batch of the column expansion gathers; a row group
+# larger than this is cut into slices.  Keeps the working set small: 1 << 16
+# raised the peak RSS of a cold m=4..8 table build by about 5%.
 _PATTERN_BATCH = 1 << 12
 
-_SHIFT = np.arange(60, -4, -4, dtype=np.uint64)  # bit offset of letter r of a pack_keys key
+_SHIFT = np.arange(60, -4, -4, dtype=np.uint64)  # bit offset of nibble r of a merge key
 
 
 def _check_range(bound: int) -> None:
@@ -202,55 +204,42 @@ def _row_cascade(poly: Poly, moves: list[tuple[int, int]]) -> Poly:
     return cells, coeffs
 
 
-def _column_cascade(poly: Poly, moves: list[tuple[int, int]], m: int) -> Poly:
-    """Column operators on keys: each move takes one unit of column src to dst."""
-    keys, coeffs = poly
-    for src, dst in moves:
-        row, at = np.nonzero((keys >> _SHIFT[:m, None]) & np.uint64(15) == src - 1)
-        _check_range(_max_abs(coeffs) * at.size)
-        keys = keys[at] + (np.uint64(dst - src) << _SHIFT[row])
-        keys, coeffs = _merge(keys, keys, coeffs[at])
-    return keys, coeffs
+def _class_sums(rows_done: Poly, t2: Filling, group: np.ndarray, tables: PairTables) -> np.ndarray:
+    """Apply the column operators of t2 to row-cascaded cells in closed form
+    and sum the final patterns by class.
 
-
-def _row_keys(cells: np.ndarray, m: int) -> np.ndarray:
-    """Keys of row-cascaded cells; raises unless each row 0..m-1 appears
-    once, which keeps the keys injective (and holds under python -O)."""
+    A column move takes one unit of column j to a value s > j of row j of
+    t2, sources descending, so no unit moves twice: a monomial whose rows
+    in column c go, by p, to the cells of row c of t2 expands to the sum of
+    g o p over the row group of t2, every term with coefficient 1.  Class
+    sums are linear, so no term is merged; the terms are gathered in
+    batches of at most _PATTERN_BATCH, so the m! or so never all exist.
+    The group is given on cells, (m, R) with column g the image of each
+    row-major cell, as the block's tableaux share it.
+    """
+    m, (cells, coeffs) = tables.m, rows_done
     rows = cells & 15
     seen = np.bitwise_or.reduce(np.left_shift(1, rows, dtype=np.uint32), axis=1)
+    # sorted cells list the rows of column c together, so the k-th cell is
+    # the k-th row-major cell of t2 when column c holds len(row c) units;
+    # raised, so the checks hold under python -O
     if cells.shape[1] != m or (seen != (1 << m) - 1).any():
         raise CrossingsError("row cascade ended on a monomial without one unit per row")
-    return _pack(cells >> 4, _SHIFT[rows])
-
-
-def _pattern_ids(keys: np.ndarray, m: int) -> np.ndarray:
-    """Cycle ids of final keys, which must be permutation patterns: row a to
-    column c means the word reads a at position c, the key's letter a."""
-    pos = ((keys >> _SHIFT[:m, None]) & np.uint64(15)).astype(np.uint8)
-    seen = np.bitwise_or.reduce(np.left_shift(1, pos, dtype=np.uint32), axis=0)
-    if (seen != (1 << m) - 1).any():
-        raise CrossingsError("column cascade ended on a monomial with a repeated column")
-    return ids_of_positions(pos)
-
-
-def _class_sums(rows_done: Poly, t2: Filling, tables: PairTables) -> np.ndarray:
-    """Column-cascade row keys and sum the final patterns by class in batches.
-
-    Derivations are linear, so batches cascade apart and their sums are
-    exact.  A row monomial expands to at most prod(lam_i!) patterns, which
-    sizes the batches so that the m! or so final patterns never all exist.
-    """
-    m, moves = tables.m, _moves(t2, tables.m)
-    per_row = prod(factorial(len(r)) for r in t2)
-    step = max(1, _PATTERN_BATCH // per_row)
-    keys, coeffs = rows_done
+    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
+        raise CrossingsError("row cascade ended off the row lengths of the column tableau")
+    slot = np.empty(cells.shape, dtype=np.intp)
+    np.put_along_axis(slot, rows.astype(np.intp), np.arange(m), axis=1)
+    # column g: g(v) - 1 for the values v of t2 in row-major order
+    images = np.array([v - 1 for r in t2 for v in r], dtype=np.uint8)[group]
+    _check_range(_max_abs(coeffs) * coeffs.size * images.shape[1])
     acc = np.zeros(tables.classes.count, dtype=np.int64)
-    bound = 0
+    step = max(1, _PATTERN_BATCH // images.shape[1])
     for lo in range(0, coeffs.size, step):
-        done = _column_cascade((keys[lo : lo + step], coeffs[lo : lo + step]), moves, m)
-        bound += _max_abs(done[1]) * done[1].size
-        _check_range(bound)
-        np.add.at(acc, tables.class_of_cycle[_pattern_ids(done[0], m)], done[1])
+        for at in range(0, images.shape[1], _PATTERN_BATCH):
+            part = images[:, at : at + _PATTERN_BATCH]
+            pos = part[slot[lo : lo + step].T].reshape(m, -1)  # row r of term (k, g) at g(p_k(r))
+            np.add.at(acc, tables.class_of_cycle[ids_of_positions(pos)],
+                      np.repeat(coeffs[lo : lo + step], part.shape[1]))
     return acc
 
 
@@ -275,6 +264,7 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     uses = Counter(key for *_, key in entries)
     forms: dict[tuple[Filling, Filling], np.ndarray] = {}
     held: tuple[Filling, Poly] | None = None
+    group: tuple[tuple[int, ...], np.ndarray] | None = None
     tri = np.zeros((tables.classes.count, len(entries)), dtype=np.int64)
     for pos, (b, ta, tb, key) in enumerate(entries):
         raw = forms.pop(key, None)
@@ -282,9 +272,10 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
             # ta takes the left cascade; the entries of a block row share
             # their ta, so one held cascade suffices
             if held is None or held[0] != ta:
-                cells, coeffs = _row_cascade(_shape_poly(b.lam), _moves(ta, m))
-                held = (ta, (_row_keys(cells, m), coeffs))
-            raw = _class_sums(held[1], tb, tables)
+                held = (ta, _row_cascade(_shape_poly(b.lam), _moves(ta, m)))
+            if group is None or group[0] != b.lam:
+                group = (b.lam, np.ascontiguousarray(row_group(b.lam).T))
+            raw = _class_sums(held[1], tb, group[1], tables)
         uses[key] -= 1
         if uses[key]:
             forms[key] = raw

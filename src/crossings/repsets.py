@@ -66,16 +66,20 @@ def _product(
     return rows, signs
 
 
-def _shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-shape tables of the vector builder: all row-preserving
-    permutations of row-major cell indices (R, m), and the signs (C,) and
-    row-major values (C, m) of c . t over the column group of the base
-    filling."""
+def row_group(lam: tuple[int, ...]) -> np.ndarray:
+    """The row group of a shape, (prod lam_i!, m) uint8: all permutations of
+    the row-major cell indices that keep each row setwise."""
     starts = np.cumsum((0,) + lam[:-1], dtype=np.uint8)
-    rearr, _ = _product(
-        [(perms + start, signs) for part, start in zip(lam, starts)
-         for perms, signs in [lex_permutations(part)]]
-    )
+    return _product([(perms + start, signs) for part, start in zip(lam, starts)
+                     for perms, signs in [lex_permutations(part)]])[0]
+
+
+def _shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-shape tables of the vector builder: the row group (R, m), and
+    the signs (C,) and row-major values (C, m) of c . t over the column
+    group of the base filling."""
+    starts = np.cumsum((0,) + lam[:-1], dtype=np.uint8)
+    rearr = row_group(lam)
     # column j holds the base values starts[i] + j + 1 at cells starts[i] + j
     heights = conjugate(lam)
     values, signs = _product(

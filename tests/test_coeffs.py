@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 
 from crossings.coeffs import (
     PairTables,
-    _pattern_ids,
+    _class_sums,
     _row_cascade,
-    _row_keys,
     _shape_poly,
     block_constraint_tables,
 )
-from crossings.cycles import pack_keys
+from crossings.cycles import ids_of_positions
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.relaxations import split_triangles
-from crossings.repsets import Block, build_blocks, hook_block_columns
+from crossings.repsets import Block, build_blocks, hook_block_columns, row_group
 from crossings.tableaux import standard_tableaux
 from oracles import (
     _expansion_words,
@@ -146,6 +146,7 @@ HOOK_TABLE_SHA256 = {
     7: "8a67ee91d98aa252cb705159db8af5e453e042ac26c15ae6ce97a868015b12f4",
     8: "c03d8434a897382ad642a7ceb71f033c2eb215b0a46d6ff4ed6951a0de41d3c1",
     9: "ebddbfcfc8addef7271bf1b103cfa2a0cc1312fae3cc5b2581db79c8138021c4",
+    10: "f065820c5e883d52e5491c5728a081a6e6f216676b629b1e2b0388d6489f2f8e",
 }
 BLOCK_TABLES_SHA256 = {
     4: "77955ddc05f5499b4668301eaa5e970f69293840cfabb0b524912038041e4269",
@@ -223,8 +224,6 @@ def test_m4_hook_form_frozen():
 def test_expansion_term_count():
     for m in (5, 6):
         signs, words = _expansion_words(hook_block_columns(m)[0], m)
-        import math
-
         assert len(signs) == 6 * math.factorial(m - 2)
         assert words.shape == (len(signs), m)
 
@@ -247,25 +246,73 @@ def test_operator_step_past_the_coefficient_limit_is_refused():
     assert got[0].tolist() == [[0, 1]] and got[1].tolist() == [2**61]
 
 
+def cell_group(lam):
+    """The row group of a shape on cells, laid out as _class_sums takes it."""
+    return np.ascontiguousarray(row_group(lam).T)
+
+
 def test_expansion_checks_survive_optimization():
     # raised, not asserted, so they hold under python -O too
-    good = np.array([[0x01, 0x10]], dtype=np.uint8)  # rows 2, 1 in columns 1, 2
-    keys = _row_keys(good, 2)
-    assert keys.tolist() == pack_keys([[2, 1]]).tolist()
-    assert _pattern_ids(keys, 2).tolist() == [0]
+    t = TABLES[4]
+    hook = ((1, 4), (2,), (3,))
+    group = cell_group((2, 1, 1))
+
+    def sums(cells, coeffs=(1,)):
+        return _class_sums((np.array(cells, dtype=np.uint8), np.array(coeffs, dtype=np.int64)),
+                           hook, group, t)
+
+    # cells are 16 (column - 1) + (row - 1): rows 1, 2 in column 1, row 3 in
+    # column 2, row 4 in column 3; rows 1, 2 take the values 1, 4 of row 1
+    # of the hook both ways, rows 3 and 4 keep 2 and 3
+    pos = np.array([[0, 3], [3, 0], [1, 1], [2, 2]], dtype=np.uint8)
+    want = np.bincount(t.class_of_cycle[ids_of_positions(pos)], minlength=t.classes.count)
+    assert (sums([[0x00, 0x01, 0x12, 0x23]]) == want).all()
     # width other than m; a repeated row; a row index past m, which must not
     # fail as an IndexError
-    for bad in ([[0x00, 0x11, 0x22]], [[0x01]], [[0x00, 0x10]], [[0x00, 0x12]]):
+    for bad in ([[0x00, 0x01, 0x12]], [[0x00, 0x00, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x2f]]):
         with pytest.raises(CrossingsError):
-            _row_keys(np.array(bad, dtype=np.uint8), 2)
-    # two rows in one column pass the boundary but are no permutation pattern
-    with pytest.raises(CrossingsError):
-        _pattern_ids(_row_keys(np.array([[0x00, 0x01]], dtype=np.uint8), 2), 2)
-    with pytest.raises(CrossingsError):
-        _pattern_ids(pack_keys([[3, 1, 3]]), 3)
-    t = TABLES[4]
+            sums(bad)
+    # one unit per row, but column content (1, 2, 1) against the hook's row
+    # lengths (2, 1, 1), or a unit in a column past the last row
+    for bad in ([[0x00, 0x11, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x33]]):
+        with pytest.raises(CrossingsError):
+            sums(bad)
+    # the bound is max|c| * monomials * |R(tb)|: 2**61 * 1 * 2 reaches 2**62
+    with pytest.raises(ResourceError):
+        sums([[0x00, 0x01, 0x12, 0x23]], (2**61,))
+    assert (sums([[0x00, 0x01, 0x12, 0x23]], (2**60,)) == 2**60 * want).all()
     with pytest.raises(ResourceError):
         pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])
+
+
+# fillings where row j of the column tableau does not contain j, so every
+# unit of column j moves out: both units of column 2 in ((1, 2), (3, 4))
+MOVE_OUT_FILLINGS = {
+    4: [((1, 2), (3, 4)), ((1, 3), (2, 4))],
+    5: [((1, 2, 3), (4, 5)), ((1, 2, 5), (3, 4)), ((1, 3, 5), (2, 4))],
+    6: [((1, 2), (3, 4), (5, 6)), ((1, 3), (2, 5), (4, 6)), ((1, 4), (2, 5), (3, 6))],
+}
+
+
+@pytest.mark.parametrize("m", sorted(MOVE_OUT_FILLINGS))
+def test_class_sums_match_direct_expansion_when_columns_empty(m):
+    t = TABLES[m]
+    fillings = MOVE_OUT_FILLINGS[m]
+    assert any(j not in row for f in fillings for j, row in enumerate(f, start=1))
+    for t1, t2 in itertools.product(fillings, repeat=2):
+        assert form(t1, t2, t) == direct_expansion(t1, t2, t), (t1, t2)
+
+
+@pytest.mark.parametrize("tb", [((1, 2), (3, 4)), ((1, 4, 5), (2,), (3,)), ((1, 3, 5), (2, 4)),
+                                ((1, 2), (3, 5), (4,)), ((1, 2, 3, 4),)])
+def test_row_group_keeps_each_row_of_the_tableau(tb):
+    lam = tuple(len(r) for r in tb)
+    values = np.array([v for r in tb for v in r])
+    images = values[row_group(lam)]  # row g: g(v) for v of tb in row-major order
+    assert len({tuple(g) for g in images.tolist()}) == len(images) == math.prod(map(math.factorial, lam))
+    starts = np.cumsum((0,) + lam)
+    for row, a, b in zip(tb, starts, starts[1:]):
+        assert (np.sort(images[:, a:b], axis=1) == sorted(row)).all()
 
 
 @pytest.mark.parametrize("m", [5, 6])
