@@ -7,11 +7,17 @@ table, the pair orbits and their swap classes, and each class's cost, read
 from the swap distances at the class representative only.
 The blocks come from expanding the pairing polynomial by differential
 operators: its degree-m monomials are permutation patterns in bijection
-with relabeling orbits of pairs of full orders, so the cost is governed by
-the final monomial count, about m!/2 per entry of the single block.
-The tests compare the expansion exactly against two independent oracles
-kept in tests/oracles.py: direct quadruple enumeration over the expansions
-of both tableau vectors, and streaming over all ordered cycle pairs.
+with relabeling orbits of pairs of full orders.  Expanded in full, an
+entry costs one pattern per element of the column tableau's row group,
+(m-2)! per monomial on the hook shape (m-2, 1, 1).  The hook shape, the
+single block and one shape of the full relaxation, is never expanded: its
+patterns collapse to a position histogram of the classes, built once per
+offset from the stabilizer-orbit representatives, and an entry is that
+histogram times an m-vector of row-cascade coefficients.
+The tests compare both routes exactly against each other and against two
+independent oracles kept in tests/oracles.py: direct quadruple enumeration
+over the expansions of both tableau vectors, and streaming over all
+ordered cycle pairs.
 
 The expansion runs on numpy arrays, and every step refuses to run if an
 int64 coefficient could leave +-2**62.  Through the shape polynomial and
@@ -24,7 +30,7 @@ group.  The patterns are gathered from the group in batches, each reduced
 to class sums at once, so the final patterns never all exist together;
 their cycle ids are ranked from the positions directly
 (cycles.ids_of_positions, no word is built) and their classes read from
-the per-cycle class table.
+the per-cycle class table, which only this gather builds.
 
 Every block, the single-block relaxation's hook block included, is
 assembled by one routine into the packed upper triangles the cache stores.
@@ -38,12 +44,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
 
-from .cycles import CycleIndex, ids_of_positions, invert_seqs
+from .cycles import CycleIndex, ids_of_positions, image_letters, invert_seqs, unpack_keys
 from .errors import CrossingsError, ResourceError
 from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
 from .repsets import Block, row_group
@@ -64,7 +70,7 @@ class PairTables:
     index: CycleIndex
     orbits: PairOrbits
     classes: SymmetricClasses
-    class_of_cycle: np.ndarray  # (N,) int32, class of (base, tau) by cycle id of tau
+    class_of_orbit: np.ndarray  # (R,) int32, class of (base, tau) by stabilizer orbit of tau
     q: np.ndarray  # (C,) u16, pair cost on each class
     flip: np.ndarray  # (C,) int32, class after inverting one component (an involution)
 
@@ -78,13 +84,44 @@ class PairTables:
         # in the stabilizer, so the orbits of the inverted class
         # representatives give the cost and the flip
         inverse = index.orbit_ids(invert_seqs(orbits.rep_seqs[classes.rep_orbits]))
-        return cls(index=index, orbits=orbits, classes=classes,
-                   class_of_cycle=class_of_orbit[index.orbit_ids(index.seqs)],
+        return cls(index=index, orbits=orbits, classes=classes, class_of_orbit=class_of_orbit,
                    q=distances_from_base(index)[inverse], flip=class_of_orbit[inverse])
 
     @property
     def m(self) -> int:
         return self.index.m
+
+    @cached_property
+    def class_of_cycle(self) -> np.ndarray:
+        """(N,) int32, class of (base, tau) by cycle id of tau: the one
+        per-cycle table, built on first use (only the gather reads it)."""
+        return self.class_of_orbit[self.index.orbit_ids(self.index.seqs)]
+
+    def position_histogram(self, d: int) -> np.ndarray:
+        """(C, m) int64 whose [class, e] counts the cycles tau of the class
+        whose anchored word has letter e + 1 at position d.
+
+        Read from the stabilizer-orbit representatives alone: the 2m images
+        of a representative list every cycle of its orbit once per element
+        of its stabilizer, so the images with letter e + 1 at position d,
+        divided by that order, count the orbit's cycles that have it.
+        """
+        m = self.m
+        keys, fixed = self.index.representatives()
+        order = fixed.sum(axis=0, dtype=np.int64)
+        hist = np.zeros((self.classes.count, m), dtype=np.int64)
+        for lo in range(0, keys.size, _HISTOGRAM_ROWS):
+            letters = image_letters(unpack_keys(keys[lo : lo + _HISTOGRAM_ROWS], m),
+                                    slice(d, d + 1)).reshape(2 * m, -1)
+            n = letters.shape[1]
+            # counts[k, e]: images of representative lo + k with letter e + 1
+            counts = np.bincount((letters + m * np.arange(n)).ravel(),
+                                 minlength=n * m).reshape(n, m)
+            cycles, rest = np.divmod(counts, order[lo : lo + n, None])
+            if rest.any():
+                raise CrossingsError(f"position {d}: image counts not divisible by the stabilizer order")
+            np.add.at(hist, self.class_of_orbit[lo : lo + n], cycles)
+        return hist
 
 
 # -- differential-operator expansion ---------------------------------------
@@ -106,6 +143,10 @@ _COEFF_LIMIT = 1 << 62
 # larger than this is cut into slices.  Keeps the working set small: 1 << 16
 # raised the peak RSS of a cold m=4..8 table build by about 5%.
 _PATTERN_BATCH = 1 << 12
+
+# Representatives per chunk of a position histogram; its temporaries take
+# about 40m bytes per representative (0.4 MB a chunk at m = 10).
+_HISTOGRAM_ROWS = 1 << 10
 
 _SHIFT = np.arange(60, -4, -4, dtype=np.uint64)  # bit offset of nibble r of a merge key
 
@@ -204,6 +245,51 @@ def _row_cascade(poly: Poly, moves: list[tuple[int, int]]) -> Poly:
     return cells, coeffs
 
 
+def _cascade_rows(cells: np.ndarray, t2: Filling, m: int) -> np.ndarray:
+    """The rows of row-cascaded cells, checked to hold one unit per row and
+    len(row c) of t2 units in column c.
+
+    Sorted cells list the rows of column c together, so the k-th cell is
+    then the k-th row-major cell of t2.  Raised, so the checks hold under
+    python -O.
+    """
+    rows = cells & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, rows, dtype=np.uint32), axis=1)
+    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
+        raise CrossingsError("row cascade ended on a monomial without one unit per row")
+    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
+        raise CrossingsError("row cascade ended off the row lengths of the column tableau")
+    return rows
+
+
+def _offset_weights(rows_done: Poly, t: Filling) -> np.ndarray:
+    """The m-vector c of a hook tableau's row cascade, c[e] summing the
+    coefficients of its monomials whose column-2 row a and column-3 row b
+    have (b - a) mod m = e: the raw form of t against a hook tableau tb =
+    (first row, (j,), (i,)) is position_histogram((i - j) mod m) @ c.
+
+    The row group of tb permutes its first row only, so the terms g o p of
+    such a monomial are the cycles with value a + 1 at position j - 1 and
+    b + 1 at position i - 1 of some rotation, every other value anywhere
+    else: each cycle in which b + 1 comes d = (i - j) mod m places after
+    a + 1, once.  The value shift by -a, a power of the base cycle, fixes
+    the base and so every class; it takes these to the cycles whose
+    anchored word has letter e + 1 at position d.
+    """
+    m, (cells, coeffs) = sum(map(len, t)), rows_done
+    rows = _cascade_rows(cells, t, m).astype(np.intp)
+    # bounds the histogram product too: a class holds at most (m-1)! cycles
+    _check_range(_max_abs(coeffs) * coeffs.size * factorial(m - 1))
+    weight = np.zeros(m, dtype=np.int64)
+    np.add.at(weight, (rows[:, m - 1] - rows[:, m - 2]) % m, coeffs)
+    return weight
+
+
+def _hook_offset(t2: Filling) -> int:
+    """d = (i - j) mod m of a hook tableau (first row, (j,), (i,))."""
+    return (t2[2][0] - t2[1][0]) % sum(map(len, t2))
+
+
 def _class_sums(rows_done: Poly, t2: Filling, group: np.ndarray, tables: PairTables) -> np.ndarray:
     """Apply the column operators of t2 to row-cascaded cells in closed form
     and sum the final patterns by class.
@@ -218,15 +304,7 @@ def _class_sums(rows_done: Poly, t2: Filling, group: np.ndarray, tables: PairTab
     row-major cell, as the block's tableaux share it.
     """
     m, (cells, coeffs) = tables.m, rows_done
-    rows = cells & 15
-    seen = np.bitwise_or.reduce(np.left_shift(1, rows, dtype=np.uint32), axis=1)
-    # sorted cells list the rows of column c together, so the k-th cell is
-    # the k-th row-major cell of t2 when column c holds len(row c) units;
-    # raised, so the checks hold under python -O
-    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
-        raise CrossingsError("row cascade ended on a monomial without one unit per row")
-    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
-        raise CrossingsError("row cascade ended off the row lengths of the column tableau")
+    rows = _cascade_rows(cells, t2, m)
     slot = np.empty(cells.shape, dtype=np.intp)
     np.put_along_axis(slot, rows.astype(np.intp), np.arange(m), axis=1)
     # column g: g(v) - 1 for the values v of t2 in row-major order
@@ -256,8 +334,14 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     (1 + s^2) F(w, w') + 2 s F(w, Pw') and inverting both components fixes
     every class.  A raw form is kept only while a later entry still reads
     it, so the table is the one array held whole.
+
+    Hook blocks, of shape (m-2, 1, 1), take their raw forms from position
+    histograms (_offset_weights), every other shape from the row-group
+    gather (_class_sums).  Hook entries are visited last, by their column
+    tableau's offset, so each histogram is built once and held alone.
     """
     m, flip = tables.m, tables.flip
+    hook = (m - 2, 1, 1)
     # a form is symmetric at class level, so both orders share one key
     entries = [(b, ta, tb, min((ta, tb), (tb, ta))) for b in blocks
                for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]]
@@ -265,10 +349,23 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     forms: dict[tuple[Filling, Filling], np.ndarray] = {}
     held: tuple[Filling, Poly] | None = None
     group: tuple[tuple[int, ...], np.ndarray] | None = None
+    hist: tuple[int, np.ndarray] | None = None
+    weights: dict[Filling, np.ndarray] = {}
     tri = np.zeros((tables.classes.count, len(entries)), dtype=np.int64)
-    for pos, (b, ta, tb, key) in enumerate(entries):
+    # offsets are at least 1, so the other shapes keep their order in front
+    visits = sorted(range(len(entries)), key=lambda pos: (
+        _hook_offset(entries[pos][2]) if entries[pos][0].lam == hook else 0))
+    for pos in visits:
+        b, ta, tb, key = entries[pos]
         raw = forms.pop(key, None)
-        if raw is None:
+        if raw is None and b.lam == hook:
+            if ta not in weights:
+                weights[ta] = _offset_weights(_row_cascade(_shape_poly(hook), _moves(ta, m)), ta)
+            d = _hook_offset(tb)
+            if hist is None or hist[0] != d:
+                hist = (d, tables.position_histogram(d))
+            raw = hist[1] @ weights[ta]
+        elif raw is None:
             # ta takes the left cascade; the entries of a block row share
             # their ta, so one held cascade suffices
             if held is None or held[0] != ta:

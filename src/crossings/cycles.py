@@ -45,12 +45,13 @@ words or keys is searched.
 
 from __future__ import annotations
 
+import os
 from math import factorial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ResourceError
 
 # Words are packed 4 bits per entry into one u64, so relabeled values must
 # stay below 16.
@@ -138,29 +139,37 @@ def _ahead(cols: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([cols, cols]), m, axis=0)[:m].transpose(2, 0, 1)
 
 
-def _image_keys(rows: np.ndarray) -> np.ndarray:
-    """Packed keys of all 2m stabilizer images of (c, m) words, (2, m, c).
+def image_letters(rows: np.ndarray, at: slice = slice(None)) -> np.ndarray:
+    """0-based letters of all 2m stabilizer images of (c, m) words at the
+    positions j in the slice at, (k, 2, m, c) for k such positions.
 
-    In 0-based values v, entry [0, p] is the anchored difference sequence
-    (v[p + j] - v[p]) mod m: the word shifted in value so that v[p] becomes
-    the anchor, rotated so position p leads.  Entry [1, p] is a value shift
-    of the reflected inverse, (v[p] - v[p - j]) mod m: the anchored
-    differences of the reversed word, negated.  Image [0, 0] of an anchored
-    word is the word itself.
+    In 0-based values v, entry [j, 0, p] is letter j of the anchored
+    difference sequence (v[p + j] - v[p]) mod m: the word shifted in value
+    so that v[p] becomes the anchor, rotated so position p leads.  Entry
+    [j, 1, p] is letter j of a value shift of the reflected inverse,
+    (v[p] - v[p - j]) mod m: the anchored differences of the reversed word,
+    negated.  Image [0, 0] of an anchored word is the word itself.
     """
     m = rows.shape[-1]
     # one word per column, so every operation runs along the chunk
     cols = np.ascontiguousarray(rows.T) - np.uint8(1)
+    ahead = _ahead(cols)[at]
     # imgs[j, f, p, i]: entry j of image p of family f of word i
-    imgs = np.empty((m, 2, m, cols.shape[1]), dtype=np.uint8)
-    np.subtract(_ahead(cols), cols, out=imgs[:, 0])
+    imgs = np.empty((ahead.shape[0], 2, m, cols.shape[1]), dtype=np.uint8)
+    np.subtract(ahead, cols, out=imgs[:, 0])
     back = cols[::-1]
-    np.subtract(back, _ahead(back), out=imgs[:, 1])
+    np.subtract(back, _ahead(back)[at], out=imgs[:, 1])
     # a difference -k of values below m wraps to 256 - k; adding m turns
     # that into m - k, below it, and any x >= 0 into x + m, above it, so
     # the minimum of the two is the difference mod m
     np.minimum(imgs, imgs + np.uint8(m), out=imgs)
-    return _pack_nibbles(imgs)
+    return imgs
+
+
+def _image_keys(rows: np.ndarray) -> np.ndarray:
+    """Packed keys of all 2m stabilizer images of (c, m) words, (2, m, c),
+    indexed like image_letters."""
+    return _pack_nibbles(image_letters(rows))
 
 
 def shift_families(seqs: np.ndarray) -> np.ndarray:
@@ -265,6 +274,30 @@ def ids_of_positions(pos: np.ndarray) -> np.ndarray:
     return ids
 
 
+# A cold single-block table build peaks at about 2.2 times its word table
+# of (m-1)! m bytes (1,061 MB beside 479 MB at m = 12), so a level whose
+# word table, times this factor, exceeds the physical memory is refused.
+_PEAK_PER_WORD_BYTE = 3
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
+def _check_memory(m: int) -> None:
+    """Refuse a level whose tables cannot fit, before the word table exists."""
+    need = _PEAK_PER_WORD_BYTE * factorial(m - 1) * m
+    have = _physical_memory()
+    if have and need > have:
+        raise ResourceError(
+            f"m={m} needs about {need / 2**30:.1f} GiB for its cycle tables, "
+            f"the machine has {have / 2**30:.1f} GiB")
+
+
 class CycleIndex:
     """Lex-ordered table of all (m-1)! anchored words with word -> id lookup.
 
@@ -275,6 +308,7 @@ class CycleIndex:
 
     def __init__(self, m: int):
         _check_m(m)
+        _check_memory(m)
         self.m = m
         self.seqs = all_cycle_seqs(m)
         self._inverse_ids: np.ndarray | None = None

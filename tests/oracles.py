@@ -17,6 +17,7 @@ production code also computes, by a slower and more literal route:
 - the pair orbit of an arbitrary ordered pair, by relabeling the first
   component to the base, and the class of a pair (base, tau) for any
   rotation of tau's word;
+- the position histograms of the classes, counted over every cycle;
 - cycle ids by binary search of the packed keys of re-anchored words, and
   by the scalar lexicographic rank of one word;
 - the swap distances by BFS over every word, with no quotienting;
@@ -322,6 +323,14 @@ def class_ids_of_words(tables: PairTables, words: np.ndarray) -> np.ndarray:
     """Class ids of the pairs (base, tau) for each word tau, which may be
     any rotation of a cycle's word."""
     return tables.class_of_cycle[tables.index.id_of_words(words)]
+
+
+def position_histogram_by_cycles(tables: PairTables, d: int) -> np.ndarray:
+    """(C, m) counts of the cycles of each class by the letter at position
+    d of their anchored word, counted over every cycle."""
+    m, c = tables.m, tables.classes.count
+    cells = tables.class_of_cycle.astype(np.int64) * m + tables.index.seqs[:, d] - 1
+    return np.bincount(cells, minlength=c * m).reshape(c, m)
 
 
 # -- swap distances over every word -----------------------------------------

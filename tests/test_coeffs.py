@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from crossings.coeffs import (
     PairTables,
     _class_sums,
+    _hook_offset,
+    _moves,
+    _offset_weights,
     _row_cascade,
     _shape_poly,
     block_constraint_tables,
@@ -30,6 +33,7 @@ from oracles import (
     monomial_to_orbit,
     pair_stream_forms,
     pair_stream_hook_table,
+    position_histogram_by_cycles,
     relabel_to_base,
     row_equivalent_fillings,
     signed_column_fillings,
@@ -138,7 +142,8 @@ def test_sign_zero_blocks_of_other_shapes(m):
 # sha256 of the little-endian int64 bytes of the single-block table (the
 # sign-0 hook block), and of the full (C, d, d) blocks in build_blocks
 # order, as computed when class lookup went through re-anchored words and a
-# sorted key table
+# sorted key table; m=11 as computed by the row-group gather, before hook
+# blocks were read from position histograms
 HOOK_TABLE_SHA256 = {
     4: "fc9c711c75b3d90310e362a4bbb130075af22ae2272b8f2e52282cd77b1a3bc5",
     5: "442177d3d184608348d5e1595a64d5a5a9218d15c86e92bd9985a490dd2f658e",
@@ -147,6 +152,7 @@ HOOK_TABLE_SHA256 = {
     8: "c03d8434a897382ad642a7ceb71f033c2eb215b0a46d6ff4ed6951a0de41d3c1",
     9: "ebddbfcfc8addef7271bf1b103cfa2a0cc1312fae3cc5b2581db79c8138021c4",
     10: "f065820c5e883d52e5491c5728a081a6e6f216676b629b1e2b0388d6489f2f8e",
+    11: "6ac934ea2c31bd7060f19c096026c4f07fd6794a2eda232fdccafb72ee29d793",
 }
 BLOCK_TABLES_SHA256 = {
     4: "77955ddc05f5499b4668301eaa5e970f69293840cfabb0b524912038041e4269",
@@ -168,6 +174,50 @@ def table_sha256(arrays):
 def test_hook_table_bytes_frozen(m):
     t = TABLES.get(m) or PairTables.build(m)
     assert table_sha256([hook_table(t)]) == HOOK_TABLE_SHA256[m]
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_position_histograms_match_the_cycle_count(m):
+    # the single path reads the histograms alone, never the per-cycle table
+    t = PairTables.build(m)
+    hook_table(t)
+    assert "class_of_cycle" not in t.__dict__
+    for d in range(m):
+        assert (t.position_histogram(d) == position_histogram_by_cycles(t, d)).all(), d
+
+
+def test_position_histogram_refuses_counts_off_the_stabilizer_order(monkeypatch):
+    # stabilizer orders raised by one cannot divide every image count
+    t = PairTables.build(6)
+    keys, fixed = t.index.representatives()
+    monkeypatch.setattr(t.index, "representatives", lambda: (keys, fixed + 1))
+    with pytest.raises(CrossingsError):
+        t.position_histogram(2)
+
+
+def hook_kernel_pairs(blocks):
+    """(lam, ta, tb) of every entry of the hook blocks among blocks."""
+    return [(b.lam, ta, tb) for b in blocks if b.lam[1:] == (1, 1)
+            for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]]
+
+
+@pytest.mark.parametrize("m,kind", [(m, "single") for m in range(4, 10)]
+                         + [(m, "full") for m in range(5, 9)])
+def test_hook_kernel_matches_the_gather(m, kind):
+    # single: the sign-0 hook block, second row {2}; full: the signed hook
+    # blocks of build_blocks, whose column tableaux also have other second
+    # rows, so offsets d = i - j with j != 2
+    t = TABLES.get(m) or PairTables.build(m)
+    if kind == "single":
+        pairs = hook_kernel_pairs([Block((m - 2, 1, 1), 0, hook_block_columns(m))])
+    else:
+        pairs = hook_kernel_pairs(build_blocks(t.index))
+        assert any(tb[1] != (2,) for *_, tb in pairs)
+    group = cell_group((m - 2, 1, 1))
+    for lam, ta, tb in pairs:
+        rows_done = _row_cascade(_shape_poly(lam), _moves(ta, m))
+        got = t.position_histogram(_hook_offset(tb)) @ _offset_weights(rows_done, ta)
+        assert (got == _class_sums(rows_done, tb, group, t)).all(), (ta, tb)
 
 
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossings import relaxations
+from crossings import cycles, relaxations
 from crossings.errors import ArgumentError, ResourceError, SolverError
 from crossings.relaxations import (
     _strict_start,
@@ -110,6 +110,26 @@ def test_argument_guards():
         coeff_tables(3, "full")
     with pytest.raises(ResourceError):
         coeff_tables(10, "full")
+
+
+class TableAllocated(Exception):
+    pass
+
+
+def test_levels_past_memory_are_refused_before_allocating(tmp_path, monkeypatch):
+    # at 8 GiB, m=13 (a 6.2 GB word table) is refused and m=12 passes the
+    # guard; the word table builder only raises here, so a failing guard
+    # allocates nothing on any machine
+    def no_table(m):
+        raise TableAllocated(m)
+
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    with pytest.raises(ResourceError):
+        coeff_tables(13, "single", cache_dir=tmp_path)
+    with pytest.raises(TableAllocated):
+        coeff_tables(12, "single", cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind,levels", [("single", range(4, 10)), ("full", range(4, 8))])
