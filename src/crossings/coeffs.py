@@ -3,7 +3,7 @@
 Every invariant matrix is a combination of the pair-class indicators, so
 each reduced constraint is carried by one small integer block per class.
 The pair tables gather what the constraints are indexed by: the cycle
-table, the pair orbits and their swap classes, and each class's cost, read
+table, the swap classes of the pair orbits, and each class's cost, read
 from the swap distances at the class representative only.
 The blocks come from expanding the pairing polynomial by differential
 operators: its degree-m monomials are permutation patterns in bijection
@@ -11,9 +11,10 @@ with relabeling orbits of pairs of full orders.  Expanded in full, an
 entry costs one pattern per element of the column tableau's row group,
 (m-2)! per monomial on the hook shape (m-2, 1, 1).  The hook shape, the
 single block and one shape of the full relaxation, is never expanded: its
-patterns collapse to a position histogram of the classes, built once per
-offset from the stabilizer-orbit representatives, and an entry is that
-histogram times an m-vector of row-cascade coefficients.
+patterns collapse to a position histogram of the classes, and an entry is
+the histogram at its column tableau's offset times an m-vector of
+row-cascade coefficients.  Every entry of a hook block is counted in one
+pass over the stabilizer-orbit representatives, and no histogram is held.
 The tests compare both routes exactly against each other and against two
 independent oracles kept in tests/oracles.py: direct quadruple enumeration
 over the expansions of both tableau vectors, and streaming over all
@@ -33,16 +34,17 @@ their cycle ids are ranked from the positions directly
 the per-cycle class table, which only this gather builds.
 
 Every block, the single-block relaxation's hook block included, is
-assembled by one routine into the packed upper triangles the cache stores.
-A block of sign s has rows w + s (w o eta) and reduces to the raw tableau
-forms: eta flips one pair component, which descends to an involution on
-classes, and each entry is (1 + s^2) times the raw form plus 2s times its
-flip.  Sign 0 leaves the raw forms, the rows being the tableau vectors.
+assembled by one routine into the packed upper triangles the cache stores,
+each writing its raw tableau forms into its own columns of the table.  A
+block of sign s has rows w + s (w o eta) and reduces to those forms: eta
+flips one pair component, which descends to an involution on classes, and
+each entry is (1 + s^2) times the raw form plus 2s times its flip, applied
+in place.  Sign 0 leaves the raw forms, the rows being the tableau
+vectors, so the single block holds no form beside the table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -51,7 +53,7 @@ import numpy as np
 
 from .cycles import CycleIndex, ids_of_positions, image_letters, invert_seqs, unpack_keys
 from .errors import CrossingsError, ResourceError
-from .orbits import PairOrbits, SymmetricClasses, build_pair_orbits
+from .orbits import SymmetricClasses, build_pair_orbits
 from .repsets import Block, row_group
 from .swapgraph import distances_from_base
 from .tableaux import lex_permutations
@@ -62,15 +64,13 @@ Poly = tuple[np.ndarray, np.ndarray]  # (monomials, coeffs), see the expansion s
 
 @dataclass
 class PairTables:
-    """Cycle table plus pair-orbit and class tables for one m, with the
-    cost of each class (the swap distance from the base to the inverse of
-    the class representative's second component) and the class image of
+    """Cycle table plus the swap classes of the pair orbits for one m, with
+    the cost of each class (the swap distance from the base to the inverse
+    of the class representative's second component) and the class image of
     inverting one pair component."""
 
     index: CycleIndex
-    orbits: PairOrbits
-    classes: SymmetricClasses
-    class_of_orbit: np.ndarray  # (R,) int32, class of (base, tau) by stabilizer orbit of tau
+    classes: SymmetricClasses  # class_of_orbit: class of (base, tau) by stabilizer orbit of tau
     q: np.ndarray  # (C,) u16, pair cost on each class
     flip: np.ndarray  # (C,) int32, class after inverting one component (an involution)
 
@@ -79,13 +79,12 @@ class PairTables:
         index = CycleIndex(m)
         orbits = build_pair_orbits(index)
         classes = orbits.symmetric_classes()
-        class_of_orbit = classes.class_of_orbit.astype(np.int32)
         # inversion permutes stabilizer orbits, (g tau)^-1 = g tau^-1 for g
         # in the stabilizer, so the orbits of the inverted class
         # representatives give the cost and the flip
         inverse = index.orbit_ids(invert_seqs(orbits.rep_seqs[classes.rep_orbits]))
-        return cls(index=index, orbits=orbits, classes=classes, class_of_orbit=class_of_orbit,
-                   q=distances_from_base(index)[inverse], flip=class_of_orbit[inverse])
+        return cls(index=index, classes=classes, q=distances_from_base(index)[inverse],
+                   flip=classes.class_of_orbit[inverse])
 
     @property
     def m(self) -> int:
@@ -95,33 +94,7 @@ class PairTables:
     def class_of_cycle(self) -> np.ndarray:
         """(N,) int32, class of (base, tau) by cycle id of tau: the one
         per-cycle table, built on first use (only the gather reads it)."""
-        return self.class_of_orbit[self.index.orbit_ids(self.index.seqs)]
-
-    def position_histogram(self, d: int) -> np.ndarray:
-        """(C, m) int64 whose [class, e] counts the cycles tau of the class
-        whose anchored word has letter e + 1 at position d.
-
-        Read from the stabilizer-orbit representatives alone: the 2m images
-        of a representative list every cycle of its orbit once per element
-        of its stabilizer, so the images with letter e + 1 at position d,
-        divided by that order, count the orbit's cycles that have it.
-        """
-        m = self.m
-        keys, fixed = self.index.representatives()
-        order = fixed.sum(axis=0, dtype=np.int64)
-        hist = np.zeros((self.classes.count, m), dtype=np.int64)
-        for lo in range(0, keys.size, _HISTOGRAM_ROWS):
-            letters = image_letters(unpack_keys(keys[lo : lo + _HISTOGRAM_ROWS], m),
-                                    slice(d, d + 1)).reshape(2 * m, -1)
-            n = letters.shape[1]
-            # counts[k, e]: images of representative lo + k with letter e + 1
-            counts = np.bincount((letters + m * np.arange(n)).ravel(),
-                                 minlength=n * m).reshape(n, m)
-            cycles, rest = np.divmod(counts, order[lo : lo + n, None])
-            if rest.any():
-                raise CrossingsError(f"position {d}: image counts not divisible by the stabilizer order")
-            np.add.at(hist, self.class_of_orbit[lo : lo + n], cycles)
-        return hist
+        return self.classes.class_of_orbit[self.index.orbit_ids(self.index.seqs)]
 
 
 # -- differential-operator expansion ---------------------------------------
@@ -144,8 +117,9 @@ _COEFF_LIMIT = 1 << 62
 # raised the peak RSS of a cold m=4..8 table build by about 5%.
 _PATTERN_BATCH = 1 << 12
 
-# Representatives per chunk of a position histogram; its temporaries take
-# about 40m bytes per representative (0.4 MB a chunk at m = 10).
+# Representatives per chunk of the hook kernel (_hook_forms); its temporaries
+# take about 40m bytes per representative, plus 4m per offset of the span
+# (0.6 MB a chunk for the single block at m = 10).
 _HISTOGRAM_ROWS = 1 << 10
 
 _SHIFT = np.arange(60, -4, -4, dtype=np.uint64)  # bit offset of nibble r of a merge key
@@ -266,7 +240,9 @@ def _offset_weights(rows_done: Poly, t: Filling) -> np.ndarray:
     """The m-vector c of a hook tableau's row cascade, c[e] summing the
     coefficients of its monomials whose column-2 row a and column-3 row b
     have (b - a) mod m = e: the raw form of t against a hook tableau tb =
-    (first row, (j,), (i,)) is position_histogram((i - j) mod m) @ c.
+    (first row, (j,), (i,)) is H_d @ c for d = (i - j) mod m, where
+    H_d[class, e] counts the cycles of the class whose anchored word has
+    letter e + 1 at position d (see _hook_forms).
 
     The row group of tb permutes its first row only, so the terms g o p of
     such a monomial are the cycles with value a + 1 at position j - 1 and
@@ -324,6 +300,36 @@ def _class_sums(rows_done: Poly, t2: Filling, group: np.ndarray, tables: PairTab
 # -- assembly ----------------------------------------------------------------
 
 
+def _hook_forms(tables: PairTables, offsets: list[int], weights: np.ndarray, out: np.ndarray) -> None:
+    """Add H_d @ weights[:, k], d = offsets[k], to each column k of out (C, K),
+    in one pass over the stabilizer-orbit representatives.
+
+    H_d[class, e] counts the cycles of the class whose anchored word has
+    letter e + 1 at position d.  The 2m images of a representative list
+    every cycle of its orbit once per element of its stabilizer, so the
+    images with letter e + 1 at position d, divided by that order, count
+    the orbit's cycles that have it.  The images are built once per chunk
+    over the span of the offsets.
+    """
+    m, class_of_orbit = tables.m, tables.classes.class_of_orbit
+    keys, fixed = tables.index.representatives()
+    order = fixed.sum(axis=0, dtype=np.int64)
+    first, last = min(offsets), max(offsets)
+    at = {d: [k for k, e in enumerate(offsets) if e == d] for d in offsets}
+    for lo in range(0, keys.size, _HISTOGRAM_ROWS):
+        span = image_letters(unpack_keys(keys[lo : lo + _HISTOGRAM_ROWS], m), slice(first, last + 1))
+        n = span.shape[-1]
+        rows = class_of_orbit[lo : lo + n, None]
+        for d, cols in at.items():
+            # counts[k, e]: images of representative lo + k with letter e + 1
+            counts = np.bincount((span[d - first].reshape(2 * m, n) + m * np.arange(n)).ravel(),
+                                 minlength=n * m).reshape(n, m)
+            cycles, rest = np.divmod(counts, order[lo : lo + n, None])
+            if rest.any():
+                raise CrossingsError(f"position {d}: image counts not divisible by the stabilizer order")
+            np.add.at(out, (rows, cols), cycles @ weights[:, cols])
+
+
 def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarray:
     """Class blocks of a relaxation as packed upper triangles, (C, t).
 
@@ -332,49 +338,40 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     at tableaux (ta, tb) is (1 + s^2) raw + 2 s raw[flip] for the raw
     pairing form raw of (ta, tb), since F(w + s Pw, w' + s Pw') expands to
     (1 + s^2) F(w, w') + 2 s F(w, Pw') and inverting both components fixes
-    every class.  A raw form is kept only while a later entry still reads
-    it, so the table is the one array held whole.
+    every class.  Each block writes its raw forms into its own columns of
+    the table and, unless s = 0, applies the sign there.
 
-    Hook blocks, of shape (m-2, 1, 1), take their raw forms from position
-    histograms (_offset_weights), every other shape from the row-group
-    gather (_class_sums).  Hook entries are visited last, by their column
-    tableau's offset, so each histogram is built once and held alone.
+    Hook blocks, of shape (m-2, 1, 1), take every raw form from one pass of
+    _hook_forms, weighted by _offset_weights.  Every other shape goes
+    through the row-group gather (_class_sums); a form is symmetric at
+    class level and the signed blocks of one shape share their forms, so
+    each is computed once per shape.
     """
-    m, flip = tables.m, tables.flip
-    hook = (m - 2, 1, 1)
-    # a form is symmetric at class level, so both orders share one key
-    entries = [(b, ta, tb, min((ta, tb), (tb, ta))) for b in blocks
-               for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]]
-    uses = Counter(key for *_, key in entries)
-    forms: dict[tuple[Filling, Filling], np.ndarray] = {}
-    held: tuple[Filling, Poly] | None = None
-    group: tuple[tuple[int, ...], np.ndarray] | None = None
-    hist: tuple[int, np.ndarray] | None = None
-    weights: dict[Filling, np.ndarray] = {}
-    tri = np.zeros((tables.classes.count, len(entries)), dtype=np.int64)
-    # offsets are at least 1, so the other shapes keep their order in front
-    visits = sorted(range(len(entries)), key=lambda pos: (
-        _hook_offset(entries[pos][2]) if entries[pos][0].lam == hook else 0))
-    for pos in visits:
-        b, ta, tb, key = entries[pos]
-        raw = forms.pop(key, None)
-        if raw is None and b.lam == hook:
-            if ta not in weights:
-                weights[ta] = _offset_weights(_row_cascade(_shape_poly(hook), _moves(ta, m)), ta)
-            d = _hook_offset(tb)
-            if hist is None or hist[0] != d:
-                hist = (d, tables.position_histogram(d))
-            raw = hist[1] @ weights[ta]
-        elif raw is None:
-            # ta takes the left cascade; the entries of a block row share
-            # their ta, so one held cascade suffices
-            if held is None or held[0] != ta:
-                held = (ta, _row_cascade(_shape_poly(b.lam), _moves(ta, m)))
-            if group is None or group[0] != b.lam:
-                group = (b.lam, np.ascontiguousarray(row_group(b.lam).T))
-            raw = _class_sums(held[1], tb, group[1], tables)
-        uses[key] -= 1
-        if uses[key]:
-            forms[key] = raw
-        tri[:, pos] = (1 + b.sign**2) * raw + 2 * b.sign * raw[flip]
+    m, hook = tables.m, (tables.m - 2, 1, 1)
+    widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
+    tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
+    shape, forms = None, {}
+    for b, lo in zip(blocks, np.cumsum([0] + widths)):
+        ts = b.tableaux
+        pairs = [(i, j) for i in range(b.dim) for j in range(i, b.dim)]
+        raw = tri[:, lo : lo + len(pairs)]
+        if b.lam == hook:
+            cascades = [_row_cascade(_shape_poly(hook), _moves(t, m)) for t in ts]
+            weights = np.column_stack([_offset_weights(c, t) for c, t in zip(cascades, ts)])
+            _hook_forms(tables, [_hook_offset(ts[j]) for _, j in pairs],
+                        weights[:, [i for i, _ in pairs]], raw)
+        else:
+            if b.lam != shape:
+                shape, group = b.lam, np.ascontiguousarray(row_group(b.lam).T)
+                forms.clear()
+            held = None  # (i, row cascade of ts[i]); the pairs come by row
+            for k, (i, j) in enumerate(pairs):
+                key = min((ts[i], ts[j]), (ts[j], ts[i]))
+                if key not in forms:
+                    if held is None or held[0] != i:
+                        held = (i, _row_cascade(_shape_poly(b.lam), _moves(ts[i], m)))
+                    forms[key] = _class_sums(held[1], ts[j], group, tables)
+                raw[:, k] = forms[key]
+        if b.sign:
+            raw[:] = (1 + b.sign**2) * raw + 2 * b.sign * raw[tables.flip]
     return tri

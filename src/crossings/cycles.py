@@ -107,12 +107,6 @@ def _pack_nibbles(vals: np.ndarray) -> np.ndarray:
     return buf.view(">u8")[..., 0].astype(np.uint64)
 
 
-def pack_keys(seqs: np.ndarray) -> np.ndarray:
-    """Pack words into u64 keys; integer order == lex order of the words."""
-    seqs = np.asarray(seqs, dtype=np.uint8)
-    return _pack_nibbles(np.ascontiguousarray(np.moveaxis(seqs, -1, 0)) - np.uint8(1))
-
-
 def unpack_keys(keys: np.ndarray, m: int) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     buf = keys.astype(">u8")[..., None].view(np.uint8)

@@ -57,7 +57,7 @@ class PairOrbits:
         rep_orbits = ids[is_rep]
         paired = self.partner[rep_orbits] != rep_orbits
         sizes = self.sizes[rep_orbits] * np.where(paired, np.uint64(2), np.uint64(1))
-        class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, self.partner))
+        class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, self.partner)).astype(np.int32)
         return SymmetricClasses(
             rep_orbits=rep_orbits,
             sizes=sizes,
@@ -71,7 +71,7 @@ class SymmetricClasses:
 
     rep_orbits: np.ndarray  # (C,) orbit id of the smaller member
     sizes: np.ndarray  # (C,) u64, total pairs covered by the class
-    class_of_orbit: np.ndarray  # (R,) class index of every orbit
+    class_of_orbit: np.ndarray  # (R,) int32, class index of every orbit
 
     @property
     def count(self) -> int:

@@ -18,8 +18,9 @@ production code also computes, by a slower and more literal route:
   component to the base, and the class of a pair (base, tau) for any
   rotation of tau's word;
 - the position histograms of the classes, counted over every cycle;
-- cycle ids by binary search of the packed keys of re-anchored words, and
-  by the scalar lexicographic rank of one word;
+- cycle ids by binary search of the packed keys of re-anchored words
+  (pack_keys, words packed whole in the package's key format), and by the
+  scalar lexicographic rank of one word;
 - the swap distances by BFS over every word, with no quotienting;
 - the scalar tableau chain (polytabloid, the homomorphism into full orders,
   the projection to cycles) that builds one tableau vector at a time, with
@@ -52,9 +53,9 @@ from crossings.coeffs import PairTables
 from crossings.cycles import (
     CycleIndex,
     _check_m,
+    _pack_nibbles,
     canonical_keys,
     invert_seqs,
-    pack_keys,
     shift_families,
     unpack_keys,
 )
@@ -232,6 +233,12 @@ def canonical_form(c: Cycle) -> Cycle:
 
 
 # -- cycle ids by search and by scalar rank ------------------------------------
+
+
+def pack_keys(seqs: np.ndarray) -> np.ndarray:
+    """Pack words into u64 keys; integer order == lex order of the words."""
+    seqs = np.asarray(seqs, dtype=np.uint8)
+    return _pack_nibbles(np.ascontiguousarray(np.moveaxis(seqs, -1, 0)) - np.uint8(1))
 
 
 def normalize_words(words: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crossings import coeffs
 from crossings.coeffs import (
     PairTables,
     _class_sums,
+    _hook_forms,
     _hook_offset,
     _moves,
     _offset_weights,
@@ -17,7 +19,7 @@ from crossings.coeffs import (
     _shape_poly,
     block_constraint_tables,
 )
-from crossings.cycles import ids_of_positions
+from crossings.cycles import ids_of_positions, image_letters
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.relaxations import split_triangles
 from crossings.repsets import Block, build_blocks, hook_block_columns, row_group
@@ -176,14 +178,29 @@ def test_hook_table_bytes_frozen(m):
     assert table_sha256([hook_table(t)]) == HOOK_TABLE_SHA256[m]
 
 
+def hook_forms(t, offsets, weights):
+    """The hook kernel's columns H_d @ weights[:, k], d = offsets[k], alone."""
+    out = np.zeros((t.classes.count, len(offsets)), dtype=np.int64)
+    _hook_forms(t, offsets, weights, out)
+    return out
+
+
 @pytest.mark.parametrize("m", range(4, 11))
 def test_position_histograms_match_the_cycle_count(m):
-    # the single path reads the histograms alone, never the per-cycle table
+    # the single path reads the representatives alone, never the per-cycle table
     t = PairTables.build(m)
     hook_table(t)
     assert "class_of_cycle" not in t.__dict__
+    # one column per letter: each offset's whole histogram
+    eye = np.eye(m, dtype=np.int64)
     for d in range(m):
-        assert (t.position_histogram(d) == position_histogram_by_cycles(t, d)).all(), d
+        assert (hook_forms(t, [d] * m, eye) == position_histogram_by_cycles(t, d) @ eye).all(), d
+    # offsets with gaps, out of order and repeated, under distinct weights
+    offsets = [m - 1, 1, 3 % m, 1]
+    weights = np.arange(m * len(offsets), dtype=np.int64).reshape(m, -1) - m
+    got = hook_forms(t, offsets, weights)
+    for k, d in enumerate(offsets):
+        assert (got[:, k] == position_histogram_by_cycles(t, d) @ weights[:, k]).all(), (k, d)
 
 
 def test_position_histogram_refuses_counts_off_the_stabilizer_order(monkeypatch):
@@ -192,13 +209,29 @@ def test_position_histogram_refuses_counts_off_the_stabilizer_order(monkeypatch)
     keys, fixed = t.index.representatives()
     monkeypatch.setattr(t.index, "representatives", lambda: (keys, fixed + 1))
     with pytest.raises(CrossingsError):
-        t.position_histogram(2)
+        hook_forms(t, [2], np.ones((6, 1), dtype=np.int64))
 
 
-def hook_kernel_pairs(blocks):
-    """(lam, ta, tb) of every entry of the hook blocks among blocks."""
-    return [(b.lam, ta, tb) for b in blocks if b.lam[1:] == (1, 1)
-            for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]]
+def test_single_block_builds_the_images_once_per_chunk(monkeypatch):
+    # one pass over the representatives serves every offset of the block
+    t = PairTables.build(10)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return image_letters(*args)
+
+    monkeypatch.setattr(coeffs, "image_letters", counted)
+    hook_table(t)
+    chunks = -(-t.index.representatives()[0].size // coeffs._HISTOGRAM_ROWS)
+    assert len(calls) == chunks == 19
+
+
+def hook_block_entries(blocks):
+    """(block, pairs) of every hook block among blocks, pairs listing the
+    (ta, tb) of its entries in column order."""
+    return [(b, [(ta, tb) for i, ta in enumerate(b.tableaux) for tb in b.tableaux[i:]])
+            for b in blocks if b.lam[1:] == (1, 1)]
 
 
 @pytest.mark.parametrize("m,kind", [(m, "single") for m in range(4, 10)]
@@ -209,15 +242,17 @@ def test_hook_kernel_matches_the_gather(m, kind):
     # rows, so offsets d = i - j with j != 2
     t = TABLES.get(m) or PairTables.build(m)
     if kind == "single":
-        pairs = hook_kernel_pairs([Block((m - 2, 1, 1), 0, hook_block_columns(m))])
+        entries = hook_block_entries([Block((m - 2, 1, 1), 0, hook_block_columns(m))])
     else:
-        pairs = hook_kernel_pairs(build_blocks(t.index))
-        assert any(tb[1] != (2,) for *_, tb in pairs)
+        entries = hook_block_entries(build_blocks(t.index))
+        assert any(tb[1] != (2,) for _, pairs in entries for _, tb in pairs)
     group = cell_group((m - 2, 1, 1))
-    for lam, ta, tb in pairs:
-        rows_done = _row_cascade(_shape_poly(lam), _moves(ta, m))
-        got = t.position_histogram(_hook_offset(tb)) @ _offset_weights(rows_done, ta)
-        assert (got == _class_sums(rows_done, tb, group, t)).all(), (ta, tb)
+    for b, pairs in entries:
+        cascades = [_row_cascade(_shape_poly(b.lam), _moves(ta, m)) for ta, _ in pairs]
+        weights = np.column_stack([_offset_weights(c, ta) for c, (ta, _) in zip(cascades, pairs)])
+        got = hook_forms(t, [_hook_offset(tb) for _, tb in pairs], weights)
+        for k, (rows_done, (ta, tb)) in enumerate(zip(cascades, pairs)):
+            assert (got[:, k] == _class_sums(rows_done, tb, group, t)).all(), (ta, tb)
 
 
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))

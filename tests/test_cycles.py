@@ -12,7 +12,6 @@ from crossings.cycles import (
     canonical_keys,
     ids_of_positions,
     invert_seqs,
-    pack_keys,
     shift_families,
     unpack_keys,
 )
@@ -26,6 +25,7 @@ from oracles import (
     cycle_image,
     lex_rank,
     normalize_words,
+    pack_keys,
     reflect_invert_seqs,
     sorted_key_ids,
     stabilizer_elements,
