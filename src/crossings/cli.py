@@ -216,28 +216,31 @@ def _cmd_bounds(args) -> int:
 
     ns = _parse_n_values(args.n)  # empty: n = level
     levels: dict[int, tuple[object, str]] = {}
+
+    def keep_stronger(level: int, value, source: str) -> None:
+        # where a level appears twice, the stronger optimum wins
+        optimum = exact(value)  # read first, so every tabled value is checked
+        if level not in levels or optimum > exact(levels[level][0]):
+            levels[level] = (value, source)
+
     if args.from_table:
         try:
             with open(args.from_table, encoding="utf-8") as fh:
                 data = json.load(fh)
             if isinstance(data, dict) and not set(data) <= {"alpha", "beta"}:
                 data = {args.source: data}  # values given without a tag
-            # take the stronger optimum where a level appears twice
             for source in ("beta", "alpha"):
                 table = data.get(source, {}) if isinstance(data, dict) else None
                 if not isinstance(table, dict):
                     raise TypeError("not a table of levels")
                 for key, value in table.items():
-                    level, optimum = int(key), exact(value)
-                    if level not in levels or optimum > exact(levels[level][0]):
-                        levels[level] = (value, source)
+                    keep_stronger(int(key), value, source)
         except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise ArgumentError(f"--from-table {args.from_table}: {exc}") from exc
     if args.m is not None:
         from .relaxations import run_single
 
-        out = run_single(args.m, cache_dir=args.cache_dir)
-        levels[args.m] = (out.certificate.value, "beta")
+        keep_stronger(args.m, run_single(args.m, cache_dir=args.cache_dir).certificate.value, "beta")
     if not levels:
         raise ArgumentError("bounds needs --from-table or --m")
 

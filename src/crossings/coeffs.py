@@ -5,33 +5,36 @@ each reduced constraint is carried by one small integer block per class.
 The pair tables gather what the constraints are indexed by: the cycle
 table, the swap classes of the pair orbits, and each class's cost, read
 from the swap distances at the class representative only.
-The blocks come from expanding the pairing polynomial by differential
-operators: its degree-m monomials are permutation patterns in bijection
-with relabeling orbits of pairs of full orders.  Expanded in full, an
-entry costs one pattern per element of the column tableau's row group,
-(m-2)! per monomial on the hook shape (m-2, 1, 1).  The hook shape, the
-single block and one shape of the full relaxation, is never expanded: its
-patterns collapse to a position histogram of the classes, and an entry is
-the histogram at its column tableau's offset times an m-vector of
-row-cascade coefficients.  Every entry of a hook block is counted in one
-pass over the stabilizer-orbit representatives, and no histogram is held.
+
+A block entry pairs two column tableaux ta and tb of one shape.  The
+pairing polynomial's differential-operator expansion has two halves, and
+both are closed forms over the row group R and the column group C of the
+shape (repsets.shape_tables).  The row half of ta is its Young symmetrizer
+read on tabloids: |C| sign(g) times the tabloid that puts the value of each
+cell y in the diagram row of cell g(r(y)), summed over g in C and r in R.
+The column half sends a tabloid to one permutation pattern per element of
+the row group of tb, coefficient 1; the degree-m patterns are in bijection
+with relabeling orbits of pairs of full orders, so they are summed by
+class.  Expanded in full, an entry costs one pattern per tabloid and
+row-group element, (m-2)! per tabloid on the hook shape (m-2, 1, 1).  The
+hook shape, the single block and one shape of the full relaxation, is
+never expanded: its patterns collapse to a position histogram of the
+classes, and an entry is the histogram at the offset of tb times an
+m-vector read from ta in closed form.  Every entry of a hook block is
+counted in one pass over the stabilizer-orbit representatives, and no
+histogram is held.
 The tests compare both routes exactly against each other and against two
 independent oracles kept in tests/oracles.py: direct quadruple enumeration
 over the expansions of both tableau vectors, and streaming over all
 ordered cycle pairs.
 
-The expansion runs on numpy arrays, and every step refuses to run if an
-int64 coefficient could leave +-2**62.  Through the shape polynomial and
-the row cascade of one tableau, held whole (it stays small), a monomial is
-a sorted row of m uint8 cells.  The column cascade needs no operator
-steps: with one unit per row, each column move sends a unit to a value of
-the column tableau's row it leaves and no unit moves twice, so a monomial
-expands to one pattern, coefficient 1, per element of that tableau's row
-group.  The patterns are gathered from the group in batches, each reduced
-to class sums at once, so the final patterns never all exist together;
-their cycle ids are ranked from the positions directly
-(cycles.ids_of_positions, no word is built) and their classes read from
-the per-cycle class table, which only this gather builds.
+The expansion runs on numpy arrays, and every sum that could leave
++-2**62 is refused before int64 wraps.  A tabloid is a sorted row of m
+uint8 cells.  The patterns of the column half are gathered from the group
+in batches, each reduced to class sums at once, so the final patterns
+never all exist together; their cycle ids are ranked from the positions
+directly (cycles.ids_of_positions, no word is built) and their classes
+read from the per-cycle class table, which only this gather builds.
 
 Every block, the single-block relaxation's hook block included, is
 assembled by one routine into the packed upper triangles the cache stores,
@@ -46,20 +49,20 @@ vectors, so the single block holds no form beside the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 
 import numpy as np
 
-from .cycles import CycleIndex, ids_of_positions, image_letters, invert_seqs, unpack_keys
+from .cycles import (CycleIndex, _pack_nibbles, ids_of_positions, image_letters, invert_seqs,
+                     unpack_keys)
 from .errors import CrossingsError, ResourceError
 from .orbits import SymmetricClasses, build_pair_orbits
-from .repsets import Block, row_group
+from .repsets import Block, shape_tables
 from .swapgraph import distances_from_base
-from .tableaux import lex_permutations
 
 Filling = tuple[tuple[int, ...], ...]
-Poly = tuple[np.ndarray, np.ndarray]  # (monomials, coeffs), see the expansion section
+Cascade = tuple[np.ndarray, np.ndarray]  # (tabloid cells, coeffs), see the expansion section
 
 
 @dataclass
@@ -97,18 +100,14 @@ class PairTables:
         return self.classes.class_of_orbit[self.index.orbit_ids(self.index.seqs)]
 
 
-# -- differential-operator expansion ---------------------------------------
+# -- tableau expansion -------------------------------------------------------
 #
-# A polynomial is a pair (monomials, coeffs) with (N,) int64 coefficients;
-# after every merge its monomials are distinct and its coefficients nonzero.
-# Through the row cascade a monomial is a sorted row of (N, deg) uint8 cells
-# 16*(c-1) + (r-1), one per unit of exponent, with the moving row r in the
-# low nibble.  Row operators keep the columns and the determinants are their
-# own transpose, so all monomials share their high nibbles and the low ones
-# are the merge key.  A row operator rewrites one low nibble and re-sorts;
-# the e equal entries of a cell of exponent e give the same new row, so
-# merging supplies the factor e.  _class_sums then expands the column
-# operators in closed form over the row group of the column tableau.
+# A row cascade is a pair (cells, coeffs) with (N,) int64 coefficients,
+# distinct and nonzero: one sorted row of m uint8 cells 16*(r-1) + (v-1)
+# per tabloid, value v in diagram row r.  All tabloids of one shape share
+# their high nibbles, so the low ones, packed as a cycles key, tell them
+# apart.  _class_sums then expands the column half in closed form over the
+# row group of the other tableau.
 
 _COEFF_LIMIT = 1 << 62
 
@@ -122,8 +121,6 @@ _PATTERN_BATCH = 1 << 12
 # (0.6 MB a chunk for the single block at m = 10).
 _HISTOGRAM_ROWS = 1 << 10
 
-_SHIFT = np.arange(60, -4, -4, dtype=np.uint64)  # bit offset of nibble r of a merge key
-
 
 def _check_range(bound: int) -> None:
     """Refuse a step whose coefficients could leave +-2**62 before int64 wraps."""
@@ -131,134 +128,64 @@ def _check_range(bound: int) -> None:
         raise ResourceError(f"coefficient bound {bound} exceeds the int64 range of the expansion")
 
 
-def _max_abs(coeffs: np.ndarray) -> int:
-    return int(np.abs(coeffs).max()) if coeffs.size else 0
+def _row_cascade(t: Filling, shape: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Cascade:
+    """The row cascade of a column tableau t: |C| sign(g) times the tabloid
+    that puts t(y) in the diagram row of cell g(r(y)), summed over g in the
+    column group and r in the row group, equal tabloids merged.
 
-
-def _merge(keys: np.ndarray, monos: np.ndarray, coeffs: np.ndarray) -> Poly:
-    """Sum the coefficients of monomials with equal u64 keys; drop zero sums."""
+    shape is repsets.shape_tables of the shape of t: the row group on
+    cells, the column signs and the column group as base values.  A merged
+    coefficient is at most |C| |C| |R|, checked before any tabloid is built.
+    """
+    rearr, signs, crows = shape
+    _check_range(len(signs) ** 2 * len(rearr))
+    lam = tuple(map(len, t))
+    row_of_cell = np.repeat(np.arange(len(lam), dtype=np.uint8), lam)
+    values = np.array([v - 1 for r in t for v in r], dtype=np.uint8)
+    cells = (row_of_cell[crows - 1][:, rearr] << 4 | values).reshape(-1, len(values))
+    cells.sort(axis=1)
+    keys = _pack_nibbles((cells & 15).T)
     order = np.argsort(keys)
     keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    coeffs = np.repeat(len(signs) * signs.astype(np.int64), len(rearr))
     sums = np.add.reduceat(coeffs[order], starts)
     keep = sums != 0
-    return monos[order[starts[keep]]], sums[keep]
+    return cells[order[starts[keep]]], sums[keep]
 
 
-def _pack(nibbles: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """u64 keys of (N, k) nibbles placed at the given bit offsets."""
-    return np.bitwise_or.reduce(nibbles.astype(np.uint64) << shifts, axis=1)
+def _offset_weights(t: Filling) -> np.ndarray:
+    """The m-vector c of a hook tableau t = (first row, (j,), (i,)), c[e]
+    summing the coefficients of the tabloids of its row cascade whose
+    values a + 1 in row 2 and b + 1 in row 3 have (b - a) mod m = e: the
+    raw form of t against a hook tableau tb is H_d @ c for d =
+    _hook_offset(tb), where H_d[class, e] counts the cycles of the class
+    whose anchored word has letter e + 1 at position d (see _hook_forms).
 
+    The row group of tb permutes its first row only, so the patterns of
+    such a tabloid are the cycles with value a + 1 at the position of the
+    row-2 value of tb and b + 1 at that of its row-3 value, in some
+    rotation, every other value anywhere else: each cycle in which b + 1
+    comes d places after a + 1, once.  The value shift by -a, a power of
+    the base cycle, fixes the base and so every class; it takes these to
+    the cycles whose anchored word has letter e + 1 at position d.
 
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    (ca, xa), (cb, xb) = a, b
-    _check_range(_max_abs(xa) * xa.size * _max_abs(xb) * xb.size)
-    cells = np.concatenate([np.repeat(ca, len(cb), axis=0), np.tile(cb, (len(ca), 1))], axis=1)
-    cells.sort(axis=1)
-    return _merge(_pack(cells & 15, _SHIFT[: cells.shape[1]]), cells,
-                  np.multiply.outer(xa, xb).ravel())
-
-
-def _frozen(poly: Poly) -> Poly:
-    """Mark a memoized polynomial read-only, so no caller can alter the cache."""
-    for arr in poly:
-        arr.flags.writeable = False
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _det_poly(k: int) -> Poly:
-    """The k x k determinant; memoized, so its arrays are read-only."""
-    perms, signs = lex_permutations(k)
-    cells = perms + (16 * np.arange(k, dtype=np.uint8))
-    return _frozen((cells, signs.astype(np.int64)))
-
-
-@lru_cache(maxsize=None)
-def _shape_poly(lam: tuple[int, ...]) -> Poly:
-    """The shape polynomial: product of leading-minor determinant powers.
-
-    Memoized per shape, so its arrays are read-only."""
-    poly = (np.zeros((1, 0), dtype=np.uint8), np.ones(1, dtype=np.int64))
-    for k in range(1, len(lam) + 1):
-        power = lam[k - 1] - (lam[k] if k < len(lam) else 0)
-        if power == 0:
-            continue
-        det = _det_poly(k)
-        for _ in range(power):
-            poly = _poly_mul(poly, det)
-        const = factorial(k) ** power
-        _check_range(_max_abs(poly[1]) * const)
-        poly = (poly[0], poly[1] * const)
-    return _frozen(poly)
-
-
-def _moves(t: Filling, m: int) -> list[tuple[int, int]]:
-    """The operators (src, dst) a tableau calls for, source index descending.
-
-    Operators with distinct source indices only interact through values the
-    earlier one produced, so blocks compose right to left; within a block,
-    and between row and column movers, everything commutes.
+    No cascade is built: the row group of t moves one first-row value v
+    into the first column, (m-3)! ways for each v, and the column group,
+    |C| = 6, sends v, j, i to rows 1, 2, 3 in every order with its sign.
+    The even orders, the rotations of (v, j, i), put (j, i), (i, v) and
+    (v, j) in rows 2 and 3; the odd ones (i, j), (v, i) and (j, v).
     """
-    row_of = {v: i + 1 for i, row in enumerate(t) for v in row}
-    return [(j, s) for j in range(m - 1, 0, -1) for s in range(j + 1, m + 1) if row_of[s] == j]
-
-
-def _row_cascade(poly: Poly, moves: list[tuple[int, int]]) -> Poly:
-    """Row operators on cells: each move takes one unit of row src to dst."""
-    cells, coeffs = poly
-    for src, dst in moves:
-        at, pos = np.nonzero(cells & 15 == src - 1)
-        _check_range(_max_abs(coeffs) * at.size)
-        cells = cells[at]
-        cells[np.arange(at.size), pos] += np.uint8(dst - src)
-        cells.sort(axis=1)
-        cells, coeffs = _merge(_pack(cells & 15, _SHIFT[: cells.shape[1]]), cells, coeffs[at])
-    return cells, coeffs
-
-
-def _cascade_rows(cells: np.ndarray, t2: Filling, m: int) -> np.ndarray:
-    """The rows of row-cascaded cells, checked to hold one unit per row and
-    len(row c) of t2 units in column c.
-
-    Sorted cells list the rows of column c together, so the k-th cell is
-    then the k-th row-major cell of t2.  Raised, so the checks hold under
-    python -O.
-    """
-    rows = cells & 15
-    seen = np.bitwise_or.reduce(np.left_shift(1, rows, dtype=np.uint32), axis=1)
-    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
-        raise CrossingsError("row cascade ended on a monomial without one unit per row")
-    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
-        raise CrossingsError("row cascade ended off the row lengths of the column tableau")
-    return rows
-
-
-def _offset_weights(rows_done: Poly, t: Filling) -> np.ndarray:
-    """The m-vector c of a hook tableau's row cascade, c[e] summing the
-    coefficients of its monomials whose column-2 row a and column-3 row b
-    have (b - a) mod m = e: the raw form of t against a hook tableau tb =
-    (first row, (j,), (i,)) is H_d @ c for d = (i - j) mod m, where
-    H_d[class, e] counts the cycles of the class whose anchored word has
-    letter e + 1 at position d (see _hook_forms).
-
-    The row group of tb permutes its first row only, so the terms g o p of
-    such a monomial are the cycles with value a + 1 at position j - 1 and
-    b + 1 at position i - 1 of some rotation, every other value anywhere
-    else: each cycle in which b + 1 comes d = (i - j) mod m places after
-    a + 1, once.  The value shift by -a, a power of the base cycle, fixes
-    the base and so every class; it takes these to the cycles whose
-    anchored word has letter e + 1 at position d.
-    """
-    m, (cells, coeffs) = sum(map(len, t)), rows_done
-    rows = _cascade_rows(cells, t, m).astype(np.intp)
+    m, (j,), (i,) = sum(map(len, t)), t[1], t[2]
+    c = [0] * m  # (j, i) and (i, j) come once for each of the m - 2 values v
+    c[(i - j) % m] += 6 * factorial(m - 2)
+    c[(j - i) % m] -= 6 * factorial(m - 2)
+    for v in t[0]:
+        for e, sign in ((v - i, 1), (j - v, 1), (i - v, -1), (v - j, -1)):
+            c[e % m] += sign * 6 * factorial(m - 3)
     # bounds the histogram product too: a class holds at most (m-1)! cycles
-    _check_range(_max_abs(coeffs) * coeffs.size * factorial(m - 1))
-    weight = np.zeros(m, dtype=np.int64)
-    np.add.at(weight, (rows[:, m - 1] - rows[:, m - 2]) % m, coeffs)
-    return weight
+    _check_range(sum(map(abs, c)) * factorial(m - 1))
+    return np.array(c, dtype=np.int64)
 
 
 def _hook_offset(t2: Filling) -> int:
@@ -266,32 +193,40 @@ def _hook_offset(t2: Filling) -> int:
     return (t2[2][0] - t2[1][0]) % sum(map(len, t2))
 
 
-def _class_sums(rows_done: Poly, t2: Filling, group: np.ndarray, tables: PairTables) -> np.ndarray:
-    """Apply the column operators of t2 to row-cascaded cells in closed form
-    and sum the final patterns by class.
+def _class_sums(rows_done: Cascade, t2: Filling, group: np.ndarray, tables: PairTables) -> np.ndarray:
+    """The column half of the pairing forms of a row cascade against t2,
+    summed by class.
 
-    A column move takes one unit of column j to a value s > j of row j of
-    t2, sources descending, so no unit moves twice: a monomial whose rows
-    in column c go, by p, to the cells of row c of t2 expands to the sum of
-    g o p over the row group of t2, every term with coefficient 1.  Class
-    sums are linear, so no term is merged; the terms are gathered in
-    batches of at most _PATTERN_BATCH, so the m! or so never all exist.
-    The group is given on cells, (m, R) with column g the image of each
-    row-major cell, as the block's tableaux share it.
+    A tabloid whose diagram row c holds, by p, the values placed at the
+    cells of row c of t2 expands to the sum of g o p over the row group of
+    t2, every term with coefficient 1.  Class sums are linear, so no term
+    is merged; the terms are gathered in batches of at most
+    _PATTERN_BATCH, so the m! or so never all exist.  The group is given
+    on cells, (m, R) with column g the image of each row-major cell, as
+    the block's tableaux share it.
+
+    The tabloids are checked to hold each value once and len(row c) of t2
+    values in row c, so the k-th sorted cell is the k-th row-major cell of
+    t2; raised, so the checks hold under python -O.
     """
     m, (cells, coeffs) = tables.m, rows_done
-    rows = _cascade_rows(cells, t2, m)
+    values = cells & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, values, dtype=np.uint32), axis=1)
+    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
+        raise CrossingsError("row cascade holds a tabloid without each value once")
+    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
+        raise CrossingsError("row cascade holds a tabloid off the row lengths of the column tableau")
     slot = np.empty(cells.shape, dtype=np.intp)
-    np.put_along_axis(slot, rows.astype(np.intp), np.arange(m), axis=1)
+    np.put_along_axis(slot, values.astype(np.intp), np.arange(m), axis=1)
     # column g: g(v) - 1 for the values v of t2 in row-major order
     images = np.array([v - 1 for r in t2 for v in r], dtype=np.uint8)[group]
-    _check_range(_max_abs(coeffs) * coeffs.size * images.shape[1])
+    _check_range(int(np.abs(coeffs).max(initial=0)) * coeffs.size * images.shape[1])
     acc = np.zeros(tables.classes.count, dtype=np.int64)
     step = max(1, _PATTERN_BATCH // images.shape[1])
     for lo in range(0, coeffs.size, step):
         for at in range(0, images.shape[1], _PATTERN_BATCH):
             part = images[:, at : at + _PATTERN_BATCH]
-            pos = part[slot[lo : lo + step].T].reshape(m, -1)  # row r of term (k, g) at g(p_k(r))
+            pos = part[slot[lo : lo + step].T].reshape(m, -1)  # value v of term (k, g) at g(p_k(v))
             np.add.at(acc, tables.class_of_cycle[ids_of_positions(pos)],
                       np.repeat(coeffs[lo : lo + step], part.shape[1]))
     return acc
@@ -347,29 +282,29 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     class level and the signed blocks of one shape share their forms, so
     each is computed once per shape.
     """
-    m, hook = tables.m, (tables.m - 2, 1, 1)
+    hook = (tables.m - 2, 1, 1)
     widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
     tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
-    shape, forms = None, {}
+    lam, forms = None, {}
     for b, lo in zip(blocks, np.cumsum([0] + widths)):
         ts = b.tableaux
         pairs = [(i, j) for i in range(b.dim) for j in range(i, b.dim)]
         raw = tri[:, lo : lo + len(pairs)]
         if b.lam == hook:
-            cascades = [_row_cascade(_shape_poly(hook), _moves(t, m)) for t in ts]
-            weights = np.column_stack([_offset_weights(c, t) for c, t in zip(cascades, ts)])
+            weights = np.column_stack([_offset_weights(t) for t in ts])
             _hook_forms(tables, [_hook_offset(ts[j]) for _, j in pairs],
                         weights[:, [i for i, _ in pairs]], raw)
         else:
-            if b.lam != shape:
-                shape, group = b.lam, np.ascontiguousarray(row_group(b.lam).T)
+            if b.lam != lam:
+                lam, shape = b.lam, shape_tables(b.lam)
+                group = np.ascontiguousarray(shape[0].T)
                 forms.clear()
             held = None  # (i, row cascade of ts[i]); the pairs come by row
             for k, (i, j) in enumerate(pairs):
                 key = min((ts[i], ts[j]), (ts[j], ts[i]))
                 if key not in forms:
                     if held is None or held[0] != i:
-                        held = (i, _row_cascade(_shape_poly(b.lam), _moves(ts[i], m)))
+                        held = (i, _row_cascade(ts[i], shape))
                     forms[key] = _class_sums(held[1], ts[j], group, tables)
                 raw[:, k] = forms[key]
         if b.sign:

@@ -74,10 +74,10 @@ def row_group(lam: tuple[int, ...]) -> np.ndarray:
                      for perms, signs in [lex_permutations(part)]])[0]
 
 
-def _shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-shape tables of the vector builder: the row group (R, m), and
-    the signs (C,) and row-major values (C, m) of c . t over the column
-    group of the base filling."""
+def shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-shape tables of the tableau vectors and the row cascade: the
+    row group (R, m), and the signs (C,) and row-major values (C, m) of
+    c . t over the column group of the base filling."""
     starts = np.cumsum((0,) + lam[:-1], dtype=np.uint8)
     rearr = row_group(lam)
     # column j holds the base values starts[i] + j + 1 at cells starts[i] + j
@@ -175,7 +175,7 @@ def build_blocks(index: CycleIndex) -> list[Block]:
         if target == 0:
             continue
         ts = standard_tableaux(lam)
-        tables = _shape_tables(lam)
+        tables = shape_tables(lam)
         per_tableau = len(tables[0]) * len(tables[1])  # words: R rearrangements x C
         span = np.empty((target, width), dtype=np.int64)
         gram = np.zeros((target, target), dtype=np.int64)

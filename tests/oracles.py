@@ -25,6 +25,8 @@ production code also computes, by a slower and more literal route:
 - the scalar tableau chain (polytabloid, the homomorphism into full orders,
   the projection to cycles) that builds one tableau vector at a time, with
   the scalar permutation sign by cycle counting;
+- the row cascade of a column tableau as |C| times the polytabloids of its
+  row rearrangements, summed tabloid by tabloid;
 - the block rows of a built Block, rebuilt from its tableaux, and the
   standard tableau count by the hook length product;
 - the PSD test by pivoted rational elimination, and greedy row selection
@@ -32,7 +34,7 @@ production code also computes, by a slower and more literal route:
 - the closed-form evaluator of the (m-2, 1, 1) block, reading each entry off
   the cycle word;
 - class blocks by direct quadruple enumeration and by streaming over all
-  ordered cycle pairs, against which the operator expansion is compared;
+  ordered cycle pairs, against which the expansion is compared;
 - the cutting loop's first offenders by solving, polishing and scanning
   the instance restricted to class 0 alone, beside the closed form;
 - decimal rounding half away from zero, beside the library's truncation,
@@ -62,7 +64,7 @@ from crossings.cycles import (
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.orbits import PairOrbits, swap_partner_words
 from crossings.relaxations import _solve_polished, _strict_start, scan_violations, split_triangles
-from crossings.repsets import Block, _shape_tables, _tableau_vectors, psd_pivots
+from crossings.repsets import Block, _tableau_vectors, psd_pivots, shape_tables
 from crossings.swapgraph import UNREACHED, neighbor_words
 from crossings.tableaux import conjugate
 
@@ -438,6 +440,21 @@ def polytabloid(t) -> dict[Tabloid, int]:
     return out
 
 
+def row_cascade_tabloids(t) -> dict[Tabloid, int]:
+    """The row cascade of a column tableau t, scalar: |C| sign(g) times the
+    tabloid of g . (r . t) over the row group (r) and the column group (g)
+    of t, that is |C| times the polytabloids of the row rearrangements."""
+    lam = tuple(len(r) for r in t)
+    k = 1
+    for h in conjugate(lam):
+        k *= factorial(h)
+    out: dict[Tabloid, int] = {}
+    for f in row_equivalent_fillings(t):
+        for key, c in polytabloid(f).items():
+            out[key] = out.get(key, 0) + k * c
+    return {key: c for key, c in out.items() if c}
+
+
 def theta_apply(t_hom, v: dict[Tabloid, int]) -> dict[Tabloid, int]:
     """Homomorphism into the full-order module, indexed by the filling t_hom.
 
@@ -497,7 +514,7 @@ def base_filling(lam: tuple[int, ...]) -> Filling:
 def block_rows(index: CycleIndex, block: Block) -> np.ndarray:
     """The (d, N) int64 rows of a block: each tableau vector plus its sign
     times its image under inversion (sign 0 leaves the tableau vectors)."""
-    vecs = _tableau_vectors(_shape_tables(block.lam), block.tableaux, index)
+    vecs = _tableau_vectors(shape_tables(block.lam), block.tableaux, index)
     return vecs + block.sign * vecs[:, index.inverse_ids()]
 
 
@@ -646,7 +663,7 @@ def pair_stream_forms(
     """Exact class blocks U K U^T for each row matrix, by scanning all pairs.
 
     Work grows with the square of the cycle count; this certifies the
-    operator expansion on moderate m.
+    closed-form expansion on moderate m.
     """
     index, classes = tables.index, tables.classes
     seqs = index.seqs

@@ -139,6 +139,21 @@ def test_bounds_command_computes_a_level(store, capsys):
     ]
 
 
+def test_bounds_keeps_the_stronger_of_table_and_computed_level(store, capsys, tmp_path):
+    # the tabled full optimum at m=7 beats the computed single block (about
+    # 4.3107), and a weaker tabled value gives way to the computed one
+    path = tmp_path / "levels.json"
+    for table, want, row in [({"alpha": {"7": "4.3593154947"}}, "2.17965 n^2 - 4.5 n   [alpha;",
+                              ["7", "7", "76", "alpha", "True"]),
+                             ({"beta": {"7": "4"}}, "2.15536 n^2 - 4.5 n   [beta;",
+                              ["7", "7", "75", "beta", "True"])]:
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "bounds", "--from-table", str(path), "--m", "7",
+                                 "--cache-dir", str(store))
+        assert code == 0 and want in err, err
+        assert list(csv.reader(io.StringIO(out)))[1:] == [row]
+
+
 def test_bounds_needs_input(capsys):
     code, _, err = run_cli(capsys, "bounds")
     assert code == 2

@@ -13,16 +13,14 @@ from crossings.coeffs import (
     _class_sums,
     _hook_forms,
     _hook_offset,
-    _moves,
     _offset_weights,
     _row_cascade,
-    _shape_poly,
     block_constraint_tables,
 )
-from crossings.cycles import ids_of_positions, image_letters
+from crossings.cycles import CycleIndex, ids_of_positions, image_letters
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.relaxations import split_triangles
-from crossings.repsets import Block, build_blocks, hook_block_columns, row_group
+from crossings.repsets import Block, build_blocks, hook_block_columns, row_group, shape_tables
 from crossings.tableaux import standard_tableaux
 from oracles import (
     _expansion_words,
@@ -37,6 +35,7 @@ from oracles import (
     pair_stream_hook_table,
     position_histogram_by_cycles,
     relabel_to_base,
+    row_cascade_tabloids,
     row_equivalent_fillings,
     signed_column_fillings,
 )
@@ -51,6 +50,11 @@ def tri_pairs(d):
 def hook_table(t):
     """The single-block table: the hook block with sign 0."""
     return block_constraint_tables(t, [Block((t.m - 2, 1, 1), 0, hook_block_columns(t.m))])
+
+
+def hook_tableau(m, j, i):
+    """The hook column tableau (first row, (j,), (i,)) of 1..m."""
+    return (tuple(v for v in range(1, m + 1) if v not in (j, i)), (j,), (i,))
 
 
 def form(t1, t2, t):
@@ -246,13 +250,75 @@ def test_hook_kernel_matches_the_gather(m, kind):
     else:
         entries = hook_block_entries(build_blocks(t.index))
         assert any(tb[1] != (2,) for _, pairs in entries for _, tb in pairs)
+    shape = shape_tables((m - 2, 1, 1))
     group = cell_group((m - 2, 1, 1))
     for b, pairs in entries:
-        cascades = [_row_cascade(_shape_poly(b.lam), _moves(ta, m)) for ta, _ in pairs]
-        weights = np.column_stack([_offset_weights(c, ta) for c, (ta, _) in zip(cascades, pairs)])
+        weights = np.column_stack([_offset_weights(ta) for ta, _ in pairs])
         got = hook_forms(t, [_hook_offset(tb) for _, tb in pairs], weights)
-        for k, (rows_done, (ta, tb)) in enumerate(zip(cascades, pairs)):
-            assert (got[:, k] == _class_sums(rows_done, tb, group, t)).all(), (ta, tb)
+        for k, (ta, tb) in enumerate(pairs):
+            want = _class_sums(_row_cascade(ta, shape), tb, group, t)
+            assert (got[:, k] == want).all(), (ta, tb)
+
+
+def cascade_tabloids(cells, coeffs):
+    """A row cascade as {tabloid: coefficient}, rows of sorted values."""
+    out = {}
+    for row, c in zip(cells.tolist(), coeffs.tolist()):
+        rows = [[] for _ in range(max(row) // 16 + 1)]
+        for cell in row:
+            rows[cell >> 4].append((cell & 15) + 1)
+        out[tuple(map(tuple, rows))] = c
+    return out
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_row_cascade_matches_the_polytabloid_sum(m):
+    for b in build_blocks(TABLES[m].index):
+        shape = shape_tables(b.lam)
+        for t in b.tableaux:
+            assert cascade_tabloids(*_row_cascade(t, shape)) == row_cascade_tabloids(t), t
+
+
+# sha256 of the row cascades of every block tableau in build_blocks order
+# (the uint8 cells, then the little-endian int64 coefficients, of each), and
+# of the hook weights of (first row, (j,), (i,)) for 1 < j < i <= m, (j, i)
+# ascending, as int64; both computed by the operator expansion (products of
+# leading-minor determinants, then one row operator per move) before the
+# closed forms replaced it
+ROW_CASCADE_SHA256 = {
+    8: "6d3d09890035cc6fc074913a9354ada2ca7dd8fe31cadfe1fc03436b68d7a362",
+    9: "a04766cfc17bddc6ed485c7c3d54c59e6b0ab5340611a615f413b0b945cfab0a",
+}
+HOOK_WEIGHTS_SHA256 = {
+    4: "ab5426233fa47b7e45f4d8544f68ec93775010021b4d9a50f5df227a37e8b72d",
+    5: "9731edfb0372aa987dbaf618f96da695466bb94a277e77380301c9a6644cf3b8",
+    6: "486652117ecf747ebd4e4ddebc355878c7db793799c75d377adfd13cc69cec6e",
+    7: "8501518d3131be6abca2bd2904a6c690b61bb5b7be11f2697613a0a15759e728",
+    8: "c640fd7feb5fd21d49fb9baf4e9702bd1b1e50779eaaec35f9f4379eae8024af",
+    9: "01fc2d0bf3980fa7cc24d7c4f067206fe004c640b713f9fe5af4800afcfd044d",
+    10: "7fb071e713084c0a579c056e2221eae16ebfaf9906e314e98be58dc77c88544c",
+    11: "23f68630a1a6fa0f7096aa08be748d820b9d4bb6dda9e1cc298b63d12413c6eb",
+    12: "18c2a37868edfb1ca363d262cdd8ea440052a52099cb1d34891e4b02694f7d72",
+}
+
+
+@pytest.mark.parametrize("m", sorted(ROW_CASCADE_SHA256))
+def test_row_cascade_bytes_frozen(m):
+    h = hashlib.sha256()
+    for b in build_blocks(CycleIndex(m)):
+        shape = shape_tables(b.lam)
+        for ta in b.tableaux:
+            cells, coeffs = _row_cascade(ta, shape)
+            h.update(cells.tobytes())
+            h.update(np.ascontiguousarray(coeffs, dtype="<i8").tobytes())
+    assert h.hexdigest() == ROW_CASCADE_SHA256[m]
+
+
+@pytest.mark.parametrize("m", sorted(HOOK_WEIGHTS_SHA256))
+def test_hook_weights_bytes_frozen(m):
+    pairs = itertools.combinations(range(2, m + 1), 2)
+    got = np.array([_offset_weights(hook_tableau(m, j, i)) for j, i in pairs])
+    assert table_sha256([got]) == HOOK_WEIGHTS_SHA256[m]
 
 
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))
@@ -261,14 +327,6 @@ def test_block_tables_bytes_frozen(m):
     blocks = build_blocks(t.index)
     tri = block_constraint_tables(t, blocks)
     assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
-
-
-def test_shape_poly_is_memoized_read_only():
-    cells, coeffs = _shape_poly((3, 1, 1))
-    assert _shape_poly((3, 1, 1))[0] is cells
-    assert not cells.flags.writeable and not coeffs.flags.writeable
-    with pytest.raises(ValueError):
-        coeffs[0] = 0
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -320,15 +378,24 @@ def test_direct_expansion_guard():
         direct_expansion(cols[0], cols[0], t)
 
 
-def test_operator_step_past_the_coefficient_limit_is_refused():
-    # two units of cell (1, 1) moved to row 2 merge into one monomial with
-    # twice the coefficient: 2 * 2**61 would reach 2**62
-    cells = np.array([[0, 0]], dtype=np.uint8)
+def test_hook_weights_past_the_coefficient_limit_are_refused():
+    # sum |c| * (m-1)! bounds the histogram product: 2.7e17 at m=13, and
+    # 4.2e19 at m=14, past 2**62
+    c = _offset_weights(hook_tableau(13, 2, 3))
+    assert int(np.abs(c).sum()) * math.factorial(12) < 2**62
     with pytest.raises(ResourceError):
-        _row_cascade((cells, np.array([2**61], dtype=np.int64)), [(1, 2)])
-    got = _row_cascade((cells, np.array([2**60], dtype=np.int64)), [(1, 2)])
-    # cells are 16 (column - 1) + (row - 1): cell (1, 1) and cell (2, 1)
-    assert got[0].tolist() == [[0, 1]] and got[1].tolist() == [2**61]
+        _offset_weights(hook_tableau(14, 2, 3))
+
+
+def test_row_cascade_past_the_coefficient_limit_is_refused():
+    # |C| |C| |R| bounds every merged coefficient: 2**31 column signs and
+    # two rearrangements, views of one element each, reach 2**63
+    m = 4
+    rearr = np.broadcast_to(np.arange(m, dtype=np.uint8), (2, m))
+    crows = np.broadcast_to(np.arange(1, m + 1, dtype=np.uint8), (2**31, m))
+    signs = np.broadcast_to(np.int8(1), (2**31,))
+    with pytest.raises(ResourceError):
+        _row_cascade(((1, 2, 3, 4),), (rearr, signs, crows))
 
 
 def cell_group(lam):
@@ -346,23 +413,23 @@ def test_expansion_checks_survive_optimization():
         return _class_sums((np.array(cells, dtype=np.uint8), np.array(coeffs, dtype=np.int64)),
                            hook, group, t)
 
-    # cells are 16 (column - 1) + (row - 1): rows 1, 2 in column 1, row 3 in
-    # column 2, row 4 in column 3; rows 1, 2 take the values 1, 4 of row 1
-    # of the hook both ways, rows 3 and 4 keep 2 and 3
+    # cells are 16 (row - 1) + (value - 1): values 1, 2 in row 1, value 3 in
+    # row 2, value 4 in row 3; values 1, 2 take the cells of 1, 4 in row 1
+    # of the hook both ways, values 3 and 4 those of 2 and 3
     pos = np.array([[0, 3], [3, 0], [1, 1], [2, 2]], dtype=np.uint8)
     want = np.bincount(t.class_of_cycle[ids_of_positions(pos)], minlength=t.classes.count)
     assert (sums([[0x00, 0x01, 0x12, 0x23]]) == want).all()
-    # width other than m; a repeated row; a row index past m, which must not
+    # width other than m; a repeated value; a value past m, which must not
     # fail as an IndexError
     for bad in ([[0x00, 0x01, 0x12]], [[0x00, 0x00, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x2f]]):
         with pytest.raises(CrossingsError):
             sums(bad)
-    # one unit per row, but column content (1, 2, 1) against the hook's row
-    # lengths (2, 1, 1), or a unit in a column past the last row
+    # each value once, but row content (1, 2, 1) against the hook's row
+    # lengths (2, 1, 1), or a value in a row past the last
     for bad in ([[0x00, 0x11, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x33]]):
         with pytest.raises(CrossingsError):
             sums(bad)
-    # the bound is max|c| * monomials * |R(tb)|: 2**61 * 1 * 2 reaches 2**62
+    # the bound is max|c| * tabloids * |R(tb)|: 2**61 * 1 * 2 reaches 2**62
     with pytest.raises(ResourceError):
         sums([[0x00, 0x01, 0x12, 0x23]], (2**61,))
     assert (sums([[0x00, 0x01, 0x12, 0x23]], (2**60,)) == 2**60 * want).all()
@@ -370,8 +437,8 @@ def test_expansion_checks_survive_optimization():
         pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])
 
 
-# fillings where row j of the column tableau does not contain j, so every
-# unit of column j moves out: both units of column 2 in ((1, 2), (3, 4))
+# fillings where row j of the column tableau does not contain j, as row 2
+# of ((1, 2), (3, 4))
 MOVE_OUT_FILLINGS = {
     4: [((1, 2), (3, 4)), ((1, 3), (2, 4))],
     5: [((1, 2, 3), (4, 5)), ((1, 2, 5), (3, 4)), ((1, 3, 5), (2, 4))],

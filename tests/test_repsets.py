@@ -15,11 +15,11 @@ from crossings.errors import ArgumentError
 from crossings.orbits import orbit_census
 from crossings.repsets import (
     Block,
-    _shape_tables,
     _tableau_vectors,
     build_blocks,
     hook_block_columns,
     psd_pivots,
+    shape_tables,
 )
 from crossings.tableaux import block_multiplicity, partitions, standard_tableaux
 from oracles import (
@@ -145,7 +145,7 @@ def test_vectorized_matches_direct_expansion(m):
     idx = CycleIndex(m)
     for lam in [(m - 2, 1, 1), (m - 1, 1), (2,) * (m // 2) + (1,) * (m % 2)]:
         ts = standard_tableaux(lam)[:6]
-        mat = _tableau_vectors(_shape_tables(lam), ts, idx)
+        mat = _tableau_vectors(shape_tables(lam), ts, idx)
         for row, t in zip(mat, ts):
             assert (row == repset_vector(lam, t, idx)).all()
 
@@ -175,7 +175,7 @@ def test_rank_selection_is_order_independent(m):
         a = block_multiplicity(lam)
         if a == 0:
             continue
-        vecs = _tableau_vectors(_shape_tables(lam), standard_tableaux(lam), idx)
+        vecs = _tableau_vectors(shape_tables(lam), standard_tableaux(lam), idx)
         assert len(independent_rows(vecs)) == a
         assert len(independent_rows(np.ascontiguousarray(vecs[::-1]))) == a
 
@@ -294,7 +294,7 @@ def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]
         if target == 0:
             continue
         ts = standard_tableaux(lam)
-        vecs = _tableau_vectors(_shape_tables(lam), ts, index)
+        vecs = _tableau_vectors(shape_tables(lam), ts, index)
         keep = independent_rows(vecs, stop_at=target)
         assert len(keep) == target
         span, span_ts = vecs[keep], [ts[i] for i in keep]
@@ -323,7 +323,7 @@ def test_shape_tables_match_the_scalar_groups(m):
     # row rearrangements in itertools order, and the column group with the
     # signs the scalar chain computes by perm_sign
     for lam in partitions(m):
-        rearr, signs, crows = _shape_tables(lam)
+        rearr, signs, crows = shape_tables(lam)
         starts = np.cumsum((0,) + lam)
         per_row = [itertools.permutations(range(a, b)) for a, b in zip(starts, starts[1:])]
         assert rearr.tolist() == [
@@ -358,7 +358,7 @@ refused(ResourceError, lambda: repsets.build_blocks(idx))
 repsets._tableau_vectors = true_vectors
 # a value map that is no permutation: each column goes to the column where
 # the first (3, 2) vector is most opposed to it, so 2G + G_P + G_P^T < 0
-v = true_vectors(repsets._shape_tables((3, 2)), standard_tableaux((3, 2))[:1], idx)[0]
+v = true_vectors(repsets.shape_tables((3, 2)), standard_tableaux((3, 2))[:1], idx)[0]
 true_inverse = idx.inverse_ids
 idx.inverse_ids = lambda: np.where(v > 0, v.argmin(), v.argmax())
 refused(CrossingsError, lambda: repsets.build_blocks(idx))
