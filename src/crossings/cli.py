@@ -292,7 +292,7 @@ def _cmd_verify(args) -> int:
 
         from .repsets import build_blocks
 
-        dims = Counter(b.dim for b in build_blocks(index))
+        dims = Counter(b.dim for b in build_blocks(m))
         if dict(dims) != reference.BLOCK_DIMS[m]:
             raise DataError(f"block dimensions {dict(dims)} differ from the reference")
         print(f"ok: block dimensions {sorted(dims.elements(), reverse=True)}")

@@ -2,39 +2,32 @@
 
 Every invariant matrix is a combination of the pair-class indicators, so
 each reduced constraint is carried by one small integer block per class.
-The pair tables gather what the constraints are indexed by: the cycle
-table, the swap classes of the pair orbits, and each class's cost, read
-from the swap distances at the class representative only.
+The pair tables gather what the constraints are indexed by: the
+stabilizer-orbit representatives, the swap classes of the pair orbits, and
+each class's cost, read from the swap distances at the class
+representative only.
 
 A block entry pairs two column tableaux ta and tb of one shape.  The
-pairing polynomial's differential-operator expansion has two halves, and
-both are closed forms over the row group R and the column group C of the
-shape (repsets.shape_tables).  The row half of ta is its Young symmetrizer
-read on tabloids: |C| sign(g) times the tabloid that puts the value of each
-cell y in the diagram row of cell g(r(y)), summed over g in C and r in R.
-The column half sends a tabloid to one permutation pattern per element of
-the row group of tb, coefficient 1; the degree-m patterns are in bijection
-with relabeling orbits of pairs of full orders, so they are summed by
-class.  Expanded in full, an entry costs one pattern per tabloid and
-row-group element, (m-2)! per tabloid on the hook shape (m-2, 1, 1).  The
-hook shape, the single block and one shape of the full relaxation, is
-never expanded: its patterns collapse to a position histogram of the
-classes, and an entry is the histogram at the offset of tb times an
-m-vector read from ta in closed form.  Every entry of a hook block is
-counted in one pass over the stabilizer-orbit representatives, and no
-histogram is held.
-The tests compare both routes exactly against each other and against two
-independent oracles kept in tests/oracles.py: direct quadruple enumeration
-over the expansions of both tableau vectors, and streaming over all
-ordered cycle pairs.
-
-The expansion runs on numpy arrays, and every sum that could leave
-+-2**62 is refused before int64 wraps.  A tabloid is a sorted row of m
-uint8 cells.  The patterns of the column half are gathered from the group
-in batches, each reduced to class sums at once, so the final patterns
-never all exist together; their cycle ids are ranked from the positions
-directly (cycles.ids_of_positions, no word is built) and their classes
-read from the per-cycle class table, which only this gather builds.
+pairing polynomial's differential-operator expansion has two halves.  The
+row half of ta is its row cascade c (repsets._row_cascade), a signed sum
+of tabloids.  The column half gives a cycle the sum of c(T_tb(w)) over the
+m rotations w of its word, T_tb(w) the tabloid that puts letter w[p] in
+the row of tb holding p + 1.  Summed over a class, that runs over the
+class's stabilizer-orbit representatives, their 2m images and the m
+rotations, each orbit divided by its stabilizer order; the images are the
+value shifts of a representative and of its reflected inverse, and a
+value shift of w shifts the values of T_tb(w), so the shifts fold into c.
+An entry then costs 2m lookups per representative (_tabloid_forms), and
+no table over the (m-1)! cycles is built.  On the hook shape (m-2, 1, 1),
+the single block and one shape of the full relaxation, the lookups
+collapse further: an entry is a position histogram of the classes at the
+offset of tb times an m-vector read from ta in closed form, and every
+entry of a hook block is counted in one pass (_hook_forms).  The tests
+compare both kernels exactly against three independent oracles kept in
+tests/oracles.py: the per-cycle gather over the row group of tb, direct
+quadruple enumeration over the expansions of both tableau vectors, and
+streaming over all ordered cycle pairs.  Every sum that could leave
++-2**62 is refused before int64 wraps.
 
 Every block, the single-block relaxation's hook block included, is
 assembled by one routine into the packed upper triangles the cache stores,
@@ -49,26 +42,23 @@ vectors, so the single block holds no form beside the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial
 
 import numpy as np
 
-from .cycles import (CycleIndex, _pack_nibbles, ids_of_positions, image_letters, invert_seqs,
-                     unpack_keys)
-from .errors import CrossingsError, ResourceError
+from .cycles import CycleIndex, _pack_nibbles, image_letters, invert_seqs, unpack_keys
+from .errors import CrossingsError
 from .orbits import SymmetricClasses, build_pair_orbits
-from .repsets import Block, shape_tables
+from .repsets import Block, _check_range, _row_cascade, _value_rows, shape_tables, tabloid_keys
 from .swapgraph import distances_from_base
 
 Filling = tuple[tuple[int, ...], ...]
-Cascade = tuple[np.ndarray, np.ndarray]  # (tabloid cells, coeffs), see the expansion section
 
 
 @dataclass
 class PairTables:
-    """Cycle table plus the swap classes of the pair orbits for one m, with
-    the cost of each class (the swap distance from the base to the inverse
+    """Stabilizer-orbit representatives plus the swap classes of the pair
+    orbits for one m, with the cost of each class (the swap distance from the base to the inverse
     of the class representative's second component) and the class image of
     inverting one pair component."""
 
@@ -93,65 +83,18 @@ class PairTables:
     def m(self) -> int:
         return self.index.m
 
-    @cached_property
-    def class_of_cycle(self) -> np.ndarray:
-        """(N,) int32, class of (base, tau) by cycle id of tau: the one
-        per-cycle table, built on first use (only the gather reads it)."""
-        return self.classes.class_of_orbit[self.index.orbit_ids(self.index.seqs)]
-
 
 # -- tableau expansion -------------------------------------------------------
-#
-# A row cascade is a pair (cells, coeffs) with (N,) int64 coefficients,
-# distinct and nonzero: one sorted row of m uint8 cells 16*(r-1) + (v-1)
-# per tabloid, value v in diagram row r.  All tabloids of one shape share
-# their high nibbles, so the low ones, packed as a cycles key, tell them
-# apart.  _class_sums then expands the column half in closed form over the
-# row group of the other tableau.
 
-_COEFF_LIMIT = 1 << 62
-
-# Most final patterns one batch of the column expansion gathers; a row group
-# larger than this is cut into slices.  Keeps the working set small: 1 << 16
-# raised the peak RSS of a cold m=4..8 table build by about 5%.
-_PATTERN_BATCH = 1 << 12
-
-# Representatives per chunk of the hook kernel (_hook_forms); its temporaries
-# take about 40m bytes per representative, plus 4m per offset of the span
-# (0.6 MB a chunk for the single block at m = 10).
+# Representatives per chunk of both kernels; their temporaries take about
+# 40m bytes per representative, plus 4m per offset of the span in
+# _hook_forms (0.6 MB a chunk for the single block at m = 10) and 16m per
+# tableau in _tabloid_forms.
 _HISTOGRAM_ROWS = 1 << 10
 
-
-def _check_range(bound: int) -> None:
-    """Refuse a step whose coefficients could leave +-2**62 before int64 wraps."""
-    if bound >= _COEFF_LIMIT:
-        raise ResourceError(f"coefficient bound {bound} exceeds the int64 range of the expansion")
-
-
-def _row_cascade(t: Filling, shape: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Cascade:
-    """The row cascade of a column tableau t: |C| sign(g) times the tabloid
-    that puts t(y) in the diagram row of cell g(r(y)), summed over g in the
-    column group and r in the row group, equal tabloids merged.
-
-    shape is repsets.shape_tables of the shape of t: the row group on
-    cells, the column signs and the column group as base values.  A merged
-    coefficient is at most |C| |C| |R|, checked before any tabloid is built.
-    """
-    rearr, signs, crows = shape
-    _check_range(len(signs) ** 2 * len(rearr))
-    lam = tuple(map(len, t))
-    row_of_cell = np.repeat(np.arange(len(lam), dtype=np.uint8), lam)
-    values = np.array([v - 1 for r in t for v in r], dtype=np.uint8)
-    cells = (row_of_cell[crows - 1][:, rearr] << 4 | values).reshape(-1, len(values))
-    cells.sort(axis=1)
-    keys = _pack_nibbles((cells & 15).T)
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    coeffs = np.repeat(len(signs) * signs.astype(np.int64), len(rearr))
-    sums = np.add.reduceat(coeffs[order], starts)
-    keep = sums != 0
-    return cells[order[starts[keep]]], sums[keep]
+# Tabloids per chunk of the shift orbit search (_shift_sums); its
+# temporaries take about m(m + 24) bytes per tabloid (7 MB at m = 9).
+_SHIFT_ROWS = 1 << 15
 
 
 def _offset_weights(t: Filling) -> np.ndarray:
@@ -193,43 +136,67 @@ def _hook_offset(t2: Filling) -> int:
     return (t2[2][0] - t2[1][0]) % sum(map(len, t2))
 
 
-def _class_sums(rows_done: Cascade, t2: Filling, group: np.ndarray, tables: PairTables) -> np.ndarray:
-    """The column half of the pairing forms of a row cascade against t2,
-    summed by class.
+def _shift_sums(ts: list[Filling], lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The row cascades c of the tableaux ts of shape lam summed over the m
+    value shifts, c^ = sum over s of c o shift_s: sorted tabloid keys and
+    coefficients (U, len(ts)), closed by the largest u64 key, no tabloid's,
+    and a zero row.  c^ is the stabilizer order times the sum of c on each
+    shift orbit, found by the smallest key over the shifts of a tabloid."""
+    m = sum(lam)
+    shape = shape_tables(lam)
+    spread = (np.arange(m)[:, None] - np.arange(m)) % m  # [v, u]: value v of shift u was v - u
+    cascades = [_row_cascade(t, shape) for t in ts]
+    rows = np.concatenate([_value_rows(c, lam) for c in cascades]).T
+    coeffs = np.concatenate([c for _, c in cascades])
+    col = np.repeat(np.arange(len(ts)), [c.size for _, c in cascades])
+    _check_range(m * int(np.abs(coeffs).max(initial=0)))
+    low = np.empty(coeffs.size, dtype=np.uint64)
+    fixed = np.empty(coeffs.size, dtype=np.int64)
+    for lo in range(0, coeffs.size, _SHIFT_ROWS):
+        keys = _pack_nibbles(rows[:, lo : lo + _SHIFT_ROWS][spread])  # (m, n), by shift
+        at = slice(lo, lo + keys.shape[1])
+        low[at] = keys.min(axis=0)
+        fixed[at] = (keys == low[at]).sum(axis=0)
+    orbits, first, inverse = np.unique(low, return_index=True, return_inverse=True)
+    sums = np.zeros((orbits.size + 1, len(ts)), dtype=np.int64)  # the last row for no orbit
+    np.add.at(sums, (inverse, col), coeffs)
+    sums[:-1] *= fixed[first, None]
+    keys = _pack_nibbles((unpack_keys(orbits, m).T - 1)[spread])  # (m, K), by shift
+    listed = np.arange(m)[:, None] < m // fixed[first]  # the distinct shifts of each orbit
+    order = np.argsort(keys[listed])
+    orbit = np.broadcast_to(np.arange(orbits.size), keys.shape)[listed][order]
+    return np.append(keys[listed][order], np.iinfo(np.uint64).max), sums[np.append(orbit, -1)]
 
-    A tabloid whose diagram row c holds, by p, the values placed at the
-    cells of row c of t2 expands to the sum of g o p over the row group of
-    t2, every term with coefficient 1.  Class sums are linear, so no term
-    is merged; the terms are gathered in batches of at most
-    _PATTERN_BATCH, so the m! or so never all exist.  The group is given
-    on cells, (m, R) with column g the image of each row-major cell, as
-    the block's tableaux share it.
 
-    The tabloids are checked to hold each value once and len(row c) of t2
-    values in row c, so the k-th sorted cell is the k-th row-major cell of
-    t2; raised, so the checks hold under python -O.
-    """
-    m, (cells, coeffs) = tables.m, rows_done
-    values = cells & 15
-    seen = np.bitwise_or.reduce(np.left_shift(1, values, dtype=np.uint32), axis=1)
-    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
-        raise CrossingsError("row cascade holds a tabloid without each value once")
-    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
-        raise CrossingsError("row cascade holds a tabloid off the row lengths of the column tableau")
-    slot = np.empty(cells.shape, dtype=np.intp)
-    np.put_along_axis(slot, values.astype(np.intp), np.arange(m), axis=1)
-    # column g: g(v) - 1 for the values v of t2 in row-major order
-    images = np.array([v - 1 for r in t2 for v in r], dtype=np.uint8)[group]
-    _check_range(int(np.abs(coeffs).max(initial=0)) * coeffs.size * images.shape[1])
-    acc = np.zeros(tables.classes.count, dtype=np.int64)
-    step = max(1, _PATTERN_BATCH // images.shape[1])
-    for lo in range(0, coeffs.size, step):
-        for at in range(0, images.shape[1], _PATTERN_BATCH):
-            part = images[:, at : at + _PATTERN_BATCH]
-            pos = part[slot[lo : lo + step].T].reshape(m, -1)  # value v of term (k, g) at g(p_k(v))
-            np.add.at(acc, tables.class_of_cycle[ids_of_positions(pos)],
-                      np.repeat(coeffs[lo : lo + step], part.shape[1]))
-    return acc
+def _orbit_positions(keys: np.ndarray, m: int) -> np.ndarray:
+    """(m, n, 2) uint8: the position of each value in the word keyed keys[i],
+    then in its reflected inverse, whose letter at p is -w[-p] mod m, so
+    that it holds v at -pos(-v)."""
+    pos = np.argsort(unpack_keys(keys, m), axis=1).T.astype(np.uint8)
+    return np.stack([pos, (np.uint8(m) - pos[(-np.arange(m)) % m]) % m], axis=-1)
+
+
+def _tabloid_forms(tables: PairTables, tb: Filling, keys: np.ndarray,
+                   coeffs: np.ndarray) -> np.ndarray:
+    """(C, D) raw pairing forms of D column tableaux against tb by class:
+    per representative, c^(T_tb(w)) summed over the rotations w of its word
+    and its reflected inverse, over its stabilizer order, from the shift
+    sums (keys, coeffs).  Every sum is bounded before it is formed."""
+    reps, fixed = tables.index.representatives()
+    order = fixed.sum(axis=0, dtype=np.int64)
+    _check_range(2 * tables.m * order.size * int(np.abs(coeffs).max(initial=0)))
+    out = np.zeros((tables.classes.count, coeffs.shape[1]), dtype=np.int64)
+    for lo in range(0, order.size, _HISTOGRAM_ROWS):
+        found = tabloid_keys(tb, _orbit_positions(reps[lo : lo + _HISTOGRAM_ROWS], tables.m))
+        found = found.reshape(found.shape[0], -1)
+        hit = np.searchsorted(keys, found)
+        hit[keys[hit] != found] = keys.size - 1
+        n = hit.shape[0]
+        forms, rest = np.divmod(coeffs[hit].sum(axis=1), order[lo : lo + n, None])
+        if rest.any():
+            raise CrossingsError(f"{tb}: tabloid sums not divisible by the stabilizer order")
+        np.add.at(out, tables.classes.class_of_orbit[lo : lo + n], forms)
+    return out
 
 
 # -- assembly ----------------------------------------------------------------
@@ -277,36 +244,33 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     the table and, unless s = 0, applies the sign there.
 
     Hook blocks, of shape (m-2, 1, 1), take every raw form from one pass of
-    _hook_forms, weighted by _offset_weights.  Every other shape goes
-    through the row-group gather (_class_sums); a form is symmetric at
-    class level and the signed blocks of one shape share their forms, so
-    each is computed once per shape.
+    _hook_forms, weighted by _offset_weights.  Every other shape takes them
+    from _tabloid_forms, one pass per column tableau tb against every
+    tableau of the shape at once; a form is symmetric at class level, so
+    the signed blocks of one shape share the cascades and the passes.
     """
     hook = (tables.m - 2, 1, 1)
     widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
     tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
-    lam, forms = None, {}
-    for b, lo in zip(blocks, np.cumsum([0] + widths)):
-        ts = b.tableaux
-        pairs = [(i, j) for i in range(b.dim) for j in range(i, b.dim)]
-        raw = tri[:, lo : lo + len(pairs)]
-        if b.lam == hook:
-            weights = np.column_stack([_offset_weights(t) for t in ts])
-            _hook_forms(tables, [_hook_offset(ts[j]) for _, j in pairs],
-                        weights[:, [i for i, _ in pairs]], raw)
-        else:
-            if b.lam != lam:
-                lam, shape = b.lam, shape_tables(b.lam)
-                group = np.ascontiguousarray(shape[0].T)
-                forms.clear()
-            held = None  # (i, row cascade of ts[i]); the pairs come by row
-            for k, (i, j) in enumerate(pairs):
-                key = min((ts[i], ts[j]), (ts[j], ts[i]))
-                if key not in forms:
-                    if held is None or held[0] != i:
-                        held = (i, _row_cascade(ts[i], shape))
-                    forms[key] = _class_sums(held[1], ts[j], group, tables)
-                raw[:, k] = forms[key]
+    raws = np.split(tri, np.cumsum(widths)[:-1], axis=1)
+    for lam in dict.fromkeys(b.lam for b in blocks):
+        group = [(b, raw, [(i, j) for i in range(b.dim) for j in range(i, b.dim)])
+                 for b, raw in zip(blocks, raws) if b.lam == lam]
+        if lam == hook:
+            for b, raw, pairs in group:
+                weights = np.column_stack([_offset_weights(t) for t in b.tableaux])
+                _hook_forms(tables, [_hook_offset(b.tableaux[j]) for _, j in pairs],
+                            weights[:, [i for i, _ in pairs]], raw)
+            continue
+        ts = list(dict.fromkeys(t for b, _, _ in group for t in b.tableaux))
+        keys, coeffs = _shift_sums(ts, lam)
+        for tb in ts:
+            forms = _tabloid_forms(tables, tb, keys, coeffs)
+            for b, raw, pairs in group:
+                for k, (i, j) in enumerate(pairs):
+                    if b.tableaux[j] == tb:
+                        raw[:, k] = forms[:, ts.index(b.tableaux[i])]
+    for b, raw in zip(blocks, raws):
         if b.sign:
             raw[:] = (1 + b.sign**2) * raw + 2 * b.sign * raw[tables.flip]
     return tri

@@ -35,12 +35,6 @@ order, each with the count of its images equal to it, which is its
 stabilizer order.  The census reads no more than that.  Any word's orbit
 is looked up among them by its canonical key (CycleIndex.orbit_ids), and
 no per-cycle orbit table is kept.
-
-A cycle's id is the lexicographic rank of its anchored word, and it is
-computed, not looked up: from the position of each value in any rotation of
-the word, one kernel anchors the positions at the value 1 and sums the
-Lehmer code of the anchored word against factorial weights.  No table of
-words or keys is searched.
 """
 
 from __future__ import annotations
@@ -99,9 +93,11 @@ def _pack_nibbles(vals: np.ndarray) -> np.ndarray:
     zero-padded to eight and read as one big-endian u64, so integer order is
     the lexicographic order of the nibble sequences.
     """
+    # a transposed input would make the writes below several times slower
+    vals = np.ascontiguousarray(vals)
     m = vals.shape[0]
     buf = np.zeros(vals.shape[1:] + (8,), dtype=np.uint8)
-    byte = np.moveaxis(buf, -1, 0)
+    byte = buf.transpose(-1, *range(buf.ndim - 1))
     np.left_shift(vals[0::2], 4, out=byte[: (m + 1) // 2])
     byte[: m // 2] |= vals[1::2]
     return buf.view(">u8")[..., 0].astype(np.uint64)
@@ -230,44 +226,6 @@ def stabilizer_representatives(seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(keys), np.concatenate(fixed, axis=1)
 
 
-# Columns per chunk of the rank kernel.  Its temporaries take about 12m
-# bytes per column (2 MB a chunk at m = 10), so they stay small beside a
-# whole-table input.
-_RANK_CHUNK = 1 << 14
-
-# k! for k < MAX_M; a rank is below (MAX_M - 1)! < 2**63, so int64 is exact.
-_FACTORIALS = np.array([factorial(k) for k in range(MAX_M)], dtype=np.int64)
-
-
-def ids_of_positions(pos: np.ndarray) -> np.ndarray:
-    """Cycle ids from value positions, one word per column, as (B,) int64.
-
-    pos[v, i] is the position of value v + 1 in word i, which may be any
-    rotation of an anchored word.  Anchoring at the value 1 gives
-    q_v = (pos_v - pos_0) mod m, the position of value v + 1 in the
-    anchored word, and its lexicographic rank among the (m-1)! anchored
-    words is the Lehmer code sum over v of #{u < v : q_u > q_v} times
-    (m - 1 - q_v)!: the smaller values that come later, weighted by the
-    number of words sharing the prefix up to q_v.
-    """
-    m, n = pos.shape
-    weight = _FACTORIALS[m - 1::-1]  # weight[q] = (m - 1 - q)!
-    ids = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _RANK_CHUNK):
-        # int16, since a uint8 difference would wrap mod 256, not mod m; C
-        # order, since a transposed input would make every row strided
-        q = pos[:, lo:lo + _RANK_CHUNK].astype(np.int16, order="C")
-        q -= q[0].copy()
-        q += np.int16(m) * (q < 0)
-        at = q.astype(np.intp)  # gather index, converted once, not per value
-        acc = np.zeros(q.shape[1], dtype=np.int64)
-        for v in range(1, m):
-            # the count is below 16, so it sums in uint8
-            acc += (q[:v] > q[v]).sum(axis=0, dtype=np.uint8) * weight[at[v]]
-        ids[lo:lo + q.shape[1]] = acc
-    return ids
-
-
 # A cold single-block table build peaks at about 2.2 times its word table
 # of (m-1)! m bytes (1,061 MB beside 479 MB at m = 12), so a level whose
 # word table, times this factor, exceeds the physical memory is refused.
@@ -293,11 +251,11 @@ def _check_memory(m: int) -> None:
 
 
 class CycleIndex:
-    """Lex-ordered table of all (m-1)! anchored words with word -> id lookup.
+    """Lex-ordered table of all (m-1)! anchored words, row 0 the base.
 
-    Cycle ids used across the package are row positions in this table, that
-    is the lexicographic rank of the anchored word; a word's id is computed
-    as that rank by ids_of_positions, not searched for.
+    Only the representative filter reads the whole table: every other
+    table of the package is keyed on the stabilizer-orbit representatives,
+    and a word is looked up by its orbit (orbit_ids), never by its row.
     """
 
     def __init__(self, m: int):
@@ -305,19 +263,10 @@ class CycleIndex:
         _check_memory(m)
         self.m = m
         self.seqs = all_cycle_seqs(m)
-        self._inverse_ids: np.ndarray | None = None
         self._representatives: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.seqs.shape[0]
-
-    def id_of_words(self, words: np.ndarray) -> np.ndarray:
-        """Ids for rows that may be arbitrary rotations of anchored words."""
-        words = np.asarray(words, dtype=np.uint8)
-        rows = words.reshape(-1, self.m)
-        pos = np.empty((self.m, rows.shape[0]), dtype=np.uint8)
-        pos[rows.T - 1, np.arange(rows.shape[0])] = np.arange(self.m, dtype=np.uint8)[:, None]
-        return ids_of_positions(pos).reshape(words.shape[:-1])
 
     def representatives(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical keys of the stabilizer orbits, ascending, and how many
@@ -331,9 +280,3 @@ class CycleIndex:
         """Position of each row's stabilizer orbit among representatives(),
         for rows that may be arbitrary rotations of anchored words."""
         return np.searchsorted(self.representatives()[0], canonical_keys(words))
-
-    def inverse_ids(self) -> np.ndarray:
-        """Permutation of ids sending each cycle to its inverse (an involution)."""
-        if self._inverse_ids is None:
-            self._inverse_ids = self.id_of_words(invert_seqs(self.seqs))
-        return self._inverse_ids

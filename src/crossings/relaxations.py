@@ -130,7 +130,7 @@ def coeff_tables(
     if kind == "single":
         blocks = [Block((m - 2, 1, 1), 0, hook_block_columns(m))]
     else:
-        blocks = build_blocks(tables.index)
+        blocks = build_blocks(m)
     dims = tuple(b.dim for b in blocks)
     tri = block_constraint_tables(tables, blocks)
     classes = tables.classes

@@ -1,19 +1,17 @@
 """Integer bases for the symmetry-reduced blocks of the relaxations.
 
 Each partition of m contributes a family of candidate cycle-space vectors,
-one per standard tableau (built here from row-rearrangement and signed
-column-group tables made once per shape; the tests check them against the
-scalar tableau chain in tests/oracles.py).  The span of that family has
-dimension equal to the number of standard tableaux with descent sum
-divisible by m, so a minimal spanning subset is extracted first: vectors are
-built a chunk at a time in the fixed tableau enumeration order into
-preallocated rows, and each chunk only adds its cross products to the
-integer Gram matrix of the rows kept so far; the scan stops at that
-dimension, so the vectors past the last one it reads are never built.  The
-survivors are then symmetrized by the inversion sign, and a maximal
-independent subfamily per sign yields the blocks, each recorded by its
-shape, sign and tableaux: the row vectors are only needed to select them,
-and the coefficient tables are computed from the tableaux alone.
+one per standard tableau, whose span has dimension equal to the number of
+standard tableaux with descent sum divisible by m.  No vector is built.  A
+tableau is handled through its row cascade, a signed sum of tabloids read
+from row and column group tables made once per shape (the tests check
+both against the scalar tableau chain in tests/oracles.py), and every
+Gram matrix of the vectors is a sum of m cascade lookups per entry
+(build_blocks).  A minimal spanning subset is extracted first, scanning
+the tableaux in their fixed enumeration order; the survivors are then
+symmetrized by the inversion sign, and a maximal independent subfamily per
+sign yields the blocks, each recorded by its shape, sign and tableaux,
+from which the coefficient tables are computed.
 
 Independence decisions are made exactly, by one routine: fraction-free
 symmetric elimination over Python ints (psd_pivots), which on a Gram matrix
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import CycleIndex
+from .cycles import _check_m, _pack_nibbles
 from .errors import ArgumentError, CrossingsError, ResourceError
 from .tableaux import (block_multiplicity, conjugate, lex_permutations, partitions,
                        standard_tableaux)
@@ -58,11 +56,9 @@ def _product(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cartesian product of (rows, signs) factors, first factor slowest, as
     a nested loop would run: rows concatenate, signs multiply."""
-    rows = np.zeros((1, 0), dtype=np.uint8)
-    signs = np.ones(1, dtype=np.int8)
-    for f_rows, f_signs in factors:
-        rows = np.hstack([np.repeat(rows, len(f_rows), axis=0), np.tile(f_rows, (len(rows), 1))])
-        signs = np.repeat(signs, len(f_signs)) * np.tile(f_signs, len(signs))
+    picks = np.indices([len(f_signs) for _, f_signs in factors]).reshape(len(factors), -1)
+    rows = np.hstack([f_rows[k] for (f_rows, _), k in zip(factors, picks)])
+    signs = np.prod([f_signs[k] for (_, f_signs), k in zip(factors, picks)], axis=0, dtype=np.int8)
     return rows, signs
 
 
@@ -92,24 +88,76 @@ def shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rearr, signs, crows
 
 
-def _tableau_vectors(
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray], ts, index: CycleIndex
-) -> np.ndarray:
-    """Cycle-space vectors of the column tableaux ts, (len(ts), N), from the
-    tables of their shape."""
-    rearr, signs, crows = tables
-    m = index.m
-    tinv = np.empty((len(ts), m), dtype=np.intp)
-    for k, t in enumerate(ts):
-        tinv[k, [v - 1 for row in t for v in row]] = np.arange(m)
-    holder = rearr[:, tinv].swapaxes(0, 1)  # (K, R, m): cell of p+1 per rearrangement
-    words = crows[:, holder]  # (C, K, R, m)
-    slots = index.id_of_words(words.reshape(-1, m)).reshape(words.shape[:-1])
-    slots += (np.arange(len(ts)) * len(index))[:, None]
-    # float weights are exact here: every sum is an integer below C * R
-    weights = np.broadcast_to(signs[:, None, None], slots.shape)
-    sums = np.bincount(slots.ravel(), weights.ravel(), minlength=len(ts) * len(index))
-    return sums.astype(np.int64).reshape(len(ts), len(index))
+# -- row cascades ------------------------------------------------------------
+#
+# A row cascade is a pair (cells, coeffs) with (N,) int64 coefficients,
+# distinct and nonzero: one sorted row of m uint8 cells 16*(r-1) + (v-1)
+# per tabloid, value v in diagram row r.  Where it is looked up, a tabloid
+# is keyed by the row of each value in value order (_value_rows).
+
+Cascade = tuple[np.ndarray, np.ndarray]
+
+_COEFF_LIMIT = 1 << 62
+
+
+def _check_range(bound: int) -> None:
+    """Refuse a step whose coefficients could leave +-2**62 before int64 wraps."""
+    if bound >= _COEFF_LIMIT:
+        raise ResourceError(f"coefficient bound {bound} exceeds the int64 range of the expansion")
+
+
+def _row_cascade(t: Filling, shape: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Cascade:
+    """The row cascade of a column tableau t: |C| sign(g) times the tabloid
+    that puts t(y) in the diagram row of cell g(r(y)), summed over g in the
+    column group and r in the row group, equal tabloids merged.
+
+    shape is shape_tables of the shape of t: the row group on cells, the
+    column signs and the column group as base values.  A merged
+    coefficient is at most |C| |C| |R|, checked before any tabloid is built.
+    """
+    rearr, signs, crows = shape
+    _check_range(len(signs) ** 2 * len(rearr))
+    lam = tuple(map(len, t))
+    row_of_cell = np.repeat(np.arange(len(lam), dtype=np.uint8), lam)
+    values = np.array([v - 1 for r in t for v in r], dtype=np.uint8)
+    cells = (row_of_cell[crows - 1][:, rearr] << 4 | values).reshape(-1, len(values))
+    cells.sort(axis=1)
+    keys = _pack_nibbles((cells & 15).T)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    coeffs = np.repeat(len(signs) * signs.astype(np.int64), len(rearr))
+    sums = np.add.reduceat(coeffs[order], starts)
+    keep = sums != 0
+    return cells[order[starts[keep]]], sums[keep]
+
+
+def _value_rows(cascade: Cascade, lam: tuple[int, ...]) -> np.ndarray:
+    """(N, m) uint8, the diagram row of each value in each tabloid of a row
+    cascade of shape lam, checked to hold each value once and lam[c] values
+    in row c; raised, so the checks hold under python -O."""
+    cells, m = cascade[0], sum(lam)
+    values = cells & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, values, dtype=np.uint32), axis=1)
+    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
+        raise CrossingsError("row cascade holds a tabloid without each value once")
+    if (cells >> 4 != np.repeat(np.arange(len(lam)), lam)).any():
+        raise CrossingsError("row cascade holds a tabloid off the row lengths of its shape")
+    rows = np.empty_like(cells)
+    np.put_along_axis(rows, values.astype(np.intp), cells >> 4, axis=1)
+    return rows
+
+
+def tabloid_keys(t: Filling, pos: np.ndarray) -> np.ndarray:
+    """Keys (..., m) of the tabloids T_t(w) of the m rotations w of words
+    given by the position of each value, pos (m, ...) uint8.  T_t(w) puts
+    letter w[p] in the row of t holding p + 1; rotation r has letter
+    w[p + r] at p, so value v goes to the row of t holding pos[v] - r + 1."""
+    m = len(pos)
+    rows = np.empty(m, dtype=np.uint8)
+    for r, row in enumerate(t):
+        rows[[v - 1 for v in row]] = r
+    return _pack_nibbles(rows[(np.arange(m)[:, None] - np.arange(m)) % m][pos])
 
 
 def _reduce_row(reduced: list[list[int]], row: list[int]) -> list[int] | None:
@@ -150,68 +198,66 @@ def psd_pivots(mat) -> list[int] | None:
     return [x[k] for k, x in enumerate(reduced)]
 
 
-# words per chunk of tableau vectors, so one chunk stays a few megabytes
-_CHUNK_WORDS = 1 << 16
+def _base_positions(m: int) -> np.ndarray:
+    """(m, 2) uint8: the position of each value v in the 0-based base word
+    (0, 1, ..., m-1), then in its inverse (0, m-1, ..., 1)."""
+    return np.array([[v, -v % m] for v in range(m)], dtype=np.uint8)
 
 
-def build_blocks(index: CycleIndex) -> list[Block]:
+def build_blocks(m: int) -> list[Block]:
     """All nonempty blocks for one cycle length, in a fixed order.
 
-    Partitions are visited in descending lex order.  For each shape the
-    standard-tableau vectors are built a chunk at a time, in enumeration
-    order, into preallocated span rows; a vector is kept when its pivot
-    against the Gram matrix of the kept rows is nonzero, and the scan stops
-    at the descent-sum count, so no chunk asks for more rows than are still
-    missing.  With P the inversion, the rows w + s wP have the Gram matrix
-    2G + s(G_P + G_P^T), G_P = span (span P)^T, so the sign split (even
-    sign first) never builds the flipped rows.  The rows of every returned
-    block are independent over the rationals.
+    Partitions are visited in descending lex order.  The Gram matrix of the
+    tableau vectors is their pairing form at class 0, which holds the base
+    cycle alone: G[a, b] sums c_a(T_b(w)) over the m rotations w of the
+    base word (coeffs explains the notation), and G_P[a, b] = <v_a, v_b o P>,
+    P the inversion, is the same sum over the inverse base word; both are
+    symmetric.  For each shape the standard tableaux are scanned in order,
+    each candidate's rows of G and G_P read in one searchsorted of its
+    cascade, and it is kept when its pivot against the kept rows is
+    nonzero, up to the descent-sum count.  The rows w + s wP have the Gram
+    matrix 2G + 2s G_P, which splits the span by sign, even first.  The
+    rows of every returned block are independent over the rationals.
     """
-    inv_ids = index.inverse_ids()
-    width = len(index)
+    _check_m(m)
+    base = _base_positions(m)
     blocks: list[Block] = []
-    for lam in partitions(index.m):
+    for lam in partitions(m):
         target = block_multiplicity(lam)
         if target == 0:
             continue
-        ts = standard_tableaux(lam)
-        tables = shape_tables(lam)
-        per_tableau = len(tables[0]) * len(tables[1])  # words: R rearrangements x C
-        span = np.empty((target, width), dtype=np.int64)
-        gram = np.zeros((target, target), dtype=np.int64)
+        shape = shape_tables(lam)
+        at = np.empty((target + 1, 2, m), dtype=np.uint64)  # tabloids of kept, candidate
+        grams = np.zeros((2, target, target), dtype=np.int64)  # G, G_P
         reduced: list[list[int]] = []
         span_ts: list[Filling] = []
-        pos = 0
-        while len(span_ts) < target and pos < len(ts):
-            n = len(span_ts)
-            chunk = ts[pos : pos + min(target - n, max(1, _CHUNK_WORDS // per_tableau))]
-            pos += len(chunk)
-            new = span[n : n + len(chunk)]
-            new[:] = _tableau_vectors(tables, chunk, index)
-            if int(np.abs(new).max()) ** 2 * width >= 2**62:
-                raise ResourceError("tableau vector entries too large for int64 Gram products")
-            cross = (span[: n + len(chunk)] @ new.T).tolist()
-            kept = list(range(n))
-            for j, t in enumerate(chunk):
-                row = [cross[i][j] for i in kept] + [cross[n + j][j]]
-                x = _reduce_row(reduced, row)
-                if x is None:
-                    raise CrossingsError(f"shape {lam}: tableau vector Gram matrix is not PSD")
-                if x[-1]:
-                    k = len(kept)
-                    gram[k, : k + 1] = gram[: k + 1, k] = row
-                    kept.append(n + j)
-                    reduced.append(x)
-                    span_ts.append(t)
-            span[n : len(kept)] = span[kept[n:]]
+        for t in standard_tableaux(lam):
+            k = len(span_ts)
+            if k == target:
+                break
+            at[k] = tabloid_keys(t, base)
+            cells, coeffs = _row_cascade(t, shape)
+            keys = _pack_nibbles(_value_rows((cells, coeffs), lam).T)
+            order = np.argsort(keys)
+            keys, coeffs = keys[order], coeffs[order]
+            _check_range(m * int(np.abs(coeffs).max(initial=0)))
+            hit = np.searchsorted(keys, at[: k + 1]).clip(max=keys.size - 1)
+            sums = np.where(keys[hit] == at[: k + 1], coeffs[hit], 0).sum(axis=-1)
+            x = _reduce_row(reduced, sums[:, 0].tolist())
+            if x is None:
+                raise CrossingsError(f"shape {lam}: tableau vector Gram matrix is not PSD")
+            if x[-1]:
+                grams[:, k, : k + 1] = grams[:, : k + 1, k] = sums.T
+                reduced.append(x)
+                span_ts.append(t)
         if len(span_ts) != target:
             raise CrossingsError(
                 f"shape {lam}: tableau vectors span {len(span_ts)} dimensions, expected {target}"
             )
-        flip = np.column_stack([span @ w[inv_ids] for w in span]).astype(object)
+        gram, flip = grams.astype(object)
         split = 0
         for sign in (1, -1):
-            pivots = psd_pivots(2 * gram.astype(object) + sign * (flip + flip.T))
+            pivots = psd_pivots(2 * gram + 2 * sign * flip)
             if pivots is None:
                 raise CrossingsError(f"shape {lam}: Gram matrix of sign {sign:+d} is not PSD")
             sel = [i for i, p in enumerate(pivots) if p]

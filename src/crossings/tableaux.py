@@ -19,6 +19,7 @@ bijectively; standard means rows and columns increase.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -96,14 +97,13 @@ def block_multiplicity(lam: tuple[int, ...]) -> int:
 
 def lex_permutations(k: int) -> tuple[np.ndarray, np.ndarray]:
     """All permutations of range(k) in lexicographic order, (k!, k) uint8,
-    with their int8 signs by inversion parity: a leading entry f precedes
-    exactly f smaller entries, so it contributes f inversions."""
-    perms = np.zeros((1, 0), dtype=np.uint8)
-    signs = np.ones(1, dtype=np.int8)
-    for n in range(1, k + 1):
-        first = np.repeat(np.arange(n, dtype=np.uint8), len(perms))
-        rest = np.tile(perms, (n, 1))
-        perms = np.column_stack([first, rest + (rest >= first[:, None])])
-        signs = np.tile(signs, n)
-        signs[first % 2 == 1] *= -1
-    return perms, signs
+    with their int8 signs by inversion parity.  The Lehmer codes (digit j
+    counts the smaller entries after position j) run in lexicographic
+    order with their permutations, and their digit sum is the inversion
+    count; each is decoded from the right, entry j taking the value d_j
+    and pushing every later entry at or above it up by one."""
+    perms = np.indices(tuple(range(k, 0, -1)), dtype=np.uint8).reshape(k, factorial(k))
+    signs = np.where(perms.sum(axis=0) % 2, np.int8(-1), np.int8(1))
+    for j in range(k - 2, -1, -1):
+        perms[j + 1 :] += perms[j + 1 :] >= perms[j]
+    return np.ascontiguousarray(perms.T), signs

@@ -21,6 +21,11 @@ production code also computes, by a slower and more literal route:
 - cycle ids by binary search of the packed keys of re-anchored words
   (pack_keys, words packed whole in the package's key format), and by the
   scalar lexicographic rank of one word;
+- the per-cycle route the package no longer takes: cycle ids ranked in
+  bulk from value positions (Lehmer codes), the inversion map on ids, the
+  class of every cycle, the tableau vectors over all cycles, and each
+  pairing form gathered over the row group of the column tableau, every
+  pattern ranked and its class read;
 - the swap distances by BFS over every word, with no quotienting;
 - the scalar tableau chain (polytabloid, the homomorphism into full orders,
   the projection to cycles) that builds one tableau vector at a time, with
@@ -46,6 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -53,6 +59,7 @@ import numpy as np
 from crossings.bounds import exact, truncated
 from crossings.coeffs import PairTables
 from crossings.cycles import (
+    MAX_M,
     CycleIndex,
     _check_m,
     _pack_nibbles,
@@ -64,7 +71,7 @@ from crossings.cycles import (
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.orbits import PairOrbits, swap_partner_words
 from crossings.relaxations import _solve_polished, _strict_start, scan_violations, split_triangles
-from crossings.repsets import Block, _tableau_vectors, psd_pivots, shape_tables
+from crossings.repsets import Block, _check_range, psd_pivots, shape_tables
 from crossings.swapgraph import UNREACHED, neighbor_words
 from crossings.tableaux import conjugate
 
@@ -102,7 +109,7 @@ class Cycle:
 
 def id_of(index: CycleIndex, c: Cycle) -> int:
     """Id of one cycle in the index, through the bulk rank lookup."""
-    return int(index.id_of_words(np.array([c.seq], dtype=np.uint8))[0])
+    return int(id_of_words(index, np.array([c.seq], dtype=np.uint8))[0])
 
 
 def orbit_id_of(index: CycleIndex, c: Cycle) -> int:
@@ -274,6 +281,75 @@ def lex_rank(word) -> int:
     return rank
 
 
+# -- cycle ids by rank, the per-cycle route ---------------------------------
+#
+# The package keys everything on stabilizer-orbit representatives; these
+# rank every cycle instead, and build the per-cycle tables the routes below
+# read: the lexicographic id of any rotation of a word, the inversion map on
+# ids and the class of every cycle.
+
+# Columns per chunk of the rank kernel; its temporaries take about 12m
+# bytes per column.
+_RANK_CHUNK = 1 << 14
+
+# k! for k < MAX_M; a rank is below (MAX_M - 1)! < 2**63, so int64 is exact.
+_FACTORIALS = np.array([factorial(k) for k in range(MAX_M)], dtype=np.int64)
+
+
+def ids_of_positions(pos: np.ndarray) -> np.ndarray:
+    """Cycle ids from value positions, one word per column, as (B,) int64.
+
+    pos[v, i] is the position of value v + 1 in word i, which may be any
+    rotation of an anchored word.  Anchoring at the value 1 gives
+    q_v = (pos_v - pos_0) mod m, the position of value v + 1 in the
+    anchored word, and its lexicographic rank among the (m-1)! anchored
+    words is the Lehmer code sum over v of #{u < v : q_u > q_v} times
+    (m - 1 - q_v)!: the smaller values that come later, weighted by the
+    number of words sharing the prefix up to q_v.
+    """
+    m, n = pos.shape
+    weight = _FACTORIALS[m - 1::-1]  # weight[q] = (m - 1 - q)!
+    ids = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _RANK_CHUNK):
+        # int16, since a uint8 difference would wrap mod 256, not mod m
+        q = pos[:, lo:lo + _RANK_CHUNK].astype(np.int16, order="C")
+        q -= q[0].copy()
+        q += np.int16(m) * (q < 0)
+        at = q.astype(np.intp)
+        acc = np.zeros(q.shape[1], dtype=np.int64)
+        for v in range(1, m):
+            acc += (q[:v] > q[v]).sum(axis=0, dtype=np.uint8) * weight[at[v]]
+        ids[lo:lo + q.shape[1]] = acc
+    return ids
+
+
+def id_of_words(index: CycleIndex, words: np.ndarray) -> np.ndarray:
+    """Ids for rows that may be arbitrary rotations of anchored words."""
+    words = np.asarray(words, dtype=np.uint8)
+    rows = words.reshape(-1, index.m)
+    pos = np.empty((index.m, rows.shape[0]), dtype=np.uint8)
+    pos[rows.T - 1, np.arange(rows.shape[0])] = np.arange(index.m, dtype=np.uint8)[:, None]
+    return ids_of_positions(pos).reshape(words.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def inverse_ids(index: CycleIndex) -> np.ndarray:
+    """Permutation of ids sending each cycle to its inverse (an involution),
+    computed once per index."""
+    return id_of_words(index, invert_seqs(index.seqs))
+
+
+@lru_cache(maxsize=None)
+def orbit_of_cycle(index: CycleIndex) -> np.ndarray:
+    """Stabilizer orbit of every cycle by id, computed once per index."""
+    return index.orbit_ids(index.seqs)
+
+
+def class_of_cycle(tables: PairTables) -> np.ndarray:
+    """(N,) int32, class of (base, tau) by cycle id of tau."""
+    return tables.classes.class_of_orbit[orbit_of_cycle(tables.index)]
+
+
 # -- stabilizer orbits by sorting the whole table ------------------------------
 
 
@@ -331,14 +407,14 @@ def orbit_of_pair(orbits: PairOrbits, sigma: Cycle, tau: Cycle) -> int:
 def class_ids_of_words(tables: PairTables, words: np.ndarray) -> np.ndarray:
     """Class ids of the pairs (base, tau) for each word tau, which may be
     any rotation of a cycle's word."""
-    return tables.class_of_cycle[tables.index.id_of_words(words)]
+    return class_of_cycle(tables)[id_of_words(tables.index, words)]
 
 
 def position_histogram_by_cycles(tables: PairTables, d: int) -> np.ndarray:
     """(C, m) counts of the cycles of each class by the letter at position
     d of their anchored word, counted over every cycle."""
     m, c = tables.m, tables.classes.count
-    cells = tables.class_of_cycle.astype(np.int64) * m + tables.index.seqs[:, d] - 1
+    cells = class_of_cycle(tables).astype(np.int64) * m + tables.index.seqs[:, d] - 1
     return np.bincount(cells, minlength=c * m).reshape(c, m)
 
 
@@ -486,7 +562,7 @@ def project_f(v: dict[Tabloid, int], index: CycleIndex) -> np.ndarray:
     w = np.zeros(len(index), dtype=np.int64)
     for s, coeff in v.items():
         word = np.array([r[0] for r in s], dtype=np.uint8)
-        w[index.id_of_words(word[None])[0]] += coeff
+        w[id_of_words(index, word[None])[0]] += coeff
     return w
 
 
@@ -511,11 +587,32 @@ def base_filling(lam: tuple[int, ...]) -> Filling:
 # -- block rows ----------------------------------------------------------------
 
 
+def tableau_vectors(
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray], ts, index: CycleIndex
+) -> np.ndarray:
+    """Cycle-space vectors of the column tableaux ts, (len(ts), N), in bulk
+    from the tables of their shape (repsets.shape_tables): the word of every
+    column-group element and row rearrangement, ranked."""
+    rearr, signs, crows = tables
+    m = index.m
+    tinv = np.empty((len(ts), m), dtype=np.intp)
+    for k, t in enumerate(ts):
+        tinv[k, [v - 1 for row in t for v in row]] = np.arange(m)
+    holder = rearr[:, tinv].swapaxes(0, 1)  # (K, R, m): cell of p+1 per rearrangement
+    words = crows[:, holder]  # (C, K, R, m)
+    slots = id_of_words(index, words.reshape(-1, m)).reshape(words.shape[:-1])
+    slots += (np.arange(len(ts)) * len(index))[:, None]
+    # float weights are exact here: every sum is an integer below C * R
+    weights = np.broadcast_to(signs[:, None, None], slots.shape)
+    sums = np.bincount(slots.ravel(), weights.ravel(), minlength=len(ts) * len(index))
+    return sums.astype(np.int64).reshape(len(ts), len(index))
+
+
 def block_rows(index: CycleIndex, block: Block) -> np.ndarray:
     """The (d, N) int64 rows of a block: each tableau vector plus its sign
     times its image under inversion (sign 0 leaves the tableau vectors)."""
-    vecs = _tableau_vectors(shape_tables(block.lam), block.tableaux, index)
-    return vecs + block.sign * vecs[:, index.inverse_ids()]
+    vecs = tableau_vectors(shape_tables(block.lam), block.tableaux, index)
+    return vecs + block.sign * vecs[:, inverse_ids(index)]
 
 
 def hook_dim(lam: tuple[int, ...]) -> int:
@@ -652,6 +749,53 @@ def direct_expansion(t1: Filling, t2: Filling, tables: PairTables) -> dict[int, 
         moved = relabel_to_base(word)[shifted]
         np.add.at(acc, class_ids_of_words(tables, moved), sgn * signs2)
     return {int(c): int(v) for c, v in enumerate(acc) if v}
+
+
+# -- class blocks by the row-group gather -------------------------------------
+
+# Most final patterns one batch of the gather holds; a row group larger than
+# this is cut into slices.
+_PATTERN_BATCH = 1 << 12
+
+
+def class_sums(rows_done, t2: Filling, group: np.ndarray, tables: PairTables) -> np.ndarray:
+    """The column half of the pairing forms of a row cascade against t2,
+    summed by class, by ranking every pattern: the per-cycle route.
+
+    A tabloid whose diagram row c holds, by p, the values placed at the
+    cells of row c of t2 expands to the sum of g o p over the row group of
+    t2, every term with coefficient 1.  Class sums are linear, so no term
+    is merged; the terms are gathered in batches of at most
+    _PATTERN_BATCH.  The group is given on cells, (m, R) with column g the
+    image of each row-major cell.
+
+    The tabloids are checked to hold each value once and len(row c) of t2
+    values in row c, so the k-th sorted cell is the k-th row-major cell of
+    t2; raised, so the checks hold under python -O, and every sum is
+    bounded before it is formed.
+    """
+    m, (cells, coeffs) = tables.m, rows_done
+    values = cells & 15
+    seen = np.bitwise_or.reduce(np.left_shift(1, values, dtype=np.uint32), axis=1)
+    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
+        raise CrossingsError("row cascade holds a tabloid without each value once")
+    if (cells >> 4 != np.repeat(np.arange(len(t2)), [len(r) for r in t2])).any():
+        raise CrossingsError("row cascade holds a tabloid off the row lengths of the column tableau")
+    slot = np.empty(cells.shape, dtype=np.intp)
+    np.put_along_axis(slot, values.astype(np.intp), np.arange(m), axis=1)
+    # column g: g(v) - 1 for the values v of t2 in row-major order
+    images = np.array([v - 1 for r in t2 for v in r], dtype=np.uint8)[group]
+    _check_range(int(np.abs(coeffs).max(initial=0)) * coeffs.size * images.shape[1])
+    acc = np.zeros(tables.classes.count, dtype=np.int64)
+    classes = class_of_cycle(tables)
+    step = max(1, _PATTERN_BATCH // images.shape[1])
+    for lo in range(0, coeffs.size, step):
+        for at in range(0, images.shape[1], _PATTERN_BATCH):
+            part = images[:, at : at + _PATTERN_BATCH]
+            pos = part[slot[lo : lo + step].T].reshape(m, -1)  # value v of term (k, g) at g(p_k(v))
+            np.add.at(acc, classes[ids_of_positions(pos)],
+                      np.repeat(coeffs[lo : lo + step], part.shape[1]))
+    return acc
 
 
 # -- class blocks by streaming over ordered pairs ------------------------------

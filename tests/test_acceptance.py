@@ -210,7 +210,7 @@ def test_criterion_3_block_dimensions():
     t0 = time.perf_counter()
     problems = []
     for m in range(4, 10):
-        blocks = build_blocks(_index(m))
+        blocks = build_blocks(m)
         got = Counter(b.dim for b in blocks)
         if got != Counter(BLOCK_DIMS[m]):
             problems.append(f"m={m}: dimensions {dict(got)}, want {BLOCK_DIMS[m]}")

@@ -7,29 +7,40 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crossings import coeffs
+from crossings import coeffs, cycles
 from crossings.coeffs import (
     PairTables,
-    _class_sums,
     _hook_forms,
     _hook_offset,
     _offset_weights,
-    _row_cascade,
+    _shift_sums,
+    _tabloid_forms,
     block_constraint_tables,
 )
-from crossings.cycles import CycleIndex, ids_of_positions, image_letters
+from crossings.cycles import image_letters
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.relaxations import split_triangles
-from crossings.repsets import Block, build_blocks, hook_block_columns, row_group, shape_tables
+from crossings.repsets import (
+    Block,
+    _row_cascade,
+    _value_rows,
+    build_blocks,
+    hook_block_columns,
+    row_group,
+    shape_tables,
+)
 from crossings.tableaux import standard_tableaux
 from oracles import (
     _expansion_words,
     base_filling,
     block_rows,
     class_ids_of_words,
+    class_of_cycle,
+    class_sums,
     compose_word,
     direct_expansion,
     hook_block_matrix,
+    ids_of_positions,
     monomial_to_orbit,
     pair_stream_forms,
     pair_stream_hook_table,
@@ -41,6 +52,14 @@ from oracles import (
 )
 
 TABLES = {m: PairTables.build(m) for m in range(4, 8)}
+
+
+class TableAllocated(Exception):
+    pass
+
+
+def no_table(m):
+    raise TableAllocated(m)
 
 
 def tri_pairs(d):
@@ -127,7 +146,7 @@ def test_hook_table_routes_agree(m):
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_block_table_routes_agree(m):
     t = TABLES[m]
-    blocks = build_blocks(t.index)
+    blocks = build_blocks(m)
     poly = split_triangles(block_constraint_tables(t, blocks), tuple(b.dim for b in blocks))
     pairs = pair_stream_forms(t, [block_rows(t.index, b) for b in blocks])
     for b, x, y in zip(blocks, poly, pairs):
@@ -190,11 +209,14 @@ def hook_forms(t, offsets, weights):
 
 
 @pytest.mark.parametrize("m", range(4, 11))
-def test_position_histograms_match_the_cycle_count(m):
-    # the single path reads the representatives alone, never the per-cycle table
+def test_position_histograms_match_the_cycle_count(m, monkeypatch):
+    # the single path reads the representatives alone: it builds no
+    # per-cycle table, and reads no word table to build one from
     t = PairTables.build(m)
-    hook_table(t)
-    assert "class_of_cycle" not in t.__dict__
+    with monkeypatch.context() as patch:
+        patch.setattr(t.index, "seqs", None)
+        patch.setattr(cycles, "all_cycle_seqs", no_table)
+        hook_table(t)
     # one column per letter: each offset's whole histogram
     eye = np.eye(m, dtype=np.int64)
     for d in range(m):
@@ -248,7 +270,7 @@ def test_hook_kernel_matches_the_gather(m, kind):
     if kind == "single":
         entries = hook_block_entries([Block((m - 2, 1, 1), 0, hook_block_columns(m))])
     else:
-        entries = hook_block_entries(build_blocks(t.index))
+        entries = hook_block_entries(build_blocks(m))
         assert any(tb[1] != (2,) for _, pairs in entries for _, tb in pairs)
     shape = shape_tables((m - 2, 1, 1))
     group = cell_group((m - 2, 1, 1))
@@ -256,8 +278,26 @@ def test_hook_kernel_matches_the_gather(m, kind):
         weights = np.column_stack([_offset_weights(ta) for ta, _ in pairs])
         got = hook_forms(t, [_hook_offset(tb) for _, tb in pairs], weights)
         for k, (ta, tb) in enumerate(pairs):
-            want = _class_sums(_row_cascade(ta, shape), tb, group, t)
+            want = class_sums(_row_cascade(ta, shape), tb, group, t)
             assert (got[:, k] == want).all(), (ta, tb)
+
+
+def test_tabloid_kernel_matches_the_gather():
+    # every form of every block of the full relaxation at m=8 but the hook
+    # ones, against the per-cycle gather
+    m = 8
+    t = PairTables.build(m)
+    blocks = [b for b in build_blocks(m) if b.lam != (m - 2, 1, 1)]
+    for lam in dict.fromkeys(b.lam for b in blocks):
+        shape, group = shape_tables(lam), cell_group(lam)
+        ts = list(dict.fromkeys(ta for b in blocks if b.lam == lam for ta in b.tableaux))
+        keys, table = _shift_sums(ts, lam)
+        for b in blocks:
+            for j, tb in enumerate(b.tableaux if b.lam == lam else ()):
+                got = _tabloid_forms(t, tb, keys, table)
+                for ta in b.tableaux[: j + 1]:
+                    want = class_sums(_row_cascade(ta, shape), tb, group, t)
+                    assert (got[:, ts.index(ta)] == want).all(), (ta, tb)
 
 
 def cascade_tabloids(cells, coeffs):
@@ -273,7 +313,7 @@ def cascade_tabloids(cells, coeffs):
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_row_cascade_matches_the_polytabloid_sum(m):
-    for b in build_blocks(TABLES[m].index):
+    for b in build_blocks(m):
         shape = shape_tables(b.lam)
         for t in b.tableaux:
             assert cascade_tabloids(*_row_cascade(t, shape)) == row_cascade_tabloids(t), t
@@ -305,7 +345,7 @@ HOOK_WEIGHTS_SHA256 = {
 @pytest.mark.parametrize("m", sorted(ROW_CASCADE_SHA256))
 def test_row_cascade_bytes_frozen(m):
     h = hashlib.sha256()
-    for b in build_blocks(CycleIndex(m)):
+    for b in build_blocks(m):
         shape = shape_tables(b.lam)
         for ta in b.tableaux:
             cells, coeffs = _row_cascade(ta, shape)
@@ -322,9 +362,13 @@ def test_hook_weights_bytes_frozen(m):
 
 
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))
-def test_block_tables_bytes_frozen(m):
+def test_block_tables_bytes_frozen(m, monkeypatch):
+    # every block reads the representatives alone: no per-cycle table is
+    # built, and no word table read to build one from
     t = TABLES.get(m) or PairTables.build(m)
-    blocks = build_blocks(t.index)
+    monkeypatch.setattr(t.index, "seqs", None)
+    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    blocks = build_blocks(m)
     tri = block_constraint_tables(t, blocks)
     assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
 
@@ -339,7 +383,7 @@ def test_diagonal_class_entries_are_gram_matrices(m):
     gram = hooks @ hooks.T
     for pos, (i, j) in enumerate(tri_pairs(hooks.shape[0])):
         assert tri[diag, pos] == gram[i, j]
-    blocks = build_blocks(t.index)
+    blocks = build_blocks(m)
     stacks = split_triangles(block_constraint_tables(t, blocks), tuple(b.dim for b in blocks))
     for b, a in zip(blocks, stacks):
         rows = block_rows(t.index, b)
@@ -398,8 +442,24 @@ def test_row_cascade_past_the_coefficient_limit_is_refused():
         _row_cascade(((1, 2, 3, 4),), (rearr, signs, crows))
 
 
+def test_tabloid_forms_past_the_coefficient_limit_are_refused():
+    # 2m lookups for each of the R representatives bound every sum: at m=4,
+    # 8 lookups over 3 representatives, so 24 max|c^| passes at 2**57 and
+    # reaches 2**62 at 2**58
+    t, tb = TABLES[4], ((1, 4), (2,), (3,))
+    assert t.index.representatives()[0].size == 3
+    keys, table = _shift_sums([tb], (2, 1, 1))
+    unit = table // 24  # the shift sums of the hook tableau are 0 and +-24
+    assert (24 * unit == table).all() and np.abs(unit).max() == 1
+    got = _tabloid_forms(t, tb, keys, unit * 2**57)
+    assert (got == 2**57 * _tabloid_forms(t, tb, keys, unit)).all()
+    with pytest.raises(ResourceError):
+        _tabloid_forms(t, tb, keys, unit * 2**58)
+
+
 def cell_group(lam):
-    """The row group of a shape on cells, laid out as _class_sums takes it."""
+    """The row group of a shape on cells, laid out as the gather oracle
+    (class_sums) takes it."""
     return np.ascontiguousarray(row_group(lam).T)
 
 
@@ -409,26 +469,34 @@ def test_expansion_checks_survive_optimization():
     hook = ((1, 4), (2,), (3,))
     group = cell_group((2, 1, 1))
 
+    def cascade(cells, coeffs=(1,)):
+        return np.array(cells, dtype=np.uint8), np.array(coeffs, dtype=np.int64)
+
     def sums(cells, coeffs=(1,)):
-        return _class_sums((np.array(cells, dtype=np.uint8), np.array(coeffs, dtype=np.int64)),
-                           hook, group, t)
+        return class_sums(cascade(cells, coeffs), hook, group, t)
 
     # cells are 16 (row - 1) + (value - 1): values 1, 2 in row 1, value 3 in
     # row 2, value 4 in row 3; values 1, 2 take the cells of 1, 4 in row 1
     # of the hook both ways, values 3 and 4 those of 2 and 3
     pos = np.array([[0, 3], [3, 0], [1, 1], [2, 2]], dtype=np.uint8)
-    want = np.bincount(t.class_of_cycle[ids_of_positions(pos)], minlength=t.classes.count)
+    want = np.bincount(class_of_cycle(t)[ids_of_positions(pos)], minlength=t.classes.count)
     assert (sums([[0x00, 0x01, 0x12, 0x23]]) == want).all()
+    # where the kernels key a cascade, by the row of each value
+    assert _value_rows(cascade([[0x00, 0x01, 0x12, 0x23]]), (2, 1, 1)).tolist() == [[0, 0, 1, 2]]
     # width other than m; a repeated value; a value past m, which must not
     # fail as an IndexError
     for bad in ([[0x00, 0x01, 0x12]], [[0x00, 0x00, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x2f]]):
         with pytest.raises(CrossingsError):
             sums(bad)
+        with pytest.raises(CrossingsError):
+            _value_rows(cascade(bad), (2, 1, 1))
     # each value once, but row content (1, 2, 1) against the hook's row
     # lengths (2, 1, 1), or a value in a row past the last
     for bad in ([[0x00, 0x11, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x33]]):
         with pytest.raises(CrossingsError):
             sums(bad)
+        with pytest.raises(CrossingsError):
+            _value_rows(cascade(bad), (2, 1, 1))
     # the bound is max|c| * tabloids * |R(tb)|: 2**61 * 1 * 2 reaches 2**62
     with pytest.raises(ResourceError):
         sums([[0x00, 0x01, 0x12, 0x23]], (2**61,))

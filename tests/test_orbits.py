@@ -19,6 +19,7 @@ from oracles import (
     Cycle,
     GroupElement,
     act,
+    inverse_ids,
     orbit_ids_of_tau_seqs,
     orbit_of_pair,
     pair_orbits_by_sort,
@@ -136,7 +137,7 @@ def test_cost_constant_on_orbits(m):
     idx, orbits = make(m)
     dist = distances_from_base(idx)[idx.orbit_ids(idx.seqs)]
     q = orbit_costs(idx, orbits)
-    inv = idx.inverse_ids()
+    inv = inverse_ids(idx)
     ids = orbit_ids_of_tau_seqs(orbits, idx.seqs)
     for r in range(orbits.num_orbits):
         member_ids = np.flatnonzero(ids == r)

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossings import cycles
 from crossings.cycles import CycleIndex, invert_seqs
 from crossings.errors import ArgumentError
 from crossings.orbits import orbit_census
 from crossings.repsets import (
     Block,
-    _tableau_vectors,
     build_blocks,
     hook_block_columns,
     psd_pivots,
@@ -28,10 +28,12 @@ from oracles import (
     hook_block_matrix,
     hook_block_values,
     independent_rows,
+    inverse_ids,
     pivoted_psd,
     repset_vector,
     signed_column_fillings,
     sorted_key_ids,
+    tableau_vectors,
 )
 
 DIMS = {
@@ -40,7 +42,16 @@ DIMS = {
     6: [2, 2, 2] + [1] * 8,
     7: [3] * 6 + [2] * 4 + [1] * 8,
     8: [7] * 2 + [5] * 2 + [4] * 9 + [3] * 7 + [2] * 4 + [1] * 9,
+    9: [12] * 8 + [11] * 2 + [9] * 6 + [7] * 3 + [6] * 5 + [5] * 2 + [4] * 2 + [3] * 16 + [1] * 5,
 }
+
+
+class TableAllocated(Exception):
+    pass
+
+
+def no_table(m):
+    raise TableAllocated(m)
 
 
 @lru_cache(maxsize=None)
@@ -113,9 +124,11 @@ def _multiplicities_by_characters(m: int) -> dict[tuple, tuple[int, int]]:
     return out
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
-def test_block_dimension_multisets(m):
-    dims = sorted(b.dim for b in build_blocks(CycleIndex(m)))
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
+def test_block_dimension_multisets(m, monkeypatch):
+    # the blocks come from the tableaux alone: no cycle table is built
+    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    dims = sorted(b.dim for b in build_blocks(m))
     assert dims == sorted(DIMS[m])
 
 
@@ -123,7 +136,7 @@ def test_block_dimension_multisets(m):
 def test_dimension_sums_count_orbits(m):
     idx = CycleIndex(m)
     _, pair_orbits, classes = orbit_census(idx)
-    dims = [b.dim for b in build_blocks(idx)]
+    dims = [b.dim for b in build_blocks(m)]
     assert sum(d * d for d in dims) == pair_orbits
     assert sum(d * (d + 1) // 2 for d in dims) == classes
 
@@ -131,7 +144,7 @@ def test_dimension_sums_count_orbits(m):
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_blocks_match_character_multiplicities(m):
     truth = _multiplicities_by_characters(m)
-    built = {(b.lam, b.sign): b.dim for b in build_blocks(CycleIndex(m))}
+    built = {(b.lam, b.sign): b.dim for b in build_blocks(m)}
     for lam, (even, odd) in truth.items():
         assert built.get((lam, 1), 0) == even, lam
         assert built.get((lam, -1), 0) == odd, lam
@@ -145,7 +158,7 @@ def test_vectorized_matches_direct_expansion(m):
     idx = CycleIndex(m)
     for lam in [(m - 2, 1, 1), (m - 1, 1), (2,) * (m // 2) + (1,) * (m % 2)]:
         ts = standard_tableaux(lam)[:6]
-        mat = _tableau_vectors(shape_tables(lam), ts, idx)
+        mat = tableau_vectors(shape_tables(lam), ts, idx)
         for row, t in zip(mat, ts):
             assert (row == repset_vector(lam, t, idx)).all()
 
@@ -153,8 +166,8 @@ def test_vectorized_matches_direct_expansion(m):
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_block_rows_have_declared_symmetry(m):
     idx = CycleIndex(m)
-    inv = idx.inverse_ids()
-    for b in build_blocks(idx):
+    inv = inverse_ids(idx)
+    for b in build_blocks(m):
         rows = block_rows(idx, b)
         assert (rows[:, inv] == b.sign * rows).all()
 
@@ -162,7 +175,7 @@ def test_block_rows_have_declared_symmetry(m):
 @pytest.mark.parametrize("m", [5, 6])
 def test_blocks_are_mutually_orthogonal(m):
     idx = CycleIndex(m)
-    rows = [block_rows(idx, b) for b in build_blocks(idx)]
+    rows = [block_rows(idx, b) for b in build_blocks(m)]
     for i, a in enumerate(rows):
         for b in rows[i + 1 :]:
             assert not (a @ b.T).any()
@@ -175,7 +188,7 @@ def test_rank_selection_is_order_independent(m):
         a = block_multiplicity(lam)
         if a == 0:
             continue
-        vecs = _tableau_vectors(shape_tables(lam), standard_tableaux(lam), idx)
+        vecs = tableau_vectors(shape_tables(lam), standard_tableaux(lam), idx)
         assert len(independent_rows(vecs)) == a
         assert len(independent_rows(np.ascontiguousarray(vecs[::-1]))) == a
 
@@ -264,7 +277,7 @@ def test_hook_evaluator_equals_direct_expansion(m):
 @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
 def test_hook_evaluator_is_inversion_odd(m):
     idx = CycleIndex(m)
-    inv = idx.inverse_ids()
+    inv = inverse_ids(idx)
     mat = hook_block_matrix(idx.seqs)
     assert mat.shape == ((m - 1) // 2, len(idx))
     assert (mat[:, inv] == -mat).all()
@@ -273,7 +286,7 @@ def test_hook_evaluator_is_inversion_odd(m):
 @pytest.mark.parametrize("m", [5, 6, 7])
 def test_hook_block_spans_built_odd_block(m):
     idx = CycleIndex(m)
-    blocks = [b for b in build_blocks(idx) if b.lam == (m - 2, 1, 1)]
+    blocks = [b for b in build_blocks(m) if b.lam == (m - 2, 1, 1)]
     assert [b.sign for b in blocks] == [-1]
     d = (m - 1) // 2
     assert blocks[0].dim == d
@@ -285,16 +298,17 @@ def test_hook_block_spans_built_odd_block(m):
 
 def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]]:
     """Block construction over every tableau vector of a shape at once, then
-    one greedy scan: the selection build_blocks streams, kept as an oracle.
-    Each block comes with the symmetrized rows the scan selected."""
-    inv_ids = index.inverse_ids()
+    one greedy scan: the selection build_blocks makes from Gram matrices,
+    kept as an oracle.  Each block comes with the symmetrized rows the scan
+    selected."""
+    inv_ids = inverse_ids(index)
     blocks = []
     for lam in partitions(index.m):
         target = block_multiplicity(lam)
         if target == 0:
             continue
         ts = standard_tableaux(lam)
-        vecs = _tableau_vectors(shape_tables(lam), ts, index)
+        vecs = tableau_vectors(shape_tables(lam), ts, index)
         keep = independent_rows(vecs, stop_at=target)
         assert len(keep) == target
         span, span_ts = vecs[keep], [ts[i] for i in keep]
@@ -307,9 +321,11 @@ def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
-def test_streamed_blocks_match_all_vector_selection(m):
+def test_streamed_blocks_match_all_vector_selection(m, monkeypatch):
     idx = CycleIndex(m)
-    got, want = build_blocks(idx), _blocks_from_all_vectors(idx)
+    want = _blocks_from_all_vectors(idx)
+    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    got = build_blocks(m)
     assert [(b.lam, b.sign, b.tableaux) for b in got] == [
         (b.lam, b.sign, b.tableaux) for b, _ in want
     ]
@@ -337,9 +353,7 @@ def test_shape_tables_match_the_scalar_groups(m):
 _BLOCK_CHECKS = """
 import numpy as np
 import crossings.repsets as repsets
-from crossings.cycles import CycleIndex
 from crossings.errors import CrossingsError, ResourceError
-from crossings.tableaux import standard_tableaux
 
 def refused(kind, call):
     try:
@@ -349,28 +363,35 @@ def refused(kind, call):
         return
     raise SystemExit(f"no {kind.__name__} from {call}")
 
-idx = CycleIndex(5)
-# Gram products of entries this large could wrap in int64
-true_vectors = repsets._tableau_vectors
-repsets._tableau_vectors = lambda tables, ts, index: np.full(
-    (len(ts), len(index)), 2**30, dtype=np.int64)
-refused(ResourceError, lambda: repsets.build_blocks(idx))
-repsets._tableau_vectors = true_vectors
-# a value map that is no permutation: each column goes to the column where
-# the first (3, 2) vector is most opposed to it, so 2G + G_P + G_P^T < 0
-v = true_vectors(repsets.shape_tables((3, 2)), standard_tableaux((3, 2))[:1], idx)[0]
-true_inverse = idx.inverse_ids
-idx.inverse_ids = lambda: np.where(v > 0, v.argmin(), v.argmax())
-refused(CrossingsError, lambda: repsets.build_blocks(idx))
-idx.inverse_ids = true_inverse
+# Gram sums of coefficients this large could wrap in int64
+true_cascade = repsets._row_cascade
+def huge(t, shape):
+    cells, coeffs = true_cascade(t, shape)
+    return cells, np.full(coeffs.shape, 2**60)
+repsets._row_cascade = huge
+refused(ResourceError, lambda: repsets.build_blocks(5))
+repsets._row_cascade = true_cascade
+# G_P read at one word, (1, 2, 4, 3, 5), m times in place of the m
+# rotations of the inverse base word: no flipped Gram matrix of a map on
+# cycles, and 2G + 2G_P < 0 on the first (3, 2) tableau
+true_keys = repsets.tabloid_keys
+def one_word(t, pos):
+    keys = true_keys(t, pos)
+    keys[1] = true_keys(t, np.array([0, 1, 3, 2, 4], dtype=np.uint8))[0]
+    return keys
+repsets.tabloid_keys = one_word
+refused(CrossingsError, lambda: repsets.build_blocks(5))
+repsets.tabloid_keys = true_keys
 # a multiplicity the tableau vectors cannot reach
 true_mult = repsets.block_multiplicity
 repsets.block_multiplicity = lambda lam: true_mult(lam) + (lam == (3, 1, 1))
-refused(CrossingsError, lambda: repsets.build_blocks(idx))
+refused(CrossingsError, lambda: repsets.build_blocks(5))
 repsets.block_multiplicity = true_mult
-# an inversion map that is no involution splits the span into too many rows
-idx.inverse_ids = lambda: np.roll(np.arange(len(idx)), 1)
-refused(CrossingsError, lambda: repsets.build_blocks(idx))
+# inverse base words whose tabloids lie in no shape but (m): G_P = 0, so
+# both signs keep the whole span
+true_base = repsets._base_positions
+repsets._base_positions = lambda m: true_base(m) * np.array([1, 0], dtype=np.uint8)
+refused(CrossingsError, lambda: repsets.build_blocks(5))
 """
 
 

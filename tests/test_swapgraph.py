@@ -4,7 +4,7 @@ import pytest
 from crossings.cycles import CycleIndex, all_cycle_seqs, canonical_keys
 from crossings.orbits import orbit_census
 from crossings.swapgraph import distances_from_base, neighbor_words, self_cost
-from oracles import Cycle, distances_from_base_unpruned, id_of, orbit_id_of
+from oracles import Cycle, distances_from_base_unpruned, id_of, id_of_words, orbit_id_of
 
 
 def test_neighbor_words_are_valid_and_adjacent():
@@ -27,7 +27,7 @@ def test_neighbor_relation_symmetric():
     adj = set()
     for i in range(len(idx)):
         for nb in neighbor_words(idx.seqs[i]):
-            j = int(idx.id_of_words(nb[None])[0])
+            j = int(id_of_words(idx, nb[None])[0])
             adj.add((i, j))
     assert all((j, i) in adj for i, j in adj)
     # swaps never fix a cycle

@@ -22,6 +22,7 @@ from oracles import (
     base_filling,
     compose_word,
     hook_dim,
+    id_of_words,
     perm_sign,
     polytabloid,
     project_f,
@@ -202,7 +203,7 @@ def test_project_single_tabloids():
     rotated = project_f({((2,), (3,), (1,)): 1}, idx)
     assert (v == rotated).all()
     assert v.sum() == 1
-    assert v[idx.id_of_words(np.array([[1, 2, 3]], dtype=np.uint8))[0]] == 1
+    assert v[id_of_words(idx, np.array([[1, 2, 3]], dtype=np.uint8))[0]] == 1
 
 
 def test_hook_vector_m4_by_hand():
@@ -252,7 +253,7 @@ def test_project_is_equivariant(data):
     lhs = project_f({tuple((pi[x - 1],) for x in word): 3}, idx)
     # conjugating the cycle relabels its word entries
     relabeled = np.array([[pi[x - 1] for x in seq] for seq in idx.seqs], dtype=np.uint8)
-    image_ids = idx.id_of_words(relabeled)
+    image_ids = id_of_words(idx, relabeled)
     rhs = np.zeros_like(lhs)
     rhs[image_ids] = project_f(v, idx)
     assert (lhs == rhs).all()
