@@ -58,9 +58,9 @@ Filling = tuple[tuple[int, ...], ...]
 @dataclass
 class PairTables:
     """Stabilizer-orbit representatives plus the swap classes of the pair
-    orbits for one m, with the cost of each class (the swap distance from the base to the inverse
-    of the class representative's second component) and the class image of
-    inverting one pair component."""
+    orbits for one m, with the cost of each class (the swap distance from
+    the base to the inverse of the class representative's second
+    component) and the class image of inverting one pair component."""
 
     index: CycleIndex
     classes: SymmetricClasses  # class_of_orbit: class of (base, tau) by stabilizer orbit of tau
@@ -86,10 +86,10 @@ class PairTables:
 
 # -- tableau expansion -------------------------------------------------------
 
-# Representatives per chunk of both kernels; their temporaries take about
-# 40m bytes per representative, plus 4m per offset of the span in
-# _hook_forms (0.6 MB a chunk for the single block at m = 10) and 16m per
-# tableau in _tabloid_forms.
+# Representatives per chunk of both kernels.  The temporaries of _hook_forms
+# take about 40m bytes per representative plus 4m per offset of the span
+# (0.6 MB a chunk for the single block at m = 10), those of _tabloid_forms
+# about 2m^2 + 32m plus 16m per tableau of the shape.
 _HISTOGRAM_ROWS = 1 << 10
 
 # Tabloids per chunk of the shift orbit search (_shift_sums); its
