@@ -9,14 +9,16 @@ representative only.
 
 A block entry pairs two column tableaux ta and tb of one shape.  The
 pairing polynomial's differential-operator expansion has two halves.  The
-row half of ta is its row cascade c (repsets._row_cascade), a signed sum
-of tabloids.  The column half gives a cycle the sum of c(T_tb(w)) over the
-m rotations w of its word, T_tb(w) the tabloid that puts letter w[p] in
-the row of tb holding p + 1.  Summed over a class, that runs over the
-class's stabilizer-orbit representatives, their 2m images and the m
-rotations, each orbit divided by its stabilizer order; the images are the
-value shifts of a representative and of its reflected inverse, and a
-value shift of w shifts the values of T_tb(w), so the shifts fold into c.
+row half of ta is its row cascade c, a signed sum of tabloids: its
+shape's pattern table (repsets._pattern_table), merged once per shape,
+with each value in the column of its cell in ta.  The column half gives
+a cycle the sum of c(T_tb(w)) over the m rotations w of its word,
+T_tb(w) the tabloid that puts letter w[p] in the row of tb holding p + 1.
+Summed over a class, that runs over the class's stabilizer-orbit
+representatives, their 2m images and the m rotations, each orbit divided
+by its stabilizer order; the images are the value shifts of a
+representative and of its reflected inverse, and a value shift of w
+shifts the values of T_tb(w), so the shifts fold into c.
 An entry then costs 2m lookups per representative (_tabloid_forms), and
 no table over the (m-1)! cycles is built.  On the hook shape (m-2, 1, 1),
 the single block and one shape of the full relaxation, the lookups
@@ -49,7 +51,7 @@ import numpy as np
 from .cycles import CycleIndex, _pack_nibbles, image_letters, invert_seqs, unpack_keys
 from .errors import CrossingsError
 from .orbits import SymmetricClasses, build_pair_orbits
-from .repsets import Block, _check_range, _row_cascade, _value_rows, shape_tables, tabloid_keys
+from .repsets import Block, _cascade_rows, _check_range, _pattern_table, tabloid_keys
 from .swapgraph import distances_from_base
 
 Filling = tuple[tuple[int, ...], ...]
@@ -140,16 +142,16 @@ def _shift_sums(ts: list[Filling], lam: tuple[int, ...]) -> tuple[np.ndarray, np
     """The row cascades c of the tableaux ts of shape lam summed over the m
     value shifts, c^ = sum over s of c o shift_s: sorted tabloid keys and
     coefficients (U, len(ts)), closed by the largest u64 key, no tabloid's,
-    and a zero row.  c^ is the stabilizer order times the sum of c on each
-    shift orbit, found by the smallest key over the shifts of a tabloid."""
+    and a zero row.  Each c is the shape's pattern table relabeled by its
+    tableau.  c^ is the stabilizer order times the sum of c on each shift
+    orbit, found by the smallest key over the shifts of a tabloid."""
     m = sum(lam)
-    shape = shape_tables(lam)
+    patterns, _, pattern_coeffs = _pattern_table(lam)
+    _check_range(m * int(np.abs(pattern_coeffs).max(initial=0)))
     spread = (np.arange(m)[:, None] - np.arange(m)) % m  # [v, u]: value v of shift u was v - u
-    cascades = [_row_cascade(t, shape) for t in ts]
-    rows = np.concatenate([_value_rows(c, lam) for c in cascades]).T
-    coeffs = np.concatenate([c for _, c in cascades])
-    col = np.repeat(np.arange(len(ts)), [c.size for _, c in cascades])
-    _check_range(m * int(np.abs(coeffs).max(initial=0)))
+    rows = np.concatenate([_cascade_rows(t, patterns) for t in ts]).T
+    coeffs = np.tile(pattern_coeffs, len(ts))
+    col = np.repeat(np.arange(len(ts)), pattern_coeffs.size)
     low = np.empty(coeffs.size, dtype=np.uint64)
     fixed = np.empty(coeffs.size, dtype=np.int64)
     for lo in range(0, coeffs.size, _SHIFT_ROWS):

@@ -3,15 +3,16 @@
 Each partition of m contributes a family of candidate cycle-space vectors,
 one per standard tableau, whose span has dimension equal to the number of
 standard tableaux with descent sum divisible by m.  No vector is built.  A
-tableau is handled through its row cascade, a signed sum of tabloids read
-from row and column group tables made once per shape (the tests check
-both against the scalar tableau chain in tests/oracles.py), and every
-Gram matrix of the vectors is a sum of m cascade lookups per entry
-(build_blocks).  A minimal spanning subset is extracted first, scanning
-the tableaux in their fixed enumeration order; the survivors are then
-symmetrized by the inversion sign, and a maximal independent subfamily per
-sign yields the blocks, each recorded by its shape, sign and tableaux,
-from which the coefficient tables are computed.
+tableau is handled through its row cascade, a signed sum of tabloids.  The
+cascades of a shape's tableaux are one pattern table, merged once from its
+row and column groups (the tests check both against the scalar tableau
+chain in tests/oracles.py), each tableau relabeling the table's columns by
+its values; every Gram matrix of the vectors is a sum of m pattern lookups
+per entry (build_blocks).  A minimal spanning subset is extracted first,
+scanning the tableaux in their fixed enumeration order; the survivors are
+then symmetrized by the inversion sign, and a maximal independent
+subfamily per sign yields the blocks, each recorded by its shape, sign
+and tableaux, from which the coefficient tables are computed.
 
 Independence decisions are made exactly, by one routine: fraction-free
 symmetric elimination over Python ints (psd_pivots), which on a Gram matrix
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import _check_m, _pack_nibbles
+from .cycles import _check_m, _pack_nibbles, unpack_keys
 from .errors import ArgumentError, CrossingsError, ResourceError
 from .tableaux import (block_multiplicity, conjugate, lex_permutations, partitions,
                        standard_tableaux)
@@ -90,12 +91,12 @@ def shape_tables(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 # -- row cascades ------------------------------------------------------------
 #
-# A row cascade is a pair (cells, coeffs) with (N,) int64 coefficients,
-# distinct and nonzero: one sorted row of m uint8 cells 16*(r-1) + (v-1)
-# per tabloid, value v in diagram row r.  Where it is looked up, a tabloid
-# is keyed by the row of each value in value order (_value_rows).
-
-Cascade = tuple[np.ndarray, np.ndarray]
+# The row cascades of a shape's tableaux share one pattern table (rows, keys,
+# coeffs): one row of m uint8 diagram rows per tabloid, read cell by cell in
+# row-major order, its packed key, sorted, and its (N,) int64 coefficient,
+# distinct and nonzero.  A tableau's cascade is the table with each value
+# taking the column of its cell (_cascade_rows): a tabloid keyed, where it
+# is looked up, by the row of each value in value order.
 
 _COEFF_LIMIT = 1 << 62
 
@@ -106,46 +107,42 @@ def _check_range(bound: int) -> None:
         raise ResourceError(f"coefficient bound {bound} exceeds the int64 range of the expansion")
 
 
-def _row_cascade(t: Filling, shape: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Cascade:
-    """The row cascade of a column tableau t: |C| sign(g) times the tabloid
-    that puts t(y) in the diagram row of cell g(r(y)), summed over g in the
-    column group and r in the row group, equal tabloids merged.
+def _pattern_table(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row cascade pattern table of a shape: |C| sign(g) times the
+    tabloid that puts cell y in the diagram row of cell g(r(y)), summed over
+    g in the column group and r in the row group, equal tabloids merged.
 
-    shape is shape_tables of the shape of t: the row group on cells, the
-    column signs and the column group as base values.  A merged
-    coefficient is at most |C| |C| |R|, checked before any tabloid is built.
+    The row cascade of a column tableau t of the shape puts t(y) where this
+    puts y, and relabeling keeps distinct tabloids distinct, so every
+    tableau shares the merge.  A merged coefficient is at most |C| |C| |R|,
+    checked before any tabloid is built.
     """
-    rearr, signs, crows = shape
+    rearr, signs, crows = shape_tables(lam)
     _check_range(len(signs) ** 2 * len(rearr))
-    lam = tuple(map(len, t))
     row_of_cell = np.repeat(np.arange(len(lam), dtype=np.uint8), lam)
-    values = np.array([v - 1 for r in t for v in r], dtype=np.uint8)
-    cells = (row_of_cell[crows - 1][:, rearr] << 4 | values).reshape(-1, len(values))
-    cells.sort(axis=1)
-    keys = _pack_nibbles((cells & 15).T)
+    rows = row_of_cell[crows - 1][:, rearr].reshape(-1, len(row_of_cell))
+    keys = _pack_nibbles(rows.T)
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     coeffs = np.repeat(len(signs) * signs.astype(np.int64), len(rearr))
     sums = np.add.reduceat(coeffs[order], starts)
     keep = sums != 0
-    return cells[order[starts[keep]]], sums[keep]
+    return rows[order[starts[keep]]], keys[starts[keep]], sums[keep]
 
 
-def _value_rows(cascade: Cascade, lam: tuple[int, ...]) -> np.ndarray:
-    """(N, m) uint8, the diagram row of each value in each tabloid of a row
-    cascade of shape lam, checked to hold each value once and lam[c] values
-    in row c; raised, so the checks hold under python -O."""
-    cells, m = cascade[0], sum(lam)
-    values = cells & 15
-    seen = np.bitwise_or.reduce(np.left_shift(1, values, dtype=np.uint32), axis=1)
-    if cells.shape[1] != m or (seen != (1 << m) - 1).any():
-        raise CrossingsError("row cascade holds a tabloid without each value once")
-    if (cells >> 4 != np.repeat(np.arange(len(lam)), lam)).any():
-        raise CrossingsError("row cascade holds a tabloid off the row lengths of its shape")
-    rows = np.empty_like(cells)
-    np.put_along_axis(rows, values.astype(np.intp), cells >> 4, axis=1)
-    return rows
+def _cascade_rows(t: Filling, rows: np.ndarray) -> np.ndarray:
+    """(N, m) uint8, the diagram row of each value in each tabloid of the
+    row cascade of t, from the pattern rows of its shape: value v + 1 takes
+    the column of its cell in t.  t is checked to hold each value once, in
+    rows of the lengths the patterns have; raised, so the checks hold under
+    python -O."""
+    values = [v - 1 for r in t for v in r]
+    if sorted(values) != list(range(rows.shape[1])):
+        raise CrossingsError(f"{t}: a row cascade needs each value 1..{rows.shape[1]} once")
+    if rows.size and np.bincount(rows[0]).tolist() != [len(r) for r in t]:
+        raise CrossingsError(f"{t}: off the row lengths of its cascade patterns")
+    return rows[:, np.argsort(values)]
 
 
 def tabloid_keys(t: Filling, pos: np.ndarray) -> np.ndarray:
@@ -213,11 +210,14 @@ def build_blocks(m: int) -> list[Block]:
     base word (coeffs explains the notation), and G_P[a, b] = <v_a, v_b o P>,
     P the inversion, is the same sum over the inverse base word; both are
     symmetric.  For each shape the standard tableaux are scanned in order,
-    each candidate's rows of G and G_P read in one searchsorted of its
-    cascade, and it is kept when its pivot against the kept rows is
-    nonzero, up to the descent-sum count.  The rows w + s wP have the Gram
-    matrix 2G + 2s G_P, which splits the span by sign, even first.  The
-    rows of every returned block are independent over the rationals.
+    and a candidate is kept when its pivot against the kept rows is
+    nonzero, up to the descent-sum count.  Its rows of G and G_P take one
+    searchsorted in the shape's pattern table: the tabloids of the kept
+    tableaux and its own, relabeled through its values from value order
+    to its cells, are the patterns its cascade puts there.  The rows
+    w + s wP have the Gram matrix 2G + 2s G_P, which splits the span by
+    sign, even first.  The rows of every returned block are independent
+    over the rationals.
     """
     _check_m(m)
     base = _base_positions(m)
@@ -226,8 +226,10 @@ def build_blocks(m: int) -> list[Block]:
         target = block_multiplicity(lam)
         if target == 0:
             continue
-        shape = shape_tables(lam)
-        at = np.empty((target + 1, 2, m), dtype=np.uint64)  # tabloids of kept, candidate
+        _, keys, coeffs = _pattern_table(lam)
+        _check_range(m * int(np.abs(coeffs).max(initial=0)))
+        # [v, k]: the row of value v in the tabloids of kept k, then the candidate
+        at = np.empty((m, target + 1, 2, m), dtype=np.uint8)
         grams = np.zeros((2, target, target), dtype=np.int64)  # G, G_P
         reduced: list[list[int]] = []
         span_ts: list[Filling] = []
@@ -235,14 +237,10 @@ def build_blocks(m: int) -> list[Block]:
             k = len(span_ts)
             if k == target:
                 break
-            at[k] = tabloid_keys(t, base)
-            cells, coeffs = _row_cascade(t, shape)
-            keys = _pack_nibbles(_value_rows((cells, coeffs), lam).T)
-            order = np.argsort(keys)
-            keys, coeffs = keys[order], coeffs[order]
-            _check_range(m * int(np.abs(coeffs).max(initial=0)))
-            hit = np.searchsorted(keys, at[: k + 1]).clip(max=keys.size - 1)
-            sums = np.where(keys[hit] == at[: k + 1], coeffs[hit], 0).sum(axis=-1)
+            at[:, k] = np.moveaxis(unpack_keys(tabloid_keys(t, base), m) - 1, -1, 0)
+            cells = _pack_nibbles(at[[v - 1 for r in t for v in r], : k + 1])
+            hit = np.searchsorted(keys, cells).clip(max=keys.size - 1)
+            sums = np.where(keys[hit] == cells, coeffs[hit], 0).sum(axis=-1)
             x = _reduce_row(reduced, sums[:, 0].tolist())
             if x is None:
                 raise CrossingsError(f"shape {lam}: tableau vector Gram matrix is not PSD")

@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crossings import coeffs, cycles
+from crossings import coeffs, cycles, repsets
 from crossings.coeffs import (
     PairTables,
     _hook_forms,
@@ -22,12 +23,11 @@ from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.relaxations import split_triangles
 from crossings.repsets import (
     Block,
-    _row_cascade,
-    _value_rows,
+    _cascade_rows,
+    _pattern_table,
     build_blocks,
     hook_block_columns,
     row_group,
-    shape_tables,
 )
 from crossings.tableaux import standard_tableaux
 from oracles import (
@@ -272,13 +272,12 @@ def test_hook_kernel_matches_the_gather(m, kind):
     else:
         entries = hook_block_entries(build_blocks(m))
         assert any(tb[1] != (2,) for _, pairs in entries for _, tb in pairs)
-    shape = shape_tables((m - 2, 1, 1))
     group = cell_group((m - 2, 1, 1))
     for b, pairs in entries:
         weights = np.column_stack([_offset_weights(ta) for ta, _ in pairs])
         got = hook_forms(t, [_hook_offset(tb) for _, tb in pairs], weights)
         for k, (ta, tb) in enumerate(pairs):
-            want = class_sums(_row_cascade(ta, shape), tb, group, t)
+            want = class_sums(row_cascade(ta), tb, group, t)
             assert (got[:, k] == want).all(), (ta, tb)
 
 
@@ -289,34 +288,53 @@ def test_tabloid_kernel_matches_the_gather():
     t = PairTables.build(m)
     blocks = [b for b in build_blocks(m) if b.lam != (m - 2, 1, 1)]
     for lam in dict.fromkeys(b.lam for b in blocks):
-        shape, group = shape_tables(lam), cell_group(lam)
+        group = cell_group(lam)
         ts = list(dict.fromkeys(ta for b in blocks if b.lam == lam for ta in b.tableaux))
         keys, table = _shift_sums(ts, lam)
         for b in blocks:
             for j, tb in enumerate(b.tableaux if b.lam == lam else ()):
                 got = _tabloid_forms(t, tb, keys, table)
                 for ta in b.tableaux[: j + 1]:
-                    want = class_sums(_row_cascade(ta, shape), tb, group, t)
+                    want = class_sums(row_cascade(ta), tb, group, t)
                     assert (got[:, ts.index(ta)] == want).all(), (ta, tb)
+
+
+@lru_cache(maxsize=1)  # callers visit the tableaux shape by shape
+def pattern_table(lam):
+    return _pattern_table(lam)
+
+
+def row_cascade(t):
+    """The row cascade of a column tableau t as cells: one sorted row of m
+    uint8 cells 16*(r-1) + (v-1) per tabloid, value v in diagram row r,
+    tabloids in lex order of their values read row by row, and the (N,)
+    int64 coefficients."""
+    rows, _, coeffs = pattern_table(tuple(map(len, t)))
+    value_rows = _cascade_rows(t, rows)
+    cells = value_rows << 4 | np.arange(value_rows.shape[1], dtype=np.uint8)
+    cells.sort(axis=1)
+    order = np.lexsort((cells & 15).T[::-1])
+    return cells[order], coeffs[order]
+
+
+def filling(cells):
+    """The rows of sorted values that a row of cells puts in each diagram row."""
+    rows = [[] for _ in range(max(cells) // 16 + 1)]
+    for cell in cells:
+        rows[cell >> 4].append((cell & 15) + 1)
+    return tuple(map(tuple, rows))
 
 
 def cascade_tabloids(cells, coeffs):
     """A row cascade as {tabloid: coefficient}, rows of sorted values."""
-    out = {}
-    for row, c in zip(cells.tolist(), coeffs.tolist()):
-        rows = [[] for _ in range(max(row) // 16 + 1)]
-        for cell in row:
-            rows[cell >> 4].append((cell & 15) + 1)
-        out[tuple(map(tuple, rows))] = c
-    return out
+    return {filling(row): c for row, c in zip(cells.tolist(), coeffs.tolist())}
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_row_cascade_matches_the_polytabloid_sum(m):
     for b in build_blocks(m):
-        shape = shape_tables(b.lam)
         for t in b.tableaux:
-            assert cascade_tabloids(*_row_cascade(t, shape)) == row_cascade_tabloids(t), t
+            assert cascade_tabloids(*row_cascade(t)) == row_cascade_tabloids(t), t
 
 
 # sha256 of the row cascades of every block tableau in build_blocks order
@@ -346,9 +364,8 @@ HOOK_WEIGHTS_SHA256 = {
 def test_row_cascade_bytes_frozen(m):
     h = hashlib.sha256()
     for b in build_blocks(m):
-        shape = shape_tables(b.lam)
         for ta in b.tableaux:
-            cells, coeffs = _row_cascade(ta, shape)
+            cells, coeffs = row_cascade(ta)
             h.update(cells.tobytes())
             h.update(np.ascontiguousarray(coeffs, dtype="<i8").tobytes())
     assert h.hexdigest() == ROW_CASCADE_SHA256[m]
@@ -431,15 +448,16 @@ def test_hook_weights_past_the_coefficient_limit_are_refused():
         _offset_weights(hook_tableau(14, 2, 3))
 
 
-def test_row_cascade_past_the_coefficient_limit_is_refused():
+def test_row_cascade_past_the_coefficient_limit_is_refused(monkeypatch):
     # |C| |C| |R| bounds every merged coefficient: 2**31 column signs and
     # two rearrangements, views of one element each, reach 2**63
     m = 4
     rearr = np.broadcast_to(np.arange(m, dtype=np.uint8), (2, m))
     crows = np.broadcast_to(np.arange(1, m + 1, dtype=np.uint8), (2**31, m))
     signs = np.broadcast_to(np.int8(1), (2**31,))
+    monkeypatch.setattr(repsets, "shape_tables", lambda lam: (rearr, signs, crows))
     with pytest.raises(ResourceError):
-        _row_cascade(((1, 2, 3, 4),), (rearr, signs, crows))
+        _pattern_table((m,))
 
 
 def test_tabloid_forms_past_the_coefficient_limit_are_refused():
@@ -481,22 +499,24 @@ def test_expansion_checks_survive_optimization():
     pos = np.array([[0, 3], [3, 0], [1, 1], [2, 2]], dtype=np.uint8)
     want = np.bincount(class_of_cycle(t)[ids_of_positions(pos)], minlength=t.classes.count)
     assert (sums([[0x00, 0x01, 0x12, 0x23]]) == want).all()
-    # where the kernels key a cascade, by the row of each value
-    assert _value_rows(cascade([[0x00, 0x01, 0x12, 0x23]]), (2, 1, 1)).tolist() == [[0, 0, 1, 2]]
+    # where the kernels key a cascade, by the row of each value: the tableau
+    # the cells make relabels the patterns, here the cell rows of (2, 1, 1)
+    patterns = np.array([[0, 0, 1, 2]], dtype=np.uint8)
+    assert _cascade_rows(filling([0x00, 0x01, 0x12, 0x23]), patterns).tolist() == [[0, 0, 1, 2]]
     # width other than m; a repeated value; a value past m, which must not
     # fail as an IndexError
     for bad in ([[0x00, 0x01, 0x12]], [[0x00, 0x00, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x2f]]):
         with pytest.raises(CrossingsError):
             sums(bad)
         with pytest.raises(CrossingsError):
-            _value_rows(cascade(bad), (2, 1, 1))
+            _cascade_rows(filling(*bad), patterns)
     # each value once, but row content (1, 2, 1) against the hook's row
     # lengths (2, 1, 1), or a value in a row past the last
     for bad in ([[0x00, 0x11, 0x12, 0x23]], [[0x00, 0x01, 0x12, 0x33]]):
         with pytest.raises(CrossingsError):
             sums(bad)
         with pytest.raises(CrossingsError):
-            _value_rows(cascade(bad), (2, 1, 1))
+            _cascade_rows(filling(*bad), patterns)
     # the bound is max|c| * tabloids * |R(tb)|: 2**61 * 1 * 2 reaches 2**62
     with pytest.raises(ResourceError):
         sums([[0x00, 0x01, 0x12, 0x23]], (2**61,))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -334,6 +335,22 @@ def test_streamed_blocks_match_all_vector_selection(m, monkeypatch):
         assert got_rows.dtype == rows.dtype and (got_rows == rows).all()
 
 
+# sha256 of the repr of each block's (shape, sign, tableaux) at m=10, in
+# build_blocks order, as selected when each candidate's row cascade was
+# built, sorted and merged on its own
+BLOCK_SELECTION_SHA256 = {
+    10: "65943e0585b923815dc5465c7d4f2e674d2d8911cf436284fe2d1e1528e5cf00",
+}
+
+
+@pytest.mark.parametrize("m", sorted(BLOCK_SELECTION_SHA256))
+def test_block_selection_frozen(m):
+    h = hashlib.sha256()
+    for b in build_blocks(m):
+        h.update(repr((b.lam, b.sign, b.tableaux)).encode())
+    assert h.hexdigest() == BLOCK_SELECTION_SHA256[m]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_shape_tables_match_the_scalar_groups(m):
     # row rearrangements in itertools order, and the column group with the
@@ -364,13 +381,13 @@ def refused(kind, call):
     raise SystemExit(f"no {kind.__name__} from {call}")
 
 # Gram sums of coefficients this large could wrap in int64
-true_cascade = repsets._row_cascade
-def huge(t, shape):
-    cells, coeffs = true_cascade(t, shape)
-    return cells, np.full(coeffs.shape, 2**60)
-repsets._row_cascade = huge
+true_patterns = repsets._pattern_table
+def huge(lam):
+    rows, keys, coeffs = true_patterns(lam)
+    return rows, keys, np.full(coeffs.shape, 2**60)
+repsets._pattern_table = huge
 refused(ResourceError, lambda: repsets.build_blocks(5))
-repsets._row_cascade = true_cascade
+repsets._pattern_table = true_patterns
 # G_P read at one word, (1, 2, 4, 3, 5), m times in place of the m
 # rotations of the inverse base word: no flipped Gram matrix of a map on
 # cycles, and 2G + 2G_P < 0 on the first (3, 2) tableau
