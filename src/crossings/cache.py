@@ -49,8 +49,9 @@ def _crc_path(path: Path) -> Path:
     return path.with_name(path.name + ".crc32")
 
 
-def _publish(target: Path, data: bytes) -> None:
-    """Replace target atomically through a temp file of this writer's own.
+def _publish(target: Path, parts) -> None:
+    """Replace target atomically by the buffers parts, written in order
+    through a temp file of this writer's own.
 
     The temp file is created exclusively under a random name rather than by
     mkstemp, so it gets the mode the umask gives, as the tables always had.
@@ -59,7 +60,8 @@ def _publish(target: Path, data: bytes) -> None:
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -67,8 +69,9 @@ def _publish(target: Path, data: bytes) -> None:
         raise
 
 
-def _write_payload(path: Path, payload: bytes) -> None:
-    """Write the sidecar, then the payload.
+def _write_payload(path: Path, parts) -> None:
+    """Write the sidecar, then the payload: the buffers parts in order,
+    never joined, so no copy of the payload is made.
 
     Builders test the payload's existence, so publishing it last makes it
     the commit point: a crash before it leaves no table and the next run
@@ -77,8 +80,11 @@ def _write_payload(path: Path, payload: bytes) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    _publish(_crc_path(path), f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}\n".encode())
-    _publish(path, payload)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    _publish(_crc_path(path), [f"{crc & 0xFFFFFFFF:08x}\n".encode()])
+    _publish(path, parts)
 
 
 def _read_payload(path: Path) -> bytes:
@@ -134,12 +140,8 @@ def write_coeffs(
     rec["size"] = sizes
     rec["q"] = qs
     rec["tri"] = tri
-    payload = (
-        _COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), n)
-        + bytes(dims)
-        + rec.tobytes()
-    )
-    _write_payload(path, payload)
+    head = _COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), n) + bytes(dims)
+    _write_payload(path, [head, memoryview(rec).cast("B")])
 
 
 def read_coeffs(

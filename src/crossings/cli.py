@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from math import factorial
 
 from .errors import ArgumentError, CrossingsError, DataError
 
@@ -102,10 +103,10 @@ def _parse_n_values(text: str | None) -> list[int]:
 def _self_pair_cost(index, dist, check: bool = True) -> int:
     """Swap distance of the pair (base, inverted base); with check, a
     DataError when it differs from the closed form floor((m-1)^2/4)."""
-    from .cycles import invert_seqs
     from .swapgraph import self_cost
 
-    diag = int(dist[index.orbit_ids(invert_seqs(index.seqs[0]))])  # row 0 is the base
+    # the inverse of the base word 1..m is 1, m, m-1, ..., 2
+    diag = int(dist[index.orbit_ids([1, *range(index.m, 1, -1)])])
     if check and diag != self_cost(index.m):
         raise DataError(f"self-pair cost {diag} differs from the closed form {self_cost(index.m)}")
     return diag
@@ -117,7 +118,7 @@ def _cmd_q(args) -> int:
 
     index = CycleIndex(args.m)
     diag = _self_pair_cost(index, distances_from_base(index), check=args.verify)
-    print(f"m={args.m}: {len(index)} cycles, self-pair cost {diag}")
+    print(f"m={args.m}: {factorial(args.m - 1)} cycles, self-pair cost {diag}")
     if args.verify:
         print(f"ok: self-pair cost matches floor((m-1)^2/4) = {diag}")
     return 0

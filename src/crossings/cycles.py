@@ -26,19 +26,21 @@ alone, which key the orbits under relabeling without inversion, and the
 reflected inverses.  The canonical key is the smaller of the two.
 
 The stabilizer-orbit representatives, the words equal to their own
-canonical form, are found without canonicalizing the whole table: every
-image of a word begins 0 and then one of its cyclic consecutive
-differences, so only words whose first difference is their smallest can
-be representatives, and only those go through the kernel.  The table being
-in lexicographic order, the representatives come out in ascending key
-order, each with the count of its images equal to it, which is its
-stabilizer order.  The census reads no more than that.  Any word's orbit
-is looked up among them by its canonical key (CycleIndex.orbit_ids), and
-no per-cycle orbit table is kept.
+canonical form, are found without canonicalizing every word: every image
+of a word begins 0 and then one of its cyclic consecutive differences, so
+only words whose first difference is their smallest can be
+representatives, and only those go through the kernel.  The words are
+enumerated in lexicographic blocks of at most 8! and dropped after the
+filter, so no table of all (m-1)! words is ever held; the representatives
+come out in ascending key order, each with the count of its images equal
+to it, which is its stabilizer order.  The census reads no more than
+that.  Any word's orbit is looked up among them by its canonical key
+(CycleIndex.orbit_ids), and no per-cycle orbit table is kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from math import factorial
 
@@ -46,6 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, ResourceError
+from .tableaux import lex_permutations
 
 # Words are packed 4 bits per entry into one u64, so relabeled values must
 # stay below 16.
@@ -62,28 +65,6 @@ def _check_m(m: int) -> None:
 # and compare through 4-bit packed u64 keys whose integer order is the
 # lexicographic order of the words.
 # ---------------------------------------------------------------------------
-
-
-def all_cycle_seqs(m: int) -> np.ndarray:
-    """All (m-1)! anchored words, lexicographically sorted, as (N, m) uint8.
-
-    Built from the back: the lex-ordered words over the letters k..m are one
-    block per leading letter f in ascending order, each followed by the
-    lex-ordered words over k+1..m with every letter <= f moved down by one.
-    """
-    _check_m(m)
-    words = np.ones((1, 1), dtype=np.uint8)  # the anchor, no letters yet
-    for k in range(m, 1, -1):
-        n = words.shape[0]
-        out = np.empty(((m - k + 1) * n, m - k + 2), dtype=np.uint8)
-        out[:, 0] = 1
-        tail = words[:, 1:]
-        for i, f in enumerate(range(k, m + 1)):
-            block = out[i * n:(i + 1) * n]
-            block[:, 1] = f
-            np.subtract(tail, tail <= f, out=block[:, 2:])
-        words = out
-    return words
 
 
 def _pack_nibbles(vals: np.ndarray) -> np.ndarray:
@@ -192,16 +173,32 @@ def canonical_keys(seqs: np.ndarray) -> np.ndarray:
     return shift_families(seqs).min(axis=0)
 
 
-# Words per block of the representative filter; its temporaries take about
-# 3m bytes per word (2 MB a block at m = 10).
-_FILTER_ROWS = 1 << 16
+def word_blocks(m: int):
+    """The (m-1)! anchored words in lexicographic order, as (N, m) uint8
+    blocks of at most 8! words, one per ordering of the m - 9 letters after
+    the anchor (a single block for m <= 9).  They are made one at a time,
+    so the representative filter holds about 3m bytes a word of one block.
+    Each block is the transpose of a C-ordered (m, N) array, the layout the
+    filter reads.
+    """
+    _check_m(m)
+    tails = np.ascontiguousarray(lex_permutations(min(m - 1, 8))[0].T) + np.uint8(2)
+    head = m - 1 - tails.shape[0]
+    for prefix in itertools.permutations(range(2, m + 1), head):
+        cols = np.empty((m, tails.shape[1]), dtype=np.uint8)
+        cols[:head + 1] = np.array((1,) + prefix, dtype=np.uint8)[:, None]
+        rest = cols[head + 1:]
+        rest[:] = tails
+        for q in sorted(prefix):  # the tail letters step over each prefix letter
+            rest += rest >= q
+        yield cols.T
 
 
-def stabilizer_representatives(seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stabilizer_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys of the words that are their own canonical form, and their fixers.
 
-    seqs are anchored words in lexicographic order, as all_cycle_seqs gives
-    them, so the keys come out ascending without a sort.  A word represents
+    The words come in lexicographic order from word_blocks, one block at a
+    time, so the keys come out ascending without a sort.  A word represents
     its stabilizer orbit exactly when none of its 2m images is smaller.
     Every image starts with 0 and then one of the word's cyclic consecutive
     differences, so a word whose first difference v[1] is not its smallest
@@ -210,10 +207,9 @@ def stabilizer_representatives(seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     each representative equal to it, in the value-shift family and in the
     reflected one: its stabilizer, split by whether the element inverts.
     """
-    m = seqs.shape[-1]
     keys, fixed = [], []
-    for lo in range(0, seqs.shape[0], _FILTER_ROWS):
-        cols = np.ascontiguousarray(seqs[lo:lo + _FILTER_ROWS].T)
+    for block in word_blocks(m):
+        cols = np.ascontiguousarray(block.T)
         diffs = np.concatenate([cols[1:], cols[:1]]) - cols
         np.minimum(diffs, diffs + np.uint8(m), out=diffs)  # mod m, as in _image_keys
         cands = cols[:, diffs.min(axis=0) == diffs[0]].T
@@ -226,9 +222,10 @@ def stabilizer_representatives(seqs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.concatenate(keys), np.concatenate(fixed, axis=1)
 
 
-# A cold single-block table build peaks at about 2.2 times its word table
-# of (m-1)! m bytes (1,061 MB beside 479 MB at m = 12), so a level whose
-# word table, times this factor, exceeds the physical memory is refused.
+# A level is refused when this factor times (m-1)! m, the bytes its words
+# would take as a table (479 MB at m = 12), exceeds the physical memory.
+# No such table is held: a cold single-block table build peaks at 62 MB at
+# m = 11 and 350 MB at m = 12.
 _PEAK_PER_WORD_BYTE = 3
 
 
@@ -241,7 +238,7 @@ def _physical_memory() -> int:
 
 
 def _check_memory(m: int) -> None:
-    """Refuse a level whose tables cannot fit, before the word table exists."""
+    """Refuse a level whose tables cannot fit, before any is built."""
     need = _PEAK_PER_WORD_BYTE * factorial(m - 1) * m
     have = _physical_memory()
     if have and need > have:
@@ -251,29 +248,26 @@ def _check_memory(m: int) -> None:
 
 
 class CycleIndex:
-    """Lex-ordered table of all (m-1)! anchored words, row 0 the base.
+    """The (m-1)! anchored words of one length, keyed by stabilizer orbit.
 
-    Only the representative filter reads the whole table: every other
-    table of the package is keyed on the stabilizer-orbit representatives,
-    and a word is looked up by its orbit (orbit_ids), never by its row.
+    No word table is held: the representative filter enumerates the words
+    block by block (word_blocks), every table of the package is keyed on
+    the stabilizer-orbit representatives, and a word is looked up by its
+    orbit (orbit_ids), never by its position among the words.
     """
 
     def __init__(self, m: int):
         _check_m(m)
         _check_memory(m)
         self.m = m
-        self.seqs = all_cycle_seqs(m)
         self._representatives: tuple[np.ndarray, np.ndarray] | None = None
-
-    def __len__(self) -> int:
-        return self.seqs.shape[0]
 
     def representatives(self) -> tuple[np.ndarray, np.ndarray]:
         """Canonical keys of the stabilizer orbits, ascending, and how many
         value shifts and reflecting elements fix each (see
         stabilizer_representatives); computed on first use."""
         if self._representatives is None:
-            self._representatives = stabilizer_representatives(self.seqs)
+            self._representatives = stabilizer_representatives(self.m)
         return self._representatives
 
     def orbit_ids(self, words: np.ndarray) -> np.ndarray:

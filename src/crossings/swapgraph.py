@@ -59,16 +59,16 @@ def distances_from_base(index: CycleIndex) -> np.ndarray:
     distance to a word is the entry at index.orbit_ids(word).
     """
     m = index.m
-    rep_seqs = unpack_keys(index.representatives()[0], m)
-    dist = np.full(rep_seqs.shape[0], UNREACHED, dtype=np.uint16)
+    keys = index.representatives()[0]
+    dist = np.full(keys.shape[0], UNREACHED, dtype=np.uint16)
 
-    frontier = index.orbit_ids(index.seqs[:1])  # row 0 is the base
+    frontier = index.orbit_ids(np.arange(1, m + 1, dtype=np.uint8))  # the base word
     dist[frontier] = 0
     d = 0
     while frontier.size:
         # marking the neighbor orbits dedupes them with no sort, ids ascending
         hit = np.zeros(dist.size, dtype=bool)
-        hit[index.orbit_ids(neighbor_words(rep_seqs[frontier]))] = True
+        hit[index.orbit_ids(neighbor_words(unpack_keys(keys[frontier], m)))] = True
         ids = np.flatnonzero(hit & (dist == UNREACHED))
         d += 1
         dist[ids] = d

@@ -4,6 +4,9 @@ against.
 None of this is used by the package.  Each oracle computes something the
 production code also computes, by a slower and more literal route:
 
+- the whole lex-ordered word table, a word's row its cycle id, which the
+  package never holds (it streams the words through its representative
+  filter);
 - a single cycle as a value (Cycle, its inverse and the base cycle) and
   its id through the bulk lookup;
 - the relabel-and-invert group as explicit elements, with the scalar
@@ -73,7 +76,7 @@ from crossings.orbits import PairOrbits, swap_partner_words
 from crossings.relaxations import _solve_polished, _strict_start, scan_violations, split_triangles
 from crossings.repsets import Block, _check_range, psd_pivots, shape_tables
 from crossings.swapgraph import UNREACHED, neighbor_words
-from crossings.tableaux import conjugate
+from crossings.tableaux import conjugate, lex_permutations
 
 Filling = tuple[tuple[int, ...], ...]
 
@@ -105,6 +108,20 @@ class Cycle:
     def invert(self) -> "Cycle":
         # (1, a, b, ..., z) traversed backwards is (1, z, ..., b, a).
         return Cycle((1,) + self.seq[:0:-1])
+
+
+@lru_cache(maxsize=None)
+def all_cycle_seqs(m: int) -> np.ndarray:
+    """All (m-1)! anchored words in lexicographic order, (N, m) uint8 and
+    read-only: the word table the package does not hold, for the oracles
+    that sweep every cycle.  A word's row is its cycle id."""
+    _check_m(m)
+    tails = lex_permutations(m - 1)[0]
+    words = np.empty((tails.shape[0], m), dtype=np.uint8)
+    words[:, 0] = 1
+    np.add(tails, np.uint8(2), out=words[:, 1:])
+    words.flags.writeable = False
+    return words
 
 
 def id_of(index: CycleIndex, c: Cycle) -> int:
@@ -261,7 +278,7 @@ def normalize_words(words: np.ndarray) -> np.ndarray:
 def sorted_key_ids(index: CycleIndex, words: np.ndarray) -> np.ndarray:
     """Ids of rows that may be rotations of anchored words: re-anchor, pack
     and binary-search the ascending keys of the whole cycle table."""
-    keys = pack_keys(index.seqs)
+    keys = pack_keys(all_cycle_seqs(index.m))
     query = pack_keys(normalize_words(np.asarray(words, dtype=np.uint8)))
     ids = np.searchsorted(keys, query)
     if (keys[np.minimum(ids, keys.size - 1)] != query).any():
@@ -336,13 +353,13 @@ def id_of_words(index: CycleIndex, words: np.ndarray) -> np.ndarray:
 def inverse_ids(index: CycleIndex) -> np.ndarray:
     """Permutation of ids sending each cycle to its inverse (an involution),
     computed once per index."""
-    return id_of_words(index, invert_seqs(index.seqs))
+    return id_of_words(index, invert_seqs(all_cycle_seqs(index.m)))
 
 
 @lru_cache(maxsize=None)
 def orbit_of_cycle(index: CycleIndex) -> np.ndarray:
     """Stabilizer orbit of every cycle by id, computed once per index."""
-    return index.orbit_ids(index.seqs)
+    return index.orbit_ids(all_cycle_seqs(index.m))
 
 
 def class_of_cycle(tables: PairTables) -> np.ndarray:
@@ -356,7 +373,7 @@ def class_of_cycle(tables: PairTables) -> np.ndarray:
 def stabilizer_orbits_by_sort(index: CycleIndex) -> tuple[np.ndarray, np.ndarray]:
     """Distinct canonical keys, ascending, and the int32 position of each
     cycle's key among them, by canonicalizing every cycle and sorting."""
-    keys, orbit_of = np.unique(canonical_keys(index.seqs), return_inverse=True)
+    keys, orbit_of = np.unique(canonical_keys(all_cycle_seqs(index.m)), return_inverse=True)
     return keys, orbit_of.astype(np.int32)
 
 
@@ -414,7 +431,7 @@ def position_histogram_by_cycles(tables: PairTables, d: int) -> np.ndarray:
     """(C, m) counts of the cycles of each class by the letter at position
     d of their anchored word, counted over every cycle."""
     m, c = tables.m, tables.classes.count
-    cells = class_of_cycle(tables).astype(np.int64) * m + tables.index.seqs[:, d] - 1
+    cells = class_of_cycle(tables).astype(np.int64) * m + all_cycle_seqs(m)[:, d] - 1
     return np.bincount(cells, minlength=c * m).reshape(c, m)
 
 
@@ -424,12 +441,13 @@ def position_histogram_by_cycles(tables: PairTables, d: int) -> np.ndarray:
 def distances_from_base_unpruned(index: CycleIndex) -> np.ndarray:
     """Distances from the base cycle by BFS over all words, no quotienting."""
     m = index.m
-    dist = np.full(len(index), UNREACHED, dtype=np.uint16)
+    seqs = all_cycle_seqs(m)
+    dist = np.full(seqs.shape[0], UNREACHED, dtype=np.uint16)
     frontier = np.array([id_of(index, Cycle.base(m))])
     dist[frontier] = 0
     d = 0
     while frontier.size:
-        ids = np.unique(sorted_key_ids(index, neighbor_words(index.seqs[frontier]).reshape(-1, m)))
+        ids = np.unique(sorted_key_ids(index, neighbor_words(seqs[frontier]).reshape(-1, m)))
         ids = ids[dist[ids] == UNREACHED]
         d += 1
         dist[ids] = d
@@ -559,7 +577,7 @@ def project_f(v: dict[Tabloid, int], index: CycleIndex) -> np.ndarray:
     A tabloid with singleton rows i1, ..., im contributes its coefficient to
     the cycle traversing i1 -> i2 -> ... -> im -> i1.
     """
-    w = np.zeros(len(index), dtype=np.int64)
+    w = np.zeros(factorial(index.m - 1), dtype=np.int64)
     for s, coeff in v.items():
         word = np.array([r[0] for r in s], dtype=np.uint8)
         w[id_of_words(index, word[None])[0]] += coeff
@@ -600,12 +618,13 @@ def tableau_vectors(
         tinv[k, [v - 1 for row in t for v in row]] = np.arange(m)
     holder = rearr[:, tinv].swapaxes(0, 1)  # (K, R, m): cell of p+1 per rearrangement
     words = crows[:, holder]  # (C, K, R, m)
+    n = factorial(m - 1)
     slots = id_of_words(index, words.reshape(-1, m)).reshape(words.shape[:-1])
-    slots += (np.arange(len(ts)) * len(index))[:, None]
+    slots += (np.arange(len(ts)) * n)[:, None]
     # float weights are exact here: every sum is an integer below C * R
     weights = np.broadcast_to(signs[:, None, None], slots.shape)
-    sums = np.bincount(slots.ravel(), weights.ravel(), minlength=len(ts) * len(index))
-    return sums.astype(np.int64).reshape(len(ts), len(index))
+    sums = np.bincount(slots.ravel(), weights.ravel(), minlength=len(ts) * n)
+    return sums.astype(np.int64).reshape(len(ts), n)
 
 
 def block_rows(index: CycleIndex, block: Block) -> np.ndarray:
@@ -810,7 +829,7 @@ def pair_stream_forms(
     closed-form expansion on moderate m.
     """
     index, classes = tables.index, tables.classes
-    seqs = index.seqs
+    seqs = all_cycle_seqs(index.m)
     n, m = seqs.shape
     c = classes.count
     for u in mats:
@@ -847,7 +866,7 @@ def pair_stream_forms(
 def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
     """The single-block table, (C, t) upper triangles row-major, from the
     closed-form rows by the pair stream."""
-    a = pair_stream_forms(tables, [hook_block_matrix(tables.index.seqs)])[0]
+    a = pair_stream_forms(tables, [hook_block_matrix(all_cycle_seqs(tables.m))])[0]
     iu = np.triu_indices(a.shape[1])
     return a[:, iu[0], iu[1]]
 

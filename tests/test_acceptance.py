@@ -46,6 +46,7 @@ from crossings.swapgraph import distances_from_base, self_cost
 from oracles import (
     Cycle,
     act,
+    all_cycle_seqs,
     canonical_form,
     class_zero_offenders,
     direct_expansion,
@@ -360,7 +361,7 @@ def test_criterion_7_independent_routes():
         if not (tri == pair_stream_hook_table(tables)).all():
             problems.append(f"m={m}: pair-stream route disagrees with the symbolic route")
     for m in range(4, 8):
-        per_cycle = _dist(m)[_index(m).orbit_ids(_index(m).seqs)]
+        per_cycle = _dist(m)[_index(m).orbit_ids(all_cycle_seqs(m))]
         if not (per_cycle == distances_from_base_unpruned(_index(m))).all():
             problems.append(f"m={m}: pruned and unpruned searches disagree")
     for m in range(4, 7):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -42,11 +43,33 @@ def test_coeffs_refuses_short_payloads_with_matching_sidecars(tmp_path):
     _write_small_coeffs(p, 5)
     whole = p.read_bytes()
     for size in (0, 5, 15, 40, len(whole) - 1, len(whole) + 3):
-        cache._write_payload(p, (whole + b"\0" * 3)[:size])
+        cache._write_payload(p, [(whole + b"\0" * 3)[:size]])
         with pytest.raises(DataError, match="truncated header|whole records"):
             cache.read_coeffs(p, 5)
-    cache._write_payload(p, whole)
+    cache._write_payload(p, [whole])
     assert cache.read_coeffs(p, 5)[0] == (2,)
+
+
+def test_coeffs_write_makes_no_copy_of_the_records(tmp_path):
+    # the records are built once and written and checksummed in place: the
+    # traced peak is the record array, not a bytes copy or a joined payload
+    dims = (4, 3)
+    n = 2**17  # 8.4 MB of 64-byte records
+    t = sum(d * (d + 1) // 2 for d in dims)
+    tri = np.arange(n * t, dtype=np.int64).reshape(n, t) - 7
+    ids, sizes, qs = np.arange(n, dtype=np.uint64), np.arange(n, dtype=np.uint64) + 1, np.zeros(n, np.uint16)
+    p = cache.coeffs_path(tmp_path, 8, "full")
+    tracemalloc.start()
+    try:
+        cache.write_coeffs(p, 8, dims, ids, sizes, qs, tri)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rec_bytes = n * cache._cofa_dtype(dims).itemsize
+    assert rec_bytes >= 8 * 2**20 and peak < 1.5 * rec_bytes, (peak, rec_bytes)
+    d2, i2, s2, q2, t2 = cache.read_coeffs(p, 8)
+    assert d2 == dims and (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all()
+    assert (t2 == tri).all()
 
 
 def test_coeffs_missing_sidecar(tmp_path):

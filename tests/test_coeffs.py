@@ -32,6 +32,7 @@ from crossings.repsets import (
 from crossings.tableaux import standard_tableaux
 from oracles import (
     _expansion_words,
+    all_cycle_seqs,
     base_filling,
     block_rows,
     class_ids_of_words,
@@ -211,11 +212,10 @@ def hook_forms(t, offsets, weights):
 @pytest.mark.parametrize("m", range(4, 11))
 def test_position_histograms_match_the_cycle_count(m, monkeypatch):
     # the single path reads the representatives alone: it builds no
-    # per-cycle table, and reads no word table to build one from
+    # per-cycle table, and enumerates no words to build one from
     t = PairTables.build(m)
     with monkeypatch.context() as patch:
-        patch.setattr(t.index, "seqs", None)
-        patch.setattr(cycles, "all_cycle_seqs", no_table)
+        patch.setattr(cycles, "word_blocks", no_table)
         hook_table(t)
     # one column per letter: each offset's whole histogram
     eye = np.eye(m, dtype=np.int64)
@@ -381,10 +381,9 @@ def test_hook_weights_bytes_frozen(m):
 @pytest.mark.parametrize("m", sorted(BLOCK_TABLES_SHA256))
 def test_block_tables_bytes_frozen(m, monkeypatch):
     # every block reads the representatives alone: no per-cycle table is
-    # built, and no word table read to build one from
+    # built, and no words enumerated to build one from
     t = TABLES.get(m) or PairTables.build(m)
-    monkeypatch.setattr(t.index, "seqs", None)
-    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    monkeypatch.setattr(cycles, "word_blocks", no_table)
     blocks = build_blocks(m)
     tri = block_constraint_tables(t, blocks)
     assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
@@ -396,7 +395,7 @@ def test_diagonal_class_entries_are_gram_matrices(m):
     t = TABLES[m]
     diag = int(class_ids_of_words(t, np.arange(1, m + 1, dtype=np.uint8)[None])[0])
     tri = hook_table(t)
-    hooks = hook_block_matrix(t.index.seqs)
+    hooks = hook_block_matrix(all_cycle_seqs(m))
     gram = hooks @ hooks.T
     for pos, (i, j) in enumerate(tri_pairs(hooks.shape[0])):
         assert tri[diag, pos] == gram[i, j]
@@ -522,7 +521,7 @@ def test_expansion_checks_survive_optimization():
         sums([[0x00, 0x01, 0x12, 0x23]], (2**61,))
     assert (sums([[0x00, 0x01, 0x12, 0x23]], (2**60,)) == 2**60 * want).all()
     with pytest.raises(ResourceError):
-        pair_stream_forms(t, [np.full((1, len(t.index)), 2**26, dtype=np.int64)])
+        pair_stream_forms(t, [np.full((1, math.factorial(t.m - 1)), 2**26, dtype=np.int64)])
 
 
 # fillings where row j of the column tableau does not contain j, as row 2

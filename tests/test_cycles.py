@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -8,17 +10,18 @@ from hypothesis import strategies as st
 
 from crossings.cycles import (
     CycleIndex,
-    all_cycle_seqs,
     canonical_keys,
     invert_seqs,
     shift_families,
     unpack_keys,
+    word_blocks,
 )
 from crossings.errors import ArgumentError
 from oracles import (
     Cycle,
     GroupElement,
     act,
+    all_cycle_seqs,
     canonical_form,
     cycle_from_word,
     cycle_image,
@@ -239,14 +242,15 @@ def test_normalize_words():
 @pytest.mark.parametrize("m", range(4, 10))
 def test_id_of_words_matches_key_search_on_every_rotation(m):
     idx = CycleIndex(m)
-    rotations = np.stack([np.roll(idx.seqs, k, axis=1) for k in range(m)])
+    seqs = all_cycle_seqs(m)
+    rotations = np.stack([np.roll(seqs, k, axis=1) for k in range(m)])
     got = id_of_words(idx, rotations)
-    assert got.dtype == np.int64 and got.shape == (m, len(idx))
-    assert (got == np.arange(len(idx))).all()
+    assert got.dtype == np.int64 and got.shape == (m, len(seqs))
+    assert (got == np.arange(len(seqs))).all()
     assert (got.ravel() == sorted_key_ids(idx, rotations.reshape(-1, m))).all()
-    assert (inverse_ids(idx) == sorted_key_ids(idx, invert_seqs(idx.seqs))).all()
+    assert (inverse_ids(idx) == sorted_key_ids(idx, invert_seqs(seqs))).all()
     if m <= 6:
-        assert [lex_rank(tuple(map(int, row))) for row in idx.seqs] == list(range(len(idx)))
+        assert [lex_rank(tuple(map(int, row))) for row in seqs] == list(range(len(seqs)))
 
 
 @pytest.mark.parametrize("m", range(10, 17))
@@ -356,3 +360,45 @@ def test_all_cycle_seqs_match_itertools(m):
     got = all_cycle_seqs(m)
     assert got.dtype == np.uint8 and got.shape == want.shape
     assert (got == want).all()
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_word_blocks_concatenate_to_lex_order(m):
+    # one block of all the words up to m = 9, then one block of 8! per
+    # ordering of the letters after the anchor that precede the last eight
+    want = np.array([(1,) + rest for rest in itertools.permutations(range(2, m + 1))],
+                    dtype=np.uint8)
+    blocks = list(word_blocks(m))
+    assert len(blocks) == (9 if m == 10 else 1)
+    assert all(b.dtype == np.uint8 and b.shape[0] <= factorial(8) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+# sha256 of the representative keys as little-endian u64, then of their
+# (2, R) uint8 fixers, frozen from the filter run over the whole word table
+REPRESENTATIVES_SHA256 = {
+    10: "62da5552e8d67455a116be43d0947b07ff7a920d0f4e8c825a9e7cab143db0a3",
+    11: "3a9124735eaf44e45f950865cdeba13befb13c7ea6f6186735ecd1f9dcf78072",
+}
+
+
+@pytest.mark.parametrize("m", sorted(REPRESENTATIVES_SHA256))
+def test_representatives_bytes_frozen(m):
+    keys, fixed = CycleIndex(m).representatives()
+    h = hashlib.sha256(keys.astype("<u8").tobytes())
+    h.update(fixed.tobytes())
+    assert h.hexdigest() == REPRESENTATIVES_SHA256[m]
+
+
+def test_index_holds_no_word_table():
+    # the 9! words of m = 10 take 3.6 MB as a table; the index keeps only the
+    # representatives, and the filter holds one block of words at a time
+    table = factorial(9) * 10
+    tracemalloc.start()
+    try:
+        idx = CycleIndex(10)
+        idx.representatives()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < table / 4 and peak < table, (held, peak)

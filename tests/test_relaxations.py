@@ -117,14 +117,14 @@ class TableAllocated(Exception):
 
 
 def test_levels_past_memory_are_refused_before_allocating(tmp_path, monkeypatch):
-    # at 8 GiB, m=13 (a 6.2 GB word table) is refused and m=12 passes the
-    # guard; the word table builder only raises here, so a failing guard
-    # allocates nothing on any machine
+    # at 8 GiB, m=13 (12! words of 13 letters, 6.2 GB were they held) is
+    # refused and m=12 passes the guard; the word enumeration only raises
+    # here, so a failing guard allocates nothing on any machine
     def no_table(m):
         raise TableAllocated(m)
 
     monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**30)
-    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    monkeypatch.setattr(cycles, "word_blocks", no_table)
     with pytest.raises(ResourceError):
         coeff_tables(13, "single", cache_dir=tmp_path)
     with pytest.raises(TableAllocated):

@@ -24,6 +24,7 @@ from crossings.repsets import (
 )
 from crossings.tableaux import block_multiplicity, partitions, standard_tableaux
 from oracles import (
+    all_cycle_seqs,
     base_filling,
     block_rows,
     hook_block_matrix,
@@ -101,11 +102,12 @@ def _multiplicities_by_characters(m: int) -> dict[tuple, tuple[int, int]]:
     idx = CycleIndex(m)
     plus = {}
     minus = {}
-    inv_words = invert_seqs(idx.seqs)
-    ids = np.arange(len(idx))
+    seqs = all_cycle_seqs(m)
+    inv_words = invert_seqs(seqs)
+    ids = np.arange(len(seqs))
     for rho in partitions(m):
         pi = _class_rep(rho, m)
-        conj = sorted_key_ids(idx, pi[idx.seqs - 1] + 1)
+        conj = sorted_key_ids(idx, pi[seqs - 1] + 1)
         conj_inv = sorted_key_ids(idx, pi[inv_words - 1] + 1)
         plus[rho] = int((conj == ids).sum())
         minus[rho] = int((conj_inv == ids).sum())
@@ -128,7 +130,7 @@ def _multiplicities_by_characters(m: int) -> dict[tuple, tuple[int, int]]:
 @pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9])
 def test_block_dimension_multisets(m, monkeypatch):
     # the blocks come from the tableaux alone: no cycle table is built
-    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    monkeypatch.setattr(cycles, "word_blocks", no_table)
     dims = sorted(b.dim for b in build_blocks(m))
     assert dims == sorted(DIMS[m])
 
@@ -272,15 +274,15 @@ def test_hook_evaluator_equals_direct_expansion(m):
     assert len(cols) == (m - 1) // 2
     for i, t in zip(range(3, (m + 1) // 2 + 2), cols):
         direct = repset_vector((m - 2, 1, 1), t, idx)
-        assert (hook_block_values(idx.seqs, i) == direct).all()
+        assert (hook_block_values(all_cycle_seqs(m), i) == direct).all()
 
 
 @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
 def test_hook_evaluator_is_inversion_odd(m):
     idx = CycleIndex(m)
     inv = inverse_ids(idx)
-    mat = hook_block_matrix(idx.seqs)
-    assert mat.shape == ((m - 1) // 2, len(idx))
+    mat = hook_block_matrix(all_cycle_seqs(m))
+    assert mat.shape == ((m - 1) // 2, factorial(m - 1))
     assert (mat[:, inv] == -mat).all()
 
 
@@ -291,7 +293,7 @@ def test_hook_block_spans_built_odd_block(m):
     assert [b.sign for b in blocks] == [-1]
     d = (m - 1) // 2
     assert blocks[0].dim == d
-    mat = hook_block_matrix(idx.seqs)
+    mat = hook_block_matrix(all_cycle_seqs(m))
     assert len(independent_rows(mat)) == d
     stacked = np.vstack([mat, block_rows(idx, blocks[0])])
     assert len(independent_rows(stacked)) == d
@@ -325,7 +327,7 @@ def _blocks_from_all_vectors(index: CycleIndex) -> list[tuple[Block, np.ndarray]
 def test_streamed_blocks_match_all_vector_selection(m, monkeypatch):
     idx = CycleIndex(m)
     want = _blocks_from_all_vectors(idx)
-    monkeypatch.setattr(cycles, "all_cycle_seqs", no_table)
+    monkeypatch.setattr(cycles, "word_blocks", no_table)
     got = build_blocks(m)
     assert [(b.lam, b.sign, b.tableaux) for b in got] == [
         (b.lam, b.sign, b.tableaux) for b, _ in want

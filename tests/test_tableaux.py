@@ -19,6 +19,7 @@ from crossings.tableaux import (
     standard_tableaux,
 )
 from oracles import (
+    all_cycle_seqs,
     base_filling,
     compose_word,
     hook_dim,
@@ -252,7 +253,7 @@ def test_project_is_equivariant(data):
     v = {tuple((x,) for x in word): 3}
     lhs = project_f({tuple((pi[x - 1],) for x in word): 3}, idx)
     # conjugating the cycle relabels its word entries
-    relabeled = np.array([[pi[x - 1] for x in seq] for seq in idx.seqs], dtype=np.uint8)
+    relabeled = np.array([[pi[x - 1] for x in seq] for seq in all_cycle_seqs(m)], dtype=np.uint8)
     image_ids = id_of_words(idx, relabeled)
     rhs = np.zeros_like(lhs)
     rhs[image_ids] = project_f(v, idx)
