@@ -116,9 +116,14 @@ def _check_header(path: Path, got: tuple, want: tuple) -> None:
 _COFA_HEADER = struct.Struct("<4sBBBQ")
 
 
-def _cofa_dtype(dims: tuple[int, ...]) -> np.dtype:
-    t = sum(d * (d + 1) // 2 for d in dims)
-    return np.dtype([("orbit", "<u8"), ("size", "<u8"), ("q", "<u2"), ("tri", "<i8", (t,))])
+def triangle_width(dims) -> int:
+    """Entries of the upper triangles of blocks of the given dimensions."""
+    return sum(d * (d + 1) // 2 for d in dims)
+
+
+def record_dtype(width: int) -> np.dtype:
+    """One class's record when its triangles hold width entries."""
+    return np.dtype([("orbit", "<u8"), ("size", "<u8"), ("q", "<u2"), ("tri", "<i8", (width,))])
 
 
 def write_coeffs(
@@ -135,7 +140,7 @@ def write_coeffs(
     The header stores the block count and dims follows it as one byte per
     block, so readers can split the triangles."""
     n = len(orbit_ids)
-    rec = np.empty(n, dtype=_cofa_dtype(dims))
+    rec = np.empty(n, dtype=record_dtype(triangle_width(dims)))
     rec["orbit"] = orbit_ids
     rec["size"] = sizes
     rec["q"] = qs
@@ -147,6 +152,8 @@ def write_coeffs(
 def read_coeffs(
     path: Path, m: int
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """dims, then each class's orbit id, size, cost and triangles as
+    read-only views into the payload, so the table is held once."""
     payload = _read_payload(path)
     if len(payload) < _COFA_HEADER.size:
         raise DataError(f"{path}: truncated header")
@@ -154,8 +161,8 @@ def read_coeffs(
     _check_header(path, (magic, ver, got_m), (b"COFA", _VERSION, m))
     off = _COFA_HEADER.size + nblocks
     dims = tuple(payload[_COFA_HEADER.size : off])
-    dtype = _cofa_dtype(dims)
+    dtype = record_dtype(triangle_width(dims))
     if len(dims) != nblocks or len(payload) - off != n * dtype.itemsize:
         raise DataError(f"{path}: body is not {nblocks} dims and {n} whole records")
     rec = np.frombuffer(payload, dtype=dtype, offset=off)
-    return dims, rec["orbit"].copy(), rec["size"].copy(), rec["q"].copy(), rec["tri"].copy()
+    return dims, rec["orbit"], rec["size"], rec["q"], rec["tri"]

@@ -124,22 +124,26 @@ def _cmd_q(args) -> int:
     return 0
 
 
+def _census_checked(m: int, triple) -> bool:
+    """Whether m has a reference census; a DataError when triple differs."""
+    from .reference import CENSUS
+
+    if CENSUS.get(m, triple) != triple:
+        raise DataError(f"census {triple} differs from the reference {CENSUS[m]}")
+    return m in CENSUS
+
+
 def _cmd_orbits(args) -> int:
-    from . import reference
     from .cycles import CycleIndex
     from .orbits import orbit_census
 
     triple = orbit_census(CycleIndex(args.m))
     print(f"m={args.m}: {triple[0]} relabel-only orbits, {triple[1]} / {triple[2]} "
           f"pair orbits / swap classes")
-    if args.verify:
-        want = reference.CENSUS.get(args.m)
-        if want is None:
-            print(f"no reference census for m={args.m}")
-        elif triple != want:
-            raise DataError(f"census {triple} differs from the reference {want}")
-        else:
-            print("ok: census matches the reference")
+    if args.verify and _census_checked(args.m, triple):
+        print("ok: census matches the reference")
+    elif args.verify:
+        print(f"no reference census for m={args.m}")
     return 0
 
 
@@ -280,15 +284,12 @@ def _cmd_verify(args) -> int:
     print(f"ok: self-pair cost {_self_pair_cost(index, dist)}")
 
     triple = orbit_census(index)
-    want = reference.CENSUS.get(m)
-    if want is not None:
-        if triple != want:
-            raise DataError(f"census {triple} differs from the reference {want}")
+    if _census_checked(m, triple):
         print(f"ok: census {triple}")
     else:
         print(f"skip: no reference census for m={m}")
 
-    if m in reference.BLOCK_DIMS and m <= 7:
+    if m in reference.BLOCK_DIMS:
         from collections import Counter
 
         from .repsets import build_blocks
@@ -300,7 +301,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"skip: block check not run at m={m}")
 
-    if m <= 7:
+    if m in reference.SINGLE_BLOCK_OPTIMA:
         from .relaxations import run_single
 
         out = run_single(m, cache_dir=cd)

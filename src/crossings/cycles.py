@@ -223,9 +223,8 @@ def stabilizer_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # A level is refused when this factor times (m-1)! m, the bytes its words
-# would take as a table (479 MB at m = 12), exceeds the physical memory.
-# No such table is held: a cold single-block table build peaks at 62 MB at
-# m = 11 and 350 MB at m = 12.
+# would take as a table (479 MB at m = 12), exceeds the physical memory,
+# though none is held: a cold single-block build peaks at 350 MB at m = 12.
 _PEAK_PER_WORD_BYTE = 3
 
 
@@ -237,14 +236,12 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_memory(m: int) -> None:
-    """Refuse a level whose tables cannot fit, before any is built."""
-    need = _PEAK_PER_WORD_BYTE * factorial(m - 1) * m
+def check_fits(need: int, what: str) -> None:
+    """ResourceError when what, peaking near need bytes, exceeds the physical memory."""
     have = _physical_memory()
     if have and need > have:
-        raise ResourceError(
-            f"m={m} needs about {need / 2**30:.1f} GiB for its cycle tables, "
-            f"the machine has {have / 2**30:.1f} GiB")
+        raise ResourceError(f"{what} needs about {need / 2**30:.1f} GiB, "
+                            f"the machine has {have / 2**30:.1f} GiB")
 
 
 class CycleIndex:
@@ -258,7 +255,7 @@ class CycleIndex:
 
     def __init__(self, m: int):
         _check_m(m)
-        _check_memory(m)
+        check_fits(_PEAK_PER_WORD_BYTE * factorial(m - 1) * m, f"m={m} with its cycle words")
         self.m = m
         self._representatives: tuple[np.ndarray, np.ndarray] | None = None
 

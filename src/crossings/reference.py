@@ -14,12 +14,6 @@ SINGLE_BLOCK_OPTIMA = {
     5: "1.9270509831",
     6: "2.9519183588",
     7: "4.3107391257",
-    8: "5.8284271247",
-    9: "7.6527560430",
-    10: "9.6866252078",
-    11: "11.9987919703",
-    12: "14.5115811776",
-    13: "17.3135089904",
 }
 
 # orbit census per cycle length
@@ -42,6 +36,4 @@ BLOCK_DIMS = {
     5: {2: 1, 1: 4},
     6: {2: 3, 1: 8},
     7: {3: 6, 2: 4, 1: 8},
-    8: {7: 2, 5: 2, 4: 9, 3: 7, 2: 4, 1: 9},
-    9: {12: 8, 11: 2, 9: 6, 7: 3, 6: 5, 5: 2, 4: 2, 3: 16, 1: 5},
 }

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import cache
 from .coeffs import PairTables, block_constraint_tables
-from .errors import ArgumentError, ResourceError, SolverError
+from .cycles import check_fits
+from .errors import ArgumentError, SolverError
 from .repsets import Block, build_blocks, hook_block_columns, psd_pivots
 from .sdp import polish_dual, solve_bound_problem
 
@@ -113,27 +114,29 @@ def coeff_tables(
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Integer tables (dims, sizes, costs, upper triangles concatenated in
     block order) of one relaxation, kind "single" or "full", through the
-    coefficient cache when a valid file is present."""
+    coefficient cache when a valid file is present.
+
+    A build is refused with ResourceError once the classes are counted,
+    before any block is selected, when twice its records exceed physical
+    memory (the write's records beside the triangles, or a scan's float
+    cast).  A full record has one entry per class: the swap transposes each
+    block's d^2 pair orbits, fixing d, so sum d(d+1)/2 is the class count."""
     if kind not in ("single", "full"):
         raise ArgumentError(f"unknown relaxation kind {kind!r}")
     if m < 4:
         raise ArgumentError(f"{kind} relaxation needs m >= 4")
-    if kind == "full" and m > 9:
-        raise ResourceError(
-            f"full relaxation tables at m={m} exceed the memory budget"
-        )
     path = cache.coeffs_path(cache.resolve_cache_dir(cache_dir), m, kind)
     if path.exists():
         dims, _, sizes, qs, tri = cache.read_coeffs(path, m)
         return dims, sizes.astype(np.int64), qs.astype(np.int64), tri
     tables = PairTables.build(m)
-    if kind == "single":
-        blocks = [Block((m - 2, 1, 1), 0, hook_block_columns(m))]
-    else:
-        blocks = build_blocks(m)
+    classes = tables.classes
+    hook = Block((m - 2, 1, 1), 0, hook_block_columns(m))
+    width = classes.count if kind == "full" else cache.triangle_width([hook.dim])
+    check_fits(2 * classes.count * cache.record_dtype(width).itemsize, f"{kind} m={m}")
+    blocks = build_blocks(m) if kind == "full" else [hook]
     dims = tuple(b.dim for b in blocks)
     tri = block_constraint_tables(tables, blocks)
-    classes = tables.classes
     cache.write_coeffs(path, m, dims, classes.rep_orbits, classes.sizes, tables.q, tri)
     return dims, classes.sizes.astype(np.int64), tables.q.astype(np.int64), tri
 

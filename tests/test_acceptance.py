@@ -2,15 +2,18 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines stream.  The
 gate rebuilds everything from scratch in a temporary cache, so the stated
-wall-clock budgets are asserted rather than just reported.  Two stretch
-tests (the single-block value at m=11, the full relaxation at m=9) take
-a few minutes each and only run when CROSSINGS_STRETCH=1;
-otherwise they print an honest SKIP line.  The even-rank expectation at
-m=6 is provably unattainable and is kept as a strict xfail so the failure
-stays on record without breaking the suite.
+wall-clock budgets are asserted rather than just reported.  Three stretch
+tests (the single-block value at m=11, the full relaxation at m=9 and at
+m=10) take up to a few minutes each, the last about 1.6 GB of memory, and
+only run when CROSSINGS_STRETCH=1; otherwise they print an honest SKIP
+line.  The even-rank expectation at m=6 is provably unattainable and is
+kept as a strict xfail so the failure stays on record without breaking the
+suite.
 """
 
+import hashlib
 import os
+import resource
 import time
 from collections import Counter
 from fractions import Fraction
@@ -310,6 +313,41 @@ def test_criterion_5_stretch_full_m9(store):
         problems.append("m=9: certified value exceeds the known optimum")
     report("5 (stretch m=9)", problems,
            f"full relaxation optimum at m=9 matches to 1e-5 in {wall:.0f}s")
+
+
+# sha256 of a cold coeffs_10_full.bin
+FULL_10_TABLE_SHA256 = "ea3e2b8e68d5049ce94a41b3dbbf02ea91776be3ac1d7102ae5d4d2b1504d7cd"
+
+
+def test_criterion_5_stretch_full_m10(store):
+    if not STRETCH:
+        print("criterion 5 (stretch m=10): SKIP - set CROSSINGS_STRETCH=1 to run "
+              "the full relaxation at m=10 (minutes, about 1.6 GB)")
+        pytest.skip("stretch runs disabled")
+    problems = []
+    t0 = time.perf_counter()
+    out = run_full(10, cache_dir=store)
+    wall = time.perf_counter() - t0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    err = abs(out.value - float(FULL_OPT[10]))
+    if err > 1e-5:
+        problems.append(f"m=10: value {out.value:.10f} off by {err:.2e}")
+    if out.certificate.value > Fraction(FULL_OPT[10]) + Fraction(1, 10**9):
+        problems.append("m=10: certified value exceeds the known optimum")
+    digest = hashlib.sha256()
+    with open(store / "coeffs_10_full.bin", "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 24), b""):
+            digest.update(chunk)
+    if digest.hexdigest() != FULL_10_TABLE_SHA256:
+        problems.append(f"m=10: table sha256 {digest.hexdigest()}")
+    # criterion 6's m=10 row, from the certificate instead of the frozen value
+    qb = quadratic_bound(10, out.certificate.value, "alpha")
+    if truncated(qb.a, 5) != QUADRATIC_COEFFS[10][0]:
+        problems.append(f"m=10: certified leading coefficient prints as {truncated(qb.a, 5)}")
+    report("5 (stretch m=10)", problems,
+           f"full relaxation optimum at m=10 matches to 1e-5, certified "
+           f"cr(K_{{10,n}}) >= {truncated(qb.a, 5)} n^2 - {plain(qb.b)} n, in "
+           f"{wall:.0f}s at a process peak RSS of {peak:.0f} MB")
 
 
 def test_criterion_6_published_bounds():

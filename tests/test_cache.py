@@ -50,26 +50,51 @@ def test_coeffs_refuses_short_payloads_with_matching_sidecars(tmp_path):
     assert cache.read_coeffs(p, 5)[0] == (2,)
 
 
+# 2**17 classes with blocks of dimension 4 and 3: 19 MB of 146-byte records
+BIG_DIMS = (4, 3)
+
+
+def _big_table():
+    n, t = 2**17, cache.triangle_width(BIG_DIMS)
+    tri = np.arange(n * t, dtype=np.int64).reshape(n, t) - 7
+    return np.arange(n, dtype=np.uint64), np.arange(n, dtype=np.uint64) + 1, np.zeros(n, np.uint16), tri
+
+
 def test_coeffs_write_makes_no_copy_of_the_records(tmp_path):
     # the records are built once and written and checksummed in place: the
     # traced peak is the record array, not a bytes copy or a joined payload
-    dims = (4, 3)
-    n = 2**17  # 8.4 MB of 64-byte records
-    t = sum(d * (d + 1) // 2 for d in dims)
-    tri = np.arange(n * t, dtype=np.int64).reshape(n, t) - 7
-    ids, sizes, qs = np.arange(n, dtype=np.uint64), np.arange(n, dtype=np.uint64) + 1, np.zeros(n, np.uint16)
+    ids, sizes, qs, tri = _big_table()
     p = cache.coeffs_path(tmp_path, 8, "full")
     tracemalloc.start()
     try:
-        cache.write_coeffs(p, 8, dims, ids, sizes, qs, tri)
+        cache.write_coeffs(p, 8, BIG_DIMS, ids, sizes, qs, tri)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rec_bytes = n * cache._cofa_dtype(dims).itemsize
+    rec_bytes = ids.size * cache.record_dtype(tri.shape[1]).itemsize
     assert rec_bytes >= 8 * 2**20 and peak < 1.5 * rec_bytes, (peak, rec_bytes)
     d2, i2, s2, q2, t2 = cache.read_coeffs(p, 8)
-    assert d2 == dims and (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all()
+    assert d2 == BIG_DIMS and (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all()
     assert (t2 == tri).all()
+
+
+def test_coeffs_read_makes_no_copy_of_the_records(tmp_path):
+    # the fields are read-only views into the one payload read, so the
+    # traced peak is the file itself and no caller can write into them
+    ids, sizes, qs, tri = _big_table()
+    p = cache.coeffs_path(tmp_path, 8, "full")
+    cache.write_coeffs(p, 8, BIG_DIMS, ids, sizes, qs, tri)
+    file_bytes = p.stat().st_size
+    tracemalloc.start()
+    try:
+        d2, i2, s2, q2, t2 = cache.read_coeffs(p, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert file_bytes >= 8 * 2**20 and peak <= 1.1 * file_bytes, (peak, file_bytes)
+    assert d2 == BIG_DIMS and (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all()
+    assert (t2 == tri).all()
+    assert not any(a.flags.writeable for a in (i2, s2, q2, t2))
 
 
 def test_coeffs_missing_sidecar(tmp_path):

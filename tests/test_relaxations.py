@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossings import cycles, relaxations
+from crossings.coeffs import PairTables
 from crossings.errors import ArgumentError, ResourceError, SolverError
 from crossings.relaxations import (
     _strict_start,
@@ -25,6 +26,7 @@ from crossings.relaxations import (
     scan_violations,
     split_triangles,
 )
+from crossings.repsets import build_blocks
 from crossings.sdp import polish_dual, solve_bound_problem
 from crossings.swapgraph import self_cost
 
@@ -103,17 +105,56 @@ def test_single_never_beats_full(single_runs, full_runs):
     assert single_runs[6].value == pytest.approx(full_runs[6].value, abs=1e-9)
 
 
-def test_argument_guards():
+class TableAllocated(Exception):
+    pass
+
+
+def no_block_tables(monkeypatch):
+    """Make block selection and the block tables raise TableAllocated."""
+    def no_table(*args):
+        raise TableAllocated(args)
+
+    monkeypatch.setattr(relaxations, "build_blocks", no_table)
+    monkeypatch.setattr(relaxations, "block_constraint_tables", no_table)
+
+
+def test_argument_guards(tmp_path, monkeypatch):
     with pytest.raises(ArgumentError):
         coeff_tables(3, "single")
     with pytest.raises(ArgumentError):
         coeff_tables(3, "full")
+    # one size rule, no level cap: the 1,366 records of full m=9 take 15 MB,
+    # so they are refused at 16 MB and pass the rule at 64 MB; the blocks
+    # are never selected on a refusal
+    no_block_tables(monkeypatch)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: 16 * 2**20)
     with pytest.raises(ResourceError):
-        coeff_tables(10, "full")
+        coeff_tables(9, "full", cache_dir=tmp_path)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: 64 * 2**20)
+    with pytest.raises(TableAllocated):
+        coeff_tables(9, "full", cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
-class TableAllocated(Exception):
-    pass
+def test_full_tables_past_memory_are_refused_before_the_blocks(tmp_path, monkeypatch):
+    # at 8 GiB the 85,058 records of full m=11, one entry per class, would
+    # take 54 GiB, so the level is refused once its classes are counted;
+    # the single-block records of m=11 pass the same rule
+    no_block_tables(monkeypatch)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**30)
+    with pytest.raises(ResourceError, match="full m=11"):
+        coeff_tables(11, "full", cache_dir=tmp_path)
+    with pytest.raises(TableAllocated):
+        coeff_tables(11, "single", cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_full_records_hold_one_entry_per_class(m):
+    # the size rule takes a full record's width to be the class count: the
+    # swap transposes each block's d^2 pair orbits and fixes d of them
+    dims = [b.dim for b in build_blocks(m)]
+    assert sum(d * (d + 1) // 2 for d in dims) == PairTables.build(m).classes.count
 
 
 def test_levels_past_memory_are_refused_before_allocating(tmp_path, monkeypatch):
