@@ -126,34 +126,20 @@ def record_dtype(width: int) -> np.dtype:
     return np.dtype([("orbit", "<u8"), ("size", "<u8"), ("q", "<u2"), ("tri", "<i8", (width,))])
 
 
-def write_coeffs(
-    path: Path,
-    m: int,
-    dims: tuple[int, ...],
-    orbit_ids: np.ndarray,
-    sizes: np.ndarray,
-    qs: np.ndarray,
-    tri: np.ndarray,
-) -> None:
-    """tri holds each class's symmetric blocks as their upper triangles,
+def write_coeffs(path: Path, m: int, dims: tuple[int, ...], rec: np.ndarray) -> None:
+    """Publish rec, one record_dtype record per class in class order, as it
+    stands: the checksum and the file write read the array in place.  Its
+    tri field holds each class's symmetric blocks as their upper triangles,
     row-major, concatenated in block order; entries are exact integers.
     The header stores the block count and dims follows it as one byte per
     block, so readers can split the triangles."""
-    n = len(orbit_ids)
-    rec = np.empty(n, dtype=record_dtype(triangle_width(dims)))
-    rec["orbit"] = orbit_ids
-    rec["size"] = sizes
-    rec["q"] = qs
-    rec["tri"] = tri
-    head = _COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), n) + bytes(dims)
+    head = _COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(rec)) + bytes(dims)
     _write_payload(path, [head, memoryview(rec).cast("B")])
 
 
-def read_coeffs(
-    path: Path, m: int
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """dims, then each class's orbit id, size, cost and triangles as
-    read-only views into the payload, so the table is held once."""
+def read_coeffs(path: Path, m: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """dims and the records, as written by write_coeffs: a read-only view
+    into the payload, so the table is held once."""
     payload = _read_payload(path)
     if len(payload) < _COFA_HEADER.size:
         raise DataError(f"{path}: truncated header")
@@ -164,5 +150,4 @@ def read_coeffs(
     dtype = record_dtype(triangle_width(dims))
     if len(dims) != nblocks or len(payload) - off != n * dtype.itemsize:
         raise DataError(f"{path}: body is not {nblocks} dims and {n} whole records")
-    rec = np.frombuffer(payload, dtype=dtype, offset=off)
-    return dims, rec["orbit"], rec["size"], rec["q"], rec["tri"]
+    return dims, np.frombuffer(payload, dtype=dtype, offset=off)

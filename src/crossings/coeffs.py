@@ -234,8 +234,10 @@ def _hook_forms(tables: PairTables, offsets: list[int], weights: np.ndarray, out
             np.add.at(out, (rows, cols), cycles @ weights[:, cols])
 
 
-def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarray:
-    """Class blocks of a relaxation as packed upper triangles, (C, t).
+def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.ndarray) -> None:
+    """Write the class blocks of a relaxation as packed upper triangles
+    into tri, (C, t) int64 zeros, which may be a view such as the tri
+    field of the cache records (cache.record_dtype).
 
     Rows follow the class order; columns run over the upper triangle of
     each block, row-major, blocks in order.  The entry of a block of sign s
@@ -253,7 +255,6 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     """
     hook = (tables.m - 2, 1, 1)
     widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
-    tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
     raws = np.split(tri, np.cumsum(widths)[:-1], axis=1)
     for lam in dict.fromkeys(b.lam for b in blocks):
         group = [(b, raw, [(i, j) for i in range(b.dim) for j in range(i, b.dim)])
@@ -275,4 +276,3 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block]) -> np.ndarr
     for b, raw in zip(blocks, raws):
         if b.sign:
             raw[:] = (1 + b.sign**2) * raw + 2 * b.sign * raw[tables.flip]
-    return tri

@@ -222,10 +222,10 @@ def stabilizer_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(keys), np.concatenate(fixed, axis=1)
 
 
-# A level is refused when this factor times (m-1)! m, the bytes its words
-# would take as a table (479 MB at m = 12), exceeds the physical memory,
-# though none is held: a cold single-block build peaks at 350 MB at m = 12.
-_PEAK_PER_WORD_BYTE = 3
+# Bytes per stabilizer orbit, about (m-1)!/(2m) of them, fitted to the peaks
+# of PairTables.build at m = 11 and 12 (26 and 250 MB above the imports); a
+# level asking more than the physical memory is refused (m = 13 asks 3.0 GB).
+_PEAK_PER_REPRESENTATIVE = 165
 
 
 def _physical_memory() -> int:
@@ -255,7 +255,7 @@ class CycleIndex:
 
     def __init__(self, m: int):
         _check_m(m)
-        check_fits(_PEAK_PER_WORD_BYTE * factorial(m - 1) * m, f"m={m} with its cycle words")
+        check_fits(_PEAK_PER_REPRESENTATIVE * factorial(m - 1) // (2 * m), f"m={m}")
         self.m = m
         self._representatives: tuple[np.ndarray, np.ndarray] | None = None
 

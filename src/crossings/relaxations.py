@@ -43,12 +43,15 @@ from .sdp import polish_dual, solve_bound_problem
 # The cutting loop stops once no class is violated by more than _TOL_CUT
 # per element, adds at most _BATCH classes per round, and gives up after
 # _MAX_ROUNDS restricted solves.  The certificate rounds dual eigenpairs to
-# _BITS binary places.  The certificate is sound for any of these values;
-# they only decide how sharp it is and how long the run takes.
+# _BITS binary places, and _pair casts _PAIR_ENTRIES table entries at a
+# time (2 MB as float64, about 10 MB as Python ints).  The certificate is
+# sound for any of these values; they only decide how sharp it is, how
+# long the run takes and how much memory it holds.
 _TOL_CUT = 1e-7
 _BATCH = 50
 _MAX_ROUNDS = 200
 _BITS = 48
+_PAIR_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -113,13 +116,14 @@ def coeff_tables(
     m: int, kind: str, cache_dir=None
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Integer tables (dims, sizes, costs, upper triangles concatenated in
-    block order) of one relaxation, kind "single" or "full", through the
-    coefficient cache when a valid file is present.
+    block order) of one relaxation, kind "single" or "full": fields of the
+    coefficient cache's records when a valid file is present, else of one
+    record array built in place and published as it stands, the one copy
+    of the table a run holds (scans pair it in row chunks, see _pair).
 
     A build is refused with ResourceError once the classes are counted,
-    before any block is selected, when twice its records exceed physical
-    memory (the write's records beside the triangles, or a scan's float
-    cast).  A full record has one entry per class: the swap transposes each
+    before any block is selected, when its records exceed physical memory.
+    A full record has one entry per class: the swap transposes each
     block's d^2 pair orbits, fixing d, so sum d(d+1)/2 is the class count."""
     if kind not in ("single", "full"):
         raise ArgumentError(f"unknown relaxation kind {kind!r}")
@@ -127,18 +131,21 @@ def coeff_tables(
         raise ArgumentError(f"{kind} relaxation needs m >= 4")
     path = cache.coeffs_path(cache.resolve_cache_dir(cache_dir), m, kind)
     if path.exists():
-        dims, _, sizes, qs, tri = cache.read_coeffs(path, m)
-        return dims, sizes.astype(np.int64), qs.astype(np.int64), tri
-    tables = PairTables.build(m)
-    classes = tables.classes
-    hook = Block((m - 2, 1, 1), 0, hook_block_columns(m))
-    width = classes.count if kind == "full" else cache.triangle_width([hook.dim])
-    check_fits(2 * classes.count * cache.record_dtype(width).itemsize, f"{kind} m={m}")
-    blocks = build_blocks(m) if kind == "full" else [hook]
-    dims = tuple(b.dim for b in blocks)
-    tri = block_constraint_tables(tables, blocks)
-    cache.write_coeffs(path, m, dims, classes.rep_orbits, classes.sizes, tables.q, tri)
-    return dims, classes.sizes.astype(np.int64), tables.q.astype(np.int64), tri
+        dims, rec = cache.read_coeffs(path, m)
+    else:
+        tables = PairTables.build(m)
+        classes = tables.classes
+        hook = Block((m - 2, 1, 1), 0, hook_block_columns(m))
+        width = classes.count if kind == "full" else cache.triangle_width([hook.dim])
+        dtype = cache.record_dtype(width)
+        check_fits(classes.count * dtype.itemsize, f"{kind} m={m}")
+        blocks = build_blocks(m) if kind == "full" else [hook]
+        dims = tuple(b.dim for b in blocks)
+        rec = np.zeros(classes.count, dtype)
+        rec["orbit"], rec["size"], rec["q"] = classes.rep_orbits, classes.sizes, tables.q
+        block_constraint_tables(tables, blocks, rec["tri"])
+        cache.write_coeffs(path, m, dims, rec)
+    return dims, rec["size"].astype(np.int64), rec["q"].astype(np.int64), rec["tri"]
 
 
 def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -188,6 +195,14 @@ def _packed(ys: list[np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _pair(tri: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """tri @ packed in the dtype of packed (float64, int64 or Python ints),
+    casting one row chunk of tri at a time, never the whole table."""
+    rows = max(1, _PAIR_ENTRIES // tri.shape[1])
+    return np.concatenate([tri[lo : lo + rows].astype(packed.dtype) @ packed
+                           for lo in range(0, len(tri), rows)])
+
+
 def class_slacks(
     ys: list[np.ndarray],
     dims: tuple[int, ...],
@@ -197,7 +212,7 @@ def class_slacks(
     tri: np.ndarray,
 ) -> np.ndarray:
     """Per-element slack of every class constraint at the dual point."""
-    return qs - t - (tri @ _packed(ys, dims)) / sizes
+    return qs - t - _pair(tri, _packed(ys, dims)) / sizes
 
 
 def scan_violations(
@@ -229,7 +244,7 @@ def first_cuts(
     by cost ascending, then equal costs by tr(A_j) / |j| descending; the
     ties left go to the smaller id, as in scan_violations.  The traces are
     exact integers."""
-    trace = tri @ _packed([np.eye(d, dtype=np.int64) for d in dims], dims)
+    trace = _pair(tri, _packed([np.eye(d, dtype=np.int64) for d in dims], dims))
     below = np.flatnonzero(qs < qs[0])
     order = np.lexsort((below, -(trace[below] / sizes[below]), qs[below]))
     return [0] + [int(i) for i in below[order[:_BATCH]]]
@@ -275,11 +290,11 @@ def certify(
     tri: np.ndarray,
 ) -> Certificate:
     """Exact lower bound certificate from near-optimal dual blocks, one per
-    entry of dims, priced against the packed integer triangles one column
-    at a time, so only a column of the table is ever held as Python ints."""
+    entry of dims, priced against the packed integer triangles in Python
+    ints one row chunk at a time (_pair)."""
     numerators = [_dyadic_numerator(y) for y in ys]
     denom = 1 << (3 * _BITS)
-    inners = sum(col.astype(object) * p for col, p in zip(tri.T, _packed(numerators, dims)))
+    inners = _pair(tri, _packed(numerators, dims))
     value, worst = _certified_min(inners, sizes, qs, denom)
     return Certificate(numerators, denom, value, worst)
 

@@ -10,13 +10,18 @@ from crossings import cache
 from crossings.errors import DataError
 
 
+def records(dims, orbit, size, q, tri):
+    """COFA records holding the given fields, one per class."""
+    rec = np.zeros(len(orbit), dtype=cache.record_dtype(cache.triangle_width(dims)))
+    rec["orbit"], rec["size"], rec["q"], rec["tri"] = orbit, size, q, tri
+    return rec
+
+
 def _write_small_coeffs(path, m):
     d = 2
     t = d * (d + 1) // 2
-    cache.write_coeffs(
-        path, m, (d,), np.arange(5, dtype=np.uint64), np.arange(1, 6, dtype=np.uint64),
-        np.arange(5, dtype=np.uint16), np.arange(5 * t, dtype=np.int64).reshape(5, t),
-    )
+    cache.write_coeffs(path, m, (d,), records(
+        (d,), np.arange(5), np.arange(1, 6), np.arange(5), np.arange(5 * t).reshape(5, t)))
 
 
 def test_coeffs_rejects_wrong_m(tmp_path):
@@ -54,47 +59,44 @@ def test_coeffs_refuses_short_payloads_with_matching_sidecars(tmp_path):
 BIG_DIMS = (4, 3)
 
 
-def _big_table():
+def _big_records():
     n, t = 2**17, cache.triangle_width(BIG_DIMS)
-    tri = np.arange(n * t, dtype=np.int64).reshape(n, t) - 7
-    return np.arange(n, dtype=np.uint64), np.arange(n, dtype=np.uint64) + 1, np.zeros(n, np.uint16), tri
+    tri = np.arange(n * t).reshape(n, t) - 7
+    return records(BIG_DIMS, np.arange(n), np.arange(n) + 1, 0, tri)
 
 
 def test_coeffs_write_makes_no_copy_of_the_records(tmp_path):
-    # the records are built once and written and checksummed in place: the
-    # traced peak is the record array, not a bytes copy or a joined payload
-    ids, sizes, qs, tri = _big_table()
+    # the records are written and checksummed in place: the traced peak
+    # holds no bytes copy of them and no joined payload
+    rec = _big_records()
     p = cache.coeffs_path(tmp_path, 8, "full")
     tracemalloc.start()
     try:
-        cache.write_coeffs(p, 8, BIG_DIMS, ids, sizes, qs, tri)
+        cache.write_coeffs(p, 8, BIG_DIMS, rec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rec_bytes = ids.size * cache.record_dtype(tri.shape[1]).itemsize
-    assert rec_bytes >= 8 * 2**20 and peak < 1.5 * rec_bytes, (peak, rec_bytes)
-    d2, i2, s2, q2, t2 = cache.read_coeffs(p, 8)
-    assert d2 == BIG_DIMS and (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all()
-    assert (t2 == tri).all()
+    assert rec.nbytes >= 8 * 2**20 and peak < 0.1 * rec.nbytes, (peak, rec.nbytes)
+    d2, rec2 = cache.read_coeffs(p, 8)
+    assert d2 == BIG_DIMS and rec2.tobytes() == rec.tobytes()
 
 
 def test_coeffs_read_makes_no_copy_of_the_records(tmp_path):
-    # the fields are read-only views into the one payload read, so the
+    # the records are a read-only view into the one payload read, so the
     # traced peak is the file itself and no caller can write into them
-    ids, sizes, qs, tri = _big_table()
+    rec = _big_records()
     p = cache.coeffs_path(tmp_path, 8, "full")
-    cache.write_coeffs(p, 8, BIG_DIMS, ids, sizes, qs, tri)
+    cache.write_coeffs(p, 8, BIG_DIMS, rec)
     file_bytes = p.stat().st_size
     tracemalloc.start()
     try:
-        d2, i2, s2, q2, t2 = cache.read_coeffs(p, 8)
+        d2, rec2 = cache.read_coeffs(p, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert file_bytes >= 8 * 2**20 and peak <= 1.1 * file_bytes, (peak, file_bytes)
-    assert d2 == BIG_DIMS and (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all()
-    assert (t2 == tri).all()
-    assert not any(a.flags.writeable for a in (i2, s2, q2, t2))
+    assert d2 == BIG_DIMS and rec2.tobytes() == rec.tobytes()
+    assert not any(rec2[name].flags.writeable for name in rec2.dtype.names)
 
 
 def test_coeffs_missing_sidecar(tmp_path):
@@ -118,10 +120,11 @@ def test_coeffs_roundtrip(tmp_path):
     qs = np.arange(5, dtype=np.uint16)
     tri = np.arange(5 * t, dtype=np.int64).reshape(5, t) - 7
     p = cache.coeffs_path(tmp_path, m, "single")
-    cache.write_coeffs(p, m, (d,), ids, sizes, qs, tri)
-    d2, i2, s2, q2, t2 = cache.read_coeffs(p, m)
+    cache.write_coeffs(p, m, (d,), records((d,), ids, sizes, qs, tri))
+    d2, rec = cache.read_coeffs(p, m)
     assert d2 == (d,)
-    assert (i2 == ids).all() and (s2 == sizes).all() and (q2 == qs).all() and (t2 == tri).all()
+    assert (rec["orbit"] == ids).all() and (rec["size"] == sizes).all()
+    assert (rec["q"] == qs).all() and (rec["tri"] == tri).all()
 
 
 def test_cache_dir_env(tmp_path, monkeypatch):
@@ -159,7 +162,7 @@ def test_failed_payload_publish_leaves_a_rebuildable_cache(tmp_path, monkeypatch
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         assert (a == b).all()
-    assert cache.read_coeffs(payload, 5)[4].tolist() == want[3].tolist()
+    assert cache.read_coeffs(payload, 5)[1]["tri"].tolist() == want[3].tolist()
 
 
 # CRC-32 of the table files; the tables must not change by a byte.

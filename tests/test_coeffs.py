@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crossings import coeffs, cycles, repsets
+from crossings import cache, coeffs, cycles, repsets
 from crossings.coeffs import (
     PairTables,
     _hook_forms,
@@ -67,9 +67,16 @@ def tri_pairs(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
+def block_tables(t, blocks):
+    """block_constraint_tables written into a fresh contiguous table."""
+    tri = np.zeros((t.classes.count, cache.triangle_width(b.dim for b in blocks)), dtype=np.int64)
+    block_constraint_tables(t, blocks, tri)
+    return tri
+
+
 def hook_table(t):
     """The single-block table: the hook block with sign 0."""
-    return block_constraint_tables(t, [Block((t.m - 2, 1, 1), 0, hook_block_columns(t.m))])
+    return block_tables(t, [Block((t.m - 2, 1, 1), 0, hook_block_columns(t.m))])
 
 
 def hook_tableau(m, j, i):
@@ -81,7 +88,7 @@ def form(t1, t2, t):
     """Signed class counts of one pairing form, the off-diagonal entry of a
     sign-0 block of the two tableaux."""
     lam = tuple(len(r) for r in t1)
-    col = block_constraint_tables(t, [Block(lam, 0, [t1, t2])])[:, 1]
+    col = block_tables(t, [Block(lam, 0, [t1, t2])])[:, 1]
     return {int(c): int(v) for c, v in enumerate(col) if v}
 
 
@@ -148,7 +155,7 @@ def test_hook_table_routes_agree(m):
 def test_block_table_routes_agree(m):
     t = TABLES[m]
     blocks = build_blocks(m)
-    poly = split_triangles(block_constraint_tables(t, blocks), tuple(b.dim for b in blocks))
+    poly = split_triangles(block_tables(t, blocks), tuple(b.dim for b in blocks))
     pairs = pair_stream_forms(t, [block_rows(t.index, b) for b in blocks])
     for b, x, y in zip(blocks, poly, pairs):
         assert (x == y).all(), (b.lam, b.sign)
@@ -160,7 +167,7 @@ def test_sign_zero_blocks_of_other_shapes(m):
     t = TABLES[m]
     for lam in [(m - 1, 1), (m - 2, 2)]:
         b = Block(lam, 0, standard_tableaux(lam)[:4])
-        got = split_triangles(block_constraint_tables(t, [b]), (b.dim,))[0]
+        got = split_triangles(block_tables(t, [b]), (b.dim,))[0]
         (want,) = pair_stream_forms(t, [block_rows(t.index, b)])
         assert (got == want).all(), lam
 
@@ -385,8 +392,25 @@ def test_block_tables_bytes_frozen(m, monkeypatch):
     t = TABLES.get(m) or PairTables.build(m)
     monkeypatch.setattr(cycles, "word_blocks", no_table)
     blocks = build_blocks(m)
-    tri = block_constraint_tables(t, blocks)
+    tri = block_tables(t, blocks)
     assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
+
+
+@pytest.mark.parametrize("m,kind", [(8, "single"), (6, "full")])
+def test_block_tables_build_in_the_cache_records(m, kind):
+    # the build writes into the tri field of the cache records, a strided
+    # view: its bytes are those of a contiguous table, and the fields beside
+    # it are left as they were
+    t = TABLES.get(m) or PairTables.build(m)
+    blocks = build_blocks(m) if kind == "full" else [Block((m - 2, 1, 1), 0, hook_block_columns(m))]
+    want = block_tables(t, blocks)
+    rec = np.zeros(t.classes.count, dtype=cache.record_dtype(want.shape[1]))
+    rec["orbit"], rec["size"], rec["q"] = 2**64 - 1, 2**64 - 2, 2**16 - 1
+    block_constraint_tables(t, blocks, rec["tri"])
+    assert not rec["tri"].flags.c_contiguous
+    assert rec["tri"].tobytes() == want.tobytes()
+    assert (rec["orbit"] == 2**64 - 1).all() and (rec["size"] == 2**64 - 2).all()
+    assert (rec["q"] == 2**16 - 1).all()
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -400,7 +424,7 @@ def test_diagonal_class_entries_are_gram_matrices(m):
     for pos, (i, j) in enumerate(tri_pairs(hooks.shape[0])):
         assert tri[diag, pos] == gram[i, j]
     blocks = build_blocks(m)
-    stacks = split_triangles(block_constraint_tables(t, blocks), tuple(b.dim for b in blocks))
+    stacks = split_triangles(block_tables(t, blocks), tuple(b.dim for b in blocks))
     for b, a in zip(blocks, stacks):
         rows = block_rows(t.index, b)
         assert (a[diag] == rows @ rows.T).all()

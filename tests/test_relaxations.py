@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import sqrt
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossings import cycles, relaxations
+from crossings import cache, cycles, relaxations
 from crossings.coeffs import PairTables
 from crossings.errors import ArgumentError, ResourceError, SolverError
 from crossings.relaxations import (
@@ -124,10 +125,10 @@ def test_argument_guards(tmp_path, monkeypatch):
     with pytest.raises(ArgumentError):
         coeff_tables(3, "full")
     # one size rule, no level cap: the 1,366 records of full m=9 take 15 MB,
-    # so they are refused at 16 MB and pass the rule at 64 MB; the blocks
-    # are never selected on a refusal
+    # held once, so they are refused at 8 MB and pass the rule at 64 MB;
+    # the blocks are never selected on a refusal
     no_block_tables(monkeypatch)
-    monkeypatch.setattr(cycles, "_physical_memory", lambda: 16 * 2**20)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**20)
     with pytest.raises(ResourceError):
         coeff_tables(9, "full", cache_dir=tmp_path)
     monkeypatch.setattr(cycles, "_physical_memory", lambda: 64 * 2**20)
@@ -158,18 +159,19 @@ def test_full_records_hold_one_entry_per_class(m):
 
 
 def test_levels_past_memory_are_refused_before_allocating(tmp_path, monkeypatch):
-    # at 8 GiB, m=13 (12! words of 13 letters, 6.2 GB were they held) is
-    # refused and m=12 passes the guard; the word enumeration only raises
-    # here, so a failing guard allocates nothing on any machine
+    # at 8 GiB, m=14 (about 222 M stabilizer orbits, some 37 GB for the
+    # pair tables) is refused and m=13 (18.4 M orbits, about 3 GB) passes
+    # the guard; the word enumeration only raises here, so a failing guard
+    # allocates nothing on any machine
     def no_table(m):
         raise TableAllocated(m)
 
     monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**30)
     monkeypatch.setattr(cycles, "word_blocks", no_table)
-    with pytest.raises(ResourceError):
-        coeff_tables(13, "single", cache_dir=tmp_path)
+    with pytest.raises(ResourceError, match="m=14"):
+        coeff_tables(14, "single", cache_dir=tmp_path)
     with pytest.raises(TableAllocated):
-        coeff_tables(12, "single", cache_dir=tmp_path)
+        coeff_tables(13, "single", cache_dir=tmp_path)
     assert not any(tmp_path.iterdir())
 
 
@@ -313,6 +315,25 @@ def test_rank_structure_even_m(single_runs):
     assert rank6 == 1
     vals = np.linalg.eigvalsh(single_runs[6].y[0])
     assert vals[0] <= 1e-8 * vals[-1]
+
+
+def test_scan_casts_one_row_chunk_of_the_records():
+    # a scan pairs the int64 triangles with a float dual in row chunks, so
+    # its traced peak is far below the table, here a 54 MB record view
+    dims = (13, 3)
+    n, width = 2**16, cache.triangle_width(dims)
+    rec = np.zeros(n, dtype=cache.record_dtype(width))
+    rec["tri"] = np.arange(width) % 7 - 3
+    ys = [np.eye(d) for d in dims]
+    want = 1.0 - 2.0 - (rec["tri"][:1].astype(float) @ relaxations._packed(ys, dims))[0]
+    tracemalloc.start()
+    try:
+        slack = class_slacks(ys, dims, 2.0, np.ones(n), np.ones(n), rec["tri"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.nbytes >= 40 * 2**20 and peak < 0.25 * rec.nbytes, (peak, rec.nbytes)
+    assert (slack == want).all()
 
 
 def test_value_prices_the_polished_dual(store, single_runs):
