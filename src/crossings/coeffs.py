@@ -72,12 +72,11 @@ class PairTables:
     @classmethod
     def build(cls, m: int) -> "PairTables":
         index = CycleIndex(m)
-        orbits = build_pair_orbits(index)
-        classes = orbits.symmetric_classes()
+        classes = build_pair_orbits(index)
         # inversion permutes stabilizer orbits, (g tau)^-1 = g tau^-1 for g
         # in the stabilizer, so the orbits of the inverted class
         # representatives give the cost and the flip
-        inverse = index.orbit_ids(invert_seqs(orbits.rep_seqs[classes.rep_orbits]))
+        inverse = np.concatenate(list(index.image_orbits(classes.rep_orbits, invert_seqs)))
         return cls(index=index, classes=classes, q=distances_from_base(index)[inverse],
                    flip=classes.class_of_orbit[inverse])
 

@@ -35,7 +35,10 @@ filter, so no table of all (m-1)! words is ever held; the representatives
 come out in ascending key order, each with the count of its images equal
 to it, which is its stabilizer order.  The census reads no more than
 that.  Any word's orbit is looked up among them by its canonical key
-(CycleIndex.orbit_ids), and no per-cycle orbit table is kept.
+(CycleIndex.orbit_ids), and no per-cycle orbit table is kept.  The orbits
+of words made from representatives, their swap partners, inverses and
+swap neighbours, are looked up in one place (CycleIndex.image_orbits),
+which unpacks the representatives one chunk at a time.
 """
 
 from __future__ import annotations
@@ -98,9 +101,12 @@ def invert_seqs(seqs: np.ndarray) -> np.ndarray:
     return np.concatenate([seqs[..., :1], seqs[..., :0:-1]], axis=-1)
 
 
-# Rows per chunk of the canonicalization kernel.  Its temporaries take about
-# 4m(m + 8) bytes per row (0.7 MB a chunk at m = 10), so chunks stay in
-# cache and off the peak memory of callers that canonicalize whole tables.
+# Rows per chunk of the canonicalization kernel, and representatives per
+# chunk of CycleIndex.image_orbits.  The kernel's temporaries take about
+# 4m(m + 8) bytes per row (0.7 MB a chunk at m = 10); a chunk of swap
+# neighbours is m rows per representative, about m(m + 16) bytes each
+# beside them, so chunks stay in cache and off the peak memory of callers
+# that canonicalize whole tables.
 _CHUNK_ROWS = 1024
 
 
@@ -223,9 +229,9 @@ def stabilizer_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Bytes per stabilizer orbit, about (m-1)!/(2m) of them, fitted to the peaks
-# of PairTables.build at m = 11 and 12 (26 and 250 MB above the imports); a
-# level asking more than the physical memory is refused (m = 13 asks 3.0 GB).
-_PEAK_PER_REPRESENTATIVE = 165
+# of PairTables.build at m = 11 and 12 (15 and 100 MiB above the imports); a
+# level asking more than the physical memory is refused (m = 13 asks 1.8 GB).
+_PEAK_PER_REPRESENTATIVE = 98
 
 
 def _physical_memory() -> int:
@@ -271,3 +277,11 @@ class CycleIndex:
         """Position of each row's stabilizer orbit among representatives(),
         for rows that may be arbitrary rotations of anchored words."""
         return np.searchsorted(self.representatives()[0], canonical_keys(words))
+
+    def image_orbits(self, ids: np.ndarray, words_of):
+        """orbit_ids of words_of(w), w the words of the representatives at
+        ids, yielded for _CHUNK_ROWS representatives at a time, so that no
+        word table of the whole set is held."""
+        keys = self.representatives()[0]
+        for lo in range(0, len(ids), _CHUNK_ROWS):
+            yield self.orbit_ids(words_of(unpack_keys(keys[ids[lo : lo + _CHUNK_ROWS]], self.m)))

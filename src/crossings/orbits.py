@@ -12,7 +12,10 @@ and never from a per-cycle table.
 Swapping the two components permutes the orbits (an involution), and the
 classes of that involution index the constraints of the relaxations: the
 class's coefficient block is the symmetrized sum over its one or two
-orbits.  Everything here is combinatorial; the pair costs, which are
+orbits.  The classes are all that is kept (build_pair_orbits): each
+orbit's swap partner is looked up from its representative one chunk at a
+time (CycleIndex.image_orbits) and dropped once the classes are formed.
+Everything here is combinatorial; the pair costs, which are
 constant on classes, are read off the swap distances where the constraint
 tables are built (coeffs.PairTables).
 """
@@ -24,45 +27,8 @@ from math import factorial
 
 import numpy as np
 
-from .cycles import CycleIndex, unpack_keys
+from .cycles import CycleIndex
 from .errors import CrossingsError
-
-
-@dataclass
-class PairOrbits:
-    """Pair-orbit table for one cycle length.
-
-    Orbits are identified by the packed canonical key of their second
-    component at base first component; ids are positions in ascending key
-    order.
-    """
-
-    m: int
-    rep_keys: np.ndarray  # (R,) u64, ascending
-    rep_seqs: np.ndarray  # (R, m) u8, the canonical second components
-    n_tau: np.ndarray  # (R,) i64, cycles in each stabilizer class
-    partner: np.ndarray  # (R,) i64, orbit id after swapping the pair
-
-    @property
-    def num_orbits(self) -> int:
-        return self.rep_keys.size
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return self.n_tau.astype(np.uint64) * np.uint64(factorial(self.m - 1))
-
-    def symmetric_classes(self) -> "SymmetricClasses":
-        ids = np.arange(self.num_orbits, dtype=np.int64)
-        is_rep = ids <= self.partner
-        rep_orbits = ids[is_rep]
-        paired = self.partner[rep_orbits] != rep_orbits
-        sizes = self.sizes[rep_orbits] * np.where(paired, np.uint64(2), np.uint64(1))
-        class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, self.partner)).astype(np.int32)
-        return SymmetricClasses(
-            rep_orbits=rep_orbits,
-            sizes=sizes,
-            class_of_orbit=class_of_orbit,
-        )
 
 
 @dataclass
@@ -88,22 +54,30 @@ def swap_partner_words(rep_seqs: np.ndarray) -> np.ndarray:
     return (np.argsort(rep_seqs, axis=-1) + 1).astype(np.uint8)
 
 
-def build_pair_orbits(index: CycleIndex) -> PairOrbits:
-    """Enumerate all pair orbits from the stabilizer-orbit representatives.
+def build_pair_orbits(index: CycleIndex) -> SymmetricClasses:
+    """The swap classes of all pair orbits, from the stabilizer-orbit
+    representatives.
 
     The orbit through (base, tau) holds (m-1)! pairs for each cycle in the
     stabilizer orbit of tau, and that orbit has 2m divided by the stabilizer
-    order of its representative members; no per-cycle table is read.
+    order of its representative members; no per-cycle table is read.  The
+    swap partners are looked up one chunk of representatives at a time
+    (CycleIndex.image_orbits) and dropped once the classes are formed.
     """
     m = index.m
     rep_keys, fixed = index.representatives()
-    n_tau = (2 * m) // fixed.sum(axis=0, dtype=np.int64)
-    if int(n_tau.sum()) != factorial(m - 1):
-        raise CrossingsError(f"stabilizer orbits of {m}-cycles cover {int(n_tau.sum())} "
+    lengths = (2 * m) // fixed.sum(axis=0, dtype=np.uint8)
+    if int(lengths.sum()) != factorial(m - 1):
+        raise CrossingsError(f"stabilizer orbits of {m}-cycles cover {int(lengths.sum())} "
                              f"cycles, not {factorial(m - 1)}")
-    rep_seqs = unpack_keys(rep_keys, m)
-    partner = index.orbit_ids(swap_partner_words(rep_seqs)).astype(np.int64)
-    return PairOrbits(m=m, rep_keys=rep_keys, rep_seqs=rep_seqs, n_tau=n_tau, partner=partner)
+    ids = np.arange(rep_keys.size, dtype=np.int64)
+    partner = np.concatenate(list(index.image_orbits(ids, swap_partner_words)))
+    rep_orbits = ids[ids <= partner]
+    paired = partner[rep_orbits] != rep_orbits
+    sizes = (lengths[rep_orbits].astype(np.uint64) * np.uint64(factorial(m - 1))
+             * np.where(paired, np.uint64(2), np.uint64(1)))
+    class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, partner, out=partner)).astype(np.int32)
+    return SymmetricClasses(rep_orbits=rep_orbits, sizes=sizes, class_of_orbit=class_of_orbit)
 
 
 def count_relabel_only_orbits(index: CycleIndex) -> int:
@@ -122,9 +96,5 @@ def count_relabel_only_orbits(index: CycleIndex) -> int:
 
 def orbit_census(index: CycleIndex) -> tuple[int, int, int]:
     """(relabel-only orbits, orbits, swap classes) for one cycle length."""
-    orbits = build_pair_orbits(index)
-    return (
-        count_relabel_only_orbits(index),
-        orbits.num_orbits,
-        orbits.symmetric_classes().count,
-    )
+    classes = build_pair_orbits(index)
+    return count_relabel_only_orbits(index), classes.class_of_orbit.size, classes.count

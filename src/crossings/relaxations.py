@@ -203,18 +203,6 @@ def _pair(tri: np.ndarray, packed: np.ndarray) -> np.ndarray:
                            for lo in range(0, len(tri), rows)])
 
 
-def class_slacks(
-    ys: list[np.ndarray],
-    dims: tuple[int, ...],
-    t: float,
-    sizes: np.ndarray,
-    qs: np.ndarray,
-    tri: np.ndarray,
-) -> np.ndarray:
-    """Per-element slack of every class constraint at the dual point."""
-    return qs - t - _pair(tri, _packed(ys, dims)) / sizes
-
-
 def scan_violations(
     ys: list[np.ndarray],
     dims: tuple[int, ...],
@@ -222,13 +210,17 @@ def scan_violations(
     sizes: np.ndarray,
     qs: np.ndarray,
     tri: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Worst per-element violation over all classes and the ids of the
-    _BATCH worst offenders, worst first, ties broken toward the smaller id."""
-    v = -class_slacks(ys, dims, t, sizes, qs, tri)
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Worst per-element violation over all classes, the ids of the _BATCH
+    worst offenders, worst first, ties broken toward the smaller id, and
+    the per-element price of the dual blocks on every class.  A class's
+    slack at the dual point is qs - t - price, so the least qs - price is
+    the value of the dual blocks."""
+    price = _pair(tri, _packed(ys, dims)) / sizes
+    v = -(qs - t - price)
     order = np.lexsort((np.arange(v.size), -v))
     picked = order[:_BATCH]
-    return float(v.max()), picked[v[picked] > 0].astype(np.int64)
+    return float(v.max()), picked[v[picked] > 0].astype(np.int64), price
 
 
 def first_cuts(
@@ -359,7 +351,7 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
         sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
         x0 = _strict_start(sub, sizes[ids])
         sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0)
-        maxv, offenders = scan_violations(y_pol, dims, t_pol, fsizes, c, tri)
+        maxv, offenders, price = scan_violations(y_pol, dims, t_pol, fsizes, c, tri)
         rec = RoundRecord(rnd, ids.size, t_pol, maxv,
                           (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
         rounds.append(rec)
@@ -374,7 +366,7 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
 
     cert = certify(y_pol, dims, sizes, qs, tri)
     return RelaxationOutcome(
-        m=m, kind=kind, value=float(class_slacks(y_pol, dims, 0.0, fsizes, c, tri).min()),
+        m=m, kind=kind, value=float((c - price).min()),
         raw=sol.t, certificate=cert, class_count=len(qs),
         rounds=rounds, y=y_pol, active=ids,
     )

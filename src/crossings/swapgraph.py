@@ -10,8 +10,10 @@ distances from the base cycle are ever computed.
 The production BFS runs on the quotient by the base cycle's stabilizer:
 distances from the base are constant on stabilizer orbits, so expanding only
 canonical representatives shrinks the vertex set by a factor of about 2m,
-and the result keeps one distance per orbit.  Neighbours are looked up by
-their orbit (CycleIndex.orbit_ids); no per-cycle table is built or read.
+and the result keeps one distance per orbit.  The neighbours of a frontier
+are looked up by their orbit one chunk of representatives at a time
+(CycleIndex.image_orbits) and marked as they come, so neither a per-cycle
+table nor the neighbour words of a whole frontier are held.
 The tests check it against a plain sweep over all words in tests/oracles.py.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cycles import CycleIndex, unpack_keys
+from .cycles import CycleIndex
 from .errors import CrossingsError
 
 UNREACHED = np.uint16(0xFFFF)
@@ -59,16 +61,16 @@ def distances_from_base(index: CycleIndex) -> np.ndarray:
     distance to a word is the entry at index.orbit_ids(word).
     """
     m = index.m
-    keys = index.representatives()[0]
-    dist = np.full(keys.shape[0], UNREACHED, dtype=np.uint16)
+    dist = np.full(index.representatives()[0].size, UNREACHED, dtype=np.uint16)
 
-    frontier = index.orbit_ids(np.arange(1, m + 1, dtype=np.uint8))  # the base word
+    frontier = index.orbit_ids(np.arange(1, m + 1, dtype=np.uint8)[None])  # the base word
     dist[frontier] = 0
     d = 0
     while frontier.size:
         # marking the neighbor orbits dedupes them with no sort, ids ascending
         hit = np.zeros(dist.size, dtype=bool)
-        hit[index.orbit_ids(neighbor_words(unpack_keys(keys[frontier], m)))] = True
+        for found in index.image_orbits(frontier, neighbor_words):
+            hit[found] = True
         ids = np.flatnonzero(hit & (dist == UNREACHED))
         d += 1
         dist[ids] = d

@@ -16,7 +16,10 @@ production code also computes, by a slower and more literal route:
 - the reflecting stabilizer generator applied in bulk, and the
   shift-only canonical key as the first row of cycles.shift_families;
 - the stabilizer orbits and pair orbits by canonicalizing every cycle
-  and sorting the keys, with orbit sizes counted over the whole table;
+  and sorting the keys, with orbit sizes counted over the whole table,
+  held in a pair-orbit record (representatives, lengths, swap partners)
+  that the package keeps no longer, and that record read back from the
+  swap classes the package builds;
 - the pair orbit of an arbitrary ordered pair, by relabeling the first
   component to the base, and the class of a pair (base, tau) for any
   rotation of tau's word;
@@ -44,7 +47,8 @@ production code also computes, by a slower and more literal route:
 - class blocks by direct quadruple enumeration and by streaming over all
   ordered cycle pairs, against which the expansion is compared;
 - the cutting loop's first offenders by solving, polishing and scanning
-  the instance restricted to class 0 alone, beside the closed form;
+  the instance restricted to class 0 alone, beside the closed form, and
+  the slack of every class at a dual point;
 - decimal rounding half away from zero, beside the library's truncation,
   for targets published either way.
 """
@@ -72,8 +76,15 @@ from crossings.cycles import (
     unpack_keys,
 )
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.orbits import PairOrbits, swap_partner_words
-from crossings.relaxations import _solve_polished, _strict_start, scan_violations, split_triangles
+from crossings.orbits import SymmetricClasses, swap_partner_words
+from crossings.relaxations import (
+    _packed,
+    _pair,
+    _solve_polished,
+    _strict_start,
+    scan_violations,
+    split_triangles,
+)
 from crossings.repsets import Block, _check_range, psd_pivots, shape_tables
 from crossings.swapgraph import UNREACHED, neighbor_words
 from crossings.tableaux import conjugate, lex_permutations
@@ -377,19 +388,67 @@ def stabilizer_orbits_by_sort(index: CycleIndex) -> tuple[np.ndarray, np.ndarray
     return keys, orbit_of.astype(np.int32)
 
 
-def pair_orbits_by_sort(index: CycleIndex) -> PairOrbits:
+@dataclass
+class PairOrbitRecord:
+    """Pair-orbit table for one cycle length.
+
+    Orbits are identified by the packed canonical key of their second
+    component at base first component; ids are positions in ascending key
+    order.
+    """
+
+    m: int
+    rep_keys: np.ndarray  # (R,) u64, ascending
+    rep_seqs: np.ndarray  # (R, m) u8, the canonical second components
+    n_tau: np.ndarray  # (R,) i64, cycles in each stabilizer class
+    partner: np.ndarray  # (R,) i64, orbit id after swapping the pair
+
+    @property
+    def num_orbits(self) -> int:
+        return self.rep_keys.size
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.n_tau.astype(np.uint64) * np.uint64(factorial(self.m - 1))
+
+    def symmetric_classes(self) -> SymmetricClasses:
+        """Classes of the swap involution, each led by its smaller orbit."""
+        ids = np.arange(self.num_orbits, dtype=np.int64)
+        rep_orbits = ids[ids <= self.partner]
+        paired = self.partner[rep_orbits] != rep_orbits
+        sizes = self.sizes[rep_orbits] * np.where(paired, np.uint64(2), np.uint64(1))
+        class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, self.partner)).astype(np.int32)
+        return SymmetricClasses(rep_orbits=rep_orbits, sizes=sizes, class_of_orbit=class_of_orbit)
+
+
+def pair_orbits_by_sort(index: CycleIndex) -> PairOrbitRecord:
     """Pair orbits from the sorted table, each stabilizer orbit's size
     counted over all its cycles."""
     keys, orbit_of = stabilizer_orbits_by_sort(index)
     rep_seqs = unpack_keys(keys, index.m)
     partner = np.searchsorted(keys, canonical_keys(swap_partner_words(rep_seqs)))
-    return PairOrbits(
+    return PairOrbitRecord(
         m=index.m,
         rep_keys=keys,
         rep_seqs=rep_seqs,
         n_tau=np.bincount(orbit_of, minlength=keys.size).astype(np.int64),
         partner=partner.astype(np.int64),
     )
+
+
+def pair_orbits_of_classes(index: CycleIndex, classes: SymmetricClasses) -> PairOrbitRecord:
+    """The pair-orbit record read back from swap classes: an orbit's partner
+    is the other orbit of its class, or itself, and its length the class
+    size over (m-1)! times the class's orbit count."""
+    keys = index.representatives()[0]
+    ids = np.arange(keys.size, dtype=np.int64)
+    partner = classes.rep_orbits[classes.class_of_orbit].astype(np.int64)
+    moved = partner != ids
+    partner[partner[moved]] = ids[moved]
+    members = np.where(partner == ids, 1, 2).astype(np.uint64)
+    lengths = classes.sizes[classes.class_of_orbit] // (members * np.uint64(factorial(index.m - 1)))
+    return PairOrbitRecord(m=index.m, rep_keys=keys, rep_seqs=unpack_keys(keys, index.m),
+                           n_tau=lengths.astype(np.int64), partner=partner)
 
 
 # -- pair orbits of arbitrary ordered pairs ----------------------------------
@@ -403,12 +462,12 @@ def relabel_to_base(sigma_seq) -> np.ndarray:
     return to_base
 
 
-def orbit_ids_of_tau_seqs(orbits: PairOrbits, seqs: np.ndarray) -> np.ndarray:
+def orbit_ids_of_tau_seqs(orbits: PairOrbitRecord, seqs: np.ndarray) -> np.ndarray:
     """Orbit ids of the pairs (base, tau) for each word tau in seqs."""
     return np.searchsorted(orbits.rep_keys, canonical_keys(seqs))
 
 
-def orbit_of_pair(orbits: PairOrbits, sigma: Cycle, tau: Cycle) -> int:
+def orbit_of_pair(orbits: PairOrbitRecord, sigma: Cycle, tau: Cycle) -> int:
     """Orbit id of an arbitrary ordered pair.
 
     Normalizes by the relabeling that carries sigma's word to the base (the
@@ -884,6 +943,18 @@ def class_zero_offenders(
     sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
     _, t_pol, y_pol = _solve_polished(np.ones(1), c[ids], sub, _strict_start(sub, sizes[ids]))
     return scan_violations(y_pol, dims, t_pol, fsizes, c, tri)[1]
+
+
+def class_slacks(
+    ys: list[np.ndarray],
+    dims: tuple[int, ...],
+    t: float,
+    sizes: np.ndarray,
+    qs: np.ndarray,
+    tri: np.ndarray,
+) -> np.ndarray:
+    """Per-element slack of every class constraint at the dual point."""
+    return qs - t - _pair(tri, _packed(ys, dims)) / sizes
 
 
 # -- decimal display -------------------------------------------------------------

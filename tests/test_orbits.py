@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossings import cycles
+from crossings.coeffs import PairTables
 from crossings.cycles import CycleIndex, invert_seqs
 from crossings.errors import CrossingsError
 from crossings.orbits import (
@@ -24,6 +26,7 @@ from oracles import (
     orbit_ids_of_tau_seqs,
     orbit_of_pair,
     pair_orbits_by_sort,
+    pair_orbits_of_classes,
     shift_canonical_keys,
     stabilizer_elements,
     stabilizer_orbits_by_sort,
@@ -31,8 +34,9 @@ from oracles import (
 
 
 def make(m):
+    """The index and its pair orbits, read back from the swap classes."""
     idx = CycleIndex(m)
-    return idx, build_pair_orbits(idx)
+    return idx, pair_orbits_of_classes(idx, build_pair_orbits(idx))
 
 
 def orbit_costs(idx, orbits):
@@ -54,9 +58,9 @@ def test_census(m):
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_orbit_sizes_cover_all_pairs(m):
-    _, orbits = make(m)
+    idx, orbits = make(m)
     assert int(orbits.sizes.sum()) == factorial(m - 1) ** 2
-    cls = orbits.symmetric_classes()
+    cls = build_pair_orbits(idx)
     assert int(cls.sizes.sum()) == factorial(m - 1) ** 2
 
 
@@ -200,9 +204,15 @@ def test_representatives_match_sorted_table(m):
     per_cycle = [k for k, v in vars(idx).items() if getattr(v, "shape", ())[:1] == (n,)]
     assert per_cycle == []
     want = pair_orbits_by_sort(idx)
-    got = build_pair_orbits(idx)
+    classes = build_pair_orbits(idx)
+    # partners and orbit lengths as the classes hold them, then the classes
+    got = pair_orbits_of_classes(idx, classes)
     for name in ("rep_keys", "rep_seqs", "n_tau", "partner"):
         a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    want_classes = want.symmetric_classes()
+    for name in ("rep_orbits", "sizes", "class_of_orbit"):
+        a, b = getattr(classes, name), getattr(want_classes, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     keys, orbit_of = idx.representatives()[0], idx.orbit_ids(all_cycle_seqs(m))
     want_keys, want_of = stabilizer_orbits_by_sort(idx)
@@ -235,3 +245,22 @@ def test_orbit_sizes_must_cover_the_cycles():
     idx._representatives = (keys, wrong)
     with pytest.raises(CrossingsError, match="cover"):
         build_pair_orbits(idx)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_image_lookups_do_not_depend_on_the_chunk(m, monkeypatch):
+    # partners, inverses and BFS frontiers are looked up in chunks of
+    # representatives; chunks of 7 cut every set at many places, against
+    # one chunk holding each whole set
+    def build(rows):
+        with monkeypatch.context() as patch:
+            patch.setattr(cycles, "_CHUNK_ROWS", rows)
+            return PairTables.build(m)
+
+    one, cut = build(1 << 30), build(7)
+    for name in ("rep_orbits", "sizes", "class_of_orbit"):
+        a, b = getattr(cut.classes, name), getattr(one.classes, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("q", "flip"):
+        a, b = getattr(cut, name), getattr(one, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
