@@ -152,7 +152,7 @@ def _cmd_coeffs(args) -> int:
     from .relaxations import coeff_tables
 
     cd = cache.resolve_cache_dir(args.cache_dir)
-    dims, sizes, qs, tri = coeff_tables(args.m, "single", cd)
+    dims, _, qs, _, _ = coeff_tables(args.m, "single", cd)
     print(f"m={args.m}: {len(qs)} classes, block size {dims[0]}, "
           f"table {cache.coeffs_path(cd, args.m, 'single')}")
     return 0

@@ -32,13 +32,15 @@ streaming over all ordered cycle pairs.  Every sum that could leave
 +-2**62 is refused before int64 wraps.
 
 Every block, the single-block relaxation's hook block included, is
-assembled by one routine into the packed upper triangles the cache stores,
-each writing its raw tableau forms into its own columns of the table.  A
-block of sign s has rows w + s (w o eta) and reduces to those forms: eta
-flips one pair component, which descends to an involution on classes, and
-each entry is (1 + s^2) times the raw form plus 2s times its flip, applied
-in place.  Sign 0 leaves the raw forms, the rows being the tableau
-vectors, so the single block holds no form beside the table.
+assembled by one routine into packed upper triangles, each writing its raw
+tableau forms into its own columns of an int64 table.  A block of sign s
+has rows w + s (w o eta) and reduces to those forms: eta flips one pair
+component, which descends to an involution on classes, and each entry is
+(1 + s^2) times the raw form plus 2s times its flip, applied in place.
+Sign 0 leaves the raw forms, the rows being the tableau vectors, so the
+single block holds no form beside the table.  The cache stores each block
+as the gcd of its entries times a table of the narrowest integer type that
+holds the quotients (scaled_block_tables), built one shape at a time.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ class PairTables:
 # (0.6 MB a chunk for the single block at m = 10), those of _tabloid_forms
 # about 2m^2 + 32m plus 16m per tableau of the shape.
 _HISTOGRAM_ROWS = 1 << 10
+
+# Table entries per row chunk when a block is divided by its scale
+# (scaled_block_tables): 2 MB of int64 transients.
+_NARROW_ENTRIES = 1 << 18
 
 # Tabloids per chunk of the shift orbit search (_shift_sums); its
 # temporaries take about m(m + 24) bytes per tabloid (7 MB at m = 9).
@@ -235,8 +241,7 @@ def _hook_forms(tables: PairTables, offsets: list[int], weights: np.ndarray, out
 
 def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.ndarray) -> None:
     """Write the class blocks of a relaxation as packed upper triangles
-    into tri, (C, t) int64 zeros, which may be a view such as the tri
-    field of the cache records (cache.record_dtype).
+    into tri, (C, t) int64 zeros.
 
     Rows follow the class order; columns run over the upper triangle of
     each block, row-major, blocks in order.  The entry of a block of sign s
@@ -274,4 +279,44 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.nda
                         raw[:, k] = forms[:, ts.index(b.tableaux[i])]
     for b, raw in zip(blocks, raws):
         if b.sign:
-            raw[:] = (1 + b.sign**2) * raw + 2 * b.sign * raw[tables.flip]
+            flipped = raw[tables.flip]
+            flipped *= 2 * b.sign
+            raw *= 1 + b.sign**2
+            raw += flipped
+
+
+def _narrowest(bound: int) -> np.dtype:
+    """The narrowest signed integer type holding every |t| <= bound."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(t).max)
+
+
+def scaled_block_tables(tables: PairTables, blocks: list[Block]) -> tuple[list[int], list[np.ndarray]]:
+    """The class blocks of a relaxation as one exact scale g and one narrow
+    integer table t per block, in block order: the block's packed triangles
+    (block_constraint_tables) are g t, g the gcd of its entries, and t is of
+    the narrowest signed type holding it.
+
+    The int64 triangles are built one shape's blocks at a time and divided
+    in row chunks of _NARROW_ENTRIES entries, so no int64 table of more
+    than one shape is held; g t is compared with them exactly, and any
+    difference raises CrossingsError."""
+    scales, parts = [0] * len(blocks), [None] * len(blocks)
+    for lam in dict.fromkeys(b.lam for b in blocks):
+        at = [k for k, b in enumerate(blocks) if b.lam == lam]
+        widths = [blocks[k].dim * (blocks[k].dim + 1) // 2 for k in at]
+        tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
+        block_constraint_tables(tables, [blocks[k] for k in at], tri)
+        for k, raw in zip(at, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
+            rows = max(1, _NARROW_ENTRIES // raw.shape[1])
+            chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
+            g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
+            bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
+            parts[k] = np.empty(raw.shape, dtype=_narrowest(bound))
+            for c in chunks:
+                parts[k][c] = raw[c] // g
+                if (parts[k][c] * np.int64(g) != raw[c]).any():
+                    raise CrossingsError(f"block {blocks[k].lam}{blocks[k].sign:+d}: "
+                                         f"{parts[k].dtype} times {g} is not its table")
+            scales[k] = g
+    return scales, parts

@@ -7,8 +7,9 @@ onto its active face, then certify.  Certification rounds the dual blocks
 to dyadic rationals and rebuilds them as integer-weighted sums of integer
 rank-one terms; positive semidefiniteness then holds by construction, and
 every class constraint is priced with exact integer arithmetic against the
-stored integer tables.  The certified value is a true lower bound no
-matter what the floating-point stages did.
+stored integer tables, widened exactly by their block scales.  The
+certified value is a true lower bound no matter what the floating-point
+stages did.
 
 The two relaxations differ only in their block list: the single-block one
 is the hook block of shape (m-2, 1, 1) with sign 0, whose rows are the raw
@@ -30,15 +31,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
 from . import cache
-from .coeffs import PairTables, block_constraint_tables
+from .coeffs import PairTables, scaled_block_tables
 from .cycles import check_fits
-from .errors import ArgumentError, SolverError
+from .errors import ArgumentError, CrossingsError, SolverError
 from .repsets import Block, build_blocks, hook_block_columns, psd_pivots
 from .sdp import polish_dual, solve_bound_problem
+from .tableaux import block_multiplicity, partitions
 
 # The cutting loop stops once no class is violated by more than _TOL_CUT
 # per element, adds at most _BATCH classes per round, and gives up after
@@ -114,38 +117,59 @@ class RelaxationOutcome:
 
 def coeff_tables(
     m: int, kind: str, cache_dir=None
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Integer tables (dims, sizes, costs, upper triangles concatenated in
-    block order) of one relaxation, kind "single" or "full": fields of the
-    coefficient cache's records when a valid file is present, else of one
-    record array built in place and published as it stands, the one copy
-    of the table a run holds (scans pair it in row chunks, see _pair).
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integer tables (dims, sizes, costs, narrow upper triangles
+    concatenated in block order, int64 scale of each triangle column) of
+    one relaxation, kind "single" or "full": the class blocks are
+    widen(tri, scale).  They are fields of the coefficient cache's records
+    when a valid file of the current version is present, else of one record
+    array built and published as it stands, the one copy of the table a run
+    holds (scans widen and pair it in row chunks, see _pair).
 
     A build is refused with ResourceError once the classes are counted,
-    before any block is selected, when its records exceed physical memory.
-    A full record has one entry per class: the swap transposes each
-    block's d^2 pair orbits, fixing d, so sum d(d+1)/2 is the class count."""
+    before any block is selected, when its records and its int64 build
+    buffer exceed physical memory.  The records are counted at one byte an
+    entry, the least their triangle type takes; the buffer holds the hook
+    block, or the columns of one shape, at most T(T+1)/2 for a shape of
+    T = block_multiplicity rows in all.  A full record has one entry per
+    class: the swap transposes each block's d^2 pair orbits, fixing d, so
+    sum d(d+1)/2 is the class count."""
     if kind not in ("single", "full"):
         raise ArgumentError(f"unknown relaxation kind {kind!r}")
     if m < 4:
         raise ArgumentError(f"{kind} relaxation needs m >= 4")
     path = cache.coeffs_path(cache.resolve_cache_dir(cache_dir), m, kind)
-    if path.exists():
-        dims, rec = cache.read_coeffs(path, m)
+    if path.exists() and not cache.is_stale(path):
+        dims, scales, rec = cache.read_coeffs(path, m)
     else:
         tables = PairTables.build(m)
-        classes = tables.classes
+        count = tables.classes.count
         hook = Block((m - 2, 1, 1), 0, hook_block_columns(m))
-        width = classes.count if kind == "full" else cache.triangle_width([hook.dim])
-        dtype = cache.record_dtype(width)
-        check_fits(classes.count * dtype.itemsize, f"{kind} m={m}")
+        if kind == "full":
+            width = count
+            buffer = max(t * (t + 1) // 2 for t in map(block_multiplicity, partitions(m)))
+        else:
+            width = buffer = cache.triangle_width([hook.dim])
+        check_fits(count * (width + 2 + 8 * buffer), f"{kind} m={m}")
+        units, rest = np.divmod(tables.classes.sizes, factorial(m - 1))
+        if rest.any() or units.max() > 255 or tables.q.max() > 255:
+            raise CrossingsError(f"m={m}: class sizes over (m-1)! or costs leave one byte")
         blocks = build_blocks(m) if kind == "full" else [hook]
         dims = tuple(b.dim for b in blocks)
-        rec = np.zeros(classes.count, dtype)
-        rec["orbit"], rec["size"], rec["q"] = classes.rep_orbits, classes.sizes, tables.q
-        block_constraint_tables(tables, blocks, rec["tri"])
-        cache.write_coeffs(path, m, dims, rec)
-    return dims, rec["size"].astype(np.int64), rec["q"].astype(np.int64), rec["tri"]
+        scales, parts = scaled_block_tables(tables, blocks)
+        rec = np.zeros(count, cache.record_dtype(width, np.result_type(*parts)))
+        rec["size"], rec["q"] = units, tables.q
+        np.concatenate(parts, axis=1, out=rec["tri"])
+        del parts
+        cache.write_coeffs(path, m, dims, scales, rec)
+    scale = np.repeat(np.asarray(scales, dtype=np.int64), [d * (d + 1) // 2 for d in dims])
+    return (dims, rec["size"].astype(np.int64) * factorial(m - 1), rec["q"].astype(np.int64),
+            rec["tri"], scale)
+
+
+def widen(tri: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The int64 table of narrow triangles tri with column scales scale."""
+    return tri.astype(np.int64) * scale
 
 
 def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
@@ -195,12 +219,14 @@ def _packed(ys: list[np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _pair(tri: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """tri @ packed in the dtype of packed (float64, int64 or Python ints),
-    casting one row chunk of tri at a time, never the whole table."""
+def _pair(tri: np.ndarray, scale: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """widen(tri, scale) @ packed in the dtype of packed (float64, int64 or
+    Python ints), widening one row chunk of tri at a time, never the whole
+    table.  Each chunk is widened exactly in int64, then cast, so every
+    dtype pairs the values of the int64 table."""
     rows = max(1, _PAIR_ENTRIES // tri.shape[1])
-    return np.concatenate([tri[lo : lo + rows].astype(packed.dtype) @ packed
-                           for lo in range(0, len(tri), rows)])
+    return np.concatenate([widen(tri[lo : lo + rows], scale).astype(packed.dtype, copy=False)
+                           @ packed for lo in range(0, len(tri), rows)])
 
 
 def scan_violations(
@@ -210,13 +236,14 @@ def scan_violations(
     sizes: np.ndarray,
     qs: np.ndarray,
     tri: np.ndarray,
+    scale: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Worst per-element violation over all classes, the ids of the _BATCH
     worst offenders, worst first, ties broken toward the smaller id, and
     the per-element price of the dual blocks on every class.  A class's
     slack at the dual point is qs - t - price, so the least qs - price is
     the value of the dual blocks."""
-    price = _pair(tri, _packed(ys, dims)) / sizes
+    price = _pair(tri, scale, _packed(ys, dims)) / sizes
     v = -(qs - t - price)
     order = np.lexsort((np.arange(v.size), -v))
     picked = order[:_BATCH]
@@ -224,7 +251,7 @@ def scan_violations(
 
 
 def first_cuts(
-    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray
+    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray, scale: np.ndarray
 ) -> list[int]:
     """Class 0 and the classes a scan of the optimum restricted to class 0
     adds, found without solving that instance.
@@ -236,7 +263,7 @@ def first_cuts(
     by cost ascending, then equal costs by tr(A_j) / |j| descending; the
     ties left go to the smaller id, as in scan_violations.  The traces are
     exact integers."""
-    trace = _pair(tri, _packed([np.eye(d, dtype=np.int64) for d in dims], dims))
+    trace = _pair(tri, scale, _packed([np.eye(d, dtype=np.int64) for d in dims], dims))
     below = np.flatnonzero(qs < qs[0])
     order = np.lexsort((below, -(trace[below] / sizes[below]), qs[below]))
     return [0] + [int(i) for i in below[order[:_BATCH]]]
@@ -280,13 +307,14 @@ def certify(
     sizes: np.ndarray,
     qs: np.ndarray,
     tri: np.ndarray,
+    scale: np.ndarray,
 ) -> Certificate:
     """Exact lower bound certificate from near-optimal dual blocks, one per
-    entry of dims, priced against the packed integer triangles in Python
+    entry of dims, priced against the widened packed triangles in Python
     ints one row chunk at a time (_pair)."""
     numerators = [_dyadic_numerator(y) for y in ys]
     denom = 1 << (3 * _BITS)
-    inners = _pair(tri, _packed(numerators, dims))
+    inners = _pair(tri, scale, _packed(numerators, dims))
     value, worst = _certified_min(inners, sizes, qs, denom)
     return Certificate(numerators, denom, value, worst)
 
@@ -340,18 +368,19 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
     blocks is U U^T over linearly independent rows U, hence positive
     definite, so weighting the start toward it puts every block sum inside
     the cone."""
-    dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir)
+    dims, sizes, qs, tri, scale = coeff_tables(m, kind, cache_dir)
     fsizes = sizes.astype(np.float64)
     c = qs.astype(np.float64)
-    active = first_cuts(dims, sizes, qs, tri)
+    active = first_cuts(dims, sizes, qs, tri, scale)
     rounds: list[RoundRecord] = []
     for rnd in range(1, _MAX_ROUNDS + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
-        sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
+        sub = [mat / fsizes[ids, None, None]
+               for mat in split_triangles(widen(tri[ids], scale), dims)]
         x0 = _strict_start(sub, sizes[ids])
         sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0)
-        maxv, offenders, price = scan_violations(y_pol, dims, t_pol, fsizes, c, tri)
+        maxv, offenders, price = scan_violations(y_pol, dims, t_pol, fsizes, c, tri, scale)
         rec = RoundRecord(rnd, ids.size, t_pol, maxv,
                           (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
         rounds.append(rec)
@@ -364,7 +393,7 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
     else:
         raise SolverError(f"cutting-plane loop did not settle in {_MAX_ROUNDS} rounds")
 
-    cert = certify(y_pol, dims, sizes, qs, tri)
+    cert = certify(y_pol, dims, sizes, qs, tri, scale)
     return RelaxationOutcome(
         m=m, kind=kind, value=float((c - price).min()),
         raw=sol.t, certificate=cert, class_count=len(qs),

@@ -84,6 +84,7 @@ from crossings.relaxations import (
     _strict_start,
     scan_violations,
     split_triangles,
+    widen,
 )
 from crossings.repsets import Block, _check_range, psd_pivots, shape_tables
 from crossings.swapgraph import UNREACHED, neighbor_words
@@ -934,15 +935,15 @@ def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
 
 
 def class_zero_offenders(
-    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray
+    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
     """Classes the scan adds after the solve restricted to class 0 alone:
     the first round of the cutting loop, run as a solve, polish and scan."""
     fsizes, c = sizes.astype(np.float64), qs.astype(np.float64)
     ids = np.array([0])
-    sub = [mat / fsizes[ids, None, None] for mat in split_triangles(tri[ids], dims)]
+    sub = [mat / fsizes[ids, None, None] for mat in split_triangles(widen(tri[ids], scale), dims)]
     _, t_pol, y_pol = _solve_polished(np.ones(1), c[ids], sub, _strict_start(sub, sizes[ids]))
-    return scan_violations(y_pol, dims, t_pol, fsizes, c, tri)[1]
+    return scan_violations(y_pol, dims, t_pol, fsizes, c, tri, scale)[1]
 
 
 def class_slacks(
@@ -952,9 +953,10 @@ def class_slacks(
     sizes: np.ndarray,
     qs: np.ndarray,
     tri: np.ndarray,
+    scale: np.ndarray,
 ) -> np.ndarray:
     """Per-element slack of every class constraint at the dual point."""
-    return qs - t - _pair(tri, _packed(ys, dims)) / sizes
+    return qs - t - _pair(tri, scale, _packed(ys, dims)) / sizes
 
 
 # -- decimal display -------------------------------------------------------------

@@ -2,23 +2,27 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the lines stream.  The
 gate rebuilds everything from scratch in a temporary cache, so the stated
-wall-clock budgets are asserted rather than just reported.  Three stretch
-tests (the single-block values at m=11 and m=12, the full relaxation at
-m=9 and at m=10) take up to a few minutes each, the last about 1 GB of
-memory, and only run when CROSSINGS_STRETCH=1; otherwise they print an
-honest SKIP line.  The even-rank expectation at m=6 is provably unattainable and is
+wall-clock budgets are asserted rather than just reported.  Four stretch
+tests (the single-block values at m=11 and m=12 and at m=13, the full
+relaxation at m=9 and at m=10) take up to several minutes each, m=13 about
+2.7 GB of memory, and only run when CROSSINGS_STRETCH=1; otherwise they
+print an honest SKIP line.  The even-rank expectation at m=6 is provably unattainable and is
 kept as a strict xfail so the failure stays on record without breaking the
 suite.
 """
 
 import hashlib
+import json
 import os
 import resource
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from crossings.relaxations import (
     rank_report,
     run_full,
     run_single,
+    widen,
 )
 from crossings.repsets import Block, build_blocks, hook_block_columns
 from crossings.swapgraph import distances_from_base, self_cost
@@ -255,8 +260,7 @@ def test_criterion_4_single_block_values(singles):
 def test_criterion_4_stretch_larger_m(store):
     if not STRETCH:
         print("criterion 4 (stretch m=11, m=12): SKIP - set CROSSINGS_STRETCH=1 to "
-              "run single m=11 and m=12 (about half a minute, 300 MB); m=13 "
-              "(minutes, about 2.8 GB) is not run by this gate")
+              "run single m=11 and m=12 (about half a minute, 300 MB)")
         pytest.skip("stretch runs disabled")
     problems, runs = [], []
     for m in (11, 12):
@@ -275,6 +279,76 @@ def test_criterion_4_stretch_larger_m(store):
         runs.append(f"m={m} in {wall:.0f}s at a process peak RSS of {peak:.0f} MB")
     report("4 (stretch m=11, m=12)", problems,
            f"single-block optima match to 1e-5, {', '.join(runs)}")
+
+
+# a child interpreter's single-block run: its certificate and rounds as JSON
+_SINGLE_CHILD = """
+import json, sys
+from crossings.relaxations import run_single
+out = run_single(int(sys.argv[1]), cache_dir=sys.argv[2])
+print(json.dumps({"value": out.value, "raw": out.raw, "certificate": str(out.certificate.value),
+                  "status": [r.status for r in out.rounds]}))
+"""
+
+# the single m=13 table file, and the peak of a warm m=13 run in MiB, which
+# holds the compact table and certify's Python ints (the int64 table alone
+# was 1.72 GB, and a warm run peaked at 2,686 MiB)
+M13_TABLE_BYTES = 250_000_000
+M13_WARM_PEAK_MIB = 1300
+
+
+def _child_run(code, *args):
+    """The parsed last stdout line, wall seconds and peak RSS in MiB of one
+    child interpreter running code with args."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", code, *args], stdout=subprocess.PIPE,
+                            text=True, env=env)
+    with proc.stdout:
+        lines = proc.stdout.read().splitlines()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0 and lines, (proc.returncode, lines)
+    return json.loads(lines[-1]), time.perf_counter() - t0, usage.ru_maxrss / 1024
+
+
+def test_criterion_4_stretch_single_m13(tmp_path):
+    if not STRETCH:
+        print("criterion 4 (stretch m=13): SKIP - set CROSSINGS_STRETCH=1 to run "
+              "single m=13 cold and warm (about 7 minutes, 2.7 GB)")
+        pytest.skip("stretch runs disabled")
+    problems, runs, certs = [], [], []
+    for label in ("cold", "warm"):
+        out, wall, peak = _child_run(_SINGLE_CHILD, "13", str(tmp_path))
+        cert = Fraction(out["certificate"])
+        certs.append(cert)
+        err = abs(out["value"] - float(SINGLE_OPT[13]))
+        if err > 1e-5:
+            problems.append(f"m=13 {label}: value {out['value']:.10f} off by {err:.2e}")
+        if out["raw"] - float(cert) > 1e-5:
+            problems.append(f"m=13 {label}: certificate trails the solver by "
+                            f"{out['raw'] - float(cert):.2e}")
+        if cert > Fraction(SINGLE_OPT[13]) + Fraction(1, 10**9):
+            problems.append(f"m=13 {label}: certified value exceeds the known optimum")
+        runs.append(f"{label} in {wall:.0f}s at a peak RSS of {peak:.0f} MiB")
+    if certs[0] != certs[1]:
+        problems.append("m=13: the warm certificate differs from the cold one")
+    if peak >= M13_WARM_PEAK_MIB:
+        problems.append(f"m=13: warm peak RSS {peak:.0f} MiB, cap {M13_WARM_PEAK_MIB} MiB")
+    table = (tmp_path / "coeffs_13_single.bin").stat().st_size
+    if table > M13_TABLE_BYTES:
+        problems.append(f"m=13: table of {table} bytes, cap {M13_TABLE_BYTES}")
+    # criterion 6's m=13 row, from the certificate instead of the frozen value
+    qb = quadratic_bound(13, certs[0])
+    if truncated(qb.a, 5) != QUADRATIC_COEFFS[13][0] or plain(qb.b) != QUADRATIC_COEFFS[13][1]:
+        problems.append(f"m=13: certified bound prints as {truncated(qb.a, 5)} n^2 - {plain(qb.b)} n")
+    ratio = asymptotic_ratio(13, certs[0])
+    if RATIO_SINGLE[13] not in (truncated(ratio, 4), rounded(ratio, 4)):
+        problems.append(f"m=13: certified ratio prints as {truncated(ratio, 4)}")
+    report("4 (stretch m=13)", problems,
+           f"single-block optimum at m=13 matches to 1e-5, certified cr(K_{{13,n}}) >= "
+           f"{truncated(qb.a, 5)} n^2 - {plain(qb.b)} n and ratio {truncated(ratio, 4)}, "
+           f"{', '.join(runs)}, table {table / 1e6:.0f} MB")
 
 
 def test_criterion_5_full_values(fulls):
@@ -318,14 +392,20 @@ def test_criterion_5_stretch_full_m9(store):
            f"full relaxation optimum at m=9 matches to 1e-5 in {wall:.0f}s")
 
 
-# sha256 of a cold coeffs_10_full.bin
-FULL_10_TABLE_SHA256 = "ea3e2b8e68d5049ce94a41b3dbbf02ea91776be3ac1d7102ae5d4d2b1504d7cd"
+# sha256 of a cold coeffs_10_full.bin, and of its table widened by the
+# block scales (little-endian int64, row-major), the int64 table that the
+# version-1 file held; the cap on the process peak RSS in MiB, 10% above
+# the 447 MiB of a stretch run on 2 cores (the int64 records alone were
+# 740 MiB)
+FULL_10_TABLE_SHA256 = "66481bbbc0edb1307c615b73614ddf421cc2dcaf22c0dc6fa57392d475d8ca48"
+FULL_10_WIDENED_SHA256 = "ba5ad6bc621fb17fa2b1576d44d820985df174ae5117a9590d77ca445b2005c1"
+FULL_10_PEAK_MIB = 492
 
 
 def test_criterion_5_stretch_full_m10(store):
     if not STRETCH:
         print("criterion 5 (stretch m=10): SKIP - set CROSSINGS_STRETCH=1 to run "
-              "the full relaxation at m=10 (minutes, about 1 GB)")
+              "the full relaxation at m=10 (minutes, about 450 MB)")
         pytest.skip("stretch runs disabled")
     problems = []
     t0 = time.perf_counter()
@@ -343,10 +423,16 @@ def test_criterion_5_stretch_full_m10(store):
             digest.update(chunk)
     if digest.hexdigest() != FULL_10_TABLE_SHA256:
         problems.append(f"m=10: table sha256 {digest.hexdigest()}")
-    # the records are the one copy of the table a run holds
-    table = (store / "coeffs_10_full.bin").stat().st_size / 2**20
-    if peak >= 1.5 * table:
-        problems.append(f"m=10: peak RSS {peak:.0f} MB is not under 1.5x the {table:.0f} MB table")
+    dims, _, _, tri, scale = coeff_tables(10, "full", cache_dir=store)
+    digest = hashlib.sha256()
+    for lo in range(0, len(tri), 256):
+        digest.update(np.ascontiguousarray(widen(tri[lo : lo + 256], scale), dtype="<i8").tobytes())
+    if digest.hexdigest() != FULL_10_WIDENED_SHA256:
+        problems.append(f"m=10: widened table sha256 {digest.hexdigest()}")
+    # the compact records are the one copy of the table a run holds, and
+    # the build holds one shape's int64 columns at a time
+    if peak >= FULL_10_PEAK_MIB:
+        problems.append(f"m=10: peak RSS {peak:.0f} MiB, cap {FULL_10_PEAK_MIB} MiB")
     # criterion 6's m=10 row, from the certificate instead of the frozen value
     qb = quadratic_bound(10, out.certificate.value, "alpha")
     if truncated(qb.a, 5) != QUADRATIC_COEFFS[10][0]:
@@ -354,7 +440,7 @@ def test_criterion_5_stretch_full_m10(store):
     report("5 (stretch m=10)", problems,
            f"full relaxation optimum at m=10 matches to 1e-5, certified "
            f"cr(K_{{10,n}}) >= {truncated(qb.a, 5)} n^2 - {plain(qb.b)} n, in "
-           f"{wall:.0f}s at a process peak RSS of {peak:.0f} MB")
+           f"{wall:.0f}s at a process peak RSS of {peak:.0f} MiB")
 
 
 def test_criterion_6_published_bounds():
@@ -490,12 +576,12 @@ def test_criterion_9_certificates_after_perturbation(store, singles):
     t0 = time.perf_counter()
     problems = []
     for m in range(4, 9):
-        (d,), sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
+        (d,), sizes, qs, tri, col = coeff_tables(m, "single", cache_dir=store)
         for exponent, scale in ((6, 1e-6), (3, 1e-3)):
             rng = np.random.default_rng(1000 * m + exponent)
             noise = rng.normal(0.0, scale, (d, d))
             y = single_out[m].y[0] + noise + noise.T
-            cert = certify([y], (d,), sizes, qs, tri)
+            cert = certify([y], (d,), sizes, qs, tri, col)
             n_mat = cert.numerators[0]
             if not exactly_psd(n_mat):
                 problems.append(f"m={m} scale {scale:g}: numerator not positive semidefinite")
@@ -507,7 +593,8 @@ def test_criterion_9_certificates_after_perturbation(store, singles):
                 k = 0
                 for a in range(d):
                     for b in range(a, d):
-                        inner += (1 if a == b else 2) * int(n_mat[a, b]) * int(tri[i, k])
+                        inner += ((1 if a == b else 2) * int(n_mat[a, b])
+                                  * int(tri[i, k]) * int(col[k]))
                         k += 1
                 val = Fraction(int(qs[i])) - Fraction(inner, cert.denominator * int(sizes[i]))
                 if worst is None or val < worst:

@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -10,18 +11,19 @@ from crossings import cache
 from crossings.errors import DataError
 
 
-def records(dims, orbit, size, q, tri):
-    """COFA records holding the given fields, one per class."""
-    rec = np.zeros(len(orbit), dtype=cache.record_dtype(cache.triangle_width(dims)))
-    rec["orbit"], rec["size"], rec["q"], rec["tri"] = orbit, size, q, tri
+def records(dims, size, q, tri):
+    """COFA records holding the given fields, one per class, the triangles
+    of the type of tri."""
+    rec = np.zeros(len(size), dtype=cache.record_dtype(cache.triangle_width(dims), tri.dtype))
+    rec["size"], rec["q"], rec["tri"] = size, q, tri
     return rec
 
 
 def _write_small_coeffs(path, m):
     d = 2
     t = d * (d + 1) // 2
-    cache.write_coeffs(path, m, (d,), records(
-        (d,), np.arange(5), np.arange(1, 6), np.arange(5), np.arange(5 * t).reshape(5, t)))
+    cache.write_coeffs(path, m, (d,), [3], records(
+        (d,), np.arange(1, 6), np.arange(5), np.arange(5 * t, dtype=np.int8).reshape(5, t)))
 
 
 def test_coeffs_rejects_wrong_m(tmp_path):
@@ -42,12 +44,13 @@ def test_coeffs_detects_corruption(tmp_path):
 
 
 def test_coeffs_refuses_short_payloads_with_matching_sidecars(tmp_path):
-    # a payload cut inside the header, inside the block dims, or inside a
-    # record, each published with its own matching checksum
+    # a payload cut inside the header, at the block dims, inside the block
+    # scales or inside a record, each published with its own matching
+    # checksum
     p = cache.coeffs_path(tmp_path, 5, "single")
     _write_small_coeffs(p, 5)
     whole = p.read_bytes()
-    for size in (0, 5, 15, 40, len(whole) - 1, len(whole) + 3):
+    for size in (0, 5, 15, 16, 20, 40, len(whole) - 1, len(whole) + 3):
         cache._write_payload(p, [(whole + b"\0" * 3)[:size]])
         with pytest.raises(DataError, match="truncated header|whole records"):
             cache.read_coeffs(p, 5)
@@ -55,14 +58,15 @@ def test_coeffs_refuses_short_payloads_with_matching_sidecars(tmp_path):
     assert cache.read_coeffs(p, 5)[0] == (2,)
 
 
-# 2**17 classes with blocks of dimension 4 and 3: 19 MB of 146-byte records
+# 2**17 classes with blocks of dimension 4 and 3: 17 MB of 130-byte records
+# of int64 triangles
 BIG_DIMS = (4, 3)
 
 
 def _big_records():
     n, t = 2**17, cache.triangle_width(BIG_DIMS)
     tri = np.arange(n * t).reshape(n, t) - 7
-    return records(BIG_DIMS, np.arange(n), np.arange(n) + 1, 0, tri)
+    return records(BIG_DIMS, np.arange(n) % 256, 0, tri)
 
 
 def test_coeffs_write_makes_no_copy_of_the_records(tmp_path):
@@ -72,12 +76,12 @@ def test_coeffs_write_makes_no_copy_of_the_records(tmp_path):
     p = cache.coeffs_path(tmp_path, 8, "full")
     tracemalloc.start()
     try:
-        cache.write_coeffs(p, 8, BIG_DIMS, rec)
+        cache.write_coeffs(p, 8, BIG_DIMS, [1, 1], rec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rec.nbytes >= 8 * 2**20 and peak < 0.1 * rec.nbytes, (peak, rec.nbytes)
-    d2, rec2 = cache.read_coeffs(p, 8)
+    d2, _, rec2 = cache.read_coeffs(p, 8)
     assert d2 == BIG_DIMS and rec2.tobytes() == rec.tobytes()
 
 
@@ -86,11 +90,11 @@ def test_coeffs_read_makes_no_copy_of_the_records(tmp_path):
     # traced peak is the file itself and no caller can write into them
     rec = _big_records()
     p = cache.coeffs_path(tmp_path, 8, "full")
-    cache.write_coeffs(p, 8, BIG_DIMS, rec)
+    cache.write_coeffs(p, 8, BIG_DIMS, [1, 1], rec)
     file_bytes = p.stat().st_size
     tracemalloc.start()
     try:
-        d2, rec2 = cache.read_coeffs(p, 8)
+        d2, _, rec2 = cache.read_coeffs(p, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -113,18 +117,63 @@ def test_missing_file(tmp_path):
 
 
 def test_coeffs_roundtrip(tmp_path):
-    m, d = 6, 2
-    t = d * (d + 1) // 2
-    ids = np.arange(5, dtype=np.uint64)
-    sizes = np.arange(1, 6, dtype=np.uint64) * 10
-    qs = np.arange(5, dtype=np.uint16)
-    tri = np.arange(5 * t, dtype=np.int64).reshape(5, t) - 7
-    p = cache.coeffs_path(tmp_path, m, "single")
-    cache.write_coeffs(p, m, (d,), records((d,), ids, sizes, qs, tri))
-    d2, rec = cache.read_coeffs(p, m)
-    assert d2 == (d,)
-    assert (rec["orbit"] == ids).all() and (rec["size"] == sizes).all()
-    assert (rec["q"] == qs).all() and (rec["tri"] == tri).all()
+    # every triangle type, at its extremes, beside one-byte sizes and costs
+    m, dims = 6, (2, 1)
+    t = cache.triangle_width(dims)
+    sizes = np.arange(1, 6, dtype=np.uint8) * 50
+    qs = np.arange(5, dtype=np.uint8) + 250
+    for tri_type in (np.int8, np.int16, np.int32, np.int64):
+        tri = (np.arange(5 * t).reshape(5, t) - 7).astype(tri_type)
+        tri[0, 0] = np.iinfo(tri_type).min
+        tri[1, 3] = np.iinfo(tri_type).max
+        p = cache.coeffs_path(tmp_path, m, "full")
+        cache.write_coeffs(p, m, dims, [5, 2**62], records(dims, sizes, qs, tri))
+        d2, scales, rec = cache.read_coeffs(p, m)
+        assert d2 == dims and scales.dtype == np.int64 and scales.tolist() == [5, 2**62]
+        assert rec.dtype.names == ("tri", "size", "q") and rec.dtype["tri"].base == tri_type
+        assert rec.dtype.itemsize == t * np.dtype(tri_type).itemsize + 2
+        assert (rec["size"] == sizes).all() and (rec["q"] == qs).all()
+        assert (rec["tri"] == tri).all(), tri_type
+
+
+def _small_payload(type_byte=1, scales=(3,)):
+    """A COFA payload of m=5 with one block of dimension 2 and five int8
+    records, its header naming type_byte and the given scales written."""
+    head = struct.pack("<4sBBBQB", b"COFA", cache._VERSION, 5, 1, 5, type_byte)
+    return head + bytes([2]) + np.array(scales, dtype="<i8").tobytes() + bytes(5 * 5)
+
+
+@pytest.mark.parametrize("payload,message", [
+    (_small_payload(), None),
+    (_small_payload(type_byte=3), "unknown triangle type"),
+    (_small_payload(type_byte=16), "unknown triangle type"),
+    (_small_payload(scales=(0,)), "not all positive"),
+    (_small_payload(scales=(-3,)), "not all positive"),
+    (_small_payload(scales=()), "whole records"),
+    (_small_payload(scales=(3, 3)), "whole records"),
+])
+def test_coeffs_header_refuses_bad_types_and_scales(tmp_path, payload, message):
+    p = cache.coeffs_path(tmp_path, 5, "single")
+    cache._write_payload(p, [payload])
+    if message is None:
+        dims, scales, rec = cache.read_coeffs(p, 5)
+        assert dims == (2,) and scales.tolist() == [3] and rec.dtype["tri"].base == np.int8
+    else:
+        with pytest.raises(DataError, match=message):
+            cache.read_coeffs(p, 5)
+
+
+def test_full_m7_table_roundtrips_as_int16(tmp_path):
+    # full m=7 has entries up to 140 times its block scales, so its records
+    # hold int16 triangles; the file reads back to the records built
+    from crossings.relaxations import coeff_tables
+
+    built = coeff_tables(7, "full", tmp_path)
+    dims, scales, rec = cache.read_coeffs(cache.coeffs_path(tmp_path, 7, "full"), 7)
+    assert rec.dtype["tri"].base == np.int16 and built[3].dtype == np.int16
+    assert np.abs(rec["tri"].astype(np.int64)).max() == 140
+    assert dims == built[0] and (rec["tri"] == built[3]).all()
+    assert (np.repeat(scales, [d * (d + 1) // 2 for d in dims]) == built[4]).all()
 
 
 def test_cache_dir_env(tmp_path, monkeypatch):
@@ -162,17 +211,64 @@ def test_failed_payload_publish_leaves_a_rebuildable_cache(tmp_path, monkeypatch
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         assert (a == b).all()
-    assert cache.read_coeffs(payload, 5)[1]["tri"].tolist() == want[3].tolist()
+    assert cache.read_coeffs(payload, 5)[2]["tri"].tolist() == want[3].tolist()
+
+
+def _write_version_1(path, m, dims, sizes, qs, tri):
+    """A valid COFA version-1 file and its sidecar: the header without the
+    triangle type or scales, records of orbit, size, q and int64 tri."""
+    rec = np.zeros(len(qs), dtype=[("orbit", "<u8"), ("size", "<u8"), ("q", "<u2"),
+                                   ("tri", "<i8", (tri.shape[1],))])
+    rec["orbit"], rec["size"], rec["q"], rec["tri"] = np.arange(len(qs)), sizes, qs, tri
+    head = struct.pack("<4sBBBQ", b"COFA", 1, m, len(dims), len(qs)) + bytes(dims)
+    cache._write_payload(path, [head, rec.tobytes()])
+
+
+@pytest.mark.parametrize("m,kind", [(5, "single"), (5, "full"), (6, "full")])
+def test_stale_version_is_rebuilt_not_misread(tmp_path, m, kind):
+    from crossings.relaxations import coeff_tables, widen
+
+    dims, sizes, qs, tri, scale = coeff_tables(m, kind, tmp_path / "fresh")
+    path = cache.coeffs_path(tmp_path, m, kind)
+    _write_version_1(path, m, dims, sizes, qs, widen(tri, scale))
+    assert cache.is_stale(path)
+    with pytest.raises(DataError, match="bad version"):
+        cache.read_coeffs(path, m)
+    got = coeff_tables(m, kind, tmp_path)
+    assert path.read_bytes()[4] == cache._VERSION and not cache.is_stale(path)
+    assert path.read_bytes() == cache.coeffs_path(tmp_path / "fresh", m, kind).read_bytes()
+    assert got[0] == dims and got[3].dtype == tri.dtype
+    for a, b in zip(got[1:], (sizes, qs, tri, scale)):
+        assert (a == b).all()
+
+
+def test_current_version_faults_still_raise(tmp_path):
+    # a file of the current version is read, never rebuilt: a bad checksum,
+    # a cut payload or another level's table raises DataError
+    from crossings.relaxations import coeff_tables
+
+    path = cache.coeffs_path(tmp_path, 5, "single")
+    coeff_tables(5, "single", tmp_path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))
+    with pytest.raises(DataError, match="checksum"):
+        coeff_tables(5, "single", tmp_path)
+    for size in (3, 20):
+        cache._write_payload(path, [whole[:size]])
+        with pytest.raises(DataError, match="truncated header|whole records"):
+            coeff_tables(5, "single", tmp_path)
+    coeff_tables(6, "single", tmp_path)
+    cache._write_payload(path, [cache.coeffs_path(tmp_path, 6, "single").read_bytes()])
+    with pytest.raises(DataError, match="bad m"):
+        coeff_tables(5, "single", tmp_path)
 
 
 # CRC-32 of the table files; the tables must not change by a byte.
-# ALPHA_CRC32 was copied by hand from a build by the earlier dict-based
-# expansion engine.  BETA_CRC32 was derived by a script from that build's
-# single-block files, which had a header of their own: the CRC-32 of the
-# shared header (block count one), the dimension byte and the old record
-# bytes unchanged.
-BETA_CRC32 = {4: 0x2430C6B8, 5: 0x2233F88B, 6: 0xEB726EEB, 7: 0x7AA56E5C, 8: 0x3AE451C1}
-ALPHA_CRC32 = {4: 0x5B78B038, 5: 0xFCAD5F45, 6: 0xFD4F82C8, 7: 0x25BE37CF}
+# Taken from the first version-2 (compact record) files.  Their widened
+# tables hash to HOOK_TABLE_SHA256 (single) and BLOCK_TABLES_SHA256 (full)
+# in tests/test_coeffs.py, the digests the version-1 pins stood for.
+BETA_CRC32 = {4: 0x4882A186, 5: 0x466BBE9F, 6: 0x5CC6D905, 7: 0x4E7CAAC6, 8: 0x09943D39}
+ALPHA_CRC32 = {4: 0x89977C4A, 5: 0x69ECB38B, 6: 0x14C4F221, 7: 0x7AF81338}
 
 
 def test_table_bytes_are_pinned(tmp_path):

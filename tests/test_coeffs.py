@@ -20,7 +20,7 @@ from crossings.coeffs import (
 )
 from crossings.cycles import image_letters
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.relaxations import split_triangles
+from crossings.relaxations import coeff_tables, split_triangles, widen
 from crossings.repsets import (
     Block,
     _cascade_rows,
@@ -396,21 +396,48 @@ def test_block_tables_bytes_frozen(m, monkeypatch):
     assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
 
 
-@pytest.mark.parametrize("m,kind", [(8, "single"), (6, "full")])
-def test_block_tables_build_in_the_cache_records(m, kind):
-    # the build writes into the tri field of the cache records, a strided
-    # view: its bytes are those of a contiguous table, and the fields beside
-    # it are left as they were
+@pytest.mark.parametrize("m,kind", [(8, "single"), (6, "full"), (7, "full")])
+def test_scaled_block_tables_are_exact_and_narrowest(m, kind):
+    # each block is its scale times a table of the narrowest type: the
+    # scale is the gcd of the block's int64 entries, which the product
+    # gives back exactly, and the next narrower type would not hold it
     t = TABLES.get(m) or PairTables.build(m)
     blocks = build_blocks(m) if kind == "full" else [Block((m - 2, 1, 1), 0, hook_block_columns(m))]
-    want = block_tables(t, blocks)
-    rec = np.zeros(t.classes.count, dtype=cache.record_dtype(want.shape[1]))
-    rec["orbit"], rec["size"], rec["q"] = 2**64 - 1, 2**64 - 2, 2**16 - 1
-    block_constraint_tables(t, blocks, rec["tri"])
-    assert not rec["tri"].flags.c_contiguous
-    assert rec["tri"].tobytes() == want.tobytes()
-    assert (rec["orbit"] == 2**64 - 1).all() and (rec["size"] == 2**64 - 2).all()
-    assert (rec["q"] == 2**16 - 1).all()
+    want = np.split(block_tables(t, blocks), np.cumsum([b.dim * (b.dim + 1) // 2 for b in blocks])[:-1],
+                    axis=1)
+    scales, parts = coeffs.scaled_block_tables(t, blocks)
+    types = [np.int8, np.int16, np.int32, np.int64]
+    for g, part, raw in zip(scales, parts, want):
+        assert g == np.gcd.reduce(raw, axis=None) > 0
+        assert (part.astype(np.int64) * g == raw).all()
+        k = types.index(part.dtype.type)
+        assert k == 0 or np.abs(raw // g).max() > np.iinfo(types[k - 1]).max
+    assert max(p.dtype.itemsize for p in parts) == (2 if m == 7 else 1)
+
+
+def test_a_narrowing_that_loses_entries_is_refused(monkeypatch):
+    # full m=7 needs int16 for entries up to 140; narrowed to int8 they
+    # wrap, and the exact check of g t against the int64 table raises
+    t = TABLES[7]
+    monkeypatch.setattr(coeffs, "_narrowest", lambda bound: np.dtype(np.int8))
+    with pytest.raises(CrossingsError, match="is not its table"):
+        coeffs.scaled_block_tables(t, build_blocks(7))
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_tables_widened_from_the_cache_files_keep_their_digests(m, tmp_path):
+    # the compact records, read back from the file and widened by their
+    # scales, are the int64 tables the digests were taken of
+    kinds = ["single", "full"] if m in BLOCK_TABLES_SHA256 else ["single"]
+    for kind in kinds:
+        coeff_tables(m, kind, tmp_path)
+        dims, _, _, tri, scale = coeff_tables(m, kind, tmp_path)
+        assert not tri.flags.writeable  # the file's records, not the build's
+        wide = widen(tri, scale)
+        if kind == "single":
+            assert table_sha256([wide]) == HOOK_TABLE_SHA256[m]
+        else:
+            assert table_sha256(split_triangles(wide, dims)) == BLOCK_TABLES_SHA256[m]
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])

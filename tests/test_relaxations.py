@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from crossings import cache, cycles, relaxations
 from crossings.coeffs import PairTables
-from crossings.errors import ArgumentError, ResourceError, SolverError
+from crossings.errors import ArgumentError, CrossingsError, ResourceError, SolverError
 from crossings.relaxations import (
     _strict_start,
     certify,
@@ -25,6 +25,7 @@ from crossings.relaxations import (
     run_single,
     scan_violations,
     split_triangles,
+    widen,
 )
 from crossings.repsets import build_blocks
 from crossings.sdp import polish_dual, solve_bound_problem
@@ -88,9 +89,9 @@ def test_every_round_ends_optimal(single_runs, full_runs):
 def test_full_m5_restricted_solve_converges_quickly(store, full_runs):
     # the last round of full m=5 once took 88 iterations to luck into the
     # optimality test; refined directions converge in a handful
-    dims, sizes, qs, tri = coeff_tables(5, "full", cache_dir=store)
+    dims, sizes, qs, tri, scale = coeff_tables(5, "full", cache_dir=store)
     fs, c = sizes.astype(float), qs.astype(float)
-    mats = [mat / fs[:, None, None] for mat in split_triangles(tri, dims)]
+    mats = [mat / fs[:, None, None] for mat in split_triangles(widen(tri, scale), dims)]
     ids = full_runs[5].active
     assert ids[0] == 0
     sub = [mat[ids] for mat in mats]
@@ -116,7 +117,7 @@ def no_block_tables(monkeypatch):
         raise TableAllocated(args)
 
     monkeypatch.setattr(relaxations, "build_blocks", no_table)
-    monkeypatch.setattr(relaxations, "block_constraint_tables", no_table)
+    monkeypatch.setattr(relaxations, "scaled_block_tables", no_table)
 
 
 def test_argument_guards(tmp_path, monkeypatch):
@@ -124,11 +125,11 @@ def test_argument_guards(tmp_path, monkeypatch):
         coeff_tables(3, "single")
     with pytest.raises(ArgumentError):
         coeff_tables(3, "full")
-    # one size rule, no level cap: the 1,366 records of full m=9 take 15 MB,
-    # held once, so they are refused at 8 MB and pass the rule at 64 MB;
-    # the blocks are never selected on a refusal
+    # one size rule, no level cap: the 1,366 records of full m=9 and the
+    # int64 buffer of one shape take 5 MB, so they are refused at 4 MB and
+    # pass the rule at 64 MB; the blocks are never selected on a refusal
     no_block_tables(monkeypatch)
-    monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**20)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: 4 * 2**20)
     with pytest.raises(ResourceError):
         coeff_tables(9, "full", cache_dir=tmp_path)
     monkeypatch.setattr(cycles, "_physical_memory", lambda: 64 * 2**20)
@@ -138,15 +139,59 @@ def test_argument_guards(tmp_path, monkeypatch):
 
 
 def test_full_tables_past_memory_are_refused_before_the_blocks(tmp_path, monkeypatch):
-    # at 8 GiB the 85,058 records of full m=11, one entry per class, would
-    # take 54 GiB, so the level is refused once its classes are counted;
-    # the single-block records of m=11 pass the same rule
+    # at 8 GiB the 85,058 records of full m=11, one entry per class, and
+    # the int64 buffer of one shape would take 21 GiB, so the level is
+    # refused once its classes are counted; the single-block records of
+    # m=11 pass the same rule
     no_block_tables(monkeypatch)
     monkeypatch.setattr(cycles, "_physical_memory", lambda: 8 * 2**30)
     with pytest.raises(ResourceError, match="full m=11"):
         coeff_tables(11, "full", cache_dir=tmp_path)
     with pytest.raises(TableAllocated):
         coeff_tables(11, "single", cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m,kind,need", [(9, "single", 125_672), (8, "full", 183_791)])
+def test_size_rule_counts_the_narrow_records_and_one_build_buffer(tmp_path, monkeypatch,
+                                                                   m, kind, need):
+    # the rule counts each record at one byte an entry plus its size and
+    # cost bytes, and one int64 buffer: for single m=9, 1,366 classes of 10
+    # entries, the whole hook block; for full m=8, 239 classes of 239
+    # entries, the columns of one shape, at most 66 (T = 11 rows of shape
+    # (4, 2, 1, 1)); a byte less is refused before any block is selected
+    no_block_tables(monkeypatch)
+    monkeypatch.setattr(cycles, "_PEAK_PER_REPRESENTATIVE", 0)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ResourceError, match=f"{kind} m={m}"):
+        coeff_tables(m, kind, cache_dir=tmp_path)
+    monkeypatch.setattr(cycles, "_physical_memory", lambda: need)
+    with pytest.raises(TableAllocated):
+        coeff_tables(m, kind, cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field,change", [("q", lambda q: q + 250),
+                                          ("sizes", lambda sizes: sizes + 1),
+                                          ("sizes", lambda sizes: sizes * 64)])
+def test_record_bytes_out_of_range_are_refused(tmp_path, monkeypatch, field, change):
+    # a record holds the class size over (m-1)! and the cost in one byte
+    # each: a size that (m-1)! does not divide, a quotient past 255 (at
+    # m=6 the largest is 24) or a cost past 255 is refused, and no file is
+    # written
+    build = PairTables.build
+
+    def changed(m):
+        t = build(m)
+        if field == "q":
+            t.q = change(t.q)
+        else:
+            t.classes.sizes = change(t.classes.sizes)
+        return t
+
+    monkeypatch.setattr(PairTables, "build", changed)
+    with pytest.raises(CrossingsError, match="one byte"):
+        coeff_tables(6, "single", cache_dir=tmp_path)
     assert not any(tmp_path.iterdir())
 
 
@@ -180,24 +225,24 @@ def test_class_zero_anchors_the_start(store, kind, levels):
     # the driver starts from class 0 alone: the equal pairs (sigma, sigma),
     # alone at the largest cost, with every block positive definite
     for m in levels:
-        dims, sizes, qs, tri = coeff_tables(m, kind, cache_dir=store)
+        dims, sizes, qs, tri, scale = coeff_tables(m, kind, cache_dir=store)
         assert qs[0] == self_cost(m) == qs.max()
         assert (qs == qs[0]).sum() == 1
-        for mat in split_triangles(tri[:1], dims):
+        for mat in split_triangles(widen(tri[:1], scale), dims):
             np.linalg.cholesky(mat[0])
 
 
 def direct_solve(m, store):
     """Reference optimum over all classes at once: one solve and polish of
     the whole instance, certified like the cutting loop's last round."""
-    dims, sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
+    dims, sizes, qs, tri, scale = coeff_tables(m, "single", cache_dir=store)
     fs, c = sizes.astype(float), qs.astype(float)
-    mats = [mat / fs[:, None, None] for mat in split_triangles(tri, dims)]
+    mats = [mat / fs[:, None, None] for mat in split_triangles(widen(tri, scale), dims)]
     x0 = _strict_start(mats, sizes)
     sol = solve_bound_problem(np.ones(len(qs)), c, mats, x0, tol=1e-9)
     _, y = polish_dual(np.ones(len(qs)), c, mats, sol.y, x=sol.x)
-    value = float(class_slacks(y, dims, 0.0, fs, c, tri).min())
-    return value, certify(y, dims, sizes, qs, tri)
+    value = float(class_slacks(y, dims, 0.0, fs, c, tri, scale).min())
+    return value, certify(y, dims, sizes, qs, tri, scale)
 
 
 def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
@@ -247,20 +292,20 @@ def test_a_non_finite_iterate_is_reported_as_such():
 
 
 def test_scan_of_zero_dual(store):
-    dims, sizes, qs, tri = coeff_tables(5, "single", cache_dir=store)
+    dims, sizes, qs, tri, scale = coeff_tables(5, "single", cache_dir=store)
     fs, fq = sizes.astype(float), qs.astype(float)
     zero = [np.zeros((d, d)) for d in dims]
-    maxv, ids, price = scan_violations(zero, dims, 0.0, fs, fq, tri)
+    maxv, ids, price = scan_violations(zero, dims, 0.0, fs, fq, tri, scale)
     assert maxv == 0.0 and ids.size == 0 and (price == 0.0).all()
-    maxv, ids, _ = scan_violations(zero, dims, 1.0, fs, fq, tri)
+    maxv, ids, _ = scan_violations(zero, dims, 1.0, fs, fq, tri, scale)
     assert maxv == 1.0
     assert set(ids) == set(np.flatnonzero(qs == 0))
     assert list(ids) == sorted(ids)
 
 
 def test_certify_zero_dual_gives_min_cost(store):
-    (d,), sizes, qs, tri = coeff_tables(5, "single", cache_dir=store)
-    cert = certify([np.zeros((d, d))], (d,), sizes, qs, tri)
+    (d,), sizes, qs, tri, scale = coeff_tables(5, "single", cache_dir=store)
+    cert = certify([np.zeros((d, d))], (d,), sizes, qs, tri, scale)
     assert cert.value == Fraction(int(qs.min()))
     assert exactly_psd(cert.numerators[0])
 
@@ -270,11 +315,12 @@ def test_certify_zero_dual_gives_min_cost(store):
 def test_certificates_survive_perturbation(store, single_runs, seed, m, scale):
     """Whatever dual point certify gets, its output must pass a from-scratch
     rational feasibility check and stay below the true optimum."""
-    (d,), sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
+    (d,), sizes, qs, tri, col = coeff_tables(m, "single", cache_dir=store)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, scale, (d, d))
     y = single_runs[m].y[0] + noise + noise.T
-    cert = certify([y], (d,), sizes, qs, tri)
+    cert = certify([y], (d,), sizes, qs, tri, col)
+    tri = widen(tri, col)
     for n_mat in cert.numerators:
         assert exactly_psd(n_mat)
     n_mat = cert.numerators[0]
@@ -318,17 +364,19 @@ def test_rank_structure_even_m(single_runs):
 
 
 def test_scan_casts_one_row_chunk_of_the_records():
-    # a scan pairs the int64 triangles with a float dual in row chunks, so
-    # its traced peak is far below the table, here a 54 MB record view
+    # a scan widens the triangles and pairs them with a float dual in row
+    # chunks, so its traced peak is far below the table, here a 51 MB
+    # record view of int64 triangles
     dims = (13, 3)
     n, width = 2**16, cache.triangle_width(dims)
-    rec = np.zeros(n, dtype=cache.record_dtype(width))
+    rec = np.zeros(n, dtype=cache.record_dtype(width, np.int64))
     rec["tri"] = np.arange(width) % 7 - 3
+    scale = np.full(width, 3)
     ys = [np.eye(d) for d in dims]
-    want = (rec["tri"][:1].astype(float) @ relaxations._packed(ys, dims))[0]
+    want = ((3 * rec["tri"][:1]).astype(float) @ relaxations._packed(ys, dims))[0]
     tracemalloc.start()
     try:
-        _, _, price = scan_violations(ys, dims, 2.0, np.ones(n), np.ones(n), rec["tri"])
+        _, _, price = scan_violations(ys, dims, 2.0, np.ones(n), np.ones(n), rec["tri"], scale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -339,20 +387,21 @@ def test_scan_casts_one_row_chunk_of_the_records():
 def test_value_prices_the_polished_dual(store, single_runs):
     for m in (5, 6):
         out = single_runs[m]
-        dims, sizes, qs, tri = coeff_tables(m, "single", cache_dir=store)
-        slack = class_slacks(out.y, dims, 0.0, sizes.astype(float), qs.astype(float), tri)
+        dims, sizes, qs, tri, scale = coeff_tables(m, "single", cache_dir=store)
+        slack = class_slacks(out.y, dims, 0.0, sizes.astype(float), qs.astype(float), tri, scale)
         assert out.value == float(slack.min())
 
 
 def test_tables_come_back_from_cache(tmp_path):
-    d1, s1, q1, t1 = coeff_tables(5, "single", cache_dir=tmp_path)
+    d1, s1, q1, t1, g1 = coeff_tables(5, "single", cache_dir=tmp_path)
     assert (tmp_path / "coeffs_5_single.bin").exists()
-    d2, s2, q2, t2 = coeff_tables(5, "single", cache_dir=tmp_path)
+    d2, s2, q2, t2, g2 = coeff_tables(5, "single", cache_dir=tmp_path)
     assert d1 == d2 and (s1 == s2).all() and (q1 == q2).all() and (t1 == t2).all()
-    dims1, fs1, fq1, ft1 = coeff_tables(4, "full", cache_dir=tmp_path)
+    assert t1.dtype == t2.dtype and (g1 == g2).all()
+    dims1, fs1, fq1, ft1, fg1 = coeff_tables(4, "full", cache_dir=tmp_path)
     assert (tmp_path / "coeffs_4_full.bin").exists()
-    dims2, fs2, fq2, ft2 = coeff_tables(4, "full", cache_dir=tmp_path)
-    assert dims1 == dims2 and (ft1 == ft2).all()
+    dims2, fs2, fq2, ft2, fg2 = coeff_tables(4, "full", cache_dir=tmp_path)
+    assert dims1 == dims2 and (ft1 == ft2).all() and (fg1 == fg2).all()
 
 
 def test_split_triangles_roundtrip():
