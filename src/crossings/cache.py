@@ -1,10 +1,11 @@
 """Binary cache files for the coefficient tables, the expensive stage.
 
-One format, COFA version 2: little-endian, a header of 4-byte magic, format
+One format, COFA version 3: little-endian, a header of 4-byte magic, format
 version, cycle length, block count, record count and one byte naming the
 record's triangle type (its width in bytes: int8, int16, int32 or int64),
-then one byte per block dimension, one int64 scale g_B per block, and one
-fixed-width record per swap class, in class order:
+then one byte per block dimension, one int64 scale g_B per block, one
+fixed-width record per swap class, in class order, and last a 4-byte
+trailer, the CRC-32 of every byte before it:
 
   coeffs_<m>_<kind>.bin  per-class coefficient blocks of one relaxation,
                          kind "single" (one block) or "full" (every block)
@@ -12,12 +13,16 @@ fixed-width record per swap class, in class order:
 A record holds tri, the upper triangles of the class's blocks as integers
 t of the narrowest signed type that holds them all, the class's block B
 being g_B t exactly; then the class size over (m-1)!, which divides it, as
-one byte; then the class cost q as one byte.
+one byte; then the class cost q as one byte.  Only this module knows the
+records: write_coeffs builds them from the class tables, and read_coeffs
+turns them back into class tables.
 
-Every file carries a sidecar <name>.crc32 holding the ASCII hex CRC-32 of the
-full binary payload; readers verify it before parsing and raise DataError on
-any mismatch, truncation, or header disagreement.  A file of an older
-version is stale (is_stale): a build replaces it rather than reading it.
+A table is one file, published with its trailer by one atomic replace.
+Readers check the header and the trailer before they parse the body, and
+raise DataError on any mismatch, truncation, or header disagreement.  A
+file of an older version is stale (is_stale): a build replaces it rather
+than reading it, and removes the checksum sidecar that version 2 kept
+beside it.
 """
 
 from __future__ import annotations
@@ -27,13 +32,15 @@ import os
 import struct
 import uuid
 import zlib
+from math import factorial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import CrossingsError, DataError
 
-_VERSION = 2
+_VERSION = 3
+_TRAILER = struct.Struct("<I")
 
 
 def default_cache_dir() -> Path:
@@ -53,70 +60,33 @@ def coeffs_path(cache_dir: Path, m: int, kind: str) -> Path:
     return Path(cache_dir) / f"coeffs_{m}_{kind}.bin"
 
 
-def _crc_path(path: Path) -> Path:
-    return path.with_name(path.name + ".crc32")
+def _publish(path: Path, parts) -> None:
+    """Replace path atomically by the buffers parts, written in order and
+    never joined, so no copy of the payload is made, then by their CRC-32
+    as the trailer.
 
-
-def _publish(target: Path, parts) -> None:
-    """Replace target atomically by the buffers parts, written in order
-    through a temp file of this writer's own.
-
-    The temp file is created exclusively under a random name rather than by
-    mkstemp, so it gets the mode the umask gives, as the tables always had.
+    The bytes go through a temp file of this writer's own, created
+    exclusively under a random name rather than by mkstemp, so it gets the
+    mode the umask gives.  A crash before the replace leaves no table, and
+    the next run rebuilds it; writers of one table write the same bytes,
+    so concurrent writers leave one whole file.
     """
-    tmp = target.with_name(f"{target.name}.{uuid.uuid4().hex}.tmp")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
+            crc = 0
             for part in parts:
+                crc = zlib.crc32(part, crc)
                 fh.write(part)
-        os.replace(tmp, target)
+            fh.write(_TRAILER.pack(crc))
+        os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-
-
-def _write_payload(path: Path, parts) -> None:
-    """Write the sidecar, then the payload: the buffers parts in order,
-    never joined, so no copy of the payload is made.
-
-    Builders test the payload's existence, so publishing it last makes it
-    the commit point: a crash before it leaves no table and the next run
-    rebuilds; a crash after it leaves a matching pair.  Writers of one
-    table write the same bytes, so any interleaving ends consistent.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    _publish(_crc_path(path), [f"{crc & 0xFFFFFFFF:08x}\n".encode()])
-    _publish(path, parts)
-
-
-def _read_payload(path: Path) -> bytes:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"cache file missing: {path}")
-    payload = path.read_bytes()
-    crc_file = _crc_path(path)
-    if not crc_file.exists():
-        raise DataError(f"checksum sidecar missing: {crc_file}")
-    try:
-        stored = int(crc_file.read_text().strip(), 16)
-    except ValueError as exc:
-        raise DataError(f"unreadable checksum sidecar: {crc_file}") from exc
-    if stored != (zlib.crc32(payload) & 0xFFFFFFFF):
-        raise DataError(f"checksum mismatch for {path}")
-    return payload
-
-
-def _check_header(path: Path, got: tuple, want: tuple) -> None:
-    names = ("magic", "version", "m")
-    for name, g, w in zip(names, got, want):
-        if g != w:
-            raise DataError(f"{path}: bad {name} (got {g!r}, want {w!r})")
 
 
 # -- COFA ------------------------------------------------------------------
@@ -143,29 +113,50 @@ def is_stale(path: Path) -> bool:
     return len(head) == 5 and head[:4] == b"COFA" and head[4] < _VERSION
 
 
-def write_coeffs(path: Path, m: int, dims: tuple[int, ...], scales, rec: np.ndarray) -> None:
-    """Publish rec, one record_dtype record per class in class order, as it
-    stands: the checksum and the file write read the array in place.  Its
-    tri field holds each class's symmetric blocks as their upper triangles,
-    row-major, concatenated in block order, block B divided by its exact
-    scale scales[B].  The header stores the block count and the triangle
-    type; dims and the scales follow it, so readers can split and widen
-    the triangles."""
-    tri_type = rec.dtype["tri"].base
-    head = (_COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(rec), tri_type.itemsize)
+def write_coeffs(path: Path, m: int, dims: tuple[int, ...], scales, parts, sizes, q) -> None:
+    """Publish the class tables of one relaxation as records, one per class
+    in class order: parts holds each block's upper triangles, row-major, in
+    block order, block B divided by its exact scale scales[B]; sizes and q
+    are the class sizes and costs.  The triangles take the narrowest type
+    that holds every part.  The records are the one array the write
+    allocates; the checksum and the file write read it in place.  Sizes
+    over (m-1)! or costs that leave one byte raise CrossingsError."""
+    unit = factorial(m - 1)
+    if (sizes % unit).any() or sizes.max() > 255 * unit or q.max() > 255:
+        raise CrossingsError(f"m={m}: class sizes over (m-1)! or costs leave one byte")
+    rec = np.empty(len(q), record_dtype(triangle_width(dims), np.result_type(*parts)))
+    np.floor_divide(sizes, unit, out=rec["size"], casting="unsafe")
+    rec["q"] = q
+    np.concatenate(parts, axis=1, out=rec["tri"])
+    entry = rec.dtype["tri"].base.itemsize
+    head = (_COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(rec), entry)
             + bytes(dims) + np.asarray(scales, dtype="<i8").tobytes())
-    _write_payload(path, [head, memoryview(rec).cast("B")])
+    # version 2 kept its checksum in a sidecar, which goes with the file it checked
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(f"{path}.crc32")
+    _publish(path, [head, memoryview(rec).cast("B")])
 
 
-def read_coeffs(path: Path, m: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """dims, the int64 block scales and the records, as written by
-    write_coeffs: the records are a read-only view into the payload, so the
-    table is held once."""
-    payload = _read_payload(path)
+def read_coeffs(
+    path: Path, m: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The class tables of a file written by write_coeffs: dims, the int64
+    class sizes and costs, the narrow triangles tri and the int64 scale of
+    each triangle column, the class blocks being tri times scale.  tri is a
+    read-only view into the file's bytes, so the table is held once."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"cache file missing: {path}")
+    whole = path.read_bytes()
+    payload = memoryview(whole)[: -_TRAILER.size]
     if len(payload) < _COFA_HEADER.size:
         raise DataError(f"{path}: truncated header")
-    magic, ver, got_m, nblocks, n, entry = _COFA_HEADER.unpack_from(payload)
-    _check_header(path, (magic, ver, got_m), (b"COFA", _VERSION, m))
+    *got, nblocks, n, entry = _COFA_HEADER.unpack_from(payload)
+    for name, g, w in zip(("magic", "version", "m"), got, (b"COFA", _VERSION, m)):
+        if g != w:
+            raise DataError(f"{path}: bad {name} (got {g!r}, want {w!r})")
+    if whole[len(payload) :] != _TRAILER.pack(zlib.crc32(payload)):
+        raise DataError(f"checksum mismatch for {path}")
     if entry not in _TRIANGLE_TYPES:
         raise DataError(f"{path}: unknown triangle type of {entry} bytes")
     off = _COFA_HEADER.size + 9 * nblocks
@@ -177,4 +168,8 @@ def read_coeffs(path: Path, m: int) -> tuple[tuple[int, ...], np.ndarray, np.nda
     scales = np.frombuffer(payload, dtype="<i8", count=nblocks, offset=off - 8 * nblocks)
     if (scales < 1).any():
         raise DataError(f"{path}: block scales {scales.tolist()} are not all positive")
-    return dims, scales, np.frombuffer(payload, dtype=dtype, offset=off)
+    rec = np.frombuffer(payload, dtype=dtype, offset=off)
+    sizes = rec["size"].astype(np.int64)
+    sizes *= factorial(m - 1)
+    return (dims, sizes, rec["q"].astype(np.int64), rec["tri"],
+            np.repeat(scales.astype(np.int64), [d * (d + 1) // 2 for d in dims]))

@@ -31,14 +31,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
 from . import cache
 from .coeffs import PairTables, scaled_block_tables
 from .cycles import check_fits
-from .errors import ArgumentError, CrossingsError, SolverError
+from .errors import ArgumentError, SolverError
 from .repsets import Block, build_blocks, hook_block_columns, psd_pivots
 from .sdp import polish_dual, solve_bound_problem
 from .tableaux import block_multiplicity, partitions
@@ -121,10 +120,10 @@ def coeff_tables(
     """Integer tables (dims, sizes, costs, narrow upper triangles
     concatenated in block order, int64 scale of each triangle column) of
     one relaxation, kind "single" or "full": the class blocks are
-    widen(tri, scale).  They are fields of the coefficient cache's records
-    when a valid file of the current version is present, else of one record
-    array built and published as it stands, the one copy of the table a run
-    holds (scans widen and pair it in row chunks, see _pair).
+    widen(tri, scale).  They are read from the coefficient cache, where a
+    build first publishes them when no valid file of the current version is
+    there, so cold and warm runs price the same bytes; tri is a view into
+    them, the one copy of the table a run holds (see _pair).
 
     A build is refused with ResourceError once the classes are counted,
     before any block is selected, when its records and its int64 build
@@ -139,9 +138,7 @@ def coeff_tables(
     if m < 4:
         raise ArgumentError(f"{kind} relaxation needs m >= 4")
     path = cache.coeffs_path(cache.resolve_cache_dir(cache_dir), m, kind)
-    if path.exists() and not cache.is_stale(path):
-        dims, scales, rec = cache.read_coeffs(path, m)
-    else:
+    if not path.exists() or cache.is_stale(path):
         tables = PairTables.build(m)
         count = tables.classes.count
         hook = Block((m - 2, 1, 1), 0, hook_block_columns(m))
@@ -151,20 +148,12 @@ def coeff_tables(
         else:
             width = buffer = cache.triangle_width([hook.dim])
         check_fits(count * (width + 2 + 8 * buffer), f"{kind} m={m}")
-        units, rest = np.divmod(tables.classes.sizes, factorial(m - 1))
-        if rest.any() or units.max() > 255 or tables.q.max() > 255:
-            raise CrossingsError(f"m={m}: class sizes over (m-1)! or costs leave one byte")
         blocks = build_blocks(m) if kind == "full" else [hook]
-        dims = tuple(b.dim for b in blocks)
         scales, parts = scaled_block_tables(tables, blocks)
-        rec = np.zeros(count, cache.record_dtype(width, np.result_type(*parts)))
-        rec["size"], rec["q"] = units, tables.q
-        np.concatenate(parts, axis=1, out=rec["tri"])
-        del parts
-        cache.write_coeffs(path, m, dims, scales, rec)
-    scale = np.repeat(np.asarray(scales, dtype=np.int64), [d * (d + 1) // 2 for d in dims])
-    return (dims, rec["size"].astype(np.int64) * factorial(m - 1), rec["q"].astype(np.int64),
-            rec["tri"], scale)
+        cache.write_coeffs(path, m, tuple(b.dim for b in blocks), scales, parts,
+                           tables.classes.sizes, tables.q)
+        del tables, parts  # freed before the file is read back
+    return cache.read_coeffs(path, m)
 
 
 def widen(tri: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -244,10 +233,13 @@ def scan_violations(
     slack at the dual point is qs - t - price, so the least qs - price is
     the value of the dual blocks."""
     price = _pair(tri, scale, _packed(ys, dims)) / sizes
-    v = -(qs - t - price)
-    order = np.lexsort((np.arange(v.size), -v))
-    picked = order[:_BATCH]
-    return float(v.max()), picked[v[picked] > 0].astype(np.int64), price
+    slack = qs - t - price
+    # the candidates are the classes at or below the _BATCH-th least slack,
+    # listed by id, so a stable sort leaves ties in id order
+    cut = np.partition(slack, _BATCH - 1)[_BATCH - 1] if slack.size > _BATCH else np.inf
+    picked = np.flatnonzero(~(slack > cut))
+    picked = picked[np.argsort(slack[picked], kind="stable")[:_BATCH]]
+    return float(-slack.min()), picked[slack[picked] < 0].astype(np.int64), price
 
 
 def first_cuts(
@@ -369,18 +361,16 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
     definite, so weighting the start toward it puts every block sum inside
     the cone."""
     dims, sizes, qs, tri, scale = coeff_tables(m, kind, cache_dir)
-    fsizes = sizes.astype(np.float64)
-    c = qs.astype(np.float64)
     active = first_cuts(dims, sizes, qs, tri, scale)
     rounds: list[RoundRecord] = []
     for rnd in range(1, _MAX_ROUNDS + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
-        sub = [mat / fsizes[ids, None, None]
+        sub = [mat / sizes[ids, None, None]
                for mat in split_triangles(widen(tri[ids], scale), dims)]
         x0 = _strict_start(sub, sizes[ids])
-        sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), c[ids], sub, x0)
-        maxv, offenders, price = scan_violations(y_pol, dims, t_pol, fsizes, c, tri, scale)
+        sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), qs[ids], sub, x0)
+        maxv, offenders, price = scan_violations(y_pol, dims, t_pol, sizes, qs, tri, scale)
         rec = RoundRecord(rnd, ids.size, t_pol, maxv,
                           (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
         rounds.append(rec)
@@ -395,7 +385,7 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
 
     cert = certify(y_pol, dims, sizes, qs, tri, scale)
     return RelaxationOutcome(
-        m=m, kind=kind, value=float((c - price).min()),
+        m=m, kind=kind, value=float((qs - price).min()),
         raw=sol.t, certificate=cert, class_count=len(qs),
         rounds=rounds, y=y_pol, active=ids,
     )

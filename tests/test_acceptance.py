@@ -392,12 +392,13 @@ def test_criterion_5_stretch_full_m9(store):
            f"full relaxation optimum at m=9 matches to 1e-5 in {wall:.0f}s")
 
 
-# sha256 of a cold coeffs_10_full.bin, and of its table widened by the
-# block scales (little-endian int64, row-major), the int64 table that the
-# version-1 file held; the cap on the process peak RSS in MiB, 10% above
-# the 447 MiB of a stretch run on 2 cores (the int64 records alone were
-# 740 MiB)
-FULL_10_TABLE_SHA256 = "66481bbbc0edb1307c615b73614ddf421cc2dcaf22c0dc6fa57392d475d8ca48"
+# sha256 of a cold version-3 coeffs_10_full.bin, whose header and records
+# are those of the version-2 file of sha256 66481bbb...8ca48, and of its
+# table widened by the block scales (little-endian int64, row-major), the
+# int64 table that the version-1 file held; the cap on the process peak
+# RSS in MiB, 10% above the 447 MiB of a stretch run on 2 cores (the int64
+# records alone were 740 MiB)
+FULL_10_TABLE_SHA256 = "1ef306f095821e929eb670af343620fec477a2ad84f22593a205cd36d6f8274d"
 FULL_10_WIDENED_SHA256 = "ba5ad6bc621fb17fa2b1576d44d820985df174ae5117a9590d77ca445b2005c1"
 FULL_10_PEAK_MIB = 492
 

@@ -196,13 +196,12 @@ def test_verify_command(store, capsys):
 
 
 def test_verify_reads_cached_tables_through_their_header(capsys, tmp_path):
-    # a level-5 table with its own matching sidecar, copied under the level-8
+    # a level-5 table with its own matching trailer, copied under the level-8
     # name: its checksum passes, its header does not
     code, _, _ = run_cli(capsys, "coeffs", "--m", "5", "--cache-dir", str(tmp_path))
     assert code == 0
-    for suffix in ("", ".crc32"):
-        src = tmp_path / f"coeffs_5_single.bin{suffix}"
-        (tmp_path / f"coeffs_8_single.bin{suffix}").write_bytes(src.read_bytes())
+    src = tmp_path / "coeffs_5_single.bin"
+    (tmp_path / "coeffs_8_single.bin").write_bytes(src.read_bytes())
     code, out, err = run_cli(capsys, "verify", "--m", "8", "--cache-dir", str(tmp_path))
     assert code == 6
     assert "coeffs_8_single.bin: bad m (got 5, want 8)" in err
@@ -227,8 +226,8 @@ def test_cache_dir_env_fallback(capsys, tmp_path, monkeypatch):
 
 def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path, monkeypatch):
     # a cache holds only files that some command reads back: the COFA
-    # tables and their checksum sidecars; q takes no --cache-dir, so it
-    # gets the same directory through the environment
+    # tables, each one file; q takes no --cache-dir, so it gets the same
+    # directory through the environment
     monkeypatch.setenv("CROSSING_CACHE_DIR", str(tmp_path))
     for command in _HANDLERS:
         argv = [command, "--m", "4"]
@@ -239,7 +238,7 @@ def test_every_command_leaves_only_coefficient_tables(capsys, tmp_path, monkeypa
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names, "no command wrote a table"
     for name in names:
-        assert re.fullmatch(r"coeffs_4_(single|full)\.bin(\.crc32)?", name), name
+        assert re.fullmatch(r"coeffs_4_(single|full)\.bin", name), name
 
 
 def test_cold_coeffs_does_not_load_numpy_ma(tmp_path):

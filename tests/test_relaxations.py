@@ -269,14 +269,12 @@ def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
 
 def test_round_budget_failure_leaves_only_the_tables(tmp_path, monkeypatch):
     # single m=8 needs more than one restricted solve, so a budget of one
-    # fails; the cache then holds the coefficient table and its sidecar,
-    # nothing else
+    # fails; the cache then holds the coefficient table, nothing else
     with monkeypatch.context() as patch:
         patch.setattr(relaxations, "_MAX_ROUNDS", 1)
         with pytest.raises(SolverError):
             run_single(8, cache_dir=tmp_path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "coeffs_8_single.bin", "coeffs_8_single.bin.crc32"]
+    assert [p.name for p in tmp_path.iterdir()] == ["coeffs_8_single.bin"]
     out = run_single(8, cache_dir=tmp_path)
     assert out.value == pytest.approx(SINGLE_OPT[8], abs=1e-8)
     assert len(out.rounds) >= 2
@@ -301,6 +299,19 @@ def test_scan_of_zero_dual(store):
     assert maxv == 1.0
     assert set(ids) == set(np.flatnonzero(qs == 0))
     assert list(ids) == sorted(ids)
+
+
+@pytest.mark.parametrize("n", [500, 50, 20])
+def test_scan_ranks_the_worst_classes_as_a_full_sort_would(n):
+    # with a zero dual each class's violation is -qs; ties straddle the
+    # cut at 500 classes, and a level may hold no more than _BATCH classes
+    rng = np.random.default_rng(n)
+    qs = rng.integers(-12, 2, n).astype(float)
+    _, ids, _ = scan_violations([np.zeros((1, 1))], (1,), 0.0, np.ones(n), qs,
+                                np.zeros((n, 1), dtype=np.int8), np.ones(1, dtype=np.int64))
+    order = np.lexsort((np.arange(n), qs))[: relaxations._BATCH]
+    assert ids.tolist() == order[qs[order] < 0].tolist()
+    assert len(ids) == min(relaxations._BATCH, (qs < 0).sum())
 
 
 def test_certify_zero_dual_gives_min_cost(store):
@@ -390,6 +401,30 @@ def test_value_prices_the_polished_dual(store, single_runs):
         dims, sizes, qs, tri, scale = coeff_tables(m, "single", cache_dir=store)
         slack = class_slacks(out.y, dims, 0.0, sizes.astype(float), qs.astype(float), tri, scale)
         assert out.value == float(slack.min())
+
+
+@pytest.mark.parametrize("kind,m", [("single", m) for m in range(4, 10)]
+                         + [("full", m) for m in range(4, 8)])
+def test_cold_and_warm_runs_agree(tmp_path, monkeypatch, kind, m):
+    # a cold run prices the table it has just published, as the warm run
+    # after it does: the same tables, the same certificate, the same rounds
+    seen = []
+
+    def recording(*args):
+        seen.append(coeff_tables(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(relaxations, "coeff_tables", recording)
+    run = run_single if kind == "single" else run_full
+    cold = run(m, cache_dir=tmp_path)
+    warm = run(m, cache_dir=tmp_path)
+    assert cold.certificate.value == warm.certificate.value
+    assert cold.certificate.worst_class == warm.certificate.worst_class
+    assert [r.iterations for r in cold.rounds] == [r.iterations for r in warm.rounds]
+    (dims, *cold_tables), (warm_dims, *warm_tables) = seen
+    assert dims == warm_dims and not cold_tables[2].flags.writeable
+    for a, b in zip(cold_tables, warm_tables):
+        assert a.dtype == b.dtype and (a == b).all()
 
 
 def test_tables_come_back_from_cache(tmp_path):
