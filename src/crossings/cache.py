@@ -63,7 +63,8 @@ def coeffs_path(cache_dir: Path, m: int, kind: str) -> Path:
 def _publish(path: Path, parts) -> None:
     """Replace path atomically by the buffers parts, written in order and
     never joined, so no copy of the payload is made, then by their CRC-32
-    as the trailer.
+    as the trailer.  parts may be an iterator: each buffer is checksummed
+    and written before the next is asked for.
 
     The bytes go through a temp file of this writer's own, created
     exclusively under a random name rather than by mkstemp, so it gets the
@@ -92,6 +93,7 @@ def _publish(path: Path, parts) -> None:
 # -- COFA ------------------------------------------------------------------
 
 _COFA_HEADER = struct.Struct("<4sBBBQB")
+_WRITE_BYTES = 1 << 22  # records filled and written per chunk
 _TRIANGLE_TYPES = {np.dtype(t).itemsize: np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8")}
 
 
@@ -118,23 +120,33 @@ def write_coeffs(path: Path, m: int, dims: tuple[int, ...], scales, parts, sizes
     in class order: parts holds each block's upper triangles, row-major, in
     block order, block B divided by its exact scale scales[B]; sizes and q
     are the class sizes and costs.  The triangles take the narrowest type
-    that holds every part.  The records are the one array the write
-    allocates; the checksum and the file write read it in place.  Sizes
-    over (m-1)! or costs that leave one byte raise CrossingsError."""
+    that holds every part.  The records are filled and written one chunk of
+    about _WRITE_BYTES at a time, in one reused buffer, so the write holds
+    no copy of the table beside parts; the checksum and the file write read
+    each chunk in place.  Sizes over (m-1)! or costs that leave one byte
+    raise CrossingsError."""
     unit = factorial(m - 1)
     if (sizes % unit).any() or sizes.max() > 255 * unit or q.max() > 255:
         raise CrossingsError(f"m={m}: class sizes over (m-1)! or costs leave one byte")
-    rec = np.empty(len(q), record_dtype(triangle_width(dims), np.result_type(*parts)))
-    np.floor_divide(sizes, unit, out=rec["size"], casting="unsafe")
-    rec["q"] = q
-    np.concatenate(parts, axis=1, out=rec["tri"])
-    entry = rec.dtype["tri"].base.itemsize
-    head = (_COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(rec), entry)
+    dtype = record_dtype(triangle_width(dims), np.result_type(*parts))
+    head = (_COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(q), dtype["tri"].base.itemsize)
             + bytes(dims) + np.asarray(scales, dtype="<i8").tobytes())
+    rows = max(1, _WRITE_BYTES // dtype.itemsize)
+
+    def payload():
+        yield head
+        rec = np.empty(min(rows, len(q)), dtype)
+        for lo in range(0, len(q), rows):
+            chunk = rec[: min(rows, len(q) - lo)]
+            np.floor_divide(sizes[lo : lo + rows], unit, out=chunk["size"], casting="unsafe")
+            chunk["q"] = q[lo : lo + rows]
+            np.concatenate([p[lo : lo + rows] for p in parts], axis=1, out=chunk["tri"])
+            yield memoryview(chunk).cast("B")
+
     # version 2 kept its checksum in a sidecar, which goes with the file it checked
     with contextlib.suppress(FileNotFoundError):
         os.unlink(f"{path}.crc32")
-    _publish(path, [head, memoryview(rec).cast("B")])
+    _publish(path, payload())
 
 
 def read_coeffs(

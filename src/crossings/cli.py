@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 from math import factorial
 
 from .errors import ArgumentError, CrossingsError, DataError
@@ -34,7 +35,11 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", default=None, metavar="PATH", help="also write the result object here")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call in a process and
+    shared by every later one: parse_args fills a fresh namespace on each
+    call, so no option value carries over between calls."""
     top = argparse.ArgumentParser(
         prog="crossings",
         description="certified lower bounds on crossing numbers of complete bipartite graphs",

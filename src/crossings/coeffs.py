@@ -11,7 +11,9 @@ A block entry pairs two column tableaux ta and tb of one shape.  The
 pairing polynomial's differential-operator expansion has two halves.  The
 row half of ta is its row cascade c, a signed sum of tabloids: its
 shape's pattern table (repsets._pattern_table), merged once per shape,
-with each value in the column of its cell in ta.  The column half gives
+with each value in the column of its cell in ta.  A full build merges
+each table once: the table that selected the shape's blocks
+(repsets.shape_blocks) comes with them.  The column half gives
 a cycle the sum of c(T_tb(w)) over the m rotations w of its word,
 T_tb(w) the tabloid that puts letter w[p] in the row of tb holding p + 1.
 Summed over a class, that runs over the class's stabilizer-orbit
@@ -45,6 +47,7 @@ holds the quotients (scaled_block_tables), built one shape at a time.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
 
@@ -53,7 +56,7 @@ import numpy as np
 from .cycles import CycleIndex, _pack_nibbles, image_letters, invert_seqs, unpack_keys
 from .errors import CrossingsError
 from .orbits import SymmetricClasses, build_pair_orbits
-from .repsets import Block, _cascade_rows, _check_range, _pattern_table, tabloid_keys
+from .repsets import Block, Patterns, _cascade_rows, _check_range, tabloid_keys
 from .swapgraph import distances_from_base
 
 Filling = tuple[tuple[int, ...], ...]
@@ -143,15 +146,15 @@ def _hook_offset(t2: Filling) -> int:
     return (t2[2][0] - t2[1][0]) % sum(map(len, t2))
 
 
-def _shift_sums(ts: list[Filling], lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The row cascades c of the tableaux ts of shape lam summed over the m
+def _shift_sums(ts: list[Filling], table: Patterns) -> tuple[np.ndarray, np.ndarray]:
+    """The row cascades c of the tableaux ts of one shape summed over the m
     value shifts, c^ = sum over s of c o shift_s: sorted tabloid keys and
     coefficients (U, len(ts)), closed by the largest u64 key, no tabloid's,
-    and a zero row.  Each c is the shape's pattern table relabeled by its
-    tableau.  c^ is the stabilizer order times the sum of c on each shift
-    orbit, found by the smallest key over the shifts of a tabloid."""
-    m = sum(lam)
-    patterns, _, pattern_coeffs = _pattern_table(lam)
+    and a zero row.  Each c is the shape's pattern table, table, relabeled
+    by its tableau.  c^ is the stabilizer order times the sum of c on each
+    shift orbit, found by the smallest key over the shifts of a tabloid."""
+    patterns, _, pattern_coeffs = table
+    m = patterns.shape[1]
     _check_range(m * int(np.abs(pattern_coeffs).max(initial=0)))
     spread = (np.arange(m)[:, None] - np.arange(m)) % m  # [v, u]: value v of shift u was v - u
     rows = np.concatenate([_cascade_rows(t, patterns) for t in ts]).T
@@ -239,9 +242,12 @@ def _hook_forms(tables: PairTables, offsets: list[int], weights: np.ndarray, out
             np.add.at(out, (rows, cols), cycles @ weights[:, cols])
 
 
-def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.ndarray) -> None:
+def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.ndarray,
+                            patterns: dict[tuple[int, ...], Patterns]) -> None:
     """Write the class blocks of a relaxation as packed upper triangles
-    into tri, (C, t) int64 zeros.
+    into tri, (C, t) int64 zeros.  patterns maps each shape but the hook
+    to its pattern table, the one that selected its blocks
+    (repsets.shape_blocks).
 
     Rows follow the class order; columns run over the upper triangle of
     each block, row-major, blocks in order.  The entry of a block of sign s
@@ -270,7 +276,7 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.nda
                             weights[:, [i for i, _ in pairs]], raw)
             continue
         ts = list(dict.fromkeys(t for b, _, _ in group for t in b.tableaux))
-        keys, coeffs = _shift_sums(ts, lam)
+        keys, coeffs = _shift_sums(ts, patterns[lam])
         for tb in ts:
             forms = _tabloid_forms(tables, tb, keys, coeffs)
             for b, raw, pairs in group:
@@ -291,32 +297,46 @@ def _narrowest(bound: int) -> np.dtype:
                 if bound <= np.iinfo(t).max)
 
 
-def scaled_block_tables(tables: PairTables, blocks: list[Block]) -> tuple[list[int], list[np.ndarray]]:
-    """The class blocks of a relaxation as one exact scale g and one narrow
-    integer table t per block, in block order: the block's packed triangles
-    (block_constraint_tables) are g t, g the gcd of its entries, and t is of
-    the narrowest signed type holding it.
+def scaled_block_tables(
+    tables: PairTables,
+    shapes: Iterable[tuple[tuple[int, ...], Patterns | None, list[Block]]],
+) -> tuple[list[Block], list[int], list[np.ndarray]]:
+    """The blocks of a relaxation and their class tables, from its blocks
+    grouped by shape as (lam, pattern table, blocks of shape lam), the
+    groups repsets.shape_blocks yields; a hook shape needs no table.  Each
+    block is one exact scale g and one narrow integer table t, in block
+    order: the block's packed triangles (block_constraint_tables) are g t,
+    g the gcd of its entries, and t is of the narrowest signed type
+    holding it.
 
-    The int64 triangles are built one shape's blocks at a time and divided
-    in row chunks of _NARROW_ENTRIES entries, so no int64 table of more
-    than one shape is held; g t is compared with them exactly, and any
-    difference raises CrossingsError."""
-    scales, parts = [0] * len(blocks), [None] * len(blocks)
-    for lam in dict.fromkeys(b.lam for b in blocks):
-        at = [k for k, b in enumerate(blocks) if b.lam == lam]
-        widths = [blocks[k].dim * (blocks[k].dim + 1) // 2 for k in at]
-        tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
-        block_constraint_tables(tables, [blocks[k] for k in at], tri)
-        for k, raw in zip(at, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
-            rows = max(1, _NARROW_ENTRIES // raw.shape[1])
-            chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
-            g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
-            bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
-            parts[k] = np.empty(raw.shape, dtype=_narrowest(bound))
-            for c in chunks:
-                parts[k][c] = raw[c] // g
-                if (parts[k][c] * np.int64(g) != raw[c]).any():
-                    raise CrossingsError(f"block {blocks[k].lam}{blocks[k].sign:+d}: "
-                                         f"{parts[k].dtype} times {g} is not its table")
-            scales[k] = g
-    return scales, parts
+    The int64 triangles are built one shape's blocks at a time, from the
+    shape's own pattern table, and divided in row chunks of _NARROW_ENTRIES
+    entries, so no int64 table of more than one shape is held; g t is
+    compared with them exactly, and any difference raises CrossingsError."""
+    blocks, scaled = [], []
+    for lam, patterns, shape in shapes:
+        blocks += shape
+        scaled += _scaled_shape(tables, shape, {lam: patterns})
+    return blocks, [g for g, _ in scaled], [t for _, t in scaled]
+
+
+def _scaled_shape(tables: PairTables, blocks: list[Block],
+                  patterns: dict) -> list[tuple[int, np.ndarray]]:
+    """(g, t) of each block of one shape (scaled_block_tables); the int64
+    triangles are freed on return, before the next shape is selected."""
+    widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
+    tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
+    block_constraint_tables(tables, blocks, tri, patterns)
+    out = []
+    for b, raw in zip(blocks, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
+        rows = max(1, _NARROW_ENTRIES // raw.shape[1])
+        chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
+        g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
+        bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
+        part = np.empty(raw.shape, dtype=_narrowest(bound))
+        for c in chunks:
+            part[c] = raw[c] // g
+            if (part[c] * np.int64(g) != raw[c]).any():
+                raise CrossingsError(f"block {b.lam}{b.sign:+d}: {part.dtype} times {g} is not its table")
+        out.append((g, part))
+    return out

@@ -38,7 +38,7 @@ from . import cache
 from .coeffs import PairTables, scaled_block_tables
 from .cycles import check_fits
 from .errors import ArgumentError, SolverError
-from .repsets import Block, build_blocks, hook_block_columns, psd_pivots
+from .repsets import Block, hook_block_columns, psd_pivots, shape_blocks
 from .sdp import polish_dual, solve_bound_problem
 from .tableaux import block_multiplicity, partitions
 
@@ -54,6 +54,7 @@ _BATCH = 50
 _MAX_ROUNDS = 200
 _BITS = 48
 _PAIR_ENTRIES = 1 << 18
+_EXACT_FLOAT = 1 << 53  # every integer below it is a float64
 
 
 @dataclass
@@ -148,8 +149,8 @@ def coeff_tables(
         else:
             width = buffer = cache.triangle_width([hook.dim])
         check_fits(count * (width + 2 + 8 * buffer), f"{kind} m={m}")
-        blocks = build_blocks(m) if kind == "full" else [hook]
-        scales, parts = scaled_block_tables(tables, blocks)
+        shapes = shape_blocks(m) if kind == "full" else [(hook.lam, None, [hook])]
+        blocks, scales, parts = scaled_block_tables(tables, shapes)
         cache.write_coeffs(path, m, tuple(b.dim for b in blocks), scales, parts,
                            tables.classes.sizes, tables.q)
         del tables, parts  # freed before the file is read back
@@ -211,11 +212,21 @@ def _packed(ys: list[np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
 def _pair(tri: np.ndarray, scale: np.ndarray, packed: np.ndarray) -> np.ndarray:
     """widen(tri, scale) @ packed in the dtype of packed (float64, int64 or
     Python ints), widening one row chunk of tri at a time, never the whole
-    table.  Each chunk is widened exactly in int64, then cast, so every
-    dtype pairs the values of the int64 table."""
+    table.  Int64 and Python-int prices widen each chunk exactly in int64,
+    then cast.  Float prices cast the narrow chunk to float64 and multiply
+    by the float scales: while every entry and scale is below 2**53 both
+    casts are exact, so each product is t g correctly rounded, the float of
+    the int64 entry, and every dtype pairs the values of the int64 table.
+    A table outside that range takes the int64 route."""
     rows = max(1, _PAIR_ENTRIES // tri.shape[1])
-    return np.concatenate([widen(tri[lo : lo + rows], scale).astype(packed.dtype, copy=False)
-                           @ packed for lo in range(0, len(tri), rows)])
+    if (packed.dtype == np.float64 and tri.dtype.itemsize <= 4
+            and int(scale.max(initial=0)) < _EXACT_FLOAT):
+        fscale = scale.astype(np.float64)
+        chunks = (tri[lo : lo + rows].astype(np.float64) * fscale for lo in range(0, len(tri), rows))
+    else:
+        chunks = (widen(tri[lo : lo + rows], scale).astype(packed.dtype, copy=False)
+                  for lo in range(0, len(tri), rows))
+    return np.concatenate([chunk @ packed for chunk in chunks])
 
 
 def scan_violations(

@@ -8,11 +8,13 @@ cascades of a shape's tableaux are one pattern table, merged once from its
 row and column groups (the tests check both against the scalar tableau
 chain in tests/oracles.py), each tableau relabeling the table's columns by
 its values; every Gram matrix of the vectors is a sum of m pattern lookups
-per entry (build_blocks).  A minimal spanning subset is extracted first,
+per entry (shape_blocks).  A minimal spanning subset is extracted first,
 scanning the tableaux in their fixed enumeration order; the survivors are
 then symmetrized by the inversion sign, and a maximal independent
 subfamily per sign yields the blocks, each recorded by its shape, sign
-and tableaux, from which the coefficient tables are computed.
+and tableaux, from which the coefficient tables are computed.  The blocks
+come one shape at a time with the shape's pattern table, so a full build
+merges each shape's table once and its coefficient tables reuse it.
 
 Independence decisions are made exactly, by one routine: fraction-free
 symmetric elimination over Python ints (psd_pivots), which on a Gram matrix
@@ -24,6 +26,7 @@ The same routine decides whether an exact certificate block is PSD.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,8 @@ from .tableaux import (block_multiplicity, conjugate, lex_permutations, partitio
                        standard_tableaux)
 
 Filling = tuple[tuple[int, ...], ...]
+# a shape's row cascade pattern table: (rows, keys, coeffs), see _pattern_table
+Patterns = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -107,7 +112,7 @@ def _check_range(bound: int) -> None:
         raise ResourceError(f"coefficient bound {bound} exceeds the int64 range of the expansion")
 
 
-def _pattern_table(lam: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pattern_table(lam: tuple[int, ...]) -> Patterns:
     """The row cascade pattern table of a shape: |C| sign(g) times the
     tabloid that puts cell y in the diagram row of cell g(r(y)), summed over
     g in the column group and r in the row group, equal tabloids merged.
@@ -201,8 +206,10 @@ def _base_positions(m: int) -> np.ndarray:
     return np.array([[v, -v % m] for v in range(m)], dtype=np.uint8)
 
 
-def build_blocks(m: int) -> list[Block]:
-    """All nonempty blocks for one cycle length, in a fixed order.
+def shape_blocks(m: int) -> Iterator[tuple[tuple[int, ...], Patterns, list[Block]]]:
+    """The nonempty blocks for one cycle length, one shape at a time: each
+    shape's (lam, pattern table, blocks), so that the pattern table that
+    selects the blocks also serves their coefficient tables.
 
     Partitions are visited in descending lex order.  The Gram matrix of the
     tableau vectors is their pairing form at class 0, which holds the base
@@ -221,12 +228,12 @@ def build_blocks(m: int) -> list[Block]:
     """
     _check_m(m)
     base = _base_positions(m)
-    blocks: list[Block] = []
     for lam in partitions(m):
         target = block_multiplicity(lam)
         if target == 0:
             continue
-        _, keys, coeffs = _pattern_table(lam)
+        patterns = _pattern_table(lam)
+        _, keys, coeffs = patterns
         _check_range(m * int(np.abs(coeffs).max(initial=0)))
         # [v, k]: the row of value v in the tabloids of kept k, then the candidate
         at = np.empty((m, target + 1, 2, m), dtype=np.uint8)
@@ -253,6 +260,7 @@ def build_blocks(m: int) -> list[Block]:
                 f"shape {lam}: tableau vectors span {len(span_ts)} dimensions, expected {target}"
             )
         gram, flip = grams.astype(object)
+        blocks: list[Block] = []
         split = 0
         for sign in (1, -1):
             pivots = psd_pivots(2 * gram + 2 * sign * flip)
@@ -266,7 +274,12 @@ def build_blocks(m: int) -> list[Block]:
             raise CrossingsError(
                 f"shape {lam}: sign blocks have {split} rows in all, expected {target}"
             )
-    return blocks
+        yield lam, patterns, blocks
+
+
+def build_blocks(m: int) -> list[Block]:
+    """All nonempty blocks for one cycle length, in shape_blocks order."""
+    return [b for _, _, blocks in shape_blocks(m) for b in blocks]
 
 
 # -- the (m-2, 1, 1) block, used alone by the single-block relaxation -------

@@ -91,6 +91,7 @@ def cyclic_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
     return [t for t in standard_tableaux(lam) if descent_sum(t) % m == 0]
 
 
+@lru_cache(maxsize=None)
 def block_multiplicity(lam: tuple[int, ...]) -> int:
     return len(cyclic_tableaux(lam))
 

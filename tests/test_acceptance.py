@@ -276,9 +276,21 @@ def test_criterion_4_stretch_larger_m(store):
             problems.append(f"m={m}: certificate trails the solver by {out.raw - cert.bound:.2e}")
         if cert.value > Fraction(SINGLE_OPT[m]) + Fraction(1, 10**9):
             problems.append(f"m={m}: certified value exceeds the known optimum")
-        runs.append(f"m={m} in {wall:.0f}s at a process peak RSS of {peak:.0f} MB")
+        # criterion 6's row, from the certificate instead of the frozen value
+        qb = quadratic_bound(m, cert.value)
+        lb = lift_bound(qb)
+        ratio = asymptotic_ratio(m, cert.value)
+        shown = (f"{truncated(qb.a, 5)} n^2 - {plain(qb.b)} n, lifted {truncated(lb.c, 4)} "
+                 f"with {plain(lb.e)}, ratio {truncated(ratio, 4)}")
+        (want_a, want_b), (want_c, want_e) = QUADRATIC_COEFFS[m], LIFTED_COEFFS[m]
+        if (want_a not in (truncated(qb.a, 5), rounded(qb.a, 5)) or plain(qb.b) != want_b
+                or want_c not in (truncated(lb.c, 4), rounded(lb.c, 4)) or plain(lb.e) != want_e
+                or RATIO_SINGLE[m] not in (truncated(ratio, 4), rounded(ratio, 4))):
+            problems.append(f"m={m}: certified bounds print as {shown}")
+        runs.append(f"m={m} in {wall:.0f}s at a process peak RSS of {peak:.0f} MB, "
+                    f"certified cr(K_{{{m},n}}) >= {shown}")
     report("4 (stretch m=11, m=12)", problems,
-           f"single-block optima match to 1e-5, {', '.join(runs)}")
+           f"single-block optima match to 1e-5, {'; '.join(runs)}")
 
 
 # a child interpreter's single-block run: its certificate and rounds as JSON
@@ -484,7 +496,7 @@ def test_criterion_7_independent_routes():
         tables = PairTables.build(m)
         cols = hook_block_columns(m)
         tri = np.zeros((tables.classes.count, len(cols) * (len(cols) + 1) // 2), dtype=np.int64)
-        block_constraint_tables(tables, [Block((m - 2, 1, 1), 0, cols)], tri)
+        block_constraint_tables(tables, [Block((m - 2, 1, 1), 0, cols)], tri, {})
         # combinations_with_replacement walks the upper triangle row-major
         for pos, (t1, t2) in enumerate(combinations_with_replacement(cols, 2)):
             got = {int(c): int(v) for c, v in enumerate(tri[:, pos]) if v}

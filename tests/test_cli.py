@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import crossings
+from crossings import cli
 from crossings.cli import _HANDLERS, _parse_n_values, main
 
 
@@ -266,3 +268,54 @@ def test_parse_n_values():
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # the parser is built on the first call and shared by the later ones
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        for m in (4, 5, 4):
+            assert run_cli(capsys, "q", "--m", str(m))[0] == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("crossings") == 1
+
+
+def recorded_handlers(monkeypatch) -> list:
+    """Replace every handler by one that records its namespace."""
+    seen = []
+    for command in _HANDLERS:
+        monkeypatch.setitem(_HANDLERS, command, lambda args: seen.append(args) or 0)
+    return seen
+
+
+def test_options_of_one_call_are_absent_from_the_next(monkeypatch, tmp_path):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    seen = recorded_handlers(monkeypatch)
+    path = str(tmp_path / "result.json")
+    assert main(["beta", "--m", "5", "--json", path, "--threads", "2"]) == 0
+    assert main(["coeffs", "--m", "5"]) == 0
+    assert main(["beta", "--m", "6"]) == 0
+    first, second, third = seen
+    assert (first.json, first.threads) == (path, 2)
+    assert not hasattr(second, "json") and (second.m, second.threads) == (5, None)
+    assert (third.m, third.json, third.threads) == (6, None, None)
+
+
+def test_a_refused_argv_leaves_the_next_call_intact(monkeypatch, capsys):
+    seen = recorded_handlers(monkeypatch)
+    for argv in (["q", "--m", "7", "--verify", "--bogus"], ["certify", "--m", "x"], ["bounds", "--n"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert main(["q", "--m", "5"]) == 0
+    (args,) = seen
+    assert vars(args) == {"command": "q", "m": 5, "threads": None, "verify": False}

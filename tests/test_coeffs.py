@@ -28,6 +28,7 @@ from crossings.repsets import (
     build_blocks,
     hook_block_columns,
     row_group,
+    shape_blocks,
 )
 from crossings.tableaux import standard_tableaux
 from oracles import (
@@ -70,7 +71,7 @@ def tri_pairs(d):
 def block_tables(t, blocks):
     """block_constraint_tables written into a fresh contiguous table."""
     tri = np.zeros((t.classes.count, cache.triangle_width(b.dim for b in blocks)), dtype=np.int64)
-    block_constraint_tables(t, blocks, tri)
+    block_constraint_tables(t, blocks, tri, {b.lam: _pattern_table(b.lam) for b in blocks})
     return tri
 
 
@@ -293,13 +294,14 @@ def test_tabloid_kernel_matches_the_gather():
     # ones, against the per-cycle gather
     m = 8
     t = PairTables.build(m)
-    blocks = [b for b in build_blocks(m) if b.lam != (m - 2, 1, 1)]
-    for lam in dict.fromkeys(b.lam for b in blocks):
+    for lam, patterns, blocks in shape_blocks(m):
+        if lam == (m - 2, 1, 1):
+            continue
         group = cell_group(lam)
-        ts = list(dict.fromkeys(ta for b in blocks if b.lam == lam for ta in b.tableaux))
-        keys, table = _shift_sums(ts, lam)
+        ts = list(dict.fromkeys(ta for b in blocks for ta in b.tableaux))
+        keys, table = _shift_sums(ts, patterns)
         for b in blocks:
-            for j, tb in enumerate(b.tableaux if b.lam == lam else ()):
+            for j, tb in enumerate(b.tableaux):
                 got = _tabloid_forms(t, tb, keys, table)
                 for ta in b.tableaux[: j + 1]:
                     want = class_sums(row_cascade(ta), tb, group, t)
@@ -402,10 +404,15 @@ def test_scaled_block_tables_are_exact_and_narrowest(m, kind):
     # scale is the gcd of the block's int64 entries, which the product
     # gives back exactly, and the next narrower type would not hold it
     t = TABLES.get(m) or PairTables.build(m)
-    blocks = build_blocks(m) if kind == "full" else [Block((m - 2, 1, 1), 0, hook_block_columns(m))]
+    if kind == "full":
+        shapes = list(shape_blocks(m))
+    else:
+        shapes = [((m - 2, 1, 1), None, [Block((m - 2, 1, 1), 0, hook_block_columns(m))])]
+    blocks = [b for _, _, group in shapes for b in group]
     want = np.split(block_tables(t, blocks), np.cumsum([b.dim * (b.dim + 1) // 2 for b in blocks])[:-1],
                     axis=1)
-    scales, parts = coeffs.scaled_block_tables(t, blocks)
+    got, scales, parts = coeffs.scaled_block_tables(t, shapes)
+    assert got == blocks
     types = [np.int8, np.int16, np.int32, np.int64]
     for g, part, raw in zip(scales, parts, want):
         assert g == np.gcd.reduce(raw, axis=None) > 0
@@ -421,7 +428,7 @@ def test_a_narrowing_that_loses_entries_is_refused(monkeypatch):
     t = TABLES[7]
     monkeypatch.setattr(coeffs, "_narrowest", lambda bound: np.dtype(np.int8))
     with pytest.raises(CrossingsError, match="is not its table"):
-        coeffs.scaled_block_tables(t, build_blocks(7))
+        coeffs.scaled_block_tables(t, shape_blocks(7))
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -516,7 +523,7 @@ def test_tabloid_forms_past_the_coefficient_limit_are_refused():
     # reaches 2**62 at 2**58
     t, tb = TABLES[4], ((1, 4), (2,), (3,))
     assert t.index.representatives()[0].size == 3
-    keys, table = _shift_sums([tb], (2, 1, 1))
+    keys, table = _shift_sums([tb], _pattern_table((2, 1, 1)))
     unit = table // 24  # the shift sums of the hook tableau are 0 and +-24
     assert (24 * unit == table).all() and np.abs(unit).max() == 1
     got = _tabloid_forms(t, tb, keys, unit * 2**57)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossings import cache, cycles, relaxations
+from crossings import cache, coeffs, cycles, relaxations, repsets
 from crossings.coeffs import PairTables
 from crossings.errors import ArgumentError, CrossingsError, ResourceError, SolverError
 from crossings.relaxations import (
@@ -30,6 +30,7 @@ from crossings.relaxations import (
 from crossings.repsets import build_blocks
 from crossings.sdp import polish_dual, solve_bound_problem
 from crossings.swapgraph import self_cost
+from crossings.tableaux import block_multiplicity, partitions
 from oracles import class_slacks
 
 # independently frozen optimum values, ten decimals
@@ -116,7 +117,7 @@ def no_block_tables(monkeypatch):
     def no_table(*args):
         raise TableAllocated(args)
 
-    monkeypatch.setattr(relaxations, "build_blocks", no_table)
+    monkeypatch.setattr(relaxations, "shape_blocks", no_table)
     monkeypatch.setattr(relaxations, "scaled_block_tables", no_table)
 
 
@@ -393,6 +394,47 @@ def test_scan_casts_one_row_chunk_of_the_records():
         tracemalloc.stop()
     assert rec.nbytes >= 40 * 2**20 and peak < 0.25 * rec.nbytes, (peak, rec.nbytes)
     assert (price == want).all()
+
+
+@pytest.mark.parametrize("kind,m", [("single", m) for m in range(4, 11)]
+                         + [("full", m) for m in range(4, 9)])
+def test_float_prices_are_those_of_the_widened_table(tmp_path, kind, m):
+    # a float scan casts the narrow records to float64 and multiplies by
+    # float scales; with entries and scales below 2**53 each product is the
+    # float of the int64 entry, so the prices match bit for bit
+    dims, _, _, tri, scale = coeff_tables(m, kind, cache_dir=tmp_path)
+    assert tri.dtype.itemsize <= 4 and scale.max() < 2**53
+    rng = np.random.default_rng(m)
+    packed = relaxations._packed([(lambda a: a + a.T)(rng.standard_normal((d, d))) for d in dims], dims)
+    assert np.array_equal(relaxations._pair(tri, scale, packed),
+                          widen(tri, scale).astype(np.float64) @ packed)
+
+
+def test_float_prices_past_2_53_take_the_int64_route():
+    # 3 (2**53 + 1) is no float product of float(3) and float(2**53 + 1),
+    # which rounds the scale to 2**53; the int64 route widens it exactly
+    tri = np.full((4, 2), 3, dtype=np.int8)
+    packed = np.array([1.0, 0.0])
+    for g in (2**53 - 1, 2**53 + 1):
+        scale = np.array([g, 1])
+        want = widen(tri, scale).astype(np.float64) @ packed
+        assert np.array_equal(relaxations._pair(tri, scale, packed), want)
+    assert want[0] != 3.0 * float(2**53 + 1)
+
+
+def test_a_full_build_merges_each_pattern_table_once(tmp_path, monkeypatch):
+    # block selection and the coefficient tables share each shape's pattern
+    # table, so a cold full build merges it once for every shape with blocks
+    built, merge = [], repsets._pattern_table
+
+    def counted(lam):
+        built.append(lam)
+        return merge(lam)
+
+    monkeypatch.setattr(repsets, "_pattern_table", counted)
+    monkeypatch.setattr(coeffs, "_pattern_table", counted, raising=False)
+    coeff_tables(7, "full", cache_dir=tmp_path)
+    assert built == [lam for lam in partitions(7) if block_multiplicity(lam)]
 
 
 def test_value_prices_the_polished_dual(store, single_runs):
