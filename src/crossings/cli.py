@@ -320,7 +320,9 @@ def _cmd_verify(args) -> int:
 
     checked = 0
     for path in (cache.coeffs_path(cd, m, "single"), cache.coeffs_path(cd, m, "full")):
-        if path.exists():
+        if path.exists() and cache.is_stale(path):
+            print(f"skip: {path.name} is of an older format, rebuilt by the next solve")
+        elif path.exists():
             cache.read_coeffs(path, m)
             checked += 1
     print(f"ok: {checked} cache files pass their checksums and headers")

@@ -33,16 +33,17 @@ quadruple enumeration over the expansions of both tableau vectors, and
 streaming over all ordered cycle pairs.  Every sum that could leave
 +-2**62 is refused before int64 wraps.
 
-Every block, the single-block relaxation's hook block included, is
-assembled by one routine into packed upper triangles, each writing its raw
-tableau forms into its own columns of an int64 table.  A block of sign s
-has rows w + s (w o eta) and reduces to those forms: eta flips one pair
-component, which descends to an involution on classes, and each entry is
-(1 + s^2) times the raw form plus 2s times its flip, applied in place.
-Sign 0 leaves the raw forms, the rows being the tableau vectors, so the
-single block holds no form beside the table.  The cache stores each block
-as the gcd of its entries times a table of the narrowest integer type that
-holds the quotients (scaled_block_tables), built one shape at a time.
+The blocks of one shape, the single-block relaxation's hook block
+included, take one call (block_constraint_tables): it returns their packed
+upper triangles as one int64 table, each block's raw tableau forms in its
+own columns.  A block of sign s has rows w + s (w o eta) and reduces to
+those forms: eta flips one pair component, which descends to an
+involution on classes, and each entry is (1 + s^2) times the raw form
+plus 2s times its flip, applied in place.  Sign 0 leaves the raw forms,
+the rows being the tableau vectors, so the single block holds no form
+beside the table.  The cache stores each block as the gcd of its entries
+times a table of the narrowest integer type that holds the quotients
+(scaled_block_tables, the one loop over shapes).
 """
 
 from __future__ import annotations
@@ -242,53 +243,47 @@ def _hook_forms(tables: PairTables, offsets: list[int], weights: np.ndarray, out
             np.add.at(out, (rows, cols), cycles @ weights[:, cols])
 
 
-def block_constraint_tables(tables: PairTables, blocks: list[Block], tri: np.ndarray,
-                            patterns: dict[tuple[int, ...], Patterns]) -> None:
-    """Write the class blocks of a relaxation as packed upper triangles
-    into tri, (C, t) int64 zeros.  patterns maps each shape but the hook
-    to its pattern table, the one that selected its blocks
-    (repsets.shape_blocks).
+def block_constraint_tables(tables: PairTables, blocks: list[Block],
+                            patterns: Patterns | None) -> np.ndarray:
+    """The (C, t) int64 table of the blocks of one shape, as packed upper
+    triangles.  patterns is the shape's pattern table, the one that
+    selected its blocks (repsets.shape_blocks); the hook needs none.
 
     Rows follow the class order; columns run over the upper triangle of
     each block, row-major, blocks in order.  The entry of a block of sign s
     at tableaux (ta, tb) is (1 + s^2) raw + 2 s raw[flip] for the raw
     pairing form raw of (ta, tb), since F(w + s Pw, w' + s Pw') expands to
     (1 + s^2) F(w, w') + 2 s F(w, Pw') and inverting both components fixes
-    every class.  Each block writes its raw forms into its own columns of
-    the table and, unless s = 0, applies the sign there.
+    every class.  Every column takes its raw form first; then each block
+    of sign s != 0 applies it in place on its own columns.
 
-    Hook blocks, of shape (m-2, 1, 1), take every raw form from one pass of
+    The hook shape (m-2, 1, 1) takes every raw form from one pass of
     _hook_forms, weighted by _offset_weights.  Every other shape takes them
     from _tabloid_forms, one pass per column tableau tb against every
     tableau of the shape at once; a form is symmetric at class level, so
     the signed blocks of one shape share the cascades and the passes.
     """
-    hook = (tables.m - 2, 1, 1)
+    at = {t: k for k, t in enumerate(dict.fromkeys(t for b in blocks for t in b.tableaux))}
+    ts = list(at)
+    pairs = [(at[b.tableaux[i]], at[b.tableaux[j]]) for b in blocks
+             for i in range(b.dim) for j in range(i, b.dim)]
+    tri = np.zeros((tables.classes.count, len(pairs)), dtype=np.int64)
+    if blocks[0].lam == (tables.m - 2, 1, 1):
+        weights = np.column_stack([_offset_weights(t) for t in ts])
+        _hook_forms(tables, [_hook_offset(ts[b]) for _, b in pairs], weights[:, [a for a, _ in pairs]], tri)
+    else:
+        keys, coeffs = _shift_sums(ts, patterns)
+        for k, tb in enumerate(ts):
+            cols = [n for n, (_, b) in enumerate(pairs) if b == k]
+            tri[:, cols] = _tabloid_forms(tables, tb, keys, coeffs)[:, [pairs[n][0] for n in cols]]
     widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
-    raws = np.split(tri, np.cumsum(widths)[:-1], axis=1)
-    for lam in dict.fromkeys(b.lam for b in blocks):
-        group = [(b, raw, [(i, j) for i in range(b.dim) for j in range(i, b.dim)])
-                 for b, raw in zip(blocks, raws) if b.lam == lam]
-        if lam == hook:
-            for b, raw, pairs in group:
-                weights = np.column_stack([_offset_weights(t) for t in b.tableaux])
-                _hook_forms(tables, [_hook_offset(b.tableaux[j]) for _, j in pairs],
-                            weights[:, [i for i, _ in pairs]], raw)
-            continue
-        ts = list(dict.fromkeys(t for b, _, _ in group for t in b.tableaux))
-        keys, coeffs = _shift_sums(ts, patterns[lam])
-        for tb in ts:
-            forms = _tabloid_forms(tables, tb, keys, coeffs)
-            for b, raw, pairs in group:
-                for k, (i, j) in enumerate(pairs):
-                    if b.tableaux[j] == tb:
-                        raw[:, k] = forms[:, ts.index(b.tableaux[i])]
-    for b, raw in zip(blocks, raws):
+    for b, raw in zip(blocks, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
         if b.sign:
             flipped = raw[tables.flip]
             flipped *= 2 * b.sign
             raw *= 1 + b.sign**2
             raw += flipped
+    return tri
 
 
 def _narrowest(bound: int) -> np.dtype:
@@ -309,34 +304,26 @@ def scaled_block_tables(
     g the gcd of its entries, and t is of the narrowest signed type
     holding it.
 
-    The int64 triangles are built one shape's blocks at a time, from the
-    shape's own pattern table, and divided in row chunks of _NARROW_ENTRIES
-    entries, so no int64 table of more than one shape is held; g t is
-    compared with them exactly, and any difference raises CrossingsError."""
-    blocks, scaled = [], []
-    for lam, patterns, shape in shapes:
+    The int64 triangles are built one shape at a time and divided in row
+    chunks of _NARROW_ENTRIES entries; each shape's table is freed before
+    the next shape is selected.  g t is compared with them exactly, and
+    any difference raises CrossingsError."""
+    blocks, scales, parts = [], [], []
+    for _, patterns, shape in shapes:
         blocks += shape
-        scaled += _scaled_shape(tables, shape, {lam: patterns})
-    return blocks, [g for g, _ in scaled], [t for _, t in scaled]
-
-
-def _scaled_shape(tables: PairTables, blocks: list[Block],
-                  patterns: dict) -> list[tuple[int, np.ndarray]]:
-    """(g, t) of each block of one shape (scaled_block_tables); the int64
-    triangles are freed on return, before the next shape is selected."""
-    widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
-    tri = np.zeros((tables.classes.count, sum(widths)), dtype=np.int64)
-    block_constraint_tables(tables, blocks, tri, patterns)
-    out = []
-    for b, raw in zip(blocks, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
-        rows = max(1, _NARROW_ENTRIES // raw.shape[1])
-        chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
-        g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
-        bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
-        part = np.empty(raw.shape, dtype=_narrowest(bound))
-        for c in chunks:
-            part[c] = raw[c] // g
-            if (part[c] * np.int64(g) != raw[c]).any():
-                raise CrossingsError(f"block {b.lam}{b.sign:+d}: {part.dtype} times {g} is not its table")
-        out.append((g, part))
-    return out
+        tri = block_constraint_tables(tables, shape, patterns)
+        widths = [b.dim * (b.dim + 1) // 2 for b in shape]
+        for b, raw in zip(shape, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
+            rows = max(1, _NARROW_ENTRIES // raw.shape[1])
+            chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
+            g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
+            bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
+            part = np.empty(raw.shape, dtype=_narrowest(bound))
+            for c in chunks:
+                part[c] = raw[c] // g
+                if (part[c] * np.int64(g) != raw[c]).any():
+                    raise CrossingsError(f"block {b.lam}{b.sign:+d}: {part.dtype} times {g} is not its table")
+            scales.append(g)
+            parts.append(part)
+        del tri, raw  # the views too, before the next shape is selected
+    return blocks, scales, parts

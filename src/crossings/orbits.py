@@ -70,13 +70,20 @@ def build_pair_orbits(index: CycleIndex) -> SymmetricClasses:
     if int(lengths.sum()) != factorial(m - 1):
         raise CrossingsError(f"stabilizer orbits of {m}-cycles cover {int(lengths.sum())} "
                              f"cycles, not {factorial(m - 1)}")
-    ids = np.arange(rep_keys.size, dtype=np.int64)
-    partner = np.concatenate(list(index.image_orbits(ids, swap_partner_words)))
-    rep_orbits = ids[ids <= partner]
+    ids = np.arange(rep_keys.size, dtype=np.int32)
+    partner = np.empty_like(ids)
+    lo = 0
+    for found in index.image_orbits(ids, swap_partner_words):
+        partner[lo : lo + found.size] = found
+        lo += found.size
+    rep = ids <= partner
+    rep_orbits = np.flatnonzero(rep)
     paired = partner[rep_orbits] != rep_orbits
     sizes = (lengths[rep_orbits].astype(np.uint64) * np.uint64(factorial(m - 1))
              * np.where(paired, np.uint64(2), np.uint64(1)))
-    class_of_orbit = np.searchsorted(rep_orbits, np.minimum(ids, partner, out=partner)).astype(np.int32)
+    # an orbit's class counts the class representatives up to its own
+    class_of_orbit = np.cumsum(rep, dtype=np.int32)[np.minimum(ids, partner, out=partner)]
+    class_of_orbit -= 1
     return SymmetricClasses(rep_orbits=rep_orbits, sizes=sizes, class_of_orbit=class_of_orbit)
 
 

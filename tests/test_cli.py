@@ -210,6 +210,23 @@ def test_verify_reads_cached_tables_through_their_header(capsys, tmp_path):
     assert "cache files pass" not in out
 
 
+def test_verify_skips_a_stale_table_that_a_solve_rebuilds(capsys, tmp_path):
+    # a table of an older format version is no fault of the cache: the next
+    # solve rebuilds it, so verify names it and checks the current files only
+    code, _, _ = run_cli(capsys, "alpha", "--m", "5", "--cache-dir", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "coeffs_5_full.bin"
+    data = bytearray(path.read_bytes())
+    data[4] = 2
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, "verify", "--m", "5", "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "skip: coeffs_5_full.bin is of an older format" in out
+    assert "ok: 1 cache files pass" in out  # the single table run_single wrote
+    code, _, _ = run_cli(capsys, "alpha", "--m", "5", "--cache-dir", str(tmp_path))
+    assert code == 0 and path.read_bytes()[4] > 2
+
+
 def test_threads_flag_sets_environment(store, capsys, monkeypatch):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)

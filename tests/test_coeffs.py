@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crossings import cache, coeffs, cycles, repsets
+from crossings import coeffs, cycles, repsets
 from crossings.coeffs import (
     PairTables,
     _hook_forms,
@@ -69,10 +69,11 @@ def tri_pairs(d):
 
 
 def block_tables(t, blocks):
-    """block_constraint_tables written into a fresh contiguous table."""
-    tri = np.zeros((t.classes.count, cache.triangle_width(b.dim for b in blocks)), dtype=np.int64)
-    block_constraint_tables(t, blocks, tri, {b.lam: _pattern_table(b.lam) for b in blocks})
-    return tri
+    """The tables block_constraint_tables builds for each shape's run of
+    blocks, side by side in block order."""
+    hook = (t.m - 2, 1, 1)
+    return np.hstack([block_constraint_tables(t, list(run), None if lam == hook else _pattern_table(lam))
+                      for lam, run in itertools.groupby(blocks, key=lambda b: b.lam)])
 
 
 def hook_table(t):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -245,6 +246,22 @@ def test_orbit_sizes_must_cover_the_cycles():
     idx._representatives = (keys, wrong)
     with pytest.raises(CrossingsError, match="cover"):
         build_pair_orbits(idx)
+
+
+def test_pair_orbits_hold_few_arrays_per_orbit():
+    # the orbit ids, the partners and the class ranks are int32 arrays, and
+    # the partners are filled in place: 27 bytes an orbit at m=11, where
+    # int64 ids and partners, a concatenated chunk list and an int64
+    # searchsorted took 38; the representatives are built before tracing
+    idx = CycleIndex(11)
+    idx.representatives()
+    tracemalloc.start()
+    try:
+        classes = build_pair_orbits(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * classes.class_of_orbit.size
 
 
 @pytest.mark.parametrize("m", [7, 8, 9])

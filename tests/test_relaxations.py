@@ -424,17 +424,36 @@ def test_float_prices_past_2_53_take_the_int64_route():
 
 def test_a_full_build_merges_each_pattern_table_once(tmp_path, monkeypatch):
     # block selection and the coefficient tables share each shape's pattern
-    # table, so a cold full build merges it once for every shape with blocks
+    # table, so a cold full build merges it once for every shape with blocks;
+    # each shape's table is one call, so the hook shape takes one pass of its
+    # kernel and every other shape one pass per distinct column tableau
     built, merge = [], repsets._pattern_table
+    hooks, tbs = [], []
+    hook_forms, tabloid_forms = coeffs._hook_forms, coeffs._tabloid_forms
 
     def counted(lam):
         built.append(lam)
         return merge(lam)
 
+    def hook_pass(tables, *args):
+        hooks.append(tables.m)
+        return hook_forms(tables, *args)
+
+    def tabloid_pass(tables, tb, *args):
+        tbs.append(tb)
+        return tabloid_forms(tables, tb, *args)
+
     monkeypatch.setattr(repsets, "_pattern_table", counted)
     monkeypatch.setattr(coeffs, "_pattern_table", counted, raising=False)
+    monkeypatch.setattr(coeffs, "_hook_forms", hook_pass)
+    monkeypatch.setattr(coeffs, "_tabloid_forms", tabloid_pass)
     coeff_tables(7, "full", cache_dir=tmp_path)
-    assert built == [lam for lam in partitions(7) if block_multiplicity(lam)]
+    shapes = [lam for lam in partitions(7) if block_multiplicity(lam)]
+    assert built == shapes
+    blocks = build_blocks(7)
+    assert hooks == [7] and any(b.lam == (5, 1, 1) for b in blocks)
+    assert tbs == [t for lam in shapes if lam != (5, 1, 1)
+                   for t in dict.fromkeys(t for b in blocks if b.lam == lam for t in b.tableaux)]
 
 
 def test_value_prices_the_polished_dual(store, single_runs):
