@@ -1,21 +1,21 @@
 """Binary cache files for the coefficient tables, the expensive stage.
 
-One format, COFA version 3: little-endian, a header of 4-byte magic, format
-version, cycle length, block count, record count and one byte naming the
-record's triangle type (its width in bytes: int8, int16, int32 or int64),
-then one byte per block dimension, one int64 scale g_B per block, one
-fixed-width record per swap class, in class order, and last a 4-byte
-trailer, the CRC-32 of every byte before it:
+One format, COFA version 4, little-endian and block-major: a header of
+4-byte magic, format version, cycle length, block count and class count C;
+then one byte per block dimension d, one byte per block naming the width
+in bytes of its table's type (int8, int16, int32 or int64) and one int64
+scale g_B per block; then each block's table, its (C, d(d+1)/2) upper
+triangles row-major in class order; then the class sizes over (m-1)!,
+which divides them, one byte each; then the class costs q, one byte each;
+and last a 4-byte trailer, the CRC-32 of every byte before it:
 
   coeffs_<m>_<kind>.bin  per-class coefficient blocks of one relaxation,
                          kind "single" (one block) or "full" (every block)
 
-A record holds tri, the upper triangles of the class's blocks as integers
-t of the narrowest signed type that holds them all, the class's block B
-being g_B t exactly; then the class size over (m-1)!, which divides it, as
-one byte; then the class cost q as one byte.  Only this module knows the
-records: write_coeffs builds them from the class tables, and read_coeffs
-turns them back into class tables.
+Block B of a class is g_B t exactly, t the class's row of the block's
+table, which is of the narrowest signed type that holds that block alone.
+write_coeffs publishes the block tables as the build hands them over, and
+read_coeffs returns them as read-only views into the one payload it reads.
 
 A table is one file, published with its trailer by one atomic replace.
 Readers check the header and the trailer before they parse the body, and
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import CrossingsError, DataError
 
-_VERSION = 3
+_VERSION = 4
 _TRAILER = struct.Struct("<I")
 
 
@@ -92,20 +92,8 @@ def _publish(path: Path, parts) -> None:
 
 # -- COFA ------------------------------------------------------------------
 
-_COFA_HEADER = struct.Struct("<4sBBBQB")
-_WRITE_BYTES = 1 << 22  # records filled and written per chunk
-_TRIANGLE_TYPES = {np.dtype(t).itemsize: np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8")}
-
-
-def triangle_width(dims) -> int:
-    """Entries of the upper triangles of blocks of the given dimensions."""
-    return sum(d * (d + 1) // 2 for d in dims)
-
-
-def record_dtype(width: int, tri_type) -> np.dtype:
-    """One class's record when its triangles hold width entries of tri_type."""
-    return np.dtype([("tri", np.dtype(tri_type).newbyteorder("<"), (width,)),
-                     ("size", "u1"), ("q", "u1")])
+_COFA_HEADER = struct.Struct("<4sBBBQ")
+_TABLE_TYPES = {np.dtype(t).itemsize: np.dtype(t) for t in ("<i1", "<i2", "<i4", "<i8")}
 
 
 def is_stale(path: Path) -> bool:
@@ -116,46 +104,36 @@ def is_stale(path: Path) -> bool:
 
 
 def write_coeffs(path: Path, m: int, dims: tuple[int, ...], scales, parts, sizes, q) -> None:
-    """Publish the class tables of one relaxation as records, one per class
-    in class order: parts holds each block's upper triangles, row-major, in
-    block order, block B divided by its exact scale scales[B]; sizes and q
-    are the class sizes and costs.  The triangles take the narrowest type
-    that holds every part.  The records are filled and written one chunk of
-    about _WRITE_BYTES at a time, in one reused buffer, so the write holds
-    no copy of the table beside parts; the checksum and the file write read
-    each chunk in place.  Sizes over (m-1)! or costs that leave one byte
-    raise CrossingsError."""
+    """Publish the class tables of one relaxation: parts holds each block's
+    (C, d(d+1)/2) table of upper triangles, row-major in class order, block
+    B divided by its exact scale scales[B], each in its own signed integer
+    type; sizes and q are the class sizes and costs.  The parts are
+    checksummed and written as they are, so the write holds no copy of
+    them, only the one-byte columns of sizes over (m-1)! and of costs.
+    Sizes over (m-1)! or costs that leave one byte raise CrossingsError."""
     unit = factorial(m - 1)
-    if (sizes % unit).any() or sizes.max() > 255 * unit or q.max() > 255:
+    # the remainders land in bools, so no int64 column is made beside sizes
+    if (np.remainder(sizes, unit, out=np.empty(len(q), bool), casting="unsafe").any()
+            or sizes.max() > 255 * unit or q.max() > 255):
         raise CrossingsError(f"m={m}: class sizes over (m-1)! or costs leave one byte")
-    dtype = record_dtype(triangle_width(dims), np.result_type(*parts))
-    head = (_COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(q), dtype["tri"].base.itemsize)
-            + bytes(dims) + np.asarray(scales, dtype="<i8").tobytes())
-    rows = max(1, _WRITE_BYTES // dtype.itemsize)
-
-    def payload():
-        yield head
-        rec = np.empty(min(rows, len(q)), dtype)
-        for lo in range(0, len(q), rows):
-            chunk = rec[: min(rows, len(q) - lo)]
-            np.floor_divide(sizes[lo : lo + rows], unit, out=chunk["size"], casting="unsafe")
-            chunk["q"] = q[lo : lo + rows]
-            np.concatenate([p[lo : lo + rows] for p in parts], axis=1, out=chunk["tri"])
-            yield memoryview(chunk).cast("B")
-
+    parts = [np.ascontiguousarray(p, p.dtype.newbyteorder("<")) for p in parts]
+    head = (_COFA_HEADER.pack(b"COFA", _VERSION, m, len(dims), len(q)) + bytes(dims)
+            + bytes(p.dtype.itemsize for p in parts) + np.asarray(scales, dtype="<i8").tobytes())
+    units = np.floor_divide(sizes, unit, out=np.empty(len(q), "u1"), casting="unsafe")
     # version 2 kept its checksum in a sidecar, which goes with the file it checked
     with contextlib.suppress(FileNotFoundError):
         os.unlink(f"{path}.crc32")
-    _publish(path, payload())
+    _publish(path, [head, *parts, units, q.astype("u1")])
 
 
 def read_coeffs(
     path: Path, m: int
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
     """The class tables of a file written by write_coeffs: dims, the int64
-    class sizes and costs, the narrow triangles tri and the int64 scale of
-    each triangle column, the class blocks being tri times scale.  tri is a
-    read-only view into the file's bytes, so the table is held once."""
+    class sizes and costs, each block's narrow table and the int64 block
+    scales, block B of a class being scales[B] times its row of the B-th
+    table.  The tables are read-only views into the file's bytes, so the
+    table is held once."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"cache file missing: {path}")
@@ -163,25 +141,28 @@ def read_coeffs(
     payload = memoryview(whole)[: -_TRAILER.size]
     if len(payload) < _COFA_HEADER.size:
         raise DataError(f"{path}: truncated header")
-    *got, nblocks, n, entry = _COFA_HEADER.unpack_from(payload)
+    *got, nblocks, n = _COFA_HEADER.unpack_from(payload)
     for name, g, w in zip(("magic", "version", "m"), got, (b"COFA", _VERSION, m)):
         if g != w:
             raise DataError(f"{path}: bad {name} (got {g!r}, want {w!r})")
     if whole[len(payload) :] != _TRAILER.pack(zlib.crc32(payload)):
         raise DataError(f"checksum mismatch for {path}")
-    if entry not in _TRIANGLE_TYPES:
-        raise DataError(f"{path}: unknown triangle type of {entry} bytes")
-    off = _COFA_HEADER.size + 9 * nblocks
+    off = _COFA_HEADER.size + 10 * nblocks
     dims = tuple(payload[_COFA_HEADER.size : _COFA_HEADER.size + nblocks])
-    dtype = record_dtype(triangle_width(dims), _TRIANGLE_TYPES[entry])
-    if len(dims) != nblocks or len(payload) - off != n * dtype.itemsize:
-        raise DataError(f"{path}: body is not {nblocks} dims, {nblocks} scales "
-                        f"and {n} whole records")
+    widths = tuple(payload[_COFA_HEADER.size + nblocks : _COFA_HEADER.size + 2 * nblocks])
+    if unknown := set(widths) - set(_TABLE_TYPES):
+        raise DataError(f"{path}: unknown table type of {min(unknown)} bytes")
+    ts = [d * (d + 1) // 2 for d in dims]
+    if len(payload) < off or len(payload) - off != n * (sum(t * w for t, w in zip(ts, widths)) + 2):
+        raise DataError(f"{path}: body is not {nblocks} dims, types and scales, "
+                        f"{nblocks} block tables and {n} sizes and costs")
     scales = np.frombuffer(payload, dtype="<i8", count=nblocks, offset=off - 8 * nblocks)
     if (scales < 1).any():
         raise DataError(f"{path}: block scales {scales.tolist()} are not all positive")
-    rec = np.frombuffer(payload, dtype=dtype, offset=off)
-    sizes = rec["size"].astype(np.int64)
+    tris = []
+    for t, w in zip(ts, widths):
+        tris.append(np.frombuffer(payload, _TABLE_TYPES[w], count=n * t, offset=off).reshape(n, t))
+        off += n * t * w
+    sizes, qs = (np.frombuffer(payload, "u1", count=n, offset=o).astype(np.int64) for o in (off, off + n))
     sizes *= factorial(m - 1)
-    return (dims, sizes, rec["q"].astype(np.int64), rec["tri"],
-            np.repeat(scales.astype(np.int64), [d * (d + 1) // 2 for d in dims]))
+    return dims, sizes, qs, tris, scales

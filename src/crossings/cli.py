@@ -306,6 +306,16 @@ def _cmd_verify(args) -> int:
     else:
         print(f"skip: block check not run at m={m}")
 
+    # the tables on disk before the solve below, which writes a missing or stale one
+    checked = 0
+    for path in (cache.coeffs_path(cd, m, "single"), cache.coeffs_path(cd, m, "full")):
+        if path.exists() and cache.is_stale(path):
+            print(f"skip: {path.name} is of an older format, rebuilt by the next solve")
+        elif path.exists():
+            cache.read_coeffs(path, m)
+            checked += 1
+    print(f"ok: {checked} cache files pass their checksums and headers")
+
     if m in reference.SINGLE_BLOCK_OPTIMA:
         from .relaxations import run_single
 
@@ -317,15 +327,6 @@ def _cmd_verify(args) -> int:
         print(f"ok: single-block optimum {out.value:.10f}")
     else:
         print(f"skip: optimum check not run at m={m}")
-
-    checked = 0
-    for path in (cache.coeffs_path(cd, m, "single"), cache.coeffs_path(cd, m, "full")):
-        if path.exists() and cache.is_stale(path):
-            print(f"skip: {path.name} is of an older format, rebuilt by the next solve")
-        elif path.exists():
-            cache.read_coeffs(path, m)
-            checked += 1
-    print(f"ok: {checked} cache files pass their checksums and headers")
     return 0
 
 

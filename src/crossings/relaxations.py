@@ -117,23 +117,23 @@ class RelaxationOutcome:
 
 def coeff_tables(
     m: int, kind: str, cache_dir=None
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Integer tables (dims, sizes, costs, narrow upper triangles
-    concatenated in block order, int64 scale of each triangle column) of
-    one relaxation, kind "single" or "full": the class blocks are
-    widen(tri, scale).  They are read from the coefficient cache, where a
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+    """Integer tables (dims, sizes, costs, each block's narrow upper
+    triangles, int64 block scales) of one relaxation, kind "single" or
+    "full": class block B is widen(tris[B], scales[B]), unpacked by
+    square_triangles.  They are read from the coefficient cache, where a
     build first publishes them when no valid file of the current version is
-    there, so cold and warm runs price the same bytes; tri is a view into
-    them, the one copy of the table a run holds (see _pair).
+    there, so cold and warm runs price the same bytes; each block's table
+    is a view into them, the one copy of it a run holds (see _pair).
 
     A build is refused with ResourceError once the classes are counted,
-    before any block is selected, when its records and its int64 build
-    buffer exceed physical memory.  The records are counted at one byte an
-    entry, the least their triangle type takes; the buffer holds the hook
-    block, or the columns of one shape, at most T(T+1)/2 for a shape of
-    T = block_multiplicity rows in all.  A full record has one entry per
-    class: the swap transposes each block's d^2 pair orbits, fixing d, so
-    sum d(d+1)/2 is the class count."""
+    before any block is selected, when its tables and its int64 build
+    buffer exceed physical memory.  The tables are counted at one byte an
+    entry, the least their types take; the buffer holds the hook block, or
+    the columns of one shape, at most T(T+1)/2 for a shape of
+    T = block_multiplicity rows in all.  A full class has one entry in all
+    its blocks together: the swap transposes each block's d^2 pair orbits,
+    fixing d, so sum d(d+1)/2 is the class count."""
     if kind not in ("single", "full"):
         raise ArgumentError(f"unknown relaxation kind {kind!r}")
     if m < 4:
@@ -147,7 +147,7 @@ def coeff_tables(
             width = count
             buffer = max(t * (t + 1) // 2 for t in map(block_multiplicity, partitions(m)))
         else:
-            width = buffer = cache.triangle_width([hook.dim])
+            width = buffer = hook.dim * (hook.dim + 1) // 2
         check_fits(count * (width + 2 + 8 * buffer), f"{kind} m={m}")
         shapes = shape_blocks(m) if kind == "full" else [(hook.lam, None, [hook])]
         blocks, scales, parts = scaled_block_tables(tables, shapes)
@@ -157,24 +157,18 @@ def coeff_tables(
     return cache.read_coeffs(path, m)
 
 
-def widen(tri: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """The int64 table of narrow triangles tri with column scales scale."""
+def widen(tri: np.ndarray, scale: int) -> np.ndarray:
+    """The int64 table of one block's narrow triangles tri and scale."""
     return tri.astype(np.int64) * scale
 
 
-def split_triangles(tri: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
-    """Rebuild full symmetric (C, d, d) integer stacks from packed rows."""
-    out = []
-    off = 0
-    for d in dims:
-        t = d * (d + 1) // 2
-        iu = np.triu_indices(d)
-        block = np.zeros((tri.shape[0], d, d), dtype=tri.dtype)
-        block[:, iu[0], iu[1]] = tri[:, off : off + t]
-        block[:, iu[1], iu[0]] = tri[:, off : off + t]
-        off += t
-        out.append(block)
-    return out
+def square_triangles(tri: np.ndarray, d: int) -> np.ndarray:
+    """The symmetric (C, d, d) stack of one block's packed upper triangles."""
+    iu = np.triu_indices(d)
+    block = np.zeros((tri.shape[0], d, d), dtype=tri.dtype)
+    block[:, iu[0], iu[1]] = tri
+    block[:, iu[1], iu[0]] = tri
+    return block
 
 
 # -- instance assembly -------------------------------------------------------
@@ -197,53 +191,52 @@ def _strict_start(mats: list[np.ndarray], sizes: np.ndarray) -> np.ndarray:
     raise SolverError("could not build a strictly feasible starting point")
 
 
-def _packed(ys: list[np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
-    """Upper triangles of the blocks, concatenated in block order, with the
-    off-diagonal entries doubled, so tri @ packed is sum_B <Y_B, A_B>.  The
-    weights are the ints 1 and 2, so float blocks stay exact in the float
-    doubling and object blocks of Python ints stay ints."""
-    parts = []
-    for y, d in zip(ys, dims):
-        iu = np.triu_indices(d)
-        parts.append(y[iu] * np.where(iu[0] == iu[1], 1, 2))
-    return np.concatenate(parts)
+def _packed(y: np.ndarray) -> np.ndarray:
+    """The upper triangle of a block with its off-diagonal entries doubled,
+    so tri @ _packed(y) is <Y, A> for the blocks A of packed triangles tri.
+    The weights are the ints 1 and 2, so a float block stays exact in the
+    float doubling and an object block of Python ints stays ints."""
+    iu = np.triu_indices(len(y))
+    return y[iu] * np.where(iu[0] == iu[1], 1, 2)
 
 
-def _pair(tri: np.ndarray, scale: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """widen(tri, scale) @ packed in the dtype of packed (float64, int64 or
-    Python ints), widening one row chunk of tri at a time, never the whole
-    table.  Int64 and Python-int prices widen each chunk exactly in int64,
-    then cast.  Float prices cast the narrow chunk to float64 and multiply
-    by the float scales: while every entry and scale is below 2**53 both
-    casts are exact, so each product is t g correctly rounded, the float of
-    the int64 entry, and every dtype pairs the values of the int64 table.
-    A table outside that range takes the int64 route."""
-    rows = max(1, _PAIR_ENTRIES // tri.shape[1])
-    if (packed.dtype == np.float64 and tri.dtype.itemsize <= 4
-            and int(scale.max(initial=0)) < _EXACT_FLOAT):
-        fscale = scale.astype(np.float64)
-        chunks = (tri[lo : lo + rows].astype(np.float64) * fscale for lo in range(0, len(tri), rows))
-    else:
-        chunks = (widen(tri[lo : lo + rows], scale).astype(packed.dtype, copy=False)
-                  for lo in range(0, len(tri), rows))
-    return np.concatenate([chunk @ packed for chunk in chunks])
+def _pair(tris: list[np.ndarray], scales: np.ndarray, ys: list[np.ndarray]) -> np.ndarray:
+    """sum_B <Y_B, A_B> over the blocks of every class, in the dtype of the
+    ys (float64, int64 or Python ints), each block priced on its own
+    table, one row chunk at a time, never a whole table widened.  Int64 and
+    Python-int prices widen each chunk exactly in int64, then cast.  Float
+    prices cast the narrow chunk to float64 and multiply by the float
+    scale: while every entry and the scale are below 2**53 both casts are
+    exact, so each product is t g correctly rounded, the float of the int64
+    entry, and every dtype pairs the values of the int64 table.  A block
+    outside that range takes the int64 route."""
+    total = 0
+    for tri, g, y in zip(tris, scales, ys):
+        packed = _packed(y)
+        rows = max(1, _PAIR_ENTRIES // tri.shape[1])
+        narrow = (tri[lo : lo + rows] for lo in range(0, len(tri), rows))
+        if packed.dtype == np.float64 and tri.dtype.itemsize <= 4 and int(g) < _EXACT_FLOAT:
+            chunks = (chunk.astype(np.float64) * float(g) for chunk in narrow)
+        else:
+            chunks = (widen(chunk, g).astype(packed.dtype, copy=False) for chunk in narrow)
+        total = total + np.concatenate([chunk @ packed for chunk in chunks])
+    return total
 
 
 def scan_violations(
     ys: list[np.ndarray],
-    dims: tuple[int, ...],
     t: float,
     sizes: np.ndarray,
     qs: np.ndarray,
-    tri: np.ndarray,
-    scale: np.ndarray,
+    tris: list[np.ndarray],
+    scales: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Worst per-element violation over all classes, the ids of the _BATCH
     worst offenders, worst first, ties broken toward the smaller id, and
     the per-element price of the dual blocks on every class.  A class's
     slack at the dual point is qs - t - price, so the least qs - price is
     the value of the dual blocks."""
-    price = _pair(tri, scale, _packed(ys, dims)) / sizes
+    price = _pair(tris, scales, ys) / sizes
     slack = qs - t - price
     # the candidates are the classes at or below the _BATCH-th least slack,
     # listed by id, so a stable sort leaves ties in id order
@@ -254,7 +247,11 @@ def scan_violations(
 
 
 def first_cuts(
-    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray, scale: np.ndarray
+    dims: tuple[int, ...],
+    sizes: np.ndarray,
+    qs: np.ndarray,
+    tris: list[np.ndarray],
+    scales: np.ndarray,
 ) -> list[int]:
     """Class 0 and the classes a scan of the optimum restricted to class 0
     adds, found without solving that instance.
@@ -266,7 +263,7 @@ def first_cuts(
     by cost ascending, then equal costs by tr(A_j) / |j| descending; the
     ties left go to the smaller id, as in scan_violations.  The traces are
     exact integers."""
-    trace = _pair(tri, scale, _packed([np.eye(d, dtype=np.int64) for d in dims], dims))
+    trace = _pair(tris, scales, [np.eye(d, dtype=np.int64) for d in dims])
     below = np.flatnonzero(qs < qs[0])
     order = np.lexsort((below, -(trace[below] / sizes[below]), qs[below]))
     return [0] + [int(i) for i in below[order[:_BATCH]]]
@@ -306,18 +303,17 @@ def _certified_min(
 
 def certify(
     ys: list[np.ndarray],
-    dims: tuple[int, ...],
     sizes: np.ndarray,
     qs: np.ndarray,
-    tri: np.ndarray,
-    scale: np.ndarray,
+    tris: list[np.ndarray],
+    scales: np.ndarray,
 ) -> Certificate:
     """Exact lower bound certificate from near-optimal dual blocks, one per
-    entry of dims, priced against the widened packed triangles in Python
-    ints one row chunk at a time (_pair)."""
+    block table, each priced against its block's widened triangles in
+    Python ints one row chunk at a time (_pair)."""
     numerators = [_dyadic_numerator(y) for y in ys]
     denom = 1 << (3 * _BITS)
-    inners = _pair(tri, scale, _packed(numerators, dims))
+    inners = _pair(tris, scales, numerators)
     value, worst = _certified_min(inners, sizes, qs, denom)
     return Certificate(numerators, denom, value, worst)
 
@@ -371,17 +367,17 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
     blocks is U U^T over linearly independent rows U, hence positive
     definite, so weighting the start toward it puts every block sum inside
     the cone."""
-    dims, sizes, qs, tri, scale = coeff_tables(m, kind, cache_dir)
-    active = first_cuts(dims, sizes, qs, tri, scale)
+    dims, sizes, qs, tris, scales = coeff_tables(m, kind, cache_dir)
+    active = first_cuts(dims, sizes, qs, tris, scales)
     rounds: list[RoundRecord] = []
     for rnd in range(1, _MAX_ROUNDS + 1):
         started = time.monotonic()
         ids = np.array(sorted(active), dtype=np.int64)
-        sub = [mat / sizes[ids, None, None]
-               for mat in split_triangles(widen(tri[ids], scale), dims)]
+        sub = [square_triangles(widen(tri[ids], g), d) / sizes[ids, None, None]
+               for tri, g, d in zip(tris, scales, dims)]
         x0 = _strict_start(sub, sizes[ids])
         sol, t_pol, y_pol = _solve_polished(np.ones(ids.size), qs[ids], sub, x0)
-        maxv, offenders, price = scan_violations(y_pol, dims, t_pol, sizes, qs, tri, scale)
+        maxv, offenders, price = scan_violations(y_pol, t_pol, sizes, qs, tris, scales)
         rec = RoundRecord(rnd, ids.size, t_pol, maxv,
                           (time.monotonic() - started) * 1e3, sol.iterations, sol.status)
         rounds.append(rec)
@@ -394,7 +390,7 @@ def _relax(m: int, kind: str, cache_dir=None, progress=None) -> RelaxationOutcom
     else:
         raise SolverError(f"cutting-plane loop did not settle in {_MAX_ROUNDS} rounds")
 
-    cert = certify(y_pol, dims, sizes, qs, tri, scale)
+    cert = certify(y_pol, sizes, qs, tris, scales)
     return RelaxationOutcome(
         m=m, kind=kind, value=float((qs - price).min()),
         raw=sol.t, certificate=cert, class_count=len(qs),

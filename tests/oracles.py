@@ -78,12 +78,11 @@ from crossings.cycles import (
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
 from crossings.orbits import SymmetricClasses, swap_partner_words
 from crossings.relaxations import (
-    _packed,
     _pair,
     _solve_polished,
     _strict_start,
     scan_violations,
-    split_triangles,
+    square_triangles,
     widen,
 )
 from crossings.repsets import Block, _check_range, psd_pivots, shape_tables
@@ -935,28 +934,28 @@ def pair_stream_hook_table(tables: PairTables) -> np.ndarray:
 
 
 def class_zero_offenders(
-    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tri: np.ndarray, scale: np.ndarray
+    dims: tuple[int, ...], sizes: np.ndarray, qs: np.ndarray, tris: list[np.ndarray], scales: np.ndarray
 ) -> np.ndarray:
     """Classes the scan adds after the solve restricted to class 0 alone:
     the first round of the cutting loop, run as a solve, polish and scan."""
     fsizes, c = sizes.astype(np.float64), qs.astype(np.float64)
     ids = np.array([0])
-    sub = [mat / fsizes[ids, None, None] for mat in split_triangles(widen(tri[ids], scale), dims)]
+    sub = [square_triangles(widen(tri[ids], g), d) / fsizes[ids, None, None]
+           for tri, g, d in zip(tris, scales, dims)]
     _, t_pol, y_pol = _solve_polished(np.ones(1), c[ids], sub, _strict_start(sub, sizes[ids]))
-    return scan_violations(y_pol, dims, t_pol, fsizes, c, tri, scale)[1]
+    return scan_violations(y_pol, t_pol, fsizes, c, tris, scales)[1]
 
 
 def class_slacks(
     ys: list[np.ndarray],
-    dims: tuple[int, ...],
     t: float,
     sizes: np.ndarray,
     qs: np.ndarray,
-    tri: np.ndarray,
-    scale: np.ndarray,
+    tris: list[np.ndarray],
+    scales: np.ndarray,
 ) -> np.ndarray:
     """Per-element slack of every class constraint at the dual point."""
-    return qs - t - _pair(tri, scale, _packed(ys, dims)) / sizes
+    return qs - t - _pair(tris, scales, ys) / sizes
 
 
 # -- decimal display -------------------------------------------------------------

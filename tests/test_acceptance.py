@@ -404,13 +404,13 @@ def test_criterion_5_stretch_full_m9(store):
            f"full relaxation optimum at m=9 matches to 1e-5 in {wall:.0f}s")
 
 
-# sha256 of a cold version-3 coeffs_10_full.bin, whose header and records
-# are those of the version-2 file of sha256 66481bbb...8ca48, and of its
-# table widened by the block scales (little-endian int64, row-major), the
-# int64 table that the version-1 file held; the cap on the process peak
-# RSS in MiB, 10% above the 447 MiB of a stretch run on 2 cores (the int64
-# records alone were 740 MiB)
-FULL_10_TABLE_SHA256 = "1ef306f095821e929eb670af343620fec477a2ad84f22593a205cd36d6f8274d"
+# sha256 of a cold version-4 coeffs_10_full.bin, whose block tables are
+# those of the version-3 file of sha256 1ef306f0...f8274d, and of its block
+# tables widened by their scales and set side by side (little-endian
+# int64, row-major), the int64 table that the version-1 file held; the cap
+# on the process peak RSS in MiB, 10% above the 447 MiB of a stretch run
+# on 2 cores (the int64 records alone were 740 MiB)
+FULL_10_TABLE_SHA256 = "fe2ba34549bf5e8530e7bfc94f70bf89c4a40973e08db84514b5ded03005a5fe"
 FULL_10_WIDENED_SHA256 = "ba5ad6bc621fb17fa2b1576d44d820985df174ae5117a9590d77ca445b2005c1"
 FULL_10_PEAK_MIB = 492
 
@@ -436,14 +436,15 @@ def test_criterion_5_stretch_full_m10(store):
             digest.update(chunk)
     if digest.hexdigest() != FULL_10_TABLE_SHA256:
         problems.append(f"m=10: table sha256 {digest.hexdigest()}")
-    dims, _, _, tri, scale = coeff_tables(10, "full", cache_dir=store)
+    _, sizes, _, tris, scales = coeff_tables(10, "full", cache_dir=store)
     digest = hashlib.sha256()
-    for lo in range(0, len(tri), 256):
-        digest.update(np.ascontiguousarray(widen(tri[lo : lo + 256], scale), dtype="<i8").tobytes())
+    for lo in range(0, len(sizes), 256):
+        wide = np.hstack([widen(tri[lo : lo + 256], g) for tri, g in zip(tris, scales)])
+        digest.update(np.ascontiguousarray(wide, dtype="<i8").tobytes())
     if digest.hexdigest() != FULL_10_WIDENED_SHA256:
         problems.append(f"m=10: widened table sha256 {digest.hexdigest()}")
-    # the compact records are the one copy of the table a run holds, and
-    # the build holds one shape's int64 columns at a time
+    # the narrow block tables are the one copy of the table a run holds,
+    # and the build holds one shape's int64 columns at a time
     if peak >= FULL_10_PEAK_MIB:
         problems.append(f"m=10: peak RSS {peak:.0f} MiB, cap {FULL_10_PEAK_MIB} MiB")
     # criterion 6's m=10 row, from the certificate instead of the frozen value
@@ -588,12 +589,12 @@ def test_criterion_9_certificates_after_perturbation(store, singles):
     t0 = time.perf_counter()
     problems = []
     for m in range(4, 9):
-        (d,), sizes, qs, tri, col = coeff_tables(m, "single", cache_dir=store)
+        (d,), sizes, qs, (tri,), (g,) = coeff_tables(m, "single", cache_dir=store)
         for exponent, scale in ((6, 1e-6), (3, 1e-3)):
             rng = np.random.default_rng(1000 * m + exponent)
             noise = rng.normal(0.0, scale, (d, d))
             y = single_out[m].y[0] + noise + noise.T
-            cert = certify([y], (d,), sizes, qs, tri, col)
+            cert = certify([y], sizes, qs, [tri], [g])
             n_mat = cert.numerators[0]
             if not exactly_psd(n_mat):
                 problems.append(f"m={m} scale {scale:g}: numerator not positive semidefinite")
@@ -606,7 +607,7 @@ def test_criterion_9_certificates_after_perturbation(store, singles):
                 for a in range(d):
                     for b in range(a, d):
                         inner += ((1 if a == b else 2) * int(n_mat[a, b])
-                                  * int(tri[i, k]) * int(col[k]))
+                                  * int(tri[i, k]) * int(g))
                         k += 1
                 val = Fraction(int(qs[i])) - Fraction(inner, cert.denominator * int(sizes[i]))
                 if worst is None or val < worst:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import crossings
-from crossings import cli
+from crossings import cache, cli
 from crossings.cli import _HANDLERS, _parse_n_values, main
 
 
@@ -222,9 +222,28 @@ def test_verify_skips_a_stale_table_that_a_solve_rebuilds(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--m", "5", "--cache-dir", str(tmp_path))
     assert (code, err) == (0, "")
     assert "skip: coeffs_5_full.bin is of an older format" in out
-    assert "ok: 1 cache files pass" in out  # the single table run_single wrote
+    assert "ok: 0 cache files pass" in out  # checked before run_single writes one
     code, _, _ = run_cli(capsys, "alpha", "--m", "5", "--cache-dir", str(tmp_path))
     assert code == 0 and path.read_bytes()[4] > 2
+
+
+def test_verify_checks_the_tables_on_disk_before_its_solve(capsys, tmp_path):
+    # the single-block solve of verify writes coeffs_5_single.bin when it is
+    # missing or stale; the cache check reads the disk before that solve, so
+    # the table it writes is never counted as one that passed
+    path = tmp_path / "coeffs_5_single.bin"
+    for stale in (False, True):
+        if stale:
+            data = bytearray(path.read_bytes())
+            data[4] = 3
+            path.write_bytes(bytes(data))
+        code, out, err = run_cli(capsys, "verify", "--m", "5", "--cache-dir", str(tmp_path))
+        assert (code, err) == (0, "") and path.exists() and not cache.is_stale(path)
+        assert ("skip: coeffs_5_single.bin is of an older format" in out) == stale
+        assert "ok: 0 cache files pass" in out and "ok: single-block optimum" in out
+        assert out.index("cache files pass") < out.index("single-block optimum")
+    code, out, _ = run_cli(capsys, "verify", "--m", "5", "--cache-dir", str(tmp_path))
+    assert code == 0 and "ok: 1 cache files pass" in out
 
 
 def test_threads_flag_sets_environment(store, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from crossings.coeffs import (
 )
 from crossings.cycles import image_letters
 from crossings.errors import ArgumentError, CrossingsError, ResourceError
-from crossings.relaxations import coeff_tables, split_triangles, widen
+from crossings.relaxations import coeff_tables, square_triangles, widen
 from crossings.repsets import (
     Block,
     _cascade_rows,
@@ -74,6 +74,17 @@ def block_tables(t, blocks):
     hook = (t.m - 2, 1, 1)
     return np.hstack([block_constraint_tables(t, list(run), None if lam == hook else _pattern_table(lam))
                       for lam, run in itertools.groupby(blocks, key=lambda b: b.lam)])
+
+
+def split_blocks(tri, blocks):
+    """The tables of blocks side by side in tri, one per block."""
+    return np.split(tri, np.cumsum([b.dim * (b.dim + 1) // 2 for b in blocks])[:-1], axis=1)
+
+
+def block_squares(t, blocks):
+    """The (C, d, d) class stacks of each block, in block order."""
+    tris = split_blocks(block_tables(t, blocks), blocks)
+    return [square_triangles(x, b.dim) for x, b in zip(tris, blocks)]
 
 
 def hook_table(t):
@@ -157,7 +168,7 @@ def test_hook_table_routes_agree(m):
 def test_block_table_routes_agree(m):
     t = TABLES[m]
     blocks = build_blocks(m)
-    poly = split_triangles(block_tables(t, blocks), tuple(b.dim for b in blocks))
+    poly = block_squares(t, blocks)
     pairs = pair_stream_forms(t, [block_rows(t.index, b) for b in blocks])
     for b, x, y in zip(blocks, poly, pairs):
         assert (x == y).all(), (b.lam, b.sign)
@@ -169,7 +180,7 @@ def test_sign_zero_blocks_of_other_shapes(m):
     t = TABLES[m]
     for lam in [(m - 1, 1), (m - 2, 2)]:
         b = Block(lam, 0, standard_tableaux(lam)[:4])
-        got = split_triangles(block_tables(t, [b]), (b.dim,))[0]
+        (got,) = block_squares(t, [b])
         (want,) = pair_stream_forms(t, [block_rows(t.index, b)])
         assert (got == want).all(), lam
 
@@ -395,8 +406,7 @@ def test_block_tables_bytes_frozen(m, monkeypatch):
     t = TABLES.get(m) or PairTables.build(m)
     monkeypatch.setattr(cycles, "word_blocks", no_table)
     blocks = build_blocks(m)
-    tri = block_tables(t, blocks)
-    assert table_sha256(split_triangles(tri, tuple(b.dim for b in blocks))) == BLOCK_TABLES_SHA256[m]
+    assert table_sha256(block_squares(t, blocks)) == BLOCK_TABLES_SHA256[m]
 
 
 @pytest.mark.parametrize("m,kind", [(8, "single"), (6, "full"), (7, "full")])
@@ -410,8 +420,7 @@ def test_scaled_block_tables_are_exact_and_narrowest(m, kind):
     else:
         shapes = [((m - 2, 1, 1), None, [Block((m - 2, 1, 1), 0, hook_block_columns(m))])]
     blocks = [b for _, _, group in shapes for b in group]
-    want = np.split(block_tables(t, blocks), np.cumsum([b.dim * (b.dim + 1) // 2 for b in blocks])[:-1],
-                    axis=1)
+    want = split_blocks(block_tables(t, blocks), blocks)
     got, scales, parts = coeffs.scaled_block_tables(t, shapes)
     assert got == blocks
     types = [np.int8, np.int16, np.int32, np.int64]
@@ -434,18 +443,19 @@ def test_a_narrowing_that_loses_entries_is_refused(monkeypatch):
 
 @pytest.mark.parametrize("m", range(4, 11))
 def test_tables_widened_from_the_cache_files_keep_their_digests(m, tmp_path):
-    # the compact records, read back from the file and widened by their
-    # scales, are the int64 tables the digests were taken of
+    # each block's narrow table, read back from the file and widened by its
+    # scale, is the int64 table the digests were taken of
     kinds = ["single", "full"] if m in BLOCK_TABLES_SHA256 else ["single"]
     for kind in kinds:
         coeff_tables(m, kind, tmp_path)
-        dims, _, _, tri, scale = coeff_tables(m, kind, tmp_path)
-        assert not tri.flags.writeable  # the file's records, not the build's
-        wide = widen(tri, scale)
+        dims, _, _, tris, scales = coeff_tables(m, kind, tmp_path)
+        assert not any(tri.flags.writeable for tri in tris)  # the file's tables, not the build's
+        wide = [widen(tri, g) for tri, g in zip(tris, scales)]
         if kind == "single":
-            assert table_sha256([wide]) == HOOK_TABLE_SHA256[m]
+            assert table_sha256(wide) == HOOK_TABLE_SHA256[m]
         else:
-            assert table_sha256(split_triangles(wide, dims)) == BLOCK_TABLES_SHA256[m]
+            squares = [square_triangles(w, d) for w, d in zip(wide, dims)]
+            assert table_sha256(squares) == BLOCK_TABLES_SHA256[m]
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -459,7 +469,7 @@ def test_diagonal_class_entries_are_gram_matrices(m):
     for pos, (i, j) in enumerate(tri_pairs(hooks.shape[0])):
         assert tri[diag, pos] == gram[i, j]
     blocks = build_blocks(m)
-    stacks = split_triangles(block_tables(t, blocks), tuple(b.dim for b in blocks))
+    stacks = block_squares(t, blocks)
     for b, a in zip(blocks, stacks):
         rows = block_rows(t.index, b)
         assert (a[diag] == rows @ rows.T).all()

@@ -24,7 +24,7 @@ from crossings.relaxations import (
     run_full,
     run_single,
     scan_violations,
-    split_triangles,
+    square_triangles,
     widen,
 )
 from crossings.repsets import build_blocks
@@ -38,6 +38,16 @@ SINGLE_OPT = {4: 1.0, 5: 1.9270509831, 6: 2.9519183588, 7: 4.3107391257, 8: 5.82
 FULL_OPT = {4: 1.0, 5: 1.9472135954, 6: 2.9519183588, 7: 4.3593154948}
 V5 = np.array([0.5477225575051661, 0.3385111569432115])
 V7 = np.array([0.9241589976025947, 0.7763005370264053, 0.46693002673905953])
+
+
+def squares(dims, tris, scales, rows=slice(None)):
+    """The widened (C, d, d) stacks of the given rows of every block."""
+    return [square_triangles(widen(tri[rows], g), d) for tri, g, d in zip(tris, scales, dims)]
+
+
+def arrays(dims, sizes, qs, tris, scales):
+    """The arrays of a coeff_tables result, each block's table on its own."""
+    return [sizes, qs, *tris, scales]
 CLASS_COUNTS = {4: 3, 5: 7, 6: 17, 7: 56, 8: 239}
 
 
@@ -90,9 +100,9 @@ def test_every_round_ends_optimal(single_runs, full_runs):
 def test_full_m5_restricted_solve_converges_quickly(store, full_runs):
     # the last round of full m=5 once took 88 iterations to luck into the
     # optimality test; refined directions converge in a handful
-    dims, sizes, qs, tri, scale = coeff_tables(5, "full", cache_dir=store)
+    dims, sizes, qs, tris, scales = coeff_tables(5, "full", cache_dir=store)
     fs, c = sizes.astype(float), qs.astype(float)
-    mats = [mat / fs[:, None, None] for mat in split_triangles(widen(tri, scale), dims)]
+    mats = [mat / fs[:, None, None] for mat in squares(dims, tris, scales)]
     ids = full_runs[5].active
     assert ids[0] == 0
     sub = [mat[ids] for mat in mats]
@@ -226,24 +236,24 @@ def test_class_zero_anchors_the_start(store, kind, levels):
     # the driver starts from class 0 alone: the equal pairs (sigma, sigma),
     # alone at the largest cost, with every block positive definite
     for m in levels:
-        dims, sizes, qs, tri, scale = coeff_tables(m, kind, cache_dir=store)
+        dims, sizes, qs, tris, scales = coeff_tables(m, kind, cache_dir=store)
         assert qs[0] == self_cost(m) == qs.max()
         assert (qs == qs[0]).sum() == 1
-        for mat in split_triangles(widen(tri[:1], scale), dims):
+        for mat in squares(dims, tris, scales, slice(1)):
             np.linalg.cholesky(mat[0])
 
 
 def direct_solve(m, store):
     """Reference optimum over all classes at once: one solve and polish of
     the whole instance, certified like the cutting loop's last round."""
-    dims, sizes, qs, tri, scale = coeff_tables(m, "single", cache_dir=store)
+    dims, sizes, qs, tris, scales = coeff_tables(m, "single", cache_dir=store)
     fs, c = sizes.astype(float), qs.astype(float)
-    mats = [mat / fs[:, None, None] for mat in split_triangles(widen(tri, scale), dims)]
+    mats = [mat / fs[:, None, None] for mat in squares(dims, tris, scales)]
     x0 = _strict_start(mats, sizes)
     sol = solve_bound_problem(np.ones(len(qs)), c, mats, x0, tol=1e-9)
     _, y = polish_dual(np.ones(len(qs)), c, mats, sol.y, x=sol.x)
-    value = float(class_slacks(y, dims, 0.0, fs, c, tri, scale).min())
-    return value, certify(y, dims, sizes, qs, tri, scale)
+    value = float(class_slacks(y, 0.0, fs, c, tris, scales).min())
+    return value, certify(y, sizes, qs, tris, scales)
 
 
 def test_cutting_loop_agrees_with_direct_solve(store, single_runs):
@@ -291,12 +301,12 @@ def test_a_non_finite_iterate_is_reported_as_such():
 
 
 def test_scan_of_zero_dual(store):
-    dims, sizes, qs, tri, scale = coeff_tables(5, "single", cache_dir=store)
+    dims, sizes, qs, tris, scales = coeff_tables(5, "single", cache_dir=store)
     fs, fq = sizes.astype(float), qs.astype(float)
     zero = [np.zeros((d, d)) for d in dims]
-    maxv, ids, price = scan_violations(zero, dims, 0.0, fs, fq, tri, scale)
+    maxv, ids, price = scan_violations(zero, 0.0, fs, fq, tris, scales)
     assert maxv == 0.0 and ids.size == 0 and (price == 0.0).all()
-    maxv, ids, _ = scan_violations(zero, dims, 1.0, fs, fq, tri, scale)
+    maxv, ids, _ = scan_violations(zero, 1.0, fs, fq, tris, scales)
     assert maxv == 1.0
     assert set(ids) == set(np.flatnonzero(qs == 0))
     assert list(ids) == sorted(ids)
@@ -308,16 +318,16 @@ def test_scan_ranks_the_worst_classes_as_a_full_sort_would(n):
     # cut at 500 classes, and a level may hold no more than _BATCH classes
     rng = np.random.default_rng(n)
     qs = rng.integers(-12, 2, n).astype(float)
-    _, ids, _ = scan_violations([np.zeros((1, 1))], (1,), 0.0, np.ones(n), qs,
-                                np.zeros((n, 1), dtype=np.int8), np.ones(1, dtype=np.int64))
+    _, ids, _ = scan_violations([np.zeros((1, 1))], 0.0, np.ones(n), qs,
+                                [np.zeros((n, 1), dtype=np.int8)], np.ones(1, dtype=np.int64))
     order = np.lexsort((np.arange(n), qs))[: relaxations._BATCH]
     assert ids.tolist() == order[qs[order] < 0].tolist()
     assert len(ids) == min(relaxations._BATCH, (qs < 0).sum())
 
 
 def test_certify_zero_dual_gives_min_cost(store):
-    (d,), sizes, qs, tri, scale = coeff_tables(5, "single", cache_dir=store)
-    cert = certify([np.zeros((d, d))], (d,), sizes, qs, tri, scale)
+    (d,), sizes, qs, tris, scales = coeff_tables(5, "single", cache_dir=store)
+    cert = certify([np.zeros((d, d))], sizes, qs, tris, scales)
     assert cert.value == Fraction(int(qs.min()))
     assert exactly_psd(cert.numerators[0])
 
@@ -327,12 +337,12 @@ def test_certify_zero_dual_gives_min_cost(store):
 def test_certificates_survive_perturbation(store, single_runs, seed, m, scale):
     """Whatever dual point certify gets, its output must pass a from-scratch
     rational feasibility check and stay below the true optimum."""
-    (d,), sizes, qs, tri, col = coeff_tables(m, "single", cache_dir=store)
+    (d,), sizes, qs, tris, scales = coeff_tables(m, "single", cache_dir=store)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, scale, (d, d))
     y = single_runs[m].y[0] + noise + noise.T
-    cert = certify([y], (d,), sizes, qs, tri, col)
-    tri = widen(tri, col)
+    cert = certify([y], sizes, qs, tris, scales)
+    tri = widen(tris[0], scales[0])
     for n_mat in cert.numerators:
         assert exactly_psd(n_mat)
     n_mat = cert.numerators[0]
@@ -376,49 +386,48 @@ def test_rank_structure_even_m(single_runs):
 
 
 def test_scan_casts_one_row_chunk_of_the_records():
-    # a scan widens the triangles and pairs them with a float dual in row
-    # chunks, so its traced peak is far below the table, here a 51 MB
-    # record view of int64 triangles
-    dims = (13, 3)
-    n, width = 2**16, cache.triangle_width(dims)
-    rec = np.zeros(n, dtype=cache.record_dtype(width, np.int64))
-    rec["tri"] = np.arange(width) % 7 - 3
-    scale = np.full(width, 3)
+    # a scan widens each block's table and pairs it with a float dual in
+    # row chunks, so its traced peak is far below the tables, here 51 MB
+    # of int64 triangles in two blocks
+    dims, n = (13, 3), 2**16
+    tris = [np.tile(np.arange(d * (d + 1) // 2) % 7 - 3, (n, 1)) for d in dims]
+    scales = np.full(len(dims), 3)
     ys = [np.eye(d) for d in dims]
-    want = ((3 * rec["tri"][:1]).astype(float) @ relaxations._packed(ys, dims))[0]
+    want = sum((3 * tri[0]).astype(float) @ relaxations._packed(y) for tri, y in zip(tris, ys))
     tracemalloc.start()
     try:
-        _, _, price = scan_violations(ys, dims, 2.0, np.ones(n), np.ones(n), rec["tri"], scale)
+        _, _, price = scan_violations(ys, 2.0, np.ones(n), np.ones(n), tris, scales)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rec.nbytes >= 40 * 2**20 and peak < 0.25 * rec.nbytes, (peak, rec.nbytes)
+    held = sum(tri.nbytes for tri in tris)
+    assert held >= 40 * 2**20 and peak < 0.25 * held, (peak, held)
     assert (price == want).all()
 
 
 @pytest.mark.parametrize("kind,m", [("single", m) for m in range(4, 11)]
                          + [("full", m) for m in range(4, 9)])
 def test_float_prices_are_those_of_the_widened_table(tmp_path, kind, m):
-    # a float scan casts the narrow records to float64 and multiplies by
-    # float scales; with entries and scales below 2**53 each product is the
-    # float of the int64 entry, so the prices match bit for bit
-    dims, _, _, tri, scale = coeff_tables(m, kind, cache_dir=tmp_path)
-    assert tri.dtype.itemsize <= 4 and scale.max() < 2**53
+    # a float scan casts each narrow table to float64 and multiplies by its
+    # float scale; with entries and scales below 2**53 each product is the
+    # float of the int64 entry, so each block's prices match bit for bit
+    dims, _, _, tris, scales = coeff_tables(m, kind, cache_dir=tmp_path)
+    assert max(tri.dtype.itemsize for tri in tris) <= 4 and scales.max() < 2**53
     rng = np.random.default_rng(m)
-    packed = relaxations._packed([(lambda a: a + a.T)(rng.standard_normal((d, d))) for d in dims], dims)
-    assert np.array_equal(relaxations._pair(tri, scale, packed),
-                          widen(tri, scale).astype(np.float64) @ packed)
+    for d, tri, g in zip(dims, tris, scales):
+        y = (lambda a: a + a.T)(rng.standard_normal((d, d)))
+        assert np.array_equal(relaxations._pair([tri], [g], [y]),
+                              widen(tri, g).astype(np.float64) @ relaxations._packed(y))
 
 
 def test_float_prices_past_2_53_take_the_int64_route():
     # 3 (2**53 + 1) is no float product of float(3) and float(2**53 + 1),
     # which rounds the scale to 2**53; the int64 route widens it exactly
-    tri = np.full((4, 2), 3, dtype=np.int8)
-    packed = np.array([1.0, 0.0])
+    tri = np.full((4, 1), 3, dtype=np.int8)
+    y = np.ones((1, 1))
     for g in (2**53 - 1, 2**53 + 1):
-        scale = np.array([g, 1])
-        want = widen(tri, scale).astype(np.float64) @ packed
-        assert np.array_equal(relaxations._pair(tri, scale, packed), want)
+        want = widen(tri, g).astype(np.float64) @ relaxations._packed(y)
+        assert np.array_equal(relaxations._pair([tri], np.array([g]), [y]), want)
     assert want[0] != 3.0 * float(2**53 + 1)
 
 
@@ -459,8 +468,8 @@ def test_a_full_build_merges_each_pattern_table_once(tmp_path, monkeypatch):
 def test_value_prices_the_polished_dual(store, single_runs):
     for m in (5, 6):
         out = single_runs[m]
-        dims, sizes, qs, tri, scale = coeff_tables(m, "single", cache_dir=store)
-        slack = class_slacks(out.y, dims, 0.0, sizes.astype(float), qs.astype(float), tri, scale)
+        dims, sizes, qs, tris, scales = coeff_tables(m, "single", cache_dir=store)
+        slack = class_slacks(out.y, 0.0, sizes.astype(float), qs.astype(float), tris, scales)
         assert out.value == float(slack.min())
 
 
@@ -482,38 +491,29 @@ def test_cold_and_warm_runs_agree(tmp_path, monkeypatch, kind, m):
     assert cold.certificate.value == warm.certificate.value
     assert cold.certificate.worst_class == warm.certificate.worst_class
     assert [r.iterations for r in cold.rounds] == [r.iterations for r in warm.rounds]
-    (dims, *cold_tables), (warm_dims, *warm_tables) = seen
-    assert dims == warm_dims and not cold_tables[2].flags.writeable
-    for a, b in zip(cold_tables, warm_tables):
+    cold_tables, warm_tables = seen
+    assert cold_tables[0] == warm_tables[0] and not any(t.flags.writeable for t in cold_tables[3])
+    for a, b in zip(arrays(*cold_tables), arrays(*warm_tables), strict=True):
         assert a.dtype == b.dtype and (a == b).all()
 
 
 def test_tables_come_back_from_cache(tmp_path):
-    d1, s1, q1, t1, g1 = coeff_tables(5, "single", cache_dir=tmp_path)
-    assert (tmp_path / "coeffs_5_single.bin").exists()
-    d2, s2, q2, t2, g2 = coeff_tables(5, "single", cache_dir=tmp_path)
-    assert d1 == d2 and (s1 == s2).all() and (q1 == q2).all() and (t1 == t2).all()
-    assert t1.dtype == t2.dtype and (g1 == g2).all()
-    dims1, fs1, fq1, ft1, fg1 = coeff_tables(4, "full", cache_dir=tmp_path)
-    assert (tmp_path / "coeffs_4_full.bin").exists()
-    dims2, fs2, fq2, ft2, fg2 = coeff_tables(4, "full", cache_dir=tmp_path)
-    assert dims1 == dims2 and (ft1 == ft2).all() and (fg1 == fg2).all()
+    for m, kind in ((5, "single"), (4, "full")):
+        first = coeff_tables(m, kind, cache_dir=tmp_path)
+        assert cache.coeffs_path(tmp_path, m, kind).exists()
+        again = coeff_tables(m, kind, cache_dir=tmp_path)
+        assert first[0] == again[0]
+        for a, b in zip(arrays(*first), arrays(*again), strict=True):
+            assert a.dtype == b.dtype and (a == b).all()
 
 
-def test_split_triangles_roundtrip():
+def test_square_triangles_roundtrip():
     rng = np.random.default_rng(0)
-    dims = (3, 1, 2)
-    stacks = []
-    for d in dims:
+    for d in (3, 1, 2):
         a = rng.integers(-5, 6, (4, d, d))
-        stacks.append(a + a.transpose(0, 2, 1))
-    tri = np.concatenate(
-        [s[:, np.triu_indices(s.shape[1])[0], np.triu_indices(s.shape[1])[1]] for s in stacks],
-        axis=1,
-    )
-    back = split_triangles(tri, dims)
-    for orig, rebuilt in zip(stacks, back):
-        assert (orig == rebuilt).all()
+        stack = a + a.transpose(0, 2, 1)
+        iu = np.triu_indices(d)
+        assert (square_triangles(stack[:, iu[0], iu[1]], d) == stack).all()
 
 
 def test_exactly_psd_small_cases():
