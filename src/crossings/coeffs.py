@@ -25,21 +25,22 @@ An entry then costs 2m lookups per representative (_tabloid_forms), and
 no table over the (m-1)! cycles is built.  On the hook shape (m-2, 1, 1),
 the single block and one shape of the full relaxation, the lookups
 collapse further: an entry is a position histogram of the classes at the
-offset of tb times an m-vector read from ta in closed form, and every
-entry of a hook block is counted in one pass (_hook_forms).  The tests
-compare both kernels exactly against three independent oracles kept in
-tests/oracles.py: the per-cycle gather over the row group of tb, direct
-quadruple enumeration over the expansions of both tableau vectors, and
-streaming over all ordered cycle pairs.  Every sum that could leave
-+-2**62 is refused before int64 wraps.
+offset of tb times an m-vector read from ta in closed form (_hook_forms).
+Each kernel maps one chunk of representatives to its forms for every
+column of a shape.  The tests compare both exactly against three
+independent oracles kept in tests/oracles.py: the per-cycle gather over
+the row group of tb, direct quadruple enumeration over the expansions of
+both tableau vectors, and streaming over all ordered cycle pairs.  Every
+sum that could leave +-2**62 is refused before int64 wraps.
 
 The blocks of one shape, the single-block relaxation's hook block
-included, take one call (block_constraint_tables): it returns their packed
-upper triangles as one int64 table, each block's raw tableau forms in its
-own columns.  A block of sign s has rows w + s (w o eta) and reduces to
-those forms: eta flips one pair component, which descends to an
-involution on classes, and each entry is (1 + s^2) times the raw form
-plus 2s times its flip, applied in place.  Sign 0 leaves the raw forms,
+included, take one call (block_constraint_tables) and one pass over the
+representatives (CycleIndex.chunks), each chunk's forms added to their
+classes: it returns the packed upper triangles as one int64 table, each
+block's raw tableau forms in its own columns.  A block of sign s has
+rows w + s (w o eta) and reduces to those forms: eta flips one pair
+component, which descends to an involution on classes, and each entry is
+(1 + s^2) times the raw form plus 2s times its flip, applied in place.  Sign 0 leaves the raw forms,
 the rows being the tableau vectors, so the single block holds no form
 beside the table.  The cache stores each block as the gcd of its entries
 times a table of the narrowest integer type that holds the quotients
@@ -82,7 +83,8 @@ class PairTables:
         # inversion permutes stabilizer orbits, (g tau)^-1 = g tau^-1 for g
         # in the stabilizer, so the orbits of the inverted class
         # representatives give the cost and the flip
-        inverse = np.concatenate(list(index.image_orbits(classes.rep_orbits, invert_seqs)))
+        inverse = np.concatenate([index.orbit_ids(invert_seqs(words))
+                                  for _, words in index.chunks(classes.rep_orbits)])
         return cls(index=index, classes=classes, q=distances_from_base(index)[inverse],
                    flip=classes.class_of_orbit[inverse])
 
@@ -92,12 +94,6 @@ class PairTables:
 
 
 # -- tableau expansion -------------------------------------------------------
-
-# Representatives per chunk of both kernels.  The temporaries of _hook_forms
-# take about 40m bytes per representative plus 4m per offset of the span
-# (0.6 MB a chunk for the single block at m = 10), those of _tabloid_forms
-# about 2m^2 + 32m plus 16m per tableau of the shape.
-_HISTOGRAM_ROWS = 1 << 10
 
 # Table entries per row chunk when a block is divided by its scale
 # (scaled_block_tables): 2 MB of int64 transients.
@@ -179,68 +175,61 @@ def _shift_sums(ts: list[Filling], table: Patterns) -> tuple[np.ndarray, np.ndar
     return np.append(keys[listed][order], np.iinfo(np.uint64).max), sums[np.append(orbit, -1)]
 
 
-def _orbit_positions(keys: np.ndarray, m: int) -> np.ndarray:
-    """(m, n, 2) uint8: the position of each value in the word keyed keys[i],
+def _orbit_positions(words: np.ndarray) -> np.ndarray:
+    """(m, n, 2) uint8: the position of each value in the word words[i],
     then in its reflected inverse, whose letter at p is -w[-p] mod m, so
     that it holds v at -pos(-v)."""
-    pos = np.argsort(unpack_keys(keys, m), axis=1).T.astype(np.uint8)
+    m, pos = words.shape[1], np.argsort(words, axis=1).T.astype(np.uint8)
     return np.stack([pos, (np.uint8(m) - pos[(-np.arange(m)) % m]) % m], axis=-1)
 
 
-def _tabloid_forms(tables: PairTables, tb: Filling, keys: np.ndarray,
-                   coeffs: np.ndarray) -> np.ndarray:
-    """(C, D) raw pairing forms of D column tableaux against tb by class:
-    per representative, c^(T_tb(w)) summed over the rotations w of its word
-    and its reflected inverse, over its stabilizer order, from the shift
-    sums (keys, coeffs).  Every sum is bounded before it is formed."""
-    reps, fixed = tables.index.representatives()
-    order = fixed.sum(axis=0, dtype=np.int64)
-    _check_range(2 * tables.m * order.size * int(np.abs(coeffs).max(initial=0)))
-    out = np.zeros((tables.classes.count, coeffs.shape[1]), dtype=np.int64)
-    for lo in range(0, order.size, _HISTOGRAM_ROWS):
-        found = tabloid_keys(tb, _orbit_positions(reps[lo : lo + _HISTOGRAM_ROWS], tables.m))
-        found = found.reshape(found.shape[0], -1)
+def _tabloid_forms(words: np.ndarray, order: np.ndarray, ts: list[Filling],
+                   pairs: list[tuple[int, int]], keys: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """(n, K) raw forms of the pairs (a, b) of tableaux ts at n representatives
+    words of stabilizer orders order: c^_a(T_tb(w)), tb = ts[b], summed over
+    the rotations w of the word and of its reflected inverse, over the order,
+    from the shift sums (keys, coeffs); 2m lookups for each distinct tb."""
+    pos, (a, b) = _orbit_positions(words), np.array(pairs).T
+    out = np.empty((len(words), len(pairs)), dtype=np.int64)
+    for j in dict.fromkeys(b.tolist()):
+        found = tabloid_keys(ts[j], pos).reshape(len(words), -1)
         hit = np.searchsorted(keys, found)
         hit[keys[hit] != found] = keys.size - 1
-        n = hit.shape[0]
-        forms, rest = np.divmod(coeffs[hit].sum(axis=1), order[lo : lo + n, None])
+        forms, rest = np.divmod(coeffs[hit].sum(axis=1), order[:, None])
         if rest.any():
-            raise CrossingsError(f"{tb}: tabloid sums not divisible by the stabilizer order")
-        np.add.at(out, tables.classes.class_of_orbit[lo : lo + n], forms)
+            raise CrossingsError(f"{ts[j]}: tabloid sums not divisible by the stabilizer order")
+        out[:, b == j] = forms[:, a[b == j]]
     return out
 
 
-# -- assembly ----------------------------------------------------------------
-
-
-def _hook_forms(tables: PairTables, offsets: list[int], weights: np.ndarray, out: np.ndarray) -> None:
-    """Add H_d @ weights[:, k], d = offsets[k], to each column k of out (C, K),
-    in one pass over the stabilizer-orbit representatives.
+def _hook_forms(words: np.ndarray, order: np.ndarray, offsets: list[int],
+                weights: np.ndarray) -> np.ndarray:
+    """(n, K) rows of H_d @ weights[:, k], d = offsets[k], at n representatives
+    words of stabilizer orders order.
 
     H_d[class, e] counts the cycles of the class whose anchored word has
     letter e + 1 at position d.  The 2m images of a representative list
     every cycle of its orbit once per element of its stabilizer, so the
     images with letter e + 1 at position d, divided by that order, count
-    the orbit's cycles that have it.  The images are built once per chunk
-    over the span of the offsets.
+    the orbit's cycles that have it.  The images are built once over the
+    span of the offsets.
     """
-    m, class_of_orbit = tables.m, tables.classes.class_of_orbit
-    keys, fixed = tables.index.representatives()
-    order = fixed.sum(axis=0, dtype=np.int64)
-    first, last = min(offsets), max(offsets)
-    at = {d: [k for k, e in enumerate(offsets) if e == d] for d in offsets}
-    for lo in range(0, keys.size, _HISTOGRAM_ROWS):
-        span = image_letters(unpack_keys(keys[lo : lo + _HISTOGRAM_ROWS], m), slice(first, last + 1))
-        n = span.shape[-1]
-        rows = class_of_orbit[lo : lo + n, None]
-        for d, cols in at.items():
-            # counts[k, e]: images of representative lo + k with letter e + 1
-            counts = np.bincount((span[d - first].reshape(2 * m, n) + m * np.arange(n)).ravel(),
-                                 minlength=n * m).reshape(n, m)
-            cycles, rest = np.divmod(counts, order[lo : lo + n, None])
-            if rest.any():
-                raise CrossingsError(f"position {d}: image counts not divisible by the stabilizer order")
-            np.add.at(out, (rows, cols), cycles @ weights[:, cols])
+    (n, m), first = words.shape, min(offsets)
+    span = image_letters(words, slice(first, max(offsets) + 1))
+    out = np.empty((n, len(offsets)), dtype=np.int64)
+    for d in dict.fromkeys(offsets):
+        cols = [k for k, e in enumerate(offsets) if e == d]
+        # counts[k, e]: images of representative k with letter e + 1
+        counts = np.bincount((span[d - first].reshape(2 * m, n) + m * np.arange(n)).ravel(),
+                             minlength=n * m).reshape(n, m)
+        cycles, rest = np.divmod(counts, order[:, None])
+        if rest.any():
+            raise CrossingsError(f"position {d}: image counts not divisible by the stabilizer order")
+        out[:, cols] = cycles @ weights[:, cols]
+    return out
+
+
+# -- assembly ----------------------------------------------------------------
 
 
 def block_constraint_tables(tables: PairTables, blocks: list[Block],
@@ -257,25 +246,30 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block],
     every class.  Every column takes its raw form first; then each block
     of sign s != 0 applies it in place on its own columns.
 
-    The hook shape (m-2, 1, 1) takes every raw form from one pass of
-    _hook_forms, weighted by _offset_weights.  Every other shape takes them
-    from _tabloid_forms, one pass per column tableau tb against every
-    tableau of the shape at once; a form is symmetric at class level, so
-    the signed blocks of one shape share the cascades and the passes.
+    Every shape takes one pass over the representatives, one chunk at a
+    time: the hook shape (m-2, 1, 1) through _hook_forms, weighted by
+    _offset_weights, every other shape through _tabloid_forms, against its
+    shift sums.  Each chunk's forms, one row per representative, are added
+    to the rows of their classes.  A form is symmetric at class level, so
+    the signed blocks of one shape share the cascades and the pass.
     """
     at = {t: k for k, t in enumerate(dict.fromkeys(t for b in blocks for t in b.tableaux))}
     ts = list(at)
     pairs = [(at[b.tableaux[i]], at[b.tableaux[j]]) for b in blocks
              for i in range(b.dim) for j in range(i, b.dim)]
-    tri = np.zeros((tables.classes.count, len(pairs)), dtype=np.int64)
+    fixed = tables.index.representatives()[1]
     if blocks[0].lam == (tables.m - 2, 1, 1):
-        weights = np.column_stack([_offset_weights(t) for t in ts])
-        _hook_forms(tables, [_hook_offset(ts[b]) for _, b in pairs], weights[:, [a for a, _ in pairs]], tri)
+        weights = np.column_stack([_offset_weights(t) for t in ts])[:, [a for a, _ in pairs]]
+        kernel, args = _hook_forms, ([_hook_offset(ts[b]) for _, b in pairs], weights)
     else:
         keys, coeffs = _shift_sums(ts, patterns)
-        for k, tb in enumerate(ts):
-            cols = [n for n, (_, b) in enumerate(pairs) if b == k]
-            tri[:, cols] = _tabloid_forms(tables, tb, keys, coeffs)[:, [pairs[n][0] for n in cols]]
+        # 2m lookups at each representative bound every class sum
+        _check_range(2 * tables.m * fixed.shape[1] * int(np.abs(coeffs).max(initial=0)))
+        kernel, args = _tabloid_forms, (ts, pairs, keys, coeffs)
+    tri = np.zeros((tables.classes.count, len(pairs)), dtype=np.int64)
+    for chunk, words in tables.index.chunks():
+        forms = kernel(words, fixed[:, chunk].sum(axis=0, dtype=np.int64), *args)
+        np.add.at(tri, tables.classes.class_of_orbit[chunk], forms)
     widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
     for b, raw in zip(blocks, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
         if b.sign:

@@ -35,10 +35,10 @@ filter, so no table of all (m-1)! words is ever held; the representatives
 come out in ascending key order, each with the count of its images equal
 to it, which is its stabilizer order.  The census reads no more than
 that.  Any word's orbit is looked up among them by its canonical key
-(CycleIndex.orbit_ids), and no per-cycle orbit table is kept.  The orbits
-of words made from representatives, their swap partners, inverses and
-swap neighbours, are looked up in one place (CycleIndex.image_orbits),
-which unpacks the representatives one chunk at a time.
+(CycleIndex.orbit_ids), and no per-cycle orbit table is kept.  One
+chunker (CycleIndex.chunks) is the only walk over the representatives: it
+unpacks them one chunk at a time for the orbits of their swap partners,
+inverses and swap neighbours, and for the coefficient forms.
 """
 
 from __future__ import annotations
@@ -102,11 +102,13 @@ def invert_seqs(seqs: np.ndarray) -> np.ndarray:
 
 
 # Rows per chunk of the canonicalization kernel, and representatives per
-# chunk of CycleIndex.image_orbits.  The kernel's temporaries take about
+# chunk of CycleIndex.chunks.  The kernel's temporaries take about
 # 4m(m + 8) bytes per row (0.7 MB a chunk at m = 10); a chunk of swap
 # neighbours is m rows per representative, about m(m + 16) bytes each
-# beside them, so chunks stay in cache and off the peak memory of callers
-# that canonicalize whole tables.
+# beside them; the coefficient forms about 40m per representative plus 4m
+# per offset of a hook's span (0.6 MB a chunk for the single block at
+# m = 10), 2m^2 + 32m plus 16m per tableau of any other shape.  So chunks
+# stay in cache and off the peak memory of callers that walk whole tables.
 _CHUNK_ROWS = 1024
 
 
@@ -228,10 +230,11 @@ def stabilizer_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(keys), np.concatenate(fixed, axis=1)
 
 
-# Bytes per stabilizer orbit, about (m-1)!/(2m) of them, fitted to the peaks
-# of PairTables.build at m = 11 and 12 (15 and 100 MiB above the imports); a
-# level asking more than the physical memory is refused (m = 13 asks 1.8 GB).
-_PEAK_PER_REPRESENTATIVE = 98
+# Bytes per stabilizer orbit, about (m-1)!/(2m) of them.  PairTables.build
+# peaked 79 MiB above the imports at m = 12 (50 B an orbit) and 716 MiB at
+# m = 13 (41 B); m = 11 read 55 to 66 B, mostly RSS granularity.  A level
+# asking more than the physical memory is refused (m = 13 asks 1.2 GB).
+_PEAK_PER_REPRESENTATIVE = 66
 
 
 def _physical_memory() -> int:
@@ -278,10 +281,12 @@ class CycleIndex:
         for rows that may be arbitrary rotations of anchored words."""
         return np.searchsorted(self.representatives()[0], canonical_keys(words))
 
-    def image_orbits(self, ids: np.ndarray, words_of):
-        """orbit_ids of words_of(w), w the words of the representatives at
-        ids, yielded for _CHUNK_ROWS representatives at a time, so that no
-        word table of the whole set is held."""
+    def chunks(self, ids: np.ndarray | None = None):
+        """(at, words) of _CHUNK_ROWS representatives at a time, those at ids
+        or all: at indexes representatives(), a slice when all are walked,
+        and words is (n, m) uint8, so no word table of the set is held."""
         keys = self.representatives()[0]
-        for lo in range(0, len(ids), _CHUNK_ROWS):
-            yield self.orbit_ids(words_of(unpack_keys(keys[ids[lo : lo + _CHUNK_ROWS]], self.m)))
+        n = keys.size if ids is None else len(ids)
+        for lo in range(0, n, _CHUNK_ROWS):
+            at = slice(lo, lo + _CHUNK_ROWS) if ids is None else ids[lo : lo + _CHUNK_ROWS]
+            yield at, unpack_keys(keys[at], self.m)

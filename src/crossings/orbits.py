@@ -14,7 +14,7 @@ classes of that involution index the constraints of the relaxations: the
 class's coefficient block is the symmetrized sum over its one or two
 orbits.  The classes are all that is kept (build_pair_orbits): each
 orbit's swap partner is looked up from its representative one chunk at a
-time (CycleIndex.image_orbits) and dropped once the classes are formed.
+time (CycleIndex.chunks) and dropped once the classes are formed.
 Everything here is combinatorial; the pair costs, which are
 constant on classes, are read off the swap distances where the constraint
 tables are built (coeffs.PairTables).
@@ -62,7 +62,7 @@ def build_pair_orbits(index: CycleIndex) -> SymmetricClasses:
     stabilizer orbit of tau, and that orbit has 2m divided by the stabilizer
     order of its representative members; no per-cycle table is read.  The
     swap partners are looked up one chunk of representatives at a time
-    (CycleIndex.image_orbits) and dropped once the classes are formed.
+    (CycleIndex.chunks) and dropped once the classes are formed.
     """
     m = index.m
     rep_keys, fixed = index.representatives()
@@ -72,10 +72,8 @@ def build_pair_orbits(index: CycleIndex) -> SymmetricClasses:
                              f"cycles, not {factorial(m - 1)}")
     ids = np.arange(rep_keys.size, dtype=np.int32)
     partner = np.empty_like(ids)
-    lo = 0
-    for found in index.image_orbits(ids, swap_partner_words):
-        partner[lo : lo + found.size] = found
-        lo += found.size
+    for at, words in index.chunks():
+        partner[at] = index.orbit_ids(swap_partner_words(words))
     rep = ids <= partner
     rep_orbits = np.flatnonzero(rep)
     paired = partner[rep_orbits] != rep_orbits

@@ -12,7 +12,7 @@ distances from the base are constant on stabilizer orbits, so expanding only
 canonical representatives shrinks the vertex set by a factor of about 2m,
 and the result keeps one distance per orbit.  The neighbours of a frontier
 are looked up by their orbit one chunk of representatives at a time
-(CycleIndex.image_orbits) and marked as they come, so neither a per-cycle
+(CycleIndex.chunks) and marked as they come, so neither a per-cycle
 table nor the neighbour words of a whole frontier are held.
 The tests check it against a plain sweep over all words in tests/oracles.py.
 """
@@ -69,8 +69,8 @@ def distances_from_base(index: CycleIndex) -> np.ndarray:
     while frontier.size:
         # marking the neighbor orbits dedupes them with no sort, ids ascending
         hit = np.zeros(dist.size, dtype=bool)
-        for found in index.image_orbits(frontier, neighbor_words):
-            hit[found] = True
+        for _, words in index.chunks(frontier):
+            hit[index.orbit_ids(neighbor_words(words))] = True
         ids = np.flatnonzero(hit & (dist == UNREACHED))
         d += 1
         dist[ids] = d

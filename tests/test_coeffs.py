@@ -222,11 +222,19 @@ def test_hook_table_bytes_frozen(m):
     assert table_sha256([hook_table(t)]) == HOOK_TABLE_SHA256[m]
 
 
+def class_forms(t, kernel, width):
+    """The (n, width) rows kernel(words, order) of every chunk of
+    representatives, summed by class."""
+    fixed = t.index.representatives()[1]
+    out = np.zeros((t.classes.count, width), dtype=np.int64)
+    for at, words in t.index.chunks():
+        np.add.at(out, t.classes.class_of_orbit[at], kernel(words, fixed[:, at].sum(axis=0, dtype=np.int64)))
+    return out
+
+
 def hook_forms(t, offsets, weights):
     """The hook kernel's columns H_d @ weights[:, k], d = offsets[k], alone."""
-    out = np.zeros((t.classes.count, len(offsets)), dtype=np.int64)
-    _hook_forms(t, offsets, weights, out)
-    return out
+    return class_forms(t, lambda words, order: _hook_forms(words, order, offsets, weights), len(offsets))
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -269,7 +277,7 @@ def test_single_block_builds_the_images_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(coeffs, "image_letters", counted)
     hook_table(t)
-    chunks = -(-t.index.representatives()[0].size // coeffs._HISTOGRAM_ROWS)
+    chunks = -(-t.index.representatives()[0].size // cycles._CHUNK_ROWS)
     assert len(calls) == chunks == 19
 
 
@@ -312,12 +320,13 @@ def test_tabloid_kernel_matches_the_gather():
         group = cell_group(lam)
         ts = list(dict.fromkeys(ta for b in blocks for ta in b.tableaux))
         keys, table = _shift_sums(ts, patterns)
-        for b in blocks:
-            for j, tb in enumerate(b.tableaux):
-                got = _tabloid_forms(t, tb, keys, table)
-                for ta in b.tableaux[: j + 1]:
-                    want = class_sums(row_cascade(ta), tb, group, t)
-                    assert (got[:, ts.index(ta)] == want).all(), (ta, tb)
+        pairs = [(ts.index(ta), ts.index(tb)) for b in blocks
+                 for j, tb in enumerate(b.tableaux) for ta in b.tableaux[: j + 1]]
+        got = class_forms(t, lambda words, order: _tabloid_forms(words, order, ts, pairs, keys, table),
+                          len(pairs))
+        for k, (a, b) in enumerate(pairs):
+            want = class_sums(row_cascade(ts[a]), ts[b], group, t)
+            assert (got[:, k] == want).all(), (ts[a], ts[b])
 
 
 @lru_cache(maxsize=1)  # callers visit the tableaux shape by shape
@@ -409,16 +418,20 @@ def test_block_tables_bytes_frozen(m, monkeypatch):
     assert table_sha256(block_squares(t, blocks)) == BLOCK_TABLES_SHA256[m]
 
 
+def relaxation_shapes(m, kind):
+    """The (lam, pattern table, blocks) groups of a relaxation's blocks."""
+    if kind == "full":
+        return list(shape_blocks(m))
+    return [((m - 2, 1, 1), None, [Block((m - 2, 1, 1), 0, hook_block_columns(m))])]
+
+
 @pytest.mark.parametrize("m,kind", [(8, "single"), (6, "full"), (7, "full")])
 def test_scaled_block_tables_are_exact_and_narrowest(m, kind):
     # each block is its scale times a table of the narrowest type: the
     # scale is the gcd of the block's int64 entries, which the product
     # gives back exactly, and the next narrower type would not hold it
     t = TABLES.get(m) or PairTables.build(m)
-    if kind == "full":
-        shapes = list(shape_blocks(m))
-    else:
-        shapes = [((m - 2, 1, 1), None, [Block((m - 2, 1, 1), 0, hook_block_columns(m))])]
+    shapes = relaxation_shapes(m, kind)
     blocks = [b for _, _, group in shapes for b in group]
     want = split_blocks(block_tables(t, blocks), blocks)
     got, scales, parts = coeffs.scaled_block_tables(t, shapes)
@@ -430,6 +443,25 @@ def test_scaled_block_tables_are_exact_and_narrowest(m, kind):
         k = types.index(part.dtype.type)
         assert k == 0 or np.abs(raw // g).max() > np.iinfo(types[k - 1]).max
     assert max(p.dtype.itemsize for p in parts) == (2 if m == 7 else 1)
+
+
+@pytest.mark.parametrize("m,kind", [(m, "single") for m in range(4, 10)]
+                         + [(m, "full") for m in range(5, 9)])
+def test_block_tables_do_not_depend_on_the_chunk(m, kind, monkeypatch):
+    # each shape's forms are summed by class one chunk of representatives
+    # at a time; chunks of 7 cut every walk at many places, against one
+    # chunk holding all the representatives
+    t = TABLES.get(m) or PairTables.build(m)
+
+    def build(rows):
+        with monkeypatch.context() as patch:
+            patch.setattr(cycles, "_CHUNK_ROWS", rows)
+            return coeffs.scaled_block_tables(t, relaxation_shapes(m, kind))
+
+    (blocks, scales, parts), (cut_blocks, cut_scales, cut_parts) = build(1 << 30), build(7)
+    assert cut_blocks == blocks and cut_scales == scales
+    for a, b in zip(cut_parts, parts, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_a_narrowing_that_loses_entries_is_refused(monkeypatch):
@@ -528,19 +560,27 @@ def test_row_cascade_past_the_coefficient_limit_is_refused(monkeypatch):
         _pattern_table((m,))
 
 
-def test_tabloid_forms_past_the_coefficient_limit_are_refused():
+def test_tabloid_forms_past_the_coefficient_limit_are_refused(monkeypatch):
     # 2m lookups for each of the R representatives bound every sum: at m=4,
     # 8 lookups over 3 representatives, so 24 max|c^| passes at 2**57 and
-    # reaches 2**62 at 2**58
-    t, tb = TABLES[4], ((1, 4), (2,), (3,))
+    # reaches 2**62 at 2**58, where it is refused before any form exists
+    t, ta, lam = TABLES[4], ((1, 2, 3, 4),), (4,)
     assert t.index.representatives()[0].size == 3
-    keys, table = _shift_sums([tb], _pattern_table((2, 1, 1)))
-    unit = table // 24  # the shift sums of the hook tableau are 0 and +-24
-    assert (24 * unit == table).all() and np.abs(unit).max() == 1
-    got = _tabloid_forms(t, tb, keys, unit * 2**57)
-    assert (got == 2**57 * _tabloid_forms(t, tb, keys, unit)).all()
+    patterns = _pattern_table(lam)
+    keys, table = _shift_sums([ta], patterns)
+    unit = table // 96  # the shift sums of the one-row tableau are 0 and 96
+    assert (96 * unit == table).all() and np.abs(unit).max() == 1
+    calls, kernel = [], coeffs._tabloid_forms
+    monkeypatch.setattr(coeffs, "_tabloid_forms", lambda *args: calls.append(1) or kernel(*args))
+
+    def forms(scale):
+        monkeypatch.setattr(coeffs, "_shift_sums", lambda ts, table: (keys, unit * scale))
+        return block_constraint_tables(t, [Block(lam, 0, [ta])], patterns)
+
+    assert (forms(2**57) == 2**57 * forms(1)).all() and len(calls) == 2
     with pytest.raises(ResourceError):
-        _tabloid_forms(t, tb, keys, unit * 2**58)
+        forms(2**58)
+    assert len(calls) == 2
 
 
 def cell_group(lam):

@@ -215,8 +215,8 @@ def test_full_records_hold_one_entry_per_class(m):
 
 
 def test_levels_past_memory_are_refused_before_allocating(tmp_path, monkeypatch):
-    # at 8 GiB, m=14 (about 222 M stabilizer orbits, some 22 GB for the
-    # pair tables) is refused and m=13 (18.4 M orbits, about 1.8 GB) passes
+    # at 8 GiB, m=14 (about 222 M stabilizer orbits, some 15 GB for the
+    # pair tables) is refused and m=13 (18.4 M orbits, about 1.2 GB) passes
     # the guard; the word enumeration only raises here, so a failing guard
     # allocates nothing on any machine
     def no_table(m):
@@ -434,35 +434,39 @@ def test_float_prices_past_2_53_take_the_int64_route():
 def test_a_full_build_merges_each_pattern_table_once(tmp_path, monkeypatch):
     # block selection and the coefficient tables share each shape's pattern
     # table, so a cold full build merges it once for every shape with blocks;
-    # each shape's table is one call, so the hook shape takes one pass of its
-    # kernel and every other shape one pass per distinct column tableau
+    # each shape's table is one walk over the representatives, one kernel
+    # call per chunk, through the hook kernel for the hook shape alone
     built, merge = [], repsets._pattern_table
-    hooks, tbs = [], []
+    walks = []
     hook_forms, tabloid_forms = coeffs._hook_forms, coeffs._tabloid_forms
 
     def counted(lam):
         built.append(lam)
         return merge(lam)
 
-    def hook_pass(tables, *args):
-        hooks.append(tables.m)
-        return hook_forms(tables, *args)
-
-    def tabloid_pass(tables, tb, *args):
-        tbs.append(tb)
-        return tabloid_forms(tables, tb, *args)
+    def walking(kernel):
+        def call(words, *args):
+            walks.append((kernel, words))
+            return kernel(words, *args)
+        return call
 
     monkeypatch.setattr(repsets, "_pattern_table", counted)
     monkeypatch.setattr(coeffs, "_pattern_table", counted, raising=False)
-    monkeypatch.setattr(coeffs, "_hook_forms", hook_pass)
-    monkeypatch.setattr(coeffs, "_tabloid_forms", tabloid_pass)
+    monkeypatch.setattr(coeffs, "_hook_forms", walking(hook_forms))
+    monkeypatch.setattr(coeffs, "_tabloid_forms", walking(tabloid_forms))
+    monkeypatch.setattr(cycles, "_CHUNK_ROWS", 16)  # several chunks a walk
     coeff_tables(7, "full", cache_dir=tmp_path)
     shapes = [lam for lam in partitions(7) if block_multiplicity(lam)]
     assert built == shapes
-    blocks = build_blocks(7)
-    assert hooks == [7] and any(b.lam == (5, 1, 1) for b in blocks)
-    assert tbs == [t for lam in shapes if lam != (5, 1, 1)
-                   for t in dict.fromkeys(t for b in blocks if b.lam == lam for t in b.tableaux)]
+    assert any(b.lam == (5, 1, 1) for b in build_blocks(7))
+    words = cycles.unpack_keys(cycles.CycleIndex(7).representatives()[0], 7)
+    chunks = -(-len(words) // 16)
+    assert chunks > 1 and len(walks) == len(shapes) * chunks
+    for k, lam in enumerate(shapes):
+        walk = walks[k * chunks : (k + 1) * chunks]
+        kernel = hook_forms if lam == (5, 1, 1) else tabloid_forms
+        assert all(f is kernel for f, _ in walk), lam
+        assert np.array_equal(np.concatenate([w for _, w in walk]), words), lam
 
 
 def test_value_prices_the_polished_dual(store, single_runs):
