@@ -19,11 +19,18 @@ a word's values so that v[p] becomes the anchor and rotating position p to
 the front gives (v[p + j] - v[p]) mod m, so the m value shifts of a word are
 its m difference sequences, one per start position, and the m reflected
 inverses are (v[p] - v[p - j]) mod m.  One kernel builds all 2m of them for
-a chunk of words from windows of the doubled word, packs each into a u64 key
-(nibble pairs to bytes, read big-endian, the same packing every key in the
-package uses) and keeps the smallest of each family of m: the value shifts
-alone, which key the orbits under relabeling without inversion, and the
-reflected inverses.  The canonical key is the smaller of the two.
+a chunk of words from two strided views of the doubled word, one read
+forwards and one backwards, packs each into a u64 key and keeps the
+smallest of each family of m: the value shifts alone, which key the orbits
+under relabeling without inversion, and the reflected inverses.  The
+canonical key is the smaller of the two.
+
+Every key in the package is packed the same way.  Letter pairs become
+bytes, high nibble first, and the first byte is the most significant, so
+integer order is lexicographic order.  The packer ORs the pairs into
+contiguous byte planes and writes each plane once into its byte of a
+zeroed little-endian u64 (_KEY_BYTES), which a little-endian host reads
+with no copy; unpack_keys reads the bytes back through the same layout.
 
 The stabilizer-orbit representatives, the words equal to their own
 canonical form, are found without canonicalizing every word: every image
@@ -48,7 +55,7 @@ import os
 from math import factorial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ArgumentError, ResourceError
 from .tableaux import lex_permutations
@@ -56,6 +63,12 @@ from .tableaux import lex_permutations
 # Words are packed 4 bits per entry into one u64, so relabeled values must
 # stay below 16.
 MAX_M = 16
+
+# Byte layout of a packed key.  Byte b of a key, position pair (2b, 2b+1),
+# is byte 7 - b of this little-endian u64, so the pair that leads is the
+# most significant; on a little-endian host the u64 is native and reading
+# it as one copies nothing.
+_KEY_BYTES = np.dtype("<u8")
 
 
 def _check_m(m: int) -> None:
@@ -73,23 +86,25 @@ def _check_m(m: int) -> None:
 def _pack_nibbles(vals: np.ndarray) -> np.ndarray:
     """Keys of position-major nibble arrays: vals (m, ...) with values < 16.
 
-    Position pairs (2b, 2b+1) become byte b, high nibble first; the bytes are
-    zero-padded to eight and read as one big-endian u64, so integer order is
-    the lexicographic order of the nibble sequences.
+    Position pairs (2b, 2b+1) become byte b, high nibble first, so integer
+    order is the lexicographic order of the nibble sequences.  The bytes are
+    ORed in contiguous planes, and each plane is written once, into byte
+    7 - b of a zeroed little-endian u64 (_KEY_BYTES).
     """
-    # a transposed input would make the writes below several times slower
-    vals = np.ascontiguousarray(vals)
     m = vals.shape[0]
-    buf = np.zeros(vals.shape[1:] + (8,), dtype=np.uint8)
-    byte = buf.transpose(-1, *range(buf.ndim - 1))
-    np.left_shift(vals[0::2], 4, out=byte[: (m + 1) // 2])
+    byte = np.left_shift(vals[0::2], 4, order="C")
     byte[: m // 2] |= vals[1::2]
-    return buf.view(">u8")[..., 0].astype(np.uint64)
+    buf = np.zeros(vals.shape[1:] + (8,), dtype=np.uint8)
+    # one plane at a time: a single assignment of all of them would run
+    # its inner loop over the few bytes of one key
+    for b, plane in enumerate(byte):
+        buf[..., 7 - b] = plane
+    return buf.view(_KEY_BYTES)[..., 0].astype(np.uint64, copy=False)
 
 
 def unpack_keys(keys: np.ndarray, m: int) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.uint64)
-    buf = keys.astype(">u8")[..., None].view(np.uint8)
+    keys = np.asarray(keys, dtype=_KEY_BYTES, order="C")
+    buf = keys[..., None].view(np.uint8)[..., ::-1]  # byte b of the key first
     out = np.empty(keys.shape + (16,), dtype=np.uint8)
     np.right_shift(buf, 4, out=out[..., 0::2])
     np.bitwise_and(buf, 0xF, out=out[..., 1::2])
@@ -102,20 +117,17 @@ def invert_seqs(seqs: np.ndarray) -> np.ndarray:
 
 
 # Rows per chunk of the canonicalization kernel, and representatives per
-# chunk of CycleIndex.chunks.  The kernel's temporaries take about
-# 4m(m + 8) bytes per row (0.7 MB a chunk at m = 10); a chunk of swap
-# neighbours is m rows per representative, about m(m + 16) bytes each
-# beside them; the coefficient forms about 40m per representative plus 4m
-# per offset of a hook's span (0.6 MB a chunk for the single block at
-# m = 10), 2m^2 + 32m plus 16m per tableau of any other shape.  So chunks
-# stay in cache and off the peak memory of callers that walk whole tables.
+# chunk of CycleIndex.chunks.  The kernel's temporaries peak at about
+# m(3m + 17) bytes per row while packing (the 2m^2 letters, their byte
+# planes and the 16m key bytes) and 2m(2m + 1) while reducing the letters
+# mod m (the doubled word, the letters and their sum with m): 0.47 MB a
+# chunk at m = 10, 1.1 MB at m = 16.  A chunk of swap neighbours is m rows
+# per representative, about m(m + 16) bytes each beside them; the
+# coefficient forms about 40m per representative plus 4m per offset of a
+# hook's span (0.6 MB a chunk for the single block at m = 10), 2m^2 + 32m
+# plus 16m per tableau of any other shape.  So chunks stay in cache and off
+# the peak memory of callers that walk whole tables.
 _CHUNK_ROWS = 1024
-
-
-def _ahead(cols: np.ndarray) -> np.ndarray:
-    """View of (m, c) columns as (m, m, c) with [j, p] = cols[(p + j) % m]."""
-    m = cols.shape[0]
-    return sliding_window_view(np.concatenate([cols, cols]), m, axis=0)[:m].transpose(2, 0, 1)
 
 
 def image_letters(rows: np.ndarray, at: slice = slice(None)) -> np.ndarray:
@@ -130,19 +142,31 @@ def image_letters(rows: np.ndarray, at: slice = slice(None)) -> np.ndarray:
     negated.  Image [0, 0] of an anchored word is the word itself.
     """
     m = rows.shape[-1]
-    # one word per column, so every operation runs along the chunk
-    cols = np.ascontiguousarray(rows.T) - np.uint8(1)
-    ahead = _ahead(cols)[at]
+    # the words doubled, one word per column, so every operation runs along
+    # the chunk: for p < 2m, row p of twice is v[p mod m] and row p of back
+    # is v[(m - 1 - p) mod m]
+    twice = np.empty((2 * m, rows.shape[0]), dtype=np.uint8)
+    np.subtract(rows.T, np.uint8(1), out=twice[:m])
+    twice[m:] = twice[:m]
+    back = twice[::-1]
+    ahead = _windows(twice)[at]
     # imgs[j, f, p, i]: entry j of image p of family f of word i
-    imgs = np.empty((ahead.shape[0], 2, m, cols.shape[1]), dtype=np.uint8)
-    np.subtract(ahead, cols, out=imgs[:, 0])
-    back = cols[::-1]
-    np.subtract(back, _ahead(back)[at], out=imgs[:, 1])
+    imgs = np.empty((ahead.shape[0], 2, m, rows.shape[0]), dtype=np.uint8)
+    np.subtract(ahead, twice[:m], out=imgs[:, 0])
+    np.subtract(back[:m], _windows(back)[at], out=imgs[:, 1])
     # a difference -k of values below m wraps to 256 - k; adding m turns
     # that into m - k, below it, and any x >= 0 into x + m, above it, so
     # the minimum of the two is the difference mod m
     np.minimum(imgs, imgs + np.uint8(m), out=imgs)
     return imgs
+
+
+def _windows(twice: np.ndarray) -> np.ndarray:
+    """Read-only (m, m, c) view of a doubled (2m, c) array with
+    [j, p] = twice[p + j]."""
+    step, col = twice.strides
+    m = twice.shape[0] // 2
+    return as_strided(twice, (m, m, twice.shape[1]), (step, step, col), writeable=False)
 
 
 def _image_keys(rows: np.ndarray) -> np.ndarray:
@@ -220,13 +244,13 @@ def stabilizer_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
         cols = np.ascontiguousarray(block.T)
         diffs = np.concatenate([cols[1:], cols[:1]]) - cols
         np.minimum(diffs, diffs + np.uint8(m), out=diffs)  # mod m, as in _image_keys
-        cands = cols[:, diffs.min(axis=0) == diffs[0]].T
+        cands = np.compress(diffs.min(axis=0) == diffs[0], cols, axis=1).T
         for start in range(0, cands.shape[0], _CHUNK_ROWS):
             imgs = _image_keys(cands[start:start + _CHUNK_ROWS])
             own = imgs[0, 0]  # the word itself
             rep = imgs.min(axis=(0, 1)) == own
             keys.append(own[rep])
-            fixed.append((imgs[:, :, rep] == own[rep]).sum(axis=1, dtype=np.uint8))
+            fixed.append((imgs == own).sum(axis=1, dtype=np.uint8)[:, rep])
     return np.concatenate(keys), np.concatenate(fixed, axis=1)
 
 

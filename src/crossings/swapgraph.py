@@ -19,6 +19,8 @@ The tests check it against a plain sweep over all words in tests/oracles.py.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .cycles import CycleIndex
@@ -35,6 +37,18 @@ def self_cost(m: int) -> int:
     return (m - 1) ** 2 // 4
 
 
+@cache
+def _swap_positions(m: int) -> np.ndarray:
+    """(m, m) positions read by each swap: row j is the identity with j and
+    j+1 mod m exchanged."""
+    pos = np.tile(np.arange(m), (m, 1))
+    j = np.arange(m)
+    pos[j, (j + 1) % m] = j
+    pos[j, j] = (j + 1) % m
+    pos.flags.writeable = False
+    return pos
+
+
 def neighbor_words(words: np.ndarray) -> np.ndarray:
     """The m adjacent-entry swaps of each row, wrap included.
 
@@ -44,13 +58,7 @@ def neighbor_words(words: np.ndarray) -> np.ndarray:
     move the 1 entry off the front, so rows are rotations of anchored words.
     """
     words = np.asarray(words, dtype=np.uint8)
-    m = words.shape[-1]
-    out = np.repeat(words[..., None, :], m, axis=-2)
-    for j in range(m):
-        k = (j + 1) % m
-        out[..., j, j] = words[..., k]
-        out[..., j, k] = words[..., j]
-    return out
+    return words[..., _swap_positions(words.shape[-1])]
 
 
 def distances_from_base(index: CycleIndex) -> np.ndarray:

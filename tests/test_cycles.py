@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossings import cycles
 from crossings.cycles import (
     CycleIndex,
+    _pack_nibbles,
     canonical_keys,
+    image_letters,
     invert_seqs,
     shift_families,
     unpack_keys,
@@ -305,16 +308,23 @@ def scalar_shift_canonical(word):
     return min(cycle_from_word(tuple((v - 1 + k) % m + 1 for v in word)).seq for k in range(m))
 
 
-@pytest.mark.parametrize("m", range(3, 17))
-def test_shift_canonical_keys_match_scalar_oracle(m):
+# every m with more rows than one chunk, and a few with one row either side
+# of a whole chunk
+@pytest.mark.parametrize(
+    "m, n",
+    [pytest.param(m, ORACLE_ROWS, id=str(m)) for m in range(3, 17)]
+    + [pytest.param(m, cycles._CHUNK_ROWS + d, id=f"{m}-chunk{d:+d}")
+       for m in (3, 8, 13, 16) for d in (-1, 1)],
+)
+def test_shift_canonical_keys_match_scalar_oracle(m, n):
     # row 0 of shift_families shifts each word, row 1 its image under the
     # reflecting generator
-    seqs = random_words(m, ORACLE_ROWS, seed=100 + m)
+    seqs = random_words(m, n, seed=100 + m)
     _, reflect = stabilizer_generators(m)
     words = [tuple(map(int, row)) for row in seqs]
     images = [act(reflect, Cycle(w)).seq for w in words]
     families = shift_families(seqs)
-    assert families.dtype == np.uint64 and families.shape == (2, ORACLE_ROWS)
+    assert families.dtype == np.uint64 and families.shape == (2, n)
     for got, family in zip(families, (words, images)):
         want = [pack_keys(np.array(scalar_shift_canonical(w), dtype=np.uint8)) for w in family]
         assert (got == np.array(want, dtype=np.uint64)).all()
@@ -328,6 +338,18 @@ def test_canonical_keys_ignore_rotation_and_leading_shape(m):
     assert (canonical_keys(rotated) == canonical_keys(seqs)).all()
     assert (shift_families(rotated) == shift_families(seqs)).all()
     assert (canonical_keys(seqs.reshape(8, 8, m)) == canonical_keys(seqs).reshape(8, 8)).all()
+
+
+@pytest.mark.parametrize("m", range(4, 14))
+def test_image_letters_at_a_slice_are_those_of_every_position(m):
+    rows = random_words(m, 50, seed=500 + m)
+    whole = image_letters(rows)
+    assert whole.dtype == np.uint8 and whole.shape == (m, 2, m, 50)
+    assert (whole[:, 0, 0] == rows.T - 1).all()  # image [0, 0] is the word
+    for lo, hi in itertools.combinations(range(m + 1), 2):
+        assert np.array_equal(image_letters(rows, slice(lo, hi)), whole[lo:hi])
+    for at in (slice(None), slice(1, None, 2), slice(-3, None), slice(2, 2)):
+        assert np.array_equal(image_letters(rows, at), whole[at])
 
 
 def test_reflect_invert_matches_the_reflecting_generator():
@@ -351,6 +373,13 @@ def test_pack_keys_match_shift_and_sum(m):
     assert keys.dtype == np.uint64 and (keys == want).all()
     assert (unpack_keys(keys, m) == seqs).all()
     assert pack_keys(seqs[0]) == want[0]
+    # the packer itself, on a transposed (non-contiguous) view and on
+    # leading shapes, contiguous or not
+    vals = seqs - np.uint8(1)
+    assert not vals.T.flags.c_contiguous
+    for got in (_pack_nibbles(vals.T), _pack_nibbles(vals.reshape(20, 15, m).transpose(2, 0, 1)),
+                _pack_nibbles(np.ascontiguousarray(vals.reshape(15, 20, m).T)).T):
+        assert got.dtype == np.uint64 and (got.ravel() == want).all()
 
 
 @pytest.mark.parametrize("m", range(3, 10))
