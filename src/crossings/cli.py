@@ -31,10 +31,6 @@ def _add_common(p: argparse.ArgumentParser, with_m: bool = True, with_cache: boo
     p.add_argument("--threads", type=int, default=None, help="BLAS thread count")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", default=None, metavar="PATH", help="also write the result object here")
-
-
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call in a process and
@@ -60,13 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="constraint coefficient tables for the single block")
     _add_common(p)
 
-    p = sub.add_parser("alpha", help="optimum of the full relaxation")
-    _add_common(p)
-    _add_solver(p)
-
-    p = sub.add_parser("beta", help="optimum of the single-block relaxation")
-    _add_common(p)
-    _add_solver(p)
+    for name, aliases, relaxation in (("alpha", [], "full"), ("beta", ["certify"], "single-block")):
+        p = sub.add_parser(name, aliases=aliases,
+                           help=f"optimum of the {relaxation} relaxation and its exact certificate")
+        _add_common(p)
+        p.add_argument("--json", default=None, metavar="PATH", help="also write the result object here")
 
     p = sub.add_parser("bounds", help="derived crossing-number bounds, CSV on stdout")
     _add_common(p, with_m=False)
@@ -77,10 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="column counts, like 13, 10..13 or 10,12 (default: n = level)")
     p.add_argument("--source", choices=("alpha", "beta"), default="beta",
                    help="tag for values given without one")
-
-    p = sub.add_parser("certify", help="exact certificate for the single-block optimum")
-    _add_common(p)
-    _add_solver(p)
 
     p = sub.add_parser("verify", help="cross-check computed values against known-good ones")
     _add_common(p)
@@ -163,39 +153,27 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-def _alpha_fields(out) -> dict:
-    return {"alpha": out.value, "classes": out.class_count,
-            "blocks": [int(y.shape[0]) for y in out.y]}
-
-
-def _beta_fields(out) -> dict:
-    from .relaxations import rank_report
-
-    rank, vector = rank_report(out.y[0])
-    return {"beta": out.value, "rank": rank,
-            "eigenvector": None if vector is None else [float(v) for v in vector]}
-
-
-def _certify_fields(out) -> dict:
-    from .relaxations import exactly_psd
+def _result_fields(out) -> dict:
+    """The optimum of a solve under alpha (full) or beta (single block),
+    its classes and blocks, and its exact certificate; for one block also
+    the dual block's rank and, at rank one, its vector."""
+    from .relaxations import exactly_psd, rank_report
 
     cert = out.certificate
-    return {"value": f"{cert.value.numerator}/{cert.value.denominator}",
-            "worst_class": cert.worst_class,
-            "psd_verified": all(exactly_psd(n) for n in cert.numerators)}
-
-
-# solve command -> (relaxation kind, the result fields only that command adds)
-_SOLVES = {
-    "alpha": ("full", _alpha_fields),
-    "beta": ("single", _beta_fields),
-    "certify": ("single", _certify_fields),
-}
+    fields = {"alpha" if out.kind == "full" else "beta": out.value, "classes": out.class_count,
+              "blocks": [int(y.shape[0]) for y in out.y], "worst_class": cert.worst_class,
+              "value": f"{cert.value.numerator}/{cert.value.denominator}",
+              "psd_verified": all(exactly_psd(n) for n in cert.numerators)}
+    if len(out.y) == 1:
+        rank, vector = rank_report(out.y[0])
+        fields.update(rank=rank, eigenvector=None if vector is None else [float(v) for v in vector])
+    return fields
 
 
 def _cmd_solve(args) -> int:
     """Run one relaxation, streaming one JSON line per cutting round to
-    stderr, then print the shared result fields and the command's own."""
+    stderr, then print its result: alpha solves the full relaxation,
+    beta (or certify) the single block."""
     from dataclasses import asdict
 
     from . import relaxations
@@ -203,11 +181,10 @@ def _cmd_solve(args) -> int:
     def progress(rec):
         print(json.dumps(asdict(rec)), file=sys.stderr, flush=True)
 
-    kind, fields = _SOLVES[args.command]
-    run = relaxations.run_full if kind == "full" else relaxations.run_single
+    run = relaxations.run_full if args.command == "alpha" else relaxations.run_single
     started = time.monotonic()
     out = run(args.m, cache_dir=args.cache_dir, progress=progress)
-    result = {"m": args.m, **fields(out), "certified_bound": out.certificate.bound,
+    result = {"m": args.m, **_result_fields(out), "certified_bound": out.certificate.bound,
               "status": out.status, "rounds": len(out.rounds), "iterations": out.iterations}
     result["total_time"] = time.monotonic() - started
     print(json.dumps(result))
@@ -334,7 +311,7 @@ _HANDLERS = {
     "q": _cmd_q,
     "orbits": _cmd_orbits,
     "coeffs": _cmd_coeffs,
-    **dict.fromkeys(_SOLVES, _cmd_solve),
+    **dict.fromkeys(("alpha", "beta", "certify"), _cmd_solve),
     "bounds": _cmd_bounds,
     "verify": _cmd_verify,
 }

@@ -36,20 +36,19 @@ sum that could leave +-2**62 is refused before int64 wraps.
 The blocks of one shape, the single-block relaxation's hook block
 included, take one call (block_constraint_tables) and one pass over the
 representatives (CycleIndex.chunks), each chunk's forms added to their
-classes: it returns the packed upper triangles as one int64 table, each
-block's raw tableau forms in its own columns.  A block of sign s has
-rows w + s (w o eta) and reduces to those forms: eta flips one pair
-component, which descends to an involution on classes, and each entry is
-(1 + s^2) times the raw form plus 2s times its flip, applied in place.  Sign 0 leaves the raw forms,
+classes in one int64 table of the shape, each block's raw tableau forms
+in its own columns.  A block of sign s has rows w + s (w o eta) and
+reduces to those forms: eta flips one pair component, which descends to
+an involution on classes, and each entry is (1 + s^2) times the raw form
+plus 2s times its flip, applied in place.  Sign 0 leaves the raw forms,
 the rows being the tableau vectors, so the single block holds no form
-beside the table.  The cache stores each block as the gcd of its entries
-times a table of the narrowest integer type that holds the quotients
-(scaled_block_tables, the one loop over shapes).
+beside the table.  The call returns each block as the gcd of its entries
+and a table of the narrowest integer type that holds the quotients, the
+form the cache stores, and the int64 table goes with the call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
 
@@ -96,7 +95,7 @@ class PairTables:
 # -- tableau expansion -------------------------------------------------------
 
 # Table entries per row chunk when a block is divided by its scale
-# (scaled_block_tables): 2 MB of int64 transients.
+# (block_constraint_tables): 2 MB of int64 transients.
 _NARROW_ENTRIES = 1 << 18
 
 # Tabloids per chunk of the shift orbit search (_shift_sums); its
@@ -233,18 +232,21 @@ def _hook_forms(words: np.ndarray, order: np.ndarray, offsets: list[int],
 
 
 def block_constraint_tables(tables: PairTables, blocks: list[Block],
-                            patterns: Patterns | None) -> np.ndarray:
-    """The (C, t) int64 table of the blocks of one shape, as packed upper
-    triangles.  patterns is the shape's pattern table, the one that
+                            patterns: Patterns | None) -> list[tuple[int, np.ndarray]]:
+    """Each block of one shape as (g, t), in block order: g t are its
+    packed upper triangles, rows in class order and columns row-major, g
+    the gcd of their entries and t of the narrowest signed type holding
+    the quotients.  patterns is the shape's pattern table, the one that
     selected its blocks (repsets.shape_blocks); the hook needs none.
 
-    Rows follow the class order; columns run over the upper triangle of
-    each block, row-major, blocks in order.  The entry of a block of sign s
-    at tableaux (ta, tb) is (1 + s^2) raw + 2 s raw[flip] for the raw
-    pairing form raw of (ta, tb), since F(w + s Pw, w' + s Pw') expands to
-    (1 + s^2) F(w, w') + 2 s F(w, Pw') and inverting both components fixes
-    every class.  Every column takes its raw form first; then each block
-    of sign s != 0 applies it in place on its own columns.
+    The entry of a block of sign s at tableaux (ta, tb) is (1 + s^2) raw +
+    2 s raw[flip] for the raw pairing form raw of (ta, tb), since
+    F(w + s Pw, w' + s Pw') expands to (1 + s^2) F(w, w') + 2 s F(w, Pw')
+    and inverting both components fixes every class.  The raw forms fill
+    one int64 table of the shape; each block applies its sign in place on
+    its own columns and is divided by g in row chunks of _NARROW_ENTRIES
+    entries, g t compared with them exactly: a difference raises
+    CrossingsError.
 
     Every shape takes one pass over the representatives, one chunk at a
     time: the hook shape (m-2, 1, 1) through _hook_forms, weighted by
@@ -271,53 +273,27 @@ def block_constraint_tables(tables: PairTables, blocks: list[Block],
         forms = kernel(words, fixed[:, chunk].sum(axis=0, dtype=np.int64), *args)
         np.add.at(tri, tables.classes.class_of_orbit[chunk], forms)
     widths = [b.dim * (b.dim + 1) // 2 for b in blocks]
+    scaled = []
     for b, raw in zip(blocks, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
         if b.sign:
             flipped = raw[tables.flip]
             flipped *= 2 * b.sign
             raw *= 1 + b.sign**2
             raw += flipped
-    return tri
+        rows = max(1, _NARROW_ENTRIES // raw.shape[1])
+        chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
+        g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
+        bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
+        part = np.empty(raw.shape, dtype=_narrowest(bound))
+        for c in chunks:
+            part[c] = raw[c] // g
+            if (part[c] * np.int64(g) != raw[c]).any():
+                raise CrossingsError(f"block {b.lam}{b.sign:+d}: {part.dtype} times {g} is not its table")
+        scaled.append((g, part))
+    return scaled
 
 
 def _narrowest(bound: int) -> np.dtype:
     """The narrowest signed integer type holding every |t| <= bound."""
     return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
                 if bound <= np.iinfo(t).max)
-
-
-def scaled_block_tables(
-    tables: PairTables,
-    shapes: Iterable[tuple[tuple[int, ...], Patterns | None, list[Block]]],
-) -> tuple[list[Block], list[int], list[np.ndarray]]:
-    """The blocks of a relaxation and their class tables, from its blocks
-    grouped by shape as (lam, pattern table, blocks of shape lam), the
-    groups repsets.shape_blocks yields; a hook shape needs no table.  Each
-    block is one exact scale g and one narrow integer table t, in block
-    order: the block's packed triangles (block_constraint_tables) are g t,
-    g the gcd of its entries, and t is of the narrowest signed type
-    holding it.
-
-    The int64 triangles are built one shape at a time and divided in row
-    chunks of _NARROW_ENTRIES entries; each shape's table is freed before
-    the next shape is selected.  g t is compared with them exactly, and
-    any difference raises CrossingsError."""
-    blocks, scales, parts = [], [], []
-    for _, patterns, shape in shapes:
-        blocks += shape
-        tri = block_constraint_tables(tables, shape, patterns)
-        widths = [b.dim * (b.dim + 1) // 2 for b in shape]
-        for b, raw in zip(shape, np.split(tri, np.cumsum(widths)[:-1], axis=1)):
-            rows = max(1, _NARROW_ENTRIES // raw.shape[1])
-            chunks = [slice(lo, lo + rows) for lo in range(0, len(raw), rows)]
-            g = int(np.gcd.reduce([np.gcd.reduce(raw[c], axis=None) for c in chunks])) or 1
-            bound = max(int(np.abs(raw[c]).max(initial=0)) for c in chunks) // g
-            part = np.empty(raw.shape, dtype=_narrowest(bound))
-            for c in chunks:
-                part[c] = raw[c] // g
-                if (part[c] * np.int64(g) != raw[c]).any():
-                    raise CrossingsError(f"block {b.lam}{b.sign:+d}: {part.dtype} times {g} is not its table")
-            scales.append(g)
-            parts.append(part)
-        del tri, raw  # the views too, before the next shape is selected
-    return blocks, scales, parts

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -205,16 +206,24 @@ def canonical_keys(seqs: np.ndarray) -> np.ndarray:
     return shift_families(seqs).min(axis=0)
 
 
+@lru_cache(maxsize=None)
+def _word_tails(k: int) -> np.ndarray:
+    """The read-only (k, k!) uint8 orderings of 2..k+1, lexicographic by column."""
+    tails = np.ascontiguousarray(lex_permutations(k)[0].T) + np.uint8(2)
+    tails.setflags(write=False)
+    return tails
+
+
 def word_blocks(m: int):
     """The (m-1)! anchored words in lexicographic order, as (N, m) uint8
     blocks of at most 8! words, one per ordering of the m - 9 letters after
     the anchor (a single block for m <= 9).  They are made one at a time,
     so the representative filter holds about 3m bytes a word of one block.
     Each block is the transpose of a C-ordered (m, N) array, the layout the
-    filter reads.
+    filter reads; the tail orderings are shared (_word_tails).
     """
     _check_m(m)
-    tails = np.ascontiguousarray(lex_permutations(min(m - 1, 8))[0].T) + np.uint8(2)
+    tails = _word_tails(min(m - 1, 8))
     head = m - 1 - tails.shape[0]
     for prefix in itertools.permutations(range(2, m + 1), head):
         cols = np.empty((m, tails.shape[1]), dtype=np.uint8)

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cache
-from .coeffs import PairTables, scaled_block_tables
+from .coeffs import PairTables, block_constraint_tables
 from .cycles import check_fits
 from .errors import ArgumentError, SolverError
 from .repsets import Block, hook_block_columns, psd_pivots, shape_blocks
@@ -150,10 +150,14 @@ def coeff_tables(
             width = buffer = hook.dim * (hook.dim + 1) // 2
         check_fits(count * (width + 2 + 8 * buffer), f"{kind} m={m}")
         shapes = shape_blocks(m) if kind == "full" else [(hook.lam, None, [hook])]
-        blocks, scales, parts = scaled_block_tables(tables, shapes)
+        blocks, built = [], []
+        for _, patterns, shape in shapes:  # each shape's int64 table goes with its call
+            blocks += shape
+            built += block_constraint_tables(tables, shape, patterns)
+        scales, parts = zip(*built)
         cache.write_coeffs(path, m, tuple(b.dim for b in blocks), scales, parts,
                            tables.classes.sizes, tables.q)
-        del tables, parts  # freed before the file is read back
+        del tables, patterns, built, parts  # freed before the file is read back
     return cache.read_coeffs(path, m)
 
 

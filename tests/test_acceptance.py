@@ -496,7 +496,8 @@ def test_criterion_7_independent_routes():
     for m in range(4, 8):
         tables = PairTables.build(m)
         cols = hook_block_columns(m)
-        tri = block_constraint_tables(tables, [Block((m - 2, 1, 1), 0, cols)], None)
+        ((g, part),) = block_constraint_tables(tables, [Block((m - 2, 1, 1), 0, cols)], None)
+        tri = widen(part, g)
         # combinations_with_replacement walks the upper triangle row-major
         for pos, (t1, t2) in enumerate(combinations_with_replacement(cols, 2)):
             got = {int(c): int(v) for c, v in enumerate(tri[:, pos]) if v}

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -61,16 +62,19 @@ def _alpha_result(result):
     assert result["alpha"] == pytest.approx(1.0, abs=1e-9)
     assert result["blocks"] == [1, 1, 1]
     assert result["classes"] == 3
+    assert "rank" not in result and "eigenvector" not in result  # three blocks
 
 
 def _beta_result(result):
     assert result["beta"] == pytest.approx(1.9270509831, abs=1e-9)
+    assert result["blocks"] == [2] and result["classes"] == 7
     assert result["certified_bound"] == pytest.approx(1.9270509831, abs=1e-9)
     assert result["rank"] == 1
     assert result["eigenvector"] == pytest.approx([0.5477225575, 0.3385111569], abs=1e-4)
 
 
 def _certify_result(result):
+    assert result["beta"] == pytest.approx(1.0, abs=1e-9)
     assert result["psd_verified"] is True
     assert result["certified_bound"] == pytest.approx(1.0, abs=1e-9)
     num, den = result["value"].split("/")
@@ -78,7 +82,7 @@ def _certify_result(result):
     assert isinstance(result["worst_class"], int)
 
 
-# solve command -> (level, check of the fields only that command adds)
+# solve command -> (level, check of the fields at that level)
 SOLVES = {"alpha": (4, _alpha_result), "beta": (5, _beta_result), "certify": (4, _certify_result)}
 
 
@@ -93,6 +97,10 @@ def test_solve_command_stream_and_result(command, store, capsys, tmp_path):
     result = json.loads(out.strip().splitlines()[-1])
     check(result)
     assert {"m", "certified_bound", "status", "rounds", "iterations", "total_time"} <= set(result)
+    # every solve carries its exact certificate, whose float is the bound
+    assert result["psd_verified"] is True and isinstance(result["worst_class"], int)
+    bound = result["certified_bound"]
+    assert abs(float(Fraction(result["value"])) - bound) <= math.ulp(bound)
     assert result["m"] == m
     assert result["status"] == "optimal"
     assert result["rounds"] >= 1 and result["total_time"] > 0
@@ -106,6 +114,20 @@ def test_solve_command_stream_and_result(command, store, capsys, tmp_path):
         assert record["status"] in ("optimal", "stalled", "max_iter")
     assert result["iterations"] == sum(r["iterations"] for r in records)
     assert records[-1]["status"] == result["status"]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_certify_prints_the_beta_result(m, store, capsys):
+    # certify is another name of beta: one solve, one result
+    results = []
+    for command in ("beta", "certify"):
+        code, out, _ = run_cli(capsys, command, "--m", str(m), "--cache-dir", str(store))
+        assert code == 0
+        result = json.loads(out.strip().splitlines()[-1])
+        assert result.pop("total_time") > 0
+        results.append(result)
+    assert results[0] == results[1]
+    assert {"beta", "rank", "eigenvector", "value", "psd_verified"} <= set(results[0])
 
 
 def test_bounds_command_from_table(store, capsys, tmp_path):

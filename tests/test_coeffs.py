@@ -68,23 +68,29 @@ def tri_pairs(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
-def block_tables(t, blocks):
-    """The tables block_constraint_tables builds for each shape's run of
-    blocks, side by side in block order."""
+def scaled_tables(t, shapes):
+    """The (g, narrow table) of every block of the (lam, pattern table,
+    blocks) groups shapes, from one block_constraint_tables call a group."""
+    return [gt for _, patterns, group in shapes for gt in block_constraint_tables(t, group, patterns)]
+
+
+def widened_tables(t, blocks):
+    """The int64 table g t of each block, built for each shape's run of
+    blocks, in block order."""
     hook = (t.m - 2, 1, 1)
-    return np.hstack([block_constraint_tables(t, list(run), None if lam == hook else _pattern_table(lam))
-                      for lam, run in itertools.groupby(blocks, key=lambda b: b.lam)])
+    shapes = [(lam, None if lam == hook else _pattern_table(lam), list(run))
+              for lam, run in itertools.groupby(blocks, key=lambda b: b.lam)]
+    return [widen(part, g) for g, part in scaled_tables(t, shapes)]
 
 
-def split_blocks(tri, blocks):
-    """The tables of blocks side by side in tri, one per block."""
-    return np.split(tri, np.cumsum([b.dim * (b.dim + 1) // 2 for b in blocks])[:-1], axis=1)
+def block_tables(t, blocks):
+    """The widened tables of blocks side by side in block order."""
+    return np.hstack(widened_tables(t, blocks))
 
 
 def block_squares(t, blocks):
     """The (C, d, d) class stacks of each block, in block order."""
-    tris = split_blocks(block_tables(t, blocks), blocks)
-    return [square_triangles(x, b.dim) for x, b in zip(tris, blocks)]
+    return [square_triangles(x, b.dim) for x, b in zip(widened_tables(t, blocks), blocks)]
 
 
 def hook_table(t):
@@ -426,23 +432,28 @@ def relaxation_shapes(m, kind):
 
 
 @pytest.mark.parametrize("m,kind", [(8, "single"), (6, "full"), (7, "full")])
-def test_scaled_block_tables_are_exact_and_narrowest(m, kind):
+def test_block_tables_are_exact_and_narrowest(m, kind):
     # each block is its scale times a table of the narrowest type: the
     # scale is the gcd of the block's int64 entries, which the product
-    # gives back exactly, and the next narrower type would not hold it
+    # gives back exactly, and the next narrower type would not hold it;
+    # the int64 entries are the frozen tables'
     t = TABLES.get(m) or PairTables.build(m)
     shapes = relaxation_shapes(m, kind)
     blocks = [b for _, _, group in shapes for b in group]
-    want = split_blocks(block_tables(t, blocks), blocks)
-    got, scales, parts = coeffs.scaled_block_tables(t, shapes)
-    assert got == blocks
+    built = scaled_tables(t, shapes)
+    assert len(built) == len(blocks)
+    want = [widen(part, g) for g, part in built]
+    if kind == "single":
+        assert table_sha256(want) == HOOK_TABLE_SHA256[m]
+    else:
+        assert table_sha256(map(square_triangles, want, [b.dim for b in blocks])) == BLOCK_TABLES_SHA256[m]
     types = [np.int8, np.int16, np.int32, np.int64]
-    for g, part, raw in zip(scales, parts, want):
+    for (g, part), raw in zip(built, want, strict=True):
         assert g == np.gcd.reduce(raw, axis=None) > 0
         assert (part.astype(np.int64) * g == raw).all()
         k = types.index(part.dtype.type)
         assert k == 0 or np.abs(raw // g).max() > np.iinfo(types[k - 1]).max
-    assert max(p.dtype.itemsize for p in parts) == (2 if m == 7 else 1)
+    assert max(part.dtype.itemsize for _, part in built) == (2 if m == 7 else 1)
 
 
 @pytest.mark.parametrize("m,kind", [(m, "single") for m in range(4, 10)]
@@ -456,12 +467,10 @@ def test_block_tables_do_not_depend_on_the_chunk(m, kind, monkeypatch):
     def build(rows):
         with monkeypatch.context() as patch:
             patch.setattr(cycles, "_CHUNK_ROWS", rows)
-            return coeffs.scaled_block_tables(t, relaxation_shapes(m, kind))
+            return scaled_tables(t, relaxation_shapes(m, kind))
 
-    (blocks, scales, parts), (cut_blocks, cut_scales, cut_parts) = build(1 << 30), build(7)
-    assert cut_blocks == blocks and cut_scales == scales
-    for a, b in zip(cut_parts, parts, strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for (cut_g, a), (g, b) in zip(build(7), build(1 << 30), strict=True):
+        assert cut_g == g and a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_a_narrowing_that_loses_entries_is_refused(monkeypatch):
@@ -470,7 +479,7 @@ def test_a_narrowing_that_loses_entries_is_refused(monkeypatch):
     t = TABLES[7]
     monkeypatch.setattr(coeffs, "_narrowest", lambda bound: np.dtype(np.int8))
     with pytest.raises(CrossingsError, match="is not its table"):
-        coeffs.scaled_block_tables(t, shape_blocks(7))
+        scaled_tables(t, shape_blocks(7))
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -575,7 +584,8 @@ def test_tabloid_forms_past_the_coefficient_limit_are_refused(monkeypatch):
 
     def forms(scale):
         monkeypatch.setattr(coeffs, "_shift_sums", lambda ts, table: (keys, unit * scale))
-        return block_constraint_tables(t, [Block(lam, 0, [ta])], patterns)
+        ((g, part),) = block_constraint_tables(t, [Block(lam, 0, [ta])], patterns)
+        return widen(part, g)
 
     assert (forms(2**57) == 2**57 * forms(1)).all() and len(calls) == 2
     with pytest.raises(ResourceError):

@@ -128,7 +128,7 @@ def no_block_tables(monkeypatch):
         raise TableAllocated(args)
 
     monkeypatch.setattr(relaxations, "shape_blocks", no_table)
-    monkeypatch.setattr(relaxations, "scaled_block_tables", no_table)
+    monkeypatch.setattr(relaxations, "block_constraint_tables", no_table)
 
 
 def test_argument_guards(tmp_path, monkeypatch):
